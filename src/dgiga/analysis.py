@@ -2,20 +2,22 @@
 
 Errors are integrated with one Gauss point per direction more than the
 assembly uses, so the quadrature of the error never masks the
-discretization error being measured.
+discretization error being measured.  One pass per patch tabulates the
+basis once and yields both the L2 and the broken-gradient parts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _EdgeTrace, _PatchTables, _element_basis, _surface_grads, edge_alpha
-from .geometry import edge_breakpoints, edge_mesh_size, mesh_size
-from .quadrature import gauss_on_interval
+from .assembly import edge_alpha
+from .geometry import _tabulate, tabulate_patch, tabulate_side
 from .space import DiscreteFunction
+from .splines import breakpoints
 
 __all__ = ["ErrorReport", "RateTable", "l2_error", "dg_error", "measure_errors", "rate_table"]
 
@@ -29,17 +31,51 @@ class ErrorReport:
     per_patch: list
 
 
-def _element_values(space, u_h, tab, eu, ev, pid):
-    """u_h values/gradients and geometry weights on one element's Gauss grid."""
-    q = tab.q
-    R, (Ru, Rv), point, (J1, J2), metric, (au, av) = _element_basis(tab, eu, ev)
-    m1, m2 = R.shape[2], R.shape[3]
-    c = u_h.patch_coeffs(pid)[au : au + m1, av : av + m2]
-    vals = np.einsum("ijab,ab->ij", R, c)
-    G = _surface_grads(Ru, Rv, J1, J2, metric)
-    grads = np.einsum("ijabk,ab->ijk", G, c)
-    wq = np.outer(tab.wu[eu], tab.wv[ev]) * np.sqrt(metric[3])
-    return vals, grads, point.reshape(-1, 3), wq
+def _patch_errors(u_h: DiscreteFunction, u_exact, grad_u_exact, q: int) -> list:
+    """Per patch, the squared L2 error and the squared broken-gradient error.
+
+    A part whose exact data is None is 0.
+    """
+    parts = []
+    for pid, patch in enumerate(u_h.space.surface.patches):
+        tab = tabulate_patch(patch, q)
+        values, grads = u_h.eval_tabulated(pid, tab)
+        points = tab.points.reshape(-1, 3)
+        l2 = h1 = 0.0
+        if u_exact is not None:
+            diff = values - np.asarray(u_exact(points)).reshape(values.shape)
+            l2 = float(np.sum(diff**2 * tab.weights))
+        if grad_u_exact is not None:
+            diff = grads - np.asarray(grad_u_exact(points)).reshape(grads.shape)
+            h1 = float(np.sum(np.sum(diff**2, axis=-1) * tab.weights))
+        parts.append((l2, h1))
+    return parts
+
+
+def _energy_error(u_h: DiscreteFunction, parts: list, delta: float, g_D) -> float:
+    """Energy-norm error from the per-patch gradient parts plus the scaled
+    squared jumps: of u_h on interior edges, of u_h - g_D on Dirichlet edges."""
+    surface = u_h.space.surface
+    q = u_h.space.degree + 2
+    total = sum(a * h1 for a, (_, h1) in zip(surface.alpha, parts))
+    for edge in surface.edges:
+        if edge.kind == "neumann":
+            continue
+        pid_l, side_l = edge.left
+        left = tabulate_side(surface.patches[pid_l], side_l, q)
+        jump, _ = u_h.eval_tabulated(pid_l, left)
+        if edge.kind == "interior":
+            pid_r, side_r = edge.right
+            a_gamma = edge_alpha(surface.alpha[pid_l], surface.alpha[pid_r])
+            right = tabulate_side(surface.patches[pid_r], side_r, q)
+            if edge.orientation_flip:
+                right = right.reversed()
+            jump = jump - u_h.eval_tabulated(pid_r, right)[0]
+        else:
+            a_gamma = surface.alpha[pid_l]
+            jump = jump - np.asarray(g_D(left.points.reshape(-1, 3))).reshape(jump.shape)
+        total += a_gamma * delta * float(np.sum(jump**2 * left.weights / left.chords[:, None]))
+    return math.sqrt(total)
 
 
 def l2_error(u_h: DiscreteFunction, u_exact, q: int | None = None) -> float:
@@ -47,18 +83,9 @@ def l2_error(u_h: DiscreteFunction, u_exact, q: int | None = None) -> float:
 
     Integrates with degree+2 points per direction unless q overrides it.
     """
-    space = u_h.space
     if q is None:
-        q = space.degree + 2
-    total = 0.0
-    for pid, patch in enumerate(space.surface.patches):
-        tab = _PatchTables(patch, q)
-        for eu in range(tab.nel[0]):
-            for ev in range(tab.nel[1]):
-                vals, _, pts, wq = _element_values(space, u_h, tab, eu, ev, pid)
-                diff = vals - np.asarray(u_exact(pts)).reshape(q, q)
-                total += float(np.sum(diff**2 * wq))
-    return math.sqrt(total)
+        q = u_h.space.degree + 2
+    return math.sqrt(sum(part for part, _ in _patch_errors(u_h, u_exact, None, q)))
 
 
 def dg_error(
@@ -70,83 +97,32 @@ def dg_error(
     continuous); Dirichlet edges contribute u_h - g_D, with g_D defaulting
     to the exact solution's trace.
     """
-    space = u_h.space
-    surface = space.surface
-    q = space.degree + 2
-    if g_D is None:
-        g_D = u_exact
-
-    total = 0.0
-    for pid, patch in enumerate(surface.patches):
-        alpha = surface.alpha[pid]
-        tab = _PatchTables(patch, q)
-        for eu in range(tab.nel[0]):
-            for ev in range(tab.nel[1]):
-                _, grads, pts, wq = _element_values(space, u_h, tab, eu, ev, pid)
-                diff = grads - np.asarray(grad_u_exact(pts)).reshape(q, q, 3)
-                total += alpha * float(np.sum(np.sum(diff**2, axis=2) * wq))
-
-    for edge in surface.edges:
-        if edge.kind == "neumann":
-            continue
-        pid_l, side_l = edge.left
-        if edge.kind == "interior":
-            a_gamma = edge_alpha(
-                surface.alpha[pid_l], surface.alpha[edge.right[0]]
-            )
-        else:
-            a_gamma = surface.alpha[pid_l]
-        bp = edge_breakpoints(surface, edge)
-        for e in range(bp.size - 1):
-            h_el = edge_mesh_size(surface, edge, e)
-            rule = gauss_on_interval(q, bp[e], bp[e + 1])
-            for t, w in zip(rule.nodes, rule.weights):
-                left = _EdgeTrace(space, pid_l, side_l, float(t))
-                val_l = float(left.values @ u_h.coefficients[left.gidx])
-                if edge.kind == "interior":
-                    pid_r, side_r = edge.right
-                    right = _EdgeTrace(space, pid_r, side_r, edge.partner_t(float(t)))
-                    jump = val_l - float(right.values @ u_h.coefficients[right.gidx])
-                else:
-                    gd = float(np.asarray(g_D(left.point[None, :])).reshape(()))
-                    jump = val_l - gd
-                total += a_gamma * (delta / h_el) * jump**2 * left.speed * w
-    return math.sqrt(total)
+    parts = _patch_errors(u_h, None, grad_u_exact, u_h.space.degree + 2)
+    return _energy_error(u_h, parts, delta, g_D or u_exact)
 
 
 def surface_h_max(surface) -> float:
-    """Largest element diameter over all patches."""
-    from .splines import breakpoints
-
+    """Largest element diameter (largest distance among the 4 mapped corners)."""
     h = 0.0
     for patch in surface.patches:
-        nel_u = breakpoints(patch.basis.basis_u).size - 1
-        nel_v = breakpoints(patch.basis.basis_v).size - 1
-        for eu in range(nel_u):
-            for ev in range(nel_v):
-                h = max(h, mesh_size(patch, (eu, ev)))
+        P = _tabulate(
+            patch, breakpoints(patch.basis.basis_u), breakpoints(patch.basis.basis_v)
+        ).points
+        corners = (P[:-1, :-1], P[:-1, 1:], P[1:, :-1], P[1:, 1:])
+        for a, b in itertools.combinations(corners, 2):
+            h = max(h, float(np.max(np.linalg.norm(a - b, axis=-1))))
     return h
 
 
 def measure_errors(u_h: DiscreteFunction, data) -> ErrorReport:
     """L2 and energy-norm errors of a discrete solution, with per-patch parts."""
     space = u_h.space
+    parts = _patch_errors(u_h, data.u_exact, data.grad_u_exact, space.degree + 2)
+    dg = math.nan
     if data.grad_u_exact is not None:
-        dg = dg_error(u_h, data.u_exact, data.grad_u_exact, data.delta, data.g_D)
-    else:
-        dg = math.nan
-    per_patch = []
-    q = space.degree + 2
-    for pid, patch in enumerate(space.surface.patches):
-        tab = _PatchTables(patch, q)
-        part = 0.0
-        for eu in range(tab.nel[0]):
-            for ev in range(tab.nel[1]):
-                vals, _, pts, wq = _element_values(space, u_h, tab, eu, ev, pid)
-                diff = vals - np.asarray(data.u_exact(pts)).reshape(q, q)
-                part += float(np.sum(diff**2 * wq))
-        per_patch.append(math.sqrt(part))
-    l2 = math.sqrt(sum(p**2 for p in per_patch))
+        dg = _energy_error(u_h, parts, data.delta, data.g_D or data.u_exact)
+    l2 = math.sqrt(sum(part for part, _ in parts))
+    per_patch = [math.sqrt(part) for part, _ in parts]
     return ErrorReport(l2, dg, space.total_dofs, surface_h_max(space.surface), per_patch)
 
 

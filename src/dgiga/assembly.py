@@ -3,6 +3,8 @@
 Builds the symmetric system: patchwise diffusion stiffness, interface
 consistency/symmetry and jump-penalty terms, weakly imposed Dirichlet
 conditions of Nitsche type, and the load vector including Neumann data.
+Each patch and each side is tabulated once (``tabulate_patch`` and
+``tabulate_side``) and all its element matrices are formed in one batch.
 Entries accumulate in a fixed order (patch-major, element-lexicographic,
 edge-list order) so serial assembly is reproducible.
 """
@@ -14,19 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    SingularMapError,
-    edge_breakpoints,
-    edge_mesh_size,
-    side_param,
-    surface_normal,
-    frame_at,
-    _SIDE_DATA,
-)
+from .geometry import SideTabulation, tabulate_patch, tabulate_side
 from .linalg import CsrMatrix
-from .quadrature import gauss_on_interval, panel_rules
 from .space import DgSpace
-from .splines import breakpoints, eval_nurbs2d, tabulate
 
 __all__ = [
     "ProblemData",
@@ -76,97 +68,25 @@ class SparseSystem:
 
 
 class _Accumulator:
+    """Element matrices (E, m, m) with their global indices (E, m), and the load."""
+
     def __init__(self, n: int):
         self.n = n
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
+        self.gidx: list[np.ndarray] = []
+        self.local: list[np.ndarray] = []
         self.rhs = np.zeros(n)
 
     def add_block(self, gidx: np.ndarray, local: np.ndarray):
-        m = gidx.size
-        self.rows.append(np.repeat(gidx, m))
-        self.cols.append(np.tile(gidx, m))
-        self.vals.append(local.reshape(-1))
+        self.gidx.append(gidx)
+        self.local.append(local)
 
     def system(self) -> SparseSystem:
-        rows = np.concatenate(self.rows) if self.rows else np.empty(0, dtype=int)
-        cols = np.concatenate(self.cols) if self.cols else np.empty(0, dtype=int)
-        vals = np.concatenate(self.vals) if self.vals else np.empty(0)
+        gidx = np.concatenate(self.gidx) if self.gidx else np.empty((0, 0), dtype=int)
+        vals = np.concatenate(self.local).reshape(-1) if self.local else np.empty(0)
+        m = gidx.shape[1]
+        rows = np.repeat(gidx, m, axis=1).reshape(-1)
+        cols = np.tile(gidx, m).reshape(-1)
         return SparseSystem(CsrMatrix.from_coo(self.n, rows, cols, vals), self.rhs)
-
-
-class _PatchTables:
-    """Per-patch tabulation of 1D bases and Gauss rules on every element."""
-
-    def __init__(self, patch, q: int):
-        self.patch = patch
-        self.q = q
-        self.breaks_u = breakpoints(patch.basis.basis_u)
-        self.breaks_v = breakpoints(patch.basis.basis_v)
-        self.xu, self.wu = panel_rules(self.breaks_u, q)
-        self.xv, self.wv = panel_rules(self.breaks_v, q)
-        p1 = patch.basis.basis_u.degree
-        p2 = patch.basis.basis_v.degree
-        fu, Nu, dNu = tabulate(patch.basis.basis_u, self.xu.ravel())
-        fv, Nv, dNv = tabulate(patch.basis.basis_v, self.xv.ravel())
-        nel_u, nel_v = self.xu.shape[0], self.xv.shape[0]
-        self.first_u = fu.reshape(nel_u, q)[:, 0]
-        self.first_v = fv.reshape(nel_v, q)[:, 0]
-        self.Nu = Nu.reshape(nel_u, q, p1 + 1)
-        self.dNu = dNu.reshape(nel_u, q, p1 + 1)
-        self.Nv = Nv.reshape(nel_v, q, p2 + 1)
-        self.dNv = dNv.reshape(nel_v, q, p2 + 1)
-        self.nel = (nel_u, nel_v)
-
-
-def _element_basis(tab: _PatchTables, eu: int, ev: int):
-    """Rational basis values/derivatives and geometry on one element's grid.
-
-    Returns (R, dR, point, J1, J2, sqrt_det_g, ginv_terms, (au, av)) with
-    leading quadrature axes (q, q) and local-basis axes (m1, m2).
-    """
-    patch = tab.patch
-    au = int(tab.first_u[eu])
-    av = int(tab.first_v[ev])
-    m1 = tab.Nu.shape[2]
-    m2 = tab.Nv.shape[2]
-    W = patch.basis.weights[au : au + m1, av : av + m2]
-    B = np.einsum("ia,jb->ijab", tab.Nu[eu], tab.Nv[ev]) * W
-    Bu = np.einsum("ia,jb->ijab", tab.dNu[eu], tab.Nv[ev]) * W
-    Bv = np.einsum("ia,jb->ijab", tab.Nu[eu], tab.dNv[ev]) * W
-    S = B.sum(axis=(2, 3))
-    Su = Bu.sum(axis=(2, 3))
-    Sv = Bv.sum(axis=(2, 3))
-    R = B / S[:, :, None, None]
-    Ru = Bu / S[:, :, None, None] - B * (Su / S**2)[:, :, None, None]
-    Rv = Bv / S[:, :, None, None] - B * (Sv / S**2)[:, :, None, None]
-
-    cp = patch.control_points[au : au + m1, av : av + m2]
-    point = np.einsum("ijab,abk->ijk", R, cp)
-    J1 = np.einsum("ijab,abk->ijk", Ru, cp)
-    J2 = np.einsum("ijab,abk->ijk", Rv, cp)
-    g11 = np.einsum("ijk,ijk->ij", J1, J1)
-    g12 = np.einsum("ijk,ijk->ij", J1, J2)
-    g22 = np.einsum("ijk,ijk->ij", J2, J2)
-    det = g11 * g22 - g12**2
-    if np.min(det) <= 1e-14:
-        i, j = np.unravel_index(np.argmin(det), det.shape)
-        raise SingularMapError(
-            f"singular parameterization on patch {patch.id} at "
-            f"xi=({tab.xu[eu, i]:.6f}, {tab.xv[ev, j]:.6f})"
-        )
-    return R, (Ru, Rv), point, (J1, J2), (g11, g12, g22, det), (au, av)
-
-
-def _surface_grads(Ru, Rv, J1, J2, metric):
-    """Tangential gradients of all local basis functions at the grid points."""
-    g11, g12, g22, det = metric
-    t1 = (g22[:, :, None, None] * Ru - g12[:, :, None, None] * Rv) / det[:, :, None, None]
-    t2 = (-g12[:, :, None, None] * Ru + g11[:, :, None, None] * Rv) / det[:, :, None, None]
-    return J1[:, :, None, None, :] * t1[:, :, :, :, None] + J2[
-        :, :, None, None, :
-    ] * t2[:, :, :, :, None]
 
 
 def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
@@ -175,61 +95,34 @@ def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
     q = space.degree + 1
     acc = _Accumulator(space.total_dofs)
     for pid, patch in enumerate(surface.patches):
-        tab = _PatchTables(patch, q)
-        alpha = surface.alpha[pid]
-        for eu in range(tab.nel[0]):
-            for ev in range(tab.nel[1]):
-                R, (Ru, Rv), point, (J1, J2), metric, (au, av) = _element_basis(
-                    tab, eu, ev
-                )
-                det = metric[3]
-                wq = np.outer(tab.wu[eu], tab.wv[ev]) * np.sqrt(det)
-                G = _surface_grads(Ru, Rv, J1, J2, metric)
-                m1, m2 = R.shape[2], R.shape[3]
-                gidx = space.global_block(pid, au, av, m1, m2).reshape(-1)
-                Gf = G.reshape(q, q, m1 * m2, 3)
-                local = np.einsum("ijak,ijbk,ij->ab", Gf, Gf, alpha * wq)
-                acc.add_block(gidx, local)
-                if data.f is not None:
-                    fv = np.asarray(
-                        data.f(pid, point.reshape(-1, 3)), dtype=float
-                    ).reshape(q, q)
-                    load = np.einsum("ija,ij->a", R.reshape(q, q, m1 * m2), fv * wq)
-                    np.add.at(acc.rhs, gidx, load)
+        tab = tabulate_patch(patch, q)
+        nel_u, nel_v, _, _, m1, m2 = tab.values.shape
+        shape = (nel_u * nel_v, q * q, m1 * m2)
+        gidx = space.global_block(pid, tab.first_u, tab.first_v, m1, m2).reshape(-1, m1 * m2)
+        w = tab.weights.reshape(shape[:2])
+        G = tab.surface_gradient(tab.grads).reshape(*shape, 3)
+        acc.add_block(gidx, np.einsum("eqak,eqbk,eq->eab", G, G, surface.alpha[pid] * w))
+        if data.f is not None:
+            f = np.asarray(data.f(pid, tab.points.reshape(-1, 3)), dtype=float)
+            load = np.einsum("eqa,eq->ea", tab.values.reshape(shape), f.reshape(w.shape) * w)
+            np.add.at(acc.rhs, gidx, load)
     return acc.system()
 
 
-class _EdgeTrace:
-    """Traces of all active basis functions of one patch side at one point."""
+def _side_terms(space: DgSpace, pid: int, tab: SideTabulation, normal: np.ndarray):
+    """Global indices (nel, m), values and normal derivatives (nel, q, m) of a side's basis."""
+    nel, q, m1, m2 = tab.values.shape
+    gidx = space.global_block(pid, tab.first_u, tab.first_v, m1, m2).reshape(nel, -1)
+    G = tab.surface_gradient(tab.grads)
+    dn = np.einsum("eqabk,eqk->eqab", G, normal)
+    return gidx, tab.values.reshape(nel, q, -1), dn.reshape(nel, q, -1)
 
-    __slots__ = ("values", "grads", "gidx", "speed", "point", "normal", "jacobian")
 
-    def __init__(self, space: DgSpace, pid: int, pside: str, s: float):
-        patch = space.surface.patches[pid]
-        axis, _, edge_dir, outward = _SIDE_DATA[pside]
-        xi = side_param(pside, s)
-        vals, pgrads, (a1, a2) = eval_nurbs2d(patch.basis, xi)
-        frame = frame_at(patch, xi)
-        m1, m2 = vals.shape
-        self.values = vals.reshape(-1)
-        t1 = frame.inv_metric[0, 0] * pgrads[:, :, 0] + frame.inv_metric[0, 1] * pgrads[:, :, 1]
-        t2 = frame.inv_metric[1, 0] * pgrads[:, :, 0] + frame.inv_metric[1, 1] * pgrads[:, :, 1]
-        G = (
-            frame.jacobian[:, 0][None, None, :] * t1[:, :, None]
-            + frame.jacobian[:, 1][None, None, :] * t2[:, :, None]
-        )
-        self.grads = G.reshape(-1, 3)
-        self.gidx = space.global_block(pid, a1, a2, m1, m2).reshape(-1)
-        tangent = frame.jacobian @ edge_dir
-        self.speed = float(np.linalg.norm(tangent))
-        self.point = frame.point
-        nu = surface_normal(frame)
-        c = np.cross(tangent / self.speed, nu)
-        c /= np.linalg.norm(c)
-        if np.dot(c, frame.jacobian @ outward) < 0.0:
-            c = -c
-        self.normal = c
-        self.jacobian = frame.jacobian
+def _sipg_blocks(flux, jump, w, pen):
+    """Element matrices of -(flux jump^T + jump flux^T) + pen jump jump^T over the edge."""
+    fj = np.einsum("eqa,eqb,eq->eab", flux, jump, w)
+    jj = np.einsum("eqa,eqb,eq->eab", jump, jump, w)
+    return -(fj + fj.transpose(0, 2, 1)) + pen[:, None, None] * jj
 
 
 def edge_alpha(a: float, b: float) -> float:
@@ -256,29 +149,22 @@ def assemble_interface(space: DgSpace, data: ProblemData) -> SparseSystem:
     for edge in surface.edges:
         if edge.kind != "interior":
             continue
-        pid_l, side_l = edge.left
-        pid_r, side_r = edge.right
+        (pid_l, side_l), (pid_r, side_r) = edge.left, edge.right
         a_l, a_r = surface.alpha[pid_l], surface.alpha[pid_r]
-        a_gamma = edge_alpha(a_l, a_r)
-        bp = edge_breakpoints(surface, edge)
-        for e in range(bp.size - 1):
-            h_el = edge_mesh_size(surface, edge, e)
-            rule = gauss_on_interval(q, bp[e], bp[e + 1])
-            for t, w in zip(rule.nodes, rule.weights):
-                left = _EdgeTrace(space, pid_l, side_l, float(t))
-                right = _EdgeTrace(space, pid_r, side_r, edge.partner_t(float(t)))
-                n = left.normal
-                jump = np.concatenate([left.values, -right.values])
-                flux = np.concatenate(
-                    [0.5 * a_l * (left.grads @ n), 0.5 * a_r * (right.grads @ n)]
-                )
-                gidx = np.concatenate([left.gidx, right.gidx])
-                dG = left.speed * w
-                local = dG * (
-                    -(np.outer(flux, jump) + np.outer(jump, flux))
-                    + (data.delta / h_el) * a_gamma * np.outer(jump, jump)
-                )
-                acc.add_block(gidx, local)
+        left = tabulate_side(surface.patches[pid_l], side_l, q)
+        right = tabulate_side(surface.patches[pid_r], side_r, q)
+        if edge.orientation_flip:
+            right = right.reversed()
+        n = left.conormal
+        gidx_l, val_l, dn_l = _side_terms(space, pid_l, left, n)
+        gidx_r, val_r, dn_r = _side_terms(space, pid_r, right, n)
+        jump = np.concatenate([val_l, -val_r], axis=-1)
+        flux = np.concatenate([0.5 * a_l * dn_l, 0.5 * a_r * dn_r], axis=-1)
+        pen = data.delta * edge_alpha(a_l, a_r) / left.chords
+        acc.add_block(
+            np.concatenate([gidx_l, gidx_r], axis=-1),
+            _sipg_blocks(flux, jump, left.weights, pen),
+        )
     return acc.system()
 
 
@@ -292,32 +178,19 @@ def assemble_boundary(space: DgSpace, data: ProblemData) -> SparseSystem:
             continue
         pid, pside = edge.left
         a_gamma = surface.alpha[pid]
-        bp = edge_breakpoints(surface, edge)
-        for e in range(bp.size - 1):
-            h_el = edge_mesh_size(surface, edge, e)
-            rule = gauss_on_interval(q, bp[e], bp[e + 1])
-            for t, w in zip(rule.nodes, rule.weights):
-                tr = _EdgeTrace(space, pid, pside, float(t))
-                dG = tr.speed * w
-                if edge.kind == "dirichlet":
-                    flux = a_gamma * (tr.grads @ tr.normal)
-                    pen = data.delta / h_el
-                    local = dG * (
-                        -(np.outer(flux, tr.values) + np.outer(tr.values, flux))
-                        + pen * a_gamma * np.outer(tr.values, tr.values)
-                    )
-                    acc.add_block(tr.gidx, local)
-                    if data.g_D is not None:
-                        gd = float(np.asarray(data.g_D(tr.point[None, :])).reshape(()))
-                        np.add.at(
-                            acc.rhs,
-                            tr.gidx,
-                            dG * a_gamma * gd * (-(tr.grads @ tr.normal) + pen * tr.values),
-                        )
-                else:  # neumann
-                    if data.g_N is not None:
-                        gn = float(np.asarray(data.g_N(tr.point[None, :])).reshape(()))
-                        np.add.at(acc.rhs, tr.gidx, dG * gn * tr.values)
+        tab = tabulate_side(surface.patches[pid], pside, q)
+        gidx, values, dn = _side_terms(space, pid, tab, tab.conormal)
+        w = tab.weights
+        if edge.kind == "dirichlet":
+            pen = data.delta / tab.chords
+            acc.add_block(gidx, _sipg_blocks(a_gamma * dn, values, w, a_gamma * pen))
+            if data.g_D is not None:
+                gd = np.asarray(data.g_D(tab.points.reshape(-1, 3)), dtype=float)
+                test = a_gamma * (pen[:, None, None] * values - dn)
+                np.add.at(acc.rhs, gidx, np.einsum("eqa,eq->ea", test, gd.reshape(w.shape) * w))
+        elif data.g_N is not None:
+            gn = np.asarray(data.g_N(tab.points.reshape(-1, 3)), dtype=float)
+            np.add.at(acc.rhs, gidx, np.einsum("eqa,eq->ea", values, gn.reshape(w.shape) * w))
     return acc.system()
 
 

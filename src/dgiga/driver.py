@@ -8,7 +8,7 @@ import numpy as np
 
 from .analysis import ErrorReport, RateTable, measure_errors, rate_table, surface_h_max
 from .assembly import ProblemData, assemble_system, default_penalty
-from .geometry import MultiPatchSurface, refine_surface
+from .geometry import MultiPatchSurface, _tabulate, refine_surface
 from .linalg import SolveReport, cg_solve, cg_solve_projected
 from .space import DgSpace, DiscreteFunction, build_space
 
@@ -109,12 +109,14 @@ def sample_solution(result: LevelResult, points_per_side: int = 10) -> str:
     """CSV sample of the solution on a parametric grid of each patch."""
     lines = ["patch,xi1,xi2,x,y,z,uh"]
     ts = np.linspace(0.0, 1.0, points_per_side)
-    for pid in range(result.surface.num_patches):
-        for x2 in ts:
-            for x1 in ts:
-                val, _ = result.solution.eval(pid, (x1, x2))
-                pt = result.surface.patches[pid].point((x1, x2))
+    for pid, patch in enumerate(result.surface.patches):
+        tab = _tabulate(patch, ts, ts)
+        values, _ = result.solution.eval_tabulated(pid, tab)
+        for j, x2 in enumerate(ts):
+            for i, x1 in enumerate(ts):
+                pt = tab.points[i, j]
                 lines.append(
-                    f"{pid},{x1:.17g},{x2:.17g},{pt[0]:.17g},{pt[1]:.17g},{pt[2]:.17g},{val:.17g}"
+                    f"{pid},{x1:.17g},{x2:.17g},{pt[0]:.17g},{pt[1]:.17g},{pt[2]:.17g},"
+                    f"{values[i, j]:.17g}"
                 )
     return "\n".join(lines) + "\n"

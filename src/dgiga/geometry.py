@@ -5,20 +5,27 @@ fundamental form (metric, area density, tangential gradients), outward unit
 conormals along patch edges, physical mesh sizes, and the construction of a
 multi-patch surface by geometric interface matching with matching-mesh
 verification.
+
+``tabulate_patch`` and ``tabulate_side`` evaluate the rational basis and
+the geometry at every Gauss point of a patch or of one of its sides in one
+vectorized pass; the pointwise functions (``frame_at``, ``conormal``,
+``mesh_size``, ...) give the same quantities at single points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .quadrature import panel_rules
 from .splines import (
     KnotVector,
     NurbsBasis2D,
     breakpoints,
     eval_nurbs2d,
     midpoint_refine,
+    tabulate,
 )
 
 __all__ = [
@@ -27,6 +34,8 @@ __all__ = [
     "SingularMapError",
     "NurbsPatch",
     "SurfaceFrame",
+    "Tabulation",
+    "SideTabulation",
     "InterfaceEdge",
     "MultiPatchSurface",
     "SIDES",
@@ -38,6 +47,8 @@ __all__ = [
     "mesh_size",
     "edge_mesh_size",
     "refine_surface",
+    "tabulate_patch",
+    "tabulate_side",
 ]
 
 SIDES = ("west", "east", "south", "north")
@@ -168,20 +179,177 @@ def conormal(patch: NurbsPatch, side: str, t: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Tabulation:
+    """Rational basis and first fundamental form at many parameter points.
+
+    All arrays share the leading point axes: (n_u, n_v) on a parameter
+    grid, (nel_u, nel_v, q, q) from ``tabulate_patch`` and (nel, q) from
+    ``tabulate_side``.  The local-basis axes (m1, m2) = (p1+1, p2+1) belong
+    to the control-grid window starting at (first_u, first_v); these two
+    integer arrays broadcast against the point axes.  ``weights`` are the
+    quadrature weights times the area element (patch) or the edge speed
+    (side), and None on a plain grid.
+    """
+
+    first_u: np.ndarray
+    first_v: np.ndarray
+    values: np.ndarray  # (..., m1, m2)
+    grads: np.ndarray  # (..., m1, m2, 2), parametric
+    points: np.ndarray  # (..., 3)
+    jacobian: np.ndarray  # (..., 3, 2)
+    inv_metric: np.ndarray  # (..., 2, 2)
+    sqrt_det_g: np.ndarray  # (...)
+    weights: np.ndarray | None
+
+    def surface_gradient(self, pgrad: np.ndarray) -> np.ndarray:
+        """Push parametric gradients (..., [m1, m2,] 2) forward to R^3."""
+        push = self.jacobian @ self.inv_metric
+        extra = pgrad.ndim - self.sqrt_det_g.ndim - 1
+        push = push.reshape(push.shape[:-2] + (1,) * extra + (3, 2))
+        return np.einsum("...kd,...d->...k", push, pgrad)
+
+
+@dataclass(frozen=True)
+class SideTabulation(Tabulation):
+    """Tabulation of one patch side with its edge geometry.
+
+    ``conormal`` is the outward unit conormal and ``speed`` the length of
+    the mapped edge tangent, both (nel, q); ``chords`` (nel,) are the
+    physical chord lengths of the edge elements.
+    """
+
+    conormal: np.ndarray
+    speed: np.ndarray
+    chords: np.ndarray
+
+    def reversed(self) -> "SideTabulation":
+        """The same side traversed against its parameter."""
+        flipped = {
+            f.name: getattr(self, f.name)[::-1, ::-1] for f in fields(self) if f.name != "chords"
+        }
+        return SideTabulation(chords=self.chords[::-1], **flipped)
+
+
+_POINT_ARRAYS = ("values", "grads", "points", "jacobian", "inv_metric", "sqrt_det_g")
+
+
+def _tabulate(patch: NurbsPatch, xs_u, xs_v) -> Tabulation:
+    """Basis and geometry of a patch on the tensor grid xs_u x xs_v.
+
+    Each point gets its own active window, so the grid may contain knots
+    and xi = 1 (evaluated on the last non-empty span).  Raises
+    SingularMapError where det(J^T J) falls below 1e-14.
+    """
+    basis = patch.basis
+    fu, Nu, dNu = tabulate(basis.basis_u, xs_u)
+    fv, Nv, dNv = tabulate(basis.basis_v, xs_v)
+    iu = fu[:, None, None, None] + np.arange(Nu.shape[1])[:, None]
+    iv = fv[None, :, None, None] + np.arange(Nv.shape[1])
+    W = basis.weights[iu, iv]
+    Nu, dNu = Nu[:, None, :, None], dNu[:, None, :, None]
+    Nv, dNv = Nv[None, :, None, :], dNv[None, :, None, :]
+    B = Nu * Nv * W
+    Bu = dNu * Nv * W
+    Bv = Nu * dNv * W
+    S = B.sum(axis=(2, 3), keepdims=True)
+    values = B / S
+    # Quotient rule: dR = (dB - R * sum(dB)) / S.
+    grads = np.stack([Bu - values * Bu.sum(axis=(2, 3), keepdims=True),
+                      Bv - values * Bv.sum(axis=(2, 3), keepdims=True)], axis=-1)
+    grads /= S[..., None]
+    del B, Bu, Bv, W
+
+    cp = patch.control_points[iu, iv]
+    points = np.einsum("ijab,ijabk->ijk", values, cp)
+    jac = np.einsum("ijabd,ijabk->ijkd", grads, cp)
+    g = np.einsum("ijkd,ijke->ijde", jac, jac)
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    if not np.all(det > 1e-14):
+        i, j = np.unravel_index(np.argmin(det), det.shape)
+        raise SingularMapError(
+            f"singular parameterization on patch {patch.id} at "
+            f"xi=({xs_u[i]:.6f}, {xs_v[j]:.6f}) (det g={det[i, j]:.3e})"
+        )
+    inv = np.stack([g[..., 1, 1], -g[..., 0, 1], -g[..., 1, 0], g[..., 0, 0]], axis=-1)
+    inv = inv.reshape(g.shape) / det[..., None, None]
+    return Tabulation(fu[:, None], fv[None, :], values, grads, points, jac, inv, np.sqrt(det), None)
+
+
+def tabulate_patch(patch: NurbsPatch, q: int) -> Tabulation:
+    """Basis and geometry at the q x q Gauss points of every element.
+
+    Point axes are (nel_u, nel_v, q, q); ``weights`` integrate over the
+    mapped patch.
+    """
+    xu, wu = panel_rules(breakpoints(patch.basis.basis_u), q)
+    xv, wv = panel_rules(breakpoints(patch.basis.basis_v), q)
+    grid = _tabulate(patch, xu.ravel(), xv.ravel())
+    nel_u, nel_v = xu.shape[0], xv.shape[0]
+
+    def by_element(a):
+        return a.reshape(nel_u, q, nel_v, q, *a.shape[2:]).swapaxes(1, 2)
+
+    # Gauss points lie inside their span, so one window serves each element.
+    return Tabulation(
+        first_u=grid.first_u[::q].reshape(-1, 1, 1, 1),
+        first_v=grid.first_v[:, ::q].reshape(1, -1, 1, 1),
+        weights=by_element(np.outer(wu, wv) * grid.sqrt_det_g),
+        **{name: by_element(getattr(grid, name)) for name in _POINT_ARRAYS},
+    )
+
+
+def tabulate_side(patch: NurbsPatch, side: str, q: int) -> SideTabulation:
+    """Basis and geometry at the q Gauss points of every element of a side.
+
+    Point axes are (nel, q) along the side's own parameter; ``weights``
+    integrate over the mapped edge.
+    """
+    axis, value, edge_dir, outward = _SIDE_DATA[side]
+    bp = breakpoints(patch.side_knots(side))
+    ts, wt = panel_rules(bp, q)
+    nel = ts.shape[0]
+    fixed = np.array([value])
+
+    def on_side(t):
+        return _tabulate(patch, fixed, t) if axis == 0 else _tabulate(patch, t, fixed)
+
+    def by_element(a):
+        a = a[0] if axis == 0 else a[:, 0]
+        return a.reshape(nel, q, *a.shape[1:])
+
+    grid = on_side(ts.ravel())
+    arrays = {name: by_element(getattr(grid, name)) for name in _POINT_ARRAYS}
+    jac = arrays["jacobian"]
+    tangent = jac @ edge_dir
+    speed = np.linalg.norm(tangent, axis=-1)
+    c = np.cross(tangent, np.cross(jac[..., 0], jac[..., 1]))
+    c /= np.linalg.norm(c, axis=-1, keepdims=True)
+    c[np.einsum("...k,...k->...", c, jac @ outward) < 0.0] *= -1.0
+    ends = on_side(bp).points.reshape(-1, 3)
+    return SideTabulation(
+        first_u=grid.first_u.reshape(-1)[::q].reshape(-1, 1),
+        first_v=grid.first_v.reshape(-1)[::q].reshape(-1, 1),
+        weights=wt * speed,
+        conormal=c,
+        speed=speed,
+        chords=np.linalg.norm(np.diff(ends, axis=0), axis=-1),
+        **arrays,
+    )
+
+
+@dataclass(frozen=True)
 class InterfaceEdge:
     """One edge of the patch decomposition: interior, Dirichlet or Neumann.
 
     ``left``/``right`` are (patch id, side) pairs; boundary edges have no
     right slot.  ``orientation_flip`` records whether the right side's edge
-    parameter runs opposite to the left's.  ``h_gamma`` is the largest
-    physical element chord on the edge.
+    parameter runs opposite to the left's.
     """
 
     kind: str  # "interior" | "dirichlet" | "neumann"
     left: tuple[int, str]
     right: tuple[int, str] | None = None
     orientation_flip: bool = False
-    h_gamma: float = 0.0
 
     def partner_t(self, t: float) -> float:
         """Right-side edge coordinate matching the left-side coordinate t."""
@@ -310,12 +478,7 @@ def match_interfaces(
                 )
             edges.append(InterfaceEdge(tags[s], s))
 
-    surface = MultiPatchSurface(list(patches), edges, alpha)
-    surface.edges = [
-        InterfaceEdge(e.kind, e.left, e.right, e.orientation_flip, _edge_h_max(surface, e))
-        for e in surface.edges
-    ]
-    return surface
+    return MultiPatchSurface(list(patches), edges, alpha)
 
 
 def edge_breakpoints(surface: MultiPatchSurface, edge: InterfaceEdge) -> np.ndarray:
@@ -331,11 +494,6 @@ def edge_mesh_size(surface: MultiPatchSurface, edge: InterfaceEdge, element: int
     a = patch.side_point(edge.left[1], bp[element])
     b = patch.side_point(edge.left[1], bp[element + 1])
     return float(np.linalg.norm(b - a))
-
-
-def _edge_h_max(surface: MultiPatchSurface, edge: InterfaceEdge) -> float:
-    bp = edge_breakpoints(surface, edge)
-    return max(edge_mesh_size(surface, edge, e) for e in range(bp.size - 1))
 
 
 def mesh_size(patch: NurbsPatch, element: tuple[int, int]) -> float:

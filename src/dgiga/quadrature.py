@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature on intervals, elements and element edges."""
+"""Gauss-Legendre quadrature on intervals and breakpoint panels, and patch integration."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ __all__ = [
     "QuadRule",
     "gauss_on_interval",
     "panel_rules",
-    "element_rule",
-    "edge_rule",
     "integrate_patch",
 ]
 
@@ -84,45 +82,15 @@ def panel_rules(breaks: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def element_rule(breaks_u, breaks_v, q: int):
-    """Tensor-product Gauss rule on every element of a breakpoint grid.
-
-    Yields ((eu, ev), points, weights) with points of shape (q*q, 2) and
-    tensor weights (products of the 1D weights) of shape (q*q,).
-    """
-    xu, wu = panel_rules(np.asarray(breaks_u, dtype=float), q)
-    xv, wv = panel_rules(np.asarray(breaks_v, dtype=float), q)
-    for eu in range(xu.shape[0]):
-        for ev in range(xv.shape[0]):
-            pts = np.stack(
-                np.meshgrid(xu[eu], xv[ev], indexing="ij"), axis=-1
-            ).reshape(-1, 2)
-            yield (eu, ev), pts, np.outer(wu[eu], wv[ev]).reshape(-1)
-
-
-def edge_rule(breaks, q: int):
-    """Gauss rule on every span of an edge; yields (element, nodes, weights)."""
-    nodes, weights = panel_rules(np.asarray(breaks, dtype=float), q)
-    for e in range(nodes.shape[0]):
-        yield e, nodes[e], weights[e]
-
-
 def integrate_patch(patch, fn, q: int) -> float:
     """Integrate fn(x, y, z) over one mapped patch with q points per direction.
 
-    Passing ``fn=None`` integrates 1 and returns the surface area.
+    ``fn`` is called once with coordinate arrays.  Passing ``fn=None``
+    integrates 1 and returns the surface area.
     """
-    from . import geometry
-    from .splines import breakpoints
+    from .geometry import tabulate_patch
 
-    xu, wu = panel_rules(breakpoints(patch.basis.basis_u), q)
-    xv, wv = panel_rules(breakpoints(patch.basis.basis_v), q)
-    total = 0.0
-    for eu in range(xu.shape[0]):
-        for ev in range(xv.shape[0]):
-            for iu in range(q):
-                for iv in range(q):
-                    frame = geometry.frame_at(patch, (xu[eu, iu], xv[ev, iv]))
-                    val = 1.0 if fn is None else float(fn(*frame.point))
-                    total += val * frame.sqrt_det_g * wu[eu, iu] * wv[ev, iv]
-    return total
+    tab = tabulate_patch(patch, q)
+    if fn is None:
+        return float(np.sum(tab.weights))
+    return float(np.sum(fn(*np.moveaxis(tab.points, -1, 0)) * tab.weights))

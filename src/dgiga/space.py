@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import InterfaceEdge, MultiPatchSurface, frame_at, side_param, surface_gradient
+from .geometry import (
+    InterfaceEdge, MultiPatchSurface, Tabulation, frame_at, side_param, surface_gradient
+)
 from .splines import breakpoints, eval_nurbs2d, greville
 
 __all__ = [
@@ -45,15 +47,17 @@ class DgSpace:
         n1, _ = self.patch_shape(pid)
         return int(self.offsets[pid]) + k2 * n1 + k1
 
-    def global_block(self, pid: int, first_u: int, first_v: int, m1: int, m2: int) -> np.ndarray:
-        """Global indices of an (m1 x m2) window of a patch's control grid.
+    def global_block(self, pid: int, first_u, first_v, m1: int, m2: int) -> np.ndarray:
+        """Global indices of (m1 x m2) windows of a patch's control grid.
 
-        Shaped (m1, m2) to align with basis value arrays.
+        The window starts may be integers or broadcastable integer arrays;
+        the result has shape broadcast(first_u, first_v) + (m1, m2), aligned
+        with basis value arrays.
         """
         n1, _ = self.patch_shape(pid)
-        k1 = np.arange(first_u, first_u + m1)
-        k2 = np.arange(first_v, first_v + m2)
-        return int(self.offsets[pid]) + k2[None, :] * n1 + k1[:, None]
+        k1 = np.asarray(first_u)[..., None, None] + np.arange(m1)[:, None]
+        k2 = np.asarray(first_v)[..., None, None] + np.arange(m2)
+        return int(self.offsets[pid]) + k2 * n1 + k1
 
     def function(self, coefficients=None) -> "DiscreteFunction":
         if coefficients is None:
@@ -108,6 +112,17 @@ class DiscreteFunction:
         )
         frame = frame_at(patch, xi)
         return value, surface_gradient(frame, pgrad)
+
+    def eval_tabulated(self, pid: int, tab: Tabulation) -> tuple[np.ndarray, np.ndarray]:
+        """Values and tangential gradients at every point of a tabulation of patch pid.
+
+        The coefficients are contracted before the gradient is pushed forward.
+        """
+        m1, m2 = tab.values.shape[-2:]
+        c = self.coefficients[self.space.global_block(pid, tab.first_u, tab.first_v, m1, m2)]
+        values = np.einsum("...ab,...ab->...", tab.values, c)
+        pgrad = np.einsum("...abd,...ab->...d", tab.grads, c)
+        return values, tab.surface_gradient(pgrad)
 
     def eval_on_element(self, pid: int, element: tuple[int, int], xi) -> tuple[float, np.ndarray]:
         """Like eval, but checks that xi lies in the element's parametric box."""

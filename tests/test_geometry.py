@@ -200,7 +200,6 @@ def test_mesh_sizes_on_uniform_square():
         assert edge_breakpoints(surface, edge).size == 5
         for e in range(4):
             assert edge_mesh_size(surface, edge, e) == pytest.approx(0.25, abs=1e-14)
-        assert edge.h_gamma == pytest.approx(0.25, abs=1e-14)
 
 
 def test_refinement_halves_h_on_affine_patches():

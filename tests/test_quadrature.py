@@ -99,33 +99,19 @@ def test_multipatch_square_area_is_exact():
         assert abs(square_grid(p).area(q=p + 1) - 1.0) <= 1e-12
 
 
-def test_element_rule_reproduces_patch_area():
-    from dgiga.geometry import frame_at
-    from dgiga.splines import breakpoints
+def test_tabulate_patch_reproduces_patch_area():
     from dgiga.geometries import quarter_cylinder_patch
-    from dgiga.quadrature import element_rule
+    from dgiga.geometry import tabulate_patch
 
-    patch = quarter_cylinder_patch(3)
-    area = 0.0
-    for _, pts, w in element_rule(
-        breakpoints(patch.basis.basis_u), breakpoints(patch.basis.basis_v), 10
-    ):
-        area += sum(
-            wi * frame_at(patch, xi).sqrt_det_g for xi, wi in zip(pts, w)
-        )
-    assert area == pytest.approx(np.pi / 2, abs=1e-12)
+    tab = tabulate_patch(quarter_cylinder_patch(3), 10)
+    assert tab.weights.shape == (1, 1, 10, 10)
+    assert tab.weights.sum() == pytest.approx(np.pi / 2, abs=1e-12)
 
 
-def test_edge_rule_measures_unit_side():
+def test_tabulate_side_measures_unit_side():
     from dgiga.geometries import planar_rectangle_patch
-    from dgiga.geometry import frame_at, side_param
-    from dgiga.splines import breakpoints
-    from dgiga.quadrature import edge_rule
+    from dgiga.geometry import tabulate_side
 
-    patch = planar_rectangle_patch(2)
-    length = 0.0
-    for _, nodes, weights in edge_rule(breakpoints(patch.basis.basis_v), 3):
-        for t, w in zip(nodes, weights):
-            frame = frame_at(patch, side_param("east", t))
-            length += w * np.linalg.norm(frame.jacobian @ np.array([0.0, 1.0]))
-    assert length == pytest.approx(1.0, abs=1e-13)
+    tab = tabulate_side(planar_rectangle_patch(2), "east", 3)
+    assert tab.weights.shape == (1, 3)
+    assert tab.weights.sum() == pytest.approx(1.0, abs=1e-13)
