@@ -27,8 +27,8 @@ HEADERS = {
 }
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def bundled_texts() -> dict[str, str]:
+    """The text of every bundled geometry file, keyed by file name."""
     files = {
         "square4.g": square_grid(1),
         "square4_p2.g": square_grid(2),
@@ -36,8 +36,15 @@ def main():
         "qcyl4.g": quarter_cylinder_grid(2),
         "qcyl4_p3.g": quarter_cylinder_grid(3),
     }
-    for name, surface in files.items():
-        text = HEADERS[name] + "\n" + serialize_geometry(surface_to_data(surface))
+    return {
+        name: HEADERS[name] + "\n" + serialize_geometry(surface_to_data(surface))
+        for name, surface in files.items()
+    }
+
+
+def main():
+    OUT.mkdir(parents=True, exist_ok=True)
+    for name, text in bundled_texts().items():
         (OUT / name).write_text(text, encoding="utf-8")
         print(f"wrote {OUT / name}")
 

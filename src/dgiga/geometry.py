@@ -298,26 +298,31 @@ def tabulate_patch(patch: NurbsPatch, q: int) -> Tabulation:
     )
 
 
+def _on_side(patch: NurbsPatch, side: str, ts: np.ndarray) -> Tabulation:
+    """``_tabulate`` at side coordinates ts; the fixed axis has length 1."""
+    axis, value, _, _ = _SIDE_DATA[side]
+    fixed = np.array([value])
+    return _tabulate(patch, fixed, ts) if axis == 0 else _tabulate(patch, ts, fixed)
+
+
 def tabulate_side(patch: NurbsPatch, side: str, q: int) -> SideTabulation:
     """Basis and geometry at the q Gauss points of every element of a side.
 
     Point axes are (nel, q) along the side's own parameter; ``weights``
     integrate over the mapped edge.
     """
-    axis, value, edge_dir, outward = _SIDE_DATA[side]
+    axis, _, edge_dir, outward = _SIDE_DATA[side]
     bp = breakpoints(patch.side_knots(side))
     ts, wt = panel_rules(bp, q)
     nel = ts.shape[0]
-    fixed = np.array([value])
-
-    def on_side(t):
-        return _tabulate(patch, fixed, t) if axis == 0 else _tabulate(patch, t, fixed)
+    n = nel * q
+    # The Gauss points and then the element ends, in one pass.
+    grid = _on_side(patch, side, np.concatenate([ts.ravel(), bp]))
 
     def by_element(a):
         a = a[0] if axis == 0 else a[:, 0]
-        return a.reshape(nel, q, *a.shape[1:])
+        return a[:n].reshape(nel, q, *a.shape[1:])
 
-    grid = on_side(ts.ravel())
     arrays = {name: by_element(getattr(grid, name)) for name in _POINT_ARRAYS}
     jac = arrays["jacobian"]
     tangent = jac @ edge_dir
@@ -325,10 +330,10 @@ def tabulate_side(patch: NurbsPatch, side: str, q: int) -> SideTabulation:
     c = np.cross(tangent, np.cross(jac[..., 0], jac[..., 1]))
     c /= np.linalg.norm(c, axis=-1, keepdims=True)
     c[np.einsum("...k,...k->...", c, jac @ outward) < 0.0] *= -1.0
-    ends = on_side(bp).points.reshape(-1, 3)
+    ends = grid.points.reshape(-1, 3)[n:]
     return SideTabulation(
-        first_u=grid.first_u.reshape(-1)[::q].reshape(-1, 1),
-        first_v=grid.first_v.reshape(-1)[::q].reshape(-1, 1),
+        first_u=grid.first_u.reshape(-1)[:n:q].reshape(-1, 1),
+        first_v=grid.first_v.reshape(-1)[:n:q].reshape(-1, 1),
         weights=wt * speed,
         conormal=c,
         speed=speed,
@@ -390,15 +395,20 @@ class MultiPatchSurface:
         return sum(integrate_patch(p, None, q) for p in self.patches)
 
 
-def _side_samples(patch: NurbsPatch, side: str, ts: np.ndarray) -> np.ndarray:
-    return np.array([patch.side_point(side, t) for t in ts])
-
-
 def _knots_match(kv_a: KnotVector, kv_b: KnotVector, flip: bool, tol: float = 1e-12) -> bool:
     if kv_a.degree != kv_b.degree or kv_a.n != kv_b.n:
         return False
     kb = kv_b.knots if not flip else 1.0 - kv_b.knots[::-1]
     return bool(np.max(np.abs(kv_a.knots - kb)) <= tol)
+
+
+def _check_matching_mesh(patches: list[NurbsPatch], left, right, flip: bool) -> None:
+    kv_l = patches[left[0]].side_knots(left[1])
+    kv_r = patches[right[0]].side_knots(right[1])
+    if not _knots_match(kv_l, kv_r, flip):
+        raise TopologyError(
+            f"non-matching meshes unsupported: knot vectors differ on interface {left} / {right}"
+        )
 
 
 def match_interfaces(
@@ -426,29 +436,36 @@ def match_interfaces(
         if tag not in ("dirichlet", "neumann"):
             raise TopologyError(f"unknown boundary tag {tag!r}")
 
+    # The t = 1/2 sample is the same in both orientations, and a pair that
+    # matches within tol has midpoints within tol in x; only sides in that
+    # window are compared.  The window is widened to 2*tol so rounding in its
+    # bounds never drops a candidate; the 5-sample test decides.
     ts = np.linspace(0.0, 1.0, 5)
-    samples = {
-        (p.id, side): _side_samples(p, side, ts) for p in patches for side in SIDES
-    }
     all_sides = [(p.id, side) for p in patches for side in SIDES]
+    samples = np.array(
+        [_on_side(p, side, ts).points.reshape(-1, 3) for p in patches for side in SIDES]
+    ).reshape(len(all_sides), ts.size, 3)
+    mid_x = samples[:, ts.size // 2, 0]
+    order = np.argsort(mid_x, kind="stable")
+    lo = np.searchsorted(mid_x[order], mid_x - 2.0 * tol, side="left")
+    hi = np.searchsorted(mid_x[order], mid_x + 2.0 * tol, side="right")
     partner: dict[tuple[int, str], tuple[tuple[int, str], bool]] = {}
 
-    for a in range(len(all_sides)):
-        sa = all_sides[a]
+    for a, sa in enumerate(all_sides):
         if sa in partner:
             continue
-        for b in range(a + 1, len(all_sides)):
+        cand = np.sort(order[lo[a] : hi[a]])
+        cand = cand[cand > a]
+        A, B = samples[a], samples[cand]
+        straight = np.max(np.linalg.norm(A - B, axis=2), axis=1)
+        reversed_ = np.max(np.linalg.norm(A - B[:, ::-1], axis=2), axis=1)
+        for b, st, rv in zip(cand, straight, reversed_):
             sb = all_sides[b]
-            if sb in partner:
+            if sb in partner or min(st, rv) > tol:
                 continue
-            A, B = samples[sa], samples[sb]
-            straight = np.max(np.linalg.norm(A - B, axis=1))
-            reversed_ = np.max(np.linalg.norm(A - B[::-1], axis=1))
-            if min(straight, reversed_) > tol:
-                continue
-            if sa in partner or sb in partner:
+            if sa in partner:
                 raise TopologyError(f"side {sb} matches more than one side")
-            flip = reversed_ < straight
+            flip = bool(rv < st)
             partner[sa] = (sb, flip)
             partner[sb] = (sa, flip)
 
@@ -462,13 +479,7 @@ def match_interfaces(
             seen.update((s, other))
             if s in tags or other in tags:
                 raise TopologyError(f"boundary tag on interior side {s if s in tags else other}")
-            kv_l = patches[s[0]].side_knots(s[1])
-            kv_r = patches[other[0]].side_knots(other[1])
-            if not _knots_match(kv_l, kv_r, flip):
-                raise TopologyError(
-                    f"non-matching meshes unsupported: knot vectors differ on "
-                    f"interface {s} / {other}"
-                )
+            _check_matching_mesh(patches, s, other, flip)
             edges.append(InterfaceEdge("interior", s, other, flip))
         else:
             seen.add(s)
@@ -545,7 +556,12 @@ def _refine_patch(patch: NurbsPatch) -> NurbsPatch:
 
 
 def refine_surface(surface: MultiPatchSurface) -> MultiPatchSurface:
-    """Global midpoint h-refinement of every patch (meshes stay matching)."""
+    """Global midpoint h-refinement of every patch (meshes stay matching).
+
+    Knot insertion changes neither the geometry nor the topology, so the
+    edges carry over; each interior edge's knot vectors are checked again.
+    """
     patches = [_refine_patch(p) for p in surface.patches]
-    tags = {e.left: e.kind for e in surface.edges if e.kind != "interior"}
-    return match_interfaces(patches, tags, surface.alpha.copy())
+    for e in surface.edges_of_kind("interior"):
+        _check_matching_mesh(patches, e.left, e.right, e.orientation_flip)
+    return MultiPatchSurface(patches, list(surface.edges), surface.alpha.copy())

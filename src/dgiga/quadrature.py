@@ -57,29 +57,27 @@ def gauss_on_interval(q: int, a: float, b: float) -> QuadRule:
     Exact for polynomials up to degree 2q-1; nodes lie strictly inside
     (a, b).  Raises ValueError for q < 1, q > 30 or a >= b.
     """
+    nodes, weights = panel_rules(np.array([a, b], dtype=float), q)
+    return QuadRule(nodes[0], weights[0])
+
+
+def panel_rules(breaks: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-span Gauss rules; returns nodes and weights of shape (nspans, q).
+
+    Raises ValueError for q < 1, q > 30 or breaks that do not strictly
+    increase.
+    """
     if q < 1:
         raise ValueError("need at least one quadrature point")
     if q > MAX_POINTS:
         raise ValueError(f"quadrature order {q} unsupported (max {MAX_POINTS})")
-    if not a < b:
+    breaks = np.asarray(breaks, dtype=float)
+    if not np.all(breaks[:-1] < breaks[1:]):
         raise ValueError("empty interval")
     x, w = _gauss_reference(q)
-    x = np.asarray(x)
-    w = np.asarray(w)
-    half = 0.5 * (b - a)
-    return QuadRule(a + half * (x + 1.0), half * w)
-
-
-def panel_rules(breaks: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-span Gauss rules; returns nodes and weights of shape (nspans, q)."""
-    breaks = np.asarray(breaks, dtype=float)
-    nel = breaks.size - 1
-    nodes = np.empty((nel, q))
-    weights = np.empty((nel, q))
-    for e in range(nel):
-        rule = gauss_on_interval(q, breaks[e], breaks[e + 1])
-        nodes[e], weights[e] = rule.nodes, rule.weights
-    return nodes, weights
+    a = breaks[:-1, None]
+    half = 0.5 * (breaks[1:, None] - a)
+    return a + half * (np.asarray(x) + 1.0), half * np.asarray(w)
 
 
 def integrate_patch(patch, fn, q: int) -> float:

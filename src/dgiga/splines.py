@@ -9,6 +9,7 @@ at interior knots; at the right endpoint the last non-empty span is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,15 +131,28 @@ def eval_bspline(kv: KnotVector, xi: float) -> BasisEval:
 
 
 def tabulate(kv: KnotVector, xs: np.ndarray):
-    """eval_bspline at many points; returns (first_active, values, derivs) arrays."""
-    xs = np.asarray(xs, dtype=float)
-    m, p = xs.size, kv.degree
+    """eval_bspline at many points; returns (first_active, values, derivs) arrays.
+
+    Tables are memoised on (degree, knots, points), so patches sharing a
+    knot vector share one table; the returned arrays are read-only.
+    """
+    xs = np.ascontiguousarray(xs, dtype=float).ravel()
+    return _tabulate_cached(kv.degree, kv.knots.tobytes(), xs.tobytes())
+
+
+@lru_cache(maxsize=512)
+def _tabulate_cached(degree: int, knots: bytes, points: bytes):
+    kv = KnotVector(degree, np.frombuffer(knots))
+    xs = np.frombuffer(points)
+    m, p = xs.size, degree
     first = np.empty(m, dtype=int)
     vals = np.empty((m, p + 1))
     ders = np.empty((m, p + 1))
     for k, x in enumerate(xs):
         ev = eval_bspline(kv, float(x))
         first[k], vals[k], ders[k] = ev.first_active, ev.values, ev.derivs
+    for a in (first, vals, ders):
+        a.flags.writeable = False
     return first, vals, ders
 
 

@@ -128,3 +128,18 @@ def test_serialize_preserves_bits(tmp_path):
     w = data.patches[0].basis.weights[1, 0]
     text = serialize_geometry(data)
     assert repr(w) in text or f"{w:.17g}" in text
+
+
+def test_bundled_files_match_their_generator():
+    import importlib.util
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_bundled_geometries.py"
+    spec = importlib.util.spec_from_file_location("make_bundled_geometries", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    texts = module.bundled_texts()
+    data = Path(data_path("square4.g")).parent
+    assert sorted(texts) == sorted(p.name for p in data.glob("*.g"))
+    for name, text in texts.items():
+        assert (data / name).read_bytes() == text.encode("utf-8"), name

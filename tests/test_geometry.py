@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from test_tabulation import GEOMETRIES
 
+from dgiga.driver import run_sweep
 from dgiga.geometries import (
     _arc_segments,
     planar_rectangle_patch,
@@ -9,6 +11,9 @@ from dgiga.geometries import (
     square_grid,
 )
 from dgiga.geometry import (
+    SIDES,
+    InterfaceEdge,
+    MultiPatchSurface,
     NurbsPatch,
     SingularMapError,
     TopologyError,
@@ -25,7 +30,8 @@ from dgiga.geometry import (
     surface_gradient,
     surface_normal,
 )
-from dgiga.splines import NurbsBasis2D, greville, uniform_open_knots
+from dgiga.problems import make_problem
+from dgiga.splines import KnotVector, NurbsBasis2D, greville, uniform_open_knots
 
 
 def test_identity_patch_frame(rng):
@@ -252,3 +258,201 @@ def test_side_param_conventions():
     assert side_param("east", 0.3) == (1.0, 0.3)
     assert side_param("south", 0.3) == (0.3, 0.0)
     assert side_param("north", 0.3) == (0.3, 1.0)
+
+
+# -- topology carried through refinement ---------------------------------------
+
+
+def seeded_grid(seed, n=4):
+    """n x n unit-square grid with seeded patch ids and u-reversed patches.
+
+    The knot vectors are not symmetric, so a reversed patch's side knots
+    match its neighbour's only through the orientation flip.
+    """
+    rng = np.random.default_rng(seed)
+    kv_u = KnotVector(2, [0, 0, 0, 0.3, 1, 1, 1])
+    kv_v = KnotVector(2, [0, 0, 0, 0.6, 1, 1, 1])
+    gu, gv = greville(kv_u), greville(kv_v)
+    ids = rng.permutation(n * n)
+    flip = rng.random(n * n) < 0.5
+    patches = [None] * (n * n)
+    for j in range(n):
+        for i in range(n):
+            cell = j * n + i
+            cp = np.zeros((gu.size, gv.size, 3))
+            cp[..., 0] = (i + gu[:, None]) / n
+            cp[..., 1] = (j + gv[None, :]) / n
+            ku = kv_u
+            if flip[cell]:
+                ku, cp = KnotVector(2, 1.0 - kv_u.knots[::-1]), cp[::-1]
+            pid = int(ids[cell])
+            patches[pid] = NurbsPatch(NurbsBasis2D(ku, kv_v, np.ones(cp.shape[:2])), cp, pid)
+    tags = {}
+    for patch in patches:
+        for side in SIDES:
+            x, y, _ = patch.side_point(side, 0.5)
+            if min(x, y, 1.0 - x, 1.0 - y) < 1e-12:
+                tags[(patch.id, side)] = "dirichlet" if x < 0.5 else "neumann"
+    surface = match_interfaces(patches, tags, rng.uniform(1.0, 2.0, n * n))
+    assert any(e.orientation_flip for e in surface.edges)
+    return surface
+
+
+def edge_tuples(surface):
+    return [(e.kind, e.left, e.right, bool(e.orientation_flip)) for e in surface.edges]
+
+
+TOPOLOGY_CASES = {
+    **GEOMETRIES,
+    "seeded_grid": lambda: seeded_grid(11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOPOLOGY_CASES))
+def test_refinement_carries_the_matched_topology(name):
+    surface = TOPOLOGY_CASES[name]()
+    for _ in range(2):
+        refined = refine_surface(surface)
+        tags = {e.left: e.kind for e in surface.edges if e.kind != "interior"}
+        rematched = match_interfaces(refined.patches, tags, surface.alpha)
+        assert edge_tuples(refined) == edge_tuples(rematched)
+        np.testing.assert_array_equal(refined.alpha, surface.alpha)
+        surface = refined
+
+
+def test_sweep_does_not_rematch_interfaces(monkeypatch):
+    import dgiga.geometry
+
+    surface = square_grid(1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("match_interfaces called during the sweep")
+
+    monkeypatch.setattr(dgiga.geometry, "match_interfaces", forbidden)
+    _, results = run_sweep(
+        surface, 1, lambda surf, delta: make_problem("plane_sine", surf, 1, delta), levels=3
+    )
+    assert [r.errors.dofs for r in results] == [16, 36, 100]
+
+
+def test_refine_rejects_interior_edge_between_different_knots():
+    left = planar_rectangle_patch(1, pid=0)
+    right = _refine_patch(planar_rectangle_patch(1, origin=(1.0, 0.0), pid=1))
+    edges = [InterfaceEdge("interior", (0, "east"), (1, "west"))] + [
+        InterfaceEdge("dirichlet", (pid, side))
+        for pid, sides in ((0, ("west", "south", "north")), (1, ("east", "south", "north")))
+        for side in sides
+    ]
+    surface = MultiPatchSurface([left, right], edges)
+    with pytest.raises(TopologyError, match="non-matching meshes"):
+        refine_surface(surface)
+
+
+# -- the matcher against an all-pairs reference --------------------------------
+
+
+def all_pairs_partners(patches, tol=1e-8):
+    """Every side against every later side at 5 pointwise samples."""
+    ts = np.linspace(0.0, 1.0, 5)
+    sides = [(p.id, side) for p in patches for side in SIDES]
+    samples = {s: np.array([patches[s[0]].side_point(s[1], t) for t in ts]) for s in sides}
+    partner = {}
+    for a, sa in enumerate(sides):
+        if sa in partner:
+            continue
+        for sb in sides[a + 1 :]:
+            if sb in partner:
+                continue
+            A, B = samples[sa], samples[sb]
+            straight = np.max(np.linalg.norm(A - B, axis=1))
+            reversed_ = np.max(np.linalg.norm(A - B[::-1], axis=1))
+            if min(straight, reversed_) > tol:
+                continue
+            if sa in partner:
+                raise TopologyError(f"side {sb} matches more than one side")
+            partner[sa] = (sb, reversed_ < straight)
+            partner[sb] = (sa, reversed_ < straight)
+    return sides, partner
+
+
+def all_pairs_edges(patches, tags):
+    sides, partner = all_pairs_partners(patches)
+    edges, seen = [], set()
+    for s in sides:
+        if s in seen:
+            continue
+        if s in partner:
+            other, flip = partner[s]
+            seen.update((s, other))
+            edges.append(("interior", s, other, bool(flip)))
+        else:
+            seen.add(s)
+            edges.append((tags[s], s, None, False))
+    return edges
+
+
+def random_layout(rng):
+    """Rectangles on a random grid with holes, flipped and transposed patches.
+
+    Whole columns share a midpoint x (vertical sides on one grid line,
+    horizontal sides of one column), also across holes.
+    """
+    nx, ny = rng.integers(1, 5, size=2)
+    xs = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, nx))])
+    ys = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, ny))])
+    p = int(rng.integers(1, 4))
+    cells = [(i, j) for j in range(ny) for i in range(nx) if rng.random() < 0.8] or [(0, 0)]
+    ids = rng.permutation(len(cells))
+    patches = [None] * len(cells)
+    for (i, j), pid in zip(cells, ids):
+        base = planar_rectangle_patch(
+            p, origin=(xs[i], ys[j]), size=(xs[i + 1] - xs[i], ys[j + 1] - ys[j])
+        )
+        cp = base.control_points
+        if rng.random() < 0.5:
+            cp = cp[::-1]
+        if rng.random() < 0.5:
+            cp = cp[:, ::-1]
+        if rng.random() < 0.3:
+            cp = cp.swapaxes(0, 1)
+        patches[pid] = NurbsPatch(base.basis, cp.copy(), int(pid))
+    sides, partner = all_pairs_partners(patches)
+    tags = {s: ("dirichlet", "neumann")[int(rng.integers(2))] for s in sides if s not in partner}
+    return patches, tags
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_matcher_agrees_with_all_pairs_reference(seed):
+    patches, tags = random_layout(np.random.default_rng(seed))
+    surface = match_interfaces(patches, tags)
+    assert edge_tuples(surface) == all_pairs_edges(patches, tags)
+
+
+def test_three_coincident_sides_raise():
+    patches = [
+        planar_rectangle_patch(1, pid=0),
+        planar_rectangle_patch(1, origin=(1.0, 0.0), pid=1),
+        planar_rectangle_patch(1, origin=(1.0, 0.0), pid=2),
+    ]
+    with pytest.raises(TopologyError, match=r"side \(2, 'west'\) matches more than one side"):
+        all_pairs_partners(patches)
+    with pytest.raises(TopologyError, match=r"side \(2, 'west'\) matches more than one side"):
+        match_interfaces(patches)
+
+
+@pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0)])
+def test_neighbour_shifted_by_twice_tol_does_not_pair(direction):
+    tol = 1e-8
+    outer = {(0, s): "dirichlet" for s in ("west", "south", "north")}
+    outer.update({(1, s): "dirichlet" for s in ("east", "south", "north")})
+
+    def pair(shift):
+        origin = (1.0 + shift * direction[0], shift * direction[1])
+        return [planar_rectangle_patch(2, pid=0), planar_rectangle_patch(2, origin=origin, pid=1)]
+
+    close = match_interfaces(pair(0.5 * tol), outer, tol=tol)
+    assert len(close.edges_of_kind("interior")) == 1
+    with pytest.raises(TopologyError, match=r"side \(0, 'east'\) matches no neighbor"):
+        match_interfaces(pair(2.0 * tol), outer, tol=tol)
+    apart = {**outer, (0, "east"): "neumann", (1, "west"): "neumann"}
+    assert match_interfaces(pair(2.0 * tol), apart, tol=tol).edges_of_kind("interior") == []

@@ -10,6 +10,7 @@ from dgiga.splines import (
     greville,
     insert_knots,
     midpoint_refine,
+    tabulate,
     uniform_open_knots,
 )
 
@@ -130,6 +131,55 @@ def test_domain_error_outside_interval():
         eval_bspline(kv, -0.1)
     with pytest.raises(ValueError):
         eval_bspline(kv, 1.0001)
+
+
+# -- memoised 1D tables --------------------------------------------------------
+
+
+def pointwise_table(kv, xs):
+    evs = [eval_bspline(kv, float(x)) for x in xs]
+    return (
+        np.array([ev.first_active for ev in evs]),
+        np.array([ev.values for ev in evs]),
+        np.array([ev.derivs for ev in evs]),
+    )
+
+
+@pytest.mark.parametrize("kv", KV_CASES)
+def test_tabulate_is_bit_identical_to_pointwise(kv, rng):
+    xs = np.concatenate([rng.random(40), kv.knots, [0.0, 1.0]])
+    for _ in range(2):  # a miss, then a hit
+        for got, want in zip(tabulate(kv, xs), pointwise_table(kv, xs)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_tabulate_returns_read_only_arrays():
+    kv = KV_CASES[2]
+    xs = np.linspace(0.0, 1.0, 7)
+    first, vals, ders = tabulate(kv, xs)
+    for a in (first, vals, ders):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    again = tabulate(kv, xs.copy())
+    assert again[1].tobytes() == pointwise_table(kv, xs)[1].tobytes()
+
+
+def test_tabulate_tells_knot_vectors_apart():
+    a = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
+    b = KnotVector(2, [0, 0, 0, 0.5 + 1e-12, 1, 1, 1])
+    xs = np.linspace(0.0, 1.0, 11)
+    for got, want in zip(tabulate(b, xs), pointwise_table(b, xs)):
+        assert got.tobytes() == want.tobytes()
+    assert tabulate(a, xs)[1].tobytes() != tabulate(b, xs)[1].tobytes()
+
+
+def test_tabulate_domain_error_leaves_cache_usable():
+    kv = KV_CASES[3]
+    with pytest.raises(ValueError, match="outside"):
+        tabulate(kv, np.array([0.2, 1.5]))
+    xs = np.array([0.2, 0.7])
+    for got, want in zip(tabulate(kv, xs), pointwise_table(kv, xs)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_knot_vector_validation():
