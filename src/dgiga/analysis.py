@@ -3,7 +3,10 @@
 Errors are integrated with one Gauss point per direction more than the
 assembly uses, so the quadrature of the error never masks the
 discretization error being measured.  One pass per patch tabulates the
-basis once and yields both the L2 and the broken-gradient parts.
+basis once and yields both the L2 and the broken-gradient parts.  The
+jump terms of the energy error form two batches, all interior edges and
+all Dirichlet edges, each with one ``tabulate_sides`` call and one call of
+the boundary data.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import edge_alpha
-from .geometry import _tabulate, tabulate_patch, tabulate_side
+from .assembly import edge_alpha, interface_slots
+from .geometry import _tabulate, tabulate_patch, tabulate_sides
 from .space import DiscreteFunction
 from .splines import breakpoints
 
@@ -58,23 +61,21 @@ def _energy_error(u_h: DiscreteFunction, parts: list, delta: float, g_D) -> floa
     surface = u_h.space.surface
     q = u_h.space.degree + 2
     total = sum(a * h1 for a, (_, h1) in zip(surface.alpha, parts))
-    for edge in surface.edges:
-        if edge.kind == "neumann":
-            continue
-        pid_l, side_l = edge.left
-        left = tabulate_side(surface.patches[pid_l], side_l, q)
-        jump, _ = u_h.eval_tabulated(pid_l, left)
-        if edge.kind == "interior":
-            pid_r, side_r = edge.right
-            a_gamma = edge_alpha(surface.alpha[pid_l], surface.alpha[pid_r])
-            right = tabulate_side(surface.patches[pid_r], side_r, q)
-            if edge.orientation_flip:
-                right = right.reversed()
-            jump = jump - u_h.eval_tabulated(pid_r, right)[0]
-        else:
-            a_gamma = surface.alpha[pid_l]
-            jump = jump - np.asarray(g_D(left.points.reshape(-1, 3))).reshape(jump.shape)
-        total += a_gamma * delta * float(np.sum(jump**2 * left.weights / left.chords[:, None]))
+    interior = surface.edges_of_kind("interior")
+    if interior:
+        tab = tabulate_sides(surface.patches, interface_slots(interior), q)
+        n = tab.chords.size // 2
+        values, _ = u_h.eval_tabulated(tab.pid, tab)
+        a_gamma = edge_alpha(surface.alpha[tab.pid[:n]], surface.alpha[tab.pid[n:]])
+        jump = values[:n] - values[n:]
+        total += delta * float(np.sum(a_gamma * jump**2 * tab.weights[:n] / tab.chords[:n, None]))
+    dirichlet = surface.edges_of_kind("dirichlet")
+    if dirichlet:
+        tab = tabulate_sides(surface.patches, [(*e.left, False) for e in dirichlet], q)
+        values, _ = u_h.eval_tabulated(tab.pid, tab)
+        jump = values - np.asarray(g_D(tab.points.reshape(-1, 3))).reshape(values.shape)
+        a_gamma = surface.alpha[tab.pid]
+        total += delta * float(np.sum(a_gamma * jump**2 * tab.weights / tab.chords[:, None]))
     return math.sqrt(total)
 
 
@@ -106,8 +107,8 @@ def surface_h_max(surface) -> float:
     h = 0.0
     for patch in surface.patches:
         P = _tabulate(
-            patch, breakpoints(patch.basis.basis_u), breakpoints(patch.basis.basis_v)
-        ).points
+            [patch], breakpoints(patch.basis.basis_u), breakpoints(patch.basis.basis_v)
+        ).points[0]
         corners = (P[:-1, :-1], P[:-1, 1:], P[1:, :-1], P[1:, 1:])
         for a, b in itertools.combinations(corners, 2):
             h = max(h, float(np.max(np.linalg.norm(a - b, axis=-1))))

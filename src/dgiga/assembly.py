@@ -3,10 +3,13 @@
 Builds the symmetric system: patchwise diffusion stiffness, interface
 consistency/symmetry and jump-penalty terms, weakly imposed Dirichlet
 conditions of Nitsche type, and the load vector including Neumann data.
-Each patch and each side is tabulated once (``tabulate_patch`` and
-``tabulate_side``) and all its element matrices are formed in one batch.
-Entries accumulate in a fixed order (patch-major, element-lexicographic,
-edge-list order) so serial assembly is reproducible.
+Each patch is tabulated once (``tabulate_patch``) and all its element
+matrices are formed in one batch.  The edge terms are formed per pass:
+the interior edges, the Dirichlet edges and the Neumann edges are each one
+``tabulate_sides`` call, stacked over patches, and one batch of element
+matrices.  Entries accumulate in a fixed order (patch-major,
+element-lexicographic, then edge-list order inside every batch) so serial
+assembly is reproducible.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import SideTabulation, tabulate_patch, tabulate_side
+from .geometry import SideTabulation, tabulate_patch, tabulate_sides
 from .linalg import CsrMatrix
 from .space import DgSpace
 
@@ -67,6 +70,11 @@ class SparseSystem:
     rhs: np.ndarray
 
 
+def _index_dtype(n: int):
+    """int32 when every index below n fits in it, else int64."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
 class _Accumulator:
     """Element matrices (E, m, m) with their global indices (E, m), and the load."""
 
@@ -81,8 +89,11 @@ class _Accumulator:
         self.local.append(local)
 
     def system(self) -> SparseSystem:
-        gidx = np.concatenate(self.gidx) if self.gidx else np.empty((0, 0), dtype=int)
+        """Expand the blocks to COO entries and build the matrix; empties the blocks."""
+        dtype = _index_dtype(self.n)
+        gidx = np.concatenate(self.gidx, dtype=dtype) if self.gidx else np.empty((0, 0), dtype)
         vals = np.concatenate(self.local).reshape(-1) if self.local else np.empty(0)
+        self.gidx, self.local = [], []
         m = gidx.shape[1]
         rows = np.repeat(gidx, m, axis=1).reshape(-1)
         cols = np.tile(gidx, m).reshape(-1)
@@ -109,10 +120,10 @@ def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
     return acc.system()
 
 
-def _side_terms(space: DgSpace, pid: int, tab: SideTabulation, normal: np.ndarray):
-    """Global indices (nel, m), values and normal derivatives (nel, q, m) of a side's basis."""
+def _side_terms(space: DgSpace, tab: SideTabulation, normal: np.ndarray):
+    """Global indices (nel, m), values and normal derivatives (nel, q, m) of the sides' bases."""
     nel, q, m1, m2 = tab.values.shape
-    gidx = space.global_block(pid, tab.first_u, tab.first_v, m1, m2).reshape(nel, -1)
+    gidx = space.global_block(tab.pid, tab.first_u, tab.first_v, m1, m2).reshape(nel, -1)
     G = tab.surface_gradient(tab.grads)
     dn = np.einsum("eqabk,eqk->eqab", G, normal)
     return gidx, tab.values.reshape(nel, q, -1), dn.reshape(nel, q, -1)
@@ -121,11 +132,15 @@ def _side_terms(space: DgSpace, pid: int, tab: SideTabulation, normal: np.ndarra
 def _sipg_blocks(flux, jump, w, pen):
     """Element matrices of -(flux jump^T + jump flux^T) + pen jump jump^T over the edge."""
     fj = np.einsum("eqa,eqb,eq->eab", flux, jump, w)
+    sym = fj + fj.transpose(0, 2, 1)
+    del fj
     jj = np.einsum("eqa,eqb,eq->eab", jump, jump, w)
-    return -(fj + fj.transpose(0, 2, 1)) + pen[:, None, None] * jj
+    jj *= pen[:, None, None]
+    jj -= sym
+    return jj
 
 
-def edge_alpha(a: float, b: float) -> float:
+def edge_alpha(a, b):
     """Penalty weight on an interior edge: the mean of the two coefficients.
 
     The mean grows with the larger coefficient, which keeps the ellipticity
@@ -136,61 +151,71 @@ def edge_alpha(a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
+def interface_slots(edges) -> list:
+    """Slots of interior edges: every left side, then every right side with its flip."""
+    return [(*e.left, False) for e in edges] + [(*e.right, e.orientation_flip) for e in edges]
+
+
+def _interface_blocks(space: DgSpace, data: ProblemData, edges):
+    """Global indices (E, 2m) and SIPG element matrices of all interior-edge elements."""
+    surface = space.surface
+    tab = tabulate_sides(surface.patches, interface_slots(edges), space.degree + 1)
+    half = tab.chords.size // 2
+    n = tab.conormal[:half]
+    gidx, values, dn = _side_terms(space, tab, np.concatenate([n, n]))
+    alpha = surface.alpha[tab.pid][..., None]
+    flux = 0.5 * alpha * dn
+    jump = np.concatenate([values[:half], -values[half:]], axis=-1)
+    flux = np.concatenate([flux[:half], flux[half:]], axis=-1)
+    pen = data.delta * edge_alpha(alpha[:half, 0, 0], alpha[half:, 0, 0]) / tab.chords[:half]
+    gidx = np.concatenate([gidx[:half], gidx[half:]], axis=-1)
+    return gidx, _sipg_blocks(flux, jump, tab.weights[:half], pen)
+
+
 def assemble_interface(space: DgSpace, data: ProblemData) -> SparseSystem:
     """Consistency, symmetry and penalty terms on interior edges.
 
     Uses the left side's conormal as the shared direction; the penalty
     weight on an edge is the arithmetic mean of the two diffusion
-    coefficients.
+    coefficients.  All interior edges form one batch, in edge-list order.
     """
-    surface = space.surface
-    q = space.degree + 1
     acc = _Accumulator(space.total_dofs)
-    for edge in surface.edges:
-        if edge.kind != "interior":
-            continue
-        (pid_l, side_l), (pid_r, side_r) = edge.left, edge.right
-        a_l, a_r = surface.alpha[pid_l], surface.alpha[pid_r]
-        left = tabulate_side(surface.patches[pid_l], side_l, q)
-        right = tabulate_side(surface.patches[pid_r], side_r, q)
-        if edge.orientation_flip:
-            right = right.reversed()
-        n = left.conormal
-        gidx_l, val_l, dn_l = _side_terms(space, pid_l, left, n)
-        gidx_r, val_r, dn_r = _side_terms(space, pid_r, right, n)
-        jump = np.concatenate([val_l, -val_r], axis=-1)
-        flux = np.concatenate([0.5 * a_l * dn_l, 0.5 * a_r * dn_r], axis=-1)
-        pen = data.delta * edge_alpha(a_l, a_r) / left.chords
-        acc.add_block(
-            np.concatenate([gidx_l, gidx_r], axis=-1),
-            _sipg_blocks(flux, jump, left.weights, pen),
-        )
+    edges = space.surface.edges_of_kind("interior")
+    if edges:
+        acc.add_block(*_interface_blocks(space, data, edges))
     return acc.system()
 
 
-def assemble_boundary(space: DgSpace, data: ProblemData) -> SparseSystem:
-    """Weak Dirichlet terms (matrix and load) and Neumann loads."""
+def _boundary_batch(acc: _Accumulator, space: DgSpace, data: ProblemData, edges, kind: str):
+    """Dirichlet terms (matrix and load) or Neumann loads of one batch of boundary edges."""
     surface = space.surface
-    q = space.degree + 1
+    tab = tabulate_sides(surface.patches, [(*e.left, False) for e in edges], space.degree + 1)
+    gidx, values, dn = _side_terms(space, tab, tab.conormal)
+    w = tab.weights
+    if kind == "neumann":
+        gn = np.asarray(data.g_N(tab.points.reshape(-1, 3)), dtype=float)
+        np.add.at(acc.rhs, gidx, np.einsum("eqa,eq->ea", values, gn.reshape(w.shape) * w))
+        return
+    a_gamma = surface.alpha[tab.pid][..., None]
+    pen = data.delta / tab.chords
+    acc.add_block(gidx, _sipg_blocks(a_gamma * dn, values, w, a_gamma[:, 0, 0] * pen))
+    if data.g_D is not None:
+        gd = np.asarray(data.g_D(tab.points.reshape(-1, 3)), dtype=float)
+        test = a_gamma * (pen[:, None, None] * values - dn)
+        np.add.at(acc.rhs, gidx, np.einsum("eqa,eq->ea", test, gd.reshape(w.shape) * w))
+
+
+def assemble_boundary(space: DgSpace, data: ProblemData) -> SparseSystem:
+    """Weak Dirichlet terms (matrix and load) and Neumann loads.
+
+    The Dirichlet edges form one batch and the Neumann edges another, each
+    in edge-list order.
+    """
     acc = _Accumulator(space.total_dofs)
-    for edge in surface.edges:
-        if edge.kind == "interior":
-            continue
-        pid, pside = edge.left
-        a_gamma = surface.alpha[pid]
-        tab = tabulate_side(surface.patches[pid], pside, q)
-        gidx, values, dn = _side_terms(space, pid, tab, tab.conormal)
-        w = tab.weights
-        if edge.kind == "dirichlet":
-            pen = data.delta / tab.chords
-            acc.add_block(gidx, _sipg_blocks(a_gamma * dn, values, w, a_gamma * pen))
-            if data.g_D is not None:
-                gd = np.asarray(data.g_D(tab.points.reshape(-1, 3)), dtype=float)
-                test = a_gamma * (pen[:, None, None] * values - dn)
-                np.add.at(acc.rhs, gidx, np.einsum("eqa,eq->ea", test, gd.reshape(w.shape) * w))
-        elif data.g_N is not None:
-            gn = np.asarray(data.g_N(tab.points.reshape(-1, 3)), dtype=float)
-            np.add.at(acc.rhs, gidx, np.einsum("eqa,eq->ea", values, gn.reshape(w.shape) * w))
+    for kind, needed in (("dirichlet", True), ("neumann", data.g_N is not None)):
+        edges = space.surface.edges_of_kind(kind)
+        if edges and needed:
+            _boundary_batch(acc, space, data, edges, kind)
     return acc.system()
 
 

@@ -110,13 +110,13 @@ def sample_solution(result: LevelResult, points_per_side: int = 10) -> str:
     lines = ["patch,xi1,xi2,x,y,z,uh"]
     ts = np.linspace(0.0, 1.0, points_per_side)
     for pid, patch in enumerate(result.surface.patches):
-        tab = _tabulate(patch, ts, ts)
+        tab = _tabulate([patch], ts, ts)
         values, _ = result.solution.eval_tabulated(pid, tab)
         for j, x2 in enumerate(ts):
             for i, x1 in enumerate(ts):
-                pt = tab.points[i, j]
+                pt = tab.points[0, i, j]
                 lines.append(
                     f"{pid},{x1:.17g},{x2:.17g},{pt[0]:.17g},{pt[1]:.17g},{pt[2]:.17g},"
-                    f"{values[i, j]:.17g}"
+                    f"{values[0, i, j]:.17g}"
                 )
     return "\n".join(lines) + "\n"

@@ -6,15 +6,19 @@ conormals along patch edges, physical mesh sizes, and the construction of a
 multi-patch surface by geometric interface matching with matching-mesh
 verification.
 
-``tabulate_patch`` and ``tabulate_side`` evaluate the rational basis and
-the geometry at every Gauss point of a patch or of one of its sides in one
-vectorized pass; the pointwise functions (``frame_at``, ``conormal``,
-``mesh_size``, ...) give the same quantities at single points.
+One kernel, ``_tabulate``, evaluates the rational basis and the geometry
+on a tensor grid for a stack of patches that share both knot vectors.
+``tabulate_patch`` calls it for the Gauss points of one patch;
+``tabulate_sides`` tabulates the Gauss points of many patch sides with one
+call per (side, knot vectors) group and returns their elements in slot
+order, each flipped slot reversed.  ``match_interfaces`` takes its side
+samples through the same kernel.  The pointwise functions (``frame_at``,
+``conormal``, ``mesh_size``, ...) give the same quantities at single points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +52,7 @@ __all__ = [
     "edge_mesh_size",
     "refine_surface",
     "tabulate_patch",
-    "tabulate_side",
+    "tabulate_sides",
 ]
 
 SIDES = ("west", "east", "south", "north")
@@ -182,11 +186,12 @@ def conormal(patch: NurbsPatch, side: str, t: float) -> np.ndarray:
 class Tabulation:
     """Rational basis and first fundamental form at many parameter points.
 
-    All arrays share the leading point axes: (n_u, n_v) on a parameter
-    grid, (nel_u, nel_v, q, q) from ``tabulate_patch`` and (nel, q) from
-    ``tabulate_side``.  The local-basis axes (m1, m2) = (p1+1, p2+1) belong
-    to the control-grid window starting at (first_u, first_v); these two
-    integer arrays broadcast against the point axes.  ``weights`` are the
+    All arrays share the leading point axes: (P, n_u, n_v) on a parameter
+    grid of P stacked patches, (nel_u, nel_v, q, q) from ``tabulate_patch``
+    and (nel, q) from ``tabulate_sides``.  The local-basis axes
+    (m1, m2) = (p1+1, p2+1) belong to the control-grid window starting at
+    (first_u, first_v); these two integer arrays broadcast against the
+    point axes.  ``weights`` are the
     quadrature weights times the area element (patch) or the edge speed
     (side), and None on a plain grid.
     """
@@ -211,64 +216,62 @@ class Tabulation:
 
 @dataclass(frozen=True)
 class SideTabulation(Tabulation):
-    """Tabulation of one patch side with its edge geometry.
+    """Tabulation of the elements of many patch sides with their edge geometry.
 
-    ``conormal`` is the outward unit conormal and ``speed`` the length of
-    the mapped edge tangent, both (nel, q); ``chords`` (nel,) are the
-    physical chord lengths of the edge elements.
+    ``pid`` (nel, 1) holds each element's patch id and broadcasts like the
+    window starts.  ``conormal`` is the outward unit conormal and ``speed``
+    the length of the mapped edge tangent, both (nel, q); ``chords`` (nel,)
+    are the physical chord lengths of the edge elements.
     """
 
     conormal: np.ndarray
     speed: np.ndarray
     chords: np.ndarray
-
-    def reversed(self) -> "SideTabulation":
-        """The same side traversed against its parameter."""
-        flipped = {
-            f.name: getattr(self, f.name)[::-1, ::-1] for f in fields(self) if f.name != "chords"
-        }
-        return SideTabulation(chords=self.chords[::-1], **flipped)
+    pid: np.ndarray
 
 
 _POINT_ARRAYS = ("values", "grads", "points", "jacobian", "inv_metric", "sqrt_det_g")
 
 
-def _tabulate(patch: NurbsPatch, xs_u, xs_v) -> Tabulation:
-    """Basis and geometry of a patch on the tensor grid xs_u x xs_v.
+def _tabulate(patches: list[NurbsPatch], xs_u, xs_v) -> Tabulation:
+    """Basis and geometry of a stack of patches on the tensor grid xs_u x xs_v.
 
+    The patches must share both knot vectors; point axes are (P, n_u, n_v).
     Each point gets its own active window, so the grid may contain knots
     and xi = 1 (evaluated on the last non-empty span).  Raises
-    SingularMapError where det(J^T J) falls below 1e-14.
+    SingularMapError, naming the patch, where det(J^T J) falls below 1e-14.
     """
-    basis = patch.basis
+    basis = patches[0].basis
     fu, Nu, dNu = tabulate(basis.basis_u, xs_u)
     fv, Nv, dNv = tabulate(basis.basis_v, xs_v)
     iu = fu[:, None, None, None] + np.arange(Nu.shape[1])[:, None]
     iv = fv[None, :, None, None] + np.arange(Nv.shape[1])
-    W = basis.weights[iu, iv]
+    # C-contiguous tables keep each patch's sums in the same order whatever
+    # the stack size, so a batch equals its one-patch calls bit for bit.
+    W = np.ascontiguousarray(np.stack([p.basis.weights for p in patches])[:, iu, iv])
     Nu, dNu = Nu[:, None, :, None], dNu[:, None, :, None]
     Nv, dNv = Nv[None, :, None, :], dNv[None, :, None, :]
     B = Nu * Nv * W
     Bu = dNu * Nv * W
     Bv = Nu * dNv * W
-    S = B.sum(axis=(2, 3), keepdims=True)
+    S = B.sum(axis=(3, 4), keepdims=True)
     values = B / S
     # Quotient rule: dR = (dB - R * sum(dB)) / S.
-    grads = np.stack([Bu - values * Bu.sum(axis=(2, 3), keepdims=True),
-                      Bv - values * Bv.sum(axis=(2, 3), keepdims=True)], axis=-1)
+    grads = np.stack([Bu - values * Bu.sum(axis=(3, 4), keepdims=True),
+                      Bv - values * Bv.sum(axis=(3, 4), keepdims=True)], axis=-1)
     grads /= S[..., None]
     del B, Bu, Bv, W
 
-    cp = patch.control_points[iu, iv]
-    points = np.einsum("ijab,ijabk->ijk", values, cp)
-    jac = np.einsum("ijabd,ijabk->ijkd", grads, cp)
-    g = np.einsum("ijkd,ijke->ijde", jac, jac)
+    cp = np.ascontiguousarray(np.stack([p.control_points for p in patches])[:, iu, iv])
+    points = np.einsum("sijab,sijabk->sijk", values, cp)
+    jac = np.einsum("sijabd,sijabk->sijkd", grads, cp)
+    g = np.einsum("sijkd,sijke->sijde", jac, jac)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
     if not np.all(det > 1e-14):
-        i, j = np.unravel_index(np.argmin(det), det.shape)
+        s, i, j = np.unravel_index(np.argmin(det), det.shape)
         raise SingularMapError(
-            f"singular parameterization on patch {patch.id} at "
-            f"xi=({xs_u[i]:.6f}, {xs_v[j]:.6f}) (det g={det[i, j]:.3e})"
+            f"singular parameterization on patch {patches[s].id} at "
+            f"xi=({xs_u[i]:.6f}, {xs_v[j]:.6f}) (det g={det[s, i, j]:.3e})"
         )
     inv = np.stack([g[..., 1, 1], -g[..., 0, 1], -g[..., 1, 0], g[..., 0, 0]], axis=-1)
     inv = inv.reshape(g.shape) / det[..., None, None]
@@ -283,11 +286,11 @@ def tabulate_patch(patch: NurbsPatch, q: int) -> Tabulation:
     """
     xu, wu = panel_rules(breakpoints(patch.basis.basis_u), q)
     xv, wv = panel_rules(breakpoints(patch.basis.basis_v), q)
-    grid = _tabulate(patch, xu.ravel(), xv.ravel())
+    grid = _tabulate([patch], xu.ravel(), xv.ravel())
     nel_u, nel_v = xu.shape[0], xv.shape[0]
 
     def by_element(a):
-        return a.reshape(nel_u, q, nel_v, q, *a.shape[2:]).swapaxes(1, 2)
+        return a.reshape(nel_u, q, nel_v, q, *a.shape[3:]).swapaxes(1, 2)
 
     # Gauss points lie inside their span, so one window serves each element.
     return Tabulation(
@@ -298,46 +301,85 @@ def tabulate_patch(patch: NurbsPatch, q: int) -> Tabulation:
     )
 
 
-def _on_side(patch: NurbsPatch, side: str, ts: np.ndarray) -> Tabulation:
-    """``_tabulate`` at side coordinates ts; the fixed axis has length 1."""
+def _on_side(patches: list[NurbsPatch], side: str, ts: np.ndarray) -> Tabulation:
+    """``_tabulate`` of a stack at side coordinates ts; the fixed axis has length 1."""
     axis, value, _, _ = _SIDE_DATA[side]
     fixed = np.array([value])
-    return _tabulate(patch, fixed, ts) if axis == 0 else _tabulate(patch, ts, fixed)
+    return _tabulate(patches, fixed, ts) if axis == 0 else _tabulate(patches, ts, fixed)
 
 
-def tabulate_side(patch: NurbsPatch, side: str, q: int) -> SideTabulation:
-    """Basis and geometry at the q Gauss points of every element of a side.
+def _side_groups(patches: list[NurbsPatch], sides) -> dict:
+    """Positions of (pid, side, ...) entries, grouped by side and both knot vectors."""
+    groups: dict = {}
+    for k, (pid, side, *_) in enumerate(sides):
+        b = patches[pid].basis
+        key = (side, b.basis_u.degree, b.basis_u.knots.tobytes(),
+               b.basis_v.degree, b.basis_v.knots.tobytes())
+        groups.setdefault(key, []).append(k)
+    return groups
 
-    Point axes are (nel, q) along the side's own parameter; ``weights``
-    integrate over the mapped edge.
-    """
-    axis, _, edge_dir, outward = _SIDE_DATA[side]
-    bp = breakpoints(patch.side_knots(side))
+
+def _side_group(patches: list[NurbsPatch], side: str, q: int) -> dict:
+    """Side tabulation of a stack sharing both knot vectors; element axis P * nel."""
+    _, _, edge_dir, outward = _SIDE_DATA[side]
+    bp = breakpoints(patches[0].side_knots(side))
     ts, wt = panel_rules(bp, q)
-    nel = ts.shape[0]
-    n = nel * q
+    P, n = len(patches), ts.size
     # The Gauss points and then the element ends, in one pass.
-    grid = _on_side(patch, side, np.concatenate([ts.ravel(), bp]))
-
-    def by_element(a):
-        a = a[0] if axis == 0 else a[:, 0]
-        return a[:n].reshape(nel, q, *a.shape[1:])
-
-    arrays = {name: by_element(getattr(grid, name)) for name in _POINT_ARRAYS}
-    jac = arrays["jacobian"]
+    grid = _on_side(patches, side, np.concatenate([ts.ravel(), bp]))
+    out = {}
+    for name in _POINT_ARRAYS:
+        a = getattr(grid, name)
+        out[name] = a.reshape(P, -1, *a.shape[3:])[:, :n].reshape(-1, q, *a.shape[3:])
+    for name in ("first_u", "first_v"):
+        first = np.broadcast_to(getattr(grid, name), grid.sqrt_det_g.shape[1:])
+        out[name] = np.tile(first.reshape(-1)[:n:q], P)
+    jac = out["jacobian"]
     tangent = jac @ edge_dir
-    speed = np.linalg.norm(tangent, axis=-1)
+    out["speed"] = np.linalg.norm(tangent, axis=-1)
     c = np.cross(tangent, np.cross(jac[..., 0], jac[..., 1]))
     c /= np.linalg.norm(c, axis=-1, keepdims=True)
     c[np.einsum("...k,...k->...", c, jac @ outward) < 0.0] *= -1.0
-    ends = grid.points.reshape(-1, 3)[n:]
+    out["conormal"] = c
+    out["weights"] = np.tile(wt, (P, 1)) * out["speed"]
+    ends = grid.points.reshape(P, -1, 3)[:, n:]
+    out["chords"] = np.linalg.norm(np.diff(ends, axis=1), axis=-1).reshape(-1)
+    return out
+
+
+def tabulate_sides(patches: list[NurbsPatch], slots, q: int) -> SideTabulation:
+    """Basis and edge geometry at the q Gauss points of every element of many sides.
+
+    ``slots`` lists (pid, side, flip); the element axis concatenates the
+    slots' elements in slot order, and a flipped slot is traversed against
+    its side's parameter (elements and points reversed).  Sides whose
+    patches share both knot vectors are tabulated in one kernel call.
+    """
+    if not slots:
+        raise ValueError("tabulate_sides needs at least one slot")
+    groups = _side_groups(patches, slots)
+    parts, blocks, start = [], [None] * len(slots), 0
+    for (side, *_), members in groups.items():
+        part = _side_group([patches[slots[k][0]] for k in members], side, q)
+        nel = part["chords"].size // len(members)
+        for r, k in enumerate(members):
+            e = start + r * nel + np.arange(nel)
+            blocks[k] = e[::-1] if slots[k][2] else e
+        start += part["chords"].size
+        parts.append(part)
+    sizes = [b.size for b in blocks]
+    order = np.concatenate(blocks)
+    flip = np.repeat([bool(f) for _, _, f in slots], sizes)
+    at = np.arange(q)
+    points = (order[:, None], np.where(flip[:, None], at[::-1], at))
+    arrays = {}
+    for name in parts[0]:
+        a = np.concatenate([part[name] for part in parts])
+        arrays[name] = a[order] if a.ndim == 1 else a[points]
     return SideTabulation(
-        first_u=grid.first_u.reshape(-1)[:n:q].reshape(-1, 1),
-        first_v=grid.first_v.reshape(-1)[:n:q].reshape(-1, 1),
-        weights=wt * speed,
-        conormal=c,
-        speed=speed,
-        chords=np.linalg.norm(np.diff(ends, axis=0), axis=-1),
+        first_u=arrays.pop("first_u")[:, None],
+        first_v=arrays.pop("first_v")[:, None],
+        pid=np.repeat([pid for pid, _, _ in slots], sizes)[:, None],
         **arrays,
     )
 
@@ -442,9 +484,10 @@ def match_interfaces(
     # bounds never drops a candidate; the 5-sample test decides.
     ts = np.linspace(0.0, 1.0, 5)
     all_sides = [(p.id, side) for p in patches for side in SIDES]
-    samples = np.array(
-        [_on_side(p, side, ts).points.reshape(-1, 3) for p in patches for side in SIDES]
-    ).reshape(len(all_sides), ts.size, 3)
+    samples = np.empty((len(all_sides), ts.size, 3))
+    for (side, *_), members in _side_groups(patches, all_sides).items():
+        stack = [patches[all_sides[k][0]] for k in members]
+        samples[members] = _on_side(stack, side, ts).points.reshape(len(stack), ts.size, 3)
     mid_x = samples[:, ts.size // 2, 0]
     order = np.argsort(mid_x, kind="stable")
     lo = np.searchsorted(mid_x[order], mid_x - 2.0 * tol, side="left")

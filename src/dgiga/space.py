@@ -47,17 +47,18 @@ class DgSpace:
         n1, _ = self.patch_shape(pid)
         return int(self.offsets[pid]) + k2 * n1 + k1
 
-    def global_block(self, pid: int, first_u, first_v, m1: int, m2: int) -> np.ndarray:
-        """Global indices of (m1 x m2) windows of a patch's control grid.
+    def global_block(self, pid, first_u, first_v, m1: int, m2: int) -> np.ndarray:
+        """Global indices of (m1 x m2) windows of patch control grids.
 
-        The window starts may be integers or broadcastable integer arrays;
-        the result has shape broadcast(first_u, first_v) + (m1, m2), aligned
-        with basis value arrays.
+        The patch ids and window starts may be integers or broadcastable
+        integer arrays; the result has shape broadcast(pid, first_u,
+        first_v) + (m1, m2), aligned with basis value arrays.
         """
-        n1, _ = self.patch_shape(pid)
+        pid = np.asarray(pid)[..., None, None]
+        n1 = np.array([p.basis.shape[0] for p in self.surface.patches])[pid]
         k1 = np.asarray(first_u)[..., None, None] + np.arange(m1)[:, None]
         k2 = np.asarray(first_v)[..., None, None] + np.arange(m2)
-        return int(self.offsets[pid]) + k2 * n1 + k1
+        return self.offsets[pid] + k2 * n1 + k1
 
     def function(self, coefficients=None) -> "DiscreteFunction":
         if coefficients is None:
@@ -113,10 +114,12 @@ class DiscreteFunction:
         frame = frame_at(patch, xi)
         return value, surface_gradient(frame, pgrad)
 
-    def eval_tabulated(self, pid: int, tab: Tabulation) -> tuple[np.ndarray, np.ndarray]:
-        """Values and tangential gradients at every point of a tabulation of patch pid.
+    def eval_tabulated(self, pid, tab: Tabulation) -> tuple[np.ndarray, np.ndarray]:
+        """Values and tangential gradients at every point of a tabulation.
 
-        The coefficients are contracted before the gradient is pushed forward.
+        ``pid`` is the patch id, or an array of ids that broadcasts like the
+        window starts (``SideTabulation.pid``).  The coefficients are
+        contracted before the gradient is pushed forward.
         """
         m1, m2 = tab.values.shape[-2:]
         c = self.coefficients[self.space.global_block(pid, tab.first_u, tab.first_v, m1, m2)]

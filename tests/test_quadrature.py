@@ -108,10 +108,10 @@ def test_tabulate_patch_reproduces_patch_area():
     assert tab.weights.sum() == pytest.approx(np.pi / 2, abs=1e-12)
 
 
-def test_tabulate_side_measures_unit_side():
+def test_tabulate_sides_measures_unit_side():
     from dgiga.geometries import planar_rectangle_patch
-    from dgiga.geometry import tabulate_side
+    from dgiga.geometry import tabulate_sides
 
-    tab = tabulate_side(planar_rectangle_patch(2), "east", 3)
+    tab = tabulate_sides([planar_rectangle_patch(2)], [(0, "east", False)], 3)
     assert tab.weights.shape == (1, 3)
     assert tab.weights.sum() == pytest.approx(1.0, abs=1e-13)

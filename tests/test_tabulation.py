@@ -1,6 +1,6 @@
 """The vectorized tabulation against the pointwise evaluation.
 
-``tabulate_patch``, ``tabulate_side`` and the grid kernel must reproduce
+``tabulate_patch``, ``tabulate_sides`` and the grid kernel must reproduce
 ``eval_nurbs2d``/``frame_at``/``surface_gradient``/``conormal_at``/
 ``edge_mesh_size`` at every point, on every bundled geometry, the p = 3
 rational full cylinder and an orientation-flipped interface.
@@ -11,7 +11,15 @@ import pytest
 from conftest import bundled
 from test_flipped_interface import two_patches
 
-from dgiga.assembly import ProblemData, assemble_boundary, assemble_system, assemble_volume
+from dgiga.assembly import (
+    ProblemData,
+    assemble_boundary,
+    assemble_interface,
+    assemble_system,
+    assemble_volume,
+    interface_slots,
+)
+from dgiga.analysis import measure_errors
 from dgiga.driver import LevelResult, sample_solution
 from dgiga.geofile import load_surface
 from dgiga.geometries import full_cylinder, planar_rectangle_patch
@@ -30,11 +38,11 @@ from dgiga.geometry import (
     side_param,
     surface_gradient,
     tabulate_patch,
-    tabulate_side,
+    tabulate_sides,
 )
 from dgiga.quadrature import panel_rules
 from dgiga.space import build_space
-from dgiga.splines import breakpoints, eval_nurbs2d
+from dgiga.splines import KnotVector, NurbsBasis2D, breakpoints, eval_nurbs2d, greville
 
 BUNDLED_FILES = ("square4.g", "square4_p2.g", "square4_p3.g", "qcyl4.g", "qcyl4_p3.g")
 GEOMETRIES = {
@@ -93,47 +101,58 @@ def test_patch_tabulation_matches_pointwise(surface):
             close(grads[idx], grad)
 
 
+def slot_starts(surface, slots):
+    """First element of every slot on the element axis of a batched side tabulation."""
+    nel = [surface.patches[pid].side_knots(side).num_elements for pid, side, _ in slots]
+    return np.concatenate([[0], np.cumsum(nel)])
+
+
 def test_side_tabulation_matches_pointwise(surface):
     q = surface.patches[0].degree[0] + 1
-    for edge in surface.edges:
+    edges = surface.edges
+    interior = [e for e in edges if e.right is not None]
+    # Every left side, then every right side with its orientation flip.
+    slots = [(*e.left, False) for e in edges] + interface_slots(interior)[len(interior):]
+    tab = tabulate_sides(surface.patches, slots, q)
+    G = tab.surface_gradient(tab.grads)
+    starts = slot_starts(surface, slots)
+    assert tab.chords.shape == (starts[-1],)
+    np.testing.assert_array_equal(tab.pid[:, 0], np.repeat([s[0] for s in slots], np.diff(starts)))
+    rights = dict(zip(map(id, interior), starts[len(edges):]))
+    for edge, first in zip(edges, starts):
         pid, side = edge.left
         patch = surface.patches[pid]
-        left = tabulate_side(patch, side, q)
-        G = left.surface_gradient(left.grads)
         ts, wt = panel_rules(edge_breakpoints(surface, edge), q)
-        assert left.chords.shape == (ts.shape[0],)
         for e in range(ts.shape[0]):
-            close(left.chords[e], edge_mesh_size(surface, edge, e))
-        for idx in np.ndindex(ts.shape):
-            t = float(ts[idx])
-            check_point(patch, left, G, idx, side_param(side, t))
+            close(tab.chords[first + e], edge_mesh_size(surface, edge, e))
+        for e, i in np.ndindex(ts.shape):
+            idx = (first + e, i)
+            t = float(ts[e, i])
+            check_point(patch, tab, G, idx, side_param(side, t))
             jacobian = frame_at(patch, side_param(side, t)).jacobian
             tangent = jacobian[:, 1] if side in ("west", "east") else jacobian[:, 0]
-            close(left.speed[idx], np.linalg.norm(tangent))
-            close(left.weights[idx], wt[idx] * left.speed[idx])
-            close(left.conormal[idx], conormal_at(surface, edge, "left", t))
+            close(tab.speed[idx], np.linalg.norm(tangent))
+            close(tab.weights[idx], wt[e, i] * tab.speed[idx])
+            close(tab.conormal[idx], conormal_at(surface, edge, "left", t))
         if edge.right is None:
             continue
         pid_r, side_r = edge.right
-        right = tabulate_side(surface.patches[pid_r], side_r, q)
-        if edge.orientation_flip:
-            right = right.reversed()
-        G = right.surface_gradient(right.grads)
-        for idx in np.ndindex(ts.shape):
-            t = float(ts[idx])
+        for e, i in np.ndindex(ts.shape):
+            idx = (rights[id(edge)] + e, i)
+            t = float(ts[e, i])
             xi = side_param(side_r, edge.partner_t(t))
-            check_point(surface.patches[pid_r], right, G, idx, xi)
-            close(right.points[idx], left.points[idx])
-            close(right.conormal[idx], conormal_at(surface, edge, "right", t))
+            check_point(surface.patches[pid_r], tab, G, idx, xi)
+            close(tab.points[idx], tab.points[first + e, i])
+            close(tab.conormal[idx], conormal_at(surface, edge, "right", t))
 
 
 def test_grid_tabulation_matches_pointwise_up_to_xi_one(surface):
     ts = np.linspace(0.0, 1.0, 5)  # hits the interior knot 0.5 and xi = 1
     for patch in surface.patches:
-        tab = _tabulate(patch, ts, ts)
+        tab = _tabulate([patch], ts, ts)
         G = tab.surface_gradient(tab.grads)
         for idx in np.ndindex(tab.sqrt_det_g.shape):
-            check_point(patch, tab, G, idx, (ts[idx[0]], ts[idx[1]]))
+            check_point(patch, tab, G, idx, (ts[idx[1]], ts[idx[2]]))
 
 
 def test_sample_solution_matches_pointwise_evaluation(surface):
@@ -146,14 +165,89 @@ def test_sample_solution_matches_pointwise_evaluation(surface):
         close(float(uh), u_h.eval(int(pid), xi)[0])
 
 
-def collapsed_layout():
-    good = planar_rectangle_patch(1, pid=0)
-    bad = NurbsPatch(good.basis, np.zeros_like(good.control_points), 1)
-    edges = [InterfaceEdge("dirichlet", (pid, side)) for pid in (0, 1) for side in SIDES]
-    return build_space(MultiPatchSurface([good, bad], edges), 1)
+SIDE_FIELDS = ("first_u", "first_v", "pid", "values", "grads", "points", "jacobian",
+               "inv_metric", "sqrt_det_g", "weights", "conormal", "speed", "chords")
 
 
-@pytest.mark.parametrize("assemble", [assemble_system, assemble_volume, assemble_boundary])
+def two_signature_patches():
+    """Five rational, non-planar patches in a row with two knot signatures.
+
+    Neighbours share their east/west edge (same v knots) but alternate
+    between 2 and 3 elements across it.
+    """
+    rng = np.random.default_rng(3)
+    kv_v = KnotVector(2, [0, 0, 0, 0.4, 1, 1, 1])
+    knots_u = ([0, 0, 0, 0.5, 1, 1, 1], [0, 0, 0, 0.3, 0.6, 1, 1, 1])
+    patches = []
+    for pid in range(5):
+        knots = knots_u[pid % 2]
+        kv_u = KnotVector(2, knots)
+        gu, gv = greville(kv_u), greville(kv_v)
+        cp = np.zeros((gu.size, gv.size, 3))
+        cp[..., 0] = pid + gu[:, None]
+        cp[..., 1] = gv[None, :]
+        cp[..., 2] = 0.2 * cp[..., 0] * cp[..., 1] ** 2
+        weights = rng.uniform(0.8, 1.2, cp.shape[:2])
+        patches.append(NurbsPatch(NurbsBasis2D(kv_u, kv_v, weights), cp, pid))
+    return patches
+
+
+def test_batched_sides_equal_concatenated_one_slot_calls_bit_for_bit():
+    patches = two_signature_patches()
+    rng = np.random.default_rng(8)
+    slots = [(pid, side, bool(rng.random() < 0.5)) for pid in range(5) for side in SIDES]
+    slots = [slots[k] for k in rng.permutation(len(slots))]
+    assert {flip for _, _, flip in slots} == {False, True}
+    for q in (2, 3, 4):
+        batch = tabulate_sides(patches, slots, q)
+        single = [tabulate_sides(patches, [slot], q) for slot in slots]
+        for name in SIDE_FIELDS:
+            expected = np.concatenate([getattr(tab, name) for tab in single])
+            np.testing.assert_array_equal(getattr(batch, name), expected, err_msg=name)
+
+
+def test_tabulate_sides_rejects_an_empty_slot_list():
+    with pytest.raises(ValueError, match="at least one slot"):
+        tabulate_sides(two_signature_patches(), [], 3)
+
+
+def collapsed_layout(whole=True):
+    """Five unit squares in a row joined by interior edges, Dirichlet elsewhere.
+
+    Patch 2, in the middle of every edge batch, is collapsed to a point, or
+    (whole=False) only along its north side, so that its Gauss points stay
+    regular and only its side tabulations are singular.
+    """
+    patches = [planar_rectangle_patch(1, origin=(float(i), 0.0), pid=i) for i in range(5)]
+    cp = patches[2].control_points.copy()
+    if whole:
+        cp[:] = 0.0
+    else:
+        cp[:, -1] = cp[0, -1]
+    patches[2] = NurbsPatch(patches[2].basis, cp, 2)
+    edges = [InterfaceEdge("interior", (i, "east"), (i + 1, "west")) for i in range(4)]
+    edges += [InterfaceEdge("dirichlet", (i, side)) for i in range(5) for side in ("south", "north")]
+    edges += [InterfaceEdge("dirichlet", (0, "west")), InterfaceEdge("dirichlet", (4, "east"))]
+    return build_space(MultiPatchSurface(patches, edges), 1)
+
+
+@pytest.mark.parametrize(
+    "assemble", [assemble_system, assemble_volume, assemble_interface, assemble_boundary]
+)
 def test_assembly_reports_singular_patch(assemble):
-    with pytest.raises(SingularMapError, match="patch 1"):
+    with pytest.raises(SingularMapError, match="patch 2 "):
         assemble(collapsed_layout(), ProblemData())
+
+
+@pytest.mark.parametrize("whole", [False, True])
+def test_edge_batches_report_singular_patch(whole):
+    space = collapsed_layout(whole)
+    with pytest.raises(SingularMapError, match="patch 2 "):
+        assemble_interface(space, ProblemData())
+    data = ProblemData(
+        g_D=lambda pts: pts[:, 0],
+        u_exact=lambda pts: pts[:, 0],
+        grad_u_exact=lambda pts: np.tile([1.0, 0.0, 0.0], (len(pts), 1)),
+    )
+    with pytest.raises(SingularMapError, match="patch 2 "):
+        measure_errors(space.function(), data)
