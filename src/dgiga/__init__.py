@@ -36,9 +36,9 @@ from .geometry import (
     refine_surface,
     surface_gradient,
 )
-from .linalg import CsrMatrix, NumericalBreakdownError, SolveReport, cg_solve, cg_solve_projected
+from .linalg import NumericalBreakdownError, SolveReport, cg_solve
 from .problems import builtin_problems, make_problem, parse_expression
-from .quadrature import QuadRule, gauss_on_interval, integrate_patch
+from .quadrature import integrate_patch
 from .space import (
     DgSpace,
     DiscreteFunction,

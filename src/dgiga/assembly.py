@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .geometry import SideTabulation, tabulate_patch, tabulate_sides
-from .linalg import CsrMatrix
 from .space import DgSpace
 
 __all__ = [
@@ -64,10 +64,16 @@ class ProblemData:
 
 @dataclass
 class SparseSystem:
-    """Assembled symmetric matrix and right-hand side."""
+    """Assembled symmetric matrix (CSR, sorted and duplicate-free) and right-hand side.
 
-    matrix: CsrMatrix
+    Without a Dirichlet edge the constants span the nullspace of the matrix;
+    ``basis_integrals`` then holds m_i, the integral of basis function i,
+    which fixes the constant of the solution.  It is None otherwise.
+    """
+
+    matrix: sp.csr_array
     rhs: np.ndarray
+    basis_integrals: np.ndarray | None = None
 
 
 def _index_dtype(n: int):
@@ -89,7 +95,7 @@ class _Accumulator:
         self.local.append(local)
 
     def system(self) -> SparseSystem:
-        """Expand the blocks to COO entries and build the matrix; empties the blocks."""
+        """Expand the blocks to COO entries and build the CSR matrix; empties the blocks."""
         dtype = _index_dtype(self.n)
         gidx = np.concatenate(self.gidx, dtype=dtype) if self.gidx else np.empty((0, 0), dtype)
         vals = np.concatenate(self.local).reshape(-1) if self.local else np.empty(0)
@@ -97,27 +103,36 @@ class _Accumulator:
         m = gidx.shape[1]
         rows = np.repeat(gidx, m, axis=1).reshape(-1)
         cols = np.tile(gidx, m).reshape(-1)
-        return SparseSystem(CsrMatrix.from_coo(self.n, rows, cols, vals), self.rhs)
+        mat = sp.coo_array((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
+        mat.sum_duplicates()
+        mat.sort_indices()
+        return SparseSystem(mat, self.rhs)
 
 
 def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
-    """Patchwise diffusion stiffness and source load."""
+    """Patchwise diffusion stiffness and source load, and the basis integrals
+    when the surface has no Dirichlet edge."""
     surface = space.surface
     q = space.degree + 1
     acc = _Accumulator(space.total_dofs)
+    integrals = None if surface.has_dirichlet else np.zeros(space.total_dofs)
     for pid, patch in enumerate(surface.patches):
         tab = tabulate_patch(patch, q)
         nel_u, nel_v, _, _, m1, m2 = tab.values.shape
         shape = (nel_u * nel_v, q * q, m1 * m2)
         gidx = space.global_block(pid, tab.first_u, tab.first_v, m1, m2).reshape(-1, m1 * m2)
         w = tab.weights.reshape(shape[:2])
+        values = tab.values.reshape(shape)
         G = tab.surface_gradient(tab.grads).reshape(*shape, 3)
         acc.add_block(gidx, np.einsum("eqak,eqbk,eq->eab", G, G, surface.alpha[pid] * w))
         if data.f is not None:
             f = np.asarray(data.f(pid, tab.points.reshape(-1, 3)), dtype=float)
-            load = np.einsum("eqa,eq->ea", tab.values.reshape(shape), f.reshape(w.shape) * w)
-            np.add.at(acc.rhs, gidx, load)
-    return acc.system()
+            np.add.at(acc.rhs, gidx, np.einsum("eqa,eq->ea", values, f.reshape(w.shape) * w))
+        if integrals is not None:
+            np.add.at(integrals, gidx, np.einsum("eqa,eq->ea", values, w))
+    system = acc.system()
+    system.basis_integrals = integrals
+    return system
 
 
 def _side_terms(space: DgSpace, tab: SideTabulation, normal: np.ndarray):
@@ -221,14 +236,11 @@ def assemble_boundary(space: DgSpace, data: ProblemData) -> SparseSystem:
 
 def assemble_system(space: DgSpace, data: ProblemData) -> SparseSystem:
     """Full system: volume + interior-edge + boundary contributions."""
-    parts = [
-        assemble_volume(space, data),
-        assemble_interface(space, data),
-        assemble_boundary(space, data),
-    ]
-    mat = parts[0].matrix.to_scipy()
-    rhs = parts[0].rhs.copy()
-    for part in parts[1:]:
-        mat = mat + part.matrix.to_scipy()
-        rhs += part.rhs
-    return SparseSystem(CsrMatrix.from_scipy(mat), rhs)
+    vol = assemble_volume(space, data)
+    iface = assemble_interface(space, data)
+    bnd = assemble_boundary(space, data)
+    return SparseSystem(
+        vol.matrix + iface.matrix + bnd.matrix,
+        vol.rhs + iface.rhs + bnd.rhs,
+        vol.basis_integrals,
+    )

@@ -9,7 +9,7 @@ import numpy as np
 from .analysis import ErrorReport, RateTable, measure_errors, rate_table, surface_h_max
 from .assembly import ProblemData, assemble_system, default_penalty
 from .geometry import MultiPatchSurface, _tabulate, refine_surface
-from .linalg import SolveReport, cg_solve, cg_solve_projected
+from .linalg import SolveReport, cg_solve
 from .space import DgSpace, DiscreteFunction, build_space
 
 __all__ = ["SolverFailure", "LevelResult", "solve_problem", "run_sweep"]
@@ -36,12 +36,15 @@ def solve_problem(
     """Assemble and solve one discrete problem on the given surface.
 
     Pure-Neumann problems (no Dirichlet edge anywhere) are solved in the
-    mean-zero complement of the constant nullspace.
+    complement of the constant nullspace, and the solution is shifted to
+    zero integral mean over the surface.
     """
     space = build_space(surface, p)
     system = assemble_system(space, data)
-    solver = cg_solve if surface.has_dirichlet else cg_solve_projected
-    x, report = solver(system.matrix, system.rhs, tol=tol, max_iter=max_iter)
+    x, report = cg_solve(
+        system.matrix, system.rhs, tol=tol, max_iter=max_iter,
+        mean_weights=system.basis_integrals,
+    )
     if not report.converged:
         raise SolverFailure(report)
     return space.function(x), report, space

@@ -1,9 +1,10 @@
-"""Symmetric sparse storage and preconditioned conjugate gradients.
+"""Conjugate gradients with Jacobi (inverse-diagonal) scaling for the interior-penalty system.
 
-The matrix container is a thin CSR wrapper (scipy backs the storage and the
-matrix-vector product); the solver is a plain Jacobi-preconditioned CG with
-an optional mean-value projection for pure-Neumann / closed-surface systems
-whose nullspace is the constant vector.
+The matrix is a plain ``scipy.sparse`` array.  Pure-Neumann and closed
+surfaces leave the symmetric system singular with the constant vector as
+its nullspace; ``cg_solve`` then takes the weights of the mean to fix,
+projects the constants out of every Krylov vector and shifts the solution
+so that its weighted mean is zero.
 """
 
 from __future__ import annotations
@@ -11,63 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-__all__ = ["CsrMatrix", "SolveReport", "NumericalBreakdownError", "cg_solve", "cg_solve_projected"]
+__all__ = ["SolveReport", "NumericalBreakdownError", "cg_solve"]
 
 
 class NumericalBreakdownError(RuntimeError):
     """NaN or infinity appeared during an iterative solve."""
-
-
-@dataclass(frozen=True)
-class CsrMatrix:
-    """Square CSR matrix with sorted, duplicate-free column indices per row."""
-
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-    n: int
-
-    @classmethod
-    def from_coo(cls, n: int, rows, cols, vals) -> "CsrMatrix":
-        m = sp.coo_matrix(
-            (np.asarray(vals, dtype=float), (np.asarray(rows), np.asarray(cols))),
-            shape=(n, n),
-        ).tocsr()
-        m.sum_duplicates()
-        m.sort_indices()
-        return cls(m.indptr, m.indices, m.data, n)
-
-    @classmethod
-    def from_scipy(cls, m) -> "CsrMatrix":
-        m = sp.csr_matrix(m)
-        m.sum_duplicates()
-        m.sort_indices()
-        return cls(m.indptr, m.indices, m.data, m.shape[0])
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets), shape=(self.n, self.n)
-        )
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.to_scipy() @ x
-
-    def diagonal(self) -> np.ndarray:
-        return self.to_scipy().diagonal()
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-    def symmetry_deviation(self) -> float:
-        """max |A - A^T| relative to max |A|."""
-        a = self.to_scipy()
-        num = np.abs((a - a.T).data)
-        den = np.abs(a.data)
-        if den.size == 0:
-            return 0.0
-        return float((num.max() if num.size else 0.0) / den.max())
 
 
 @dataclass(frozen=True)
@@ -77,10 +27,10 @@ class SolveReport:
     converged: bool
 
 
-def _jacobi_inverse(A: CsrMatrix) -> np.ndarray:
-    d = A.diagonal().copy()
+def _jacobi_inverse(A) -> np.ndarray:
+    d = A.diagonal()
     good = np.abs(d) > 0.0
-    inv = np.ones(A.n)
+    inv = np.ones(A.shape[0])
     inv[good] = 1.0 / d[good]
     return inv
 
@@ -91,15 +41,18 @@ def _check_finite(v: np.ndarray):
 
 
 def cg_solve(
-    A: CsrMatrix,
+    A,
     b: np.ndarray,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    precond: str | None = "jacobi",
-    x0: np.ndarray | None = None,
-    _project: bool = False,
+    mean_weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Preconditioned CG for symmetric positive (semi-)definite systems.
+    """Jacobi-scaled CG for a symmetric positive (semi-)definite A.
+
+    ``mean_weights=None`` means A is definite.  An array w means A is
+    semidefinite with the constant vector as its nullspace: the constants
+    are projected out of b and of every Krylov vector (v - mean(v)), and the
+    returned x is shifted by a constant so that w @ x == 0.
 
     Stops when ||b - A x|| / ||b|| <= tol.  Hitting max_iter returns a
     non-converged report; NaNs raise NumericalBreakdownError.
@@ -108,31 +61,36 @@ def cg_solve(
         raise ValueError("tolerance must be in (0, 1)")
     b = np.asarray(b, dtype=float)
     _check_finite(b)
-    n = A.n
+    n = A.shape[0]
+    if mean_weights is not None:
+        mean_weights = np.asarray(mean_weights, dtype=float)
+        if mean_weights.shape != (n,) or mean_weights.sum() == 0.0:
+            raise ValueError("mean_weights must have one entry per unknown and a nonzero sum")
     if max_iter is None:
         max_iter = 10 * n
-    mat = A.to_scipy()
-    minv = _jacobi_inverse(A) if precond == "jacobi" else None
+    minv = _jacobi_inverse(A)
 
     def project(v):
-        if _project:
+        if mean_weights is not None:
             v = v - v.mean()
         return v
 
     b = project(b)
-    x = np.zeros(n) if x0 is None else project(np.asarray(x0, dtype=float).copy())
+    x = np.zeros(n)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return x * 0.0, SolveReport(0, 0.0, True)
+        return x, SolveReport(0, 0.0, True)
 
-    r = project(b - mat @ x)
-    z = project(r * minv) if minv is not None else r
+    # Projecting b a second time removes most of the round-off mean left by
+    # the first projection.
+    r = project(b.copy())
+    z = project(r * minv)
     p = z.copy()
     rz = float(r @ z)
     relres = np.linalg.norm(r) / bnorm
     it = 0
     while relres > tol and it < max_iter:
-        Ap = mat @ p
+        Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0 or not np.isfinite(pAp):
             raise NumericalBreakdownError(
@@ -143,29 +101,12 @@ def cg_solve(
         r -= a * Ap
         r = project(r)
         _check_finite(r)
-        z = project(r * minv) if minv is not None else r
+        z = project(r * minv)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
         it += 1
         relres = float(np.linalg.norm(r) / bnorm)
-    if _project:
-        x = x - x.mean()
+    if mean_weights is not None:
+        x -= (mean_weights @ x) / mean_weights.sum()
     return x, SolveReport(it, relres, relres <= tol)
-
-
-def cg_solve_projected(
-    A: CsrMatrix,
-    b: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    precond: str | None = "jacobi",
-    x0: np.ndarray | None = None,
-) -> tuple[np.ndarray, SolveReport]:
-    """CG with the constant vector projected out of b, x and every iterate.
-
-    For symmetric positive semidefinite systems whose nullspace is (close
-    to) the constant coefficient vector; the returned solution has zero
-    mean.
-    """
-    return cg_solve(A, b, tol=tol, max_iter=max_iter, precond=precond, x0=x0, _project=True)

@@ -1,28 +1,14 @@
-"""Gauss-Legendre quadrature on intervals and breakpoint panels, and patch integration."""
+"""Gauss-Legendre quadrature on breakpoint panels, and patch integration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "QuadRule",
-    "gauss_on_interval",
-    "panel_rules",
-    "integrate_patch",
-]
+__all__ = ["panel_rules", "integrate_patch"]
 
 MAX_POINTS = 30
-
-
-@dataclass(frozen=True)
-class QuadRule:
-    """Nodes and positive weights on an interval [a, b]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -51,21 +37,12 @@ def _gauss_reference(q: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(nodes[order]), tuple(weights[order])
 
 
-def gauss_on_interval(q: int, a: float, b: float) -> QuadRule:
-    """q-point Gauss-Legendre rule mapped affinely onto [a, b].
-
-    Exact for polynomials up to degree 2q-1; nodes lie strictly inside
-    (a, b).  Raises ValueError for q < 1, q > 30 or a >= b.
-    """
-    nodes, weights = panel_rules(np.array([a, b], dtype=float), q)
-    return QuadRule(nodes[0], weights[0])
-
-
 def panel_rules(breaks: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-span Gauss rules; returns nodes and weights of shape (nspans, q).
+    """Per-span q-point Gauss-Legendre rules; nodes and weights of shape (nspans, q).
 
-    Raises ValueError for q < 1, q > 30 or breaks that do not strictly
-    increase.
+    Each rule is exact for polynomials up to degree 2q-1 on its span, and
+    its nodes lie strictly inside the span.  Raises ValueError for q < 1,
+    q > 30 or breaks that do not strictly increase.
     """
     if q < 1:
         raise ValueError("need at least one quadrature point")

@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import (
     InterfaceEdge, MultiPatchSurface, Tabulation, frame_at, side_param, surface_gradient
 )
-from .splines import breakpoints, eval_nurbs2d, greville
+from .splines import eval_nurbs2d, greville
 
 __all__ = [
     "DgSpace",
@@ -42,10 +42,6 @@ class DgSpace:
 
     def patch_slice(self, pid: int) -> slice:
         return slice(int(self.offsets[pid]), int(self.offsets[pid + 1]))
-
-    def global_index(self, pid: int, k1: int, k2: int) -> int:
-        n1, _ = self.patch_shape(pid)
-        return int(self.offsets[pid]) + k2 * n1 + k1
 
     def global_block(self, pid, first_u, first_v, m1: int, m2: int) -> np.ndarray:
         """Global indices of (m1 x m2) windows of patch control grids.
@@ -126,16 +122,6 @@ class DiscreteFunction:
         values = np.einsum("...ab,...ab->...", tab.values, c)
         pgrad = np.einsum("...abd,...ab->...d", tab.grads, c)
         return values, tab.surface_gradient(pgrad)
-
-    def eval_on_element(self, pid: int, element: tuple[int, int], xi) -> tuple[float, np.ndarray]:
-        """Like eval, but checks that xi lies in the element's parametric box."""
-        patch = self.space.surface.patches[pid]
-        bu = breakpoints(patch.basis.basis_u)
-        bv = breakpoints(patch.basis.basis_v)
-        eu, ev = element
-        if not (bu[eu] <= xi[0] <= bu[eu + 1] and bv[ev] <= xi[1] <= bv[ev + 1]):
-            raise ValueError(f"point {tuple(xi)} outside element {element}")
-        return self.eval(pid, xi)
 
 
 def trace_on_edge(

@@ -70,6 +70,15 @@ def jump_sweep():
     return run_sweep(surface, 2, factory, levels=5)
 
 
+def symmetry_deviation(a) -> float:
+    """max |A - A^T| relative to max |A| for a scipy sparse matrix."""
+    num = np.abs((a - a.T).data)
+    den = np.abs(a.data)
+    if den.size == 0:
+        return 0.0
+    return float((num.max() if num.size else 0.0) / den.max())
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

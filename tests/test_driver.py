@@ -4,9 +4,12 @@ import pytest
 from dgiga.analysis import measure_errors
 from dgiga.assembly import ProblemData, default_penalty
 from dgiga.driver import SolverFailure, run_sweep, sample_solution, solve_problem
+from dgiga.assembly import assemble_volume
 from dgiga.geometries import full_cylinder, square_grid
-from dgiga.geometry import refine_surface
+from dgiga.geometry import NurbsPatch, match_interfaces, refine_surface
 from dgiga.problems import make_problem
+from dgiga.space import build_space
+from dgiga.splines import KnotVector, NurbsBasis2D, greville
 
 
 def test_run_sweep_validates_levels():
@@ -68,6 +71,29 @@ def test_pure_neumann_on_closed_angular_cylinder():
     errors = measure_errors(u_h, data)
     assert errors.l2_error <= 1e-5
     assert errors.dg_error <= 1e-4
+
+
+def test_pure_neumann_solution_has_zero_integral_mean_on_graded_mesh():
+    # On a graded mesh the basis functions have very different integrals, so
+    # a zero coefficient mean is not a zero integral mean; the exact
+    # solution has zero integral mean and the error must converge.
+    kv = KnotVector(2, [0, 0, 0, 0.02, 0.05, 0.1, 0.2, 1, 1, 1])
+    g = greville(kv)
+    cp = np.zeros((g.size, g.size, 3))
+    cp[:, :, 0] = g[:, None]
+    cp[:, :, 1] = g[None, :]
+    patch = NurbsPatch(NurbsBasis2D(kv, kv, np.ones((g.size, g.size))), cp, 0)
+    sides = ("west", "east", "south", "north")
+    surface = match_interfaces([patch], {(0, s): "neumann" for s in sides})
+    table, results = run_sweep(
+        surface, 2, lambda s, d: make_problem("plane_cosine", s, 2, d), levels=4
+    )
+    assert table.rows[-1].l2_rate >= 2 + 1 - 0.3
+    one = ProblemData(f=lambda pid, pts: np.ones(len(pts)))
+    for r in results:
+        m = assemble_volume(build_space(r.surface, 2), one).rhs  # m_i = int phi_i
+        x = r.solution.coefficients
+        assert abs(m @ x) <= 1e-12 * np.linalg.norm(m) * np.linalg.norm(x)
 
 
 def test_sample_solution_grid(tmp_path):

@@ -8,13 +8,13 @@ edges the layout has.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from test_geometry import seeded_grid
 
 import dgiga.geometry
 from dgiga.analysis import dg_error
 from dgiga.assembly import _index_dtype, assemble_interface
 from dgiga.driver import run_sweep
-from dgiga.linalg import CsrMatrix
 from dgiga.problems import make_problem
 from dgiga.space import build_space
 
@@ -111,13 +111,14 @@ def test_coo_index_dtype_never_truncates():
 
 def test_coo_build_uses_int32_indices(monkeypatch):
     seen = []
-    real = CsrMatrix.from_coo
+    real = sp.coo_array
 
-    def spy(n, rows, cols, vals):
+    def spy(arg, shape):
+        _, (rows, cols) = arg
         seen.append((rows.dtype, cols.dtype))
-        return real(n, rows, cols, vals)
+        return real(arg, shape=shape)
 
-    monkeypatch.setattr(CsrMatrix, "from_coo", staticmethod(spy))
+    monkeypatch.setattr(sp, "coo_array", spy)
     surface = seeded_grid(7, 4)
     assemble_interface(build_space(surface, 2), make_problem("plane_sine", surface, 2, 24.0))
     assert seen == [(np.int32, np.int32)]

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dgiga.linalg import (
-    CsrMatrix,
-    NumericalBreakdownError,
-    cg_solve,
-    cg_solve_projected,
-)
+from dgiga.assembly import _Accumulator
+from dgiga.linalg import NumericalBreakdownError, cg_solve
 
 
 def random_spd(n, rng):
@@ -16,7 +12,7 @@ def random_spd(n, rng):
 
 
 def to_csr(dense):
-    return CsrMatrix.from_scipy(sp.csr_matrix(dense))
+    return sp.csr_array(dense)
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -48,18 +44,20 @@ def test_matvec_matches_dense_oracle(rng):
     A = to_csr(dense)
     for _ in range(5):
         v = rng.normal(size=100)
-        np.testing.assert_allclose(A.matvec(v), dense @ v, atol=1e-13)
+        np.testing.assert_allclose(A @ v, dense @ v, atol=1e-13)
 
 
 def test_csr_indices_sorted_and_unique():
-    rows = [0, 0, 1, 1, 0]
-    cols = [1, 0, 0, 1, 1]  # duplicate (0, 1) entry
-    vals = [1.0, 2.0, 3.0, 4.0, 5.0]
-    A = CsrMatrix.from_coo(2, rows, cols, vals)
+    # Element blocks (E, m, m) over indices (E, m); the two blocks overlap in
+    # the (0, 1) entry, and the second lists its indices in reverse order.
+    acc = _Accumulator(2)
+    acc.add_block(np.array([[0, 1]]), np.array([[[2.0, 1.0], [3.0, 4.0]]]))
+    acc.add_block(np.array([[1, 0]]), np.array([[[0.0, 0.0], [5.0, 0.0]]]))
+    A = acc.system().matrix
     for r in range(2):
-        c = A.col_indices[A.row_offsets[r] : A.row_offsets[r + 1]]
+        c = A.indices[A.indptr[r] : A.indptr[r + 1]]
         assert np.all(np.diff(c) > 0)
-    np.testing.assert_allclose(A.to_dense(), [[2.0, 6.0], [3.0, 4.0]])
+    np.testing.assert_allclose(A.toarray(), [[2.0, 6.0], [3.0, 4.0]])
 
 
 def test_a_norm_error_decreases_monotonically(rng):
@@ -100,22 +98,31 @@ def test_tol_validation():
 def test_projected_constant_rhs_gives_zero():
     n = 12
     A = to_csr(np.eye(n) - np.ones((n, n)) / n)  # projector, nullspace = constants
-    x, report = cg_solve_projected(A, 3.7 * np.ones(n))
+    x, report = cg_solve(A, 3.7 * np.ones(n), mean_weights=np.ones(n))
     np.testing.assert_allclose(x, 0.0, atol=1e-14)
     assert report.converged and report.iterations == 0
 
 
-def test_projected_invariant_to_constant_shift_of_initial_guess(rng):
+def test_mean_weights_fix_the_constant(rng):
     n = 30
     L = np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
     L[0, 0] = L[-1, -1] = 1.0  # 1d Neumann Laplacian, nullspace = constants
     b = rng.normal(size=n)
     b -= b.mean()
-    x0 = rng.normal(size=n)
-    x1, _ = cg_solve_projected(to_csr(L), b, tol=1e-12, x0=x0)
-    x2, _ = cg_solve_projected(to_csr(L), b, tol=1e-12, x0=x0 + 42.0)
-    assert np.linalg.norm(x1 - x2) <= 1e-10
+    w = rng.uniform(0.1, 2.0, size=n)
+    x1, _ = cg_solve(to_csr(L), b, tol=1e-12, mean_weights=np.ones(n))
+    x2, _ = cg_solve(to_csr(L), b, tol=1e-12, mean_weights=w)
     assert abs(x1.sum()) <= 1e-10
+    assert abs(w @ x2) <= 1e-12 * np.linalg.norm(w) * np.linalg.norm(x2)
+    shift = x1 - x2
+    np.testing.assert_allclose(shift, shift.mean(), atol=1e-10)
+
+
+def test_mean_weights_validation():
+    A = to_csr(np.eye(3))
+    for w in (np.ones(2), np.array([1.0, -1.0, 0.0])):
+        with pytest.raises(ValueError, match="mean_weights"):
+            cg_solve(A, np.ones(3), mean_weights=w)
 
 
 def test_projected_matches_pinned_dof_oracle():
@@ -131,11 +138,12 @@ def test_projected_matches_pinned_dof_oracle():
     space = build_space(surface, 2)
     data = make_problem("plane_cosine", surface, 2)
     system = assemble_system(space, data)
-    x, report = cg_solve_projected(system.matrix, system.rhs, tol=1e-12)
+    n = space.total_dofs
+    x, report = cg_solve(system.matrix, system.rhs, tol=1e-12, mean_weights=np.ones(n))
     assert report.converged
     assert abs(x.sum()) <= 1e-10
 
-    A = system.matrix.to_dense()
+    A = system.matrix.toarray()
     b = system.rhs
     keep = np.arange(1, space.total_dofs)
     y = np.zeros(space.total_dofs)

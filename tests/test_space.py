@@ -151,18 +151,6 @@ def test_ordering_deterministic():
     b = build_space(s2, 2)
     assert np.array_equal(a.offsets, b.offsets)
     assert a.total_dofs == b.total_dofs
-    idx_a = [a.global_index(pid, 1, 2) for pid in range(4)]
-    idx_b = [b.global_index(pid, 1, 2) for pid in range(4)]
+    idx_a = [a.global_block(pid, 1, 2, 1, 1).item() for pid in range(4)]
+    idx_b = [b.global_block(pid, 1, 2, 1, 1).item() for pid in range(4)]
     assert idx_a == idx_b
-
-
-def test_eval_on_element_checks_box(rng):
-    surface = refine_surface(square_grid(1))
-    space = build_space(surface, 1)
-    f = space.function(rng.normal(size=space.total_dofs))
-    v1, g1 = f.eval_on_element(0, (0, 0), (0.25, 0.25))
-    v2, g2 = f.eval(0, (0.25, 0.25))
-    assert v1 == v2
-    np.testing.assert_array_equal(g1, g2)
-    with pytest.raises(ValueError, match="outside element"):
-        f.eval_on_element(0, (0, 0), (0.75, 0.25))
