@@ -28,26 +28,14 @@ from .geometry import (
     SurfaceFrame,
     TopologyError,
     conormal,
-    conormal_at,
-    edge_mesh_size,
     frame_at,
     match_interfaces,
-    mesh_size,
     refine_surface,
     surface_gradient,
 )
 from .linalg import NumericalBreakdownError, SolveReport, cg_solve
 from .problems import builtin_problems, make_problem, parse_expression
-from .quadrature import integrate_patch
-from .space import (
-    DgSpace,
-    DiscreteFunction,
-    build_space,
-    edge_average,
-    edge_jump,
-    interpolate,
-    trace_on_edge,
-)
+from .space import DgSpace, DiscreteFunction, build_space
 from .splines import (
     BasisEval,
     KnotVector,

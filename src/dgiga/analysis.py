@@ -2,11 +2,12 @@
 
 Errors are integrated with one Gauss point per direction more than the
 assembly uses, so the quadrature of the error never masks the
-discretization error being measured.  One pass per patch tabulates the
-basis once and yields both the L2 and the broken-gradient parts.  The
-jump terms of the energy error form two batches, all interior edges and
-all Dirichlet edges, each with one ``tabulate_sides`` call and one call of
-the boundary data.
+discretization error being measured.  One pass per stack of patches
+sharing both knot vectors contracts u_h's coefficients with the 1D tables
+(sum factorisation, no basis table) and yields both the L2 and the
+broken-gradient parts.  The jump terms of the energy error form two
+batches, all interior edges and all Dirichlet edges, each with one
+``tabulate_sides`` call and one call of the boundary data.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import edge_alpha, interface_slots
-from .geometry import _tabulate, tabulate_patch, tabulate_sides
+from .geometry import _dot, _tabulate, patch_stacks, tabulate_patches, tabulate_sides
 from .space import DiscreteFunction
 from .splines import breakpoints
 
@@ -34,25 +35,45 @@ class ErrorReport:
     per_patch: list
 
 
-def _patch_errors(u_h: DiscreteFunction, u_exact, grad_u_exact, q: int) -> list:
+def _stack_errors(u_h: DiscreteFunction, stack: list[int], u_exact, grad_u_exact, q: int):
+    """Error tables of a stack of patches sharing both knot vectors: the gaps
+    u_h - u (None without u_exact) and the weights (P, N), and the squared
+    broken-gradient errors (P,).  u_h comes from the sum-factorised kernel,
+    so no basis table is built."""
+    patches = u_h.space.surface.patches
+    coeffs = np.stack([u_h.patch_coeffs(pid) for pid in stack])
+    tab = tabulate_patches([patches[pid] for pid in stack], q, coeffs)
+    P, points = len(stack), tab.points.reshape(-1, 3)
+    w, gap, h1 = tab.weights.reshape(P, -1), None, np.zeros(P)
+    if u_exact is not None:
+        gap = tab.field.reshape(P, -1) - np.asarray(u_exact(points)).reshape(P, -1)
+    if grad_u_exact is not None:
+        diff = tab.surface_gradient(tab.field_grad).reshape(P, -1, 3)
+        diff -= np.asarray(grad_u_exact(points)).reshape(diff.shape)
+        h1 = (_dot(diff, diff) * w).sum(axis=1)
+    return gap, w, h1
+
+
+def _patch_errors(u_h: DiscreteFunction, u_exact, grad_u_exact, q: int,
+                  modulo_constants: bool = False) -> list:
     """Per patch, the squared L2 error and the squared broken-gradient error.
 
-    A part whose exact data is None is 0.
+    A part whose exact data is None is 0.  With ``modulo_constants`` the L2
+    part is that of u_h - u minus its integral mean over the surface, which
+    a second pass over the stored gaps subtracts.
     """
-    parts = []
-    for pid, patch in enumerate(u_h.space.surface.patches):
-        tab = tabulate_patch(patch, q)
-        values, grads = u_h.eval_tabulated(pid, tab)
-        points = tab.points.reshape(-1, 3)
-        l2 = h1 = 0.0
-        if u_exact is not None:
-            diff = values - np.asarray(u_exact(points)).reshape(values.shape)
-            l2 = float(np.sum(diff**2 * tab.weights))
-        if grad_u_exact is not None:
-            diff = grads - np.asarray(grad_u_exact(points)).reshape(grads.shape)
-            h1 = float(np.sum(np.sum(diff**2, axis=-1) * tab.weights))
-        parts.append((l2, h1))
-    return parts
+    n = u_h.space.surface.num_patches
+    l2, h1, moments, passes = np.zeros(n), np.zeros(n), np.zeros((2, n)), []
+    for stack in patch_stacks(u_h.space.surface.patches):
+        gap, w, h1[stack] = _stack_errors(u_h, stack, u_exact, grad_u_exact, q)
+        if gap is not None:
+            passes.append((stack, gap, w))
+            moments[:, stack] = (gap * w).sum(axis=1), w.sum(axis=1)
+    # Patch-major sums, so the mean does not depend on how patches are stacked.
+    mean = moments[0].sum() / moments[1].sum() if modulo_constants and passes else 0.0
+    for stack, gap, w in passes:
+        l2[stack] = ((gap - mean) ** 2 * w).sum(axis=1)
+    return list(zip(l2.tolist(), h1.tolist()))
 
 
 def _energy_error(u_h: DiscreteFunction, parts: list, delta: float, g_D) -> float:
@@ -65,14 +86,14 @@ def _energy_error(u_h: DiscreteFunction, parts: list, delta: float, g_D) -> floa
     if interior:
         tab = tabulate_sides(surface.patches, interface_slots(interior), q)
         n = tab.chords.size // 2
-        values, _ = u_h.eval_tabulated(tab.pid, tab)
+        values = u_h.eval_tabulated(tab.pid, tab)
         a_gamma = edge_alpha(surface.alpha[tab.pid[:n]], surface.alpha[tab.pid[n:]])
         jump = values[:n] - values[n:]
         total += delta * float(np.sum(a_gamma * jump**2 * tab.weights[:n] / tab.chords[:n, None]))
     dirichlet = surface.edges_of_kind("dirichlet")
     if dirichlet:
         tab = tabulate_sides(surface.patches, [(*e.left, False) for e in dirichlet], q)
-        values, _ = u_h.eval_tabulated(tab.pid, tab)
+        values = u_h.eval_tabulated(tab.pid, tab)
         jump = values - np.asarray(g_D(tab.points.reshape(-1, 3))).reshape(values.shape)
         a_gamma = surface.alpha[tab.pid]
         total += delta * float(np.sum(a_gamma * jump**2 * tab.weights / tab.chords[:, None]))
@@ -105,20 +126,26 @@ def dg_error(
 def surface_h_max(surface) -> float:
     """Largest element diameter (largest distance among the 4 mapped corners)."""
     h = 0.0
-    for patch in surface.patches:
-        P = _tabulate(
-            [patch], breakpoints(patch.basis.basis_u), breakpoints(patch.basis.basis_v)
-        ).points[0]
-        corners = (P[:-1, :-1], P[:-1, 1:], P[1:, :-1], P[1:, 1:])
+    for stack in patch_stacks(surface.patches):
+        patches = [surface.patches[pid] for pid in stack]
+        bu, bv = (breakpoints(kv) for kv in (patches[0].basis.basis_u, patches[0].basis.basis_v))
+        X = _tabulate(patches, bu, bv).points.reshape(len(stack), bu.size, bv.size, 3)
+        corners = (X[:, :-1, :-1], X[:, :-1, 1:], X[:, 1:, :-1], X[:, 1:, 1:])
         for a, b in itertools.combinations(corners, 2):
             h = max(h, float(np.max(np.linalg.norm(a - b, axis=-1))))
     return h
 
 
 def measure_errors(u_h: DiscreteFunction, data) -> ErrorReport:
-    """L2 and energy-norm errors of a discrete solution, with per-patch parts."""
+    """L2 and energy-norm errors of a discrete solution, with per-patch parts.
+
+    Without a Dirichlet edge the solution is fixed only up to a constant,
+    so the L2 error is measured modulo constants: the integral mean of
+    u_h - u is subtracted first.
+    """
     space = u_h.space
-    parts = _patch_errors(u_h, data.u_exact, data.grad_u_exact, space.degree + 2)
+    parts = _patch_errors(u_h, data.u_exact, data.grad_u_exact, space.degree + 2,
+                          modulo_constants=not space.surface.has_dirichlet)
     dg = math.nan
     if data.grad_u_exact is not None:
         dg = _energy_error(u_h, parts, data.delta, data.g_D or data.u_exact)

@@ -3,13 +3,14 @@
 Builds the symmetric system: patchwise diffusion stiffness, interface
 consistency/symmetry and jump-penalty terms, weakly imposed Dirichlet
 conditions of Nitsche type, and the load vector including Neumann data.
-Each patch is tabulated once (``tabulate_patch``) and all its element
-matrices are formed in one batch.  The edge terms are formed per pass:
-the interior edges, the Dirichlet edges and the Neumann edges are each one
-``tabulate_sides`` call, stacked over patches, and one batch of element
-matrices.  Entries accumulate in a fixed order (patch-major,
-element-lexicographic, then edge-list order inside every batch) so serial
-assembly is reproducible.
+The volume terms are formed for stacks of patches that share both knot
+vectors: one sum-factorised tabulation (``tabulate_patches``) and one
+batched matmul of parametric gradients per stack.  The edge terms are
+formed per pass: the interior edges, the Dirichlet edges and the Neumann
+edges are each one ``tabulate_sides`` call, stacked over patches, and one
+batch of element matrices.  Entries accumulate in a fixed order
+(patch-major, element-lexicographic, then edge-list order inside every
+batch) so serial assembly is reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import SideTabulation, tabulate_patch, tabulate_sides
+from .geometry import SideTabulation, patch_stacks, tabulate_patches, tabulate_sides
 from .space import DgSpace
 
 __all__ = [
@@ -109,27 +110,64 @@ class _Accumulator:
         return SparseSystem(mat, self.rhs)
 
 
-def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
-    """Patchwise diffusion stiffness and source load, and the basis integrals
-    when the surface has no Dirichlet edge."""
+def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
+    """Volume terms of a stack of patches that share both knot vectors.
+
+    Returns global indices (P, E, m), stiffness matrices (P, E, m, m) and
+    (P, E, 2, m) rows holding each element's load and basis integrals.
+    With w g^-1 = C^T C per Gauss point (C upper triangular, closed form
+    from g^-1), K_e = alpha X^T X for X = C grad R stacked over the points:
+    one batched matmul on parametric gradients.
+    """
     surface = space.surface
     q = space.degree + 1
+    tab = tabulate_patches([surface.patches[pid] for pid in stack], q, basis=True)
+    P, nel_u, nel_v, _, _, m1, m2 = tab.values.shape
+    n, m = P * nel_u * nel_v, m1 * m2
+    gidx = space.global_block(np.array(stack)[:, None, None], tab.first_u.reshape(-1, 1),
+                              tab.first_v.reshape(-1), m1, m2).reshape(P, -1, m)
+    w, inv = tab.weights, tab.inv_metric
+    r = np.sqrt(w / inv[..., 0, 0])
+    c00, c01, c11 = (a[..., None, None] for a in (inv[..., 0, 0] * r, inv[..., 0, 1] * r,
+                                                   r / tab.sqrt_det_g))
+    X = np.empty((P, nel_u, nel_v, 2, q, q, m1, m2))
+    g0, g1 = tab.grads[..., 0], tab.grads[..., 1]
+    np.multiply(c00, g0, out=X[:, :, :, 0])
+    X[:, :, :, 0] += c01 * g1
+    np.multiply(c11, g1, out=X[:, :, :, 1])
+    X = X.reshape(n, 2 * q * q, m)
+    K = (X.transpose(0, 2, 1) @ X).reshape(P, -1, m, m)  # a rank-k update: exactly symmetric
+    K *= surface.alpha[stack].reshape(-1, 1, 1, 1)
+    f = np.zeros_like(w)
+    if data.f is not None:
+        points = tab.points.reshape(P, -1, 3)
+        for k, pid in enumerate(stack):
+            f[k] = np.asarray(data.f(pid, points[k]), dtype=float).reshape(w.shape[1:])
+    rows = np.stack([f * w, w], axis=3).reshape(n, 2, q * q)
+    loads = rows @ tab.values.reshape(n, q * q, m)
+    return gidx, K, loads.reshape(P, -1, 2, m)
+
+
+def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
+    """Patchwise diffusion stiffness and source load, and the basis integrals
+    when the surface has no Dirichlet edge.
+
+    Patches sharing both knot vectors are tabulated in stacks
+    (``patch_stacks``); the blocks are accumulated patch by patch.
+    """
+    surface = space.surface
     acc = _Accumulator(space.total_dofs)
     integrals = None if surface.has_dirichlet else np.zeros(space.total_dofs)
-    for pid, patch in enumerate(surface.patches):
-        tab = tabulate_patch(patch, q)
-        nel_u, nel_v, _, _, m1, m2 = tab.values.shape
-        shape = (nel_u * nel_v, q * q, m1 * m2)
-        gidx = space.global_block(pid, tab.first_u, tab.first_v, m1, m2).reshape(-1, m1 * m2)
-        w = tab.weights.reshape(shape[:2])
-        values = tab.values.reshape(shape)
-        G = tab.surface_gradient(tab.grads).reshape(*shape, 3)
-        acc.add_block(gidx, np.einsum("eqak,eqbk,eq->eab", G, G, surface.alpha[pid] * w))
+    blocks = [None] * surface.num_patches
+    for stack in patch_stacks(surface.patches):
+        for pid, *block in zip(stack, *_volume_blocks(space, data, stack)):
+            blocks[pid] = block
+    for gidx, K, loads in blocks:
+        acc.add_block(gidx, K)
         if data.f is not None:
-            f = np.asarray(data.f(pid, tab.points.reshape(-1, 3)), dtype=float)
-            np.add.at(acc.rhs, gidx, np.einsum("eqa,eq->ea", values, f.reshape(w.shape) * w))
+            np.add.at(acc.rhs, gidx, loads[:, 0])
         if integrals is not None:
-            np.add.at(integrals, gidx, np.einsum("eqa,eq->ea", values, w))
+            np.add.at(integrals, gidx, loads[:, 1])
     system = acc.system()
     system.basis_integrals = integrals
     return system

@@ -8,7 +8,7 @@ import numpy as np
 
 from .analysis import ErrorReport, RateTable, measure_errors, rate_table, surface_h_max
 from .assembly import ProblemData, assemble_system, default_penalty
-from .geometry import MultiPatchSurface, _tabulate, refine_surface
+from .geometry import MultiPatchSurface, _tabulate, patch_stacks, refine_surface
 from .linalg import SolveReport, cg_solve
 from .space import DgSpace, DiscreteFunction, build_space
 
@@ -112,14 +112,20 @@ def sample_solution(result: LevelResult, points_per_side: int = 10) -> str:
     """CSV sample of the solution on a parametric grid of each patch."""
     lines = ["patch,xi1,xi2,x,y,z,uh"]
     ts = np.linspace(0.0, 1.0, points_per_side)
-    for pid, patch in enumerate(result.surface.patches):
-        tab = _tabulate([patch], ts, ts)
-        values, _ = result.solution.eval_tabulated(pid, tab)
+    n, samples = ts.size, {}
+    patches, u_h = result.surface.patches, result.solution
+    for stack in patch_stacks(patches):
+        coeffs = np.stack([u_h.patch_coeffs(pid) for pid in stack])
+        tab = _tabulate([patches[pid] for pid in stack], ts, ts, coeffs)
+        points, values = tab.points.reshape(-1, n, n, 3), tab.field.reshape(-1, n, n)
+        samples.update(zip(stack, zip(points, values)))
+    for pid in range(len(patches)):
+        points, values = samples[pid]
         for j, x2 in enumerate(ts):
             for i, x1 in enumerate(ts):
-                pt = tab.points[0, i, j]
+                pt = points[i, j]
                 lines.append(
                     f"{pid},{x1:.17g},{x2:.17g},{pt[0]:.17g},{pt[1]:.17g},{pt[2]:.17g},"
-                    f"{values[0, i, j]:.17g}"
+                    f"{values[i, j]:.17g}"
                 )
     return "\n".join(lines) + "\n"

@@ -2,23 +2,24 @@
 
 Patches map the unit square into R^3.  This module provides the first
 fundamental form (metric, area density, tangential gradients), outward unit
-conormals along patch edges, physical mesh sizes, and the construction of a
-multi-patch surface by geometric interface matching with matching-mesh
-verification.
+conormals along patch edges, and the construction of a multi-patch surface
+by geometric interface matching with matching-mesh verification.
 
-One kernel, ``_tabulate``, evaluates the rational basis and the geometry
-on a tensor grid for a stack of patches that share both knot vectors.
-``tabulate_patch`` calls it for the Gauss points of one patch;
+One kernel, ``_tabulate``, evaluates the geometry on a tensor grid for a
+stack of patches that share both knot vectors, by sum factorisation: the
+homogeneous control net (x w, w), with c w for a coefficient grid, is
+contracted with the 1D B-spline tables along v and then along u.  The
+rational basis is built only on request.  ``tabulate_patches`` calls the
+kernel at the Gauss points of a stack (``patch_stacks`` forms the stacks);
 ``tabulate_sides`` tabulates the Gauss points of many patch sides with one
 call per (side, knot vectors) group and returns their elements in slot
 order, each flipped slot reversed.  ``match_interfaces`` takes its side
-samples through the same kernel.  The pointwise functions (``frame_at``,
-``conormal``, ``mesh_size``, ...) give the same quantities at single points.
+samples through the same kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,12 +47,11 @@ __all__ = [
     "frame_at",
     "surface_gradient",
     "conormal",
-    "conormal_at",
     "match_interfaces",
-    "mesh_size",
-    "edge_mesh_size",
     "refine_surface",
+    "patch_stacks",
     "tabulate_patch",
+    "tabulate_patches",
     "tabulate_sides",
 ]
 
@@ -182,39 +182,44 @@ def conormal(patch: NurbsPatch, side: str, t: float) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Tabulation:
-    """Rational basis and first fundamental form at many parameter points.
+    """First fundamental form, and on request the rational basis or a field, at many points.
 
-    All arrays share the leading point axes: (P, n_u, n_v) on a parameter
-    grid of P stacked patches, (nel_u, nel_v, q, q) from ``tabulate_patch``
-    and (nel, q) from ``tabulate_sides``.  The local-basis axes
-    (m1, m2) = (p1+1, p2+1) belong to the control-grid window starting at
-    (first_u, first_v); these two integer arrays broadcast against the
-    point axes.  ``weights`` are the
-    quadrature weights times the area element (patch) or the edge speed
-    (side), and None on a plain grid.
+    All arrays share the leading point axes: (P, nel_u, nel_v, q_u, q_v) on
+    the grid of P stacked patches, (nel_u, nel_v, q, q) from
+    ``tabulate_patch`` and (nel, q) from ``tabulate_sides``.  The local-basis
+    axes (m1, m2) = (p1+1, p2+1) belong to the control-grid window starting
+    at (first_u, first_v); these two integer arrays broadcast against the
+    point axes.  ``weights`` are the quadrature weights times the area
+    element (patch) or the edge speed (side), and None on a plain grid.
+    ``values``/``grads`` (the basis) and ``field``/``field_grad`` (a
+    coefficient grid contracted like the geometry) are None unless asked for.
     """
 
     first_u: np.ndarray
     first_v: np.ndarray
-    values: np.ndarray  # (..., m1, m2)
-    grads: np.ndarray  # (..., m1, m2, 2), parametric
     points: np.ndarray  # (..., 3)
     jacobian: np.ndarray  # (..., 3, 2)
     inv_metric: np.ndarray  # (..., 2, 2)
     sqrt_det_g: np.ndarray  # (...)
-    weights: np.ndarray | None
+    weights: np.ndarray | None = None
+    values: np.ndarray | None = None  # (..., m1, m2)
+    grads: np.ndarray | None = None  # (..., m1, m2, 2), parametric
+    field: np.ndarray | None = None  # (...)
+    field_grad: np.ndarray | None = None  # (..., 2), parametric
 
     def surface_gradient(self, pgrad: np.ndarray) -> np.ndarray:
-        """Push parametric gradients (..., [m1, m2,] 2) forward to R^3."""
-        push = self.jacobian @ self.inv_metric
-        extra = pgrad.ndim - self.sqrt_det_g.ndim - 1
-        push = push.reshape(push.shape[:-2] + (1,) * extra + (3, 2))
-        return np.einsum("...kd,...d->...k", push, pgrad)
+        """Push parametric gradients (..., [m1, m2,] 2) forward to R^3: J g^-1 grad."""
+        extra = (1,) * (pgrad.ndim - self.sqrt_det_g.ndim - 1)
+        inv = self.inv_metric.reshape(self.sqrt_det_g.shape + extra + (2, 2))
+        J = self.jacobian.reshape(self.sqrt_det_g.shape + extra + (3, 2))
+        a = inv[..., 0, 0] * pgrad[..., 0] + inv[..., 0, 1] * pgrad[..., 1]
+        b = inv[..., 1, 0] * pgrad[..., 0] + inv[..., 1, 1] * pgrad[..., 1]
+        return np.stack([J[..., k, 0] * a + J[..., k, 1] * b for k in range(3)], axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SideTabulation(Tabulation):
     """Tabulation of the elements of many patch sides with their edge geometry.
 
@@ -233,89 +238,165 @@ class SideTabulation(Tabulation):
 _POINT_ARRAYS = ("values", "grads", "points", "jacobian", "inv_metric", "sqrt_det_g")
 
 
-def _tabulate(patches: list[NurbsPatch], xs_u, xs_v) -> Tabulation:
-    """Basis and geometry of a stack of patches on the tensor grid xs_u x xs_v.
+def _panel_table(kv: KnotVector, xs: np.ndarray):
+    """1D table on (nel, q) panels whose points share a window: first (nel,), N, dN (nel, q, m)."""
+    first, N, dN = tabulate(kv, xs)
+    return first.reshape(xs.shape)[:, 0], N.reshape(*xs.shape, -1), dN.reshape(*xs.shape, -1)
 
-    The patches must share both knot vectors; point axes are (P, n_u, n_v).
-    Each point gets its own active window, so the grid may contain knots
-    and xi = 1 (evaluated on the last non-empty span).  Raises
-    SingularMapError, naming the patch, where det(J^T J) falls below 1e-14.
+
+def _contract(H: np.ndarray, first: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """One direction of sum factorisation, along axis 1 of H (P, n, ...).
+
+    out[:, e * q + i] = sum over a of N[e, i, a] H[:, first[e] + a], as one
+    batched matmul of the (nel, q, m) table with the gathered windows.
     """
-    basis = patches[0].basis
-    fu, Nu, dNu = tabulate(basis.basis_u, xs_u)
-    fv, Nv, dNv = tabulate(basis.basis_v, xs_v)
-    iu = fu[:, None, None, None] + np.arange(Nu.shape[1])[:, None]
-    iv = fv[None, :, None, None] + np.arange(Nv.shape[1])
-    # C-contiguous tables keep each patch's sums in the same order whatever
-    # the stack size, so a batch equals its one-patch calls bit for bit.
-    W = np.ascontiguousarray(np.stack([p.basis.weights for p in patches])[:, iu, iv])
-    Nu, dNu = Nu[:, None, :, None], dNu[:, None, :, None]
-    Nv, dNv = Nv[None, :, None, :], dNv[None, :, None, :]
-    B = Nu * Nv * W
-    Bu = dNu * Nv * W
-    Bv = Nu * dNv * W
-    S = B.sum(axis=(3, 4), keepdims=True)
-    values = B / S
-    # Quotient rule: dR = (dB - R * sum(dB)) / S.
-    grads = np.stack([Bu - values * Bu.sum(axis=(3, 4), keepdims=True),
-                      Bv - values * Bv.sum(axis=(3, 4), keepdims=True)], axis=-1)
-    grads /= S[..., None]
-    del B, Bu, Bv, W
+    nel, q, m = N.shape
+    windows = H[:, first[:, None] + np.arange(m)].reshape(H.shape[0], nel, m, -1)
+    return (N @ windows).reshape(H.shape[0], nel * q, *H.shape[2:])
 
-    cp = np.ascontiguousarray(np.stack([p.control_points for p in patches])[:, iu, iv])
-    points = np.einsum("sijab,sijabk->sijk", values, cp)
-    jac = np.einsum("sijabd,sijabk->sijkd", grads, cp)
-    g = np.einsum("sijkd,sijke->sijde", jac, jac)
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _rational_basis(weights, fu, Nu, dNu, fv, Nv, dNv, S, Su, Sv):
+    """N_u (x) N_v W / S on every element window, and its gradient by the quotient rule."""
+    iu = fu[:, None, None, None] + np.arange(Nu.shape[-1])[:, None]
+    iv = fv[None, :, None, None] + np.arange(Nv.shape[-1])
+    W = weights[:, iu, iv][:, :, :, None, None]  # (P, nel_u, nel_v, 1, 1, m1, m2)
+    S, Su, Sv = S[..., None, None], Su[..., None, None], Sv[..., None, None]
+    u, v = (lambda t: t[:, None, :, None, :, None]), (lambda t: t[None, :, None, :, None, :])
+    values = u(Nu) * v(Nv) * W
+    values /= S
+    grads = np.empty(values.shape + (2,))
+    for g, tu, tv, dS in ((grads[..., 0], dNu, Nv, Su), (grads[..., 1], Nu, dNv, Sv)):
+        np.multiply(u(tu) * v(tv), W, out=g)
+        g -= values * dS
+        g /= S
+    return values, grads
+
+
+def _tabulate(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=False) -> Tabulation:
+    """Geometry of a stack of patches on the tensor grid xs_u x xs_v.
+
+    The patches must share both knot vectors.  ``xs_u``/``xs_v`` are
+    (nel, q) Gauss panels, whose q points lie in one span, or 1D point
+    arrays (q = 1, each point with its own window, so the grid may contain
+    knots and xi = 1, evaluated on the last non-empty span); point axes are
+    (P, nel_u, nel_v, q_u, q_v).  Sum factorisation: the homogeneous
+    control net (x w, w), with c w appended for the coefficient grids
+    ``coeffs`` (P, n1, n2), is contracted with the 1D tables along v, then
+    along u, giving the points, the Jacobian, S = sum N W and its
+    derivatives; no per-point window of control points is gathered.  The
+    metric and its inverse use closed forms.  ``basis`` adds the rational
+    basis N_u N_v W / S.  Raises SingularMapError, naming the patch, where
+    det(J^T J) falls below 1e-14.
+    """
+    xs_u, xs_v = (np.asarray(x, dtype=float).reshape(len(x), -1) for x in (xs_u, xs_v))
+    fu, Nu, dNu = _panel_table(patches[0].basis.basis_u, xs_u)
+    fv, Nv, dNv = _panel_table(patches[0].basis.basis_v, xs_v)
+    w = np.stack([p.basis.weights for p in patches])
+    net = [np.stack([p.control_points for p in patches]) * w[..., None], w[..., None]]
+    if coeffs is not None:
+        net.append((coeffs * w)[..., None])
+    H = np.concatenate(net, axis=-1).swapaxes(1, 2)  # (P, n2, n1, c)
+    T, Tv = (_contract(H, fv, N).swapaxes(1, 2) for N in (Nv, dNv))  # (P, n1, n_v, c)
+    shape = (len(patches), *xs_u.shape, *xs_v.shape, -1)
+    A, Au, Av = (np.ascontiguousarray(_contract(X, fu, N).reshape(shape).swapaxes(2, 3))
+                 for X, N in ((T, Nu), (T, dNu), (Tv, Nu)))  # (P, nel_u, nel_v, q_u, q_v, c)
+    del H, T, Tv
+    # Per-component views keep every elementwise loop long (no tiny trailing axes).
+    S, Su, Sv = A[..., 3], Au[..., 3], Av[..., 3]
+    points = np.empty(S.shape + (3,))
+    jac = np.empty(S.shape + (3, 2))
+    for k in range(3):
+        x = np.divide(A[..., k], S, out=points[..., k])
+        for d, D, dS in ((0, Au, Su), (1, Av, Sv)):
+            jd = np.subtract(D[..., k], x * dS, out=jac[..., k, d])
+            jd /= S
+    ju, jv = jac[..., 0], jac[..., 1]
+    g00, g01, g11 = _dot(ju, ju), _dot(ju, jv), _dot(jv, jv)
+    det = g00 * g11 - g01 * g01
     if not np.all(det > 1e-14):
-        s, i, j = np.unravel_index(np.argmin(det), det.shape)
+        s, eu, ev, i, j = np.unravel_index(np.argmin(det), det.shape)
         raise SingularMapError(
             f"singular parameterization on patch {patches[s].id} at "
-            f"xi=({xs_u[i]:.6f}, {xs_v[j]:.6f}) (det g={det[s, i, j]:.3e})"
+            f"xi=({xs_u[eu, i]:.6f}, {xs_v[ev, j]:.6f}) (det g={det[s, eu, ev, i, j]:.3e})"
         )
-    inv = np.stack([g[..., 1, 1], -g[..., 0, 1], -g[..., 1, 0], g[..., 0, 0]], axis=-1)
-    inv = inv.reshape(g.shape) / det[..., None, None]
-    return Tabulation(fu[:, None], fv[None, :], values, grads, points, jac, inv, np.sqrt(det), None)
-
-
-def tabulate_patch(patch: NurbsPatch, q: int) -> Tabulation:
-    """Basis and geometry at the q x q Gauss points of every element.
-
-    Point axes are (nel_u, nel_v, q, q); ``weights`` integrate over the
-    mapped patch.
-    """
-    xu, wu = panel_rules(breakpoints(patch.basis.basis_u), q)
-    xv, wv = panel_rules(breakpoints(patch.basis.basis_v), q)
-    grid = _tabulate([patch], xu.ravel(), xv.ravel())
-    nel_u, nel_v = xu.shape[0], xv.shape[0]
-
-    def by_element(a):
-        return a.reshape(nel_u, q, nel_v, q, *a.shape[3:]).swapaxes(1, 2)
-
-    # Gauss points lie inside their span, so one window serves each element.
+    inv = np.empty(det.shape + (2, 2))
+    for (r, c), g in (((0, 0), g11), ((0, 1), -g01), ((1, 0), -g01), ((1, 1), g00)):
+        np.divide(g, det, out=inv[..., r, c])
+    extra = {}
+    if coeffs is not None:
+        u = extra["field"] = A[..., 4] / S
+        grad = extra["field_grad"] = np.empty(S.shape + (2,))
+        for d, D, dS in ((0, Au, Su), (1, Av, Sv)):
+            np.subtract(D[..., 4], u * dS, out=grad[..., d])
+            grad[..., d] /= S
+    if basis:
+        extra["values"], extra["grads"] = _rational_basis(w, fu, Nu, dNu, fv, Nv, dNv, S, Su, Sv)
     return Tabulation(
-        first_u=grid.first_u[::q].reshape(-1, 1, 1, 1),
-        first_v=grid.first_v[:, ::q].reshape(1, -1, 1, 1),
-        weights=by_element(np.outer(wu, wv) * grid.sqrt_det_g),
-        **{name: by_element(getattr(grid, name)) for name in _POINT_ARRAYS},
+        first_u=fu[:, None, None, None], first_v=fv[:, None, None], points=points,
+        jacobian=jac, inv_metric=inv, sqrt_det_g=np.sqrt(det), **extra,
     )
 
 
-def _on_side(patches: list[NurbsPatch], side: str, ts: np.ndarray) -> Tabulation:
+def _knot_key(basis: NurbsBasis2D) -> tuple:
+    return (basis.basis_u.degree, basis.basis_u.knots.tobytes(),
+            basis.basis_v.degree, basis.basis_v.knots.tobytes())
+
+
+# Largest number of elements a stacked volume or error pass tabulates at once
+# (a larger patch still forms a stack of its own); bounds the pass's memory.
+STACK_ELEMENTS = 128
+
+
+def patch_stacks(patches: list[NurbsPatch]) -> list[list[int]]:
+    """Patch ids grouped by both knot vectors, each group cut into stacks of
+    at most STACK_ELEMENTS elements (and at least one patch)."""
+    groups: dict = {}
+    for pid, patch in enumerate(patches):
+        groups.setdefault(_knot_key(patch.basis), []).append(pid)
+    stacks = []
+    for members in groups.values():
+        b = patches[members[0]].basis
+        size = max(1, STACK_ELEMENTS // (b.basis_u.num_elements * b.basis_v.num_elements))
+        stacks += [members[k : k + size] for k in range(0, len(members), size)]
+    return stacks
+
+
+def tabulate_patches(patches: list[NurbsPatch], q: int, coeffs=None, basis=False) -> Tabulation:
+    """``_tabulate`` at the q x q Gauss points of every element of a stack.
+
+    Point axes are (P, nel_u, nel_v, q, q); ``weights`` integrate over the
+    mapped patches.
+    """
+    b = patches[0].basis
+    xu, wu = panel_rules(breakpoints(b.basis_u), q)
+    xv, wv = panel_rules(breakpoints(b.basis_v), q)
+    tab = _tabulate(patches, xu, xv, coeffs, basis)
+    return replace(tab, weights=wu[:, None, :, None] * wv[:, None, :] * tab.sqrt_det_g)
+
+
+def tabulate_patch(patch: NurbsPatch, q: int) -> Tabulation:
+    """Basis and geometry at the q x q Gauss points of one patch; axes (nel_u, nel_v, q, q)."""
+    tab = tabulate_patches([patch], q, basis=True)
+    return replace(tab, **{name: getattr(tab, name)[0] for name in _POINT_ARRAYS + ("weights",)})
+
+
+def _on_side(patches: list[NurbsPatch], side: str, ts: np.ndarray, basis=False) -> Tabulation:
     """``_tabulate`` of a stack at side coordinates ts; the fixed axis has length 1."""
     axis, value, _, _ = _SIDE_DATA[side]
     fixed = np.array([value])
-    return _tabulate(patches, fixed, ts) if axis == 0 else _tabulate(patches, ts, fixed)
+    grid = (fixed, ts) if axis == 0 else (ts, fixed)
+    return _tabulate(patches, *grid, basis=basis)
 
 
 def _side_groups(patches: list[NurbsPatch], sides) -> dict:
     """Positions of (pid, side, ...) entries, grouped by side and both knot vectors."""
     groups: dict = {}
     for k, (pid, side, *_) in enumerate(sides):
-        b = patches[pid].basis
-        key = (side, b.basis_u.degree, b.basis_u.knots.tobytes(),
-               b.basis_v.degree, b.basis_v.knots.tobytes())
-        groups.setdefault(key, []).append(k)
+        groups.setdefault((side, *_knot_key(patches[pid].basis)), []).append(k)
     return groups
 
 
@@ -326,11 +407,12 @@ def _side_group(patches: list[NurbsPatch], side: str, q: int) -> dict:
     ts, wt = panel_rules(bp, q)
     P, n = len(patches), ts.size
     # The Gauss points and then the element ends, in one pass.
-    grid = _on_side(patches, side, np.concatenate([ts.ravel(), bp]))
+    grid = _on_side(patches, side, np.concatenate([ts.ravel(), bp]), True)
     out = {}
     for name in _POINT_ARRAYS:
         a = getattr(grid, name)
-        out[name] = a.reshape(P, -1, *a.shape[3:])[:, :n].reshape(-1, q, *a.shape[3:])
+        tail = a.shape[grid.sqrt_det_g.ndim:]
+        out[name] = a.reshape(P, -1, *tail)[:, :n].reshape(-1, q, *tail)
     for name in ("first_u", "first_v"):
         first = np.broadcast_to(getattr(grid, name), grid.sqrt_det_g.shape[1:])
         out[name] = np.tile(first.reshape(-1)[:n:q], P)
@@ -339,7 +421,7 @@ def _side_group(patches: list[NurbsPatch], side: str, q: int) -> dict:
     out["speed"] = np.linalg.norm(tangent, axis=-1)
     c = np.cross(tangent, np.cross(jac[..., 0], jac[..., 1]))
     c /= np.linalg.norm(c, axis=-1, keepdims=True)
-    c[np.einsum("...k,...k->...", c, jac @ outward) < 0.0] *= -1.0
+    c[_dot(c, jac @ outward) < 0.0] *= -1.0
     out["conormal"] = c
     out["weights"] = np.tile(wt, (P, 1)) * out["speed"]
     ends = grid.points.reshape(P, -1, 3)[:, n:]
@@ -432,9 +514,7 @@ class MultiPatchSurface:
         return any(e.kind == "dirichlet" for e in self.edges)
 
     def area(self, q: int = 4) -> float:
-        from .quadrature import integrate_patch
-
-        return sum(integrate_patch(p, None, q) for p in self.patches)
+        return sum(float(np.sum(tabulate_patch(p, q).weights)) for p in self.patches)
 
 
 def _knots_match(kv_a: KnotVector, kv_b: KnotVector, flip: bool, tol: float = 1e-12) -> bool:
@@ -533,57 +613,6 @@ def match_interfaces(
             edges.append(InterfaceEdge(tags[s], s))
 
     return MultiPatchSurface(list(patches), edges, alpha)
-
-
-def edge_breakpoints(surface: MultiPatchSurface, edge: InterfaceEdge) -> np.ndarray:
-    """Element boundaries along the edge, in the left side's parameter."""
-    patch = surface.patches[edge.left[0]]
-    return breakpoints(patch.side_knots(edge.left[1]))
-
-
-def edge_mesh_size(surface: MultiPatchSurface, edge: InterfaceEdge, element: int) -> float:
-    """Physical chord length of one mapped edge element."""
-    bp = edge_breakpoints(surface, edge)
-    patch = surface.patches[edge.left[0]]
-    a = patch.side_point(edge.left[1], bp[element])
-    b = patch.side_point(edge.left[1], bp[element + 1])
-    return float(np.linalg.norm(b - a))
-
-
-def mesh_size(patch: NurbsPatch, element: tuple[int, int]) -> float:
-    """Element diameter estimate: max distance among the 4 mapped corners."""
-    bu = breakpoints(patch.basis.basis_u)
-    bv = breakpoints(patch.basis.basis_v)
-    eu, ev = element
-    corners = [
-        patch.point((bu[eu + du], bv[ev + dv])) for du in (0, 1) for dv in (0, 1)
-    ]
-    return max(
-        float(np.linalg.norm(corners[i] - corners[j]))
-        for i in range(4)
-        for j in range(i + 1, 4)
-    )
-
-
-def conormal_at(
-    surface: MultiPatchSurface, edge: InterfaceEdge, side: str, t: float
-) -> np.ndarray:
-    """Outward unit conormal of the given edge slot ("left"/"right").
-
-    ``t`` is the left side's edge coordinate; for the right slot the
-    recorded orientation flip is applied first.
-    """
-    if side == "left":
-        pid, pside = edge.left
-        s = t
-    elif side == "right":
-        if edge.right is None:
-            raise GeometryError("boundary edge has no right side")
-        pid, pside = edge.right
-        s = edge.partner_t(t)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    return conormal(surface.patches[pid], pside, s)
 
 
 def _refine_patch(patch: NurbsPatch) -> NurbsPatch:

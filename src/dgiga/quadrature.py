@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature on breakpoint panels, and patch integration."""
+"""Gauss-Legendre quadrature on breakpoint panels."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["panel_rules", "integrate_patch"]
+__all__ = ["panel_rules"]
 
 MAX_POINTS = 30
 
@@ -55,17 +55,3 @@ def panel_rules(breaks: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     a = breaks[:-1, None]
     half = 0.5 * (breaks[1:, None] - a)
     return a + half * (np.asarray(x) + 1.0), half * np.asarray(w)
-
-
-def integrate_patch(patch, fn, q: int) -> float:
-    """Integrate fn(x, y, z) over one mapped patch with q points per direction.
-
-    ``fn`` is called once with coordinate arrays.  Passing ``fn=None``
-    integrates 1 and returns the surface area.
-    """
-    from .geometry import tabulate_patch
-
-    tab = tabulate_patch(patch, q)
-    if fn is None:
-        return float(np.sum(tab.weights))
-    return float(np.sum(fn(*np.moveaxis(tab.points, -1, 0)) * tab.weights))

@@ -12,20 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    InterfaceEdge, MultiPatchSurface, Tabulation, frame_at, side_param, surface_gradient
-)
-from .splines import eval_nurbs2d, greville
+from .geometry import MultiPatchSurface, Tabulation, frame_at, surface_gradient
+from .splines import eval_nurbs2d
 
-__all__ = [
-    "DgSpace",
-    "DiscreteFunction",
-    "build_space",
-    "trace_on_edge",
-    "edge_jump",
-    "edge_average",
-    "interpolate",
-]
+__all__ = ["DgSpace", "DiscreteFunction", "build_space"]
 
 
 @dataclass(frozen=True)
@@ -110,82 +100,12 @@ class DiscreteFunction:
         frame = frame_at(patch, xi)
         return value, surface_gradient(frame, pgrad)
 
-    def eval_tabulated(self, pid, tab: Tabulation) -> tuple[np.ndarray, np.ndarray]:
-        """Values and tangential gradients at every point of a tabulation.
+    def eval_tabulated(self, pid, tab: Tabulation) -> np.ndarray:
+        """Values at every point of a tabulation that carries the basis.
 
         ``pid`` is the patch id, or an array of ids that broadcasts like the
-        window starts (``SideTabulation.pid``).  The coefficients are
-        contracted before the gradient is pushed forward.
+        window starts (``SideTabulation.pid``).
         """
         m1, m2 = tab.values.shape[-2:]
         c = self.coefficients[self.space.global_block(pid, tab.first_u, tab.first_v, m1, m2)]
-        values = np.einsum("...ab,...ab->...", tab.values, c)
-        pgrad = np.einsum("...abd,...ab->...d", tab.grads, c)
-        return values, tab.surface_gradient(pgrad)
-
-
-def trace_on_edge(
-    f: DiscreteFunction, edge: InterfaceEdge, side: str, t: float
-) -> tuple[float, np.ndarray]:
-    """Trace (value, tangential gradient) from one side of an edge.
-
-    ``t`` runs along the left side's own parameter; the right side is
-    composed with the recorded orientation flip.
-    """
-    if side == "left":
-        pid, pside = edge.left
-        s = t
-    elif side == "right":
-        if edge.right is None:
-            raise ValueError("boundary edge has no right-side trace")
-        pid, pside = edge.right
-        s = edge.partner_t(t)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    return f.eval(pid, side_param(pside, s))
-
-
-def edge_jump(f: DiscreteFunction, edge: InterfaceEdge, t: float) -> float:
-    """Jump left - right; on boundary edges the jump is the trace itself."""
-    left, _ = trace_on_edge(f, edge, "left", t)
-    if edge.right is None:
-        return left
-    right, _ = trace_on_edge(f, edge, "right", t)
-    return left - right
-
-
-def edge_average(f: DiscreteFunction, edge: InterfaceEdge, t: float) -> float:
-    """Unweighted average; on boundary edges the average is the trace."""
-    left, _ = trace_on_edge(f, edge, "left", t)
-    if edge.right is None:
-        return left
-    right, _ = trace_on_edge(f, edge, "right", t)
-    return 0.5 * (left + right)
-
-
-def interpolate(space: DgSpace, fn) -> DiscreteFunction:
-    """Patchwise Greville-point collocation of fn(points (N,3)) -> (N,).
-
-    The interpolant of a continuous function has (up to roundoff) zero
-    jumps across matched interfaces since neighboring patches collocate
-    the same edge data.
-    """
-    coeffs = np.empty(space.total_dofs)
-    for pid, patch in enumerate(space.surface.patches):
-        gu = greville(patch.basis.basis_u)
-        gv = greville(patch.basis.basis_v)
-        n1, n2 = patch.basis.shape
-        n = n1 * n2
-        M = np.zeros((n, n))
-        pts = np.empty((n, 3))
-        for j, xv in enumerate(gv):
-            for i, xu in enumerate(gu):
-                row = j * n1 + i
-                vals, _, (a1, a2) = eval_nurbs2d(patch.basis, (xu, xv))
-                m1, m2 = vals.shape
-                cols = (np.arange(a2, a2 + m2)[None, :] * n1
-                        + np.arange(a1, a1 + m1)[:, None])
-                M[row, cols.ravel()] = vals.ravel()
-                pts[row] = frame_at(patch, (xu, xv)).point
-        coeffs[space.patch_slice(pid)] = np.linalg.solve(M, fn(pts))
-    return space.function(coeffs)
+        return np.einsum("...ab,...ab->...", tab.values, c)

@@ -9,21 +9,16 @@ import time
 import numpy as np
 import pytest
 from conftest import symmetry_deviation
+from oracles import conormal_at, edge_average, edge_jump, interpolate, trace_on_edge
 
 from dgiga.assembly import assemble_system, default_penalty
 from dgiga.cli import data_path
 from dgiga.geofile import load_surface
 from dgiga.geometries import quarter_cylinder_grid, square_grid
-from dgiga.geometry import (
-    conormal_at,
-    frame_at,
-    refine_surface,
-    surface_gradient,
-    surface_normal,
-)
+from dgiga.geometry import frame_at, refine_surface, surface_gradient, surface_normal
 from dgiga.linalg import cg_solve
 from dgiga.problems import make_problem
-from dgiga.space import build_space, edge_average, edge_jump, interpolate, trace_on_edge
+from dgiga.space import build_space
 from dgiga.splines import eval_bspline
 
 BUNDLED = ["square4.g", "square4_p2.g", "square4_p3.g", "qcyl4.g", "qcyl4_p3.g"]

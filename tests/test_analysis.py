@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from oracles import interpolate
 
 from dgiga.analysis import dg_error, l2_error, measure_errors, rate_table, surface_h_max
 from dgiga.assembly import ProblemData, assemble_volume, default_penalty
-from dgiga.geometries import planar_rectangle_patch, square_grid
+from dgiga.driver import run_sweep
+from dgiga.geometries import full_cylinder, planar_rectangle_patch, square_grid
 from dgiga.geometry import match_interfaces, refine_surface
 from dgiga.problems import make_problem
-from dgiga.space import build_space, interpolate
+from dgiga.space import build_space
 
 
 def test_l2_error_of_space_member_is_tiny():
@@ -170,3 +172,16 @@ def test_measure_errors_without_gradient_reports_nan():
     report = measure_errors(space.function(), data)
     assert math.isnan(report.dg_error)
     assert report.l2_error == pytest.approx(0.0, abs=1e-15)
+
+
+def test_l2_error_is_measured_modulo_constants_without_dirichlet_edges():
+    # Pure Neumann on the full cylinder, with an exact solution of integral
+    # mean 1: u_h has zero mean, so only the L2 error modulo constants can
+    # converge (measured plainly it stays at sqrt(2 pi) on every level).
+    spec = ("u=1+x*cos(pi*z); f=(1+pi^2)*x*cos(pi*z); gN=0*x; "
+            "gx=y^2*cos(pi*z); gy=-x*y*cos(pi*z); gz=-pi*x*sin(pi*z)")
+    table, _ = run_sweep(full_cylinder(3, 2), 3, lambda s, d: make_problem(spec, s, 3, d), 4)
+    l2_rate, dg_rate = table.last_rates()
+    assert abs(l2_rate - 4.0) <= 0.25
+    assert abs(dg_rate - 3.0) <= 0.25
+    assert table.rows[-1].l2_error < 1e-5

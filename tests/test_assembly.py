@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import symmetry_deviation
+from oracles import interpolate
 
 from dgiga.assembly import (
     ProblemData,
@@ -15,7 +16,7 @@ from dgiga.geometries import planar_rectangle_patch, quarter_cylinder_grid, squa
 from dgiga.geometry import match_interfaces
 from dgiga.linalg import cg_solve
 from dgiga.problems import make_problem
-from dgiga.space import build_space, interpolate
+from dgiga.space import build_space
 
 
 def single_patch_surface(p=1, bc="dirichlet"):

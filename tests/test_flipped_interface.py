@@ -9,13 +9,14 @@ must compose with it.
 import numpy as np
 import pytest
 from conftest import symmetry_deviation
+from oracles import conormal_at, edge_jump, interpolate
 
 from dgiga.analysis import measure_errors
 from dgiga.assembly import ProblemData, assemble_system, default_penalty
 from dgiga.driver import solve_problem
 from dgiga.geometries import planar_rectangle_patch
-from dgiga.geometry import NurbsPatch, conormal_at, match_interfaces, refine_surface
-from dgiga.space import build_space, edge_jump, interpolate
+from dgiga.geometry import NurbsPatch, match_interfaces, refine_surface
+from dgiga.space import build_space
 from dgiga.splines import NurbsBasis2D
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import conormal_at, edge_breakpoints, edge_mesh_size, mesh_size
 from test_tabulation import GEOMETRIES
 
 from dgiga.driver import run_sweep
@@ -19,12 +20,8 @@ from dgiga.geometry import (
     TopologyError,
     _refine_patch,
     conormal,
-    conormal_at,
-    edge_breakpoints,
-    edge_mesh_size,
     frame_at,
     match_interfaces,
-    mesh_size,
     refine_surface,
     side_param,
     surface_gradient,

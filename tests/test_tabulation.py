@@ -9,6 +9,7 @@ rational full cylinder and an orientation-flipped interface.
 import numpy as np
 import pytest
 from conftest import bundled
+from oracles import conormal_at, edge_breakpoints, edge_mesh_size
 from test_flipped_interface import two_patches
 
 from dgiga.assembly import (
@@ -30,14 +31,12 @@ from dgiga.geometry import (
     NurbsPatch,
     SingularMapError,
     _tabulate,
-    conormal_at,
-    edge_breakpoints,
-    edge_mesh_size,
     frame_at,
     refine_surface,
     side_param,
     surface_gradient,
     tabulate_patch,
+    tabulate_patches,
     tabulate_sides,
 )
 from dgiga.quadrature import panel_rules
@@ -90,7 +89,11 @@ def test_patch_tabulation_matches_pointwise(surface):
         xu, wu = panel_rules(breakpoints(patch.basis.basis_u), q)
         xv, wv = panel_rules(breakpoints(patch.basis.basis_v), q)
         G = tab.surface_gradient(tab.grads)
-        values, grads = u_h.eval_tabulated(pid, tab)
+        values = u_h.eval_tabulated(pid, tab)
+        # The error pass's route: u_h contracted like the geometry, no basis.
+        fields = tabulate_patches([patch], q, coeffs=u_h.patch_coeffs(pid)[None])
+        assert fields.values is None and fields.grads is None
+        field_grads = fields.surface_gradient(fields.field_grad)
         for idx in np.ndindex(tab.sqrt_det_g.shape):
             eu, ev, i, j = idx
             xi = (xu[eu, i], xv[ev, j])
@@ -98,7 +101,10 @@ def test_patch_tabulation_matches_pointwise(surface):
             close(tab.weights[idx], wu[eu, i] * wv[ev, j] * frame_at(patch, xi).sqrt_det_g)
             value, grad = u_h.eval(pid, xi)
             close(values[idx], value)
-            close(grads[idx], grad)
+            close(fields.field[(0, *idx)], value)
+            close(field_grads[(0, *idx)], grad)
+            for name in ("points", "jacobian", "inv_metric", "sqrt_det_g", "weights"):
+                close(getattr(fields, name)[(0, *idx)], getattr(tab, name)[idx])
 
 
 def slot_starts(surface, slots):
@@ -149,7 +155,7 @@ def test_side_tabulation_matches_pointwise(surface):
 def test_grid_tabulation_matches_pointwise_up_to_xi_one(surface):
     ts = np.linspace(0.0, 1.0, 5)  # hits the interior knot 0.5 and xi = 1
     for patch in surface.patches:
-        tab = _tabulate([patch], ts, ts)
+        tab = _tabulate([patch], ts, ts, basis=True)
         G = tab.surface_gradient(tab.grads)
         for idx in np.ndindex(tab.sqrt_det_g.shape):
             check_point(patch, tab, G, idx, (ts[idx[1]], ts[idx[2]]))
