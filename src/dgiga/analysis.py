@@ -7,7 +7,8 @@ sharing both knot vectors contracts u_h's coefficients with the 1D tables
 (sum factorisation, no basis table) and yields both the L2 and the
 broken-gradient parts.  The jump terms of the energy error form two
 batches, all interior edges and all Dirichlet edges, each with one
-``tabulate_sides`` call and one call of the boundary data.
+``tabulate_sides`` call and one call of the boundary data; u_h reaches the
+sides by the same field route, so no basis table is built.
 """
 
 from __future__ import annotations
@@ -82,19 +83,18 @@ def _energy_error(u_h: DiscreteFunction, parts: list, delta: float, g_D) -> floa
     surface = u_h.space.surface
     q = u_h.space.degree + 2
     total = sum(a * h1 for a, (_, h1) in zip(surface.alpha, parts))
+    coeffs = [u_h.patch_coeffs(pid) for pid in range(surface.num_patches)]
     interior = surface.edges_of_kind("interior")
     if interior:
-        tab = tabulate_sides(surface.patches, interface_slots(interior), q)
+        tab = tabulate_sides(surface.patches, interface_slots(interior), q, coeffs)
         n = tab.chords.size // 2
-        values = u_h.eval_tabulated(tab.pid, tab)
         a_gamma = edge_alpha(surface.alpha[tab.pid[:n]], surface.alpha[tab.pid[n:]])
-        jump = values[:n] - values[n:]
+        jump = tab.field[:n] - tab.field[n:]
         total += delta * float(np.sum(a_gamma * jump**2 * tab.weights[:n] / tab.chords[:n, None]))
     dirichlet = surface.edges_of_kind("dirichlet")
     if dirichlet:
-        tab = tabulate_sides(surface.patches, [(*e.left, False) for e in dirichlet], q)
-        values = u_h.eval_tabulated(tab.pid, tab)
-        jump = values - np.asarray(g_D(tab.points.reshape(-1, 3))).reshape(values.shape)
+        tab = tabulate_sides(surface.patches, [(*e.left, False) for e in dirichlet], q, coeffs)
+        jump = tab.field - np.asarray(g_D(tab.points.reshape(-1, 3))).reshape(tab.field.shape)
         a_gamma = surface.alpha[tab.pid]
         total += delta * float(np.sum(a_gamma * jump**2 * tab.weights / tab.chords[:, None]))
     return math.sqrt(total)

@@ -8,7 +8,9 @@ vectors: one sum-factorised tabulation (``tabulate_patches``) and one
 batched matmul of parametric gradients per stack.  The edge terms are
 formed per pass: the interior edges, the Dirichlet edges and the Neumann
 edges are each one ``tabulate_sides`` call, stacked over patches, and one
-batch of element matrices.  Entries accumulate in a fixed order
+batch of element matrices.  Edge terms stay parametric: a normal
+derivative is grad^ phi . g^-1 J^T n, and the element matrices are batched
+matmuls over the edge points.  Entries accumulate in a fixed order
 (patch-major, element-lexicographic, then edge-list order inside every
 batch) so serial assembly is reproducible.
 """
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import SideTabulation, patch_stacks, tabulate_patches, tabulate_sides
+from .geometry import SideTabulation, _dot, patch_stacks, tabulate_patches, tabulate_sides
 from .space import DgSpace
 
 __all__ = [
@@ -174,20 +176,30 @@ def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
 
 
 def _side_terms(space: DgSpace, tab: SideTabulation, normal: np.ndarray):
-    """Global indices (nel, m), values and normal derivatives (nel, q, m) of the sides' bases."""
+    """Global indices (nel, m), values and normal derivatives (nel, q, m) of the sides' bases.
+
+    d = g^-1 J^T n is formed once per point.  ``normal`` (nel, q, 3) need not be
+    the side's own conormal: an interface's right side takes the left's.
+    """
     nel, q, m1, m2 = tab.values.shape
     gidx = space.global_block(tab.pid, tab.first_u, tab.first_v, m1, m2).reshape(nel, -1)
-    G = tab.surface_gradient(tab.grads)
-    dn = np.einsum("eqabk,eqk->eqab", G, normal)
+    jac, inv = tab.jacobian, tab.inv_metric
+    t0, t1 = _dot(jac[..., 0], normal), _dot(jac[..., 1], normal)
+    d0, d1 = (inv[..., r, 0] * t0 + inv[..., r, 1] * t1 for r in (0, 1))
+    dn = tab.grads[..., 0] * d0[..., None, None] + tab.grads[..., 1] * d1[..., None, None]
     return gidx, tab.values.reshape(nel, q, -1), dn.reshape(nel, q, -1)
 
 
 def _sipg_blocks(flux, jump, w, pen):
-    """Element matrices of -(flux jump^T + jump flux^T) + pen jump jump^T over the edge."""
-    fj = np.einsum("eqa,eqb,eq->eab", flux, jump, w)
+    """Element matrices of -(flux jump^T + jump flux^T) + pen jump jump^T over the edge.
+
+    The penalty block is Y^T Y with Y = sqrt(w) jump, exactly symmetric.
+    """
+    Y = jump * np.sqrt(w)[..., None]
+    fj = (flux * w[..., None]).transpose(0, 2, 1) @ jump
     sym = fj + fj.transpose(0, 2, 1)
     del fj
-    jj = np.einsum("eqa,eqb,eq->eab", jump, jump, w)
+    jj = Y.transpose(0, 2, 1) @ Y
     jj *= pen[:, None, None]
     jj -= sym
     return jj
@@ -247,7 +259,7 @@ def _boundary_batch(acc: _Accumulator, space: DgSpace, data: ProblemData, edges,
     w = tab.weights
     if kind == "neumann":
         gn = np.asarray(data.g_N(tab.points.reshape(-1, 3)), dtype=float)
-        np.add.at(acc.rhs, gidx, np.einsum("eqa,eq->ea", values, gn.reshape(w.shape) * w))
+        np.add.at(acc.rhs, gidx, ((gn.reshape(w.shape) * w)[:, None] @ values)[:, 0])
         return
     a_gamma = surface.alpha[tab.pid][..., None]
     pen = data.delta / tab.chords
@@ -255,7 +267,7 @@ def _boundary_batch(acc: _Accumulator, space: DgSpace, data: ProblemData, edges,
     if data.g_D is not None:
         gd = np.asarray(data.g_D(tab.points.reshape(-1, 3)), dtype=float)
         test = a_gamma * (pen[:, None, None] * values - dn)
-        np.add.at(acc.rhs, gidx, np.einsum("eqa,eq->ea", test, gd.reshape(w.shape) * w))
+        np.add.at(acc.rhs, gidx, ((gd.reshape(w.shape) * w)[:, None] @ test)[:, 0])
 
 
 def assemble_boundary(space: DgSpace, data: ProblemData) -> SparseSystem:

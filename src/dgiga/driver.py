@@ -110,22 +110,17 @@ def run_sweep(
 
 def sample_solution(result: LevelResult, points_per_side: int = 10) -> str:
     """CSV sample of the solution on a parametric grid of each patch."""
-    lines = ["patch,xi1,xi2,x,y,z,uh"]
     ts = np.linspace(0.0, 1.0, points_per_side)
-    n, samples = ts.size, {}
-    patches, u_h = result.surface.patches, result.solution
+    n, patches, u_h = ts.size, result.surface.patches, result.solution
+    # One row per (patch, xi2, xi1): patch, xi1, xi2, x, y, z, uh.
+    table = np.empty((len(patches), n, n, 7))
+    table[..., 0] = np.arange(len(patches))[:, None, None]
+    table[..., 1], table[..., 2] = ts, ts[:, None]
     for stack in patch_stacks(patches):
         coeffs = np.stack([u_h.patch_coeffs(pid) for pid in stack])
         tab = _tabulate([patches[pid] for pid in stack], ts, ts, coeffs)
-        points, values = tab.points.reshape(-1, n, n, 3), tab.field.reshape(-1, n, n)
-        samples.update(zip(stack, zip(points, values)))
-    for pid in range(len(patches)):
-        points, values = samples[pid]
-        for j, x2 in enumerate(ts):
-            for i, x1 in enumerate(ts):
-                pt = points[i, j]
-                lines.append(
-                    f"{pid},{x1:.17g},{x2:.17g},{pt[0]:.17g},{pt[1]:.17g},{pt[2]:.17g},"
-                    f"{values[i, j]:.17g}"
-                )
-    return "\n".join(lines) + "\n"
+        table[stack, :, :, 3:6] = tab.points.reshape(-1, n, n, 3).swapaxes(1, 2)
+        table[stack, :, :, 6] = tab.field.reshape(-1, n, n).swapaxes(1, 2)
+    row = "%d" + ",%.17g" * 6
+    lines = [row % tuple(r) for r in table.reshape(-1, 7).tolist()]
+    return "\n".join(["patch,xi1,xi2,x,y,z,uh", *lines]) + "\n"

@@ -8,13 +8,17 @@ by geometric interface matching with matching-mesh verification.
 One kernel, ``_tabulate``, evaluates the geometry on a tensor grid for a
 stack of patches that share both knot vectors, by sum factorisation: the
 homogeneous control net (x w, w), with c w for a coefficient grid, is
-contracted with the 1D B-spline tables along v and then along u.  The
-rational basis is built only on request.  ``tabulate_patches`` calls the
-kernel at the Gauss points of a stack (``patch_stacks`` forms the stacks);
+contracted with the 1D B-spline tables, first along the direction with fewer
+output points (v on a tie, as on square volume grids; u on a west/east side,
+so one u point is contracted instead of every control row).  The rational
+basis is built only on request.  ``tabulate_patches`` calls the kernel at
+the Gauss points of a stack (``patch_stacks`` forms the stacks);
 ``tabulate_sides`` tabulates the Gauss points of many patch sides with one
-call per (side, knot vectors) group and returns their elements in slot
-order, each flipped slot reversed.  ``match_interfaces`` takes its side
-samples through the same kernel.
+``_side_grid`` call per (fixed axis, knot vectors) group, which covers both
+opposite sides of each patch ({0, 1} x ts or ts x {0, 1}), and gathers the
+elements in slot order, each flipped slot reversed.  Conormal and edge
+speed come from the kernel's J and g^-1, without cross products.
+``match_interfaces`` takes its side samples through the same call.
 """
 
 from __future__ import annotations
@@ -285,12 +289,12 @@ def _tabulate(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=False) -
     knots and xi = 1, evaluated on the last non-empty span); point axes are
     (P, nel_u, nel_v, q_u, q_v).  Sum factorisation: the homogeneous
     control net (x w, w), with c w appended for the coefficient grids
-    ``coeffs`` (P, n1, n2), is contracted with the 1D tables along v, then
-    along u, giving the points, the Jacobian, S = sum N W and its
-    derivatives; no per-point window of control points is gathered.  The
-    metric and its inverse use closed forms.  ``basis`` adds the rational
-    basis N_u N_v W / S.  Raises SingularMapError, naming the patch, where
-    det(J^T J) falls below 1e-14.
+    ``coeffs`` (P, n1, n2), is contracted with the 1D tables, first along
+    the direction with fewer output points (v on a tie), giving the points,
+    the Jacobian, S = sum N W and its derivatives; no per-point window of
+    control points is gathered.  The metric and its inverse use closed
+    forms.  ``basis`` adds the rational basis N_u N_v W / S.  Raises
+    SingularMapError, naming the patch, where det(J^T J) falls below 1e-14.
     """
     xs_u, xs_v = (np.asarray(x, dtype=float).reshape(len(x), -1) for x in (xs_u, xs_v))
     fu, Nu, dNu = _panel_table(patches[0].basis.basis_u, xs_u)
@@ -299,12 +303,19 @@ def _tabulate(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=False) -
     net = [np.stack([p.control_points for p in patches]) * w[..., None], w[..., None]]
     if coeffs is not None:
         net.append((coeffs * w)[..., None])
-    H = np.concatenate(net, axis=-1).swapaxes(1, 2)  # (P, n2, n1, c)
-    T, Tv = (_contract(H, fv, N).swapaxes(1, 2) for N in (Nv, dNv))  # (P, n1, n_v, c)
+    H = np.concatenate(net, axis=-1)  # (P, n1, n2, c)
+    # The direction with fewer output points goes first (the one u point of
+    # a west/east side); ties, as on square volume grids, go v first.
+    u_first = xs_u.size < xs_v.size
+    (f1, N1, dN1), (f2, N2, dN2) = ((fu, Nu, dNu), (fv, Nv, dNv))[:: 1 if u_first else -1]
+    T, T1 = (_contract(H if u_first else H.swapaxes(1, 2), f1, N).swapaxes(1, 2)
+             for N in (N1, dN1))  # (P, n of the second direction, points of the first, c)
+    A, A2, A1 = (_contract(X, f2, N) for X, N in ((T, N2), (T, dN2), (T1, N2)))
     shape = (len(patches), *xs_u.shape, *xs_v.shape, -1)
-    A, Au, Av = (np.ascontiguousarray(_contract(X, fu, N).reshape(shape).swapaxes(2, 3))
-                 for X, N in ((T, Nu), (T, dNu), (Tv, Nu)))  # (P, nel_u, nel_v, q_u, q_v, c)
-    del H, T, Tv
+    A, Au, Av = (np.ascontiguousarray((X.swapaxes(1, 2) if u_first else X).reshape(shape)
+                                      .swapaxes(2, 3))
+                 for X in ((A, A1, A2) if u_first else (A, A2, A1)))
+    del H, T, T1, A1, A2  # (P, nel_u, nel_v, q_u, q_v, c) remain
     # Per-component views keep every elementwise loop long (no tiny trailing axes).
     S, Su, Sv = A[..., 3], Au[..., 3], Av[..., 3]
     points = np.empty(S.shape + (3,))
@@ -384,84 +395,87 @@ def tabulate_patch(patch: NurbsPatch, q: int) -> Tabulation:
     return replace(tab, **{name: getattr(tab, name)[0] for name in _POINT_ARRAYS + ("weights",)})
 
 
-def _on_side(patches: list[NurbsPatch], side: str, ts: np.ndarray, basis=False) -> Tabulation:
-    """``_tabulate`` of a stack at side coordinates ts; the fixed axis has length 1."""
-    axis, value, _, _ = _SIDE_DATA[side]
-    fixed = np.array([value])
-    grid = (fixed, ts) if axis == 0 else (ts, fixed)
-    return _tabulate(patches, *grid, basis=basis)
+def _side_grid(patches: list[NurbsPatch], axis: int, ts: np.ndarray, coeffs=None,
+               basis=False) -> Tabulation:
+    """``_tabulate`` of a stack on both sides across ``axis``: the grid {0, 1} x ts
+    (axis 0: west, east) or ts x {0, 1} (axis 1: south, north)."""
+    ends = np.array([0.0, 1.0])
+    return _tabulate(patches, *((ends, ts) if axis == 0 else (ts, ends)), coeffs, basis)
 
 
-def _side_groups(patches: list[NurbsPatch], sides) -> dict:
-    """Positions of (pid, side, ...) entries, grouped by side and both knot vectors."""
-    groups: dict = {}
-    for k, (pid, side, *_) in enumerate(sides):
-        groups.setdefault((side, *_knot_key(patches[pid].basis)), []).append(k)
-    return groups
-
-
-def _side_group(patches: list[NurbsPatch], side: str, q: int) -> dict:
-    """Side tabulation of a stack sharing both knot vectors; element axis P * nel."""
-    _, _, edge_dir, outward = _SIDE_DATA[side]
-    bp = breakpoints(patches[0].side_knots(side))
+def _side_pass(patches, slots, members, q: int, coeffs) -> dict:
+    """The elements of the slots ``members``, which share a fixed axis and both
+    knot vectors, from one ``_side_grid`` call over their distinct patches."""
+    pid, side, flip = (np.array(c) for c in zip(*(slots[k] for k in members)))
+    axis = _SIDE_DATA[side[0]][0]
+    stack, s = np.unique(pid, return_inverse=True)
+    f = np.isin(side, ("east", "north")).astype(int)
+    bp = breakpoints(patches[stack[0]].side_knots(side[0]))
     ts, wt = panel_rules(bp, q)
-    P, n = len(patches), ts.size
-    # The Gauss points and then the element ends, in one pass.
-    grid = _on_side(patches, side, np.concatenate([ts.ravel(), bp]), True)
+    nel, n = bp.size - 1, ts.size
+    grid = _side_grid([patches[k] for k in stack], axis, np.concatenate([ts.ravel(), bp]),
+                      None if coeffs is None else np.stack([coeffs[k] for k in stack]),
+                      coeffs is None)
+    # Point j of side f of stack patch s lies at s * 2 N + f * sf + j * sj.
+    lead, N = grid.sqrt_det_g.shape, n + bp.size
+    sf, sj = (N, 1) if axis == 0 else (1, 2)
+    base = (s * 2 * N + f * sf)[:, None]
+    # A flipped slot runs against its side's parameter: elements and points reversed.
+    j = np.where(flip[:, None], np.arange(n)[::-1], np.arange(n))
+    at = (base + j * sj).reshape(-1, q)
     out = {}
-    for name in _POINT_ARRAYS:
+    for name in _POINT_ARRAYS + ("field", "field_grad"):
         a = getattr(grid, name)
-        tail = a.shape[grid.sqrt_det_g.ndim:]
-        out[name] = a.reshape(P, -1, *tail)[:, :n].reshape(-1, q, *tail)
+        if a is not None:
+            out[name] = a.reshape(-1, *a.shape[len(lead):])[at]
     for name in ("first_u", "first_v"):
-        first = np.broadcast_to(getattr(grid, name), grid.sqrt_det_g.shape[1:])
-        out[name] = np.tile(first.reshape(-1)[:n:q], P)
-    jac = out["jacobian"]
-    tangent = jac @ edge_dir
-    out["speed"] = np.linalg.norm(tangent, axis=-1)
-    c = np.cross(tangent, np.cross(jac[..., 0], jac[..., 1]))
-    c /= np.linalg.norm(c, axis=-1, keepdims=True)
-    c[_dot(c, jac @ outward) < 0.0] *= -1.0
-    out["conormal"] = c
-    out["weights"] = np.tile(wt, (P, 1)) * out["speed"]
-    ends = grid.points.reshape(P, -1, 3)[:, n:]
-    out["chords"] = np.linalg.norm(np.diff(ends, axis=1), axis=-1).reshape(-1)
+        out[name] = np.broadcast_to(getattr(grid, name), lead).reshape(-1)[at[:, 0]]
+    jac, inv = out["jacobian"], out["inv_metric"]
+    tangent = jac[..., 1 - axis]
+    out["speed"] = np.sqrt(_dot(tangent, tangent))
+    # J g^-1 e_axis is tangent to the surface, orthogonal to the edge and of
+    # length sqrt(g^-1)_axis,axis; its sign points out of the patch.
+    scale = np.repeat(2.0 * f - 1.0, nel)[:, None] / np.sqrt(inv[..., axis, axis])
+    out["conormal"] = (jac[..., 0] * (inv[..., 0, axis] * scale)[..., None]
+                       + jac[..., 1] * (inv[..., 1, axis] * scale)[..., None])
+    out["weights"] = wt.ravel()[j].reshape(-1, q) * out["speed"]
+    ends = np.where(flip[:, None], np.arange(nel + 1)[::-1], np.arange(nel + 1))
+    X = grid.points.reshape(-1, 3)[base + (n + ends) * sj]
+    out["chords"] = np.linalg.norm(np.diff(X, axis=1), axis=-1).reshape(-1)
     return out
 
 
-def tabulate_sides(patches: list[NurbsPatch], slots, q: int) -> SideTabulation:
-    """Basis and edge geometry at the q Gauss points of every element of many sides.
+def tabulate_sides(patches: list[NurbsPatch], slots, q: int, coeffs=None) -> SideTabulation:
+    """Basis, or a field, and edge geometry at the q Gauss points of every element of many sides.
 
     ``slots`` lists (pid, side, flip); the element axis concatenates the
     slots' elements in slot order, and a flipped slot is traversed against
-    its side's parameter (elements and points reversed).  Sides whose
-    patches share both knot vectors are tabulated in one kernel call.
+    its side's parameter (elements and points reversed).  Slots whose
+    sides share the fixed axis and whose patches share both knot vectors
+    are tabulated with one ``_side_grid`` call, which covers both opposite
+    sides of its patches.  ``coeffs``, one (n1, n2) coefficient grid per
+    patch, gives the field and its parametric gradient instead of the basis.
     """
     if not slots:
         raise ValueError("tabulate_sides needs at least one slot")
-    groups = _side_groups(patches, slots)
-    parts, blocks, start = [], [None] * len(slots), 0
-    for (side, *_), members in groups.items():
-        part = _side_group([patches[slots[k][0]] for k in members], side, q)
-        nel = part["chords"].size // len(members)
-        for r, k in enumerate(members):
-            e = start + r * nel + np.arange(nel)
-            blocks[k] = e[::-1] if slots[k][2] else e
-        start += part["chords"].size
-        parts.append(part)
-    sizes = [b.size for b in blocks]
-    order = np.concatenate(blocks)
-    flip = np.repeat([bool(f) for _, _, f in slots], sizes)
-    at = np.arange(q)
-    points = (order[:, None], np.where(flip[:, None], at[::-1], at))
-    arrays = {}
-    for name in parts[0]:
-        a = np.concatenate([part[name] for part in parts])
-        arrays[name] = a[order] if a.ndim == 1 else a[points]
+    groups: dict = {}
+    for k, (pid, side, _) in enumerate(slots):
+        key = (_SIDE_DATA[side][0], *_knot_key(patches[pid].basis))
+        groups.setdefault(key, []).append(k)
+    parts, nel = [], np.empty(len(slots), dtype=int)
+    for members in groups.values():
+        parts.append(_side_pass(patches, slots, members, q, coeffs))
+        nel[members] = parts[-1]["chords"].size // len(members)
+    # Element rows of every slot, in group order, then put back in slot order.
+    grouped = np.concatenate(list(groups.values()))
+    start = np.zeros(len(slots), dtype=int)
+    start[grouped] = np.cumsum(nel[grouped]) - nel[grouped]
+    order = np.repeat(start, nel) + np.arange(nel.sum()) - np.repeat(np.cumsum(nel) - nel, nel)
+    arrays = {name: np.concatenate([part[name] for part in parts])[order] for name in parts[0]}
     return SideTabulation(
         first_u=arrays.pop("first_u")[:, None],
         first_v=arrays.pop("first_v")[:, None],
-        pid=np.repeat([pid for pid, _, _ in slots], sizes)[:, None],
+        pid=np.repeat([pid for pid, _, _ in slots], nel)[:, None],
         **arrays,
     )
 
@@ -564,10 +578,13 @@ def match_interfaces(
     # bounds never drops a candidate; the 5-sample test decides.
     ts = np.linspace(0.0, 1.0, 5)
     all_sides = [(p.id, side) for p in patches for side in SIDES]
-    samples = np.empty((len(all_sides), ts.size, 3))
-    for (side, *_), members in _side_groups(patches, all_sides).items():
-        stack = [patches[all_sides[k][0]] for k in members]
-        samples[members] = _on_side(stack, side, ts).points.reshape(len(stack), ts.size, 3)
+    samples = np.empty((len(patches), 2, 2, ts.size, 3))  # in SIDES order per patch
+    for stack in patch_stacks(patches):
+        for axis in (0, 1):
+            X = _side_grid([patches[pid] for pid in stack], axis, ts).points
+            samples[stack, axis] = (X.reshape(len(stack), 2, -1, 3) if axis == 0
+                                    else X.reshape(len(stack), -1, 2, 3).swapaxes(1, 2))
+    samples = samples.reshape(len(all_sides), ts.size, 3)
     mid_x = samples[:, ts.size // 2, 0]
     order = np.argsort(mid_x, kind="stable")
     lo = np.searchsorted(mid_x[order], mid_x - 2.0 * tol, side="left")

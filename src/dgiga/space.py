@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MultiPatchSurface, Tabulation, frame_at, surface_gradient
+from .geometry import MultiPatchSurface, frame_at, surface_gradient
 from .splines import eval_nurbs2d
 
 __all__ = ["DgSpace", "DiscreteFunction", "build_space"]
@@ -99,13 +99,3 @@ class DiscreteFunction:
         )
         frame = frame_at(patch, xi)
         return value, surface_gradient(frame, pgrad)
-
-    def eval_tabulated(self, pid, tab: Tabulation) -> np.ndarray:
-        """Values at every point of a tabulation that carries the basis.
-
-        ``pid`` is the patch id, or an array of ids that broadcasts like the
-        window starts (``SideTabulation.pid``).
-        """
-        m1, m2 = tab.values.shape[-2:]
-        c = self.coefficients[self.space.global_block(pid, tab.first_u, tab.first_v, m1, m2)]
-        return np.einsum("...ab,...ab->...", tab.values, c)

@@ -70,16 +70,14 @@ class BasisEval:
     derivs: np.ndarray
 
 
-def find_span(kv: KnotVector, xi: float) -> int:
-    """Index i of the knot span [U_i, U_{i+1}) containing xi.
+def find_span(kv: KnotVector, xi):
+    """Index i of the knot span [U_i, U_{i+1}) containing xi, a point or an array.
 
     Right-continuous at interior knots; xi = 1 maps to the last
     non-empty span.
     """
     U, n = kv.knots, kv.n
-    if xi >= U[n]:
-        return n - 1
-    return int(np.searchsorted(U, xi, side="right")) - 1
+    return np.where(xi >= U[n], n - 1, np.searchsorted(U, xi, side="right") - 1)
 
 
 def eval_bspline(kv: KnotVector, xi: float) -> BasisEval:
@@ -90,7 +88,7 @@ def eval_bspline(kv: KnotVector, xi: float) -> BasisEval:
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"evaluation point {xi} outside [0, 1]")
     p, U = kv.degree, kv.knots
-    span = find_span(kv, xi)
+    span = int(find_span(kv, xi))
 
     values = np.zeros(p + 1)
     values[0] = 1.0
@@ -142,15 +140,37 @@ def tabulate(kv: KnotVector, xs: np.ndarray):
 
 @lru_cache(maxsize=512)
 def _tabulate_cached(degree: int, knots: bytes, points: bytes):
-    kv = KnotVector(degree, np.frombuffer(knots))
-    xs = np.frombuffer(points)
-    m, p = xs.size, degree
-    first = np.empty(m, dtype=int)
-    vals = np.empty((m, p + 1))
-    ders = np.empty((m, p + 1))
-    for k, x in enumerate(xs):
-        ev = eval_bspline(kv, float(x))
-        first[k], vals[k], ders[k] = ev.first_active, ev.values, ev.derivs
+    # eval_bspline over all points at once: the same operations in the same
+    # order, so every entry equals the pointwise one bit for bit.
+    kv, xs = KnotVector(degree, np.frombuffer(knots)), np.frombuffer(points)
+    U, m, p = kv.knots, xs.size, degree
+    outside = xs[~((xs >= 0.0) & (xs <= 1.0))]
+    if outside.size:
+        raise ValueError(f"evaluation point {outside[0]} outside [0, 1]")
+    span = find_span(kv, xs)
+    vals, ders, left, right = (np.zeros((m, p + 1)) for _ in range(4))
+    vals[:, 0] = 1.0
+    for j in range(1, p + 1):
+        if j == p:
+            lower = vals[:, :p].copy()
+        left[:, j] = xs - U[span + 1 - j]
+        right[:, j] = U[span + j] - xs
+        saved = np.zeros(m)
+        for r in range(j):
+            temp = vals[:, r] / (right[:, r + 1] + left[:, j - r])
+            vals[:, r] = saved + right[:, r + 1] * temp
+            saved = left[:, j - r] * temp
+        vals[:, j] = saved
+    first = span - p
+    for r in range(p + 1):
+        i, d = first + r, np.zeros(m)
+        if r > 0:
+            den = U[i + p] - U[i]
+            d += np.divide(lower[:, r - 1], den, out=np.zeros(m), where=den > 0.0)
+        if r < p:
+            den = U[i + p + 1] - U[i + 1]
+            d -= np.divide(lower[:, r], den, out=np.zeros(m), where=den > 0.0)
+        ders[:, r] = p * d
     for a in (first, vals, ders):
         a.flags.writeable = False
     return first, vals, ders
@@ -271,6 +291,19 @@ def insert_knots(kv: KnotVector, new_knots) -> tuple[KnotVector, np.ndarray]:
 
 
 def midpoint_refine(kv: KnotVector) -> tuple[KnotVector, np.ndarray]:
-    """Insert the midpoint of every non-empty span once (global h-refinement)."""
+    """Insert the midpoint of every non-empty span once (global h-refinement).
+
+    Memoised on (degree, knots): patches sharing a knot vector share the
+    (read-only) refined vector and refinement matrix.
+    """
+    return _midpoint_refine_cached(kv.degree, kv.knots.tobytes())
+
+
+@lru_cache(maxsize=256)
+def _midpoint_refine_cached(degree: int, knots: bytes) -> tuple[KnotVector, np.ndarray]:
+    kv = KnotVector(degree, np.frombuffer(knots))
     bp = breakpoints(kv)
-    return insert_knots(kv, 0.5 * (bp[:-1] + bp[1:]))
+    refined, T = insert_knots(kv, 0.5 * (bp[:-1] + bp[1:]))
+    for a in (refined.knots, T):
+        a.flags.writeable = False
+    return refined, T

@@ -1,3 +1,8 @@
+import dataclasses
+
+import numpy as np
+
+import dgiga.driver
 from dgiga.cli import EXIT_GEOMETRY, EXIT_PARSE, EXIT_SOLVER, data_path, main
 
 
@@ -175,3 +180,44 @@ def test_check_cylinder(capsys):
     rc = main(["check", str(data_path("qcyl4.g"))])
     assert rc == 0
     assert "interior edges:  4" in capsys.readouterr().out
+
+
+def fstring_rows(samples, ts):
+    """The solution CSV formatted field by field with f-strings, patch by patch."""
+    lines = ["patch,xi1,xi2,x,y,z,uh"]
+    for pid in sorted(samples):
+        points, values = samples[pid]
+        for j, x2 in enumerate(ts):
+            for i, x1 in enumerate(ts):
+                pt = points[i, j]
+                lines.append(
+                    f"{pid},{x1:.17g},{x2:.17g},{pt[0]:.17g},{pt[1]:.17g},{pt[2]:.17g},"
+                    f"{values[i, j]:.17g}"
+                )
+    return "\n".join(lines) + "\n"
+
+
+def test_solution_csv_matches_fstring_rows(tmp_path, monkeypatch):
+    """%-formatted rows equal f-string fields byte for byte, -0, nan, inf and 1/3 included."""
+    special = [-0.0, np.nan, np.inf, -np.inf, 1.0 / 3.0, 0.0, -1e-300, 123456789.123]
+    real, levels = dgiga.driver._tabulate, []
+
+    def spiked(patches, xs_u, xs_v, coeffs):
+        tab = real(patches, xs_u, xs_v, coeffs)
+        points, field = tab.points.copy(), tab.field.copy()
+        points.reshape(-1)[: len(special)] = special
+        field.reshape(-1)[-len(special):] = special
+        n = len(xs_u)
+        levels.append({p.id: (x, u) for p, x, u in zip(patches, points.reshape(-1, n, n, 3),
+                                                       field.reshape(-1, n, n))})
+        return dataclasses.replace(tab, points=points, field=field)
+
+    monkeypatch.setattr(dgiga.driver, "_tabulate", spiked)
+    out = tmp_path / "run"
+    argv = ["solve", str(data_path("square4_p2.g")), "--problem", "plane_sine",
+            "--levels", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(levels) == 2  # one stack of four patches per level
+    for level, samples in enumerate(levels):
+        expected = fstring_rows(samples, np.linspace(0.0, 1.0, 10))
+        assert (out / f"solution_L{level}.csv").read_bytes() == expected.encode()

@@ -1,9 +1,10 @@
-"""Edge passes are batched.
+"""Edge passes and refinement are batched per knot signature.
 
 Interior assembly, Dirichlet and Neumann assembly and the two jump terms
-of the energy error each tabulate their sides with one kernel call per
-(side, knot vectors) group and call their boundary data once, however many
-edges the layout has.
+of the energy error each tabulate their sides with one side-grid call per
+(fixed axis, knot vectors) group and call their boundary data once, however
+many edges the layout has.  Refinement builds one insertion matrix per
+distinct knot vector.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import scipy.sparse as sp
 from test_geometry import seeded_grid
 
 import dgiga.geometry
+import dgiga.splines
 from dgiga.analysis import dg_error
 from dgiga.assembly import _index_dtype, assemble_interface
 from dgiga.driver import run_sweep
@@ -21,7 +23,8 @@ from dgiga.space import build_space
 
 def knot_group(surface, pid, side):
     basis = surface.patches[pid].basis
-    return side, basis.basis_u.knots.tobytes(), basis.basis_v.knots.tobytes()
+    axis = dgiga.geometry.SIDES.index(side) // 2
+    return axis, basis.basis_u.knots.tobytes(), basis.basis_v.knots.tobytes()
 
 
 def groups(surface, sides):
@@ -50,8 +53,8 @@ class Counter:
 
 def counting_sweep(surface, monkeypatch, levels=3):
     """Per level: side-kernel calls, and calls of g_D, g_N and u_exact."""
-    kernel = Counter(dgiga.geometry._on_side)
-    monkeypatch.setattr(dgiga.geometry, "_on_side", kernel)
+    kernel = Counter(dgiga.geometry._side_grid)
+    monkeypatch.setattr(dgiga.geometry, "_side_grid", kernel)
     counters = {}
 
     def factory(surf, delta):
@@ -74,9 +77,9 @@ def counting_sweep(surface, monkeypatch, levels=3):
 def test_side_kernel_calls_per_level_do_not_grow_with_edges(monkeypatch, n):
     surface = seeded_grid(7, n)
     sides = [(p.id, side) for p in surface.patches for side in dgiga.geometry.SIDES]
-    assert groups(surface, sides) == 8  # 4 sides x 2 knot signatures
+    assert groups(surface, sides) == 4  # 2 fixed axes x 2 knot signatures
     expected = expected_kernel_calls(surface)
-    assert expected <= 5 * 8  # passes x groups; the layouts have 40 and 144 edges
+    assert expected <= 5 * 4  # passes x groups; the layouts have 40 and 144 edges
     records = counting_sweep(surface, monkeypatch)
     assert [r["kernel"] for r in records] == [expected] * 3
 
@@ -91,6 +94,40 @@ def test_boundary_data_is_called_once_per_pass(monkeypatch):
         stacks = len(dgiga.geometry.patch_stacks(surface.patches))
         assert record["u_exact"] == stacks < surface.num_patches
         surface = dgiga.geometry.refine_surface(surface)
+
+
+def test_refinement_inserts_knots_once_per_knot_vector(monkeypatch):
+    surface = seeded_grid(7, 8)
+    dgiga.splines._midpoint_refine_cached.cache_clear()
+    insert = Counter(dgiga.splines.insert_knots)
+    monkeypatch.setattr(dgiga.splines, "insert_knots", insert)
+    for _ in range(2):
+        knots = {(kv.degree, kv.knots.tobytes()) for p in surface.patches
+                 for kv in (p.basis.basis_u, p.basis.basis_v)}
+        assert len(knots) == 3  # u, reversed u and v; 64 patches
+        insert.calls = 0
+        surface = dgiga.geometry.refine_surface(surface)
+        assert insert.calls == len(knots)
+
+
+def test_memoised_refinement_is_bit_identical(monkeypatch):
+    surface = seeded_grid(7, 8)
+    memoised = dgiga.geometry.refine_surface(dgiga.geometry.refine_surface(surface))
+
+    def fresh(kv):
+        bp = dgiga.splines.breakpoints(kv)
+        return dgiga.splines.insert_knots(kv, 0.5 * (bp[:-1] + bp[1:]))
+
+    monkeypatch.setattr(dgiga.geometry, "midpoint_refine", fresh)
+    reference = dgiga.geometry.refine_surface(dgiga.geometry.refine_surface(surface))
+    for got, want in zip(memoised.patches, reference.patches):
+        for a, b in ((got.control_points, want.control_points),
+                     (got.basis.weights, want.basis.weights),
+                     (got.basis.basis_u.knots, want.basis.basis_u.knots),
+                     (got.basis.basis_v.knots, want.basis.basis_v.knots)):
+            assert a.tobytes() == b.tobytes()
+    kv, T = dgiga.splines.midpoint_refine(surface.patches[0].basis.basis_u)
+    assert not T.flags.writeable and not kv.knots.flags.writeable
 
 
 def test_jump_error_calls_exact_solution_once():

@@ -89,7 +89,6 @@ def test_patch_tabulation_matches_pointwise(surface):
         xu, wu = panel_rules(breakpoints(patch.basis.basis_u), q)
         xv, wv = panel_rules(breakpoints(patch.basis.basis_v), q)
         G = tab.surface_gradient(tab.grads)
-        values = u_h.eval_tabulated(pid, tab)
         # The error pass's route: u_h contracted like the geometry, no basis.
         fields = tabulate_patches([patch], q, coeffs=u_h.patch_coeffs(pid)[None])
         assert fields.values is None and fields.grads is None
@@ -100,7 +99,6 @@ def test_patch_tabulation_matches_pointwise(surface):
             check_point(patch, tab, G, idx, xi)
             close(tab.weights[idx], wu[eu, i] * wv[ev, j] * frame_at(patch, xi).sqrt_det_g)
             value, grad = u_h.eval(pid, xi)
-            close(values[idx], value)
             close(fields.field[(0, *idx)], value)
             close(field_grads[(0, *idx)], grad)
             for name in ("points", "jacobian", "inv_metric", "sqrt_det_g", "weights"):
@@ -150,6 +148,24 @@ def test_side_tabulation_matches_pointwise(surface):
             check_point(surface.patches[pid_r], tab, G, idx, xi)
             close(tab.points[idx], tab.points[first + e, i])
             close(tab.conormal[idx], conormal_at(surface, edge, "right", t))
+
+
+def test_side_field_equals_the_basis_route(surface):
+    """``tabulate_sides(..., coeffs)`` contracts u_h like the geometry and builds no basis."""
+    u_h = random_function(surface)
+    q = u_h.space.degree + 2
+    interior = [e for e in surface.edges if e.right is not None]
+    slots = [(*e.left, False) for e in surface.edges] + interface_slots(interior)[len(interior):]
+    coeffs = [u_h.patch_coeffs(pid) for pid in range(surface.num_patches)]
+    fields = tabulate_sides(surface.patches, slots, q, coeffs)
+    basis = tabulate_sides(surface.patches, slots, q)
+    assert fields.values is None and fields.grads is None
+    m1, m2 = basis.values.shape[-2:]
+    c = u_h.coefficients[u_h.space.global_block(basis.pid, basis.first_u, basis.first_v, m1, m2)]
+    close(fields.field, (basis.values * c).sum(axis=(-2, -1)))
+    close(fields.field_grad, (basis.grads * c[..., None]).sum(axis=(-3, -2)))
+    for name in set(SIDE_FIELDS) - {"values", "grads"}:
+        close(getattr(fields, name), getattr(basis, name))
 
 
 def test_grid_tabulation_matches_pointwise_up_to_xi_one(surface):
