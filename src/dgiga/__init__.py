@@ -11,8 +11,7 @@ from .analysis import ErrorReport, RateTable, dg_error, l2_error, measure_errors
 from .assembly import (
     ProblemData,
     SparseSystem,
-    assemble_boundary,
-    assemble_interface,
+    assemble_edges,
     assemble_system,
     assemble_volume,
     default_penalty,

@@ -5,10 +5,10 @@ assembly uses, so the quadrature of the error never masks the
 discretization error being measured.  One pass per stack of patches
 sharing both knot vectors contracts u_h's coefficients with the 1D tables
 (sum factorisation, no basis table) and yields both the L2 and the
-broken-gradient parts.  The jump terms of the energy error form two
-batches, all interior edges and all Dirichlet edges, each with one
-``tabulate_sides`` call and one call of the boundary data; u_h reaches the
-sides by the same field route, so no basis table is built.
+broken-gradient parts.  The jump terms of the energy error, on every
+interior and every Dirichlet edge, come from one ``tabulate_sides`` call
+and one call of the boundary data; u_h reaches the sides by the same field
+route, so no basis table is built.
 """
 
 from __future__ import annotations
@@ -83,20 +83,21 @@ def _energy_error(u_h: DiscreteFunction, parts: list, delta: float, g_D) -> floa
     surface = u_h.space.surface
     q = u_h.space.degree + 2
     total = sum(a * h1 for a, (_, h1) in zip(surface.alpha, parts))
-    coeffs = [u_h.patch_coeffs(pid) for pid in range(surface.num_patches)]
-    interior = surface.edges_of_kind("interior")
-    if interior:
-        tab = tabulate_sides(surface.patches, interface_slots(interior), q, coeffs)
-        n = tab.chords.size // 2
-        a_gamma = edge_alpha(surface.alpha[tab.pid[:n]], surface.alpha[tab.pid[n:]])
-        jump = tab.field[:n] - tab.field[n:]
-        total += delta * float(np.sum(a_gamma * jump**2 * tab.weights[:n] / tab.chords[:n, None]))
-    dirichlet = surface.edges_of_kind("dirichlet")
-    if dirichlet:
-        tab = tabulate_sides(surface.patches, [(*e.left, False) for e in dirichlet], q, coeffs)
-        jump = tab.field - np.asarray(g_D(tab.points.reshape(-1, 3))).reshape(tab.field.shape)
-        a_gamma = surface.alpha[tab.pid]
-        total += delta * float(np.sum(a_gamma * jump**2 * tab.weights / tab.chords[:, None]))
+    interior, dirichlet = surface.edges_of_kind("interior"), surface.edges_of_kind("dirichlet")
+    slots = interface_slots(interior) + [(*e.left, False) for e in dirichlet]
+    if slots:
+        coeffs = [u_h.patch_coeffs(pid) for pid in range(surface.num_patches)]
+        tab = tabulate_sides(surface.patches, slots, q, coeffs)
+        left, right = tab.starts[len(interior)], tab.starts[2 * len(interior)]
+        alpha, w, h = surface.alpha[tab.pid], tab.weights, tab.chords[:, None]
+        L, R = slice(0, left), slice(left, right)  # empty without interior edges
+        jump = tab.field[L] - tab.field[R]
+        a_gamma = edge_alpha(alpha[L], alpha[R])
+        total += delta * float(np.sum(a_gamma * jump**2 * w[L] / h[L]))
+        if dirichlet:
+            D = slice(right, None)
+            gap = tab.field[D] - np.asarray(g_D(tab.points[D].reshape(-1, 3))).reshape(w[D].shape)
+            total += delta * float(np.sum(alpha[D] * gap**2 * w[D] / h[D]))
     return math.sqrt(total)
 
 

@@ -3,16 +3,15 @@
 Builds the symmetric system: patchwise diffusion stiffness, interface
 consistency/symmetry and jump-penalty terms, weakly imposed Dirichlet
 conditions of Nitsche type, and the load vector including Neumann data.
-The volume terms are formed for stacks of patches that share both knot
-vectors: one sum-factorised tabulation (``tabulate_patches``) and one
-batched matmul of parametric gradients per stack.  The edge terms are
-formed per pass: the interior edges, the Dirichlet edges and the Neumann
-edges are each one ``tabulate_sides`` call, stacked over patches, and one
-batch of element matrices.  Edge terms stay parametric: a normal
-derivative is grad^ phi . g^-1 J^T n, and the element matrices are batched
-matmuls over the edge points.  Entries accumulate in a fixed order
-(patch-major, element-lexicographic, then edge-list order inside every
-batch) so serial assembly is reproducible.
+The volume terms of a stack of patches sharing both knot vectors come from
+the weight-free factors of one tabulation (``tabulate_patches``), with no
+rational-basis table, and one batched matmul.  The edge terms are one pass:
+one ``tabulate_sides`` call over every interior, Dirichlet and Neumann side,
+with the 2(p+1) trace functions of each side element.  Edge terms stay
+parametric: a normal derivative is grad^ phi . g^-1 J^T n, and the element
+matrices are batched matmuls over the edge points.  Entries accumulate in a
+fixed order (patch-major, element-lexicographic, then edge-list order inside
+every batch) so serial assembly is reproducible.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import SideTabulation, _dot, patch_stacks, tabulate_patches, tabulate_sides
+from .geometry import (SideTabulation, _dot, _window_weights, patch_stacks, tabulate_patches,
+                       tabulate_sides)
 from .space import DgSpace
 
 __all__ = [
@@ -31,8 +31,7 @@ __all__ = [
     "SparseSystem",
     "default_penalty",
     "assemble_volume",
-    "assemble_interface",
-    "assemble_boundary",
+    "assemble_edges",
     "assemble_system",
 ]
 
@@ -84,69 +83,77 @@ def _index_dtype(n: int):
     return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
-class _Accumulator:
-    """Element matrices (E, m, m) with their global indices (E, m), and the load."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.gidx: list[np.ndarray] = []
-        self.local: list[np.ndarray] = []
-        self.rhs = np.zeros(n)
-
-    def add_block(self, gidx: np.ndarray, local: np.ndarray):
-        self.gidx.append(gidx)
-        self.local.append(local)
-
-    def system(self) -> SparseSystem:
-        """Expand the blocks to COO entries and build the CSR matrix; empties the blocks."""
-        dtype = _index_dtype(self.n)
-        gidx = np.concatenate(self.gidx, dtype=dtype) if self.gidx else np.empty((0, 0), dtype)
-        vals = np.concatenate(self.local).reshape(-1) if self.local else np.empty(0)
-        self.gidx, self.local = [], []
-        m = gidx.shape[1]
-        rows = np.repeat(gidx, m, axis=1).reshape(-1)
-        cols = np.tile(gidx, m).reshape(-1)
-        mat = sp.coo_array((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
-        mat.sum_duplicates()
-        mat.sort_indices()
-        return SparseSystem(mat, self.rhs)
+def _csr(n: int, blocks) -> sp.csr_array:
+    """Sorted, duplicate-free CSR matrix of element matrices (E, m, m) with their
+    global indices (E, m), written to COO entries in block order; widths may mix."""
+    dtype, ends = _index_dtype(n), np.cumsum([0] + [K.size for _, K in blocks])
+    rows, cols, vals = np.empty(ends[-1], dtype), np.empty(ends[-1], dtype), np.empty(ends[-1])
+    for (gidx, K), start, end in zip(blocks, ends, ends[1:]):
+        rows[start:end].reshape(K.shape)[...] = gidx[:, :, None]
+        cols[start:end].reshape(K.shape)[...] = gidx[:, None, :]
+        vals[start:end] = K.reshape(-1)
+    mat = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
 
 
 def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
     """Volume terms of a stack of patches that share both knot vectors.
 
     Returns global indices (P, E, m), stiffness matrices (P, E, m, m) and
-    (P, E, 2, m) rows holding each element's load and basis integrals.
-    With w g^-1 = C^T C per Gauss point (C upper triangular, closed form
-    from g^-1), K_e = alpha X^T X for X = C grad R stacked over the points:
-    one batched matmul on parametric gradients.
+    (P, E, 2, m) rows holding each element's load and basis integrals, all
+    from psi = N_u N_v / S, where the rational basis is R = W psi.  With
+    w g^-1 = C^T C per Gauss point (C upper triangular, closed form),
+    X = C grad psi is built with the function axes outermost, so every
+    elementwise step runs over the grid points; K_e = alpha W_a W_b
+    (X^T X)_ab, the weights applied as one exactly symmetric factor after
+    the matmul and alpha last.  The rows contract (f w / S, w / S) with the
+    1D tables.
     """
-    surface = space.surface
-    q = space.degree + 1
-    tab = tabulate_patches([surface.patches[pid] for pid in stack], q, basis=True)
-    P, nel_u, nel_v, _, _, m1, m2 = tab.values.shape
+    surface, q = space.surface, space.degree + 1
+    patches = [surface.patches[pid] for pid in stack]
+    tab = tabulate_patches(patches, q, basis=True)
+    Nu, dNu, Nv, dNv, S, Su, Sv = tab.factors
+    P, nel_u, nel_v = S.shape[:3]
+    m1, m2 = Nu.shape[-1], Nv.shape[-1]
     n, m = P * nel_u * nel_v, m1 * m2
-    gidx = space.global_block(np.array(stack)[:, None, None], tab.first_u.reshape(-1, 1),
-                              tab.first_v.reshape(-1), m1, m2).reshape(P, -1, m)
+    fu, fv = tab.first_u.reshape(-1, 1), tab.first_v.reshape(-1)
+    gidx = space.global_block(np.array(stack)[:, None, None], fu, fv, m1, m2).reshape(P, -1, m)
+    W = _window_weights(patches, tab).reshape(n, m)
     w, inv = tab.weights, tab.inv_metric
-    r = np.sqrt(w / inv[..., 0, 0])
-    c00, c01, c11 = (a[..., None, None] for a in (inv[..., 0, 0] * r, inv[..., 0, 1] * r,
-                                                   r / tab.sqrt_det_g))
-    X = np.empty((P, nel_u, nel_v, 2, q, q, m1, m2))
-    g0, g1 = tab.grads[..., 0], tab.grads[..., 1]
-    np.multiply(c00, g0, out=X[:, :, :, 0])
-    X[:, :, :, 0] += c01 * g1
-    np.multiply(c11, g1, out=X[:, :, :, 1])
+    r = np.sqrt(w / inv[..., 0, 0]) / S
+    c00, c01, c11 = inv[..., 0, 0] * r, inv[..., 0, 1] * r, r / tab.sqrt_det_g
+    s0, s1 = (c00 * Su + c01 * Sv) / S, c11 * Sv / S
+    # Function axes first, points as (P, u points, v points): every elementwise
+    # loop runs along the v points.  X_0 = A N_v + B dN_v, X_1 = N_u C.
+    grid = (P, nel_u * q, nel_v * q)
+    c00, c01, c11, s0, s1 = (a.swapaxes(2, 3).reshape(grid) for a in (c00, c01, c11, s0, s1))
+    uN, udN = (np.ascontiguousarray(t.reshape(-1, m1).T)[:, None, :, None] for t in (Nu, dNu))
+    vN, vdN = (np.ascontiguousarray(t.reshape(-1, m2).T)[:, None, None] for t in (Nv, dNv))
+    A = c00 * udN - s0 * uN
+    B = c01 * uN
+    C = c11 * vdN - s1 * vN
+    X = np.empty((m1, m2, 2, *grid))
+    np.multiply(A[:, None], vN, out=X[:, :, 0])
+    X[:, :, 0] += B[:, None] * vdN
+    np.multiply(uN[:, None], C, out=X[:, :, 1])
+    del A, B, C
+    X = X.reshape(m1, m2, 2, P, nel_u, q, nel_v, q).transpose(3, 4, 6, 2, 5, 7, 0, 1)
     X = X.reshape(n, 2 * q * q, m)
-    K = (X.transpose(0, 2, 1) @ X).reshape(P, -1, m, m)  # a rank-k update: exactly symmetric
+    K = X.transpose(0, 2, 1) @ X  # a rank-k update: exactly symmetric
+    del X
+    K *= W[:, :, None] * W[:, None, :]
+    K = K.reshape(P, -1, m, m)
     K *= surface.alpha[stack].reshape(-1, 1, 1, 1)
     f = np.zeros_like(w)
     if data.f is not None:
         points = tab.points.reshape(P, -1, 3)
         for k, pid in enumerate(stack):
             f[k] = np.asarray(data.f(pid, points[k]), dtype=float).reshape(w.shape[1:])
-    rows = np.stack([f * w, w], axis=3).reshape(n, 2, q * q)
-    loads = rows @ tab.values.reshape(n, q * q, m)
+    rows = np.stack([f * w, w]) / S  # (2, P, nel_u, nel_v, q, q)
+    rows = Nu.transpose(0, 2, 1)[:, None] @ (rows @ Nv)  # (2, P, nel_u, nel_v, m1, m2)
+    loads = rows.transpose(1, 2, 3, 0, 4, 5).reshape(n, 2, m) * W[:, None]
     return gidx, K, loads.reshape(P, -1, 2, m)
 
 
@@ -157,37 +164,32 @@ def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
     Patches sharing both knot vectors are tabulated in stacks
     (``patch_stacks``); the blocks are accumulated patch by patch.
     """
-    surface = space.surface
-    acc = _Accumulator(space.total_dofs)
-    integrals = None if surface.has_dirichlet else np.zeros(space.total_dofs)
+    surface, n = space.surface, space.total_dofs
+    rhs, integrals = np.zeros(n), None if surface.has_dirichlet else np.zeros(n)
     blocks = [None] * surface.num_patches
     for stack in patch_stacks(surface.patches):
         for pid, *block in zip(stack, *_volume_blocks(space, data, stack)):
             blocks[pid] = block
     for gidx, K, loads in blocks:
-        acc.add_block(gidx, K)
         if data.f is not None:
-            np.add.at(acc.rhs, gidx, loads[:, 0])
+            np.add.at(rhs, gidx, loads[:, 0])
         if integrals is not None:
             np.add.at(integrals, gidx, loads[:, 1])
-    system = acc.system()
-    system.basis_integrals = integrals
-    return system
+    return SparseSystem(_csr(n, [block[:2] for block in blocks]), rhs, integrals)
 
 
 def _side_terms(space: DgSpace, tab: SideTabulation, normal: np.ndarray):
-    """Global indices (nel, m), values and normal derivatives (nel, q, m) of the sides' bases.
+    """Global indices (nel, m), values and normal derivatives (nel, q, m) of the trace functions.
 
     d = g^-1 J^T n is formed once per point.  ``normal`` (nel, q, 3) need not be
     the side's own conormal: an interface's right side takes the left's.
     """
-    nel, q, m1, m2 = tab.values.shape
-    gidx = space.global_block(tab.pid, tab.first_u, tab.first_v, m1, m2).reshape(nel, -1)
+    gidx = space.offsets[tab.pid] + tab.dofs
     jac, inv = tab.jacobian, tab.inv_metric
     t0, t1 = _dot(jac[..., 0], normal), _dot(jac[..., 1], normal)
     d0, d1 = (inv[..., r, 0] * t0 + inv[..., r, 1] * t1 for r in (0, 1))
-    dn = tab.grads[..., 0] * d0[..., None, None] + tab.grads[..., 1] * d1[..., None, None]
-    return gidx, tab.values.reshape(nel, q, -1), dn.reshape(nel, q, -1)
+    dn = tab.grads[..., 0] * d0[..., None] + tab.grads[..., 1] * d1[..., None]
+    return gidx, tab.values, dn
 
 
 def _sipg_blocks(flux, jump, w, pen):
@@ -221,76 +223,50 @@ def interface_slots(edges) -> list:
     return [(*e.left, False) for e in edges] + [(*e.right, e.orientation_flip) for e in edges]
 
 
-def _interface_blocks(space: DgSpace, data: ProblemData, edges):
-    """Global indices (E, 2m) and SIPG element matrices of all interior-edge elements."""
-    surface = space.surface
-    tab = tabulate_sides(surface.patches, interface_slots(edges), space.degree + 1)
-    half = tab.chords.size // 2
-    n = tab.conormal[:half]
-    gidx, values, dn = _side_terms(space, tab, np.concatenate([n, n]))
-    alpha = surface.alpha[tab.pid][..., None]
-    flux = 0.5 * alpha * dn
-    jump = np.concatenate([values[:half], -values[half:]], axis=-1)
-    flux = np.concatenate([flux[:half], flux[half:]], axis=-1)
-    pen = data.delta * edge_alpha(alpha[:half, 0, 0], alpha[half:, 0, 0]) / tab.chords[:half]
-    gidx = np.concatenate([gidx[:half], gidx[half:]], axis=-1)
-    return gidx, _sipg_blocks(flux, jump, tab.weights[:half], pen)
+def assemble_edges(space: DgSpace, data: ProblemData) -> SparseSystem:
+    """Interior-edge terms, weak Dirichlet terms (matrix and load) and Neumann loads.
 
-
-def assemble_interface(space: DgSpace, data: ProblemData) -> SparseSystem:
-    """Consistency, symmetry and penalty terms on interior edges.
-
-    Uses the left side's conormal as the shared direction; the penalty
-    weight on an edge is the arithmetic mean of the two diffusion
-    coefficients.  All interior edges form one batch, in edge-list order.
+    One ``tabulate_sides`` call covers every interior edge's left side, then
+    its right side, then the Dirichlet sides and, when g_N is given, the
+    Neumann sides, each in edge-list order.  An interior edge takes the left
+    side's conormal as the shared direction, and its penalty weight is the
+    arithmetic mean of the two diffusion coefficients.  The interior blocks
+    couple 4(p+1) trace functions, the Dirichlet blocks 2(p+1).
     """
-    acc = _Accumulator(space.total_dofs)
-    edges = space.surface.edges_of_kind("interior")
-    if edges:
-        acc.add_block(*_interface_blocks(space, data, edges))
-    return acc.system()
-
-
-def _boundary_batch(acc: _Accumulator, space: DgSpace, data: ProblemData, edges, kind: str):
-    """Dirichlet terms (matrix and load) or Neumann loads of one batch of boundary edges."""
-    surface = space.surface
-    tab = tabulate_sides(surface.patches, [(*e.left, False) for e in edges], space.degree + 1)
-    gidx, values, dn = _side_terms(space, tab, tab.conormal)
-    w = tab.weights
-    if kind == "neumann":
-        gn = np.asarray(data.g_N(tab.points.reshape(-1, 3)), dtype=float)
-        np.add.at(acc.rhs, gidx, ((gn.reshape(w.shape) * w)[:, None] @ values)[:, 0])
-        return
-    a_gamma = surface.alpha[tab.pid][..., None]
-    pen = data.delta / tab.chords
-    acc.add_block(gidx, _sipg_blocks(a_gamma * dn, values, w, a_gamma[:, 0, 0] * pen))
-    if data.g_D is not None:
-        gd = np.asarray(data.g_D(tab.points.reshape(-1, 3)), dtype=float)
-        test = a_gamma * (pen[:, None, None] * values - dn)
-        np.add.at(acc.rhs, gidx, ((gd.reshape(w.shape) * w)[:, None] @ test)[:, 0])
-
-
-def assemble_boundary(space: DgSpace, data: ProblemData) -> SparseSystem:
-    """Weak Dirichlet terms (matrix and load) and Neumann loads.
-
-    The Dirichlet edges form one batch and the Neumann edges another, each
-    in edge-list order.
-    """
-    acc = _Accumulator(space.total_dofs)
-    for kind, needed in (("dirichlet", True), ("neumann", data.g_N is not None)):
-        edges = space.surface.edges_of_kind(kind)
-        if edges and needed:
-            _boundary_batch(acc, space, data, edges, kind)
-    return acc.system()
+    surface, n = space.surface, space.total_dofs
+    blocks, rhs = [], np.zeros(n)
+    interior, dirichlet = surface.edges_of_kind("interior"), surface.edges_of_kind("dirichlet")
+    neumann = surface.edges_of_kind("neumann") if data.g_N is not None else []
+    slots = interface_slots(interior) + [(*e.left, False) for e in dirichlet + neumann]
+    if not slots:
+        return SparseSystem(_csr(n, blocks), rhs)
+    tab = tabulate_sides(surface.patches, slots, space.degree + 1)
+    left, right, bnd = tab.starts[np.cumsum([len(interior), len(interior), len(dirichlet)])]
+    normal = tab.conormal.copy()
+    normal[left:right] = tab.conormal[:left]
+    gidx, values, dn = _side_terms(space, tab, normal)
+    alpha, w = surface.alpha[tab.pid][..., None], tab.weights
+    # Element ranges, each possibly empty: interior left, interior right, Dirichlet, Neumann.
+    L, R, D, N = slice(0, left), slice(left, right), slice(right, bnd), slice(bnd, None)
+    flux = 0.5 * alpha[:right] * dn[:right]
+    pen = data.delta * edge_alpha(alpha[L, 0, 0], alpha[R, 0, 0]) / tab.chords[L]
+    blocks.append((np.concatenate([gidx[L], gidx[R]], axis=-1), _sipg_blocks(
+        np.concatenate([flux[L], flux[R]], axis=-1),
+        np.concatenate([values[L], -values[R]], axis=-1), w[L], pen)))
+    a_gamma, pen = alpha[D], data.delta / tab.chords[D]
+    blocks.append((gidx[D], _sipg_blocks(a_gamma * dn[D], values[D], w[D], alpha[D, 0, 0] * pen)))
+    if dirichlet and data.g_D is not None:
+        gd = np.asarray(data.g_D(tab.points[D].reshape(-1, 3)), dtype=float)
+        test = a_gamma * (pen[:, None, None] * values[D] - dn[D])
+        np.add.at(rhs, gidx[D], ((gd.reshape(w[D].shape) * w[D])[:, None] @ test)[:, 0])
+    if neumann:
+        gn = np.asarray(data.g_N(tab.points[N].reshape(-1, 3)), dtype=float)
+        np.add.at(rhs, gidx[N], ((gn.reshape(w[N].shape) * w[N])[:, None] @ values[N])[:, 0])
+    return SparseSystem(_csr(n, blocks), rhs)
 
 
 def assemble_system(space: DgSpace, data: ProblemData) -> SparseSystem:
-    """Full system: volume + interior-edge + boundary contributions."""
+    """Full system: volume + edge contributions."""
     vol = assemble_volume(space, data)
-    iface = assemble_interface(space, data)
-    bnd = assemble_boundary(space, data)
-    return SparseSystem(
-        vol.matrix + iface.matrix + bnd.matrix,
-        vol.rhs + iface.rhs + bnd.rhs,
-        vol.basis_integrals,
-    )
+    edges = assemble_edges(space, data)
+    return SparseSystem(vol.matrix + edges.matrix, vol.rhs + edges.rhs, vol.basis_integrals)

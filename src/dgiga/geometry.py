@@ -11,13 +11,15 @@ homogeneous control net (x w, w), with c w for a coefficient grid, is
 contracted with the 1D B-spline tables, first along the direction with fewer
 output points (v on a tie, as on square volume grids; u on a west/east side,
 so one u point is contracted instead of every control row).  The rational
-basis is built only on request.  ``tabulate_patches`` calls the kernel at
-the Gauss points of a stack (``patch_stacks`` forms the stacks);
-``tabulate_sides`` tabulates the Gauss points of many patch sides with one
-``_side_grid`` call per (fixed axis, knot vectors) group, which covers both
-opposite sides of each patch ({0, 1} x ts or ts x {0, 1}), and gathers the
-elements in slot order, each flipped slot reversed.  Conormal and edge
-speed come from the kernel's J and g^-1, without cross products.
+basis is built only on request, from weight-free factors the volume
+assembly uses directly.  ``tabulate_patches`` calls the kernel at the Gauss
+points of a stack (``patch_stacks`` forms the stacks); ``tabulate_sides``
+tabulates the Gauss points of many patch sides with one ``_side_grid`` call
+per (fixed axis, knot vectors) group, which covers both opposite sides of
+each patch ({0, 1} x ts or ts x {0, 1}), and writes each group's elements
+straight to their slot-order rows, each flipped slot reversed.  A side
+element carries only its trace window of 2(p+1) functions.  Conormal and
+edge speed come from the kernel's J and g^-1, without cross products.
 ``match_interfaces`` takes its side samples through the same call.
 """
 
@@ -54,7 +56,6 @@ __all__ = [
     "match_interfaces",
     "refine_surface",
     "patch_stacks",
-    "tabulate_patch",
     "tabulate_patches",
     "tabulate_sides",
 ]
@@ -188,28 +189,30 @@ def conormal(patch: NurbsPatch, side: str, t: float) -> np.ndarray:
 
 @dataclass(frozen=True, kw_only=True)
 class Tabulation:
-    """First fundamental form, and on request the rational basis or a field, at many points.
+    """First fundamental form, and on request the basis or a field, at many points.
 
     All arrays share the leading point axes: (P, nel_u, nel_v, q_u, q_v) on
-    the grid of P stacked patches, (nel_u, nel_v, q, q) from
-    ``tabulate_patch`` and (nel, q) from ``tabulate_sides``.  The local-basis
-    axes (m1, m2) = (p1+1, p2+1) belong to the control-grid window starting
-    at (first_u, first_v); these two integer arrays broadcast against the
-    point axes.  ``weights`` are the quadrature weights times the area
-    element (patch) or the edge speed (side), and None on a plain grid.
-    ``values``/``grads`` (the basis) and ``field``/``field_grad`` (a
-    coefficient grid contracted like the geometry) are None unless asked for.
+    the grid of P stacked patches and (nel, q) from ``tabulate_sides``.  On
+    a grid the local-basis axes (m1, m2) = (p1+1, p2+1) belong to the
+    control-grid window starting at (first_u, first_v), integer arrays that
+    broadcast against the point axes.  ``weights`` are the quadrature
+    weights times the area element (patch) or the edge speed (side), and
+    None on a plain grid.  ``factors`` (N_u, dN_u, N_v, dN_v, S, S_u, S_v)
+    of the rational basis R = W N_u N_v / S (1D tables (nel, q, m), S on the
+    point axes), ``values``/``grads`` (the basis) and ``field``/``field_grad``
+    (a coefficient grid contracted like the geometry) are None unless asked.
     """
 
-    first_u: np.ndarray
-    first_v: np.ndarray
     points: np.ndarray  # (..., 3)
     jacobian: np.ndarray  # (..., 3, 2)
     inv_metric: np.ndarray  # (..., 2, 2)
     sqrt_det_g: np.ndarray  # (...)
+    first_u: np.ndarray | None = None
+    first_v: np.ndarray | None = None
     weights: np.ndarray | None = None
-    values: np.ndarray | None = None  # (..., m1, m2)
-    grads: np.ndarray | None = None  # (..., m1, m2, 2), parametric
+    factors: tuple | None = None
+    values: np.ndarray | None = None  # (..., m1, m2); (nel, q, m) on sides
+    grads: np.ndarray | None = None  # (..., m1, m2, 2), parametric; (nel, q, m, 2) on sides
     field: np.ndarray | None = None  # (...)
     field_grad: np.ndarray | None = None  # (..., 2), parametric
 
@@ -227,19 +230,20 @@ class Tabulation:
 class SideTabulation(Tabulation):
     """Tabulation of the elements of many patch sides with their edge geometry.
 
-    ``pid`` (nel, 1) holds each element's patch id and broadcasts like the
-    window starts.  ``conormal`` is the outward unit conormal and ``speed``
-    the length of the mapped edge tangent, both (nel, q); ``chords`` (nel,)
-    are the physical chord lengths of the edge elements.
+    ``pid`` (nel, 1) holds each element's patch id; slot k owns elements
+    ``starts[k]:starts[k + 1]``.  The basis covers m = 2(p+1) trace
+    functions: ``dofs`` (nel, m) are their patch-local indices k2 n1 + k1.
+    ``conormal`` is the outward unit conormal and ``speed`` the length of
+    the mapped edge tangent, both (nel, q); ``chords`` (nel,) are the
+    physical chord lengths of the edge elements.
     """
 
     conormal: np.ndarray
     speed: np.ndarray
     chords: np.ndarray
     pid: np.ndarray
-
-
-_POINT_ARRAYS = ("values", "grads", "points", "jacobian", "inv_metric", "sqrt_det_g")
+    starts: np.ndarray
+    dofs: np.ndarray | None = None
 
 
 def _panel_table(kv: KnotVector, xs: np.ndarray):
@@ -263,11 +267,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _rational_basis(weights, fu, Nu, dNu, fv, Nv, dNv, S, Su, Sv):
-    """N_u (x) N_v W / S on every element window, and its gradient by the quotient rule."""
-    iu = fu[:, None, None, None] + np.arange(Nu.shape[-1])[:, None]
-    iv = fv[None, :, None, None] + np.arange(Nv.shape[-1])
-    W = weights[:, iu, iv][:, :, :, None, None]  # (P, nel_u, nel_v, 1, 1, m1, m2)
+def _window_weights(patches: list[NurbsPatch], tab: Tabulation) -> np.ndarray:
+    """Control weights (P, nel_u, nel_v, m1, m2) on every element window of a grid with factors."""
+    m1, m2 = tab.factors[0].shape[-1], tab.factors[2].shape[-1]
+    iu = tab.first_u.reshape(-1)[:, None, None, None] + np.arange(m1)[:, None]
+    iv = tab.first_v.reshape(-1)[None, :, None, None] + np.arange(m2)
+    return np.stack([p.basis.weights for p in patches])[:, iu, iv]
+
+
+def _rational_basis(patches: list[NurbsPatch], tab: Tabulation) -> Tabulation:
+    """``tab`` with the rational basis N_u (x) N_v W / S on every element window of
+    its ``factors`` (gradient by the quotient rule)."""
+    Nu, dNu, Nv, dNv, S, Su, Sv = tab.factors
+    W = _window_weights(patches, tab)[:, :, :, None, None]
     S, Su, Sv = S[..., None, None], Su[..., None, None], Sv[..., None, None]
     u, v = (lambda t: t[:, None, :, None, :, None]), (lambda t: t[None, :, None, :, None, :])
     values = u(Nu) * v(Nv) * W
@@ -277,7 +289,7 @@ def _rational_basis(weights, fu, Nu, dNu, fv, Nv, dNv, S, Su, Sv):
         np.multiply(u(tu) * v(tv), W, out=g)
         g -= values * dS
         g /= S
-    return values, grads
+    return replace(tab, values=values, grads=grads)
 
 
 def _tabulate(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=False) -> Tabulation:
@@ -293,8 +305,8 @@ def _tabulate(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=False) -
     the direction with fewer output points (v on a tie), giving the points,
     the Jacobian, S = sum N W and its derivatives; no per-point window of
     control points is gathered.  The metric and its inverse use closed
-    forms.  ``basis`` adds the rational basis N_u N_v W / S.  Raises
-    SingularMapError, naming the patch, where det(J^T J) falls below 1e-14.
+    forms.  ``basis`` adds the factors of the rational basis N_u N_v W / S.
+    Raises SingularMapError, naming the patch, where det(J^T J) < 1e-14.
     """
     xs_u, xs_v = (np.asarray(x, dtype=float).reshape(len(x), -1) for x in (xs_u, xs_v))
     fu, Nu, dNu = _panel_table(patches[0].basis.basis_u, xs_u)
@@ -345,7 +357,7 @@ def _tabulate(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=False) -
             np.subtract(D[..., 4], u * dS, out=grad[..., d])
             grad[..., d] /= S
     if basis:
-        extra["values"], extra["grads"] = _rational_basis(w, fu, Nu, dNu, fv, Nv, dNv, S, Su, Sv)
+        extra["factors"] = (Nu, dNu, Nv, dNv, *map(np.ascontiguousarray, (S, Su, Sv)))
     return Tabulation(
         first_u=fu[:, None, None, None], first_v=fv[:, None, None], points=points,
         jacobian=jac, inv_metric=inv, sqrt_det_g=np.sqrt(det), **extra,
@@ -353,8 +365,7 @@ def _tabulate(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=False) -
 
 
 def _knot_key(basis: NurbsBasis2D) -> tuple:
-    return (basis.basis_u.degree, basis.basis_u.knots.tobytes(),
-            basis.basis_v.degree, basis.basis_v.knots.tobytes())
+    return basis.basis_u, basis.basis_v
 
 
 # Largest number of elements a stacked volume or error pass tabulates at once
@@ -389,33 +400,38 @@ def tabulate_patches(patches: list[NurbsPatch], q: int, coeffs=None, basis=False
     return replace(tab, weights=wu[:, None, :, None] * wv[:, None, :] * tab.sqrt_det_g)
 
 
-def tabulate_patch(patch: NurbsPatch, q: int) -> Tabulation:
-    """Basis and geometry at the q x q Gauss points of one patch; axes (nel_u, nel_v, q, q)."""
-    tab = tabulate_patches([patch], q, basis=True)
-    return replace(tab, **{name: getattr(tab, name)[0] for name in _POINT_ARRAYS + ("weights",)})
-
-
 def _side_grid(patches: list[NurbsPatch], axis: int, ts: np.ndarray, coeffs=None,
                basis=False) -> Tabulation:
     """``_tabulate`` of a stack on both sides across ``axis``: the grid {0, 1} x ts
-    (axis 0: west, east) or ts x {0, 1} (axis 1: south, north)."""
+    (axis 0: west, east) or ts x {0, 1} (axis 1: south, north).
+
+    The basis is only the trace window: the 2 functions nearest each side
+    across it, times p+1 along it.  Cox-de Boor gives exact zeros at the end
+    knots of an open knot vector, so every other function has zero value
+    and zero normal derivative on the side, exactly.
+    """
     ends = np.array([0.0, 1.0])
-    return _tabulate(patches, *((ends, ts) if axis == 0 else (ts, ends)), coeffs, basis)
+    tab = _tabulate(patches, *((ends, ts) if axis == 0 else (ts, ends)), coeffs, basis)
+    if not basis:
+        return tab
+    factors, name = list(tab.factors), ("first_u", "first_v")[axis]
+    m = factors[2 * axis].shape[-1]
+    for k in (2 * axis, 2 * axis + 1):  # the table across the sides: 2 functions per end
+        factors[k] = np.stack([factors[k][0, :, :2], factors[k][1, :, m - 2:]])
+    first = getattr(tab, name)
+    first = first + np.array([0, m - 2]).reshape(first.shape)
+    return _rational_basis(patches, replace(tab, factors=tuple(factors), **{name: first}))
 
 
-def _side_pass(patches, slots, members, q: int, coeffs) -> dict:
-    """The elements of the slots ``members``, which share a fixed axis and both
-    knot vectors, from one ``_side_grid`` call over their distinct patches."""
-    pid, side, flip = (np.array(c) for c in zip(*(slots[k] for k in members)))
-    axis = _SIDE_DATA[side[0]][0]
+def _side_pass(patches, pid, axis: int, f, flip, bp, q: int, coeffs) -> dict:
+    """The elements of the slots (pid, f, flip), whose sides share the fixed
+    axis and whose patches share both knot vectors (f is 1 on the east or
+    north side), from one ``_side_grid`` call over their distinct patches."""
     stack, s = np.unique(pid, return_inverse=True)
-    f = np.isin(side, ("east", "north")).astype(int)
-    bp = breakpoints(patches[stack[0]].side_knots(side[0]))
     ts, wt = panel_rules(bp, q)
-    nel, n = bp.size - 1, ts.size
+    nel, n, basis = bp.size - 1, ts.size, coeffs is None
     grid = _side_grid([patches[k] for k in stack], axis, np.concatenate([ts.ravel(), bp]),
-                      None if coeffs is None else np.stack([coeffs[k] for k in stack]),
-                      coeffs is None)
+                      None if basis else np.stack([coeffs[k] for k in stack]), basis)
     # Point j of side f of stack patch s lies at s * 2 N + f * sf + j * sj.
     lead, N = grid.sqrt_det_g.shape, n + bp.size
     sf, sj = (N, 1) if axis == 0 else (1, 2)
@@ -424,12 +440,18 @@ def _side_pass(patches, slots, members, q: int, coeffs) -> dict:
     j = np.where(flip[:, None], np.arange(n)[::-1], np.arange(n))
     at = (base + j * sj).reshape(-1, q)
     out = {}
-    for name in _POINT_ARRAYS + ("field", "field_grad"):
+    for name in ("points", "jacobian", "inv_metric", "sqrt_det_g", "field", "field_grad"):
         a = getattr(grid, name)
         if a is not None:
             out[name] = a.reshape(-1, *a.shape[len(lead):])[at]
-    for name in ("first_u", "first_v"):
-        out[name] = np.broadcast_to(getattr(grid, name), lead).reshape(-1)[at[:, 0]]
+    if basis:
+        m1, m2 = grid.values.shape[-2:]
+        out["values"] = grid.values.reshape(-1, m1 * m2)[at]
+        out["grads"] = grid.grads.reshape(-1, m1 * m2, 2)[at]
+        fu, fv = (np.broadcast_to(a, lead).reshape(-1)[at[:, 0], None, None]
+                  for a in (grid.first_u, grid.first_v))
+        k2 = (fv + np.arange(m2)) * patches[stack[0]].basis.shape[0]  # k2 n1
+        out["dofs"] = (k2 + fu + np.arange(m1)[:, None]).reshape(-1, m1 * m2)
     jac, inv = out["jacobian"], out["inv_metric"]
     tangent = jac[..., 1 - axis]
     out["speed"] = np.sqrt(_dot(tangent, tangent))
@@ -446,38 +468,40 @@ def _side_pass(patches, slots, members, q: int, coeffs) -> dict:
 
 
 def tabulate_sides(patches: list[NurbsPatch], slots, q: int, coeffs=None) -> SideTabulation:
-    """Basis, or a field, and edge geometry at the q Gauss points of every element of many sides.
+    """Trace basis, or a field, and edge geometry at the q Gauss points of many sides' elements.
 
-    ``slots`` lists (pid, side, flip); the element axis concatenates the
+    ``slots`` lists (pid, side, flip); the element axis runs over the
     slots' elements in slot order, and a flipped slot is traversed against
     its side's parameter (elements and points reversed).  Slots whose
     sides share the fixed axis and whose patches share both knot vectors
-    are tabulated with one ``_side_grid`` call, which covers both opposite
-    sides of its patches.  ``coeffs``, one (n1, n2) coefficient grid per
-    patch, gives the field and its parametric gradient instead of the basis.
+    form a group: one ``_side_grid`` call covers both opposite sides of its
+    patches, and its rows go straight to their slot-order positions.
+    ``coeffs``, one (n1, n2) coefficient grid per patch, gives the field and
+    its parametric gradient instead of the basis.
     """
     if not slots:
         raise ValueError("tabulate_sides needs at least one slot")
-    groups: dict = {}
-    for k, (pid, side, _) in enumerate(slots):
-        key = (_SIDE_DATA[side][0], *_knot_key(patches[pid].basis))
-        groups.setdefault(key, []).append(k)
-    parts, nel = [], np.empty(len(slots), dtype=int)
-    for members in groups.values():
-        parts.append(_side_pass(patches, slots, members, q, coeffs))
-        nel[members] = parts[-1]["chords"].size // len(members)
-    # Element rows of every slot, in group order, then put back in slot order.
-    grouped = np.concatenate(list(groups.values()))
-    start = np.zeros(len(slots), dtype=int)
-    start[grouped] = np.cumsum(nel[grouped]) - nel[grouped]
-    order = np.repeat(start, nel) + np.arange(nel.sum()) - np.repeat(np.cumsum(nel) - nel, nel)
-    arrays = {name: np.concatenate([part[name] for part in parts])[order] for name in parts[0]}
-    return SideTabulation(
-        first_u=arrays.pop("first_u")[:, None],
-        first_v=arrays.pop("first_v")[:, None],
-        pid=np.repeat([pid for pid, _, _ in slots], nel)[:, None],
-        **arrays,
-    )
+    pid, side, flip = (np.array(c) for c in zip(*slots))
+    axis = np.isin(side, ("south", "north")).astype(int)
+    f = np.isin(side, ("east", "north")).astype(int)
+    # Group keys from one knot-signature id per patch, computed once per call.
+    signatures: dict = {}
+    sig = np.array([signatures.setdefault(_knot_key(p.basis), len(signatures)) for p in patches])
+    _, group = np.unique(axis * len(signatures) + sig[pid], return_inverse=True)
+    groups = [np.flatnonzero(group == g) for g in range(group.max() + 1)]
+    bps = [breakpoints(patches[pid[k[0]]].side_knots(slots[k[0]][1])) for k in groups]
+    nel = np.array([bp.size - 1 for bp in bps])[group]
+    starts = np.concatenate([[0], np.cumsum(nel)])
+    arrays: dict = {}
+    for members, bp in zip(groups, bps):
+        rows = (starts[members, None] + np.arange(bp.size - 1)).reshape(-1)
+        part = _side_pass(patches, pid[members], axis[members[0]], f[members], flip[members],
+                          bp, q, coeffs)
+        for name, a in part.items():
+            if name not in arrays:
+                arrays[name] = np.empty((starts[-1], *a.shape[1:]), dtype=a.dtype)
+            arrays[name][rows] = a
+    return SideTabulation(pid=np.repeat(pid, nel)[:, None], starts=starts, **arrays)
 
 
 @dataclass(frozen=True)
@@ -528,7 +552,7 @@ class MultiPatchSurface:
         return any(e.kind == "dirichlet" for e in self.edges)
 
     def area(self, q: int = 4) -> float:
-        return sum(float(np.sum(tabulate_patch(p, q).weights)) for p in self.patches)
+        return sum(float(np.sum(tabulate_patches([p], q).weights)) for p in self.patches)
 
 
 def _knots_match(kv_a: KnotVector, kv_b: KnotVector, flip: bool, tol: float = 1e-12) -> bool:

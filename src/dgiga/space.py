@@ -26,6 +26,7 @@ class DgSpace:
     degree: int
     offsets: np.ndarray  # length num_patches + 1
     total_dofs: int
+    n1: np.ndarray  # per patch, the number of basis functions along u
 
     def patch_shape(self, pid: int) -> tuple[int, int]:
         return self.surface.patches[pid].basis.shape
@@ -41,7 +42,7 @@ class DgSpace:
         first_v) + (m1, m2), aligned with basis value arrays.
         """
         pid = np.asarray(pid)[..., None, None]
-        n1 = np.array([p.basis.shape[0] for p in self.surface.patches])[pid]
+        n1 = self.n1[pid]
         k1 = np.asarray(first_u)[..., None, None] + np.arange(m1)[:, None]
         k2 = np.asarray(first_v)[..., None, None] + np.arange(m2)
         return self.offsets[pid] + k2 * n1 + k1
@@ -57,16 +58,14 @@ def build_space(surface: MultiPatchSurface, p: int) -> DgSpace:
 
     Every patch must carry degree p in both directions.
     """
-    sizes = []
     for patch in surface.patches:
         if patch.degree != (p, p):
             raise ValueError(
                 f"patch {patch.id} has degree {patch.degree}, expected ({p}, {p})"
             )
-        n1, n2 = patch.basis.shape
-        sizes.append(n1 * n2)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    return DgSpace(surface, p, offsets, int(offsets[-1]))
+    n1, n2 = np.array([patch.basis.shape for patch in surface.patches]).reshape(-1, 2).T
+    offsets = np.concatenate([[0], np.cumsum(n1 * n2)])
+    return DgSpace(surface, p, offsets, int(offsets[-1]), n1)
 
 
 @dataclass

@@ -8,7 +8,7 @@ at interior knots; at the right endpoint the last non-empty span is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -28,14 +28,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KnotVector:
-    """Open knot vector on [0, 1] with polynomial degree ``degree``."""
+    """Open knot vector on [0, 1] with polynomial degree ``degree``.
+
+    A value: the knots are a read-only copy, and equality and hashing go by
+    (degree, knot bytes), so equal vectors share every memoised table.
+    """
 
     degree: int
-    knots: np.ndarray
+    knots: np.ndarray = field(compare=False)
+    _bytes: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "knots", np.asarray(self.knots, dtype=float))
-        p, U = self.degree, self.knots
+        p, U = self.degree, np.array(self.knots, dtype=float) + 0.0  # a copy; -0.0 -> 0.0
+        U.flags.writeable = False
+        object.__setattr__(self, "knots", U)
         if p < 0:
             raise ValueError("degree must be non-negative")
         if U.ndim != 1 or U.size < 2 * (p + 1):
@@ -46,6 +52,7 @@ class KnotVector:
             raise ValueError("knot vector must be open (end knots repeated degree+1 times)")
         if U[0] != 0.0 or U[-1] != 1.0:
             raise ValueError("knot vector must span [0, 1]")
+        object.__setattr__(self, "_bytes", U.tobytes())
 
     @property
     def n(self) -> int:
@@ -131,19 +138,19 @@ def eval_bspline(kv: KnotVector, xi: float) -> BasisEval:
 def tabulate(kv: KnotVector, xs: np.ndarray):
     """eval_bspline at many points; returns (first_active, values, derivs) arrays.
 
-    Tables are memoised on (degree, knots, points), so patches sharing a
+    Tables are memoised on (knot vector, points), so patches sharing a
     knot vector share one table; the returned arrays are read-only.
     """
     xs = np.ascontiguousarray(xs, dtype=float).ravel()
-    return _tabulate_cached(kv.degree, kv.knots.tobytes(), xs.tobytes())
+    return _tabulate_cached(kv, xs.tobytes())
 
 
 @lru_cache(maxsize=512)
-def _tabulate_cached(degree: int, knots: bytes, points: bytes):
+def _tabulate_cached(kv: KnotVector, points: bytes):
     # eval_bspline over all points at once: the same operations in the same
     # order, so every entry equals the pointwise one bit for bit.
-    kv, xs = KnotVector(degree, np.frombuffer(knots)), np.frombuffer(points)
-    U, m, p = kv.knots, xs.size, degree
+    xs = np.frombuffer(points)
+    U, m, p = kv.knots, xs.size, kv.degree
     outside = xs[~((xs >= 0.0) & (xs <= 1.0))]
     if outside.size:
         raise ValueError(f"evaluation point {outside[0]} outside [0, 1]")
@@ -290,20 +297,14 @@ def insert_knots(kv: KnotVector, new_knots) -> tuple[KnotVector, np.ndarray]:
     return KnotVector(p, U), T
 
 
+@lru_cache(maxsize=256)
 def midpoint_refine(kv: KnotVector) -> tuple[KnotVector, np.ndarray]:
     """Insert the midpoint of every non-empty span once (global h-refinement).
 
-    Memoised on (degree, knots): patches sharing a knot vector share the
-    (read-only) refined vector and refinement matrix.
+    Memoised on the knot vector: patches sharing one share the refined
+    vector and the (read-only) refinement matrix.
     """
-    return _midpoint_refine_cached(kv.degree, kv.knots.tobytes())
-
-
-@lru_cache(maxsize=256)
-def _midpoint_refine_cached(degree: int, knots: bytes) -> tuple[KnotVector, np.ndarray]:
-    kv = KnotVector(degree, np.frombuffer(knots))
     bp = breakpoints(kv)
     refined, T = insert_knots(kv, 0.5 * (bp[:-1] + bp[1:]))
-    for a in (refined.knots, T):
-        a.flags.writeable = False
+    T.flags.writeable = False
     return refined, T

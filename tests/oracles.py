@@ -5,6 +5,8 @@ Each function evaluates one quantity at single points through
 vectorised kernels can be checked against an independent route.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from dgiga.geometry import (
@@ -12,13 +14,21 @@ from dgiga.geometry import (
     InterfaceEdge,
     MultiPatchSurface,
     NurbsPatch,
+    _rational_basis,
     conormal,
     frame_at,
     side_param,
-    tabulate_patch,
+    tabulate_patches,
 )
 from dgiga.space import DgSpace, DiscreteFunction
 from dgiga.splines import breakpoints, eval_nurbs2d, greville
+
+
+def tabulate_patch(patch: NurbsPatch, q: int):
+    """Basis and geometry at the q x q Gauss points of one patch; axes (nel_u, nel_v, q, q)."""
+    tab = _rational_basis([patch], tabulate_patches([patch], q, basis=True))
+    names = ("points", "jacobian", "inv_metric", "sqrt_det_g", "weights", "values", "grads")
+    return replace(tab, factors=None, **{name: getattr(tab, name)[0] for name in names})
 
 
 def edge_breakpoints(surface: MultiPatchSurface, edge: InterfaceEdge) -> np.ndarray:

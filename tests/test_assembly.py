@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
 from conftest import symmetry_deviation
-from oracles import interpolate
+from oracles import interpolate, tabulate_patch
+from test_stacked_passes import cylinder, two_signatures
+
+import dgiga.geometry
 
 from dgiga.assembly import (
     ProblemData,
-    assemble_boundary,
-    assemble_interface,
+    _volume_blocks,
+    assemble_edges,
     assemble_system,
     assemble_volume,
     default_penalty,
     edge_alpha,
 )
-from dgiga.geometries import planar_rectangle_patch, quarter_cylinder_grid, square_grid
-from dgiga.geometry import match_interfaces
+from dgiga.geometries import (
+    full_cylinder,
+    planar_rectangle_patch,
+    quarter_cylinder_grid,
+    square_grid,
+)
+from dgiga.geometry import match_interfaces, refine_surface
 from dgiga.linalg import cg_solve
 from dgiga.problems import make_problem
 from dgiga.space import build_space
@@ -74,20 +82,58 @@ def test_volume_block_scales_linearly_in_alpha():
     np.testing.assert_array_equal(K2, 2.0 * K1)
 
 
+RATIONAL_SURFACES = {"cylinder_p3": cylinder, "two_signatures": two_signatures}
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_SURFACES))
+def test_volume_blocks_match_the_rational_basis_route(name):
+    """Weight-free factors, weights applied after the matmul, against
+    alpha sum w grad R . grad R from the rational basis itself."""
+    surface = RATIONAL_SURFACES[name]()
+    space = build_space(surface, surface.patches[0].degree[0])
+    data = ProblemData(f=lambda pid, x: (pid + 1.0) * x[:, 0] - x[:, 2] ** 2)
+    q = space.degree + 1
+    for pid, patch in enumerate(surface.patches):
+        gidx, K, loads = (a[0] for a in _volume_blocks(space, data, [pid]))
+        assert np.array_equal(K, K.transpose(0, 2, 1))  # exactly symmetric
+        tab = tabulate_patch(patch, q)
+        E, m = gidx.shape
+        G = tab.surface_gradient(tab.grads).reshape(E, q * q, m, 3)
+        w = tab.weights.reshape(E, q * q)
+        K_ref = surface.alpha[pid] * np.einsum("ep,epak,epbk->eab", w, G, G)
+        R = tab.values.reshape(E, q * q, m)
+        f = data.f(pid, tab.points.reshape(-1, 3)).reshape(E, q * q)
+        np.testing.assert_allclose(K, K_ref, rtol=0.0, atol=1e-13 * np.abs(K_ref).max())
+        for row, weight in ((0, f * w), (1, w)):
+            ref = np.einsum("ep,epa->ea", weight, R)
+            scale = np.abs(ref).max()
+            np.testing.assert_allclose(loads[:, row], ref, rtol=0.0, atol=1e-13 * scale)
+
+
+def test_volume_assembly_builds_no_rational_basis(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("assemble_volume built the rational basis")
+
+    monkeypatch.setattr(dgiga.geometry, "_rational_basis", forbidden)
+    surface = refine_surface(full_cylinder(3, 2))
+    assemble_volume(build_space(surface, 3), ProblemData(f=lambda pid, x: x[:, 0]))
+
+
 def test_interface_part_vanishes_on_continuous_functions(rng):
-    surface = square_grid(2)
+    # Neumann sides and no g_N: only the interface terms enter.
+    surface = square_grid(2, bc="neumann")
     space = build_space(surface, 2)
     data = ProblemData(delta=default_penalty(2))
-    A_int = assemble_interface(space, data).matrix
+    A_int = assemble_edges(space, data).matrix
     u = interpolate(space, lambda pts: np.sin(pts[:, 0]) * np.cos(2 * pts[:, 1]))
     v = u.coefficients
     assert abs(v @ (A_int @ v)) <= 1e-10 * max(1.0, float(v @ v))
 
 
 def test_interface_assembly_is_symmetric(rng):
-    surface = square_grid(1, nx=2, ny=1, alpha=[1.0, 3.5])
+    surface = square_grid(1, nx=2, ny=1, bc="neumann", alpha=[1.0, 3.5])
     space = build_space(surface, 1)
-    A = assemble_interface(space, ProblemData(delta=12.0)).matrix
+    A = assemble_edges(space, ProblemData(delta=12.0)).matrix
     assert symmetry_deviation(A) <= 1e-12
 
 
@@ -144,7 +190,7 @@ def test_neumann_unit_flux_rhs_sums_to_edge_length():
         )
         space = build_space(surface, p)
         data = ProblemData(g_N=lambda pts: np.ones(len(pts)), delta=default_penalty(p))
-        part = assemble_boundary(space, data)
+        part = assemble_edges(space, data)
         assert part.rhs.sum() == pytest.approx(1.0, abs=1e-13)
 
 
@@ -152,7 +198,7 @@ def test_boundary_rhs_zero_for_zero_data():
     surface = square_grid(1)
     space = build_space(surface, 1)
     zero = lambda pts: np.zeros(len(pts))
-    part = assemble_boundary(space, ProblemData(g_D=zero, g_N=zero, delta=12.0))
+    part = assemble_edges(space, ProblemData(g_D=zero, g_N=zero, delta=12.0))
     np.testing.assert_allclose(part.rhs, 0.0, atol=0.0)
 
 

@@ -1,10 +1,11 @@
 """Edge passes and refinement are batched per knot signature.
 
-Interior assembly, Dirichlet and Neumann assembly and the two jump terms
-of the energy error each tabulate their sides with one side-grid call per
-(fixed axis, knot vectors) group and call their boundary data once, however
-many edges the layout has.  Refinement builds one insertion matrix per
-distinct knot vector.
+The edge assembly (interior, Dirichlet and Neumann sides together) and the
+jump terms of the energy error (interior and Dirichlet sides together) each
+tabulate their sides with one side-grid call per (fixed axis, knot
+vectors) group and call their boundary data once, however many edges the
+layout has.  Edge element matrices couple only the trace functions.
+Refinement builds one insertion matrix per distinct knot vector.
 """
 
 import numpy as np
@@ -12,10 +13,11 @@ import pytest
 import scipy.sparse as sp
 from test_geometry import seeded_grid
 
+import dgiga.assembly
 import dgiga.geometry
 import dgiga.splines
 from dgiga.analysis import dg_error
-from dgiga.assembly import _index_dtype, assemble_interface
+from dgiga.assembly import _index_dtype, assemble_edges
 from dgiga.driver import run_sweep
 from dgiga.problems import make_problem
 from dgiga.space import build_space
@@ -32,12 +34,17 @@ def groups(surface, sides):
 
 
 def expected_kernel_calls(surface):
-    """One call per group in each of the five edge passes."""
+    """One call per group in each of the two edge passes."""
     interior = surface.edges_of_kind("interior")
-    paired = [e.left for e in interior] + [e.right for e in interior]
-    dirichlet = [e.left for e in surface.edges_of_kind("dirichlet")]
-    neumann = [e.left for e in surface.edges_of_kind("neumann")]
-    return 2 * groups(surface, paired) + 2 * groups(surface, dirichlet) + groups(surface, neumann)
+    jumps = [e.left for e in interior] + [e.right for e in interior]
+    jumps += [e.left for e in surface.edges_of_kind("dirichlet")]
+    sides = jumps + [e.left for e in surface.edges_of_kind("neumann")]
+    return groups(surface, sides) + groups(surface, jumps)
+
+
+def edge_elements(surface, kind):
+    return sum(surface.patches[pid].side_knots(side).num_elements
+               for pid, side in (e.left for e in surface.edges_of_kind(kind)))
 
 
 class Counter:
@@ -52,9 +59,21 @@ class Counter:
 
 
 def counting_sweep(surface, monkeypatch, levels=3):
-    """Per level: side-kernel calls, and calls of g_D, g_N and u_exact."""
+    """Per level: side-kernel calls, calls of g_D, g_N and u_exact, and the
+    accumulated elements keyed by COO entries per element."""
     kernel = Counter(dgiga.geometry._side_grid)
     monkeypatch.setattr(dgiga.geometry, "_side_grid", kernel)
+    blocks = {}
+    csr = dgiga.assembly._csr
+
+    def counting_csr(n, pairs):
+        pairs = list(pairs)
+        for _, local in pairs:
+            entries = local.shape[-1] * local.shape[-2]
+            blocks[entries] = blocks.get(entries, 0) + local.size // entries
+        return csr(n, pairs)
+
+    monkeypatch.setattr(dgiga.assembly, "_csr", counting_csr)
     counters = {}
 
     def factory(surf, delta):
@@ -66,8 +85,10 @@ def counting_sweep(surface, monkeypatch, levels=3):
     records = []
 
     def collect(result):
-        records.append(dict(kernel=kernel.calls, **{k: c.calls for k, c in counters.items()}))
+        records.append(dict(kernel=kernel.calls, blocks=dict(blocks), surface=result.surface,
+                            **{k: c.calls for k, c in counters.items()}))
         kernel.calls = 0
+        blocks.clear()
 
     run_sweep(surface, 2, factory, levels=levels, collect=collect)
     return records
@@ -79,9 +100,20 @@ def test_side_kernel_calls_per_level_do_not_grow_with_edges(monkeypatch, n):
     sides = [(p.id, side) for p in surface.patches for side in dgiga.geometry.SIDES]
     assert groups(surface, sides) == 4  # 2 fixed axes x 2 knot signatures
     expected = expected_kernel_calls(surface)
-    assert expected <= 5 * 4  # passes x groups; the layouts have 40 and 144 edges
+    assert expected <= 2 * 4  # passes x groups; the layouts have 40 and 144 edges
     records = counting_sweep(surface, monkeypatch)
     assert [r["kernel"] for r in records] == [expected] * 3
+    for record in records:
+        # p = 2: 9 x 9 volume blocks; edge blocks couple the 2(p + 1) = 6
+        # trace functions of each side, so 12 x 12 on an interface element
+        # and 6 x 6 on a Dirichlet element.
+        level = record["surface"]
+        assert record["blocks"] == {
+            81: sum(p.basis.basis_u.num_elements * p.basis.basis_v.num_elements
+                    for p in level.patches),
+            144: edge_elements(level, "interior"),
+            36: edge_elements(level, "dirichlet"),
+        }
 
 
 def test_boundary_data_is_called_once_per_pass(monkeypatch):
@@ -98,7 +130,7 @@ def test_boundary_data_is_called_once_per_pass(monkeypatch):
 
 def test_refinement_inserts_knots_once_per_knot_vector(monkeypatch):
     surface = seeded_grid(7, 8)
-    dgiga.splines._midpoint_refine_cached.cache_clear()
+    dgiga.splines.midpoint_refine.cache_clear()
     insert = Counter(dgiga.splines.insert_knots)
     monkeypatch.setattr(dgiga.splines, "insert_knots", insert)
     for _ in range(2):
@@ -159,5 +191,5 @@ def test_coo_build_uses_int32_indices(monkeypatch):
 
     monkeypatch.setattr(sp, "coo_array", spy)
     surface = seeded_grid(7, 4)
-    assemble_interface(build_space(surface, 2), make_problem("plane_sine", surface, 2, 24.0))
+    assemble_edges(build_space(surface, 2), make_problem("plane_sine", surface, 2, 24.0))
     assert seen == [(np.int32, np.int32)]

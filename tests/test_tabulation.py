@@ -9,13 +9,12 @@ rational full cylinder and an orientation-flipped interface.
 import numpy as np
 import pytest
 from conftest import bundled
-from oracles import conormal_at, edge_breakpoints, edge_mesh_size
+from oracles import conormal_at, edge_breakpoints, edge_mesh_size, tabulate_patch
 from test_flipped_interface import two_patches
 
 from dgiga.assembly import (
     ProblemData,
-    assemble_boundary,
-    assemble_interface,
+    assemble_edges,
     assemble_system,
     assemble_volume,
     interface_slots,
@@ -30,12 +29,12 @@ from dgiga.geometry import (
     MultiPatchSurface,
     NurbsPatch,
     SingularMapError,
+    _rational_basis,
     _tabulate,
     frame_at,
     refine_surface,
     side_param,
     surface_gradient,
-    tabulate_patch,
     tabulate_patches,
     tabulate_sides,
 )
@@ -81,6 +80,34 @@ def check_point(patch, tab, surface_grads, idx, xi):
     close(tab.sqrt_det_g[idx], frame.sqrt_det_g)
 
 
+def check_trace(patch, tab, surface_grads, idx, xi):
+    """Trace functions, surface gradients, point and area density at tab[idx] against xi.
+
+    The functions are compared by their index in the patch, so every
+    function outside the element's trace window must vanish with its
+    gradient.
+    """
+    vals, grads, (a1, a2) = eval_nurbs2d(patch.basis, xi)
+    frame = frame_at(patch, xi)
+    n1, n2 = patch.basis.shape
+    m1, m2 = vals.shape
+    window = ((a2 + np.arange(m2)) * n1 + a1 + np.arange(m1)[:, None]).ravel()
+    pushed = [surface_gradient(frame, g) for g in grads.reshape(-1, 2)]
+
+    def dense(a, dofs):
+        a = np.asarray(a)
+        out = np.zeros((n1 * n2, *a.shape[1:]))
+        out[dofs] = a
+        return out
+
+    dofs = tab.dofs[idx[0]]
+    close(dense(tab.values[idx], dofs), dense(vals.ravel(), window))
+    close(dense(tab.grads[idx], dofs), dense(grads.reshape(-1, 2), window))
+    close(dense(surface_grads[idx], dofs), dense(pushed, window))
+    close(tab.points[idx], frame.point)
+    close(tab.sqrt_det_g[idx], frame.sqrt_det_g)
+
+
 def test_patch_tabulation_matches_pointwise(surface):
     u_h = random_function(surface)
     q = u_h.space.degree + 2
@@ -121,6 +148,7 @@ def test_side_tabulation_matches_pointwise(surface):
     G = tab.surface_gradient(tab.grads)
     starts = slot_starts(surface, slots)
     assert tab.chords.shape == (starts[-1],)
+    np.testing.assert_array_equal(tab.starts, starts)
     np.testing.assert_array_equal(tab.pid[:, 0], np.repeat([s[0] for s in slots], np.diff(starts)))
     rights = dict(zip(map(id, interior), starts[len(edges):]))
     for edge, first in zip(edges, starts):
@@ -132,7 +160,7 @@ def test_side_tabulation_matches_pointwise(surface):
         for e, i in np.ndindex(ts.shape):
             idx = (first + e, i)
             t = float(ts[e, i])
-            check_point(patch, tab, G, idx, side_param(side, t))
+            check_trace(patch, tab, G, idx, side_param(side, t))
             jacobian = frame_at(patch, side_param(side, t)).jacobian
             tangent = jacobian[:, 1] if side in ("west", "east") else jacobian[:, 0]
             close(tab.speed[idx], np.linalg.norm(tangent))
@@ -145,7 +173,7 @@ def test_side_tabulation_matches_pointwise(surface):
             idx = (rights[id(edge)] + e, i)
             t = float(ts[e, i])
             xi = side_param(side_r, edge.partner_t(t))
-            check_point(surface.patches[pid_r], tab, G, idx, xi)
+            check_trace(surface.patches[pid_r], tab, G, idx, xi)
             close(tab.points[idx], tab.points[first + e, i])
             close(tab.conormal[idx], conormal_at(surface, edge, "right", t))
 
@@ -159,19 +187,18 @@ def test_side_field_equals_the_basis_route(surface):
     coeffs = [u_h.patch_coeffs(pid) for pid in range(surface.num_patches)]
     fields = tabulate_sides(surface.patches, slots, q, coeffs)
     basis = tabulate_sides(surface.patches, slots, q)
-    assert fields.values is None and fields.grads is None
-    m1, m2 = basis.values.shape[-2:]
-    c = u_h.coefficients[u_h.space.global_block(basis.pid, basis.first_u, basis.first_v, m1, m2)]
-    close(fields.field, (basis.values * c).sum(axis=(-2, -1)))
-    close(fields.field_grad, (basis.grads * c[..., None]).sum(axis=(-3, -2)))
-    for name in set(SIDE_FIELDS) - {"values", "grads"}:
+    assert fields.values is None and fields.grads is None and fields.dofs is None
+    c = u_h.coefficients[u_h.space.offsets[basis.pid] + basis.dofs][:, None]
+    close(fields.field, (basis.values * c).sum(axis=-1))
+    close(fields.field_grad, (basis.grads * c[..., None]).sum(axis=-2))
+    for name in set(SIDE_FIELDS) - {"values", "grads", "dofs"}:
         close(getattr(fields, name), getattr(basis, name))
 
 
 def test_grid_tabulation_matches_pointwise_up_to_xi_one(surface):
     ts = np.linspace(0.0, 1.0, 5)  # hits the interior knot 0.5 and xi = 1
     for patch in surface.patches:
-        tab = _tabulate([patch], ts, ts, basis=True)
+        tab = _rational_basis([patch], _tabulate([patch], ts, ts, basis=True))
         G = tab.surface_gradient(tab.grads)
         for idx in np.ndindex(tab.sqrt_det_g.shape):
             check_point(patch, tab, G, idx, (ts[idx[1]], ts[idx[2]]))
@@ -187,7 +214,7 @@ def test_sample_solution_matches_pointwise_evaluation(surface):
         close(float(uh), u_h.eval(int(pid), xi)[0])
 
 
-SIDE_FIELDS = ("first_u", "first_v", "pid", "values", "grads", "points", "jacobian",
+SIDE_FIELDS = ("dofs", "pid", "values", "grads", "points", "jacobian",
                "inv_metric", "sqrt_det_g", "weights", "conormal", "speed", "chords")
 
 
@@ -254,7 +281,7 @@ def collapsed_layout(whole=True):
 
 
 @pytest.mark.parametrize(
-    "assemble", [assemble_system, assemble_volume, assemble_interface, assemble_boundary]
+    "assemble", [assemble_system, assemble_volume, assemble_edges]
 )
 def test_assembly_reports_singular_patch(assemble):
     with pytest.raises(SingularMapError, match="patch 2 "):
@@ -265,7 +292,7 @@ def test_assembly_reports_singular_patch(assemble):
 def test_edge_batches_report_singular_patch(whole):
     space = collapsed_layout(whole)
     with pytest.raises(SingularMapError, match="patch 2 "):
-        assemble_interface(space, ProblemData())
+        assemble_edges(space, ProblemData())
     data = ProblemData(
         g_D=lambda pts: pts[:, 0],
         u_exact=lambda pts: pts[:, 0],
