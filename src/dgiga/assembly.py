@@ -5,26 +5,33 @@ consistency/symmetry and jump-penalty terms, weakly imposed Dirichlet
 conditions of Nitsche type, and the load vector including Neumann data.
 The volume terms of a stack of patches sharing both knot vectors come from
 the weight-free factors of one tabulation (``tabulate_patches``), with no
-rational-basis table, and one batched matmul.  The edge terms are one pass:
-one ``tabulate_sides`` call over every interior, Dirichlet and Neumann side,
-with the 2(p+1) trace functions of each side element.  Edge terms stay
-parametric: a normal derivative is grad^ phi . g^-1 J^T n, and the element
-matrices are batched matmuls over the edge points.  Entries accumulate in a
-fixed order (patch-major, element-lexicographic, then edge-list order inside
-every batch) so serial assembly is reproducible.
+rational-basis table, and one batched matmul.  Patches are uncoupled in the
+volume, so its matrix is block-diagonal by patch, and each block has the
+Kronecker pattern of two 1D B-spline bands: the element matrices are summed
+straight into the CSR values of that pattern, memoised per knot signature,
+with no global COO.  The edge terms are one pass: one ``tabulate_sides``
+call over every interior, Dirichlet and Neumann side, with the 2(p+1) trace
+functions of each side element.  Edge terms stay parametric: a normal
+derivative is grad^ phi . g^-1 J^T n, and the element matrices are batched
+matmuls over the edge points; ``_csr`` sums their COO entries.  Entries
+accumulate in a fixed order so serial assembly is reproducible: a volume
+entry or load sums its patch's elements in element-lexicographic order,
+an edge entry sums in edge-list order inside every batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import (SideTabulation, _dot, _window_weights, patch_stacks, tabulate_patches,
-                       tabulate_sides)
+from .geometry import (SideTabulation, _dot, _knot_key, _window_weights, patch_stacks,
+                       tabulate_patches, tabulate_sides)
 from .space import DgSpace
+from .splines import KnotVector, breakpoints, find_span
 
 __all__ = [
     "ProblemData",
@@ -98,6 +105,50 @@ def _csr(n: int, blocks) -> sp.csr_array:
     return mat
 
 
+def _band(kv: KnotVector):
+    """First active function of every element, and the first column and width of
+    every row of the 1D coupling band: row i holds the functions that share an
+    element with function i, a contiguous range as the windows are."""
+    first, i = find_span(kv, breakpoints(kv)[:-1]) - kv.degree, np.arange(kv.n)
+    lo = first[np.searchsorted(first + kv.degree, i)]
+    hi = first[np.searchsorted(first, i, side="right") - 1] + kv.degree
+    return first, lo, hi - lo + 1
+
+
+@lru_cache(maxsize=64)
+def _volume_pattern(basis_u: KnotVector, basis_v: KnotVector):
+    """Patch-local CSR pattern of the volume stiffness and the slot of every
+    element-matrix entry, memoised on the knot vectors.
+
+    The pattern is kron(band_v, band_u) in the k2-major DOF order, with sorted
+    columns: entry (r, c) of row r = r2 n1 + r1 sits at indptr[r] +
+    (c2 - lo_v[r2]) width_u[r1] + c1 - lo_u[r1].  ``slots`` (nel_u nel_v, m, m)
+    follows the element and window order of ``_volume_blocks``.  Returns
+    read-only (indptr, indices, slots).
+    """
+    (fu, lo1, w1), (fv, lo2, w2) = _band(basis_u), _band(basis_v)
+    n1, m1, m2 = basis_u.n, basis_u.degree + 1, basis_v.degree + 1
+    indptr = np.concatenate([[0], np.cumsum(np.outer(w2, w1))])
+    k1, k2 = fu[:, None] + np.arange(m1), fv[:, None] + np.arange(m2)  # element windows
+    # Axes (e_u, e_v, a1, a2, b1, b2): rows (r2, r1) and columns (c2, c1).
+    r1, c1 = k1[:, None, :, None, None, None], k1[:, None, None, None, :, None]
+    r2, c2 = k2[None, :, None, :, None, None], k2[None, :, None, None, None, :]
+    slots = indptr[r2 * n1 + r1] + ((c2 - lo2[r2]) * w1[r1] + (c1 - lo1[r1]))
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    indices[slots] = c2 * n1 + c1  # every pattern entry is some element's entry
+    slots = slots.reshape(fu.size * fv.size, m1 * m2, m1 * m2)
+    for a in (indptr, indices, slots):
+        a.flags.writeable = False
+    return indptr, indices, slots
+
+
+def _csr_values(slots: np.ndarray, nnz: int, K: np.ndarray) -> np.ndarray:
+    """CSR values (P, nnz) of the element matrices K (P, E, m, m) of a stack of
+    patches sharing one pattern, summed in element order by one bincount."""
+    at = slots.reshape(1, -1) + nnz * np.arange(len(K))[:, None]
+    return np.bincount(at.reshape(-1), K.reshape(-1), minlength=len(K) * nnz).reshape(-1, nnz)
+
+
 def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
     """Volume terms of a stack of patches that share both knot vectors.
 
@@ -161,21 +212,36 @@ def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
     """Patchwise diffusion stiffness and source load, and the basis integrals
     when the surface has no Dirichlet edge.
 
-    Patches sharing both knot vectors are tabulated in stacks
-    (``patch_stacks``); the blocks are accumulated patch by patch.
+    The matrix is block-diagonal by patch and is written straight into its
+    CSR arrays: each patch block has the memoised pattern of its knot
+    vectors (``_volume_pattern``), and each stack of patches sharing them
+    (``patch_stacks``) is tabulated and summed into its values by one
+    bincount.  Every entry and every load sums its patch's elements in
+    element order, whatever the stacking.
     """
     surface, n = space.surface, space.total_dofs
     rhs, integrals = np.zeros(n), None if surface.has_dirichlet else np.zeros(n)
-    blocks = [None] * surface.num_patches
+    patterns = [_volume_pattern(*_knot_key(patch.basis)) for patch in surface.patches]
+    starts = np.cumsum([0] + [indices.size for _, indices, _ in patterns])
+    dtype = _index_dtype(max(n, starts[-1]))
+    indptr, indices = np.zeros(n + 1, dtype), np.empty(starts[-1], dtype)
+    values = np.empty(starts[-1])
+    for pid, (ptr, idx, _) in enumerate(patterns):
+        rows, at = space.patch_slice(pid), slice(starts[pid], starts[pid + 1])
+        indptr[rows.start + 1 : rows.stop + 1] = ptr[1:] + starts[pid]
+        indices[at] = idx
+        indices[at] += space.offsets[pid]
     for stack in patch_stacks(surface.patches):
-        for pid, *block in zip(stack, *_volume_blocks(space, data, stack)):
-            blocks[pid] = block
-    for gidx, K, loads in blocks:
+        gidx, K, loads = _volume_blocks(space, data, stack)
+        _, idx, slots = patterns[stack[0]]
+        for pid, v in zip(stack, _csr_values(slots, idx.size, K)):
+            values[starts[pid] : starts[pid + 1]] = v
+        del K  # before the next stack's is built
         if data.f is not None:
-            np.add.at(rhs, gidx, loads[:, 0])
+            np.add.at(rhs, gidx, loads[..., 0, :])
         if integrals is not None:
-            np.add.at(integrals, gidx, loads[:, 1])
-    return SparseSystem(_csr(n, [block[:2] for block in blocks]), rhs, integrals)
+            np.add.at(integrals, gidx, loads[..., 1, :])
+    return SparseSystem(sp.csr_array((values, indices, indptr), shape=(n, n)), rhs, integrals)
 
 
 def _side_terms(space: DgSpace, tab: SideTabulation, normal: np.ndarray):

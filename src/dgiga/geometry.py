@@ -369,7 +369,8 @@ def _knot_key(basis: NurbsBasis2D) -> tuple:
 
 
 # Largest number of elements a stacked volume or error pass tabulates at once
-# (a larger patch still forms a stack of its own); bounds the pass's memory.
+# when it holds several patches.  A patch with more elements forms a stack of
+# its own, however large, so this bounds the memory of multi-patch stacks only.
 STACK_ELEMENTS = 128
 
 

@@ -70,24 +70,26 @@ def cg_solve(
         max_iter = 10 * n
     minv = _jacobi_inverse(A)
 
-    def project(v):
+    def project(v):  # in place
         if mean_weights is not None:
-            v = v - v.mean()
+            v -= v.mean()
         return v
 
-    b = project(b)
+    b = project(b.copy())
     x = np.zeros(n)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return x, SolveReport(0, 0.0, True)
 
     # Projecting b a second time removes most of the round-off mean left by
-    # the first projection.
+    # the first projection.  The iteration updates r, z and p in place; a NaN
+    # or infinity in r shows in the scalars r @ z or p^T A p, so only those
+    # are checked.
     r = project(b.copy())
     z = project(r * minv)
     p = z.copy()
     rz = float(r @ z)
-    relres = np.linalg.norm(r) / bnorm
+    relres = np.sqrt(r @ r) / bnorm
     it = 0
     while relres > tol and it < max_iter:
         Ap = A @ p
@@ -98,15 +100,17 @@ def cg_solve(
             )
         a = rz / pAp
         x += a * p
-        r -= a * Ap
-        r = project(r)
-        _check_finite(r)
-        z = project(r * minv)
+        Ap *= a
+        project(np.subtract(r, Ap, out=r))
+        project(np.multiply(r, minv, out=z))
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        if not np.isfinite(rz_new):
+            raise NumericalBreakdownError("non-finite value encountered in CG iteration")
+        p *= rz_new / rz
+        p += z
         rz = rz_new
         it += 1
-        relres = float(np.linalg.norm(r) / bnorm)
+        relres = float(np.sqrt(r @ r) / bnorm)
     if mean_weights is not None:
         x -= (mean_weights @ x) / mean_weights.sum()
     return x, SolveReport(it, relres, relres <= tol)

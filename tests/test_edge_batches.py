@@ -60,20 +60,29 @@ class Counter:
 
 def counting_sweep(surface, monkeypatch, levels=3):
     """Per level: side-kernel calls, calls of g_D, g_N and u_exact, and the
-    accumulated elements keyed by COO entries per element."""
+    accumulated elements keyed by element-matrix entries."""
     kernel = Counter(dgiga.geometry._side_grid)
     monkeypatch.setattr(dgiga.geometry, "_side_grid", kernel)
     blocks = {}
-    csr = dgiga.assembly._csr
+    csr, csr_values = dgiga.assembly._csr, dgiga.assembly._csr_values
+
+    def count(local):
+        entries = local.shape[-1] * local.shape[-2]
+        blocks[entries] = blocks.get(entries, 0) + local.size // entries
 
     def counting_csr(n, pairs):
         pairs = list(pairs)
         for _, local in pairs:
-            entries = local.shape[-1] * local.shape[-2]
-            blocks[entries] = blocks.get(entries, 0) + local.size // entries
+            count(local)
         return csr(n, pairs)
 
+    def counting_csr_values(slots, nnz, K):
+        count(K)
+        return csr_values(slots, nnz, K)
+
+    # Edge blocks go through _csr, volume blocks through _csr_values.
     monkeypatch.setattr(dgiga.assembly, "_csr", counting_csr)
+    monkeypatch.setattr(dgiga.assembly, "_csr_values", counting_csr_values)
     counters = {}
 
     def factory(surf, delta):

@@ -87,6 +87,52 @@ def test_nan_raises_breakdown():
         cg_solve(A, np.array([1.0, np.nan, 0.0]))
 
 
+def laplacian_1d(n, neumann=False):
+    L = np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
+    if neumann:
+        L[0, 0] = L[-1, -1] = 1.0  # nullspace = constants
+    return L
+
+
+class PoisonedMatvec:
+    """A matrix whose k-th product A @ p comes back with entry ``at`` replaced."""
+
+    def __init__(self, A, k, value, at):
+        self.A, self.k, self.value, self.at, self.calls = A, k, value, at, 0
+        self.shape = A.shape
+
+    def diagonal(self):
+        return self.A.diagonal()
+
+    def __matmul__(self, p):
+        self.calls += 1
+        out = self.A @ p
+        if self.calls == self.k:
+            out[self.at] = self.value
+        return out
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("neumann", [False, True])
+def test_breakdown_mid_iteration_raises(rng, value, neumann):
+    n = 30
+    A = PoisonedMatvec(to_csr(laplacian_1d(n, neumann)), 3, value, n // 2)
+    with pytest.raises(NumericalBreakdownError):
+        cg_solve(A, rng.normal(size=n), tol=1e-14, mean_weights=np.ones(n) if neumann else None)
+    assert A.calls == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflow_mid_iteration_raises():
+    # With b = e_0 the third search direction is exactly zero from index 3
+    # on, so p^T A p stays finite and the overflow first shows in r @ z.
+    n = 30
+    A = PoisonedMatvec(to_csr(laplacian_1d(n)), 3, np.finfo(float).max, n - 1)
+    with pytest.raises(NumericalBreakdownError, match="non-finite"):
+        cg_solve(A, np.eye(n)[0], tol=1e-14)
+    assert A.calls == 3
+
+
 def test_tol_validation():
     A = to_csr(np.eye(2))
     with pytest.raises(ValueError):
