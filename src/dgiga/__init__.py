@@ -7,7 +7,7 @@ geometry, assembly, iterative solution, and convergence-rate measurement
 against manufactured solutions.
 """
 
-from .analysis import ErrorReport, RateTable, dg_error, l2_error, measure_errors, rate_table
+from .analysis import ErrorReport, RateTable, measure_errors, rate_table
 from .assembly import (
     ProblemData,
     SparseSystem,
@@ -17,7 +17,7 @@ from .assembly import (
     default_penalty,
 )
 from .driver import SolverFailure, run_sweep, sample_solution, solve_problem
-from .geofile import GeometryData, ParseError, load_surface, parse_geometry, serialize_geometry
+from .geofile import GeometryData, ParseError, parse_geometry, serialize_geometry
 from .geometry import (
     GeometryError,
     InterfaceEdge,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,6 @@ def run_sweep(
         raise ValueError("need at least one level")
     if delta is None:
         delta = default_penalty(p)
-    rows = []
     results = []
     current = surface
     for level in range(levels):
@@ -89,23 +89,12 @@ def run_sweep(
         if data.u_exact is not None:
             errors = measure_errors(u_h, data)
         else:
-            errors = ErrorReport(
-                float("nan"), float("nan"), space.total_dofs, surface_h_max(current), []
-            )
+            errors = ErrorReport(math.nan, math.nan, space.total_dofs, surface_h_max(current), [])
         result = LevelResult(level, current, u_h, errors, report)
         results.append(result)
-        rows.append(
-            dict(
-                level=level,
-                h_max=errors.h_max,
-                dofs=errors.dofs,
-                l2_error=errors.l2_error,
-                dg_error=errors.dg_error,
-            )
-        )
         if collect is not None:
             collect(result)
-    return rate_table(rows), results
+    return rate_table([r.errors for r in results]), results
 
 
 def sample_solution(result: LevelResult, points_per_side: int = 10) -> str:

@@ -12,7 +12,7 @@ A geometry file is UTF-8 text with ``#`` comments and these records:
                                        boundary condition on an outer side,
                                        side in {west, east, south, north}
 
-Parse errors carry the offending line number.
+Numbers must be finite.  Parse errors carry the offending line number.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .geometry import SIDES, MultiPatchSurface, NurbsPatch, match_interfaces
 from .splines import KnotVector, NurbsBasis2D
 
-__all__ = ["ParseError", "GeometryData", "parse_geometry", "serialize_geometry", "load_surface"]
+__all__ = ["ParseError", "GeometryData", "parse_geometry", "serialize_geometry"]
 
 
 class ParseError(Exception):
@@ -43,8 +43,8 @@ class GeometryData:
     tags: dict[tuple[int, str], str]
     alpha: np.ndarray
 
-    def surface(self, tol: float = 1e-8) -> MultiPatchSurface:
-        return match_interfaces(self.patches, self.tags, self.alpha, tol=tol)
+    def surface(self) -> MultiPatchSurface:
+        return match_interfaces(self.patches, self.tags, self.alpha)
 
 
 @dataclass
@@ -79,6 +79,8 @@ def _floats(parts: list[str], lineno: int, what: str) -> list[float]:
             out.append(float(p))
         except ValueError:
             raise ParseError(lineno, f"malformed number {p!r} in {what}") from None
+        if not np.isfinite(out[-1]):
+            raise ParseError(lineno, f"non-finite number {p!r} in {what}")
     return out
 
 
@@ -161,7 +163,7 @@ def parse_geometry(path) -> GeometryData:
                 raise ParseError(lineno, f"unknown side {side!r}")
             if kind not in ("dirichlet", "neumann"):
                 raise ParseError(lineno, f"unknown boundary kind {kind!r}")
-            if pid >= len(drafts):
+            if not 0 <= pid < len(drafts):
                 raise ParseError(lineno, f"tag references unknown patch {pid}")
             tags[(pid, side)] = kind
         else:
@@ -185,14 +187,9 @@ def serialize_geometry(data: GeometryData) -> str:
     """Geometry file text that parses back to identical structures."""
     out = []
     for patch, alpha in zip(data.patches, data.alpha):
-        kv_u, kv_v = patch.basis.basis_u, patch.basis.basis_v
         out.append(f"patch {patch.id}")
-        out.append(
-            "knots_u " + str(kv_u.degree) + " " + " ".join(f"{k:.17g}" for k in kv_u.knots)
-        )
-        out.append(
-            "knots_v " + str(kv_v.degree) + " " + " ".join(f"{k:.17g}" for k in kv_v.knots)
-        )
+        for name, kv in (("knots_u", patch.basis.basis_u), ("knots_v", patch.basis.basis_v)):
+            out.append(f"{name} {kv.degree} " + " ".join(f"{k:.17g}" for k in kv.knots))
         out.append(f"alpha {alpha:.17g}")
         n1, n2 = patch.basis.shape
         for k2 in range(n2):
@@ -203,8 +200,3 @@ def serialize_geometry(data: GeometryData) -> str:
     for (pid, side), kind in sorted(data.tags.items()):
         out.append(f"tag {pid} {side} {kind}")
     return "\n".join(out) + "\n"
-
-
-def load_surface(path, tol: float = 1e-8) -> MultiPatchSurface:
-    """Parse a geometry file and match its interfaces."""
-    return parse_geometry(path).surface(tol=tol)

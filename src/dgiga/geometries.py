@@ -62,17 +62,9 @@ def square_grid(
     p: int, nx: int = 2, ny: int = 2, bc: str = "dirichlet", alpha=None
 ) -> MultiPatchSurface:
     """nx-by-ny grid of square patches tiling the unit square."""
-    patches = []
-    for j in range(ny):
-        for i in range(nx):
-            patches.append(
-                planar_rectangle_patch(
-                    p,
-                    origin=(i / nx, j / ny),
-                    size=(1.0 / nx, 1.0 / ny),
-                    pid=j * nx + i,
-                )
-            )
+    size = (1.0 / nx, 1.0 / ny)
+    patches = [planar_rectangle_patch(p, (i / nx, j / ny), size, j * nx + i)
+               for j in range(ny) for i in range(nx)]
     return match_interfaces(patches, _outer_tags(nx, ny, bc), alpha)
 
 
@@ -134,6 +126,19 @@ def _arc_segments(theta0: float, theta1: float, p: int, n_seg: int):
     return out
 
 
+def _cylinder_patch(p: int, arc, z0: float, z1: float, radius: float, pid: int) -> NurbsPatch:
+    """One patch: a rational arc segment (control xy, weights) times [z0, z1]."""
+    xy, w_arc = arc
+    kv = _bezier_knots(p)
+    n = p + 1
+    cp = np.empty((n, n, 3))
+    cp[:, :, 0] = radius * xy[:, 0:1]
+    cp[:, :, 1] = radius * xy[:, 1:2]
+    cp[:, :, 2] = (z0 + (z1 - z0) * greville(kv))[None, :]
+    weights = np.repeat(w_arc[:, None], n, axis=1)
+    return NurbsPatch(NurbsBasis2D(kv, kv, weights), cp, pid)
+
+
 def quarter_cylinder_patch(
     p: int = 2, radius: float = 1.0, height: float = 1.0, pid: int = 0
 ) -> NurbsPatch:
@@ -141,26 +146,13 @@ def quarter_cylinder_patch(
 
     At p=2 the arc carries the classic weights (1, sqrt(2)/2, 1).
     """
-    (xy, w_arc), = _arc_segments(0.0, np.pi / 2, p, 1)
-    kv = _bezier_knots(p)
-    gz = greville(kv) * height
-    n = p + 1
-    cp = np.empty((n, n, 3))
-    cp[:, :, 0] = radius * xy[:, 0:1]
-    cp[:, :, 1] = radius * xy[:, 1:2]
-    cp[:, :, 2] = gz[None, :]
-    weights = np.repeat(w_arc[:, None], n, axis=1)
-    return NurbsPatch(NurbsBasis2D(kv, kv, weights), cp, pid)
+    (arc,) = _arc_segments(0.0, np.pi / 2, p, 1)
+    return _cylinder_patch(p, arc, 0.0, height, radius, pid)
 
 
 def quarter_cylinder_grid(
-    p: int = 2,
-    n_theta: int = 2,
-    n_z: int = 2,
-    bc: str = "dirichlet",
-    alpha=None,
-    radius: float = 1.0,
-    height: float = 1.0,
+    p: int = 2, n_theta: int = 2, n_z: int = 2, bc: str = "dirichlet", alpha=None,
+    radius: float = 1.0, height: float = 1.0,
 ) -> MultiPatchSurface:
     """Quarter cylinder split into an n_theta-by-n_z patch grid.
 
@@ -168,22 +160,12 @@ def quarter_cylinder_grid(
     conic, so every patch lies on the circle to machine precision.
     """
     arcs = _arc_segments(0.0, np.pi / 2, p, n_theta)
-    kv = _bezier_knots(p)
-    gz = greville(kv)
-    n = p + 1
-    patches = []
-    for j in range(n_z):
-        z0, z1 = height * j / n_z, height * (j + 1) / n_z
-        for i in range(n_theta):
-            xy, w_arc = arcs[i]
-            cp = np.empty((n, n, 3))
-            cp[:, :, 0] = radius * xy[:, 0:1]
-            cp[:, :, 1] = radius * xy[:, 1:2]
-            cp[:, :, 2] = (z0 + (z1 - z0) * gz)[None, :]
-            weights = np.repeat(w_arc[:, None], n, axis=1)
-            patches.append(
-                NurbsPatch(NurbsBasis2D(kv, kv, weights), cp, j * n_theta + i)
-            )
+    patches = [
+        _cylinder_patch(p, arcs[i], height * j / n_z, height * (j + 1) / n_z, radius,
+                        j * n_theta + i)
+        for j in range(n_z)
+        for i in range(n_theta)
+    ]
     return match_interfaces(patches, _outer_tags(n_theta, n_z, bc), alpha)
 
 
@@ -195,24 +177,12 @@ def full_cylinder(
     Only the two rim circles remain as boundary; with Neumann tags there
     this is a pure-Neumann problem on a closed-in-angle surface.
     """
-    kv = _bezier_knots(p)
-    gz = greville(kv)
-    n = p + 1
-    patches = []
-    tags = {}
-    for j in range(n_z):
-        z0, z1 = height * j / n_z, height * (j + 1) / n_z
-        for i in range(4):
-            (xy, w_arc), = _arc_segments(i * np.pi / 2, (i + 1) * np.pi / 2, p, 1)
-            cp = np.empty((n, n, 3))
-            cp[:, :, 0] = radius * xy[:, 0:1]
-            cp[:, :, 1] = radius * xy[:, 1:2]
-            cp[:, :, 2] = (z0 + (z1 - z0) * gz)[None, :]
-            weights = np.repeat(w_arc[:, None], n, axis=1)
-            pid = j * 4 + i
-            patches.append(NurbsPatch(NurbsBasis2D(kv, kv, weights), cp, pid))
-            if j == 0:
-                tags[(pid, "south")] = bc
-            if j == n_z - 1:
-                tags[(pid, "north")] = bc
+    arcs = [_arc_segments(i * np.pi / 2, (i + 1) * np.pi / 2, p, 1)[0] for i in range(4)]
+    patches = [
+        _cylinder_patch(p, arcs[i], height * j / n_z, height * (j + 1) / n_z, radius, j * 4 + i)
+        for j in range(n_z)
+        for i in range(4)
+    ]
+    tags = {(i, "south"): bc for i in range(4)}
+    tags.update({((n_z - 1) * 4 + i, "north"): bc for i in range(4)})
     return match_interfaces(patches, tags)

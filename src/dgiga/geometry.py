@@ -538,8 +538,8 @@ class MultiPatchSurface:
         self.alpha = np.asarray(self.alpha, dtype=float)
         if self.alpha.shape != (len(self.patches),):
             raise ValueError("need one diffusion coefficient per patch")
-        if np.any(self.alpha <= 0.0):
-            raise ValueError("diffusion coefficients must be positive")
+        if not np.all(np.isfinite(self.alpha) & (self.alpha > 0.0)):
+            raise ValueError("diffusion coefficients must be positive and finite")
 
     @property
     def num_patches(self) -> int:

@@ -198,8 +198,8 @@ class NurbsBasis2D:
             raise ValueError(
                 f"weight grid {self.weights.shape} does not match basis size {(n1, n2)}"
             )
-        if np.any(self.weights <= 0.0):
-            raise ValueError("all NURBS weights must be positive")
+        if not np.all(np.isfinite(self.weights) & (self.weights > 0.0)):
+            raise ValueError("all NURBS weights must be positive and finite")
 
     @property
     def shape(self) -> tuple[int, int]:

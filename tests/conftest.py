@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dgiga.driver import run_sweep
-from dgiga.geofile import load_surface
+from dgiga.geofile import parse_geometry
 from dgiga.problems import make_problem
 
 BUNDLED = {
@@ -27,7 +27,7 @@ def planar_sweep():
     def get(p: int, levels: int):
         key = (p, levels)
         if key not in cache:
-            surface = load_surface(bundled(BUNDLED[p]))
+            surface = parse_geometry(bundled(BUNDLED[p])).surface()
 
             def factory(surf, delta):
                 return make_problem("plane_sine", surf, p, delta)
@@ -46,7 +46,7 @@ def cylinder_sweep():
     def get(p: int, levels: int):
         key = (p, levels)
         if key not in cache:
-            surface = load_surface(bundled(BUNDLED_CYL[p]))
+            surface = parse_geometry(bundled(BUNDLED_CYL[p])).surface()
 
             def factory(surf, delta):
                 return make_problem("cylinder_sine", surf, p, delta)

@@ -5,6 +5,7 @@ Each function evaluates one quantity at single points through
 vectorised kernels can be checked against an independent route.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -159,3 +160,13 @@ def integrate_patch(patch: NurbsPatch, fn, q: int) -> float:
     if fn is None:
         return float(np.sum(tab.weights))
     return float(np.sum(fn(*np.moveaxis(tab.points, -1, 0)) * tab.weights))
+
+
+def l2_error_at(u_h: DiscreteFunction, u_exact, q: int) -> float:
+    """L2 norm of u_h - u_exact with q Gauss points per direction, one patch at a time."""
+    total = 0.0
+    for pid, patch in enumerate(u_h.space.surface.patches):
+        tab = tabulate_patches([patch], q, u_h.patch_coeffs(pid)[None])
+        gap = tab.field.ravel() - u_exact(tab.points.reshape(-1, 3))
+        total += float(np.sum(gap**2 * tab.weights.ravel()))
+    return math.sqrt(total)

@@ -13,7 +13,7 @@ from oracles import conormal_at, edge_average, edge_jump, interpolate, trace_on_
 
 from dgiga.assembly import assemble_system, default_penalty
 from dgiga.cli import data_path
-from dgiga.geofile import load_surface
+from dgiga.geofile import parse_geometry
 from dgiga.geometries import quarter_cylinder_grid, square_grid
 from dgiga.geometry import frame_at, refine_surface, surface_gradient, surface_normal
 from dgiga.linalg import cg_solve
@@ -72,7 +72,7 @@ def test_criterion_4_sipg_structure(report):
     details = []
     ok = True
     for name in BUNDLED:
-        surface = load_surface(data_path(name))
+        surface = parse_geometry(data_path(name)).surface()
         p = surface.patches[0].degree[0]
         surface = refine_surface(surface)
         problem = "cylinder_sine" if name.startswith("qcyl") else "plane_sine"
@@ -88,7 +88,7 @@ def test_criterion_4_sipg_structure(report):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_criterion_5_consistency_residual(p, report):
-    surface = load_surface(data_path(BUNDLED[p - 1]))
+    surface = parse_geometry(data_path(BUNDLED[p - 1])).surface()
     norms = []
     for level in range(4):
         if level:
@@ -127,7 +127,7 @@ def test_criterion_7_property_suites(rng, report):
     checks = []
 
     # partition of unity / derivative sum on the bundled knot vectors
-    surface = load_surface(data_path("qcyl4.g"))
+    surface = parse_geometry(data_path("qcyl4.g")).surface()
     kv = surface.patches[0].basis.basis_u
     pou = max(abs(eval_bspline(kv, x).values.sum() - 1.0) for x in rng.random(1000))
     dsum = max(abs(eval_bspline(kv, x).derivs.sum()) for x in rng.random(1000))

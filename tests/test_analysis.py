@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from oracles import interpolate
+from oracles import interpolate, l2_error_at
 
-from dgiga.analysis import dg_error, l2_error, measure_errors, rate_table, surface_h_max
+from dgiga.analysis import ErrorReport, measure_errors, rate_table, surface_h_max
 from dgiga.assembly import ProblemData, assemble_volume, default_penalty
 from dgiga.driver import run_sweep
 from dgiga.geometries import full_cylinder, planar_rectangle_patch, square_grid
@@ -13,27 +14,40 @@ from dgiga.problems import make_problem
 from dgiga.space import build_space
 
 
+def zero(pts):
+    return np.zeros(len(pts))
+
+
+def zero3(pts):
+    return np.zeros((len(pts), 3))
+
+
+def l2_of(u_h, u_exact):
+    # square_grid surfaces carry Dirichlet tags, so no mean is subtracted.
+    return measure_errors(u_h, ProblemData(u_exact=u_exact)).l2_error
+
+
 def test_l2_error_of_space_member_is_tiny():
     surface = square_grid(1)
     space = build_space(surface, 1)
     field = lambda pts: 2.0 * pts[:, 0] - pts[:, 1] + 0.25
     u_h = interpolate(space, field)
-    assert l2_error(u_h, field) <= 1e-12
+    assert l2_of(u_h, field) <= 1e-12
 
 
 def test_l2_error_of_constant_gap_is_one():
     surface = square_grid(1)
     space = build_space(surface, 1)
-    zero = space.function()
-    assert l2_error(zero, lambda pts: np.ones(len(pts))) == pytest.approx(1.0, abs=1e-13)
+    zero_h = space.function()
+    assert l2_of(zero_h, lambda pts: np.ones(len(pts))) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_l2_error_of_sine_product_is_half():
     surface = refine_surface(refine_surface(square_grid(2)))
     space = build_space(surface, 2)
-    zero = space.function()
+    zero_h = space.function()
     u = lambda pts: np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
-    assert l2_error(zero, u) == pytest.approx(0.5, abs=1e-12)
+    assert l2_of(zero_h, u) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_dg_error_zero_for_represented_solution():
@@ -42,7 +56,8 @@ def test_dg_error_zero_for_represented_solution():
     field = lambda pts: pts[:, 0]
     grad = lambda pts: np.tile([1.0, 0.0, 0.0], (len(pts), 1))
     u_h = interpolate(space, field)
-    assert dg_error(u_h, field, grad, delta=default_penalty(2)) <= 1e-10
+    data = ProblemData(delta=default_penalty(2), u_exact=field, grad_u_exact=grad)
+    assert measure_errors(u_h, data).dg_error <= 1e-10
 
 
 def test_dg_error_is_weighted_h1_seminorm_without_edges(rng):
@@ -55,9 +70,7 @@ def test_dg_error_is_weighted_h1_seminorm_without_edges(rng):
     )
     space = build_space(surface, 1)
     u_h = space.function(rng.normal(size=space.total_dofs))
-    zero = lambda pts: np.zeros(len(pts))
-    zero3 = lambda pts: np.zeros((len(pts), 3))
-    dg = dg_error(u_h, zero, zero3, delta=12.0)
+    dg = measure_errors(u_h, ProblemData(delta=12.0, u_exact=zero, grad_u_exact=zero3)).dg_error
     K = assemble_volume(space, ProblemData()).matrix
     energy = float(u_h.coefficients @ (K @ u_h.coefficients))
     assert dg**2 == pytest.approx(energy, rel=1e-12)
@@ -79,6 +92,8 @@ def test_dg_error_of_patch_indicator_matches_jump_formula():
         (1, "north"): "neumann",
     }
     surface = match_interfaces(patches, tags)
+    delta = 12.0
+    data = ProblemData(delta=delta, u_exact=zero, grad_u_exact=zero3)
     for refinements in (0, 1, 2):
         surf = surface
         for _ in range(refinements):
@@ -86,40 +101,31 @@ def test_dg_error_of_patch_indicator_matches_jump_formula():
         space = build_space(surf, 1)
         n1, n2 = space.patch_shape(0)
         coeffs = np.concatenate([np.ones(n1 * n2), np.zeros(space.total_dofs - n1 * n2)])
-        u_h = space.function(coeffs)
-        zero = lambda pts: np.zeros(len(pts))
-        zero3 = lambda pts: np.zeros((len(pts), 3))
-        delta = 12.0
-        dg = dg_error(u_h, zero, zero3, delta=delta)
+        dg = measure_errors(space.function(coeffs), data).dg_error
         n_edge_elements = 2**refinements
         assert dg**2 == pytest.approx(delta * n_edge_elements, rel=1e-12)
 
 
+def reports(*rows):
+    """Error reports from (h_max, dofs, l2_error, dg_error) rows."""
+    return [ErrorReport(l2, dg, dofs, h, []) for h, dofs, l2, dg in rows]
+
+
 def test_rate_arithmetic():
-    rows = [
-        dict(level=0, h_max=1.0, dofs=10, l2_error=1.0, dg_error=1.0),
-        dict(level=1, h_max=0.5, dofs=30, l2_error=0.25, dg_error=0.125),
-    ]
-    table = rate_table(rows)
+    table = rate_table(reports((1.0, 10, 1.0, 1.0), (0.5, 30, 0.25, 0.125)))
     assert math.isnan(table.rows[0].l2_rate)
+    assert [row.level for row in table.rows] == [0, 1]
     assert table.rows[1].l2_rate == pytest.approx(2.0)
     assert table.rows[1].dg_rate == pytest.approx(3.0)
 
 
 def test_zero_error_yields_inf_rate_marker():
-    rows = [
-        dict(level=0, h_max=1.0, dofs=10, l2_error=1.0, dg_error=1.0),
-        dict(level=1, h_max=0.5, dofs=30, l2_error=0.0, dg_error=0.5),
-    ]
-    table = rate_table(rows)
+    table = rate_table(reports((1.0, 10, 1.0, 1.0), (0.5, 30, 0.0, 0.5)))
     assert math.isinf(table.rows[1].l2_rate)
 
 
 def test_csv_format():
-    rows = [
-        dict(level=0, h_max=1.0, dofs=10, l2_error=0.5, dg_error=1.0),
-        dict(level=1, h_max=0.5, dofs=30, l2_error=0.125, dg_error=0.5),
-    ]
+    rows = reports((1.0, 10, 0.5, 1.0), (0.5, 30, 0.125, 0.5))
     text = rate_table(rows).to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "level,h_max,dofs,l2_error,dg_error,l2_rate,dg_rate"
@@ -158,10 +164,11 @@ def test_l2_quadrature_is_not_masking(planar_sweep):
     _, results = planar_sweep(2, 5)
     final = results[-1]
     data = make_problem("plane_sine", final.surface, 2)
-    reported = l2_error(final.solution, data.u_exact, q=4)
-    refined = l2_error(final.solution, data.u_exact, q=6)
+    reported = measure_errors(final.solution, data).l2_error
+    assert reported == pytest.approx(l2_error_at(final.solution, data.u_exact, 4), rel=1e-12)
+    refined = l2_error_at(final.solution, data.u_exact, 6)
     assert abs(reported - refined) <= 0.01 * refined
-    assembly_order = l2_error(final.solution, data.u_exact, q=3)
+    assembly_order = l2_error_at(final.solution, data.u_exact, 3)
     assert assembly_order < reported  # the masking goes one way
 
 
@@ -172,6 +179,14 @@ def test_measure_errors_without_gradient_reports_nan():
     report = measure_errors(space.function(), data)
     assert math.isnan(report.dg_error)
     assert report.l2_error == pytest.approx(0.0, abs=1e-15)
+
+
+def test_measure_errors_requires_exact_solution():
+    surface = square_grid(2)
+    space = build_space(surface, 2)
+    data = dataclasses.replace(make_problem("plane_sine", surface, 2), u_exact=None)
+    with pytest.raises(ValueError, match="u_exact"):
+        measure_errors(space.function(), data)
 
 
 def test_l2_error_is_measured_modulo_constants_without_dirichlet_edges():

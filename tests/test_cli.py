@@ -1,6 +1,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 import dgiga.driver
 from dgiga.cli import EXIT_GEOMETRY, EXIT_PARSE, EXIT_SOLVER, data_path, main
@@ -113,6 +114,34 @@ def test_parse_error_exit_code(tmp_path, capsys):
     rc = main(["solve", str(bad), "--problem", "plane_sine", "--levels", "1", "--out", str(tmp_path)])
     assert rc == EXIT_PARSE
     assert "line" in capsys.readouterr().err
+
+
+ONE_PATCH = """patch 0
+knots_u 1 0 0 1 1
+knots_v 1 0 0 1 1
+alpha 1.0
+cp 0 0 0 1
+cp 1 0 0 1
+cp 0 1 0 1
+cp 1 1 0 1
+tag 0 west dirichlet
+tag 0 east dirichlet
+tag 0 south dirichlet
+tag 0 north dirichlet
+"""
+
+
+@pytest.mark.parametrize("good, bad, line", [
+    ("alpha 1.0", "alpha nan", 4),
+    ("tag 0 west dirichlet", "tag -1 west dirichlet", 9),
+], ids=["alpha_nan", "tag_negative"])
+def test_non_finite_alpha_and_negative_tag_exit_code(tmp_path, capsys, good, bad, line):
+    path = tmp_path / "one.g"
+    path.write_text(ONE_PATCH, encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    path.write_text(ONE_PATCH.replace(good, bad), encoding="utf-8")
+    assert main(["check", str(path)]) == EXIT_PARSE
+    assert f"line {line}:" in capsys.readouterr().err
 
 
 def test_unknown_problem_exit_code(tmp_path, capsys):

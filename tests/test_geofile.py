@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dgiga.cli import data_path
-from dgiga.geofile import ParseError, load_surface, parse_geometry, serialize_geometry
+from dgiga.geofile import ParseError, parse_geometry, serialize_geometry
 
 
 def test_parse_bundled_square():
@@ -16,7 +16,7 @@ def test_parse_bundled_square():
 
 
 def test_parse_bundled_cylinder_is_exact(rng):
-    surface = load_surface(data_path("qcyl4.g"))
+    surface = parse_geometry(data_path("qcyl4.g")).surface()
     for _ in range(50):
         pid = int(rng.integers(4))
         pt = surface.patches[pid].point(rng.random(2))
@@ -101,15 +101,31 @@ def test_bad_side_rejected(tmp_path):
         parse_geometry(write(tmp_path, GOOD + "tag 0 up dirichlet\n"))
 
 
-def test_tag_unknown_patch_rejected(tmp_path):
-    with pytest.raises(ParseError, match="unknown patch"):
-        parse_geometry(write(tmp_path, GOOD + "tag 5 west dirichlet\n"))
+@pytest.mark.parametrize("pid", ["5", "-1"])
+def test_tag_unknown_patch_rejected(tmp_path, pid):
+    with pytest.raises(ParseError, match=f"line 14: tag references unknown patch {pid}"):
+        parse_geometry(write(tmp_path, GOOD + f"tag {pid} west dirichlet\n"))
 
 
-def test_nonpositive_weight_rejected(tmp_path):
-    bad = GOOD.replace("cp 1 1 0 1", "cp 1 1 0 0")
-    with pytest.raises(ParseError, match="weight"):
+@pytest.mark.parametrize("weight, message", [
+    ("0", "control-point weight must be positive"),
+    ("nan", "non-finite number 'nan'"),
+    ("inf", "non-finite number 'inf'"),
+], ids=["0", "nan", "inf"])
+def test_nonpositive_weight_rejected(tmp_path, weight, message):
+    bad = GOOD.replace("cp 1 1 0 1", f"cp 1 1 0 {weight}")
+    with pytest.raises(ParseError, match=f"line 9: {message}"):
         parse_geometry(write(tmp_path, bad))
+
+
+@pytest.mark.parametrize("good, bad, line", [
+    ("alpha 1.0", "alpha nan", 5),
+    ("knots_u 1 0 0 1 1", "knots_u 1 0 0 nan 1", 3),
+    ("cp 1 0 0 1", "cp 1 nan 0 1", 7),
+], ids=["alpha", "knots", "coordinates"])
+def test_non_finite_numbers_rejected(tmp_path, good, bad, line):
+    with pytest.raises(ParseError, match=f"line {line}: non-finite number 'nan'"):
+        parse_geometry(write(tmp_path, GOOD.replace(good, bad)))
 
 
 def test_out_of_order_patch_ids_rejected(tmp_path):

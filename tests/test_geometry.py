@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from oracles import conormal_at, edge_breakpoints, edge_mesh_size, mesh_size
@@ -6,6 +8,7 @@ from test_tabulation import GEOMETRIES
 from dgiga.driver import run_sweep
 from dgiga.geometries import (
     _arc_segments,
+    full_cylinder,
     planar_rectangle_patch,
     quarter_cylinder_grid,
     quarter_cylinder_patch,
@@ -37,6 +40,42 @@ def test_identity_patch_frame(rng):
         frame = frame_at(patch, rng.random(2))
         np.testing.assert_allclose(frame.metric, np.eye(2), atol=1e-13)
         assert frame.sqrt_det_g == pytest.approx(1.0, abs=1e-13)
+
+
+def fingerprint(built) -> str:
+    """Hash of the exact bits of a patch or surface: nets, weights, knots, edges."""
+    patches, edges = (built.patches, built.edges) if isinstance(built, MultiPatchSurface) else ([built], [])
+    h = hashlib.sha256()
+    for patch in patches:
+        for a in (patch.control_points, patch.basis.weights,
+                  patch.basis.basis_u.knots, patch.basis.basis_v.knots):
+            h.update(a.tobytes())
+    h.update(repr([(e.kind, e.left, e.right, e.orientation_flip) for e in edges]).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: quarter_cylinder_patch(2), "75b3456f412ca74c"),
+    (lambda: quarter_cylinder_patch(3, radius=2.0, height=0.5, pid=3), "ec63d6ef444a68e2"),
+    (lambda: quarter_cylinder_grid(3, 4, 3, height=2.0), "a26f44cf15d98539"),
+    (lambda: full_cylinder(2), "94374a310912213e"),
+    (lambda: full_cylinder(3, 2, bc="dirichlet", radius=0.5), "1e7bf606e8681a9f"),
+], ids=["quarter_patch_p2", "quarter_patch_p3", "quarter_grid_p3", "full_p2", "full_p3"])
+def test_cylinder_builders_are_pinned_bit_for_bit(build, expected):
+    assert fingerprint(build()) == expected
+
+
+def test_non_finite_alpha_and_weights_rejected():
+    patch = planar_rectangle_patch(1)
+    for alpha in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="diffusion coefficients"):
+            MultiPatchSurface([patch], [], alpha=[alpha])
+    basis = patch.basis
+    for w in (np.nan, np.inf, -1.0):
+        weights = basis.weights.copy()
+        weights[1, 0] = w
+        with pytest.raises(ValueError, match="weights"):
+            NurbsBasis2D(basis.basis_u, basis.basis_v, weights)
 
 
 def test_quarter_cylinder_midparameter_hits_45_degrees():

@@ -13,7 +13,7 @@ import pytest
 from conftest import bundled
 
 from dgiga.driver import run_sweep
-from dgiga.geofile import load_surface
+from dgiga.geofile import parse_geometry
 from dgiga.geometries import full_cylinder, quarter_cylinder_grid, square_grid
 from dgiga.problems import make_problem
 
@@ -24,7 +24,7 @@ CYLINDER_PROBLEM = (
 
 PINNED = {
     "square4_p2": (
-        lambda: load_surface(bundled("square4_p2.g")), 2, "plane_sine", 4,
+        lambda: parse_geometry(bundled("square4_p2.g")).surface(), 2, "plane_sine", 4,
         """\
 level,h_max,dofs,l2_error,dg_error,l2_rate,dg_rate
 0,0.70710678118654757,36,0.011864574185481111,0.24081690373825243,,

@@ -21,7 +21,7 @@ from dgiga.assembly import (
 )
 from dgiga.analysis import measure_errors
 from dgiga.driver import LevelResult, sample_solution
-from dgiga.geofile import load_surface
+from dgiga.geofile import parse_geometry
 from dgiga.geometries import full_cylinder, planar_rectangle_patch
 from dgiga.geometry import (
     SIDES,
@@ -44,7 +44,7 @@ from dgiga.splines import KnotVector, NurbsBasis2D, breakpoints, eval_nurbs2d, g
 
 BUNDLED_FILES = ("square4.g", "square4_p2.g", "square4_p3.g", "qcyl4.g", "qcyl4_p3.g")
 GEOMETRIES = {
-    **{name: lambda name=name: load_surface(bundled(name)) for name in BUNDLED_FILES},
+    **{name: lambda name=name: parse_geometry(bundled(name)).surface() for name in BUNDLED_FILES},
     "full_cylinder_p3": lambda: full_cylinder(3),
     "flipped_interface": lambda: two_patches(flip_right=True),
 }

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import bundled
 
-from dgiga.geofile import load_surface
+from dgiga.geofile import parse_geometry
 from dgiga.geometries import planar_rectangle_patch, quarter_cylinder_patch
 from dgiga.geometry import (
     SIDES,
@@ -44,7 +44,7 @@ def with_repeated_knot(patch: NurbsPatch) -> NurbsPatch:
 def patch_cases():
     cases = {}
     for name in BUNDLED_FILES:
-        surface = refine_surface(load_surface(bundled(name)))
+        surface = refine_surface(parse_geometry(bundled(name)).surface())
         cases[name] = surface.patches[:2]
     for p in (1, 2, 3, 4):
         cases[f"planar_p{p}"] = [planar_rectangle_patch(p)]
