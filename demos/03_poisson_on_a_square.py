@@ -11,7 +11,7 @@ import numpy as np
 
 from dgiga import make_problem, measure_errors, solve_problem
 from dgiga.geometries import square_grid
-from dgiga.geometry import refine_surface
+from dgiga.geometry import refine_surface, tabulate_grid
 
 surface = square_grid(2)
 for _ in range(3):
@@ -29,9 +29,11 @@ print(f"L2 error  {errors.l2_error:.6e}")
 print(f"DG error  {errors.dg_error:.6e}")
 print("per-patch L2 parts:", np.round(errors.per_patch, 10))
 
-# Point values: the discrete solution is defined patch by patch.
-for pid in range(surface.num_patches):
-    value, grad = u_h.eval(pid, (0.5, 0.5))
-    point = surface.patches[pid].point((0.5, 0.5))
+# Point values: the discrete solution is defined patch by patch.  Its
+# coefficient grid is contracted like the geometry, here on the 1 x 1 grid
+# of each patch's parametric center.
+for pid, patch in enumerate(surface.patches):
+    tab = tabulate_grid([patch], [0.5], [0.5], u_h.patch_coeffs(pid)[None])
+    point, value = tab.points.reshape(3), tab.field.item()
     exact = float(problem.u_exact(point[None, :])[0])
     print(f"patch {pid} center {point[:2]}: u_h {value:.6f}, u {exact:.6f}")

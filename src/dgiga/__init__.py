@@ -24,25 +24,13 @@ from .geometry import (
     MultiPatchSurface,
     NurbsPatch,
     SingularMapError,
-    SurfaceFrame,
     TopologyError,
-    conormal,
-    frame_at,
     match_interfaces,
     refine_surface,
-    surface_gradient,
 )
 from .linalg import NumericalBreakdownError, SolveReport, cg_solve
 from .problems import builtin_problems, make_problem, parse_expression
 from .space import DgSpace, DiscreteFunction, build_space
-from .splines import (
-    BasisEval,
-    KnotVector,
-    NurbsBasis2D,
-    eval_bspline,
-    eval_nurbs2d,
-    greville,
-    insert_knots,
-)
+from .splines import KnotVector, NurbsBasis2D, greville, insert_knots
 
 __version__ = "0.1.0"

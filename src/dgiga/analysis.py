@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import edge_alpha, interface_slots
-from .geometry import _dot, _tabulate, patch_stacks, tabulate_patches, tabulate_sides
+from .geometry import _dot, patch_stacks, tabulate_grid, tabulate_patches, tabulate_sides
 from .space import DiscreteFunction
 from .splines import breakpoints
 
@@ -83,7 +83,7 @@ def surface_h_max(surface) -> float:
     for stack in patch_stacks(surface.patches):
         patches = [surface.patches[pid] for pid in stack]
         bu, bv = (breakpoints(kv) for kv in (patches[0].basis.basis_u, patches[0].basis.basis_v))
-        X = _tabulate(patches, bu, bv).points.reshape(len(stack), bu.size, bv.size, 3)
+        X = tabulate_grid(patches, bu, bv).points.reshape(len(stack), bu.size, bv.size, 3)
         corners = (X[:, :-1, :-1], X[:, :-1, 1:], X[:, 1:, :-1], X[:, 1:, 1:])
         for a, b in itertools.combinations(corners, 2):
             h = max(h, float(np.max(np.linalg.norm(a - b, axis=-1))))
@@ -143,9 +143,8 @@ class RateTable:
     def to_csv(self) -> str:
         lines = ["level,h_max,dofs,l2_error,dg_error,l2_rate,dg_rate"]
         for r in self.rows:
-            optional = [_fmt_or_empty(v) for v in (r.dg_error, r.l2_rate, r.dg_rate)]
-            lines.append(",".join(
-                [str(r.level), f"{r.h_max:.17g}", str(r.dofs), f"{r.l2_error:.17g}", *optional]))
+            errors = [_fmt_or_empty(v) for v in (r.l2_error, r.dg_error, r.l2_rate, r.dg_rate)]
+            lines.append(",".join([str(r.level), f"{r.h_max:.17g}", str(r.dofs), *errors]))
         return "\n".join(lines) + "\n"
 
 

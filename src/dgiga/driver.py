@@ -9,7 +9,7 @@ import numpy as np
 
 from .analysis import ErrorReport, RateTable, measure_errors, rate_table, surface_h_max
 from .assembly import ProblemData, assemble_system, default_penalty
-from .geometry import MultiPatchSurface, _tabulate, patch_stacks, refine_surface
+from .geometry import MultiPatchSurface, patch_stacks, refine_surface, tabulate_grid
 from .linalg import SolveReport, cg_solve
 from .space import DgSpace, DiscreteFunction, build_space
 
@@ -107,7 +107,7 @@ def sample_solution(result: LevelResult, points_per_side: int = 10) -> str:
     table[..., 1], table[..., 2] = ts, ts[:, None]
     for stack in patch_stacks(patches):
         coeffs = np.stack([u_h.patch_coeffs(pid) for pid in stack])
-        tab = _tabulate([patches[pid] for pid in stack], ts, ts, coeffs)
+        tab = tabulate_grid([patches[pid] for pid in stack], ts, ts, coeffs)
         table[stack, :, :, 3:6] = tab.points.reshape(-1, n, n, 3).swapaxes(1, 2)
         table[stack, :, :, 6] = tab.field.reshape(-1, n, n).swapaxes(1, 2)
     row = "%d" + ",%.17g" * 6

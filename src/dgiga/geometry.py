@@ -5,8 +5,9 @@ fundamental form (metric, area density, tangential gradients), outward unit
 conormals along patch edges, and the construction of a multi-patch surface
 by geometric interface matching with matching-mesh verification.
 
-One kernel, ``_tabulate``, evaluates the geometry on a tensor grid for a
-stack of patches that share both knot vectors, by sum factorisation: the
+All of it comes from one kernel, ``tabulate_grid``: the geometry of a
+stack of patches that share both knot vectors, on a tensor grid of
+parameter points (one point is a 1 x 1 grid), by sum factorisation.  The
 homogeneous control net (x w, w), with c w for a coefficient grid, is
 contracted with the 1D B-spline tables, first along the direction with fewer
 output points (v on a tie, as on square volume grids; u on a west/east side,
@@ -34,7 +35,6 @@ from .splines import (
     KnotVector,
     NurbsBasis2D,
     breakpoints,
-    eval_nurbs2d,
     midpoint_refine,
     tabulate,
 )
@@ -44,32 +44,23 @@ __all__ = [
     "TopologyError",
     "SingularMapError",
     "NurbsPatch",
-    "SurfaceFrame",
     "Tabulation",
     "SideTabulation",
     "InterfaceEdge",
     "MultiPatchSurface",
     "SIDES",
-    "frame_at",
-    "surface_gradient",
-    "conormal",
     "match_interfaces",
     "refine_surface",
     "patch_stacks",
+    "tabulate_grid",
     "tabulate_patches",
     "tabulate_sides",
 ]
 
 SIDES = ("west", "east", "south", "north")
 
-# Each side: (fixed axis, fixed value, edge direction in parameter space,
-# outward parametric direction).
-_SIDE_DATA = {
-    "west": (0, 0.0, np.array([0.0, 1.0]), np.array([-1.0, 0.0])),
-    "east": (0, 1.0, np.array([0.0, 1.0]), np.array([1.0, 0.0])),
-    "south": (1, 0.0, np.array([1.0, 0.0]), np.array([0.0, -1.0])),
-    "north": (1, 1.0, np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-}
+# Each side: (fixed axis, fixed value).
+_SIDE_DATA = {"west": (0, 0.0), "east": (0, 1.0), "south": (1, 0.0), "north": (1, 1.0)}
 
 
 class GeometryError(Exception):
@@ -106,85 +97,16 @@ class NurbsPatch:
     def degree(self) -> tuple[int, int]:
         return self.basis.basis_u.degree, self.basis.basis_v.degree
 
-    def point(self, xi) -> np.ndarray:
-        return frame_at(self, xi).point
-
     def side_knots(self, side: str) -> KnotVector:
         """Knot vector running along the given side."""
         axis = _SIDE_DATA[side][0]
         return self.basis.basis_v if axis == 0 else self.basis.basis_u
 
     def side_point(self, side: str, t: float) -> np.ndarray:
-        return self.point(side_param(side, t))
-
-
-def side_param(side: str, t: float) -> tuple[float, float]:
-    """Map a side coordinate t in [0,1] to the patch parameter square."""
-    axis, value, _, _ = _SIDE_DATA[side]
-    return (value, t) if axis == 0 else (t, value)
-
-
-@dataclass(frozen=True)
-class SurfaceFrame:
-    """First-fundamental-form data of a patch at one parameter point."""
-
-    point: np.ndarray
-    jacobian: np.ndarray  # 3x2
-    metric: np.ndarray  # 2x2, J^T J
-    sqrt_det_g: float
-    inv_metric: np.ndarray
-
-
-def frame_at(patch: NurbsPatch, xi) -> SurfaceFrame:
-    """Evaluate the mapped point, Jacobian and metric of a patch at xi.
-
-    Raises SingularMapError when det(J^T J) falls below 1e-14.
-    """
-    vals, grads, (a1, a2) = eval_nurbs2d(patch.basis, xi)
-    p1, p2 = vals.shape
-    cp = patch.control_points[a1 : a1 + p1, a2 : a2 + p2]
-    point = np.einsum("ab,abk->k", vals, cp)
-    jac = np.einsum("abd,abk->kd", grads, cp)
-    g = jac.T @ jac
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if det <= 1e-14:
-        raise SingularMapError(
-            f"singular parameterization on patch {patch.id} at xi={tuple(xi)} (det g={det:.3e})"
-        )
-    inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
-    return SurfaceFrame(point, jac, g, float(np.sqrt(det)), inv)
-
-
-def surface_gradient(frame: SurfaceFrame, parametric_grad) -> np.ndarray:
-    """Push a parametric gradient forward to the tangential gradient in R^3."""
-    return frame.jacobian @ (frame.inv_metric @ np.asarray(parametric_grad, dtype=float))
-
-
-def surface_normal(frame: SurfaceFrame) -> np.ndarray:
-    """Unit normal of the surface (cross product of the Jacobian columns)."""
-    nu = np.cross(frame.jacobian[:, 0], frame.jacobian[:, 1])
-    return nu / np.linalg.norm(nu)
-
-
-def conormal(patch: NurbsPatch, side: str, t: float) -> np.ndarray:
-    """Outward unit conormal of a patch side at side coordinate t.
-
-    Tangent to the surface, orthogonal to the edge, pointing out of the
-    patch.  Raises GeometryError for a degenerate edge tangent.
-    """
-    axis, _, edge_dir, outward = _SIDE_DATA[side]
-    frame = frame_at(patch, side_param(side, t))
-    tangent = frame.jacobian @ edge_dir
-    tnorm = np.linalg.norm(tangent)
-    if tnorm < 1e-14:
-        raise GeometryError(f"degenerate edge tangent on patch {patch.id} side {side}")
-    nu = surface_normal(frame)
-    c = np.cross(tangent / tnorm, nu)
-    c /= np.linalg.norm(c)
-    # Orient outward: compare with the parametric outward direction pushed forward.
-    if np.dot(c, frame.jacobian @ outward) < 0.0:
-        c = -c
-    return c
+        """Mapped point of a side at side coordinate t in [0, 1]."""
+        axis, value = _SIDE_DATA[side]
+        grid = ([value], [t]) if axis == 0 else ([t], [value])
+        return tabulate_grid([self], *grid).points.reshape(3)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -292,7 +214,7 @@ def _rational_basis(patches: list[NurbsPatch], tab: Tabulation) -> Tabulation:
     return replace(tab, values=values, grads=grads)
 
 
-def _tabulate(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=False) -> Tabulation:
+def tabulate_grid(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=False) -> Tabulation:
     """Geometry of a stack of patches on the tensor grid xs_u x xs_v.
 
     The patches must share both knot vectors.  ``xs_u``/``xs_v`` are
@@ -306,9 +228,10 @@ def _tabulate(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=False) -
     the Jacobian, S = sum N W and its derivatives; no per-point window of
     control points is gathered.  The metric and its inverse use closed
     forms.  ``basis`` adds the factors of the rational basis N_u N_v W / S.
-    Raises SingularMapError, naming the patch, where det(J^T J) < 1e-14.
+    Raises SingularMapError, naming the patch, where det(J^T J) < 1e-14,
+    and ValueError for a point outside [0, 1].
     """
-    xs_u, xs_v = (np.asarray(x, dtype=float).reshape(len(x), -1) for x in (xs_u, xs_v))
+    xs_u, xs_v =(np.asarray(x, dtype=float).reshape(len(x), -1) for x in (xs_u, xs_v))
     fu, Nu, dNu = _panel_table(patches[0].basis.basis_u, xs_u)
     fv, Nv, dNv = _panel_table(patches[0].basis.basis_v, xs_v)
     w = np.stack([p.basis.weights for p in patches])
@@ -389,7 +312,7 @@ def patch_stacks(patches: list[NurbsPatch]) -> list[list[int]]:
 
 
 def tabulate_patches(patches: list[NurbsPatch], q: int, coeffs=None, basis=False) -> Tabulation:
-    """``_tabulate`` at the q x q Gauss points of every element of a stack.
+    """``tabulate_grid`` at the q x q Gauss points of every element of a stack.
 
     Point axes are (P, nel_u, nel_v, q, q); ``weights`` integrate over the
     mapped patches.
@@ -397,13 +320,13 @@ def tabulate_patches(patches: list[NurbsPatch], q: int, coeffs=None, basis=False
     b = patches[0].basis
     xu, wu = panel_rules(breakpoints(b.basis_u), q)
     xv, wv = panel_rules(breakpoints(b.basis_v), q)
-    tab = _tabulate(patches, xu, xv, coeffs, basis)
+    tab = tabulate_grid(patches, xu, xv, coeffs, basis)
     return replace(tab, weights=wu[:, None, :, None] * wv[:, None, :] * tab.sqrt_det_g)
 
 
 def _side_grid(patches: list[NurbsPatch], axis: int, ts: np.ndarray, coeffs=None,
                basis=False) -> Tabulation:
-    """``_tabulate`` of a stack on both sides across ``axis``: the grid {0, 1} x ts
+    """``tabulate_grid`` of a stack on both sides across ``axis``: the grid {0, 1} x ts
     (axis 0: west, east) or ts x {0, 1} (axis 1: south, north).
 
     The basis is only the trace window: the 2 functions nearest each side
@@ -412,7 +335,7 @@ def _side_grid(patches: list[NurbsPatch], axis: int, ts: np.ndarray, coeffs=None
     and zero normal derivative on the side, exactly.
     """
     ends = np.array([0.0, 1.0])
-    tab = _tabulate(patches, *((ends, ts) if axis == 0 else (ts, ends)), coeffs, basis)
+    tab = tabulate_grid(patches, *((ends, ts) if axis == 0 else (ts, ends)), coeffs, basis)
     if not basis:
         return tab
     factors, name = list(tab.factors), ("first_u", "first_v")[axis]

@@ -41,7 +41,9 @@ def parse_expression(text: str):
     """Compile an arithmetic expression in x, y, z into a vectorized field.
 
     The returned callable maps an (N, 3) point array to an (N,) array.
-    Raises ValueError on any construct outside the supported language.
+    Raises ValueError on any construct outside the supported language, and
+    the callable raises ValueError where the arithmetic fails (an overflow
+    of Python numbers or a division by an integer zero).
     """
     source = text.replace("^", "**")
     try:
@@ -73,7 +75,10 @@ def parse_expression(text: str):
             "pi": math.pi,
             **_ALLOWED_CALLS,
         }
-        out = eval(code, {"__builtins__": {}}, env)
+        try:
+            out = eval(code, {"__builtins__": {}}, env)
+        except ArithmeticError as exc:
+            raise ValueError(f"cannot evaluate expression {text!r}: {exc}") from None
         return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
 
     return field

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MultiPatchSurface, frame_at, surface_gradient
-from .splines import eval_nurbs2d
+from .geometry import MultiPatchSurface
 
 __all__ = ["DgSpace", "DiscreteFunction", "build_space"]
 
@@ -85,16 +84,3 @@ class DiscreteFunction:
         n1, n2 = self.space.patch_shape(pid)
         block = self.coefficients[self.space.patch_slice(pid)]
         return block.reshape(n2, n1).T  # second index is the major key
-
-    def eval(self, pid: int, xi) -> tuple[float, np.ndarray]:
-        """Value and tangential gradient at a parameter point of one patch."""
-        patch = self.space.surface.patches[pid]
-        vals, grads, (a1, a2) = eval_nurbs2d(patch.basis, xi)
-        m1, m2 = vals.shape
-        c = self.patch_coeffs(pid)[a1 : a1 + m1, a2 : a2 + m2]
-        value = float(np.sum(c * vals))
-        pgrad = np.array(
-            [np.sum(c * grads[:, :, 0]), np.sum(c * grads[:, :, 1])]
-        )
-        frame = frame_at(patch, xi)
-        return value, surface_gradient(frame, pgrad)

@@ -15,10 +15,8 @@ import numpy as np
 
 __all__ = [
     "KnotVector",
-    "BasisEval",
     "NurbsBasis2D",
-    "eval_bspline",
-    "eval_nurbs2d",
+    "tabulate",
     "insert_knots",
     "greville",
     "breakpoints",
@@ -64,19 +62,6 @@ class KnotVector:
         return breakpoints(self).size - 1
 
 
-@dataclass(frozen=True)
-class BasisEval:
-    """Non-vanishing basis values and first derivatives at one point.
-
-    ``values[r]`` and ``derivs[r]`` belong to basis function
-    ``first_active + r`` for ``r = 0 .. degree``.
-    """
-
-    first_active: int
-    values: np.ndarray
-    derivs: np.ndarray
-
-
 def find_span(kv: KnotVector, xi):
     """Index i of the knot span [U_i, U_{i+1}) containing xi, a point or an array.
 
@@ -87,59 +72,16 @@ def find_span(kv: KnotVector, xi):
     return np.where(xi >= U[n], n - 1, np.searchsorted(U, xi, side="right") - 1)
 
 
-def eval_bspline(kv: KnotVector, xi: float) -> BasisEval:
-    """Evaluate the degree+1 possibly non-zero B-splines and d/dxi at xi.
-
-    Raises ValueError if xi lies outside [0, 1].
-    """
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"evaluation point {xi} outside [0, 1]")
-    p, U = kv.degree, kv.knots
-    span = int(find_span(kv, xi))
-
-    values = np.zeros(p + 1)
-    values[0] = 1.0
-    if p == 0:
-        return BasisEval(span, values, np.zeros(1))
-
-    # Triangular Cox-de Boor scheme; keep the degree p-1 row for derivatives.
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
-    lower = np.zeros(p)
-    for j in range(1, p + 1):
-        if j == p:
-            lower[:] = values[:p]
-        left[j] = xi - U[span + 1 - j]
-        right[j] = U[span + j] - xi
-        saved = 0.0
-        for r in range(j):
-            temp = values[r] / (right[r + 1] + left[j - r])
-            values[r] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        values[j] = saved
-
-    derivs = np.zeros(p + 1)
-    first = span - p
-    for r in range(p + 1):
-        i = first + r
-        d = 0.0
-        if r > 0:
-            den = U[i + p] - U[i]
-            if den > 0.0:
-                d += lower[r - 1] / den
-        if r < p:
-            den = U[i + p + 1] - U[i + 1]
-            if den > 0.0:
-                d -= lower[r] / den
-        derivs[r] = p * d
-    return BasisEval(first, values, derivs)
-
-
 def tabulate(kv: KnotVector, xs: np.ndarray):
-    """eval_bspline at many points; returns (first_active, values, derivs) arrays.
+    """The degree+1 possibly non-zero B-splines and d/dxi at many points.
 
-    Tables are memoised on (knot vector, points), so patches sharing a
-    knot vector share one table; the returned arrays are read-only.
+    Returns (first_active, values, derivs): ``values[k, r]`` and
+    ``derivs[k, r]`` belong to basis function ``first_active[k] + r`` at
+    ``xs[k]``.  Raises ValueError if a point lies outside [0, 1].  The
+    vectorised Cox-de Boor scheme is checked bit for bit against the
+    pointwise ``eval_bspline`` in ``tests/oracles.py``.  Tables are
+    memoised on (knot vector, points), so patches sharing a knot vector
+    share one table; the returned arrays are read-only.
     """
     xs = np.ascontiguousarray(xs, dtype=float).ravel()
     return _tabulate_cached(kv, xs.tobytes())
@@ -147,8 +89,9 @@ def tabulate(kv: KnotVector, xs: np.ndarray):
 
 @lru_cache(maxsize=512)
 def _tabulate_cached(kv: KnotVector, points: bytes):
-    # eval_bspline over all points at once: the same operations in the same
-    # order, so every entry equals the pointwise one bit for bit.
+    # The pointwise triangular scheme over all points at once: the same
+    # operations in the same order, so every entry equals the pointwise one
+    # bit for bit.
     xs = np.frombuffer(points)
     U, m, p = kv.knots, xs.size, kv.degree
     outside = xs[~((xs >= 0.0) & (xs <= 1.0))]
@@ -204,34 +147,6 @@ class NurbsBasis2D:
     @property
     def shape(self) -> tuple[int, int]:
         return self.basis_u.n, self.basis_v.n
-
-
-def eval_nurbs2d(basis: NurbsBasis2D, xi) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    """Rational basis values and parametric gradients at xi in [0,1]^2.
-
-    Returns ``(values, grads, (first_u, first_v))`` where ``values`` has
-    shape (p1+1, p2+1), ``grads`` has shape (p1+1, p2+1, 2), and entry
-    (a, b) belongs to the basis function (first_u + a, first_v + b).
-    Values sum to 1 (weighted projection; gradients by the quotient rule).
-    """
-    eu = eval_bspline(basis.basis_u, xi[0])
-    ev = eval_bspline(basis.basis_v, xi[1])
-    p1, p2 = basis.basis_u.degree, basis.basis_v.degree
-    w = basis.weights[
-        eu.first_active : eu.first_active + p1 + 1,
-        ev.first_active : ev.first_active + p2 + 1,
-    ]
-    B = np.outer(eu.values, ev.values) * w
-    Bu = np.outer(eu.derivs, ev.values) * w
-    Bv = np.outer(eu.values, ev.derivs) * w
-    S = B.sum()
-    Su = Bu.sum()
-    Sv = Bv.sum()
-    vals = B / S
-    grads = np.empty((p1 + 1, p2 + 1, 2))
-    grads[:, :, 0] = Bu / S - B * (Su / S**2)
-    grads[:, :, 1] = Bv / S - B * (Sv / S**2)
-    return vals, grads, (eu.first_active, ev.first_active)
 
 
 def breakpoints(kv: KnotVector) -> np.ndarray:

@@ -1,12 +1,19 @@
-"""Pointwise reference evaluations used only as test oracles.
+"""Pointwise reference evaluations, used only by the tests.
 
-Each function evaluates one quantity at single points through
-``frame_at``/``eval_nurbs2d`` (or one ``tabulate_patch`` call), so the
-vectorised kernels can be checked against an independent route.
+The library evaluates bases and geometry through one sum-factorised kernel
+(``splines.tabulate`` feeding ``geometry.tabulate_grid``, ``tabulate_patches``
+and ``tabulate_sides``).  This module keeps an independent, pointwise route
+to the same quantities: ``eval_bspline`` (the triangular Cox-de Boor scheme
+at one point), ``eval_nurbs2d`` (the rational basis by the quotient rule),
+``frame_at`` (point, Jacobian and metric from the local control window),
+``surface_gradient``, ``surface_normal`` and ``conormal`` (by cross
+products), and ``function_at`` (a discrete function's value and tangential
+gradient).  The kernels are checked against them, and the edge, mesh-size
+and interpolation helpers below are built on them.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,14 +22,192 @@ from dgiga.geometry import (
     InterfaceEdge,
     MultiPatchSurface,
     NurbsPatch,
+    SingularMapError,
     _rational_basis,
-    conormal,
-    frame_at,
-    side_param,
     tabulate_patches,
 )
 from dgiga.space import DgSpace, DiscreteFunction
-from dgiga.splines import breakpoints, eval_nurbs2d, greville
+from dgiga.splines import KnotVector, NurbsBasis2D, breakpoints, find_span, greville
+
+# Each side: (fixed axis, fixed value, edge direction in parameter space,
+# outward parametric direction).
+_SIDE_DATA = {
+    "west": (0, 0.0, np.array([0.0, 1.0]), np.array([-1.0, 0.0])),
+    "east": (0, 1.0, np.array([0.0, 1.0]), np.array([1.0, 0.0])),
+    "south": (1, 0.0, np.array([1.0, 0.0]), np.array([0.0, -1.0])),
+    "north": (1, 1.0, np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+}
+
+@dataclass(frozen=True)
+class BasisEval:
+    """Non-vanishing basis values and first derivatives at one point.
+
+    ``values[r]`` and ``derivs[r]`` belong to basis function
+    ``first_active + r`` for ``r = 0 .. degree``.
+    """
+
+    first_active: int
+    values: np.ndarray
+    derivs: np.ndarray
+
+
+def eval_bspline(kv: KnotVector, xi: float) -> BasisEval:
+    """Evaluate the degree+1 possibly non-zero B-splines and d/dxi at xi.
+
+    Raises ValueError if xi lies outside [0, 1].
+    """
+    if not 0.0 <= xi <= 1.0:
+        raise ValueError(f"evaluation point {xi} outside [0, 1]")
+    p, U = kv.degree, kv.knots
+    span = int(find_span(kv, xi))
+
+    values = np.zeros(p + 1)
+    values[0] = 1.0
+    if p == 0:
+        return BasisEval(span, values, np.zeros(1))
+
+    # Triangular Cox-de Boor scheme; keep the degree p-1 row for derivatives.
+    left = np.zeros(p + 1)
+    right = np.zeros(p + 1)
+    lower = np.zeros(p)
+    for j in range(1, p + 1):
+        if j == p:
+            lower[:] = values[:p]
+        left[j] = xi - U[span + 1 - j]
+        right[j] = U[span + j] - xi
+        saved = 0.0
+        for r in range(j):
+            temp = values[r] / (right[r + 1] + left[j - r])
+            values[r] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        values[j] = saved
+
+    derivs = np.zeros(p + 1)
+    first = span - p
+    for r in range(p + 1):
+        i = first + r
+        d = 0.0
+        if r > 0:
+            den = U[i + p] - U[i]
+            if den > 0.0:
+                d += lower[r - 1] / den
+        if r < p:
+            den = U[i + p + 1] - U[i + 1]
+            if den > 0.0:
+                d -= lower[r] / den
+        derivs[r] = p * d
+    return BasisEval(first, values, derivs)
+
+
+def eval_nurbs2d(basis: NurbsBasis2D, xi) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """Rational basis values and parametric gradients at xi in [0,1]^2.
+
+    Returns ``(values, grads, (first_u, first_v))`` where ``values`` has
+    shape (p1+1, p2+1), ``grads`` has shape (p1+1, p2+1, 2), and entry
+    (a, b) belongs to the basis function (first_u + a, first_v + b).
+    Values sum to 1 (weighted projection; gradients by the quotient rule).
+    """
+    eu = eval_bspline(basis.basis_u, xi[0])
+    ev = eval_bspline(basis.basis_v, xi[1])
+    p1, p2 = basis.basis_u.degree, basis.basis_v.degree
+    w = basis.weights[
+        eu.first_active : eu.first_active + p1 + 1,
+        ev.first_active : ev.first_active + p2 + 1,
+    ]
+    B = np.outer(eu.values, ev.values) * w
+    Bu = np.outer(eu.derivs, ev.values) * w
+    Bv = np.outer(eu.values, ev.derivs) * w
+    S = B.sum()
+    Su = Bu.sum()
+    Sv = Bv.sum()
+    vals = B / S
+    grads = np.empty((p1 + 1, p2 + 1, 2))
+    grads[:, :, 0] = Bu / S - B * (Su / S**2)
+    grads[:, :, 1] = Bv / S - B * (Sv / S**2)
+    return vals, grads, (eu.first_active, ev.first_active)
+
+
+def side_param(side: str, t: float) -> tuple[float, float]:
+    """Map a side coordinate t in [0,1] to the patch parameter square."""
+    axis, value, _, _ = _SIDE_DATA[side]
+    return (value, t) if axis == 0 else (t, value)
+
+
+@dataclass(frozen=True)
+class SurfaceFrame:
+    """First-fundamental-form data of a patch at one parameter point."""
+
+    point: np.ndarray
+    jacobian: np.ndarray  # 3x2
+    metric: np.ndarray  # 2x2, J^T J
+    sqrt_det_g: float
+    inv_metric: np.ndarray
+
+
+def frame_at(patch: NurbsPatch, xi) -> SurfaceFrame:
+    """Evaluate the mapped point, Jacobian and metric of a patch at xi.
+
+    Raises SingularMapError when det(J^T J) falls below 1e-14.
+    """
+    vals, grads, (a1, a2) = eval_nurbs2d(patch.basis, xi)
+    p1, p2 = vals.shape
+    cp = patch.control_points[a1 : a1 + p1, a2 : a2 + p2]
+    point = np.einsum("ab,abk->k", vals, cp)
+    jac = np.einsum("abd,abk->kd", grads, cp)
+    g = jac.T @ jac
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    if det <= 1e-14:
+        raise SingularMapError(
+            f"singular parameterization on patch {patch.id} at xi={tuple(xi)} (det g={det:.3e})"
+        )
+    inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
+    return SurfaceFrame(point, jac, g, float(np.sqrt(det)), inv)
+
+
+def surface_gradient(frame: SurfaceFrame, parametric_grad) -> np.ndarray:
+    """Push a parametric gradient forward to the tangential gradient in R^3."""
+    return frame.jacobian @ (frame.inv_metric @ np.asarray(parametric_grad, dtype=float))
+
+
+def surface_normal(frame: SurfaceFrame) -> np.ndarray:
+    """Unit normal of the surface (cross product of the Jacobian columns)."""
+    nu = np.cross(frame.jacobian[:, 0], frame.jacobian[:, 1])
+    return nu / np.linalg.norm(nu)
+
+
+def conormal(patch: NurbsPatch, side: str, t: float) -> np.ndarray:
+    """Outward unit conormal of a patch side at side coordinate t.
+
+    Tangent to the surface, orthogonal to the edge, pointing out of the
+    patch.  Raises GeometryError for a degenerate edge tangent.
+    """
+    axis, _, edge_dir, outward = _SIDE_DATA[side]
+    frame = frame_at(patch, side_param(side, t))
+    tangent = frame.jacobian @ edge_dir
+    tnorm = np.linalg.norm(tangent)
+    if tnorm < 1e-14:
+        raise GeometryError(f"degenerate edge tangent on patch {patch.id} side {side}")
+    nu = surface_normal(frame)
+    c = np.cross(tangent / tnorm, nu)
+    c /= np.linalg.norm(c)
+    # Orient outward: compare with the parametric outward direction pushed forward.
+    if np.dot(c, frame.jacobian @ outward) < 0.0:
+        c = -c
+    return c
+
+
+def function_at(f: DiscreteFunction, pid: int, xi) -> tuple[float, np.ndarray]:
+    """Value and tangential gradient at a parameter point of one patch."""
+    patch = f.space.surface.patches[pid]
+    vals, grads, (a1, a2) = eval_nurbs2d(patch.basis, xi)
+    m1, m2 = vals.shape
+    c = f.patch_coeffs(pid)[a1 : a1 + m1, a2 : a2 + m2]
+    value = float(np.sum(c * vals))
+    pgrad = np.array(
+        [np.sum(c * grads[:, :, 0]), np.sum(c * grads[:, :, 1])]
+    )
+    frame = frame_at(patch, xi)
+    return value, surface_gradient(frame, pgrad)
 
 
 def tabulate_patch(patch: NurbsPatch, q: int):
@@ -42,8 +227,9 @@ def edge_mesh_size(surface: MultiPatchSurface, edge: InterfaceEdge, element: int
     """Physical chord length of one mapped edge element."""
     bp = edge_breakpoints(surface, edge)
     patch = surface.patches[edge.left[0]]
-    a = patch.side_point(edge.left[1], bp[element])
-    b = patch.side_point(edge.left[1], bp[element + 1])
+    side = edge.left[1]
+    a = frame_at(patch, side_param(side, bp[element])).point
+    b = frame_at(patch, side_param(side, bp[element + 1])).point
     return float(np.linalg.norm(b - a))
 
 
@@ -53,7 +239,7 @@ def mesh_size(patch: NurbsPatch, element: tuple[int, int]) -> float:
     bv = breakpoints(patch.basis.basis_v)
     eu, ev = element
     corners = [
-        patch.point((bu[eu + du], bv[ev + dv])) for du in (0, 1) for dv in (0, 1)
+        frame_at(patch, (bu[eu + du], bv[ev + dv])).point for du in (0, 1) for dv in (0, 1)
     ]
     return max(
         float(np.linalg.norm(corners[i] - corners[j]))
@@ -101,7 +287,7 @@ def trace_on_edge(
         s = edge.partner_t(t)
     else:
         raise ValueError("side must be 'left' or 'right'")
-    return f.eval(pid, side_param(pside, s))
+    return function_at(f, pid, side_param(pside, s))
 
 
 def edge_jump(f: DiscreteFunction, edge: InterfaceEdge, t: float) -> float:

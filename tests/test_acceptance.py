@@ -9,17 +9,17 @@ import time
 import numpy as np
 import pytest
 from conftest import symmetry_deviation
-from oracles import conormal_at, edge_average, edge_jump, interpolate, trace_on_edge
+from oracles import interpolate
 
-from dgiga.assembly import assemble_system, default_penalty
+from dgiga.assembly import assemble_system, default_penalty, interface_slots
 from dgiga.cli import data_path
 from dgiga.geofile import parse_geometry
 from dgiga.geometries import quarter_cylinder_grid, square_grid
-from dgiga.geometry import frame_at, refine_surface, surface_gradient, surface_normal
+from dgiga.geometry import refine_surface, tabulate_grid, tabulate_sides
 from dgiga.linalg import cg_solve
 from dgiga.problems import make_problem
 from dgiga.space import build_space
-from dgiga.splines import eval_bspline
+from dgiga.splines import tabulate
 
 BUNDLED = ["square4.g", "square4_p2.g", "square4_p3.g", "qcyl4.g", "qcyl4_p3.g"]
 
@@ -123,76 +123,74 @@ def test_criterion_6_jump_robustness(jump_sweep, report):
     assert abs(l2_rate - 3.0) <= 0.2
 
 
+def edge_traces(f, edge, q=5):
+    """Traces of a discrete function from the left and the right of an edge."""
+    coeffs = [f.patch_coeffs(pid) for pid in range(f.space.surface.num_patches)]
+    tab = tabulate_sides(f.space.surface.patches, interface_slots([edge]), q, coeffs)
+    half = tab.starts[1]
+    return tab.field[:half], tab.field[half:]
+
+
 def test_criterion_7_property_suites(rng, report):
     checks = []
 
     # partition of unity / derivative sum on the bundled knot vectors
     surface = parse_geometry(data_path("qcyl4.g")).surface()
     kv = surface.patches[0].basis.basis_u
-    pou = max(abs(eval_bspline(kv, x).values.sum() - 1.0) for x in rng.random(1000))
-    dsum = max(abs(eval_bspline(kv, x).derivs.sum()) for x in rng.random(1000))
+    _, values, derivs = tabulate(kv, rng.random(1000))
+    pou = np.max(np.abs(values.sum(axis=1) - 1.0))
+    dsum = np.max(np.abs(derivs.sum(axis=1)))
     checks.append(("partition of unity", pou <= 1e-12 and dsum <= 1e-10))
 
     # derivative finite differences
     h = 1e-6
-    worst = 0.0
-    for x in rng.uniform(0.05, 0.95, 200):
-        if abs(x - 0.5) < 10 * h:
-            continue
-        ev = eval_bspline(kv, x)
-        fd = (eval_bspline(kv, x + h).values - eval_bspline(kv, x - h).values) / (2 * h)
-        worst = max(worst, float(np.max(np.abs(fd - ev.derivs) / np.maximum(np.abs(ev.derivs), 1.0))))
+    xs = rng.uniform(0.05, 0.95, 200)
+    xs = xs[np.abs(xs - 0.5) >= 10 * h]
+    _, values, derivs = tabulate(kv, xs)
+    fd = (tabulate(kv, xs + h)[1] - tabulate(kv, xs - h)[1]) / (2 * h)
+    worst = float(np.max(np.abs(fd - derivs) / np.maximum(np.abs(derivs), 1.0)))
     checks.append(("derivative finite differences", worst <= 1e-5))
 
     # tangency of surface gradients
     tang = 0.0
     for surf in (square_grid(2), quarter_cylinder_grid(2)):
-        for _ in range(500):
-            patch = surf.patches[int(rng.integers(surf.num_patches))]
-            frame = frame_at(patch, rng.random(2))
-            g = surface_gradient(frame, rng.normal(size=2))
-            tang = max(tang, abs(g @ surface_normal(frame)) / max(1.0, np.linalg.norm(g)))
+        for patch in surf.patches:
+            tab = tabulate_grid([patch], rng.random(12), rng.random(12))
+            g = tab.surface_gradient(rng.normal(size=tab.sqrt_det_g.shape + (2,)))
+            normal = np.cross(tab.jacobian[..., 0], tab.jacobian[..., 1])
+            normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+            scale = np.maximum(1.0, np.linalg.norm(g, axis=-1))
+            tang = max(tang, float(np.max(np.abs(np.sum(g * normal, axis=-1)) / scale)))
     checks.append(("tangential gradients", tang <= 1e-10))
 
     # antiparallel interface conormals
     anti = 0.0
     for surf in (square_grid(2), quarter_cylinder_grid(2)):
         for edge in surf.edges_of_kind("interior"):
-            for t in rng.random(10):
-                n_l = conormal_at(surf, edge, "left", float(t))
-                n_r = conormal_at(surf, edge, "right", float(t))
-                anti = max(anti, float(np.linalg.norm(n_l + n_r)))
+            tab = tabulate_sides(surf.patches, interface_slots([edge]), 4)
+            gap = tab.conormal[: tab.starts[1]] + tab.conormal[tab.starts[1]:]
+            anti = max(anti, float(np.max(np.linalg.norm(gap, axis=-1))))
     checks.append(("antiparallel conormals", anti <= 1e-8))
 
-    # jump/average identity
+    # jump/average identity on the kernel traces of two random functions
     surf = square_grid(2)
     space = build_space(surf, 2)
     u = space.function(rng.normal(size=space.total_dofs))
     v = space.function(rng.normal(size=space.total_dofs))
     edge = surf.edges_of_kind("interior")[0]
-    dev = 0.0
-    for t in rng.random(20):
-        t = float(t)
-        ul, _ = trace_on_edge(u, edge, "left", t)
-        ur, _ = trace_on_edge(u, edge, "right", t)
-        vl, _ = trace_on_edge(v, edge, "left", t)
-        vr, _ = trace_on_edge(v, edge, "right", t)
-        lhs = ul * vl - ur * vr
-        rhs = edge_average(u, edge, t) * edge_jump(v, edge, t) + edge_jump(u, edge, t) * edge_average(v, edge, t)
-        dev = max(dev, abs(lhs - rhs))
-    checks.append(("jump/average identity", dev <= 1e-12))
+    (ul, ur), (vl, vr) = (edge_traces(f, edge) for f in (u, v))
+    lhs = ul * vl - ur * vr
+    rhs = 0.5 * (ul + ur) * (vl - vr) + (ul - ur) * 0.5 * (vl + vr)
+    checks.append(("jump/average identity", float(np.max(np.abs(lhs - rhs))) <= 1e-12))
 
     # knot insertion leaves the geometry invariant
     surf = quarter_cylinder_grid(2)
     fine = refine_surface(surf)
     move = 0.0
-    for _ in range(20):
-        pid = int(rng.integers(4))
-        xi = rng.random(2)
-        move = max(
-            move,
-            float(np.linalg.norm(surf.patches[pid].point(xi) - fine.patches[pid].point(xi))),
-        )
+    for coarse_patch, fine_patch in zip(surf.patches, fine.patches):
+        xu, xv = rng.random(5), rng.random(5)
+        a, b = (tabulate_grid([p], xu, xv).points for p in (coarse_patch, fine_patch))
+        move = max(move, float(np.max(np.linalg.norm(a - b, axis=-1))))
     checks.append(("knot-insertion invariance", move <= 1e-12))
 
     # quarter-cylinder area at assembly quadrature order

@@ -108,6 +108,25 @@ def test_expression_problem_runs(tmp_path):
     assert rates[1].split(",")[4] == ""  # no exact gradient: dg column empty
 
 
+def test_unmeasured_errors_are_empty_fields(tmp_path):
+    """Without u= neither error is measured: both are empty, like the rates."""
+    argv = ["solve", str(data_path("square4.g")), "--problem", "f=2*pi^2*sin(pi*x)*sin(pi*y)",
+            "--levels", "2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rates = (tmp_path / "rates.csv").read_text().splitlines()
+    assert rates[1] == "0,0.70710678118654757,16,,,,"
+    assert rates[2].endswith(",36,,,,")
+
+
+@pytest.mark.parametrize("expr", ["f=10^400*x", "f=1/0+x"], ids=["overflow", "zero_division"])
+def test_arithmetic_error_in_expression_exit_code(tmp_path, capsys, expr):
+    argv = ["solve", str(data_path("square4.g")), "--problem", expr, "--levels", "1",
+            "--out", str(tmp_path)]
+    assert main(argv) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(expr[2:]) in err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.g"
     bad.write_text("patch 0\nknots_u 1 0 0 1 1\n", encoding="utf-8")
@@ -229,7 +248,7 @@ def fstring_rows(samples, ts):
 def test_solution_csv_matches_fstring_rows(tmp_path, monkeypatch):
     """%-formatted rows equal f-string fields byte for byte, -0, nan, inf and 1/3 included."""
     special = [-0.0, np.nan, np.inf, -np.inf, 1.0 / 3.0, 0.0, -1e-300, 123456789.123]
-    real, levels = dgiga.driver._tabulate, []
+    real, levels = dgiga.driver.tabulate_grid, []
 
     def spiked(patches, xs_u, xs_v, coeffs):
         tab = real(patches, xs_u, xs_v, coeffs)
@@ -241,7 +260,7 @@ def test_solution_csv_matches_fstring_rows(tmp_path, monkeypatch):
                                                        field.reshape(-1, n, n))})
         return dataclasses.replace(tab, points=points, field=field)
 
-    monkeypatch.setattr(dgiga.driver, "_tabulate", spiked)
+    monkeypatch.setattr(dgiga.driver, "tabulate_grid", spiked)
     out = tmp_path / "run"
     argv = ["solve", str(data_path("square4_p2.g")), "--problem", "plane_sine",
             "--levels", "2", "--out", str(out)]

@@ -9,13 +9,13 @@ must compose with it.
 import numpy as np
 import pytest
 from conftest import symmetry_deviation
-from oracles import conormal_at, edge_jump, interpolate
+from oracles import edge_jump, interpolate
 
 from dgiga.analysis import measure_errors
-from dgiga.assembly import ProblemData, assemble_system, default_penalty
+from dgiga.assembly import ProblemData, assemble_system, default_penalty, interface_slots
 from dgiga.driver import solve_problem
 from dgiga.geometries import planar_rectangle_patch
-from dgiga.geometry import NurbsPatch, match_interfaces, refine_surface
+from dgiga.geometry import NurbsPatch, match_interfaces, refine_surface, tabulate_sides
 from dgiga.space import build_space
 from dgiga.splines import NurbsBasis2D
 
@@ -68,9 +68,10 @@ def test_flip_is_detected_and_consistent(rng):
         a = pl.side_point(edge.left[1], float(t))
         b = pr.side_point(edge.right[1], edge.partner_t(float(t)))
         assert np.linalg.norm(a - b) <= 1e-12
-        n_l = conormal_at(surface, edge, "left", float(t))
-        n_r = conormal_at(surface, edge, "right", float(t))
-        assert np.linalg.norm(n_l + n_r) <= 1e-12
+    tab = tabulate_sides(surface.patches, interface_slots([edge]), 4)
+    half = tab.starts[1]
+    assert np.max(np.linalg.norm(tab.points[:half] - tab.points[half:], axis=-1)) <= 1e-12
+    assert np.max(np.linalg.norm(tab.conormal[:half] + tab.conormal[half:], axis=-1)) <= 1e-12
 
 
 def test_interpolant_continuous_across_flipped_interface(rng):

@@ -3,6 +3,7 @@ import pytest
 
 from dgiga.cli import data_path
 from dgiga.geofile import ParseError, parse_geometry, serialize_geometry
+from dgiga.geometry import tabulate_grid
 
 
 def test_parse_bundled_square():
@@ -17,10 +18,9 @@ def test_parse_bundled_square():
 
 def test_parse_bundled_cylinder_is_exact(rng):
     surface = parse_geometry(data_path("qcyl4.g")).surface()
-    for _ in range(50):
-        pid = int(rng.integers(4))
-        pt = surface.patches[pid].point(rng.random(2))
-        assert abs(np.hypot(pt[0], pt[1]) - 1.0) <= 1e-12
+    for patch in surface.patches:
+        pts = tabulate_grid([patch], rng.random(4), rng.random(4)).points
+        assert np.max(np.abs(np.hypot(pts[..., 0], pts[..., 1]) - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize(

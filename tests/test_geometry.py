@@ -2,9 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
-from oracles import conormal_at, edge_breakpoints, edge_mesh_size, mesh_size
+from oracles import edge_breakpoints, edge_mesh_size, mesh_size
 from test_tabulation import GEOMETRIES
 
+from dgiga.assembly import interface_slots
 from dgiga.driver import run_sweep
 from dgiga.geometries import (
     _arc_segments,
@@ -22,24 +23,39 @@ from dgiga.geometry import (
     SingularMapError,
     TopologyError,
     _refine_patch,
-    conormal,
-    frame_at,
     match_interfaces,
     refine_surface,
-    side_param,
-    surface_gradient,
-    surface_normal,
+    tabulate_grid,
+    tabulate_patches,
+    tabulate_sides,
 )
 from dgiga.problems import make_problem
-from dgiga.splines import KnotVector, NurbsBasis2D, greville, uniform_open_knots
+from dgiga.quadrature import panel_rules
+from dgiga.splines import KnotVector, NurbsBasis2D, breakpoints, greville, uniform_open_knots
+
+
+def metric(tab):
+    """First fundamental form J^T J at every point of a tabulation."""
+    return np.einsum("...ki,...kj->...ij", tab.jacobian, tab.jacobian)
+
+
+def unit_normal(tab):
+    nu = np.cross(tab.jacobian[..., 0], tab.jacobian[..., 1])
+    return nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+
+
+def edge_tabulation(surface, edge, q=4):
+    """Both slots of an interior edge at the same q Gauss points per element."""
+    tab = tabulate_sides(surface.patches, interface_slots([edge]), q)
+    return tab, tab.starts[1]
 
 
 def test_identity_patch_frame(rng):
     patch = planar_rectangle_patch(2)
-    for _ in range(20):
-        frame = frame_at(patch, rng.random(2))
-        np.testing.assert_allclose(frame.metric, np.eye(2), atol=1e-13)
-        assert frame.sqrt_det_g == pytest.approx(1.0, abs=1e-13)
+    tab = tabulate_grid([patch], rng.random(5), rng.random(4))
+    np.testing.assert_allclose(metric(tab), np.broadcast_to(np.eye(2), metric(tab).shape),
+                               atol=1e-13)
+    np.testing.assert_allclose(tab.sqrt_det_g, 1.0, atol=1e-13)
 
 
 def fingerprint(built) -> str:
@@ -83,40 +99,35 @@ def test_quarter_cylinder_midparameter_hits_45_degrees():
     np.testing.assert_allclose(
         patch.basis.weights[:, 0], [1.0, np.sqrt(2) / 2, 1.0], atol=1e-15
     )
-    for z in (0.0, 0.3, 1.0):
-        frame = frame_at(patch, (0.5, z))
-        np.testing.assert_allclose(
-            frame.point, [np.sqrt(2) / 2, np.sqrt(2) / 2, z], atol=1e-14
-        )
+    zs = np.array([0.0, 0.3, 1.0])
+    points = tabulate_grid([patch], [0.5], zs).points.reshape(3, 3)
+    expected = np.stack([np.full(3, np.sqrt(2) / 2), np.full(3, np.sqrt(2) / 2), zs], axis=1)
+    np.testing.assert_allclose(points, expected, atol=1e-14)
 
 
 def test_quarter_cylinder_lies_on_circle(rng):
     patch = quarter_cylinder_patch(2)
-    for _ in range(100):
-        pt = patch.point(rng.random(2))
-        assert abs(np.hypot(pt[0], pt[1]) - 1.0) <= 1e-12
+    pts = tabulate_grid([patch], rng.random(10), rng.random(10)).points
+    assert np.max(np.abs(np.hypot(pts[..., 0], pts[..., 1]) - 1.0)) <= 1e-12
 
 
 def test_surface_gradient_planar_identity(rng):
     patch = planar_rectangle_patch(1)
-    for _ in range(10):
-        frame = frame_at(patch, rng.random(2))
-        pg = rng.normal(size=2)
-        np.testing.assert_allclose(
-            surface_gradient(frame, pg), [pg[0], pg[1], 0.0], atol=1e-13
-        )
-        np.testing.assert_allclose(surface_gradient(frame, [0, 0]), 0.0, atol=1e-15)
+    tab = tabulate_grid([patch], rng.random(4), rng.random(3))
+    pg = rng.normal(size=tab.sqrt_det_g.shape + (2,))
+    expected = np.concatenate([pg, np.zeros(pg.shape[:-1] + (1,))], axis=-1)
+    np.testing.assert_allclose(tab.surface_gradient(pg), expected, atol=1e-13)
+    np.testing.assert_allclose(tab.surface_gradient(np.zeros_like(pg)), 0.0, atol=1e-15)
 
 
 def test_surface_gradient_of_height_on_cylinder(rng):
     # The cylinder's z coordinate equals the second parameter, so the
     # tangential gradient of the height function is the axis direction.
     patch = quarter_cylinder_patch(2)
-    for _ in range(20):
-        frame = frame_at(patch, rng.random(2))
-        np.testing.assert_allclose(
-            surface_gradient(frame, [0.0, 1.0]), [0.0, 0.0, 1.0], atol=1e-12
-        )
+    tab = tabulate_grid([patch], rng.random(5), rng.random(4))
+    pg = np.broadcast_to([0.0, 1.0], tab.sqrt_det_g.shape + (2,))
+    grads = tab.surface_gradient(pg)
+    np.testing.assert_allclose(grads, np.broadcast_to([0.0, 0.0, 1.0], grads.shape), atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -124,28 +135,30 @@ def test_surface_gradient_of_height_on_cylinder(rng):
 )
 def test_tangency_of_surface_gradients(surface_fn, rng):
     surface = surface_fn()
-    for _ in range(1000):
-        pid = int(rng.integers(surface.num_patches))
-        patch = surface.patches[pid]
-        frame = frame_at(patch, rng.random(2))
-        grad = surface_gradient(frame, rng.normal(size=2))
-        assert abs(grad @ surface_normal(frame)) <= 1e-10 * max(1.0, np.linalg.norm(grad))
+    for patch in surface.patches:
+        tab = tabulate_grid([patch], rng.random(16), rng.random(16))
+        grad = tab.surface_gradient(rng.normal(size=tab.sqrt_det_g.shape + (2,)))
+        normal_part = np.abs(np.sum(grad * unit_normal(tab), axis=-1))
+        assert np.all(normal_part <= 1e-10 * np.maximum(1.0, np.linalg.norm(grad, axis=-1)))
 
 
 def test_conormal_examples():
     patch = planar_rectangle_patch(1)
-    np.testing.assert_allclose(conormal(patch, "east", 0.4), [1, 0, 0], atol=1e-14)
-    np.testing.assert_allclose(conormal(patch, "west", 0.7), [-1, 0, 0], atol=1e-14)
-    np.testing.assert_allclose(conormal(patch, "south", 0.2), [0, -1, 0], atol=1e-14)
-    np.testing.assert_allclose(conormal(patch, "north", 0.9), [0, 1, 0], atol=1e-14)
+    expected = {"east": [1, 0, 0], "west": [-1, 0, 0], "south": [0, -1, 0], "north": [0, 1, 0]}
+    for side, n in expected.items():
+        for flip in (False, True):
+            c = tabulate_sides([patch], [(0, side, flip)], 3).conormal
+            np.testing.assert_allclose(c, np.broadcast_to(n, c.shape), atol=1e-14)
 
 
 def test_conormal_on_cylinder_top_edge(rng):
     # Top edge (z = 1): the conormal is the cylinder axis, orthogonal to a
     # finite-difference tangent of the edge curve.
     patch = quarter_cylinder_patch(2)
-    for t in rng.random(10):
-        c = conormal(patch, "north", float(t))
+    q = 10
+    conormals = tabulate_sides([patch], [(0, "north", False)], q).conormal.reshape(-1, 3)
+    ts, _ = panel_rules(breakpoints(patch.side_knots("north")), q)
+    for t, c in zip(ts.ravel(), conormals):
         np.testing.assert_allclose(c, [0.0, 0.0, 1.0], atol=1e-12)
         h = 1e-6
         t0, t1 = np.clip([t - h, t + h], 0.0, 1.0)
@@ -157,10 +170,8 @@ def test_conormal_on_cylinder_top_edge(rng):
 def test_two_squares_have_opposite_conormals(rng):
     surface = square_grid(1, nx=2, ny=1)
     (edge,) = surface.edges_of_kind("interior")
-    for t in rng.random(10):
-        n_l = conormal_at(surface, edge, "left", float(t))
-        n_r = conormal_at(surface, edge, "right", float(t))
-        np.testing.assert_allclose(n_l, -n_r, atol=1e-14)
+    tab, half = edge_tabulation(surface, edge, q=10)
+    np.testing.assert_allclose(tab.conormal[:half], -tab.conormal[half:], atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -175,9 +186,9 @@ def test_interior_edge_consistency(surface_fn, rng):
             a = surface.patches[pid_l].side_point(side_l, float(t))
             b = surface.patches[pid_r].side_point(side_r, edge.partner_t(float(t)))
             assert np.linalg.norm(a - b) <= 1e-10
-            n_l = conormal_at(surface, edge, "left", float(t))
-            n_r = conormal_at(surface, edge, "right", float(t))
-            assert np.linalg.norm(n_l + n_r) <= 1e-8
+        tab, half = edge_tabulation(surface, edge)
+        assert np.max(np.linalg.norm(tab.points[:half] - tab.points[half:], axis=-1)) <= 1e-10
+        assert np.max(np.linalg.norm(tab.conormal[:half] + tab.conormal[half:], axis=-1)) <= 1e-8
 
 
 def test_match_counts_square_and_cylinder():
@@ -213,18 +224,10 @@ def test_nonmatching_meshes_rejected():
 
 
 def test_metric_spd_at_quadrature_points(rng):
-    from dgiga.quadrature import panel_rules
-    from dgiga.splines import breakpoints
-
     for surface in (square_grid(1), quarter_cylinder_grid(2)):
         for patch in surface.patches:
-            q = patch.degree[0] + 1
-            xu, _ = panel_rules(breakpoints(patch.basis.basis_u), q)
-            xv, _ = panel_rules(breakpoints(patch.basis.basis_v), q)
-            for x1 in xu.ravel():
-                for x2 in xv.ravel():
-                    ev = np.linalg.eigvalsh(frame_at(patch, (x1, x2)).metric)
-                    assert np.all(ev > 0)
+            tab = tabulate_patches([patch], patch.degree[0] + 1)
+            assert np.all(np.linalg.eigvalsh(metric(tab)) > 0)
 
 
 def test_mesh_sizes_on_uniform_square():
@@ -286,14 +289,16 @@ def test_singular_parameterization_reports_location():
     patch = planar_rectangle_patch(1)
     collapsed = NurbsPatch(patch.basis, np.zeros_like(patch.control_points), 7)
     with pytest.raises(SingularMapError, match="patch 7"):
-        frame_at(collapsed, (0.5, 0.5))
+        tabulate_grid([collapsed], [0.5], [0.5])
 
 
 def test_side_param_conventions():
-    assert side_param("west", 0.3) == (0.0, 0.3)
-    assert side_param("east", 0.3) == (1.0, 0.3)
-    assert side_param("south", 0.3) == (0.3, 0.0)
-    assert side_param("north", 0.3) == (0.3, 1.0)
+    # On the unit square the map is the identity, so a side point shows
+    # which parameter the side fixes and which one t runs along.
+    patch = planar_rectangle_patch(2)
+    expected = {"west": (0.0, 0.3), "east": (1.0, 0.3), "south": (0.3, 0.0), "north": (0.3, 1.0)}
+    for side, xy in expected.items():
+        np.testing.assert_allclose(patch.side_point(side, 0.3), [*xy, 0.0], atol=1e-15)
 
 
 # -- topology carried through refinement ---------------------------------------

@@ -3,9 +3,16 @@ import pytest
 from oracles import edge_average, edge_jump, interpolate, trace_on_edge
 
 from dgiga.geometries import planar_rectangle_patch, quarter_cylinder_grid, square_grid
-from dgiga.geometry import match_interfaces, refine_surface
+from dgiga.geometry import match_interfaces, refine_surface, tabulate_grid
 from dgiga.space import build_space
 from dgiga.splines import KnotVector, NurbsBasis2D, greville
+
+
+def evaluate(f, pid, xu, xv):
+    """Values (len(xu), len(xv)) and tangential gradients of f on a grid of one patch."""
+    tab = tabulate_grid([f.space.surface.patches[pid]], xu, xv, f.patch_coeffs(pid)[None])
+    shape = (len(xu), len(xv))
+    return tab.field.reshape(shape), tab.surface_gradient(tab.field_grad).reshape(*shape, 3)
 
 
 def single_patch_surface(patch, bc="dirichlet"):
@@ -49,22 +56,20 @@ def test_partition_of_unity_function(rng):
     surface = quarter_cylinder_grid(2)
     space = build_space(surface, 2)
     ones = space.function(np.ones(space.total_dofs))
-    for _ in range(20):
-        pid = int(rng.integers(surface.num_patches))
-        value, grad = ones.eval(pid, rng.random(2))
-        assert value == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(grad) <= 1e-10
+    for pid in range(surface.num_patches):
+        value, grad = evaluate(ones, pid, rng.random(5), rng.random(5))
+        np.testing.assert_allclose(value, 1.0, rtol=0.0, atol=1e-12)
+        assert np.max(np.linalg.norm(grad, axis=-1)) <= 1e-10
 
 
 def test_linear_reproduction_via_greville_interpolant(rng):
     surface = single_patch_surface(planar_rectangle_patch(1))
     space = build_space(surface, 1)
     u = interpolate(space, lambda pts: pts[:, 0])
-    for _ in range(10):
-        xi = rng.random(2)
-        value, grad = u.eval(0, xi)
-        assert value == pytest.approx(xi[0], abs=1e-13)
-        np.testing.assert_allclose(grad, [1.0, 0.0, 0.0], atol=1e-12)
+    xu, xv = rng.random(4), rng.random(3)
+    value, grad = evaluate(u, 0, xu, xv)
+    np.testing.assert_allclose(value, np.broadcast_to(xu[:, None], value.shape), atol=1e-13)
+    np.testing.assert_allclose(grad, np.broadcast_to([1.0, 0.0, 0.0], grad.shape), atol=1e-12)
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -74,9 +79,10 @@ def test_gradient_matches_finite_differences(rng):
     h = 1e-6
     for _ in range(20):
         xi = rng.uniform(0.05, 0.95, size=2)
-        _, grad = f.eval(0, xi)
-        fd0 = (f.eval(0, (xi[0] + h, xi[1]))[0] - f.eval(0, (xi[0] - h, xi[1]))[0]) / (2 * h)
-        fd1 = (f.eval(0, (xi[0], xi[1] + h))[0] - f.eval(0, (xi[0], xi[1] - h))[0]) / (2 * h)
+        value, grads = evaluate(f, 0, xi[0] + [-h, 0.0, h], xi[1] + [-h, 0.0, h])
+        grad = grads[1, 1]
+        fd0 = (value[2, 1] - value[0, 1]) / (2 * h)
+        fd1 = (value[1, 2] - value[1, 0]) / (2 * h)
         scale = max(1.0, abs(fd0), abs(fd1))
         assert abs(grad[0] - fd0) / scale <= 1e-5
         assert abs(grad[1] - fd1) / scale <= 1e-5

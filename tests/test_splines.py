@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from oracles import eval_bspline
 
+from dgiga.geometry import NurbsPatch, _rational_basis, tabulate_grid
 from dgiga.splines import (
     KnotVector,
     NurbsBasis2D,
     breakpoints,
-    eval_bspline,
-    eval_nurbs2d,
     greville,
     insert_knots,
     midpoint_refine,
@@ -60,27 +60,37 @@ def rational_curve_oracle(kv, weights, points, x):
     return num / den
 
 
+def rational_basis_at(basis, xi):
+    """The kernel's rational basis at one point: values (m1, m2), grads (m1, m2, 2)."""
+    n1, n2 = basis.shape
+    grid = np.stack(np.meshgrid(np.arange(n1), np.arange(n2), [0.0], indexing="ij"), axis=-1)
+    patch = NurbsPatch(basis, grid.reshape(n1, n2, 3))
+    tab = _rational_basis([patch], tabulate_grid([patch], [xi[0]], [xi[1]], basis=True))
+    m1, m2 = tab.values.shape[-2:]
+    return tab.values.reshape(m1, m2), tab.grads.reshape(m1, m2, 2)
+
+
 def test_matches_recursive_oracle():
     kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
-    ev = eval_bspline(kv, 0.25)
+    first, values, derivs = tabulate(kv, [0.25])
     for r in range(kv.degree + 1):
-        i = ev.first_active + r
-        assert ev.values[r] == pytest.approx(
+        i = first[0] + r
+        assert values[0, r] == pytest.approx(
             cox_de_boor_value(kv.knots, i, 2, 0.25), abs=1e-14
         )
-        assert ev.derivs[r] == pytest.approx(
+        assert derivs[0, r] == pytest.approx(
             cox_de_boor_deriv(kv.knots, i, 2, 0.25), abs=1e-12
         )
 
 
 @pytest.mark.parametrize("kv", KV_CASES)
 def test_matches_oracle_at_random_interior_points(kv, rng):
-    for x in rng.uniform(0.01, 0.99, size=25):
-        if np.any(np.abs(kv.knots - x) < 1e-6):
-            continue
-        ev = eval_bspline(kv, x)
+    xs = rng.uniform(0.01, 0.99, size=25)
+    xs = xs[np.min(np.abs(kv.knots[:, None] - xs), axis=0) >= 1e-6]
+    first, values, _ = tabulate(kv, xs)
+    for x, f, v in zip(xs, first, values):
         dense = np.zeros(kv.n)
-        dense[ev.first_active : ev.first_active + kv.degree + 1] = ev.values
+        dense[f : f + kv.degree + 1] = v
         for i in range(kv.n):
             assert dense[i] == pytest.approx(
                 cox_de_boor_value(kv.knots, i, kv.degree, x), abs=1e-13
@@ -89,48 +99,45 @@ def test_matches_oracle_at_random_interior_points(kv, rng):
 
 def test_open_vector_interpolates_at_zero():
     kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
-    ev = eval_bspline(kv, 0.0)
-    assert ev.first_active == 0
-    np.testing.assert_allclose(ev.values, [1.0, 0.0, 0.0], atol=1e-15)
+    first, values, _ = tabulate(kv, [0.0])
+    assert first[0] == 0
+    np.testing.assert_allclose(values[0], [1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_right_endpoint_uses_last_span():
     kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
-    ev = eval_bspline(kv, 1.0)
-    assert ev.first_active == kv.n - kv.degree - 1
-    np.testing.assert_allclose(ev.values, [0.0, 0.0, 1.0], atol=1e-15)
+    first, values, _ = tabulate(kv, [1.0])
+    assert first[0] == kv.n - kv.degree - 1
+    np.testing.assert_allclose(values[0], [0.0, 0.0, 1.0], atol=1e-15)
 
 
 @pytest.mark.parametrize("kv", KV_CASES)
 def test_partition_of_unity_and_deriv_sum(kv, rng):
-    for x in rng.random(1000):
-        ev = eval_bspline(kv, x)
-        assert abs(ev.values.sum() - 1.0) <= 1e-12
-        assert abs(ev.derivs.sum()) <= 1e-10
+    _, values, derivs = tabulate(kv, rng.random(1000))
+    assert np.max(np.abs(values.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(derivs.sum(axis=1))) <= 1e-10
 
 
 @pytest.mark.parametrize("kv", KV_CASES)
 def test_derivatives_match_finite_differences(kv, rng):
     h = 1e-6
-    for x in rng.uniform(0.05, 0.95, size=50):
-        if np.any(np.abs(kv.knots - x) < 10 * h):
-            continue
-        lo = eval_bspline(kv, x - h)
-        hi = eval_bspline(kv, x + h)
-        if lo.first_active != hi.first_active:
-            continue
-        ev = eval_bspline(kv, x)
-        fd = (hi.values - lo.values) / (2 * h)
-        scale = np.maximum(np.abs(ev.derivs), 1.0)
-        assert np.max(np.abs(fd - ev.derivs) / scale) <= 1e-5
+    xs = rng.uniform(0.05, 0.95, size=50)
+    xs = xs[np.min(np.abs(kv.knots[:, None] - xs), axis=0) >= 10 * h]
+    f_lo, lo, _ = tabulate(kv, xs - h)
+    f_hi, hi, _ = tabulate(kv, xs + h)
+    _, _, derivs = tabulate(kv, xs)
+    same = f_lo == f_hi
+    fd = (hi[same] - lo[same]) / (2 * h)
+    scale = np.maximum(np.abs(derivs[same]), 1.0)
+    assert np.max(np.abs(fd - derivs[same]) / scale) <= 1e-5
 
 
 def test_domain_error_outside_interval():
     kv = KV_CASES[1]
     with pytest.raises(ValueError):
-        eval_bspline(kv, -0.1)
+        tabulate(kv, [-0.1])
     with pytest.raises(ValueError):
-        eval_bspline(kv, 1.0001)
+        tabulate(kv, [1.0001])
 
 
 # -- memoised 1D tables --------------------------------------------------------
@@ -211,10 +218,10 @@ def test_knot_vector_validation():
 def test_greville_reproduces_linears(rng):
     for kv in KV_CASES:
         g = greville(kv)
-        for x in rng.random(20):
-            ev = eval_bspline(kv, x)
-            active = g[ev.first_active : ev.first_active + kv.degree + 1]
-            assert float(active @ ev.values) == pytest.approx(x, abs=1e-13)
+        xs = rng.random(20)
+        first, values, _ = tabulate(kv, xs)
+        for x, f, v in zip(xs, first, values):
+            assert float(g[f : f + kv.degree + 1] @ v) == pytest.approx(x, abs=1e-13)
 
 
 # -- knot insertion -----------------------------------------------------------
@@ -267,10 +274,9 @@ def test_nurbs2d_reduces_to_bspline_for_equal_weights(rng):
     basis = NurbsBasis2D(kv, kv, 3.7 * np.ones((kv.n, kv.n)))
     for _ in range(10):
         xi = rng.random(2)
-        vals, _, _ = eval_nurbs2d(basis, xi)
-        eu = eval_bspline(kv, xi[0])
-        ev = eval_bspline(kv, xi[1])
-        np.testing.assert_allclose(vals, np.outer(eu.values, ev.values), atol=1e-14)
+        vals, _ = rational_basis_at(basis, xi)
+        (_, eu, _), (_, ev, _) = tabulate(kv, xi[:1]), tabulate(kv, xi[1:])
+        np.testing.assert_allclose(vals, np.outer(eu[0], ev[0]), atol=1e-14)
 
 
 def test_nurbs2d_partition_of_unity(rng):
@@ -278,7 +284,7 @@ def test_nurbs2d_partition_of_unity(rng):
     kv_v = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
     basis = NurbsBasis2D(kv_u, kv_v, rng.uniform(0.5, 2.0, (kv_u.n, kv_v.n)))
     for _ in range(200):
-        vals, grads, _ = eval_nurbs2d(basis, rng.random(2))
+        vals, grads = rational_basis_at(basis, rng.random(2))
         assert abs(vals.sum() - 1.0) <= 1e-12
         assert np.max(np.abs(grads.sum(axis=(0, 1)))) <= 1e-10
 
@@ -290,7 +296,7 @@ def test_quarter_circle_basis_matches_rational_oracle():
     kv = KnotVector(2, [0, 0, 0, 1, 1, 1])
     w = np.array([1.0, np.sqrt(2) / 2, 1.0])
     basis = NurbsBasis2D(kv, kv, np.repeat(w[:, None], 3, axis=1))
-    vals, _, _ = eval_nurbs2d(basis, (0.5, 0.3))
+    vals, _ = rational_basis_at(basis, (0.5, 0.3))
     cp = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     pt = np.einsum("ab,ak->k", vals, cp)
     np.testing.assert_allclose(pt, [np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-14)

@@ -1,15 +1,26 @@
-"""The vectorized tabulation against the pointwise evaluation.
+"""The vectorized tabulation against the pointwise oracles of ``tests/oracles.py``.
 
-``tabulate_patch``, ``tabulate_sides`` and the grid kernel must reproduce
-``eval_nurbs2d``/``frame_at``/``surface_gradient``/``conormal_at``/
-``edge_mesh_size`` at every point, on every bundled geometry, the p = 3
-rational full cylinder and an orientation-flipped interface.
+``tabulate_patch``, ``tabulate_sides``, the grid kernel ``tabulate_grid``
+and ``NurbsPatch.side_point`` must reproduce ``eval_nurbs2d``/``frame_at``/
+``surface_gradient``/``conormal_at``/``function_at``/``edge_mesh_size`` at
+every point, on every bundled geometry, the p = 3 rational full cylinder
+and an orientation-flipped interface.
 """
 
 import numpy as np
 import pytest
 from conftest import bundled
-from oracles import conormal_at, edge_breakpoints, edge_mesh_size, tabulate_patch
+from oracles import (
+    conormal_at,
+    edge_breakpoints,
+    edge_mesh_size,
+    eval_nurbs2d,
+    frame_at,
+    function_at,
+    side_param,
+    surface_gradient,
+    tabulate_patch,
+)
 from test_flipped_interface import two_patches
 
 from dgiga.assembly import (
@@ -22,7 +33,7 @@ from dgiga.assembly import (
 from dgiga.analysis import measure_errors
 from dgiga.driver import LevelResult, sample_solution
 from dgiga.geofile import parse_geometry
-from dgiga.geometries import full_cylinder, planar_rectangle_patch
+from dgiga.geometries import full_cylinder, planar_rectangle_patch, quarter_cylinder_patch
 from dgiga.geometry import (
     SIDES,
     InterfaceEdge,
@@ -30,17 +41,14 @@ from dgiga.geometry import (
     NurbsPatch,
     SingularMapError,
     _rational_basis,
-    _tabulate,
-    frame_at,
     refine_surface,
-    side_param,
-    surface_gradient,
+    tabulate_grid,
     tabulate_patches,
     tabulate_sides,
 )
 from dgiga.quadrature import panel_rules
 from dgiga.space import build_space
-from dgiga.splines import KnotVector, NurbsBasis2D, breakpoints, eval_nurbs2d, greville
+from dgiga.splines import KnotVector, NurbsBasis2D, breakpoints, greville
 
 BUNDLED_FILES = ("square4.g", "square4_p2.g", "square4_p3.g", "qcyl4.g", "qcyl4_p3.g")
 GEOMETRIES = {
@@ -125,7 +133,7 @@ def test_patch_tabulation_matches_pointwise(surface):
             xi = (xu[eu, i], xv[ev, j])
             check_point(patch, tab, G, idx, xi)
             close(tab.weights[idx], wu[eu, i] * wv[ev, j] * frame_at(patch, xi).sqrt_det_g)
-            value, grad = u_h.eval(pid, xi)
+            value, grad = function_at(u_h, pid, xi)
             close(fields.field[(0, *idx)], value)
             close(field_grads[(0, *idx)], grad)
             for name in ("points", "jacobian", "inv_metric", "sqrt_det_g", "weights"):
@@ -198,7 +206,7 @@ def test_side_field_equals_the_basis_route(surface):
 def test_grid_tabulation_matches_pointwise_up_to_xi_one(surface):
     ts = np.linspace(0.0, 1.0, 5)  # hits the interior knot 0.5 and xi = 1
     for patch in surface.patches:
-        tab = _rational_basis([patch], _tabulate([patch], ts, ts, basis=True))
+        tab = _rational_basis([patch], tabulate_grid([patch], ts, ts, basis=True))
         G = tab.surface_gradient(tab.grads)
         for idx in np.ndindex(tab.sqrt_det_g.shape):
             check_point(patch, tab, G, idx, (ts[idx[1]], ts[idx[2]]))
@@ -210,8 +218,25 @@ def test_sample_solution_matches_pointwise_evaluation(surface):
     for line in sample_solution(result, points_per_side=4).splitlines()[1:]:
         pid, x1, x2, x, y, z, uh = line.split(",")
         xi = (float(x1), float(x2))
-        close([float(x), float(y), float(z)], surface.patches[int(pid)].point(xi))
-        close(float(uh), u_h.eval(int(pid), xi)[0])
+        close([float(x), float(y), float(z)], frame_at(surface.patches[int(pid)], xi).point)
+        close(float(uh), function_at(u_h, int(pid), xi)[0])
+
+
+def test_side_point_matches_pointwise():
+    patch = quarter_cylinder_patch(3, radius=2.0, height=0.5)
+    for side in SIDES:
+        for t in (0.0, 0.3, 1.0):
+            close(patch.side_point(side, t), frame_at(patch, side_param(side, t)).point)
+
+
+def test_side_point_errors():
+    patch = planar_rectangle_patch(1)
+    collapsed = NurbsPatch(patch.basis, np.zeros_like(patch.control_points), 7)
+    with pytest.raises(SingularMapError, match="patch 7"):
+        collapsed.side_point("north", 0.3)
+    for t in (-0.1, 1.0001, float("nan")):
+        with pytest.raises(ValueError, match="outside"):
+            patch.side_point("east", t)
 
 
 SIDE_FIELDS = ("dofs", "pid", "values", "grads", "points", "jacobian",
