@@ -53,10 +53,11 @@ def _stack_errors(u_h: DiscreteFunction, stack: list[int], u_exact, grad_u_exact
     return gap, w, h1
 
 
-def _energy_error(u_h: DiscreteFunction, h1: np.ndarray, delta: float, g_D) -> float:
+def _energy_error(u_h: DiscreteFunction, h1: np.ndarray, data) -> float:
     """Energy-norm error from the per-patch gradient parts plus the scaled
-    squared jumps: of u_h on interior edges, of u_h - g_D on Dirichlet edges."""
-    surface = u_h.space.surface
+    squared jumps of the error u - u_h: of u_h on interior edges, of u_h - u
+    on Dirichlet edges (the boundary data g_D does not enter)."""
+    surface, delta = u_h.space.surface, data.delta
     q = u_h.space.degree + 2
     total = sum(a * part for a, part in zip(surface.alpha, h1))
     interior, dirichlet = surface.edges_of_kind("interior"), surface.edges_of_kind("dirichlet")
@@ -72,7 +73,8 @@ def _energy_error(u_h: DiscreteFunction, h1: np.ndarray, delta: float, g_D) -> f
         total += delta * float(np.sum(a_gamma * jump**2 * w[L] / h[L]))
         if dirichlet:
             D = slice(right, None)
-            gap = tab.field[D] - np.asarray(g_D(tab.points[D].reshape(-1, 3))).reshape(w[D].shape)
+            u = data.u_exact(tab.points[D].reshape(-1, 3))
+            gap = tab.field[D] - np.asarray(u).reshape(w[D].shape)
             total += delta * float(np.sum(alpha[D] * gap**2 * w[D] / h[D]))
     return math.sqrt(total)
 
@@ -116,7 +118,7 @@ def measure_errors(u_h: DiscreteFunction, data) -> ErrorReport:
     del passes, gap, w  # the edge pass below must not hold the volume tables too
     dg = math.nan
     if data.grad_u_exact is not None:
-        dg = _energy_error(u_h, h1, data.delta, data.g_D or data.u_exact)
+        dg = _energy_error(u_h, h1, data)
     parts = l2.tolist()
     return ErrorReport(math.sqrt(sum(parts)), dg, space.total_dofs, surface_h_max(surface),
                        [math.sqrt(part) for part in parts])

@@ -41,8 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--problem",
         required=True,
-        help="built-in case (%s) or 'key=expr;...' with keys f,u,gD,gN,gx,gy,gz"
-        % ", ".join(builtin_problems()),
+        help="built-in spec (%s) or 'key=expr;...' with keys f,u,gD,gN,gx,gy,gz; "
+        "in f, alpha is the patch's diffusion coefficient" % ", ".join(builtin_problems()),
     )
     solve.add_argument("-p", "--degree", type=int, default=None,
                        help="polynomial degree (default: from the geometry)")

@@ -97,9 +97,9 @@ def run_sweep(
     return rate_table([r.errors for r in results]), results
 
 
-def sample_solution(result: LevelResult, points_per_side: int = 10) -> str:
-    """CSV sample of the solution on a parametric grid of each patch."""
-    ts = np.linspace(0.0, 1.0, points_per_side)
+def sample_solution(result: LevelResult) -> str:
+    """CSV sample of the solution on a uniform 10 x 10 parametric grid of each patch."""
+    ts = np.linspace(0.0, 1.0, 10)
     n, patches, u_h = ts.size, result.surface.patches, result.solution
     # One row per (patch, xi2, xi1): patch, xi1, xi2, x, y, z, uh.
     table = np.empty((len(patches), n, n, 7))

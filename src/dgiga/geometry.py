@@ -442,10 +442,6 @@ class InterfaceEdge:
     right: tuple[int, str] | None = None
     orientation_flip: bool = False
 
-    def partner_t(self, t: float) -> float:
-        """Right-side edge coordinate matching the left-side coordinate t."""
-        return 1.0 - t if self.orientation_flip else t
-
 
 @dataclass
 class MultiPatchSurface:

@@ -1,9 +1,13 @@
-"""Manufactured problems: built-in cases and expression-defined data.
+"""Manufactured problems, stated as expression specs.
 
-Built-in cases pair an exact solution with the matching source term so
-every solve can be checked against it.  Expression-based problems parse a
-small arithmetic language (+, -, *, /, ^, sin, cos, exp, atan2, pi and the
-coordinates x, y, z) so new cases never require code changes.
+A spec is ``key=expr`` terms joined by ``;``, with keys f, u, gD, gN and the
+gradient components gx, gy, gz.  Expressions use a small arithmetic
+language: +, -, *, /, ^, sin, cos, exp, atan2, pi and the coordinates x, y,
+z; in f also ``alpha``, the diffusion coefficient of the patch the point
+lies on.  The built-in cases are named specs that pair an exact solution
+with its source f = alpha (-Delta u), so every solve can be checked against
+it.  A value that comes out NaN or +-inf raises ValueError naming its
+expression.
 """
 
 from __future__ import annotations
@@ -37,13 +41,15 @@ _ALLOWED_NODES = (
 )
 
 
-def parse_expression(text: str):
+def parse_expression(text: str, params: tuple[str, ...] = ()):
     """Compile an arithmetic expression in x, y, z into a vectorized field.
 
-    The returned callable maps an (N, 3) point array to an (N,) array.
-    Raises ValueError on any construct outside the supported language, and
-    the callable raises ValueError where the arithmetic fails (an overflow
-    of Python numbers or a division by an integer zero).
+    The returned callable maps an (N, 3) point array to an (N,) array; each
+    name in ``params`` is a scalar it takes by keyword, as in
+    ``field(points, alpha=1.0)``.  Raises ValueError on any construct outside
+    the supported language, and the callable raises ValueError, naming the
+    expression, where the arithmetic fails (an overflow of Python numbers or
+    a division by an integer zero) or yields NaN or +-inf.
     """
     source = text.replace("^", "**")
     try:
@@ -60,13 +66,17 @@ def parse_expression(text: str):
                 raise ValueError(f"unsupported function call in expression {text!r}")
             if node.keywords:
                 raise ValueError("keyword arguments are not supported in expressions")
-        if isinstance(node, ast.Name) and node.id not in ("x", "y", "z", "pi", *_ALLOWED_CALLS):
+        if isinstance(node, ast.Name) and node.id not in ("x", "y", "z", "pi", *params,
+                                                          *_ALLOWED_CALLS):
+            if node.id == "alpha":
+                raise ValueError(f"alpha, the patch coefficient, is allowed only in f, "
+                                 f"not in expression {text!r}")
             raise ValueError(f"unknown name {node.id!r} in expression {text!r}")
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
             raise ValueError(f"non-numeric constant in expression {text!r}")
     code = compile(tree, "<expression>", "eval")
 
-    def field(pts):
+    def field(pts, **values):
         pts = np.asarray(pts, dtype=float)
         env = {
             "x": pts[:, 0],
@@ -74,89 +84,41 @@ def parse_expression(text: str):
             "z": pts[:, 2],
             "pi": math.pi,
             **_ALLOWED_CALLS,
+            **values,
         }
         try:
-            out = eval(code, {"__builtins__": {}}, env)
+            with np.errstate(all="ignore"):  # non-finite values raise below
+                out = np.full(pts.shape[0], eval(code, {"__builtins__": {}}, env), dtype=float)
         except ArithmeticError as exc:
             raise ValueError(f"cannot evaluate expression {text!r}: {exc}") from None
-        return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
+        finite = np.isfinite(out)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"expression {text!r} evaluates to {out[i]} at point {pts[i].tolist()}")
+        return out
 
     return field
 
 
-def _plane_sine(surface: MultiPatchSurface, delta: float) -> ProblemData:
-    def u(pts):
-        pts = np.asarray(pts)
-        return np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
-
-    def grad(pts):
-        pts = np.asarray(pts)
-        g = np.empty((pts.shape[0], 3))
-        g[:, 0] = np.pi * np.cos(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
-        g[:, 1] = np.pi * np.sin(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
-        g[:, 2] = 0.0
-        return g
-
-    def f(pid, pts):
-        return 2.0 * np.pi**2 * surface.alpha[pid] * u(pts)
-
-    return ProblemData(f=f, g_D=u, g_N=None, delta=delta, u_exact=u, grad_u_exact=grad)
-
-
-def _plane_cosine(surface: MultiPatchSurface, delta: float) -> ProblemData:
-    # Pure-Neumann companion case on the unit square: the normal derivative
-    # vanishes on the whole boundary and the source has zero mean.
-    def u(pts):
-        pts = np.asarray(pts)
-        return np.cos(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
-
-    def grad(pts):
-        pts = np.asarray(pts)
-        g = np.empty((pts.shape[0], 3))
-        g[:, 0] = -np.pi * np.sin(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
-        g[:, 1] = -np.pi * np.cos(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
-        g[:, 2] = 0.0
-        return g
-
-    def f(pid, pts):
-        return 2.0 * np.pi**2 * surface.alpha[pid] * u(pts)
-
-    def g_n(pts):
-        return np.zeros(np.asarray(pts).shape[0])
-
-    return ProblemData(f=f, g_D=u, g_N=g_n, delta=delta, u_exact=u, grad_u_exact=grad)
-
-
-def _cylinder_sine(surface: MultiPatchSurface, delta: float) -> ProblemData:
-    # u(theta, z) = sin(theta) sin(pi z) on the unit cylinder.  There the
-    # Laplace-Beltrami operator reduces to u_theta_theta + u_zz, so the
-    # matching source is (1 + pi^2) u.
-    def u(pts):
-        pts = np.asarray(pts)
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
-        return np.sin(theta) * np.sin(np.pi * pts[:, 2])
-
-    def grad(pts):
-        pts = np.asarray(pts)
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
-        u_theta = np.cos(theta) * np.sin(np.pi * pts[:, 2])
-        u_z = np.pi * np.sin(theta) * np.cos(np.pi * pts[:, 2])
-        g = np.empty((pts.shape[0], 3))
-        g[:, 0] = -np.sin(theta) * u_theta
-        g[:, 1] = np.cos(theta) * u_theta
-        g[:, 2] = u_z
-        return g
-
-    def f(pid, pts):
-        return (1.0 + np.pi**2) * surface.alpha[pid] * u(pts)
-
-    return ProblemData(f=f, g_D=u, g_N=None, delta=delta, u_exact=u, grad_u_exact=grad)
-
-
+# Built-in specs, with f = alpha (-Delta u).  cylinder_sine is u = sin(theta)
+# sin(pi z) on the unit cylinder, where the Laplace-Beltrami operator is
+# u_theta_theta + u_zz; plane_cosine has zero normal derivative on the unit
+# square's boundary.  The parentheses fix the operation order, which the
+# tests pin bit for bit against the closed forms written in numpy.
 _BUILTINS = {
-    "plane_sine": _plane_sine,
-    "plane_cosine": _plane_cosine,
-    "cylinder_sine": _cylinder_sine,
+    "plane_sine": (
+        "u=sin(pi*x)*sin(pi*y); f=2*pi^2*alpha*(sin(pi*x)*sin(pi*y));"
+        "gx=pi*cos(pi*x)*sin(pi*y); gy=pi*sin(pi*x)*cos(pi*y); gz=0"
+    ),
+    "plane_cosine": (
+        "u=cos(pi*x)*cos(pi*y); f=2*pi^2*alpha*(cos(pi*x)*cos(pi*y)); gN=0;"
+        "gx=-pi*sin(pi*x)*cos(pi*y); gy=-pi*cos(pi*x)*sin(pi*y); gz=0"
+    ),
+    "cylinder_sine": (
+        "u=sin(atan2(y,x))*sin(pi*z); f=(1+pi^2)*alpha*(sin(atan2(y,x))*sin(pi*z));"
+        "gx=-sin(atan2(y,x))*(cos(atan2(y,x))*sin(pi*z));"
+        "gy=cos(atan2(y,x))*(cos(atan2(y,x))*sin(pi*z)); gz=pi*sin(atan2(y,x))*cos(pi*z)"
+    ),
 }
 
 
@@ -179,42 +141,29 @@ def _expression_problem(spec: str, surface, delta: float) -> ProblemData:
             raise ValueError(
                 f"unknown problem field {key!r} (expected f, u, gD, gN, gx, gy, gz)"
             )
-        fields[key] = parse_expression(expr.strip())
+        fields[key] = parse_expression(expr.strip(), ("alpha",) if key == "f" else ())
 
-    u = fields.get("u")
-    grad = None
-    if all(k in fields for k in ("gx", "gy", "gz")):
-        gx, gy, gz = fields["gx"], fields["gy"], fields["gz"]
-
-        def grad(pts):
-            pts = np.asarray(pts)
-            return np.stack([gx(pts), gy(pts), gz(pts)], axis=1)
-
-    f_field = fields.get("f")
-    f = (lambda pid, pts: f_field(pts)) if f_field is not None else None
-    return ProblemData(
-        f=f,
-        g_D=fields.get("gD", u),
-        g_N=fields.get("gN"),
-        delta=delta,
-        u_exact=u,
-        grad_u_exact=grad,
-    )
+    u, f_field = fields.get("u"), fields.get("f")
+    g = [fields.get(k) for k in ("gx", "gy", "gz")]
+    grad = (lambda pts: np.stack([gi(pts) for gi in g], axis=1)) if all(g) else None
+    f = (lambda pid, pts: f_field(pts, alpha=surface.alpha[pid])) if f_field else None
+    return ProblemData(f=f, g_D=fields.get("gD", u), g_N=fields.get("gN"), delta=delta,
+                       u_exact=u, grad_u_exact=grad)
 
 
 def make_problem(spec: str, surface: MultiPatchSurface, degree: int, delta=None) -> ProblemData:
-    """Resolve a problem name or key=expression spec into ProblemData.
+    """Resolve a built-in name or a key=expression spec into ProblemData.
 
-    Unknown names raise ValueError listing the available cases.
+    A built-in name stands for its spec in ``_BUILTINS``; both go through the
+    same parser.  Unknown names raise ValueError listing the available cases.
     """
     if delta is None:
         delta = default_penalty(degree)
-    if "=" in spec:
-        return _expression_problem(spec, surface, delta)
-    try:
-        builder = _BUILTINS[spec]
-    except KeyError:
-        raise ValueError(
-            f"unknown problem {spec!r}; available: {', '.join(builtin_problems())}"
-        ) from None
-    return builder(surface, delta)
+    if "=" not in spec:
+        try:
+            spec = _BUILTINS[spec]
+        except KeyError:
+            raise ValueError(
+                f"unknown problem {spec!r}; available: {', '.join(builtin_problems())}"
+            ) from None
+    return _expression_problem(spec, surface, delta)

@@ -20,7 +20,6 @@ __all__ = [
     "insert_knots",
     "greville",
     "breakpoints",
-    "uniform_open_knots",
 ]
 
 
@@ -160,15 +159,6 @@ def greville(kv: KnotVector) -> np.ndarray:
     if p == 0:
         return 0.5 * (U[:-1] + U[1:])
     return np.array([U[k + 1 : k + p + 1].mean() for k in range(kv.n)])
-
-
-def uniform_open_knots(degree: int, num_elements: int) -> KnotVector:
-    """Open knot vector with ``num_elements`` uniform spans on [0, 1]."""
-    if num_elements < 1:
-        raise ValueError("need at least one element")
-    interior = np.linspace(0.0, 1.0, num_elements + 1)[1:-1]
-    U = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
-    return KnotVector(degree, U)
 
 
 def _single_insertion_matrix(U: np.ndarray, p: int, u: float) -> tuple[np.ndarray, np.ndarray]:

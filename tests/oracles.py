@@ -248,6 +248,20 @@ def mesh_size(patch: NurbsPatch, element: tuple[int, int]) -> float:
     )
 
 
+def uniform_open_knots(degree: int, num_elements: int) -> KnotVector:
+    """Open knot vector with ``num_elements`` uniform spans on [0, 1]."""
+    if num_elements < 1:
+        raise ValueError("need at least one element")
+    interior = np.linspace(0.0, 1.0, num_elements + 1)[1:-1]
+    U = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
+    return KnotVector(degree, U)
+
+
+def partner_t(edge: InterfaceEdge, t: float) -> float:
+    """Right-side edge coordinate matching the left-side coordinate t."""
+    return 1.0 - t if edge.orientation_flip else t
+
+
 def conormal_at(
     surface: MultiPatchSurface, edge: InterfaceEdge, side: str, t: float
 ) -> np.ndarray:
@@ -263,7 +277,7 @@ def conormal_at(
         if edge.right is None:
             raise GeometryError("boundary edge has no right side")
         pid, pside = edge.right
-        s = edge.partner_t(t)
+        s = partner_t(edge, t)
     else:
         raise ValueError("side must be 'left' or 'right'")
     return conormal(surface.patches[pid], pside, s)
@@ -284,7 +298,7 @@ def trace_on_edge(
         if edge.right is None:
             raise ValueError("boundary edge has no right-side trace")
         pid, pside = edge.right
-        s = edge.partner_t(t)
+        s = partner_t(edge, t)
     else:
         raise ValueError("side must be 'left' or 'right'")
     return function_at(f, pid, side_param(pside, s))

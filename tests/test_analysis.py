@@ -7,7 +7,7 @@ from oracles import interpolate, l2_error_at
 
 from dgiga.analysis import ErrorReport, measure_errors, rate_table, surface_h_max
 from dgiga.assembly import ProblemData, assemble_volume, default_penalty
-from dgiga.driver import run_sweep
+from dgiga.driver import run_sweep, solve_problem
 from dgiga.geometries import full_cylinder, planar_rectangle_patch, square_grid
 from dgiga.geometry import match_interfaces, refine_surface
 from dgiga.problems import make_problem
@@ -58,6 +58,16 @@ def test_dg_error_zero_for_represented_solution():
     u_h = interpolate(space, field)
     data = ProblemData(delta=default_penalty(2), u_exact=field, grad_u_exact=grad)
     assert measure_errors(u_h, data).dg_error <= 1e-10
+
+
+def test_dg_error_measures_dirichlet_jumps_against_u_exact():
+    # The Dirichlet jump belongs to the error u - u_h, so the boundary data
+    # the solve used does not enter the energy error.
+    surface = refine_surface(square_grid(2))
+    data = make_problem("plane_sine", surface, 2)
+    u_h = solve_problem(surface, 2, data)[0]
+    shifted = dataclasses.replace(data, g_D=lambda pts: data.u_exact(pts) + 1.0)
+    assert measure_errors(u_h, shifted).dg_error == measure_errors(u_h, data).dg_error
 
 
 def test_dg_error_is_weighted_h1_seminorm_without_edges(rng):

@@ -5,6 +5,8 @@ import pytest
 
 import dgiga.driver
 from dgiga.cli import EXIT_GEOMETRY, EXIT_PARSE, EXIT_SOLVER, data_path, main
+from dgiga.geofile import GeometryData, serialize_geometry
+from dgiga.geometries import square_grid
 
 
 def test_check_prints_edge_counts(capsys):
@@ -118,13 +120,58 @@ def test_unmeasured_errors_are_empty_fields(tmp_path):
     assert rates[2].endswith(",36,,,,")
 
 
-@pytest.mark.parametrize("expr", ["f=10^400*x", "f=1/0+x"], ids=["overflow", "zero_division"])
+@pytest.mark.parametrize("expr", ["f=10^400*x", "f=1/0+x", "f=10^400"],
+                         ids=["overflow", "zero_division", "integer_overflow"])
 def test_arithmetic_error_in_expression_exit_code(tmp_path, capsys, expr):
     argv = ["solve", str(data_path("square4.g")), "--problem", expr, "--levels", "1",
             "--out", str(tmp_path)]
     assert main(argv) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(expr[2:]) in err
+
+
+@pytest.mark.parametrize("spec, expr", [
+    ("f=exp(1000*x)", "exp(1000*x)"),
+    ("f=2*pi^2*sin(pi*x)*sin(pi*y); u=sin(pi*x)*sin(pi*y)/(x-x)", "sin(pi*x)*sin(pi*y)/(x-x)"),
+], ids=["overflow_to_inf", "nan"])
+def test_non_finite_expression_exit_code(tmp_path, capsys, spec, expr):
+    argv = ["solve", str(data_path("square4.g")), "--problem", spec, "--levels", "2",
+            "--out", str(tmp_path)]
+    assert main(argv) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(expr) in err
+    assert not (tmp_path / "rates.csv").exists()
+
+
+def test_alpha_outside_f_exit_code(tmp_path, capsys):
+    argv = ["solve", str(data_path("square4.g")), "--problem", "f=alpha; gN=alpha*x",
+            "--levels", "1", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_PARSE
+    assert "allowed only in f" in capsys.readouterr().err
+
+
+PLANE_SINE_BY_HAND = (
+    "u=sin(pi*x)*sin(pi*y); f=2*pi^2*alpha*(sin(pi*x)*sin(pi*y));"
+    "gx=pi*cos(pi*x)*sin(pi*y); gy=pi*sin(pi*x)*cos(pi*y); gz=0"
+)
+
+
+def test_alpha_spec_matches_builtin_on_jump_geometry(tmp_path):
+    surface = square_grid(2, alpha=[1, 1e4, 1e4, 1])
+    tags = {e.left: e.kind for e in surface.edges if e.kind != "interior"}
+    geometry = tmp_path / "jump.g"
+    geometry.write_text(serialize_geometry(GeometryData(surface.patches, tags, surface.alpha)),
+                        encoding="utf-8")
+    problems = {"builtin": "plane_sine", "spec": PLANE_SINE_BY_HAND,
+                "no_alpha": PLANE_SINE_BY_HAND.replace("alpha*", "")}
+    rates = {}
+    for name, problem in problems.items():
+        argv = ["solve", str(geometry), "--problem", problem, "--levels", "3",
+                "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+        rates[name] = (tmp_path / name / "rates.csv").read_bytes()
+    assert rates["spec"] == rates["builtin"]
+    assert rates["no_alpha"] != rates["builtin"]  # the jump makes alpha matter
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

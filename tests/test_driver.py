@@ -101,10 +101,10 @@ def test_sample_solution_grid(tmp_path):
     _, results = run_sweep(
         surface, 1, lambda s, d: make_problem("plane_sine", s, 1, d), levels=1
     )
-    text = sample_solution(results[0], points_per_side=5)
+    text = sample_solution(results[0])
     lines = text.strip().split("\n")
     assert lines[0] == "patch,xi1,xi2,x,y,z,uh"
-    assert len(lines) == 1 + 4 * 25
+    assert len(lines) == 1 + 4 * 100
     first = lines[1].split(",")
     assert len(first) == 7
 

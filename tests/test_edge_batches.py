@@ -130,12 +130,12 @@ def test_side_kernel_calls_per_level_do_not_grow_with_edges(monkeypatch, n):
 def test_boundary_data_is_called_once_per_pass(monkeypatch):
     surface = seeded_grid(7, 8)
     for record in counting_sweep(surface, monkeypatch):
-        # Dirichlet assembly and Dirichlet jumps; Neumann assembly; only the
-        # error pass calls u_exact when g_D is given, once per patch stack.
-        assert record["g_D"] == 2
+        # Dirichlet assembly; Neumann assembly; the error pass calls u_exact
+        # once per patch stack and once for the Dirichlet jumps.
+        assert record["g_D"] == 1
         assert record["g_N"] == 1
         stacks = len(dgiga.geometry.patch_stacks(surface.patches))
-        assert record["u_exact"] == stacks < surface.num_patches
+        assert record["u_exact"] - 1 == stacks < surface.num_patches
         surface = dgiga.geometry.refine_surface(surface)
 
 
@@ -177,9 +177,10 @@ def test_jump_error_calls_exact_solution_once():
     surface = seeded_grid(7, 8)
     space = build_space(surface, 2)
     data = make_problem("plane_sine", surface, 2, 24.0)
-    g_D = Counter(data.u_exact)  # the Dirichlet data is the exact solution's trace
-    measure_errors(space.function(), dataclasses.replace(data, g_D=g_D))
-    assert g_D.calls == 1
+    u_exact = Counter(data.u_exact)
+    measure_errors(space.function(), dataclasses.replace(data, u_exact=u_exact))
+    # Once per patch stack for the volume errors, once for all Dirichlet jumps.
+    assert u_exact.calls == len(dgiga.geometry.patch_stacks(surface.patches)) + 1
 
 
 def test_coo_index_dtype_never_truncates():

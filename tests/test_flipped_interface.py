@@ -9,7 +9,7 @@ must compose with it.
 import numpy as np
 import pytest
 from conftest import symmetry_deviation
-from oracles import edge_jump, interpolate
+from oracles import edge_jump, interpolate, partner_t
 
 from dgiga.analysis import measure_errors
 from dgiga.assembly import ProblemData, assemble_system, default_penalty, interface_slots
@@ -66,7 +66,7 @@ def test_flip_is_detected_and_consistent(rng):
     pr = surface.patches[edge.right[0]]
     for t in rng.random(10):
         a = pl.side_point(edge.left[1], float(t))
-        b = pr.side_point(edge.right[1], edge.partner_t(float(t)))
+        b = pr.side_point(edge.right[1], partner_t(edge, float(t)))
         assert np.linalg.norm(a - b) <= 1e-12
     tab = tabulate_sides(surface.patches, interface_slots([edge]), 4)
     half = tab.starts[1]

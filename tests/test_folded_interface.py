@@ -15,6 +15,7 @@ from oracles import (
     edge_mesh_size,
     eval_nurbs2d,
     frame_at,
+    partner_t,
     side_param,
     surface_gradient,
 )
@@ -86,7 +87,7 @@ def pointwise_edges(space, data):
             if edge.kind == "interior":
                 pid_r, side_r = edge.right
                 alpha_r = surface.alpha[pid_r]
-                right = trace(space, pid_r, side_param(side_r, edge.partner_t(t)), normal)
+                right = trace(space, pid_r, side_param(side_r, partner_t(edge, t)), normal)
                 jump -= dense(n, right[0], right[1])
                 flux = 0.5 * (flux + dense(n, right[0], alpha_r * right[2]))
                 pen = data.delta * edge_alpha(alpha_l, alpha_r) / h
@@ -116,7 +117,7 @@ def test_fold_takes_normal_derivatives_along_the_left_conormal():
         t = float(ts[e, i])
         n_left = conormal_at(surface, edge, "left", t)
         left = trace(space, pid_l, side_param(side_l, t), n_left)
-        right = trace(space, pid_r, side_param(side_r, edge.partner_t(t)), n_left)
+        right = trace(space, pid_r, side_param(side_r, partner_t(edge, t)), n_left)
         # By global index: functions outside the trace window have dn = 0.
         for row, (ref_gidx, _, ref_dn) in ((e, left), (half + e, right)):
             np.testing.assert_allclose(dense(n, gidx[row], dn[row, i]),

@@ -3,13 +3,14 @@ mixed boundary conditions with nonzero Neumann data."""
 
 import numpy as np
 import pytest
+from oracles import uniform_open_knots
 
 from dgiga.analysis import measure_errors
 from dgiga.assembly import ProblemData, default_penalty, interface_slots
 from dgiga.driver import run_sweep, solve_problem
 from dgiga.geometries import planar_rectangle_patch, square_grid
 from dgiga.geometry import NurbsPatch, match_interfaces, refine_surface, tabulate_sides
-from dgiga.splines import NurbsBasis2D, greville, uniform_open_knots
+from dgiga.splines import NurbsBasis2D, greville
 
 
 def rotated_strip(p=2):

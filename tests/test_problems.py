@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,42 @@ def test_builtin_names():
 def test_unknown_name_lists_cases():
     with pytest.raises(ValueError, match="plane_sine"):
         make_problem("no_such_case", square_grid(1), 1)
+
+
+def closed_forms(x, y, z):
+    """The built-ins in numpy, in their specs' operation order: for each
+    name, the factor c in f = c alpha u, then u and its gradient."""
+    theta = np.arctan2(y, x)
+    u_theta = np.cos(theta) * np.sin(np.pi * z)
+    zero = np.zeros_like(x)
+    return {
+        "plane_sine": (2.0 * np.pi**2, np.sin(np.pi * x) * np.sin(np.pi * y), [
+            np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
+            np.pi * np.sin(np.pi * x) * np.cos(np.pi * y), zero]),
+        "plane_cosine": (2.0 * np.pi**2, np.cos(np.pi * x) * np.cos(np.pi * y), [
+            -np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
+            -np.pi * np.cos(np.pi * x) * np.sin(np.pi * y), zero]),
+        "cylinder_sine": (1.0 + np.pi**2, np.sin(theta) * np.sin(np.pi * z), [
+            -np.sin(theta) * u_theta, np.cos(theta) * u_theta,
+            np.pi * np.sin(theta) * np.cos(np.pi * z)]),
+    }
+
+
+@pytest.mark.parametrize("name", ["plane_sine", "plane_cosine", "cylinder_sine"])
+def test_builtin_specs_reproduce_closed_forms_bit_for_bit(rng, name):
+    surface = square_grid(1, alpha=[1.0, 1e4, 1e4, 1.0])
+    data = make_problem(name, surface, 1)
+    pts = rng.uniform(-1.5, 1.5, (500, 3))
+    c, u, grad = closed_forms(*pts.T)[name]
+    same = lambda a, b: a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert same(data.u_exact(pts), u) and same(data.g_D(pts), u)
+    assert same(data.grad_u_exact(pts), np.stack(grad, axis=1))
+    for pid, alpha in enumerate(surface.alpha):
+        assert same(data.f(pid, pts), c * alpha * u)
+    if name == "plane_cosine":
+        assert same(data.g_N(pts), np.zeros(len(pts)))
+    else:
+        assert data.g_N is None
 
 
 def test_plane_sine_peak_values():
@@ -130,6 +169,29 @@ def test_expression_atan2():
 def test_expression_rejects_unsupported(bad):
     with pytest.raises(ValueError):
         parse_expression(bad)
+
+
+def test_alpha_in_f_is_the_patch_coefficient():
+    surface = square_grid(1, alpha=[1.0, 10.0, 100.0, 1000.0])
+    data = make_problem("f=alpha*(1+x)", surface, 1)
+    pts = np.array([[0.5, 0.25, 0.0], [1.0, 0.0, 0.0]])
+    for pid, alpha in enumerate(surface.alpha):
+        np.testing.assert_array_equal(data.f(pid, pts), [1.5 * alpha, 2.0 * alpha])
+
+
+@pytest.mark.parametrize("key", ["u", "gD", "gN", "gx", "gy", "gz"])
+def test_alpha_outside_f_is_rejected(key):
+    with pytest.raises(ValueError, match="alpha, the patch coefficient, is allowed only in f"):
+        make_problem(f"f=alpha; {key}=alpha*x", square_grid(1), 1)
+
+
+@pytest.mark.parametrize("text", ["exp(1000*x)", "sin(pi*x)/(x-x)", "1e400", "-exp(800)*x"])
+def test_non_finite_values_raise(text):
+    f = parse_expression(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ValueError, not a numpy RuntimeWarning
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            f(np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
 
 
 def test_expression_problem_matches_builtin(rng):

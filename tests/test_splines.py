@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import eval_bspline
+from oracles import eval_bspline, uniform_open_knots
 
 from dgiga.geometry import NurbsPatch, _rational_basis, tabulate_grid
 from dgiga.splines import (
@@ -11,7 +11,6 @@ from dgiga.splines import (
     insert_knots,
     midpoint_refine,
     tabulate,
-    uniform_open_knots,
 )
 
 KV_CASES = [

@@ -17,6 +17,7 @@ from oracles import (
     eval_nurbs2d,
     frame_at,
     function_at,
+    partner_t,
     side_param,
     surface_gradient,
     tabulate_patch,
@@ -180,7 +181,7 @@ def test_side_tabulation_matches_pointwise(surface):
         for e, i in np.ndindex(ts.shape):
             idx = (rights[id(edge)] + e, i)
             t = float(ts[e, i])
-            xi = side_param(side_r, edge.partner_t(t))
+            xi = side_param(side_r, partner_t(edge, t))
             check_trace(surface.patches[pid_r], tab, G, idx, xi)
             close(tab.points[idx], tab.points[first + e, i])
             close(tab.conormal[idx], conormal_at(surface, edge, "right", t))
@@ -215,7 +216,7 @@ def test_grid_tabulation_matches_pointwise_up_to_xi_one(surface):
 def test_sample_solution_matches_pointwise_evaluation(surface):
     u_h = random_function(surface)
     result = LevelResult(0, surface, u_h, None, None)
-    for line in sample_solution(result, points_per_side=4).splitlines()[1:]:
+    for line in sample_solution(result).splitlines()[1:]:
         pid, x1, x2, x, y, z, uh = line.split(",")
         xi = (float(x1), float(x2))
         close([float(x), float(y), float(z)], frame_at(surface.patches[int(pid)], xi).point)
