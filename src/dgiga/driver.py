@@ -1,4 +1,8 @@
-"""Solve pipeline: assemble, solve, measure, sweep over refinements."""
+"""Solve pipeline: assemble, solve, measure, sweep over refinements.
+
+A sweep uses nested iteration: CG on level k+1 starts from the level-k
+solution prolonged exactly to the refined space (``space.prolong``).
+"""
 
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from .analysis import ErrorReport, RateTable, measure_errors, rate_table, surfac
 from .assembly import ProblemData, assemble_system, default_penalty
 from .geometry import MultiPatchSurface, patch_stacks, refine_surface, tabulate_grid
 from .linalg import SolveReport, cg_solve
-from .space import DgSpace, DiscreteFunction, build_space
+from .space import DgSpace, DiscreteFunction, build_space, prolong
 
 __all__ = ["SolverFailure", "LevelResult", "solve_problem", "run_sweep"]
 
@@ -33,9 +37,11 @@ def solve_problem(
     data: ProblemData,
     tol: float = 1e-10,
     max_iter: int | None = None,
+    x0: np.ndarray | None = None,
 ) -> tuple[DiscreteFunction, SolveReport, DgSpace]:
     """Assemble and solve one discrete problem on the given surface.
 
+    CG starts from the coefficient vector ``x0`` (zeros when None).
     Pure-Neumann problems (no Dirichlet edge anywhere) are solved in the
     complement of the constant nullspace, and the solution is shifted to
     zero integral mean over the surface.
@@ -44,7 +50,7 @@ def solve_problem(
     system = assemble_system(space, data)
     x, report = cg_solve(
         system.matrix, system.rhs, tol=tol, max_iter=max_iter,
-        mean_weights=system.basis_integrals,
+        mean_weights=system.basis_integrals, x0=x0,
     )
     if not report.converged:
         raise SolverFailure(report)
@@ -73,19 +79,22 @@ def run_sweep(
 
     ``problem_factory(surface, delta)`` builds the problem data per level
     (data may depend on per-patch coefficients of the refined surface).
-    ``collect`` is called with each LevelResult as it completes.
+    ``collect`` is called with each LevelResult as it completes.  CG on
+    every level after the first starts from the previous level's solution,
+    prolonged to the refined space.
     """
     if levels < 1:
         raise ValueError("need at least one level")
     if delta is None:
         delta = default_penalty(p)
     results = []
-    current = surface
+    current, x0 = surface, None
     for level in range(levels):
         if level > 0:
             current = refine_surface(current)
+            x0 = prolong(results[-1].solution, current)
         data = problem_factory(current, delta)
-        u_h, report, space = solve_problem(current, p, data, tol=tol)
+        u_h, report, space = solve_problem(current, p, data, tol=tol, x0=x0)
         if data.u_exact is not None:
             errors = measure_errors(u_h, data)
         else:
@@ -101,15 +110,15 @@ def sample_solution(result: LevelResult) -> str:
     """CSV sample of the solution on a uniform 10 x 10 parametric grid of each patch."""
     ts = np.linspace(0.0, 1.0, 10)
     n, patches, u_h = ts.size, result.surface.patches, result.solution
-    # One row per (patch, xi2, xi1): patch, xi1, xi2, x, y, z, uh.
-    table = np.empty((len(patches), n, n, 7))
-    table[..., 0] = np.arange(len(patches))[:, None, None]
-    table[..., 1], table[..., 2] = ts, ts[:, None]
+    # x, y, z, uh per (patch, xi2, xi1); one row each, led by patch, xi1, xi2.
+    values = np.empty((len(patches), n, n, 4))
     for stack in patch_stacks(patches):
         coeffs = np.stack([u_h.patch_coeffs(pid) for pid in stack])
         tab = tabulate_grid([patches[pid] for pid in stack], ts, ts, coeffs)
-        table[stack, :, :, 3:6] = tab.points.reshape(-1, n, n, 3).swapaxes(1, 2)
-        table[stack, :, :, 6] = tab.field.reshape(-1, n, n).swapaxes(1, 2)
-    row = "%d" + ",%.17g" * 6
-    lines = [row % tuple(r) for r in table.reshape(-1, 7).tolist()]
+        values[stack, :, :, :3] = tab.points.reshape(-1, n, n, 3).swapaxes(1, 2)
+        values[stack, :, :, 3] = tab.field.reshape(-1, n, n).swapaxes(1, 2)
+    grid = ["%.17g,%.17g," % (xi1, xi2) for xi2 in ts.tolist() for xi1 in ts.tolist()]
+    heads = [f"{pid},{point}" for pid in range(len(patches)) for point in grid]
+    row = "%s%.17g,%.17g,%.17g,%.17g"
+    lines = [row % (head, *v) for head, v in zip(heads, values.reshape(-1, 4).tolist())]
     return "\n".join(["patch,xi1,xi2,x,y,z,uh", *lines]) + "\n"

@@ -4,7 +4,8 @@ The matrix is a plain ``scipy.sparse`` array.  Pure-Neumann and closed
 surfaces leave the symmetric system singular with the constant vector as
 its nullspace; ``cg_solve`` then takes the weights of the mean to fix,
 projects the constants out of every Krylov vector and shifts the solution
-so that its weighted mean is zero.
+so that its weighted mean is zero.  The refinement sweep warm-starts CG
+(``x0``) from the previous level's solution, prolonged.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ def cg_solve(
     tol: float = 1e-10,
     max_iter: int | None = None,
     mean_weights: np.ndarray | None = None,
+    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Jacobi-scaled CG for a symmetric positive (semi-)definite A.
 
@@ -53,6 +55,11 @@ def cg_solve(
     semidefinite with the constant vector as its nullspace: the constants
     are projected out of b and of every Krylov vector (v - mean(v)), and the
     returned x is shifted by a constant so that w @ x == 0.
+
+    The iteration starts from ``x0`` (zeros when None), with the residual
+    r = b - A x0 (projected when ``mean_weights`` is given).  A wrong shape
+    raises ValueError, a non-finite x0 NumericalBreakdownError; b == 0
+    returns zeros whatever x0 is.
 
     Stops when ||b - A x|| / ||b|| <= tol.  Hitting max_iter returns a
     non-converged report; NaNs raise NumericalBreakdownError.
@@ -66,26 +73,33 @@ def cg_solve(
         mean_weights = np.asarray(mean_weights, dtype=float)
         if mean_weights.shape != (n,) or mean_weights.sum() == 0.0:
             raise ValueError("mean_weights must have one entry per unknown and a nonzero sum")
+    if x0 is not None:
+        x0 = np.array(x0, dtype=float)
+        if x0.shape != (n,):
+            raise ValueError(f"x0 has shape {x0.shape}, expected ({n},)")
+        _check_finite(x0)
     if max_iter is None:
         max_iter = 10 * n
     minv = _jacobi_inverse(A)
 
-    def project(v):  # in place
+    def project(v):  # in place; v.sum() / n is v.mean() without its overhead
         if mean_weights is not None:
-            v -= v.mean()
+            v -= v.sum() / n
         return v
 
     b = project(b.copy())
-    x = np.zeros(n)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return x, SolveReport(0, 0.0, True)
+        return np.zeros(n), SolveReport(0, 0.0, True)
 
-    # Projecting b a second time removes most of the round-off mean left by
-    # the first projection.  The iteration updates r, z and p in place; a NaN
+    # Projecting b (or b - A x0) a second time removes most of the round-off
+    # mean left by the first projection.  The iteration updates r, z and p in place; a NaN
     # or infinity in r shows in the scalars r @ z or p^T A p, so only those
     # are checked.
-    r = project(b.copy())
+    if x0 is None:
+        x, r = np.zeros(n), project(b.copy())
+    else:
+        x, r = x0, project(b - A @ x0)
     z = project(r * minv)
     p = z.copy()
     rz = float(r @ z)

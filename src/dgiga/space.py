@@ -3,7 +3,8 @@
 Each patch keeps its own tensor-product NURBS space; global DOFs are the
 concatenation of the per-patch coefficient blocks (no coupling between
 patches).  Numbering is patch-major, then lexicographic with the second
-parametric index as the major key.
+parametric index as the major key.  The spaces of a refinement sweep
+nest patch by patch, and ``prolong`` moves a function to the next level.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MultiPatchSurface
+from .geometry import MultiPatchSurface, patch_stacks
+from .splines import midpoint_refine
 
-__all__ = ["DgSpace", "DiscreteFunction", "build_space"]
+__all__ = ["DgSpace", "DiscreteFunction", "build_space", "prolong"]
 
 
 @dataclass(frozen=True)
@@ -84,3 +86,29 @@ class DiscreteFunction:
         n1, n2 = self.space.patch_shape(pid)
         block = self.coefficients[self.space.patch_slice(pid)]
         return block.reshape(n2, n1).T  # second index is the major key
+
+
+def prolong(u_h: DiscreteFunction, fine: MultiPatchSurface) -> np.ndarray:
+    """Coefficients of u_h on ``fine``, the midpoint refinement of its surface.
+
+    Knot insertion nests each patch's NURBS space in its refinement (the
+    weight function does not change), so the prolongation is exact and
+    block-diagonal: c_f = (T_u (c o w) T_v^T) / w_f per patch, with T_u and
+    T_v from ``midpoint_refine`` and w_f the refined weights.  One batched
+    matmul pair per stack of patches sharing both knot vectors, in the
+    k2-major order of the coefficients.
+    """
+    space, patches = u_h.space, u_h.space.surface.patches
+    sizes = [patch.basis.weights.size for patch in fine.patches]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    x = np.empty(offsets[-1])
+    for stack in patch_stacks(patches):
+        basis = patches[stack[0]].basis
+        (_, Tu), (_, Tv) = midpoint_refine(basis.basis_u), midpoint_refine(basis.basis_v)
+        n1, n2 = basis.shape
+        c = u_h.coefficients[space.offsets[stack][:, None] + np.arange(n1 * n2)]
+        w = np.stack([patches[pid].basis.weights.T for pid in stack])
+        w_f = np.stack([fine.patches[pid].basis.weights.T for pid in stack])
+        c_f = Tv @ (c.reshape(w.shape) * w) @ Tu.T / w_f
+        x[offsets[stack][:, None] + np.arange(w_f[0].size)] = c_f.reshape(len(stack), -1)
+    return x

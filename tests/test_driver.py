@@ -117,3 +117,23 @@ def test_degree_four_end_to_end():
     assert report.converged
     errors = measure_errors(u_h, data)
     assert errors.l2_error <= 1e-5
+
+
+def test_nested_iteration_saves_cg_iterations_on_the_finest_level():
+    """Warm-started CG on level 4 of the p = 3 full cylinder needs at most
+    0.8 times the iterations of a cold start on the same system."""
+    from dgiga.assembly import assemble_system
+    from dgiga.linalg import cg_solve
+
+    spec = ("u=x*cos(pi*z); f=(1+pi^2)*x*cos(pi*z); gN=0*x; "
+            "gx=y^2*cos(pi*z); gy=-x*y*cos(pi*z); gz=-pi*x*sin(pi*z)")
+
+    def factory(surf, delta):
+        return make_problem(spec, surf, 3, delta)
+
+    _, results = run_sweep(full_cylinder(3, 2), 3, factory, levels=5)
+    finest = results[-1]
+    system = assemble_system(build_space(finest.surface, 3), factory(finest.surface, default_penalty(3)))
+    _, cold = cg_solve(system.matrix, system.rhs, mean_weights=system.basis_integrals)
+    assert cold.converged
+    assert finest.solve_report.iterations <= 0.8 * cold.iterations

@@ -194,3 +194,51 @@ def test_projected_matches_pinned_dof_oracle():
     y[keep] = np.linalg.solve(A[np.ix_(keep, keep)], b[keep])
     y -= y.mean()
     assert np.linalg.norm(x - y) <= 1e-6 * max(1.0, np.linalg.norm(y))
+
+
+def test_x0_at_the_solution_takes_no_iteration(rng):
+    A = random_spd(40, rng)
+    b = rng.normal(size=40)
+    exact = np.linalg.solve(A, b)
+    x, report = cg_solve(to_csr(A), b, x0=exact)
+    assert report.iterations == 0 and report.converged
+    np.testing.assert_array_equal(x, exact)
+
+
+def test_x0_warm_start_converges_to_the_cold_solution(rng):
+    A = random_spd(50, rng)
+    b = rng.normal(size=50)
+    cold, _ = cg_solve(to_csr(A), b, tol=1e-12)
+    warm, report = cg_solve(to_csr(A), b, tol=1e-12, x0=rng.normal(size=50))
+    assert report.converged
+    assert np.linalg.norm(warm - cold) <= 1e-8 * np.linalg.norm(cold)
+
+
+def test_x0_validation():
+    A = to_csr(np.eye(3))
+    for x0 in (np.ones(2), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="x0"):
+            cg_solve(A, np.ones(3), x0=x0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericalBreakdownError):
+            cg_solve(A, np.ones(3), x0=np.array([0.0, bad, 0.0]))
+
+
+def test_zero_rhs_returns_zeros_whatever_x0(rng):
+    x, report = cg_solve(to_csr(np.eye(4)), np.zeros(4), x0=rng.normal(size=4))
+    np.testing.assert_array_equal(x, 0.0)
+    assert report.iterations == 0 and report.converged
+
+
+def test_pure_neumann_x0_with_nonzero_mean(rng):
+    # The constant in x0 is the nullspace: it must not survive the final shift.
+    n = 30
+    b = rng.normal(size=n)
+    b -= b.mean()
+    w = rng.uniform(0.1, 2.0, size=n)
+    L = to_csr(laplacian_1d(n, neumann=True))
+    cold, _ = cg_solve(L, b, tol=1e-12, mean_weights=w)
+    x, report = cg_solve(L, b, tol=1e-12, mean_weights=w, x0=rng.normal(size=n) + 5.0)
+    assert report.converged
+    assert abs(w @ x) <= 1e-12 * np.linalg.norm(w) * np.linalg.norm(x)
+    np.testing.assert_allclose(x, cold, atol=1e-9)

@@ -161,3 +161,24 @@ def test_ordering_deterministic():
     idx_a = [a.global_block(pid, 1, 2, 1, 1).item() for pid in range(4)]
     idx_b = [b.global_block(pid, 1, 2, 1, 1).item() for pid in range(4)]
     assert idx_a == idx_b
+
+
+@pytest.mark.parametrize("name", ["full_cylinder_p3", "seeded_flipped"])
+def test_prolongation_is_exact(name, rng):
+    """u_h and its prolongation to the refined space are the same function."""
+    from test_geometry import seeded_grid
+
+    from dgiga.geometries import full_cylinder
+    from dgiga.space import prolong
+
+    coarse = full_cylinder(3, 2) if name == "full_cylinder_p3" else seeded_grid(7, 4)
+    p = coarse.patches[0].degree[0]
+    space = build_space(coarse, p)
+    u_h = space.function(rng.normal(size=space.total_dofs))
+    fine = refine_surface(coarse)
+    u_f = build_space(fine, p).function(prolong(u_h, fine))
+    ts = np.linspace(0.0, 1.0, 10)
+    for pid in range(coarse.num_patches):
+        a, _ = evaluate(u_h, pid, ts, ts)
+        b, _ = evaluate(u_f, pid, ts, ts)
+        np.testing.assert_allclose(b, a, rtol=0, atol=1e-13 * np.abs(a).max())
