@@ -95,12 +95,11 @@ def surface_h_max(surface) -> float:
 def measure_errors(u_h: DiscreteFunction, data) -> ErrorReport:
     """L2 and energy-norm errors of a discrete solution, with per-patch L2 parts.
 
-    One pass per stack collects the gaps, weights and gradient parts.  With
-    a Dirichlet edge each stack's L2 parts are reduced at once.  Without one
-    the solution is fixed only up to a constant, so the L2 error is measured
-    modulo constants: the gaps are stored, and a second pass subtracts the
-    integral mean of u_h - u.  Without ``grad_u_exact`` the energy error is
-    NaN.
+    One pass per stack collects the gaps, weights and gradient parts, and a
+    second subtracts a mean from the stored gaps.  With a Dirichlet edge the
+    mean is 0.0.  Without one the solution is fixed only up to a constant,
+    so the L2 error is measured modulo constants: the mean is the integral
+    mean of u_h - u.  Without ``grad_u_exact`` the energy error is NaN.
     """
     if data.u_exact is None:
         raise ValueError("measuring errors needs the exact solution u_exact")
@@ -110,16 +109,12 @@ def measure_errors(u_h: DiscreteFunction, data) -> ErrorReport:
     for stack in patch_stacks(surface.patches):
         gap, w, h1[stack] = _stack_errors(u_h, stack, data.u_exact, data.grad_u_exact,
                                           space.degree + 2)
-        if surface.has_dirichlet:
-            l2[stack] = (gap**2 * w).sum(axis=1)
-        else:
-            passes.append((stack, gap, w))
-            moments[:, stack] = (gap * w).sum(axis=1), w.sum(axis=1)
-    if passes:
-        # Patch-major sums, so the mean does not depend on how patches are stacked.
-        mean = moments[0].sum() / moments[1].sum()
-        for stack, gap, w in passes:
-            l2[stack] = ((gap - mean) ** 2 * w).sum(axis=1)
+        passes.append((stack, gap, w))
+        moments[:, stack] = (gap * w).sum(axis=1), w.sum(axis=1)
+    # Patch-major sums, so the mean does not depend on how patches are stacked.
+    mean = 0.0 if surface.has_dirichlet else moments[0].sum() / moments[1].sum()
+    for stack, gap, w in passes:
+        l2[stack] = ((gap - mean) ** 2 * w).sum(axis=1)
     del passes, gap, w  # the edge pass below must not hold the volume tables too
     dg = math.nan
     if data.grad_u_exact is not None:

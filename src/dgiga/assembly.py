@@ -21,6 +21,7 @@ an edge entry sums in edge-list order inside every batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -54,9 +55,9 @@ def default_penalty(p: int) -> float:
 class ProblemData:
     """Problem data: source, boundary data, penalty, optional exact solution.
 
-    ``f`` is called as f(patch_id, points) with points of shape (N, 3);
-    boundary data and the exact solution take only the points.  Missing
-    callables are treated as zero data.
+    ``f`` is called once per stack of patches as f(patch_ids, points), with
+    points (N, 3) and each point's patch id (N,); boundary data and the
+    exact solution take only the points.  Missing callables are zero data.
     """
 
     f: Callable | None = None
@@ -67,8 +68,8 @@ class ProblemData:
     grad_u_exact: Callable | None = None
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("penalty parameter must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError(f"penalty parameter must be positive and finite, got {self.delta}")
 
 
 @dataclass
@@ -99,10 +100,7 @@ def _csr(n: int, blocks) -> sp.csr_array:
         rows[start:end].reshape(K.shape)[...] = gidx[:, :, None]
         cols[start:end].reshape(K.shape)[...] = gidx[:, None, :]
         vals[start:end] = K.reshape(-1)
-    mat = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+    return sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()  # sums duplicates, sorts
 
 
 def _band(kv: KnotVector):
@@ -197,11 +195,10 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
     K *= W[:, :, None] * W[:, None, :]
     K = K.reshape(P, -1, m, m)
     K *= surface.alpha[stack].reshape(-1, 1, 1, 1)
-    f = np.zeros_like(w)
-    if data.f is not None:
-        points = tab.points.reshape(P, -1, 3)
-        for k, pid in enumerate(stack):
-            f[k] = np.asarray(data.f(pid, points[k]), dtype=float).reshape(w.shape[1:])
+    f = 0.0
+    if data.f is not None:  # one call per stack, one patch id per point
+        pids = np.repeat(stack, w[0].size)
+        f = np.asarray(data.f(pids, tab.points.reshape(-1, 3)), dtype=float).reshape(w.shape)
     rows = np.stack([f * w, w]) / S  # (2, P, nel_u, nel_v, q, q)
     rows = Nu.transpose(0, 2, 1)[:, None] @ (rows @ Nv)  # (2, P, nel_u, nel_v, m1, m2)
     loads = rows.transpose(1, 2, 3, 0, 4, 5).reshape(n, 2, m) * W[:, None]

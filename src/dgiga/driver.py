@@ -1,7 +1,8 @@
 """Solve pipeline: assemble, solve, measure, sweep over refinements.
 
-A sweep uses nested iteration: CG on level k+1 starts from the level-k
-solution prolonged exactly to the refined space (``space.prolong``).
+A sweep refines per stack of patches and uses nested iteration: CG on
+level k+1 starts from the level-k solution prolonged exactly by the same
+knot insertion (``space.prolong``).
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def run_sweep(
     for level in range(levels):
         if level > 0:
             current = refine_surface(current)
-            x0 = prolong(results[-1].solution, current)
+            x0 = prolong(results[-1].solution)
         data = problem_factory(current, delta)
         u_h, report, space = solve_problem(current, p, data, tol=tol, x0=x0)
         if data.u_exact is not None:

@@ -576,25 +576,33 @@ def match_interfaces(
     return MultiPatchSurface(list(patches), edges, alpha)
 
 
-def _refine_patch(patch: NurbsPatch) -> NurbsPatch:
-    kv_u, Tu = midpoint_refine(patch.basis.basis_u)
-    kv_v, Tv = midpoint_refine(patch.basis.basis_v)
-    w = patch.basis.weights
-    hom = np.concatenate([patch.control_points * w[:, :, None], w[:, :, None]], axis=2)
-    hom = np.einsum("ij,jbk->ibk", Tu, hom)
-    hom = np.einsum("ij,ajk->aik", Tv, hom)
-    w_new = hom[:, :, 3]
-    cp_new = hom[:, :, :3] / w_new[:, :, None]
-    return NurbsPatch(NurbsBasis2D(kv_u, kv_v, w_new), cp_new, patch.id)
+def _refine_nets(basis: NurbsBasis2D, nets: np.ndarray):
+    """Refined knot vectors and midpoint refinements T_u X T_v^T of a stack of
+    grids (P, n1, n2, c) on ``basis``'s knot vectors (memoised ``midpoint_refine``
+    matrices): homogeneous control nets (x w, w) or coefficients (c w, w)."""
+    kv_u, Tu = midpoint_refine(basis.basis_u)
+    kv_v, Tv = midpoint_refine(basis.basis_v)
+    nets = np.einsum("ij,pjbk->pibk", Tu, nets)
+    return kv_u, kv_v, np.einsum("ij,pajk->paik", Tv, nets)
 
 
 def refine_surface(surface: MultiPatchSurface) -> MultiPatchSurface:
-    """Global midpoint h-refinement of every patch (meshes stay matching).
+    """Global midpoint h-refinement, one ``_refine_nets`` call per patch stack.
 
-    Knot insertion changes neither the geometry nor the topology, so the
-    edges carry over; each interior edge's knot vectors are checked again.
+    Knot insertion changes neither the geometry nor the topology, so meshes
+    stay matching and the edges carry over; each interior edge's knot
+    vectors are checked again.
     """
-    patches = [_refine_patch(p) for p in surface.patches]
+    patches = list(surface.patches)
+    for stack in patch_stacks(patches):
+        members = [surface.patches[pid] for pid in stack]
+        w = np.stack([p.basis.weights for p in members])[..., None]
+        hom = np.concatenate([np.stack([p.control_points for p in members]) * w, w], axis=-1)
+        kv_u, kv_v, hom = _refine_nets(members[0].basis, hom)
+        for pid, patch, net in zip(stack, members, hom):
+            w_new = net[:, :, 3]
+            patches[pid] = NurbsPatch(NurbsBasis2D(kv_u, kv_v, w_new),
+                                      net[:, :, :3] / w_new[:, :, None], patch.id)
     for e in surface.edges_of_kind("interior"):
         _check_matching_mesh(patches, e.left, e.right, e.orientation_flip)
     return MultiPatchSurface(patches, list(surface.edges), surface.alpha.copy())

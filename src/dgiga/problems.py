@@ -45,7 +45,7 @@ def parse_expression(text: str, params: tuple[str, ...] = ()):
     """Compile an arithmetic expression in x, y, z into a vectorized field.
 
     The returned callable maps an (N, 3) point array to an (N,) array; each
-    name in ``params`` is a scalar it takes by keyword, as in
+    name in ``params`` is a scalar or (N,) array it takes by keyword, as in
     ``field(points, alpha=1.0)``.  Raises ValueError on any construct outside
     the supported language, and the callable raises ValueError, naming the
     expression, where the arithmetic fails (an overflow of Python numbers or

@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature on breakpoint panels."""
+"""Gauss-Legendre quadrature on breakpoint panels, from numpy's ``leggauss``."""
 
 from __future__ import annotations
 
@@ -12,29 +12,11 @@ MAX_POINTS = 30
 
 
 @lru_cache(maxsize=None)
-def _gauss_reference(q: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # Newton iteration on the Legendre polynomial P_q; Chebyshev-like
-    # initial guesses converge in a handful of steps for q <= 30.
-    def legendre_and_deriv(x):
-        P0 = np.ones_like(x)
-        P1 = x.copy()
-        for k in range(2, q + 1):
-            P0, P1 = P1, ((2 * k - 1) * x * P1 - (k - 1) * P0) / k
-        # Nodes are strictly inside (-1, 1), so x^2 - 1 never vanishes.
-        dP = q * (x * P1 - P0) / (x**2 - 1.0)
-        return P1, dP
-
-    nodes = np.cos(np.pi * (np.arange(1, q + 1) - 0.25) / (q + 0.5))
-    for _ in range(100):
-        P, dP = legendre_and_deriv(nodes)
-        step = P / dP
-        nodes -= step
-        if np.max(np.abs(step)) < 1e-15:
-            break
-    _, dP = legendre_and_deriv(nodes)
-    weights = 2.0 / ((1.0 - nodes**2) * dP**2)
-    order = np.argsort(nodes)
-    return tuple(nodes[order]), tuple(weights[order])
+def _gauss_reference(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the q-point rule on [-1, 1] (numpy's ``leggauss``), read-only."""
+    x, w = np.polynomial.legendre.leggauss(q)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def panel_rules(breaks: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -54,4 +36,4 @@ def panel_rules(breaks: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = _gauss_reference(q)
     a = breaks[:-1, None]
     half = 0.5 * (breaks[1:, None] - a)
-    return a + half * (np.asarray(x) + 1.0), half * np.asarray(w)
+    return a + half * (x + 1.0), half * w

@@ -4,7 +4,8 @@ Each patch keeps its own tensor-product NURBS space; global DOFs are the
 concatenation of the per-patch coefficient blocks (no coupling between
 patches).  Numbering is patch-major, then lexicographic with the second
 parametric index as the major key.  The spaces of a refinement sweep
-nest patch by patch, and ``prolong`` moves a function to the next level.
+nest patch by patch: ``prolong`` moves a function to the next level with
+the knot insertion that refines the geometry (``geometry._refine_nets``).
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MultiPatchSurface, patch_stacks
-from .splines import midpoint_refine
+from .geometry import MultiPatchSurface, _refine_nets, patch_stacks
 
 __all__ = ["DgSpace", "DiscreteFunction", "build_space", "prolong"]
 
@@ -88,27 +88,20 @@ class DiscreteFunction:
         return block.reshape(n2, n1).T  # second index is the major key
 
 
-def prolong(u_h: DiscreteFunction, fine: MultiPatchSurface) -> np.ndarray:
-    """Coefficients of u_h on ``fine``, the midpoint refinement of its surface.
+def prolong(u_h: DiscreteFunction) -> np.ndarray:
+    """Coefficients of u_h on the midpoint refinement of its surface.
 
     Knot insertion nests each patch's NURBS space in its refinement (the
     weight function does not change), so the prolongation is exact and
-    block-diagonal: c_f = (T_u (c o w) T_v^T) / w_f per patch, with T_u and
-    T_v from ``midpoint_refine`` and w_f the refined weights.  One batched
-    matmul pair per stack of patches sharing both knot vectors, in the
-    k2-major order of the coefficients.
+    block-diagonal: c_f = (T_u (c o w) T_v^T) / (T_u w T_v^T) per patch, the
+    pair (c w, w) refined like a control net by ``geometry._refine_nets``,
+    one call per stack of patches sharing both knot vectors.
     """
-    space, patches = u_h.space, u_h.space.surface.patches
-    sizes = [patch.basis.weights.size for patch in fine.patches]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    x = np.empty(offsets[-1])
+    patches, rows = u_h.space.surface.patches, {}
     for stack in patch_stacks(patches):
-        basis = patches[stack[0]].basis
-        (_, Tu), (_, Tv) = midpoint_refine(basis.basis_u), midpoint_refine(basis.basis_v)
-        n1, n2 = basis.shape
-        c = u_h.coefficients[space.offsets[stack][:, None] + np.arange(n1 * n2)]
-        w = np.stack([patches[pid].basis.weights.T for pid in stack])
-        w_f = np.stack([fine.patches[pid].basis.weights.T for pid in stack])
-        c_f = Tv @ (c.reshape(w.shape) * w) @ Tu.T / w_f
-        x[offsets[stack][:, None] + np.arange(w_f[0].size)] = c_f.reshape(len(stack), -1)
-    return x
+        c = np.stack([u_h.patch_coeffs(pid) for pid in stack])
+        w = np.stack([patches[pid].basis.weights for pid in stack])
+        _, _, net = _refine_nets(patches[stack[0]].basis, np.stack([c * w, w], axis=-1))
+        c_f = net[..., 0] / net[..., 1]  # (P, n1, n2), stored k2-major
+        rows.update(zip(stack, c_f.swapaxes(1, 2).reshape(len(stack), -1)))
+    return np.concatenate([rows[pid] for pid in range(len(patches))])

@@ -9,7 +9,9 @@ at one point), ``eval_nurbs2d`` (the rational basis by the quotient rule),
 ``surface_gradient``, ``surface_normal`` and ``conormal`` (by cross
 products), and ``function_at`` (a discrete function's value and tangential
 gradient).  The kernels are checked against them, and the edge, mesh-size
-and interpolation helpers below are built on them.
+and interpolation helpers below are built on them.  ``refine_patch``
+refines one patch at a time, the reference for the stacked
+``refine_surface``.
 """
 
 import math
@@ -27,7 +29,8 @@ from dgiga.geometry import (
     tabulate_patches,
 )
 from dgiga.space import DgSpace, DiscreteFunction
-from dgiga.splines import KnotVector, NurbsBasis2D, breakpoints, find_span, greville
+from dgiga.splines import (KnotVector, NurbsBasis2D, breakpoints, find_span, greville,
+                           midpoint_refine)
 
 # Each side: (fixed axis, fixed value, edge direction in parameter space,
 # outward parametric direction).
@@ -370,3 +373,16 @@ def l2_error_at(u_h: DiscreteFunction, u_exact, q: int) -> float:
         gap = tab.field.ravel() - u_exact(tab.points.reshape(-1, 3))
         total += float(np.sum(gap**2 * tab.weights.ravel()))
     return math.sqrt(total)
+
+
+def refine_patch(patch: NurbsPatch) -> NurbsPatch:
+    """Midpoint refinement of one patch: T_u and T_v applied to its homogeneous net."""
+    kv_u, Tu = midpoint_refine(patch.basis.basis_u)
+    kv_v, Tv = midpoint_refine(patch.basis.basis_v)
+    w = patch.basis.weights
+    hom = np.concatenate([patch.control_points * w[:, :, None], w[:, :, None]], axis=2)
+    hom = np.einsum("ij,jbk->ibk", Tu, hom)
+    hom = np.einsum("ij,ajk->aik", Tv, hom)
+    w_new = hom[:, :, 3]
+    cp_new = hom[:, :, :3] / w_new[:, :, None]
+    return NurbsPatch(NurbsBasis2D(kv_u, kv_v, w_new), cp_new, patch.id)

@@ -250,6 +250,18 @@ def test_assembly_deterministic():
     np.testing.assert_array_equal(s1.rhs, s2.rhs)
 
 
+@pytest.mark.parametrize("name", ["seeded_flipped", "full_cylinder_p3"])
+def test_system_matrix_is_canonical_csr(name):
+    """Sorted, duplicate-free indices in every row, edges included."""
+    from test_geometry import seeded_grid
+
+    surface = seeded_grid(7, 4) if name == "seeded_flipped" else full_cylinder(3, 2)
+    p = surface.patches[0].degree[0]
+    space, data = build_space(surface, p), make_problem("plane_sine", surface, p)
+    assert assemble_system(space, data).matrix.has_canonical_format
+    assert assemble_edges(space, ProblemData()).matrix.has_canonical_format
+
+
 def test_cg_solution_matches_direct_factorization():
     import scipy.sparse.linalg as spla
 

@@ -271,6 +271,16 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert rc == EXIT_SOLVER
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_non_finite_penalty_exit_code(tmp_path, capsys, delta):
+    argv = ["solve", str(data_path("square4.g")), "--problem", "plane_sine", "--levels", "1",
+            "--delta", delta, "--out", str(tmp_path)]
+    assert main(argv) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "positive" in err
+    assert not (tmp_path / "rates.csv").exists()
+
+
 def test_check_cylinder(capsys):
     rc = main(["check", str(data_path("qcyl4.g"))])
     assert rc == 0

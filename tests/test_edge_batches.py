@@ -61,7 +61,7 @@ class Counter:
 
 
 def counting_sweep(surface, monkeypatch, levels=3):
-    """Per level: side-kernel calls, calls of g_D, g_N and u_exact, and the
+    """Per level: side-kernel calls, calls of f, g_D, g_N and u_exact, and the
     accumulated elements keyed by element-matrix entries."""
     kernel = Counter(dgiga.geometry._side_grid)
     monkeypatch.setattr(dgiga.geometry, "_side_grid", kernel)
@@ -89,9 +89,9 @@ def counting_sweep(surface, monkeypatch, levels=3):
 
     def factory(surf, delta):
         data = make_problem("plane_sine", surf, 2, delta)
-        counters.update(g_D=Counter(data.g_D), g_N=Counter(), u_exact=Counter(data.u_exact))
-        data.g_D, data.g_N, data.u_exact = counters["g_D"], counters["g_N"], counters["u_exact"]
-        return data
+        counters.update(f=Counter(data.f), g_D=Counter(data.g_D), g_N=Counter(),
+                        u_exact=Counter(data.u_exact))
+        return dataclasses.replace(data, **counters)
 
     records = []
 
@@ -130,12 +130,14 @@ def test_side_kernel_calls_per_level_do_not_grow_with_edges(monkeypatch, n):
 def test_boundary_data_is_called_once_per_pass(monkeypatch):
     surface = seeded_grid(7, 8)
     for record in counting_sweep(surface, monkeypatch):
-        # Dirichlet assembly; Neumann assembly; the error pass calls u_exact
-        # once per patch stack and once for the Dirichlet jumps.
+        # Dirichlet assembly; Neumann assembly; the volume assembly calls f
+        # once per patch stack; the error pass calls u_exact once per patch
+        # stack and once for the Dirichlet jumps.
         assert record["g_D"] == 1
         assert record["g_N"] == 1
         stacks = len(dgiga.geometry.patch_stacks(surface.patches))
-        assert record["u_exact"] - 1 == stacks < surface.num_patches
+        assert record["f"] == stacks < surface.num_patches
+        assert record["u_exact"] - 1 == stacks
         surface = dgiga.geometry.refine_surface(surface)
 
 

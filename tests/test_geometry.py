@@ -2,7 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
-from oracles import edge_breakpoints, edge_mesh_size, mesh_size, partner_t, uniform_open_knots
+from oracles import (edge_breakpoints, edge_mesh_size, mesh_size, partner_t, refine_patch,
+                     uniform_open_knots)
 from test_tabulation import GEOMETRIES
 
 from dgiga.assembly import interface_slots
@@ -22,7 +23,6 @@ from dgiga.geometry import (
     NurbsPatch,
     SingularMapError,
     TopologyError,
-    _refine_patch,
     match_interfaces,
     refine_surface,
     tabulate_grid,
@@ -217,7 +217,7 @@ def test_tag_on_interior_side_raises():
 
 def test_nonmatching_meshes_rejected():
     surface = square_grid(1, nx=2, ny=1)
-    patches = [surface.patches[0], _refine_patch(surface.patches[1])]
+    patches = [surface.patches[0], refine_patch(surface.patches[1])]
     tags = {e.left: e.kind for e in surface.edges if e.kind != "interior"}
     with pytest.raises(TopologyError, match="non-matching meshes"):
         match_interfaces(patches, tags)
@@ -378,7 +378,7 @@ def test_sweep_does_not_rematch_interfaces(monkeypatch):
 
 def test_refine_rejects_interior_edge_between_different_knots():
     left = planar_rectangle_patch(1, pid=0)
-    right = _refine_patch(planar_rectangle_patch(1, origin=(1.0, 0.0), pid=1))
+    right = refine_patch(planar_rectangle_patch(1, origin=(1.0, 0.0), pid=1))
     edges = [InterfaceEdge("interior", (0, "east"), (1, "west"))] + [
         InterfaceEdge("dirichlet", (pid, side))
         for pid, sides in ((0, ("west", "south", "north")), (1, ("east", "south", "north")))
@@ -387,6 +387,46 @@ def test_refine_rejects_interior_edge_between_different_knots():
     surface = MultiPatchSurface([left, right], edges)
     with pytest.raises(TopologyError, match="non-matching meshes"):
         refine_surface(surface)
+
+
+REFINEMENT_CASES = {
+    "seeded_grid": lambda: seeded_grid(7, 8),
+    "full_cylinder_p3": lambda: full_cylinder(3, 2),
+    "quarter_cylinder_p4": lambda: quarter_cylinder_grid(4, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFINEMENT_CASES))
+def test_stacked_refinement_matches_the_per_patch_reference(name):
+    """refine_surface equals refine_patch on every patch, bit for bit, over 3 levels."""
+    surface = REFINEMENT_CASES[name]()
+    reference = list(surface.patches)
+    for _ in range(3):
+        surface = refine_surface(surface)
+        reference = [refine_patch(p) for p in reference]
+        for got, want in zip(surface.patches, reference):
+            assert got.id == want.id
+            assert fingerprint(got) == fingerprint(want)
+
+
+def test_refinement_runs_once_per_stack(monkeypatch):
+    import dgiga.geometry
+
+    calls = []
+    refine_nets = dgiga.geometry._refine_nets
+
+    def counting(basis, nets):
+        calls.append(len(nets))
+        return refine_nets(basis, nets)
+
+    monkeypatch.setattr(dgiga.geometry, "_refine_nets", counting)
+    surface = seeded_grid(7, 8)
+    for _ in range(3):
+        stacks = dgiga.geometry.patch_stacks(surface.patches)
+        calls.clear()
+        surface = refine_surface(surface)
+        assert calls == [len(stack) for stack in stacks]
+        assert len(stacks) < surface.num_patches
 
 
 # -- the matcher against an all-pairs reference --------------------------------

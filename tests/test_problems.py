@@ -177,6 +177,8 @@ def test_alpha_in_f_is_the_patch_coefficient():
     pts = np.array([[0.5, 0.25, 0.0], [1.0, 0.0, 0.0]])
     for pid, alpha in enumerate(surface.alpha):
         np.testing.assert_array_equal(data.f(pid, pts), [1.5 * alpha, 2.0 * alpha])
+    # The volume assembly passes one patch id per point.
+    np.testing.assert_array_equal(data.f(np.array([3, 0]), pts), [1.5 * 1000.0, 2.0 * 1.0])
 
 
 @pytest.mark.parametrize("key", ["u", "gD", "gN", "gx", "gy", "gz"])
