@@ -11,7 +11,6 @@ from .analysis import ErrorReport, RateTable, measure_errors, rate_table
 from .assembly import (
     ProblemData,
     SparseSystem,
-    assemble_edges,
     assemble_system,
     assemble_volume,
     default_penalty,

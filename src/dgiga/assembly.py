@@ -7,9 +7,11 @@ The volume terms of a stack of patches sharing both knot vectors come from
 the weight-free factors of one tabulation (``tabulate_patches``), with no
 rational-basis table, and one batched matmul.  Patches are uncoupled in the
 volume, so its matrix is block-diagonal by patch, and each block has the
-Kronecker pattern of two 1D B-spline bands: the element matrices are summed
-straight into the CSR values of that pattern, memoised per knot signature,
-with no global COO.  The edge terms are one pass: one ``tabulate_sides``
+Kronecker pattern of two 1D B-spline bands.  One accumulator serves the whole
+volume pass: the element matrices are summed straight into the CSR values of
+that pattern, and the element loads and basis integrals into each patch's
+slice of the vectors, by patch-local slots memoised per knot signature, with
+no global index array.  The edge terms are one pass: one ``tabulate_sides``
 call over every interior, Dirichlet and Neumann side, with the 2(p+1) trace
 functions of each side element.  Edge terms stay parametric: a normal
 derivative is grad^ phi . g^-1 J^T n, and the element matrices are batched
@@ -115,14 +117,16 @@ def _band(kv: KnotVector):
 
 @lru_cache(maxsize=64)
 def _volume_pattern(basis_u: KnotVector, basis_v: KnotVector):
-    """Patch-local CSR pattern of the volume stiffness and the slot of every
-    element-matrix entry, memoised on the knot vectors.
+    """Patch-local CSR pattern of the volume stiffness, the slot of every
+    element-matrix entry and the functions of every element, memoised on the
+    knot vectors.
 
     The pattern is kron(band_v, band_u) in the k2-major DOF order, with sorted
     columns: entry (r, c) of row r = r2 n1 + r1 sits at indptr[r] +
     (c2 - lo_v[r2]) width_u[r1] + c1 - lo_u[r1].  ``slots`` (nel_u nel_v, m, m)
-    follows the element and window order of ``_volume_blocks``.  Returns
-    read-only (indptr, indices, slots).
+    and ``dofs`` (nel_u nel_v, m), the patch-local functions of each element
+    window, follow the element and window order of ``_volume_blocks``.
+    Returns read-only (indptr, indices, slots, dofs).
     """
     (fu, lo1, w1), (fv, lo2, w2) = _band(basis_u), _band(basis_v)
     n1, m1, m2 = basis_u.n, basis_u.degree + 1, basis_v.degree + 1
@@ -132,33 +136,35 @@ def _volume_pattern(basis_u: KnotVector, basis_v: KnotVector):
     r1, c1 = k1[:, None, :, None, None, None], k1[:, None, None, None, :, None]
     r2, c2 = k2[None, :, None, :, None, None], k2[None, :, None, None, None, :]
     slots = indptr[r2 * n1 + r1] + ((c2 - lo2[r2]) * w1[r1] + (c1 - lo1[r1]))
+    cols = c2 * n1 + c1  # (nel_u, nel_v, 1, 1, m1, m2): the functions of each element
     indices = np.empty(indptr[-1], dtype=np.intp)
-    indices[slots] = c2 * n1 + c1  # every pattern entry is some element's entry
-    slots = slots.reshape(fu.size * fv.size, m1 * m2, m1 * m2)
-    for a in (indptr, indices, slots):
+    indices[slots] = cols  # every pattern entry is some element's entry
+    slots, dofs = slots.reshape(-1, m1 * m2, m1 * m2), cols.reshape(-1, m1 * m2)
+    for a in (indptr, indices, slots, dofs):
         a.flags.writeable = False
-    return indptr, indices, slots
+    return indptr, indices, slots, dofs
 
 
-def _csr_values(slots: np.ndarray, nnz: int, K: np.ndarray) -> np.ndarray:
-    """CSR values (P, nnz) of the element matrices K (P, E, m, m) of a stack of
-    patches sharing one pattern, summed in element order by one bincount."""
-    at = slots.reshape(1, -1) + nnz * np.arange(len(K))[:, None]
-    return np.bincount(at.reshape(-1), K.reshape(-1), minlength=len(K) * nnz).reshape(-1, nnz)
+def _stack_sums(at: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
+    """Sums (..., size) of the values (..., *at.shape) of a stack: each leading
+    entry is summed into the slots ``at`` in element order, all by one bincount."""
+    lead = values.shape[: values.ndim - at.ndim]
+    at = at.reshape(1, -1) + size * np.arange(math.prod(lead))[:, None]
+    sums = np.bincount(at.reshape(-1), values.reshape(-1), minlength=len(at) * size)
+    return sums.reshape(*lead, size)
 
 
 def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
     """Volume terms of a stack of patches that share both knot vectors.
 
-    Returns global indices (P, E, m), stiffness matrices (P, E, m, m) and
-    (P, E, 2, m) rows holding each element's load and basis integrals, all
-    from psi = N_u N_v / S, where the rational basis is R = W psi.  With
-    w g^-1 = C^T C per Gauss point (C upper triangular, closed form),
-    X = C grad psi is built with the function axes outermost, so every
-    elementwise step runs over the grid points; K_e = alpha W_a W_b
-    (X^T X)_ab, the weights applied as one exactly symmetric factor after
-    the matmul and alpha last.  The rows contract (f w / S, w / S) with the
-    1D tables.
+    Returns stiffness matrices (P, E, m, m) and rows (P, 2, E, m) holding
+    each element's load and basis integrals, both from psi = N_u N_v / S,
+    where the rational basis is R = W psi.  With w g^-1 = C^T C per Gauss
+    point (C upper triangular, closed form), X = C grad psi is built with
+    the function axes outermost, so every elementwise step runs over the
+    grid points; K_e = alpha W_a W_b (X^T X)_ab, the weights applied as one
+    exactly symmetric factor after the matmul and alpha last.  The rows
+    contract (f w / S, w / S) with the 1D tables.
     """
     surface, q = space.surface, space.degree + 1
     patches = [surface.patches[pid] for pid in stack]
@@ -167,8 +173,6 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
     P, nel_u, nel_v = S.shape[:3]
     m1, m2 = Nu.shape[-1], Nv.shape[-1]
     n, m = P * nel_u * nel_v, m1 * m2
-    fu, fv = tab.first_u.reshape(-1, 1), tab.first_v.reshape(-1)
-    gidx = space.global_block(np.array(stack)[:, None, None], fu, fv, m1, m2).reshape(P, -1, m)
     W = _window_weights(patches, tab).reshape(n, m)
     w, inv = tab.weights, tab.inv_metric
     r = np.sqrt(w / inv[..., 0, 0]) / S
@@ -201,44 +205,44 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
         f = np.asarray(data.f(pids, tab.points.reshape(-1, 3)), dtype=float).reshape(w.shape)
     rows = np.stack([f * w, w]) / S  # (2, P, nel_u, nel_v, q, q)
     rows = Nu.transpose(0, 2, 1)[:, None] @ (rows @ Nv)  # (2, P, nel_u, nel_v, m1, m2)
-    loads = rows.transpose(1, 2, 3, 0, 4, 5).reshape(n, 2, m) * W[:, None]
-    return gidx, K, loads.reshape(P, -1, 2, m)
+    rows = rows.transpose(1, 0, 2, 3, 4, 5).reshape(P, 2, -1, m) * W.reshape(P, 1, -1, m)
+    return K, rows
 
 
 def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
     """Patchwise diffusion stiffness and source load, and the basis integrals
     when the surface has no Dirichlet edge.
 
-    The matrix is block-diagonal by patch and is written straight into its
-    CSR arrays: each patch block has the memoised pattern of its knot
-    vectors (``_volume_pattern``), and each stack of patches sharing them
-    (``patch_stacks``) is tabulated and summed into its values by one
-    bincount.  Every entry and every load sums its patch's elements in
-    element order, whatever the stacking.
+    Every volume term is patch-local.  The matrix is block-diagonal by patch
+    and is written straight into its CSR arrays: each patch block has the
+    memoised pattern of its knot vectors (``_volume_pattern``).  Each stack
+    of patches sharing them (``patch_stacks``) is tabulated once; one
+    bincount sums its element matrices into the CSR values and one its
+    load and integral rows into each patch's slice of the vectors.  Every
+    entry sums its patch's elements in element order, whatever the stacking.
     """
     surface, n = space.surface, space.total_dofs
-    rhs, integrals = np.zeros(n), None if surface.has_dirichlet else np.zeros(n)
+    vectors = np.zeros((2, n))  # load, basis integrals
     patterns = [_volume_pattern(*_knot_key(patch.basis)) for patch in surface.patches]
-    starts = np.cumsum([0] + [indices.size for _, indices, _ in patterns])
+    starts = np.cumsum([0] + [indices.size for _, indices, _, _ in patterns])
     dtype = _index_dtype(max(n, starts[-1]))
     indptr, indices = np.zeros(n + 1, dtype), np.empty(starts[-1], dtype)
     values = np.empty(starts[-1])
-    for pid, (ptr, idx, _) in enumerate(patterns):
+    for pid, (ptr, idx, _, _) in enumerate(patterns):
         rows, at = space.patch_slice(pid), slice(starts[pid], starts[pid + 1])
         indptr[rows.start + 1 : rows.stop + 1] = ptr[1:] + starts[pid]
         indices[at] = idx
         indices[at] += space.offsets[pid]
     for stack in patch_stacks(surface.patches):
-        gidx, K, loads = _volume_blocks(space, data, stack)
-        _, idx, slots = patterns[stack[0]]
-        for pid, v in zip(stack, _csr_values(slots, idx.size, K)):
-            values[starts[pid] : starts[pid + 1]] = v
+        K, loads = _volume_blocks(space, data, stack)
+        ptr, idx, slots, dofs = patterns[stack[0]]
+        sums = zip(stack, _stack_sums(slots, idx.size, K), _stack_sums(dofs, ptr.size - 1, loads))
         del K  # before the next stack's is built
-        if data.f is not None:
-            np.add.at(rhs, gidx, loads[..., 0, :])
-        if integrals is not None:
-            np.add.at(integrals, gidx, loads[..., 1, :])
-    return SparseSystem(sp.csr_array((values, indices, indptr), shape=(n, n)), rhs, integrals)
+        for pid, v, vector_rows in sums:
+            values[starts[pid] : starts[pid + 1]] = v
+            vectors[:, space.patch_slice(pid)] = vector_rows
+    return SparseSystem(sp.csr_array((values, indices, indptr), shape=(n, n)), vectors[0],
+                        None if surface.has_dirichlet else vectors[1])
 
 
 def _side_terms(space: DgSpace, tab: SideTabulation, normal: np.ndarray):

@@ -37,7 +37,6 @@ def solve_problem(
     p: int,
     data: ProblemData,
     tol: float = 1e-10,
-    max_iter: int | None = None,
     x0: np.ndarray | None = None,
 ) -> tuple[DiscreteFunction, SolveReport, DgSpace]:
     """Assemble and solve one discrete problem on the given surface.
@@ -50,8 +49,7 @@ def solve_problem(
     space = build_space(surface, p)
     system = assemble_system(space, data)
     x, report = cg_solve(
-        system.matrix, system.rhs, tol=tol, max_iter=max_iter,
-        mean_weights=system.basis_integrals, x0=x0,
+        system.matrix, system.rhs, tol=tol, mean_weights=system.basis_integrals, x0=x0
     )
     if not report.converged:
         raise SolverFailure(report)

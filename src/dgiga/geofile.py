@@ -12,7 +12,9 @@ A geometry file is UTF-8 text with ``#`` comments and these records:
                                        boundary condition on an outer side,
                                        side in {west, east, south, north}
 
-Numbers must be finite.  Parse errors carry the offending line number.
+Numbers must be finite.  A patch takes each of knots_u, knots_v and alpha at
+most once, and an outer side takes at most one tag.  Parse errors carry the
+offending line number.
 """
 
 from __future__ import annotations
@@ -51,15 +53,14 @@ class GeometryData:
 class _PatchDraft:
     pid: int
     start_line: int
-    kv_u: KnotVector | None = None
-    kv_v: KnotVector | None = None
-    alpha: float = 1.0
+    records: dict = field(default_factory=dict)  # knots_u, knots_v, alpha
     cps: list = field(default_factory=list)
 
     def finish(self) -> tuple[NurbsPatch, float]:
-        if self.kv_u is None or self.kv_v is None:
+        kv_u, kv_v = self.records.get("knots_u"), self.records.get("knots_v")
+        if kv_u is None or kv_v is None:
             raise ParseError(self.start_line, f"patch {self.pid} is missing knot vectors")
-        n1, n2 = self.kv_u.n, self.kv_v.n
+        n1, n2 = kv_u.n, kv_v.n
         if len(self.cps) != n1 * n2:
             raise ParseError(
                 self.start_line,
@@ -68,8 +69,8 @@ class _PatchDraft:
         rows = np.asarray(self.cps, dtype=float).reshape(n2, n1, 4)
         xyz = rows[:, :, :3].transpose(1, 0, 2)
         w = rows[:, :, 3].T
-        basis = NurbsBasis2D(self.kv_u, self.kv_v, w)
-        return NurbsPatch(basis, xyz, self.pid), self.alpha
+        basis = NurbsBasis2D(kv_u, kv_v, w)
+        return NurbsPatch(basis, xyz, self.pid), self.records.get("alpha", 1.0)
 
 
 def _floats(parts: list[str], lineno: int, what: str) -> list[float]:
@@ -125,32 +126,27 @@ def parse_geometry(path) -> GeometryData:
                 raise ParseError(lineno, f"expected patch id {len(drafts)}, got {pid}")
             current = _PatchDraft(pid, lineno)
             drafts.append(current)
-        elif record in ("knots_u", "knots_v"):
+        elif record in ("knots_u", "knots_v", "alpha", "cp"):
             if current is None:
                 raise ParseError(lineno, f"{record} before any patch record")
-            kv = _knot_vector(args, lineno)
-            if record == "knots_u":
-                current.kv_u = kv
+            if record in current.records:
+                raise ParseError(lineno, f"repeated {record} record in patch {current.pid}")
+            if record == "cp":
+                if len(args) != 4:
+                    raise ParseError(lineno, "cp needs x y z w")
+                vals = _floats(args, lineno, "control point")
+                if vals[3] <= 0:
+                    raise ParseError(lineno, "control-point weight must be positive")
+                current.cps.append(vals)
+            elif record == "alpha":
+                if len(args) != 1:
+                    raise ParseError(lineno, "alpha needs exactly one value")
+                (value,) = _floats(args, lineno, "alpha")
+                if value <= 0:
+                    raise ParseError(lineno, "alpha must be positive")
+                current.records[record] = value
             else:
-                current.kv_v = kv
-        elif record == "alpha":
-            if current is None:
-                raise ParseError(lineno, "alpha before any patch record")
-            if len(args) != 1:
-                raise ParseError(lineno, "alpha needs exactly one value")
-            (value,) = _floats(args, lineno, "alpha")
-            if value <= 0:
-                raise ParseError(lineno, "alpha must be positive")
-            current.alpha = value
-        elif record == "cp":
-            if current is None:
-                raise ParseError(lineno, "cp before any patch record")
-            if len(args) != 4:
-                raise ParseError(lineno, "cp needs x y z w")
-            vals = _floats(args, lineno, "control point")
-            if vals[3] <= 0:
-                raise ParseError(lineno, "control-point weight must be positive")
-            current.cps.append(vals)
+                current.records[record] = _knot_vector(args, lineno)
         elif record == "tag":
             if len(args) != 3:
                 raise ParseError(lineno, "tag needs: patch side kind")
@@ -165,6 +161,8 @@ def parse_geometry(path) -> GeometryData:
                 raise ParseError(lineno, f"unknown boundary kind {kind!r}")
             if not 0 <= pid < len(drafts):
                 raise ParseError(lineno, f"tag references unknown patch {pid}")
+            if (pid, side) in tags:
+                raise ParseError(lineno, f"repeated tag of patch {pid} {side}")
             tags[(pid, side)] = kind
         else:
             raise ParseError(lineno, f"unknown record {record!r}")

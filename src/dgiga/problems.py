@@ -1,13 +1,13 @@
 """Manufactured problems, stated as expression specs.
 
 A spec is ``key=expr`` terms joined by ``;``, with keys f, u, gD, gN and the
-gradient components gx, gy, gz.  Expressions use a small arithmetic
-language: +, -, *, /, ^, sin, cos, exp, atan2, pi and the coordinates x, y,
-z; in f also ``alpha``, the diffusion coefficient of the patch the point
-lies on.  The built-in cases are named specs that pair an exact solution
-with its source f = alpha (-Delta u), so every solve can be checked against
-it.  A value that comes out NaN or +-inf raises ValueError naming its
-expression.
+gradient components gx, gy, gz, each at most once.  Expressions use a small
+arithmetic language: +, -, *, /, ^, sin, cos, exp, atan2, pi and the
+coordinates x, y, z; in f also ``alpha``, the diffusion coefficient of the
+patch the point lies on.  The built-in cases are named specs that pair an
+exact solution with its source f = alpha (-Delta u), so every solve can be
+checked against it.  A value that comes out NaN or +-inf raises ValueError
+naming its expression.
 """
 
 from __future__ import annotations
@@ -141,6 +141,8 @@ def _expression_problem(spec: str, surface, delta: float) -> ProblemData:
             raise ValueError(
                 f"unknown problem field {key!r} (expected f, u, gD, gN, gx, gy, gz)"
             )
+        if key in fields:
+            raise ValueError(f"problem field {key!r} is given more than once")
         fields[key] = parse_expression(expr.strip(), ("alpha",) if key == "f" else ())
 
     u, f_field = fields.get("u"), fields.get("f")

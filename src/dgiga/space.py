@@ -27,26 +27,12 @@ class DgSpace:
     degree: int
     offsets: np.ndarray  # length num_patches + 1
     total_dofs: int
-    n1: np.ndarray  # per patch, the number of basis functions along u
 
     def patch_shape(self, pid: int) -> tuple[int, int]:
         return self.surface.patches[pid].basis.shape
 
     def patch_slice(self, pid: int) -> slice:
         return slice(int(self.offsets[pid]), int(self.offsets[pid + 1]))
-
-    def global_block(self, pid, first_u, first_v, m1: int, m2: int) -> np.ndarray:
-        """Global indices of (m1 x m2) windows of patch control grids.
-
-        The patch ids and window starts may be integers or broadcastable
-        integer arrays; the result has shape broadcast(pid, first_u,
-        first_v) + (m1, m2), aligned with basis value arrays.
-        """
-        pid = np.asarray(pid)[..., None, None]
-        n1 = self.n1[pid]
-        k1 = np.asarray(first_u)[..., None, None] + np.arange(m1)[:, None]
-        k2 = np.asarray(first_v)[..., None, None] + np.arange(m2)
-        return self.offsets[pid] + k2 * n1 + k1
 
     def function(self, coefficients=None) -> "DiscreteFunction":
         if coefficients is None:
@@ -64,9 +50,8 @@ def build_space(surface: MultiPatchSurface, p: int) -> DgSpace:
             raise ValueError(
                 f"patch {patch.id} has degree {patch.degree}, expected ({p}, {p})"
             )
-    n1, n2 = np.array([patch.basis.shape for patch in surface.patches]).reshape(-1, 2).T
-    offsets = np.concatenate([[0], np.cumsum(n1 * n2)])
-    return DgSpace(surface, p, offsets, int(offsets[-1]), n1)
+    offsets = np.cumsum([0] + [patch.basis.weights.size for patch in surface.patches])
+    return DgSpace(surface, p, offsets, int(offsets[-1]))
 
 
 @dataclass

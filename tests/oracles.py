@@ -7,10 +7,11 @@ to the same quantities: ``eval_bspline`` (the triangular Cox-de Boor scheme
 at one point), ``eval_nurbs2d`` (the rational basis by the quotient rule),
 ``frame_at`` (point, Jacobian and metric from the local control window),
 ``surface_gradient``, ``surface_normal`` and ``conormal`` (by cross
-products), and ``function_at`` (a discrete function's value and tangential
-gradient).  The kernels are checked against them, and the edge, mesh-size
-and interpolation helpers below are built on them.  ``refine_patch``
-refines one patch at a time, the reference for the stacked
+products), ``function_at`` (a discrete function's value and tangential
+gradient), and ``global_window`` and ``element_dofs`` (global indices of
+basis windows).  The kernels are checked against them, and the edge,
+mesh-size and interpolation helpers below are built on them.
+``refine_patch`` refines one patch at a time, the reference for the stacked
 ``refine_surface``.
 """
 
@@ -211,6 +212,28 @@ def function_at(f: DiscreteFunction, pid: int, xi) -> tuple[float, np.ndarray]:
     )
     frame = frame_at(patch, xi)
     return value, surface_gradient(frame, pgrad)
+
+
+def global_window(space: DgSpace, pid: int, first_u: int, first_v: int, m1: int, m2: int):
+    """Global indices (m1, m2) of the functions (first_u + a, first_v + b) of
+    patch pid, aligned with ``eval_nurbs2d`` values: patch-major, then k2-major."""
+    n1 = space.patch_shape(pid)[0]
+    k1, k2 = np.arange(first_u, first_u + m1), np.arange(first_v, first_v + m2)
+    return space.offsets[pid] + k2[None, :] * n1 + k1[:, None]
+
+
+def element_dofs(space: DgSpace, pid: int) -> np.ndarray:
+    """Global indices (E, m) of the functions on every element of patch pid,
+    elements u-major, from ``eval_bspline`` at the element midpoints."""
+    basis = space.surface.patches[pid].basis
+    firsts = []
+    for kv in (basis.basis_u, basis.basis_v):
+        bp = breakpoints(kv)
+        firsts.append([eval_bspline(kv, 0.5 * (a + b)).first_active
+                       for a, b in zip(bp[:-1], bp[1:])])
+    m1, m2 = basis.basis_u.degree + 1, basis.basis_v.degree + 1
+    return np.array([global_window(space, pid, a1, a2, m1, m2).ravel()
+                     for a1 in firsts[0] for a2 in firsts[1]])
 
 
 def tabulate_patch(patch: NurbsPatch, q: int):

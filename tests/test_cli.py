@@ -200,7 +200,8 @@ tag 0 north dirichlet
 @pytest.mark.parametrize("good, bad, line", [
     ("alpha 1.0", "alpha nan", 4),
     ("tag 0 west dirichlet", "tag -1 west dirichlet", 9),
-], ids=["alpha_nan", "tag_negative"])
+    ("tag 0 north dirichlet", "tag 0 north dirichlet\ntag 0 west neumann", 13),
+], ids=["alpha_nan", "tag_negative", "tag_repeated"])
 def test_non_finite_alpha_and_negative_tag_exit_code(tmp_path, capsys, good, bad, line):
     path = tmp_path / "one.g"
     path.write_text(ONE_PATCH, encoding="utf-8")
@@ -208,6 +209,14 @@ def test_non_finite_alpha_and_negative_tag_exit_code(tmp_path, capsys, good, bad
     path.write_text(ONE_PATCH.replace(good, bad), encoding="utf-8")
     assert main(["check", str(path)]) == EXIT_PARSE
     assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_repeated_problem_key_exit_code(tmp_path, capsys):
+    argv = ["solve", str(data_path("square4.g")), "--problem", "u=x; u=y; f=0",
+            "--levels", "1", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_PARSE
+    assert "'u' is given more than once" in capsys.readouterr().err
+    assert not (tmp_path / "rates.csv").exists()
 
 
 def test_unknown_problem_exit_code(tmp_path, capsys):

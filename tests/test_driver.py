@@ -1,12 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 
+import dgiga.driver
 from dgiga.analysis import measure_errors
 from dgiga.assembly import ProblemData, default_penalty
 from dgiga.driver import SolverFailure, run_sweep, sample_solution, solve_problem
 from dgiga.assembly import assemble_volume
 from dgiga.geometries import full_cylinder, square_grid
 from dgiga.geometry import NurbsPatch, match_interfaces, refine_surface
+from dgiga.linalg import cg_solve
 from dgiga.problems import make_problem
 from dgiga.space import build_space
 from dgiga.splines import KnotVector, NurbsBasis2D, greville
@@ -29,11 +33,13 @@ def test_single_level_sweep_has_no_rates():
     assert math.isnan(table.rows[0].l2_rate)
 
 
-def test_solver_failure_raises():
+def test_solver_failure_raises(monkeypatch):
     surface = refine_surface(square_grid(2))
     data = make_problem("plane_sine", surface, 2)
+    # Two CG iterations cannot reach the tolerance.
+    monkeypatch.setattr(dgiga.driver, "cg_solve", functools.partial(cg_solve, max_iter=2))
     with pytest.raises(SolverFailure):
-        solve_problem(surface, 2, data, max_iter=2)
+        solve_problem(surface, 2, data)
     # tol outside (0, 1) is rejected upstream
     with pytest.raises(ValueError):
         solve_problem(surface, 2, data, tol=0.0)

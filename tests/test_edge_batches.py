@@ -66,7 +66,7 @@ def counting_sweep(surface, monkeypatch, levels=3):
     kernel = Counter(dgiga.geometry._side_grid)
     monkeypatch.setattr(dgiga.geometry, "_side_grid", kernel)
     blocks = {}
-    csr, csr_values = dgiga.assembly._csr, dgiga.assembly._csr_values
+    csr, stack_sums = dgiga.assembly._csr, dgiga.assembly._stack_sums
 
     def count(local):
         entries = local.shape[-1] * local.shape[-2]
@@ -78,13 +78,14 @@ def counting_sweep(surface, monkeypatch, levels=3):
             count(local)
         return csr(n, pairs)
 
-    def counting_csr_values(slots, nnz, K):
-        count(K)
-        return csr_values(slots, nnz, K)
+    def counting_stack_sums(at, size, values):
+        if at.ndim == 3:  # element-matrix slots, not the load and integral rows
+            count(values)
+        return stack_sums(at, size, values)
 
-    # Edge blocks go through _csr, volume blocks through _csr_values.
+    # Edge blocks go through _csr, volume blocks and rows through _stack_sums.
     monkeypatch.setattr(dgiga.assembly, "_csr", counting_csr)
-    monkeypatch.setattr(dgiga.assembly, "_csr_values", counting_csr_values)
+    monkeypatch.setattr(dgiga.assembly, "_stack_sums", counting_stack_sums)
     counters = {}
 
     def factory(surf, delta):

@@ -15,6 +15,7 @@ from oracles import (
     edge_mesh_size,
     eval_nurbs2d,
     frame_at,
+    global_window,
     partner_t,
     side_param,
     surface_gradient,
@@ -52,7 +53,7 @@ def trace(space, pid, xi, normal):
     vals, grads, (a1, a2) = eval_nurbs2d(patch.basis, xi)
     frame = frame_at(patch, xi)
     m1, m2 = vals.shape
-    gidx = space.global_block(pid, a1, a2, m1, m2)
+    gidx = global_window(space, pid, a1, a2, m1, m2)
     dn = [surface_gradient(frame, grads[a, b]) @ normal for a, b in np.ndindex(m1, m2)]
     return gidx.ravel(), vals.ravel(), np.array(dn)
 

@@ -128,6 +128,19 @@ def test_non_finite_numbers_rejected(tmp_path, good, bad, line):
         parse_geometry(write(tmp_path, GOOD.replace(good, bad)))
 
 
+@pytest.mark.parametrize("good, repeated, line", [
+    ("knots_u 1 0 0 1 1", "knots_u 1 0 0 0.5 1 1", 4),
+    ("knots_v 1 0 0 1 1", "knots_v 1 0 0 0.5 1 1", 5),
+    ("alpha 1.0", "alpha 5", 6),
+    ("tag 0 north dirichlet", "tag 0 west neumann", 14),
+], ids=["knots_u", "knots_v", "alpha", "tag"])
+def test_repeated_records_rejected(tmp_path, good, repeated, line):
+    # The last record used to win without a message.
+    bad = GOOD.replace(good, f"{good}\n{repeated}")
+    with pytest.raises(ParseError, match=f"line {line}: repeated"):
+        parse_geometry(write(tmp_path, bad))
+
+
 def test_out_of_order_patch_ids_rejected(tmp_path):
     bad = GOOD.replace("patch 0", "patch 1")
     with pytest.raises(ParseError, match="expected patch id 0"):

@@ -217,6 +217,12 @@ def test_expression_problem_bad_key():
         make_problem("w=1", square_grid(1), 1)
 
 
+def test_expression_problem_repeated_key():
+    # u = y used to replace u = x without a message.
+    with pytest.raises(ValueError, match="'u' is given more than once"):
+        make_problem("u=x; u=y; f=0", square_grid(1), 1)
+
+
 def test_expression_without_gradient_has_none():
     data = make_problem("u=x; f=0", square_grid(1), 1)
     assert data.grad_u_exact is None

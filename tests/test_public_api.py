@@ -22,7 +22,7 @@ PUBLIC = {
     "InterfaceEdge", "KnotVector", "MultiPatchSurface", "NumericalBreakdownError",
     "NurbsBasis2D", "NurbsPatch", "ParseError", "ProblemData", "RateTable",
     "SingularMapError", "SolveReport", "SolverFailure", "SparseSystem", "TopologyError",
-    "assemble_edges", "assemble_system", "assemble_volume", "build_space",
+    "assemble_system", "assemble_volume", "build_space",
     "builtin_problems", "cg_solve", "default_penalty", "greville", "insert_knots",
     "make_problem", "match_interfaces", "measure_errors", "parse_expression",
     "parse_geometry", "rate_table", "refine_surface", "run_sweep", "sample_solution",

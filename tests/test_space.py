@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import edge_average, edge_jump, interpolate, trace_on_edge
+from oracles import edge_average, edge_jump, global_window, interpolate, trace_on_edge
 
 from dgiga.geometries import planar_rectangle_patch, quarter_cylinder_grid, square_grid
 from dgiga.geometry import match_interfaces, refine_surface, tabulate_grid
@@ -158,8 +158,8 @@ def test_ordering_deterministic():
     b = build_space(s2, 2)
     assert np.array_equal(a.offsets, b.offsets)
     assert a.total_dofs == b.total_dofs
-    idx_a = [a.global_block(pid, 1, 2, 1, 1).item() for pid in range(4)]
-    idx_b = [b.global_block(pid, 1, 2, 1, 1).item() for pid in range(4)]
+    idx_a = [global_window(a, pid, 1, 2, 1, 1).item() for pid in range(4)]
+    idx_b = [global_window(b, pid, 1, 2, 1, 1).item() for pid in range(4)]
     assert idx_a == idx_b
 
 

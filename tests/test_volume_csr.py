@@ -4,13 +4,16 @@ Each patch block takes the memoised Kronecker pattern of its knot vectors,
 and each stack's element matrices are summed into its values in element
 order.  The result must have the pattern of the COO route (every element
 matrix expanded to global entries, then sorted and summed by ``_csr``) and
-its values up to round-off, without that route's memory.
+its values up to round-off, without that route's memory.  The load and the
+basis integrals, summed into patch-local slots by the same accumulator, must
+equal ``np.add.at`` over global indices bit for bit.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import element_dofs
 from test_geometry import seeded_grid
 from test_stacked_passes import DATA, two_signatures
 from test_trace_window import with_repeated_knot
@@ -35,13 +38,18 @@ SURFACES = {
 
 
 def coo_route(space):
-    """The volume matrix from every element matrix as COO entries, through ``_csr``."""
-    blocks = [None] * space.surface.num_patches
+    """The volume matrix from every element matrix as COO entries, through
+    ``_csr``, and the load and basis integrals from every element's rows by
+    ``np.add.at``, all at the global indices of ``oracles.element_dofs``."""
+    blocks, vectors = [None] * space.surface.num_patches, np.zeros((2, space.total_dofs))
     for stack in patch_stacks(space.surface.patches):
-        gidx, K, _ = _volume_blocks(space, DATA, stack)
-        for pid, g, k in zip(stack, gidx, K):
-            blocks[pid] = (g, k)
-    return _csr(space.total_dofs, blocks)
+        K, loads = _volume_blocks(space, DATA, stack)
+        for pid, k, rows in zip(stack, K, loads):
+            gidx = element_dofs(space, pid)
+            blocks[pid] = (gidx, k)
+            for vector, row in zip(vectors, rows):
+                np.add.at(vector, gidx, row)
+    return _csr(space.total_dofs, blocks), *vectors
 
 
 @pytest.mark.parametrize("name", SURFACES)
@@ -49,12 +57,18 @@ def test_volume_csr_matches_the_coo_route(name):
     surface = SURFACES[name]()
     for _ in range(2):
         space = build_space(surface, surface.patches[0].degree[0])
-        got, want = assemble_volume(space, DATA).matrix, coo_route(space)
+        system, (want, rhs, integrals) = assemble_volume(space, DATA), coo_route(space)
+        got = system.matrix
         assert got.has_canonical_format
         assert got.indices.dtype == got.indptr.dtype == np.int32
         np.testing.assert_array_equal(got.indptr, want.indptr)
         np.testing.assert_array_equal(got.indices, want.indices)
         assert np.max(np.abs(got.data - want.data)) <= 1e-15 * np.max(np.abs(want.data))
+        assert system.rhs.tobytes() == rhs.tobytes()
+        if surface.has_dirichlet:
+            assert system.basis_integrals is None
+        else:
+            assert system.basis_integrals.tobytes() == integrals.tobytes()
         surface = refine_surface(surface)
 
 
@@ -64,9 +78,9 @@ def test_volume_pattern_is_memoised_per_knot_signature():
     assemble_volume(build_space(surface, 2), DATA)
     info = dgiga.assembly._volume_pattern.cache_info()
     assert info.misses == 2 and info.hits == surface.num_patches - 2
-    indptr, indices, slots = dgiga.assembly._volume_pattern(*_knot_key(
-        surface.patches[0].basis))
-    assert not (indptr.flags.writeable or indices.flags.writeable or slots.flags.writeable)
+    pattern = dgiga.assembly._volume_pattern(*_knot_key(surface.patches[0].basis))
+    assert len(pattern) == 4  # indptr, indices, slots, dofs
+    assert not any(a.flags.writeable for a in pattern)
 
 
 def test_volume_assembly_memory_is_a_few_matrices():
