@@ -139,9 +139,6 @@ class RateRow:
 class RateTable:
     rows: list
 
-    def last_rates(self) -> tuple[float, float]:
-        return self.rows[-1].l2_rate, self.rows[-1].dg_rate
-
     def to_csv(self) -> str:
         lines = ["level,h_max,dofs,l2_error,dg_error,l2_rate,dg_rate"]
         for r in self.rows:

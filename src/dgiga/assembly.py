@@ -15,10 +15,12 @@ no global index array.  The edge terms are one pass: one ``tabulate_sides``
 call over every interior, Dirichlet and Neumann side, with the 2(p+1) trace
 functions of each side element.  Edge terms stay parametric: a normal
 derivative is grad^ phi . g^-1 J^T n, and the element matrices are batched
-matmuls over the edge points; ``_csr`` sums their COO entries.  Entries
-accumulate in a fixed order so serial assembly is reproducible: a volume
-entry or load sums its patch's elements in element-lexicographic order,
-an edge entry sums in edge-list order inside every batch.
+matmuls over the edge points; their sums go into the volume's CSR, whose
+pattern the interface coupling extends, so the sparsity is fixed by the mesh
+and the edge list, never by values.  Entries accumulate in a fixed order so
+serial assembly is reproducible: a volume entry or load sums its patch's
+elements in element-lexicographic order, an edge entry in block order, and
+a system entry is its volume value plus its edge sum.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "SparseSystem",
     "default_penalty",
     "assemble_volume",
-    "assemble_edges",
     "assemble_system",
 ]
 
@@ -76,7 +77,8 @@ class ProblemData:
 
 @dataclass
 class SparseSystem:
-    """Assembled symmetric matrix (CSR, sorted and duplicate-free) and right-hand side.
+    """Assembled symmetric matrix (CSR, sorted and duplicate-free, with a pattern
+    fixed by the mesh and the edge list, not by values) and right-hand side.
 
     Without a Dirichlet edge the constants span the nullspace of the matrix;
     ``basis_integrals`` then holds m_i, the integral of basis function i,
@@ -91,18 +93,6 @@ class SparseSystem:
 def _index_dtype(n: int):
     """int32 when every index below n fits in it, else int64."""
     return np.int32 if n <= np.iinfo(np.int32).max else np.int64
-
-
-def _csr(n: int, blocks) -> sp.csr_array:
-    """Sorted, duplicate-free CSR matrix of element matrices (E, m, m) with their
-    global indices (E, m), written to COO entries in block order; widths may mix."""
-    dtype, ends = _index_dtype(n), np.cumsum([0] + [K.size for _, K in blocks])
-    rows, cols, vals = np.empty(ends[-1], dtype), np.empty(ends[-1], dtype), np.empty(ends[-1])
-    for (gidx, K), start, end in zip(blocks, ends, ends[1:]):
-        rows[start:end].reshape(K.shape)[...] = gidx[:, :, None]
-        cols[start:end].reshape(K.shape)[...] = gidx[:, None, :]
-        vals[start:end] = K.reshape(-1)
-    return sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()  # sums duplicates, sorts
 
 
 def _band(kv: KnotVector):
@@ -290,7 +280,7 @@ def interface_slots(edges) -> list:
     return [(*e.left, False) for e in edges] + [(*e.right, e.orientation_flip) for e in edges]
 
 
-def assemble_edges(space: DgSpace, data: ProblemData) -> SparseSystem:
+def _edge_terms(space: DgSpace, data: ProblemData):
     """Interior-edge terms, weak Dirichlet terms (matrix and load) and Neumann loads.
 
     One ``tabulate_sides`` call covers every interior edge's left side, then
@@ -298,42 +288,62 @@ def assemble_edges(space: DgSpace, data: ProblemData) -> SparseSystem:
     Neumann sides, each in edge-list order.  An interior edge takes the left
     side's conormal as the shared direction, and its penalty weight is the
     arithmetic mean of the two diffusion coefficients.  The interior blocks
-    couple 4(p+1) trace functions, the Dirichlet blocks 2(p+1).
+    couple 4(p+1) trace functions, the Dirichlet blocks 2(p+1).  Returns the
+    keys r n + c and values of the element-matrix entries in block order, and
+    the load.  An entry between two functions with zero trace on the edge
+    element (exact Cox-de Boor zeros) is exactly 0.0 and is left out.
     """
     surface, n = space.surface, space.total_dofs
-    blocks, rhs = [], np.zeros(n)
     interior, dirichlet = surface.edges_of_kind("interior"), surface.edges_of_kind("dirichlet")
     neumann = surface.edges_of_kind("neumann") if data.g_N is not None else []
     slots = interface_slots(interior) + [(*e.left, False) for e in dirichlet + neumann]
     if not slots:
-        return SparseSystem(_csr(n, blocks), rhs)
+        return np.empty(0, np.int64), np.empty(0), np.zeros(n)
     tab = tabulate_sides(surface.patches, slots, space.degree + 1)
     left, right, bnd = tab.starts[np.cumsum([len(interior), len(interior), len(dirichlet)])]
-    normal = tab.conormal.copy()
-    normal[left:right] = tab.conormal[:left]
+    normal = np.concatenate([tab.conormal[:left], tab.conormal[:left], tab.conormal[right:]])
     gidx, values, dn = _side_terms(space, tab, normal)
     alpha, w = surface.alpha[tab.pid][..., None], tab.weights
     # Element ranges, each possibly empty: interior left, interior right, Dirichlet, Neumann.
     L, R, D, N = slice(0, left), slice(left, right), slice(right, bnd), slice(bnd, None)
     flux = 0.5 * alpha[:right] * dn[:right]
     pen = data.delta * edge_alpha(alpha[L, 0, 0], alpha[R, 0, 0]) / tab.chords[L]
-    blocks.append((np.concatenate([gidx[L], gidx[R]], axis=-1), _sipg_blocks(
-        np.concatenate([flux[L], flux[R]], axis=-1),
-        np.concatenate([values[L], -values[R]], axis=-1), w[L], pen)))
+    jump = np.concatenate([values[L], -values[R]], axis=-1)
+    K_I = _sipg_blocks(np.concatenate([flux[L], flux[R]], axis=-1), jump, w[L], pen)
     a_gamma, pen = alpha[D], data.delta / tab.chords[D]
-    blocks.append((gidx[D], _sipg_blocks(a_gamma * dn[D], values[D], w[D], alpha[D, 0, 0] * pen)))
+    K_D = _sipg_blocks(a_gamma * dn[D], values[D], w[D], alpha[D, 0, 0] * pen)
+    keys, entries = [], []
+    for dofs, trace, K in ((np.concatenate([gidx[L], gidx[R]], axis=-1), jump, K_I),
+                           (gidx[D], values[D], K_D)):
+        traced = np.any(trace != 0.0, axis=1)  # (E, m): nonzero on the edge element
+        kept = traced[:, :, None] | traced[:, None, :]
+        keys.append((dofs[:, :, None] * np.int64(n) + dofs[:, None, :])[kept])
+        entries.append(K[kept])
+    load = np.zeros(gidx[right:].shape)  # Dirichlet, then Neumann elements
     if dirichlet and data.g_D is not None:
         gd = np.asarray(data.g_D(tab.points[D].reshape(-1, 3)), dtype=float)
         test = a_gamma * (pen[:, None, None] * values[D] - dn[D])
-        np.add.at(rhs, gidx[D], ((gd.reshape(w[D].shape) * w[D])[:, None] @ test)[:, 0])
+        load[: bnd - right] = ((gd.reshape(w[D].shape) * w[D])[:, None] @ test)[:, 0]
     if neumann:
         gn = np.asarray(data.g_N(tab.points[N].reshape(-1, 3)), dtype=float)
-        np.add.at(rhs, gidx[N], ((gn.reshape(w[N].shape) * w[N])[:, None] @ values[N])[:, 0])
-    return SparseSystem(_csr(n, blocks), rhs)
+        load[bnd - right :] = ((gn.reshape(w[N].shape) * w[N])[:, None] @ values[N])[:, 0]
+    return np.concatenate(keys), np.concatenate(entries), _stack_sums(gidx[right:], n, load)
 
 
 def assemble_system(space: DgSpace, data: ProblemData) -> SparseSystem:
-    """Full system: volume + edge contributions."""
-    vol = assemble_volume(space, data)
-    edges = assemble_edges(space, data)
-    return SparseSystem(vol.matrix + edges.matrix, vol.rhs + edges.rhs, vol.basis_integrals)
+    """Full system: the edge sums added into the volume's CSR; the edge keys it
+    lacks (interface coupling, also inside one patch's block) are inserted."""
+    vol, (keys, values, rhs) = assemble_volume(space, data), _edge_terms(space, data)
+    n, A = space.total_dofs, vol.matrix
+    pattern = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(A.indptr)) + A.indices
+    keys, inverse = np.unique(keys, return_inverse=True)
+    sums, at = np.bincount(inverse, values), np.searchsorted(pattern, keys)
+    new = pattern.take(at, mode="clip") != keys
+    del pattern  # before the inserted copies are made
+    A.data[at[~new]] += sums[~new]
+    at, keys, dtype = at[new], keys[new], _index_dtype(max(n, A.nnz + np.count_nonzero(new)))
+    indptr = A.indptr + np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    matrix = sp.csr_array((np.insert(A.data, at, sums[new]),
+                           np.insert(A.indices.astype(dtype, copy=False), at, keys % n),
+                           indptr.astype(dtype)), shape=(n, n))
+    return SparseSystem(matrix, vol.rhs + rhs, vol.basis_integrals)

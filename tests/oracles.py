@@ -12,14 +12,18 @@ gradient), and ``global_window`` and ``element_dofs`` (global indices of
 basis windows).  The kernels are checked against them, and the edge,
 mesh-size and interpolation helpers below are built on them.
 ``refine_patch`` refines one patch at a time, the reference for the stacked
-``refine_surface``.
+``refine_surface``.  ``coo_csr`` sums element matrices through a scipy COO,
+the reference for the CSR accumulators, and ``edge_matrix`` densifies the
+edge entries of ``assembly._edge_terms``.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
+from dgiga.assembly import _edge_terms
 from dgiga.geometry import (
     GeometryError,
     InterfaceEdge,
@@ -409,3 +413,20 @@ def refine_patch(patch: NurbsPatch) -> NurbsPatch:
     w_new = hom[:, :, 3]
     cp_new = hom[:, :, :3] / w_new[:, :, None]
     return NurbsPatch(NurbsBasis2D(kv_u, kv_v, w_new), cp_new, patch.id)
+
+
+def coo_csr(n: int, blocks) -> sp.csr_array:
+    """Sorted, duplicate-free CSR matrix of element matrices (E, m, m) with their
+    global indices (E, m), written to COO entries in block order; widths may mix."""
+    rows = np.concatenate([np.broadcast_to(g[:, :, None], K.shape).ravel() for g, K in blocks])
+    cols = np.concatenate([np.broadcast_to(g[:, None, :], K.shape).ravel() for g, K in blocks])
+    vals = np.concatenate([K.ravel() for _, K in blocks])
+    return sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()  # sums duplicates, sorts
+
+
+def edge_matrix(space: DgSpace, data) -> tuple[np.ndarray, np.ndarray]:
+    """Dense matrix and load of the edge terms: the entries of ``_edge_terms``
+    summed at their keys r n + c."""
+    keys, values, load = _edge_terms(space, data)
+    n = space.total_dofs
+    return np.bincount(keys, values, minlength=n * n).reshape(n, n), load

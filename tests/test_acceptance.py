@@ -39,7 +39,7 @@ def test_criterion_1_planar_rates(p, levels, planar_sweep, report):
     start = time.time()
     table, _ = planar_sweep(p, levels)
     elapsed = time.time() - start
-    l2_rate, dg_rate = table.last_rates()
+    l2_rate, dg_rate = table.rows[-1].l2_rate, table.rows[-1].dg_rate
     ok = abs(l2_rate - (p + 1)) <= 0.2 and abs(dg_rate - p) <= 0.2 and elapsed < 120
     report(
         "1",
@@ -52,7 +52,7 @@ def test_criterion_1_planar_rates(p, levels, planar_sweep, report):
 @pytest.mark.parametrize("p", [2, 3])
 def test_criterion_2_cylinder_rates(p, cylinder_sweep, report):
     table, _ = cylinder_sweep(p, 4)
-    l2_rate, dg_rate = table.last_rates()
+    l2_rate, dg_rate = table.rows[-1].l2_rate, table.rows[-1].dg_rate
     ok = abs(l2_rate - (p + 1)) <= 0.2 and abs(dg_rate - p) <= 0.2
     report(
         "2",
@@ -110,7 +110,7 @@ def test_criterion_5_consistency_residual(p, report):
 
 def test_criterion_6_jump_robustness(jump_sweep, report):
     table, results = jump_sweep
-    l2_rate, _ = table.last_rates()
+    l2_rate = table.rows[-1].l2_rate
     converged = all(r.solve_report.converged for r in results)
     ok = abs(l2_rate - 3.0) <= 0.3 and converged
     report(

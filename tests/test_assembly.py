@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import symmetry_deviation
-from oracles import interpolate, tabulate_patch
+from oracles import edge_matrix, interpolate, tabulate_patch
 from test_stacked_passes import cylinder, two_signatures
 
 import dgiga.geometry
@@ -9,7 +10,6 @@ import dgiga.geometry
 from dgiga.assembly import (
     ProblemData,
     _volume_blocks,
-    assemble_edges,
     assemble_system,
     assemble_volume,
     default_penalty,
@@ -124,7 +124,7 @@ def test_interface_part_vanishes_on_continuous_functions(rng):
     surface = square_grid(2, bc="neumann")
     space = build_space(surface, 2)
     data = ProblemData(delta=default_penalty(2))
-    A_int = assemble_edges(space, data).matrix
+    A_int, _ = edge_matrix(space, data)
     u = interpolate(space, lambda pts: np.sin(pts[:, 0]) * np.cos(2 * pts[:, 1]))
     v = u.coefficients
     assert abs(v @ (A_int @ v)) <= 1e-10 * max(1.0, float(v @ v))
@@ -133,8 +133,8 @@ def test_interface_part_vanishes_on_continuous_functions(rng):
 def test_interface_assembly_is_symmetric(rng):
     surface = square_grid(1, nx=2, ny=1, bc="neumann", alpha=[1.0, 3.5])
     space = build_space(surface, 1)
-    A = assemble_edges(space, ProblemData(delta=12.0)).matrix
-    assert symmetry_deviation(A) <= 1e-12
+    A, _ = edge_matrix(space, ProblemData(delta=12.0))
+    assert symmetry_deviation(sp.csr_array(A)) <= 1e-12
 
 
 def test_dg_energy_of_linear_function_is_exact(rng):
@@ -190,16 +190,16 @@ def test_neumann_unit_flux_rhs_sums_to_edge_length():
         )
         space = build_space(surface, p)
         data = ProblemData(g_N=lambda pts: np.ones(len(pts)), delta=default_penalty(p))
-        part = assemble_edges(space, data)
-        assert part.rhs.sum() == pytest.approx(1.0, abs=1e-13)
+        _, rhs = edge_matrix(space, data)
+        assert rhs.sum() == pytest.approx(1.0, abs=1e-13)
 
 
 def test_boundary_rhs_zero_for_zero_data():
     surface = square_grid(1)
     space = build_space(surface, 1)
     zero = lambda pts: np.zeros(len(pts))
-    part = assemble_edges(space, ProblemData(g_D=zero, g_N=zero, delta=12.0))
-    np.testing.assert_allclose(part.rhs, 0.0, atol=0.0)
+    _, rhs = edge_matrix(space, ProblemData(g_D=zero, g_N=zero, delta=12.0))
+    np.testing.assert_allclose(rhs, 0.0, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -259,7 +259,7 @@ def test_system_matrix_is_canonical_csr(name):
     p = surface.patches[0].degree[0]
     space, data = build_space(surface, p), make_problem("plane_sine", surface, p)
     assert assemble_system(space, data).matrix.has_canonical_format
-    assert assemble_edges(space, ProblemData()).matrix.has_canonical_format
+    assert assemble_system(space, ProblemData()).matrix.has_canonical_format
 
 
 def test_cg_solution_matches_direct_factorization():

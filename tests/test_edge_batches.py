@@ -12,14 +12,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from test_geometry import seeded_grid
 
 import dgiga.assembly
 import dgiga.geometry
 import dgiga.splines
 from dgiga.analysis import measure_errors
-from dgiga.assembly import _index_dtype, assemble_edges
+from dgiga.assembly import _index_dtype, assemble_system
 from dgiga.driver import run_sweep
 from dgiga.problems import make_problem
 from dgiga.space import build_space
@@ -66,25 +65,24 @@ def counting_sweep(surface, monkeypatch, levels=3):
     kernel = Counter(dgiga.geometry._side_grid)
     monkeypatch.setattr(dgiga.geometry, "_side_grid", kernel)
     blocks = {}
-    csr, stack_sums = dgiga.assembly._csr, dgiga.assembly._stack_sums
+    sipg_blocks, stack_sums = dgiga.assembly._sipg_blocks, dgiga.assembly._stack_sums
 
     def count(local):
         entries = local.shape[-1] * local.shape[-2]
         blocks[entries] = blocks.get(entries, 0) + local.size // entries
 
-    def counting_csr(n, pairs):
-        pairs = list(pairs)
-        for _, local in pairs:
-            count(local)
-        return csr(n, pairs)
+    def counting_sipg_blocks(*args):
+        local = sipg_blocks(*args)
+        count(local)
+        return local
 
     def counting_stack_sums(at, size, values):
         if at.ndim == 3:  # element-matrix slots, not the load and integral rows
             count(values)
         return stack_sums(at, size, values)
 
-    # Edge blocks go through _csr, volume blocks and rows through _stack_sums.
-    monkeypatch.setattr(dgiga.assembly, "_csr", counting_csr)
+    # Edge blocks come from _sipg_blocks, volume blocks and rows go through _stack_sums.
+    monkeypatch.setattr(dgiga.assembly, "_sipg_blocks", counting_sipg_blocks)
     monkeypatch.setattr(dgiga.assembly, "_stack_sums", counting_stack_sums)
     counters = {}
 
@@ -195,16 +193,10 @@ def test_coo_index_dtype_never_truncates():
     assert big.astype(_index_dtype(limit + 8))[0] == limit + 7
 
 
-def test_coo_build_uses_int32_indices(monkeypatch):
-    seen = []
-    real = sp.coo_array
-
-    def spy(arg, shape):
-        _, (rows, cols) = arg
-        seen.append((rows.dtype, cols.dtype))
-        return real(arg, shape=shape)
-
-    monkeypatch.setattr(sp, "coo_array", spy)
+def test_system_uses_int32_indices():
+    # Inserting the interface entries keeps both index arrays int32: scipy
+    # upcasts both if either is int64.
     surface = seeded_grid(7, 4)
-    assemble_edges(build_space(surface, 2), make_problem("plane_sine", surface, 2, 24.0))
-    assert seen == [(np.int32, np.int32)]
+    matrix = assemble_system(build_space(surface, 2),
+                             make_problem("plane_sine", surface, 2, 24.0)).matrix
+    assert matrix.indices.dtype == matrix.indptr.dtype == np.int32

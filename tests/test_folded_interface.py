@@ -3,7 +3,7 @@
 Two unit squares meet at a 90 degree dihedral along one edge, so the right
 side's own conormal is not minus the left one.  The interface terms must
 take the normal derivatives of both sides along the left conormal.  The
-same pointwise oracle checks ``assemble_edges`` on a seeded layout with
+same pointwise oracle checks the edge terms (``_edge_terms``) on a seeded layout with
 flipped interfaces and all three edge kinds.
 """
 
@@ -12,6 +12,7 @@ import pytest
 from oracles import (
     conormal_at,
     edge_breakpoints,
+    edge_matrix,
     edge_mesh_size,
     eval_nurbs2d,
     frame_at,
@@ -22,7 +23,7 @@ from oracles import (
 )
 from test_geometry import seeded_grid
 
-from dgiga.assembly import ProblemData, _side_terms, assemble_edges, edge_alpha, interface_slots
+from dgiga.assembly import ProblemData, _side_terms, edge_alpha, interface_slots
 from dgiga.geometries import planar_rectangle_patch
 from dgiga.geometry import NurbsPatch, match_interfaces, refine_surface, tabulate_sides
 from dgiga.quadrature import panel_rules
@@ -125,7 +126,7 @@ def test_fold_takes_normal_derivatives_along_the_left_conormal():
                                        dense(n, ref_gidx, ref_dn), rtol=0.0, atol=1e-13)
     data = ProblemData(delta=10.0)
     expected, _ = pointwise_edges(space, data)
-    matrix = assemble_edges(space, data).matrix.toarray()
+    matrix, _ = edge_matrix(space, data)
     np.testing.assert_allclose(matrix, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
 
 
@@ -140,7 +141,6 @@ def test_edge_assembly_matches_pointwise_on_a_flipped_layout(seed):
         delta=24.0,
     )
     expected, load = pointwise_edges(space, data)
-    system = assemble_edges(space, data)
-    matrix = system.matrix.toarray()
+    matrix, rhs = edge_matrix(space, data)
     np.testing.assert_allclose(matrix, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
-    np.testing.assert_allclose(system.rhs, load, rtol=0.0, atol=1e-13 * np.abs(load).max())
+    np.testing.assert_allclose(rhs, load, rtol=0.0, atol=1e-13 * np.abs(load).max())

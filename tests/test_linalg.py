@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dgiga.assembly import _csr
 from dgiga.linalg import NumericalBreakdownError, cg_solve
 
 
@@ -45,17 +44,6 @@ def test_matvec_matches_dense_oracle(rng):
     for _ in range(5):
         v = rng.normal(size=100)
         np.testing.assert_allclose(A @ v, dense @ v, atol=1e-13)
-
-
-def test_csr_indices_sorted_and_unique():
-    # Element blocks (E, m, m) over indices (E, m); the two blocks overlap in
-    # the (0, 1) entry, and the second lists its indices in reverse order.
-    A = _csr(2, [(np.array([[0, 1]]), np.array([[[2.0, 1.0], [3.0, 4.0]]])),
-                 (np.array([[1, 0]]), np.array([[[0.0, 0.0], [5.0, 0.0]]]))])
-    for r in range(2):
-        c = A.indices[A.indptr[r] : A.indptr[r + 1]]
-        assert np.all(np.diff(c) > 0)
-    np.testing.assert_allclose(A.toarray(), [[2.0, 6.0], [3.0, 4.0]])
 
 
 def test_a_norm_error_decreases_monotonically(rng):

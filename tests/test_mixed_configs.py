@@ -73,7 +73,7 @@ def test_rotated_patch_solution_converges():
 
     table, results = run_sweep(surface, 2, factory, levels=4)
     assert all(r.solve_report.converged for r in results)
-    l2_rate, dg_rate = table.last_rates()
+    l2_rate, dg_rate = table.rows[-1].l2_rate, table.rows[-1].dg_rate
     assert abs(l2_rate - 3.0) <= 0.2
     assert abs(dg_rate - 2.0) <= 0.2
 
@@ -116,7 +116,7 @@ def test_nonzero_neumann_data_converges():
         surface, 2, lambda surf, delta: factory(surf, delta), levels=4
     )
     assert all(r.solve_report.converged for r in results)
-    l2_rate, dg_rate = table.last_rates()
+    l2_rate, dg_rate = table.rows[-1].l2_rate, table.rows[-1].dg_rate
     assert abs(l2_rate - 3.0) <= 0.2
     assert abs(dg_rate - 2.0) <= 0.2
 

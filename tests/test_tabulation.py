@@ -26,7 +26,7 @@ from test_flipped_interface import two_patches
 
 from dgiga.assembly import (
     ProblemData,
-    assemble_edges,
+    _edge_terms,
     assemble_system,
     assemble_volume,
     interface_slots,
@@ -307,7 +307,7 @@ def collapsed_layout(whole=True):
 
 
 @pytest.mark.parametrize(
-    "assemble", [assemble_system, assemble_volume, assemble_edges]
+    "assemble", [assemble_system, assemble_volume, _edge_terms]
 )
 def test_assembly_reports_singular_patch(assemble):
     with pytest.raises(SingularMapError, match="patch 2 "):
@@ -318,7 +318,7 @@ def test_assembly_reports_singular_patch(assemble):
 def test_edge_batches_report_singular_patch(whole):
     space = collapsed_layout(whole)
     with pytest.raises(SingularMapError, match="patch 2 "):
-        assemble_edges(space, ProblemData())
+        _edge_terms(space, ProblemData())
     data = ProblemData(
         g_D=lambda pts: pts[:, 0],
         u_exact=lambda pts: pts[:, 0],

@@ -3,7 +3,8 @@
 Each patch block takes the memoised Kronecker pattern of its knot vectors,
 and each stack's element matrices are summed into its values in element
 order.  The result must have the pattern of the COO route (every element
-matrix expanded to global entries, then sorted and summed by ``_csr``) and
+matrix expanded to global entries, then sorted and summed by the oracle
+``coo_csr``) and
 its values up to round-off, without that route's memory.  The load and the
 basis integrals, summed into patch-local slots by the same accumulator, must
 equal ``np.add.at`` over global indices bit for bit.
@@ -13,14 +14,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import element_dofs
+from oracles import coo_csr, element_dofs
 from test_geometry import seeded_grid
 from test_stacked_passes import DATA, two_signatures
 from test_trace_window import with_repeated_knot
 
 import dgiga.assembly
 import dgiga.splines
-from dgiga.assembly import _csr, _volume_blocks, assemble_volume
+from dgiga.assembly import _volume_blocks, assemble_volume
 from dgiga.geometries import (full_cylinder, quarter_cylinder_grid, quarter_cylinder_patch,
                                square_grid)
 from dgiga.geometry import MultiPatchSurface, _knot_key, patch_stacks, refine_surface
@@ -39,7 +40,7 @@ SURFACES = {
 
 def coo_route(space):
     """The volume matrix from every element matrix as COO entries, through
-    ``_csr``, and the load and basis integrals from every element's rows by
+    ``coo_csr``, and the load and basis integrals from every element's rows by
     ``np.add.at``, all at the global indices of ``oracles.element_dofs``."""
     blocks, vectors = [None] * space.surface.num_patches, np.zeros((2, space.total_dofs))
     for stack in patch_stacks(space.surface.patches):
@@ -49,7 +50,7 @@ def coo_route(space):
             blocks[pid] = (gidx, k)
             for vector, row in zip(vectors, rows):
                 np.add.at(vector, gidx, row)
-    return _csr(space.total_dofs, blocks), *vectors
+    return coo_csr(space.total_dofs, blocks), *vectors
 
 
 @pytest.mark.parametrize("name", SURFACES)
