@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Print sha256 digests of the solver's outputs on a few fixed cases.
+
+    PYTHONPATH=src python3 scripts/output_digest.py
+
+Each case is a short refinement sweep.  For every case the script prints one
+line per output: the ``rates.csv`` and every ``solution_L*.csv`` text that
+``dgiga solve`` would write, and the ``data``, ``indices``, ``indptr`` and
+``rhs`` bytes of ``assemble_system`` on the finest level.  Two trees that
+print the same lines give byte-identical outputs on these cases.
+
+The cases cover polynomial and rational patches, volume grids contracted
+v first and west/east side grids contracted u first, interfaces whose edge
+parameters run in opposite directions, coefficient jumps, Dirichlet data and
+a pure-Neumann problem.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from dgiga.assembly import assemble_system
+from dgiga.driver import run_sweep, sample_solution
+from dgiga.geometries import full_cylinder, planar_rectangle_patch, quarter_cylinder_grid, square_grid
+from dgiga.geometry import NurbsPatch, match_interfaces
+from dgiga.problems import make_problem
+from dgiga.space import build_space
+from dgiga.splines import KnotVector, NurbsBasis2D
+
+
+def flipped_square(p: int = 2):
+    """The 2x2 unit-square grid with quadrant coefficients 1 and 100, whose
+    patches 1 and 2 run against x: its two horizontal interfaces are flipped."""
+    patches = []
+    for j in range(2):
+        for i in range(2):
+            patch = planar_rectangle_patch(p, (i / 2, j / 2), (0.5, 0.5), 2 * j + i)
+            if i != j:
+                kv = patch.basis.basis_u
+                basis = NurbsBasis2D(KnotVector(kv.degree, 1.0 - kv.knots[::-1]),
+                                     patch.basis.basis_v, patch.basis.weights[::-1])
+                patch = NurbsPatch(basis, patch.control_points[::-1], patch.id)
+            patches.append(patch)
+    tags = {}
+    for patch in patches:
+        for side in ("west", "east", "south", "north"):
+            x, y, _ = patch.side_point(side, 0.5)
+            if min(x, y, 1.0 - x, 1.0 - y) < 1e-12:
+                tags[(patch.id, side)] = "dirichlet"
+    return match_interfaces(patches, tags, alpha=[1.0, 100.0, 100.0, 1.0])
+
+
+# name: (surface builder, degree, problem, levels)
+CASES = {
+    "square-p2": (lambda: square_grid(2), 2, "plane_sine", 3),
+    "flipped-jumps": (flipped_square, 2, "plane_sine", 3),
+    "quarter-cylinder-p3": (lambda: quarter_cylinder_grid(3), 3, "cylinder_sine", 3),
+    "cylinder-neumann": (lambda: full_cylinder(3, 2), 3, "cylinder_sine", 3),
+}
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(name: str) -> list[tuple[str, str]]:
+    """(output name, sha256) pairs of one case."""
+    build, p, problem, levels = CASES[name]
+    table, results = run_sweep(build(), p, lambda surf, delta: make_problem(problem, surf, p, delta),
+                               levels)
+    out = [("rates.csv", sha(table.to_csv().encode()))]
+    out += [(f"solution_L{r.level}.csv", sha(sample_solution(r).encode())) for r in results]
+    surface = results[-1].surface
+    system = assemble_system(build_space(surface, p), make_problem(problem, surface, p))
+    A = system.matrix
+    arrays = {"data": A.data, "indices": A.indices, "indptr": A.indptr, "rhs": system.rhs}
+    return out + [(key, sha(np.ascontiguousarray(a).tobytes())) for key, a in arrays.items()]
+
+
+def main() -> int:
+    for name in CASES:
+        for output, digest in digests(name):
+            print(f"{name} {output} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -5,10 +5,10 @@ assembly uses, so the quadrature of the error never masks the
 discretization error being measured.  ``measure_errors`` is the one entry
 point: one pass per stack of patches sharing both knot vectors contracts
 u_h's coefficients with the 1D tables (sum factorisation, no basis table)
-and yields both the L2 and the broken-gradient parts.  The jump terms of
-the energy error, on every interior and every Dirichlet edge, come from
-one ``tabulate_sides`` call and one call of the boundary data; u_h reaches
-the sides by the same field route, so no basis table is built.
+on the (P, nu, nv) grid and yields the L2 and broken-gradient parts; only
+the reduced scalars are copied to element-major order, the sums' order.
+The energy error's jump terms, on every interior and Dirichlet edge, come
+from one ``tabulate_sides`` call, u_h by the same field route.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import edge_alpha, interface_slots
-from .geometry import _dot, patch_stacks, tabulate_grid, tabulate_patches, tabulate_sides
+from .geometry import _dot, _elements, patch_stacks, tabulate_grid, tabulate_patches, tabulate_sides
 from .space import DiscreteFunction
 from .splines import breakpoints
 
@@ -39,18 +39,19 @@ class ErrorReport:
 def _stack_errors(u_h: DiscreteFunction, stack: list[int], u_exact, grad_u_exact, q: int):
     """Gaps u_h - u and weights (P, N) and squared broken-gradient errors (P,)
     of a stack of patches sharing both knot vectors; the tabulation lives
-    only for this stack.  Gradient parts are zero without grad_u_exact."""
+    only for this stack.  Gradient parts are zero without grad_u_exact.  Only
+    these reduced scalars are copied to element-major order, for the sums."""
     patches = u_h.space.surface.patches
     coeffs = np.stack([u_h.patch_coeffs(pid) for pid in stack])
     tab = tabulate_patches([patches[pid] for pid in stack], q, coeffs)
-    P, points = len(stack), tab.points.reshape(-1, 3)
-    w, h1 = tab.weights.reshape(P, -1), np.zeros(P)
-    gap = tab.field.reshape(P, -1) - np.asarray(u_exact(points)).reshape(P, -1)
+    P, points, w = len(stack), tab.points.reshape(3, -1).T, tab.weights
+    parts = [tab.field - np.asarray(u_exact(points)).reshape(w.shape), w]
     if grad_u_exact is not None:
-        diff = tab.surface_gradient(tab.field_grad).reshape(P, -1, 3)
-        diff -= np.asarray(grad_u_exact(points)).reshape(diff.shape)
-        h1 = (_dot(diff, diff) * w).sum(axis=1)
-    return gap, w, h1
+        diff = tab.surface_gradient(tab.field_grad)
+        diff -= np.asarray(grad_u_exact(points)).T.reshape(diff.shape)
+        parts.append(_dot(diff, diff) * w)
+    gap, w, *h1 = (_elements(a, q, q).reshape(P, -1) for a in parts)
+    return gap, w, h1[0].sum(axis=1) if h1 else np.zeros(P)
 
 
 def _energy_error(u_h: DiscreteFunction, h1: np.ndarray, data) -> float:
@@ -73,7 +74,7 @@ def _energy_error(u_h: DiscreteFunction, h1: np.ndarray, data) -> float:
         total += delta * float(np.sum(a_gamma * jump**2 * w[L] / h[L]))
         if dirichlet:
             D = slice(right, None)
-            u = data.u_exact(tab.points[D].reshape(-1, 3))
+            u = data.u_exact(tab.points[:, D].reshape(3, -1).T)
             gap = tab.field[D] - np.asarray(u).reshape(w[D].shape)
             total += delta * float(np.sum(alpha[D] * gap**2 * w[D] / h[D]))
     return math.sqrt(total)
@@ -85,10 +86,10 @@ def surface_h_max(surface) -> float:
     for stack in patch_stacks(surface.patches):
         patches = [surface.patches[pid] for pid in stack]
         bu, bv = (breakpoints(kv) for kv in (patches[0].basis.basis_u, patches[0].basis.basis_v))
-        X = tabulate_grid(patches, bu, bv).points.reshape(len(stack), bu.size, bv.size, 3)
-        corners = (X[:, :-1, :-1], X[:, :-1, 1:], X[:, 1:, :-1], X[:, 1:, 1:])
+        X = tabulate_grid(patches, bu, bv).points  # (3, P, bu.size, bv.size)
+        corners = (X[..., :-1, :-1], X[..., :-1, 1:], X[..., 1:, :-1], X[..., 1:, 1:])
         for a, b in itertools.combinations(corners, 2):
-            h = max(h, float(np.max(np.linalg.norm(a - b, axis=-1))))
+            h = max(h, float(np.max(np.linalg.norm(a - b, axis=0))))
     return h
 
 

@@ -4,14 +4,15 @@ Builds the symmetric system: patchwise diffusion stiffness, interface
 consistency/symmetry and jump-penalty terms, weakly imposed Dirichlet
 conditions of Nitsche type, and the load vector including Neumann data.
 The volume terms of a stack of patches sharing both knot vectors come from
-the weight-free factors of one tabulation (``tabulate_patches``), with no
-rational-basis table, and one batched matmul.  Patches are uncoupled in the
-volume, so its matrix is block-diagonal by patch, and each block has the
-Kronecker pattern of two 1D B-spline bands.  One accumulator serves the whole
-volume pass: the element matrices are summed straight into the CSR values of
-that pattern, and the element loads and basis integrals into each patch's
-slice of the vectors, by patch-local slots memoised per knot signature, with
-no global index array.  The edge terms are one pass: one ``tabulate_sides``
+the weight-free factors of one tabulation (``tabulate_patches``) on its
+(P, nu, nv) grid, with no rational-basis table, and one batched matmul whose
+X batch is the one element-major copy.  Patches are uncoupled in the volume,
+so its matrix is block-diagonal by patch, with the Kronecker pattern of two
+1D B-spline bands per block.  One accumulator serves the whole volume pass:
+the element matrices are summed straight into the CSR values of that
+pattern, and the element loads and basis integrals into each patch's slice
+of the vectors, by patch-local slots memoised per knot signature, with no
+global index array.  The edge terms are one pass: one ``tabulate_sides``
 call over every interior, Dirichlet and Neumann side, with the 2(p+1) trace
 functions of each side element.  Edge terms stay parametric: a normal
 derivative is grad^ phi . g^-1 J^T n, and the element matrices are batched
@@ -33,8 +34,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import (SideTabulation, _dot, _knot_key, _window_weights, patch_stacks,
-                       tabulate_patches, tabulate_sides)
+from .geometry import (SideTabulation, _dot, _elements, _knot_key, _window_weights,
+                       patch_stacks, tabulate_patches, tabulate_sides)
 from .space import DgSpace
 from .splines import KnotVector, breakpoints, find_span
 
@@ -160,42 +161,39 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
     patches = [surface.patches[pid] for pid in stack]
     tab = tabulate_patches(patches, q, basis=True)
     Nu, dNu, Nv, dNv, S, Su, Sv = tab.factors
-    P, nel_u, nel_v = S.shape[:3]
+    P, nu, nv = S.shape
     m1, m2 = Nu.shape[-1], Nv.shape[-1]
-    n, m = P * nel_u * nel_v, m1 * m2
-    W = _window_weights(patches, tab).reshape(n, m)
-    w, inv = tab.weights, tab.inv_metric
-    r = np.sqrt(w / inv[..., 0, 0]) / S
-    c00, c01, c11 = inv[..., 0, 0] * r, inv[..., 0, 1] * r, r / tab.sqrt_det_g
+    n, m = P * (nu // q) * (nv // q), m1 * m2
+    W = _window_weights(patches, tab.first_u[::q, 0], tab.first_v[::q], m1, m2).reshape(n, m)
+    w, f = tab.weights, 0.0
+    if data.f is not None:  # one call per stack, one patch id per point
+        pids = np.repeat(stack, w[0].size)
+        f = np.asarray(data.f(pids, tab.points.reshape(3, -1).T), dtype=float).reshape(w.shape)
+    rows = _elements(np.stack([f * w, w]) / S, q, q)  # (2, P, nel_u, nel_v, q, q)
+    rows = Nu.transpose(0, 2, 1)[:, None] @ (rows @ Nv)  # (2, P, nel_u, nel_v, m1, m2)
+    rows = rows.transpose(1, 0, 2, 3, 4, 5).reshape(P, 2, -1, m) * W.reshape(P, 1, -1, m)
+    r = np.sqrt(w / tab.inv_metric[0, 0]) / S
+    c00, c01, c11 = tab.inv_metric[0, 0] * r, tab.inv_metric[0, 1] * r, r / tab.sqrt_det_g
     s0, s1 = (c00 * Su + c01 * Sv) / S, c11 * Sv / S
-    # Function axes first, points as (P, u points, v points): every elementwise
-    # loop runs along the v points.  X_0 = A N_v + B dN_v, X_1 = N_u C.
-    grid = (P, nel_u * q, nel_v * q)
-    c00, c01, c11, s0, s1 = (a.swapaxes(2, 3).reshape(grid) for a in (c00, c01, c11, s0, s1))
+    del tab, w, f, r  # the rest needs only these coefficients and the factors
+    # Function axes first, then the grid points: every elementwise loop runs
+    # along the v points.  X_0 = A N_v + B dN_v, X_1 = N_u C.
     uN, udN = (np.ascontiguousarray(t.reshape(-1, m1).T)[:, None, :, None] for t in (Nu, dNu))
     vN, vdN = (np.ascontiguousarray(t.reshape(-1, m2).T)[:, None, None] for t in (Nv, dNv))
     A = c00 * udN - s0 * uN
     B = c01 * uN
     C = c11 * vdN - s1 * vN
-    X = np.empty((m1, m2, 2, *grid))
+    X = np.empty((m1, m2, 2, P, nu, nv))
     np.multiply(A[:, None], vN, out=X[:, :, 0])
     X[:, :, 0] += B[:, None] * vdN
     np.multiply(uN[:, None], C, out=X[:, :, 1])
     del A, B, C
-    X = X.reshape(m1, m2, 2, P, nel_u, q, nel_v, q).transpose(3, 4, 6, 2, 5, 7, 0, 1)
-    X = X.reshape(n, 2 * q * q, m)
+    X = _elements(X, q, q).transpose(3, 4, 5, 2, 6, 7, 0, 1).reshape(n, 2 * q * q, m)
     K = X.transpose(0, 2, 1) @ X  # a rank-k update: exactly symmetric
     del X
     K *= W[:, :, None] * W[:, None, :]
     K = K.reshape(P, -1, m, m)
     K *= surface.alpha[stack].reshape(-1, 1, 1, 1)
-    f = 0.0
-    if data.f is not None:  # one call per stack, one patch id per point
-        pids = np.repeat(stack, w[0].size)
-        f = np.asarray(data.f(pids, tab.points.reshape(-1, 3)), dtype=float).reshape(w.shape)
-    rows = np.stack([f * w, w]) / S  # (2, P, nel_u, nel_v, q, q)
-    rows = Nu.transpose(0, 2, 1)[:, None] @ (rows @ Nv)  # (2, P, nel_u, nel_v, m1, m2)
-    rows = rows.transpose(1, 0, 2, 3, 4, 5).reshape(P, 2, -1, m) * W.reshape(P, 1, -1, m)
     return K, rows
 
 
@@ -238,14 +236,14 @@ def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
 def _side_terms(space: DgSpace, tab: SideTabulation, normal: np.ndarray):
     """Global indices (nel, m), values and normal derivatives (nel, q, m) of the trace functions.
 
-    d = g^-1 J^T n is formed once per point.  ``normal`` (nel, q, 3) need not be
+    d = g^-1 J^T n is formed once per point.  ``normal`` (3, nel, q) need not be
     the side's own conormal: an interface's right side takes the left's.
     """
     gidx = space.offsets[tab.pid] + tab.dofs
     jac, inv = tab.jacobian, tab.inv_metric
-    t0, t1 = _dot(jac[..., 0], normal), _dot(jac[..., 1], normal)
-    d0, d1 = (inv[..., r, 0] * t0 + inv[..., r, 1] * t1 for r in (0, 1))
-    dn = tab.grads[..., 0] * d0[..., None] + tab.grads[..., 1] * d1[..., None]
+    t0, t1 = _dot(jac[:, 0], normal), _dot(jac[:, 1], normal)
+    d0, d1 = (inv[r, 0] * t0 + inv[r, 1] * t1 for r in (0, 1))
+    dn = tab.grads[0] * d0[..., None] + tab.grads[1] * d1[..., None]
     return gidx, tab.values, dn
 
 
@@ -301,7 +299,7 @@ def _edge_terms(space: DgSpace, data: ProblemData):
         return np.empty(0, np.int64), np.empty(0), np.zeros(n)
     tab = tabulate_sides(surface.patches, slots, space.degree + 1)
     left, right, bnd = tab.starts[np.cumsum([len(interior), len(interior), len(dirichlet)])]
-    normal = np.concatenate([tab.conormal[:left], tab.conormal[:left], tab.conormal[right:]])
+    normal = np.concatenate([tab.conormal[:, :left]] * 2 + [tab.conormal[:, right:]], axis=1)
     gidx, values, dn = _side_terms(space, tab, normal)
     alpha, w = surface.alpha[tab.pid][..., None], tab.weights
     # Element ranges, each possibly empty: interior left, interior right, Dirichlet, Neumann.
@@ -321,11 +319,11 @@ def _edge_terms(space: DgSpace, data: ProblemData):
         entries.append(K[kept])
     load = np.zeros(gidx[right:].shape)  # Dirichlet, then Neumann elements
     if dirichlet and data.g_D is not None:
-        gd = np.asarray(data.g_D(tab.points[D].reshape(-1, 3)), dtype=float)
+        gd = np.asarray(data.g_D(tab.points[:, D].reshape(3, -1).T), dtype=float)
         test = a_gamma * (pen[:, None, None] * values[D] - dn[D])
         load[: bnd - right] = ((gd.reshape(w[D].shape) * w[D])[:, None] @ test)[:, 0]
     if neumann:
-        gn = np.asarray(data.g_N(tab.points[N].reshape(-1, 3)), dtype=float)
+        gn = np.asarray(data.g_N(tab.points[:, N].reshape(3, -1).T), dtype=float)
         load[bnd - right :] = ((gn.reshape(w[N].shape) * w[N])[:, None] @ values[N])[:, 0]
     return np.concatenate(keys), np.concatenate(entries), _stack_sums(gidx[right:], n, load)
 

@@ -109,13 +109,13 @@ def sample_solution(result: LevelResult) -> str:
     """CSV sample of the solution on a uniform 10 x 10 parametric grid of each patch."""
     ts = np.linspace(0.0, 1.0, 10)
     n, patches, u_h = ts.size, result.surface.patches, result.solution
-    # x, y, z, uh per (patch, xi2, xi1); one row each, led by patch, xi1, xi2.
-    values = np.empty((len(patches), n, n, 4))
+    # x, y, z, uh per (patch, xi1, xi2); one row per (patch, xi2, xi1), led by patch, xi1, xi2.
+    values = np.empty((4, len(patches), n, n))
     for stack in patch_stacks(patches):
         coeffs = np.stack([u_h.patch_coeffs(pid) for pid in stack])
         tab = tabulate_grid([patches[pid] for pid in stack], ts, ts, coeffs)
-        values[stack, :, :, :3] = tab.points.reshape(-1, n, n, 3).swapaxes(1, 2)
-        values[stack, :, :, 3] = tab.field.reshape(-1, n, n).swapaxes(1, 2)
+        values[:3, stack], values[3, stack] = tab.points, tab.field
+    values = values.transpose(1, 3, 2, 0)
     grid = ["%.17g,%.17g," % (xi1, xi2) for xi2 in ts.tolist() for xi1 in ts.tolist()]
     heads = [f"{pid},{point}" for pid in range(len(patches)) for point in grid]
     row = "%s%.17g,%.17g,%.17g,%.17g"

@@ -11,16 +11,20 @@ parameter points (one point is a 1 x 1 grid), by sum factorisation.  The
 homogeneous control net (x w, w), with c w for a coefficient grid, is
 contracted with the 1D B-spline tables, first along the direction with fewer
 output points (v on a tie, as on square volume grids; u on a west/east side,
-so one u point is contracted instead of every control row).  The rational
-basis is built only on request, from weight-free factors the volume
-assembly uses directly.  ``tabulate_patches`` calls the kernel at the Gauss
-points of a stack (``patch_stacks`` forms the stacks); ``tabulate_sides``
-tabulates the Gauss points of many patch sides with one ``_side_grid`` call
-per (fixed axis, knot vectors) group, which covers both opposite sides of
-each patch ({0, 1} x ts or ts x {0, 1}), and writes each group's elements
-straight to their slot-order rows, each flipped slot reversed.  A side
-element carries only its trace window of 2(p+1) functions.  Conormal and
-edge speed come from the kernel's J and g^-1, without cross products.
+so one u point is contracted instead of every control row), with the
+channel axis innermost (for one-point panels numpy's matmul calls BLAS gemv,
+whose rounding depends on an entry's position).  Every per-point quantity
+is formed once, on contiguous arrays whose component axes come first; basis
+tables keep their function axes last.  The rational basis is built only on
+request, from weight-free factors the volume assembly uses directly.
+``tabulate_patches`` calls the kernel at the Gauss points of a stack
+(``patch_stacks`` forms the stacks); ``tabulate_sides`` tabulates the Gauss
+points of many patch sides with one ``_side_grid`` call per (fixed axis,
+knot vectors) group, which covers both opposite sides of each patch
+({0, 1} x ts or ts x {0, 1}), and writes each group's elements straight to
+their slot-order rows, each flipped slot reversed.  A side element carries
+only its trace window of 2(p+1) functions.  Conormal and edge speed come
+from the kernel's J and g^-1, without cross products.
 ``match_interfaces`` takes its side samples through the same call.
 """
 
@@ -113,39 +117,38 @@ class NurbsPatch:
 class Tabulation:
     """First fundamental form, and on request the basis or a field, at many points.
 
-    All arrays share the leading point axes: (P, nel_u, nel_v, q_u, q_v) on
-    the grid of P stacked patches and (nel, q) from ``tabulate_sides``.  On
-    a grid the local-basis axes (m1, m2) = (p1+1, p2+1) belong to the
-    control-grid window starting at (first_u, first_v), integer arrays that
-    broadcast against the point axes.  ``weights`` are the quadrature
-    weights times the area element (patch) or the edge speed (side), and
-    None on a plain grid.  ``factors`` (N_u, dN_u, N_v, dN_v, S, S_u, S_v)
-    of the rational basis R = W N_u N_v / S (1D tables (nel, q, m), S on the
-    point axes), ``values``/``grads`` (the basis) and ``field``/``field_grad``
-    (a coefficient grid contracted like the geometry) are None unless asked.
+    C-contiguous arrays, component axes first, then the point axes: (P, nu,
+    nv) on the grid of P stacked patches (u point e q_u + i in element e) and
+    (nel, q) from ``tabulate_sides``.  On a grid the basis functions (m1, m2)
+    = (p1+1, p2+1) of a point belong to the control-grid window starting at
+    (first_u, first_v), integer arrays (nu, 1) and (nv,).  ``weights`` are the
+    quadrature weights times the area element (patch) or the edge speed
+    (side), and None on a plain grid.  Only on request (else None): ``factors`` (N_u,
+    dN_u, N_v, dN_v, S, S_u, S_v) of the rational basis R = W N_u N_v / S (1D
+    tables (nel, q, m), S on the point axes), ``values``/``grads`` (the basis)
+    and ``field``/``field_grad`` (a coefficient grid contracted like the geometry).
     """
 
-    points: np.ndarray  # (..., 3)
-    jacobian: np.ndarray  # (..., 3, 2)
-    inv_metric: np.ndarray  # (..., 2, 2)
+    points: np.ndarray  # (3, ...)
+    jacobian: np.ndarray  # (3, 2, ...)
+    inv_metric: np.ndarray  # (2, 2, ...)
     sqrt_det_g: np.ndarray  # (...)
     first_u: np.ndarray | None = None
     first_v: np.ndarray | None = None
     weights: np.ndarray | None = None
     factors: tuple | None = None
     values: np.ndarray | None = None  # (..., m1, m2); (nel, q, m) on sides
-    grads: np.ndarray | None = None  # (..., m1, m2, 2), parametric; (nel, q, m, 2) on sides
+    grads: np.ndarray | None = None  # (2, ..., m1, m2), parametric; (2, nel, q, m) on sides
     field: np.ndarray | None = None  # (...)
-    field_grad: np.ndarray | None = None  # (..., 2), parametric
+    field_grad: np.ndarray | None = None  # (2, ...), parametric
 
     def surface_gradient(self, pgrad: np.ndarray) -> np.ndarray:
-        """Push parametric gradients (..., [m1, m2,] 2) forward to R^3: J g^-1 grad."""
-        extra = (1,) * (pgrad.ndim - self.sqrt_det_g.ndim - 1)
-        inv = self.inv_metric.reshape(self.sqrt_det_g.shape + extra + (2, 2))
-        J = self.jacobian.reshape(self.sqrt_det_g.shape + extra + (3, 2))
-        a = inv[..., 0, 0] * pgrad[..., 0] + inv[..., 0, 1] * pgrad[..., 1]
-        b = inv[..., 1, 0] * pgrad[..., 0] + inv[..., 1, 1] * pgrad[..., 1]
-        return np.stack([J[..., k, 0] * a + J[..., k, 1] * b for k in range(3)], axis=-1)
+        """Push parametric gradients (2, ...[, m1, m2]) forward to R^3: J g^-1 grad."""
+        shape = self.sqrt_det_g.shape + (1,) * (pgrad.ndim - self.sqrt_det_g.ndim - 1)
+        inv, J = self.inv_metric.reshape(2, 2, *shape), self.jacobian.reshape(3, 2, *shape)
+        a = inv[0, 0] * pgrad[0] + inv[0, 1] * pgrad[1]
+        b = inv[1, 0] * pgrad[0] + inv[1, 1] * pgrad[1]
+        return J[:, 0] * a + J[:, 1] * b
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -155,8 +158,8 @@ class SideTabulation(Tabulation):
     ``pid`` (nel, 1) holds each element's patch id; slot k owns elements
     ``starts[k]:starts[k + 1]``.  The basis covers m = 2(p+1) trace
     functions: ``dofs`` (nel, m) are their patch-local indices k2 n1 + k1.
-    ``conormal`` is the outward unit conormal and ``speed`` the length of
-    the mapped edge tangent, both (nel, q); ``chords`` (nel,) are the
+    ``conormal`` (3, nel, q) is the outward unit conormal and ``speed``
+    (nel, q) the length of the mapped edge tangent; ``chords`` (nel,) are the
     physical chord lengths of the edge elements.
     """
 
@@ -178,36 +181,42 @@ def _contract(H: np.ndarray, first: np.ndarray, N: np.ndarray) -> np.ndarray:
     """One direction of sum factorisation, along axis 1 of H (P, n, ...).
 
     out[:, e * q + i] = sum over a of N[e, i, a] H[:, first[e] + a], as one
-    batched matmul of the (nel, q, m) table with the gathered windows.
+    batched matmul of the (nel, q, m) table with the windows, gathered by
+    ``np.take`` (faster here than fancy indexing).
     """
     nel, q, m = N.shape
-    windows = H[:, first[:, None] + np.arange(m)].reshape(H.shape[0], nel, m, -1)
+    windows = np.take(H, first[:, None] + np.arange(m), axis=1).reshape(H.shape[0], nel, m, -1)
     return (N @ windows).reshape(H.shape[0], nel * q, *H.shape[2:])
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _window_weights(patches: list[NurbsPatch], tab: Tabulation) -> np.ndarray:
-    """Control weights (P, nel_u, nel_v, m1, m2) on every element window of a grid with factors."""
-    m1, m2 = tab.factors[0].shape[-1], tab.factors[2].shape[-1]
-    iu = tab.first_u.reshape(-1)[:, None, None, None] + np.arange(m1)[:, None]
-    iv = tab.first_v.reshape(-1)[None, :, None, None] + np.arange(m2)
-    return np.stack([p.basis.weights for p in patches])[:, iu, iv]
+def _elements(a: np.ndarray, q_u: int, q_v: int) -> np.ndarray:
+    """The trailing grid axes (nu, nv) of ``a`` as elements (nel_u, nel_v, q_u, q_v), a view."""
+    *lead, nu, nv = a.shape
+    return a.reshape(*lead, nu // q_u, q_u, nv // q_v, q_v).swapaxes(-3, -2)
+
+
+def _window_weights(patches: list[NurbsPatch], first_u, first_v, m1: int, m2: int) -> np.ndarray:
+    """Control weights (P, len(first_u), len(first_v), m1, m2) on the windows starting there."""
+    iu = first_u[:, None, None, None] + np.arange(m1)[:, None]
+    iv = first_v[None, :, None, None] + np.arange(m2)
+    return np.stack([p.basis.weights[iu, iv] for p in patches])
 
 
 def _rational_basis(patches: list[NurbsPatch], tab: Tabulation) -> Tabulation:
-    """``tab`` with the rational basis N_u (x) N_v W / S on every element window of
-    its ``factors`` (gradient by the quotient rule)."""
-    Nu, dNu, Nv, dNv, S, Su, Sv = tab.factors
-    W = _window_weights(patches, tab)[:, :, :, None, None]
-    S, Su, Sv = S[..., None, None], Su[..., None, None], Sv[..., None, None]
-    u, v = (lambda t: t[:, None, :, None, :, None]), (lambda t: t[None, :, None, :, None, :])
-    values = u(Nu) * v(Nv) * W
+    """``tab`` with the rational basis N_u (x) N_v W / S on every point's window
+    of its ``factors`` (gradient by the quotient rule)."""
+    Nu, dNu, Nv, dNv = (t.reshape(-1, t.shape[-1]) for t in tab.factors[:4])  # (points, m)
+    W = _window_weights(patches, tab.first_u.ravel(), tab.first_v, Nu.shape[1], Nv.shape[1])
+    S, Su, Sv = (a[..., None, None] for a in tab.factors[4:])
+    u, v = (lambda t: t[:, None, :, None]), (lambda t: t[:, None, :])
+    values = W * (u(Nu) * v(Nv))  # in W's C order
     values /= S
-    grads = np.empty(values.shape + (2,))
-    for g, tu, tv, dS in ((grads[..., 0], dNu, Nv, Su), (grads[..., 1], Nu, dNv, Sv)):
+    grads = np.empty((2,) + values.shape)
+    for g, tu, tv, dS in ((grads[0], dNu, Nv, Su), (grads[1], Nu, dNv, Sv)):
         np.multiply(u(tu) * v(tv), W, out=g)
         g -= values * dS
         g /= S
@@ -221,17 +230,17 @@ def tabulate_grid(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=Fals
     (nel, q) Gauss panels, whose q points lie in one span, or 1D point
     arrays (q = 1, each point with its own window, so the grid may contain
     knots and xi = 1, evaluated on the last non-empty span); point axes are
-    (P, nel_u, nel_v, q_u, q_v).  Sum factorisation: the homogeneous
-    control net (x w, w), with c w appended for the coefficient grids
-    ``coeffs`` (P, n1, n2), is contracted with the 1D tables, first along
-    the direction with fewer output points (v on a tie), giving the points,
-    the Jacobian, S = sum N W and its derivatives; no per-point window of
-    control points is gathered.  The metric and its inverse use closed
-    forms.  ``basis`` adds the factors of the rational basis N_u N_v W / S.
-    Raises SingularMapError, naming the patch, where det(J^T J) < 1e-14,
-    and ValueError for a point outside [0, 1].
+    (P, nu, nv).  Sum factorisation: the homogeneous control net (x w, w),
+    with c w appended for the coefficient grids ``coeffs`` (P, n1, n2), is
+    contracted with the 1D tables, first along the direction with fewer
+    output points (v on a tie), giving the points, the Jacobian, S = sum N W
+    and its derivatives; no per-point window of control points is gathered.
+    The metric and its inverse use closed forms.  ``basis`` adds the factors
+    of the rational basis N_u N_v W / S.  Raises SingularMapError, naming
+    the patch and the first point in element-major order of the smallest
+    det(J^T J) below 1e-14, and ValueError for a point outside [0, 1].
     """
-    xs_u, xs_v =(np.asarray(x, dtype=float).reshape(len(x), -1) for x in (xs_u, xs_v))
+    xs_u, xs_v = (np.asarray(x, dtype=float).reshape(len(x), -1) for x in (xs_u, xs_v))
     fu, Nu, dNu = _panel_table(patches[0].basis.basis_u, xs_u)
     fv, Nv, dNv = _panel_table(patches[0].basis.basis_v, xs_v)
     w = np.stack([p.basis.weights for p in patches])
@@ -245,45 +254,42 @@ def tabulate_grid(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=Fals
     (f1, N1, dN1), (f2, N2, dN2) = ((fu, Nu, dNu), (fv, Nv, dNv))[:: 1 if u_first else -1]
     T, T1 = (_contract(H if u_first else H.swapaxes(1, 2), f1, N).swapaxes(1, 2)
              for N in (N1, dN1))  # (P, n of the second direction, points of the first, c)
-    A, A2, A1 = (_contract(X, f2, N) for X, N in ((T, N2), (T, dN2), (T1, N2)))
-    shape = (len(patches), *xs_u.shape, *xs_v.shape, -1)
-    A, Au, Av = (np.ascontiguousarray((X.swapaxes(1, 2) if u_first else X).reshape(shape)
-                                      .swapaxes(2, 3))
-                 for X in ((A, A1, A2) if u_first else (A, A2, A1)))
-    del H, T, T1, A1, A2  # (P, nel_u, nel_v, q_u, q_v, c) remain
-    # Per-component views keep every elementwise loop long (no tiny trailing axes).
-    S, Su, Sv = A[..., 3], Au[..., 3], Av[..., 3]
-    points = np.empty(S.shape + (3,))
-    jac = np.empty(S.shape + (3, 2))
-    for k in range(3):
-        x = np.divide(A[..., k], S, out=points[..., k])
-        for d, D, dS in ((0, Au, Su), (1, Av, Sv)):
-            jd = np.subtract(D[..., k], x * dS, out=jac[..., k, d])
-            jd /= S
-    ju, jv = jac[..., 0], jac[..., 1]
+    del H
+    # A = sum N (x w, w, c w) and its u and v derivatives, one channel-innermost (P, nu,
+    # nv, c) array at a time, each channel read once into contiguous arrays: S = A_w, the
+    # quotients Q = (x, c) = A / S and their derivatives dQ = (dA - Q dS) / S.
+    shape, channels = (len(patches), xs_u.size, xs_v.size), [0, 1, 2] + [4] * (coeffs is not None)
+    Q, dQ, S = np.empty((len(channels),) + shape), np.empty((len(channels), 2) + shape), []
+    for d, (X, N) in enumerate(((T, N2), (T1, N2), (T, dN2)) if u_first
+                               else ((T, N2), (T, dN2), (T1, N2))):
+        A = _contract(X, f2, N).swapaxes(1, 2) if u_first else _contract(X, f2, N)
+        S.append(np.ascontiguousarray(A[..., 3]))
+        for j, c in enumerate(channels):
+            if d == 0:
+                np.divide(A[..., c], S[0], out=Q[j])
+            else:
+                dq = np.subtract(A[..., c], Q[j] * S[d], out=dQ[j, d - 1])
+                dq /= S[0]
+    del T, T1, A  # their memory serves the metric
+    extra = {} if coeffs is None else dict(field=Q[3], field_grad=dQ[3])
+    ju, jv = dQ[:3, 0], dQ[:3, 1]
     g00, g01, g11 = _dot(ju, ju), _dot(ju, jv), _dot(jv, jv)
     det = g00 * g11 - g01 * g01
     if not np.all(det > 1e-14):
-        s, eu, ev, i, j = np.unravel_index(np.argmin(det), det.shape)
+        em = _elements(det, xs_u.shape[1], xs_v.shape[1])
+        s, eu, ev, i, j = np.unravel_index(np.argmin(em), em.shape)
         raise SingularMapError(
             f"singular parameterization on patch {patches[s].id} at "
-            f"xi=({xs_u[eu, i]:.6f}, {xs_v[ev, j]:.6f}) (det g={det[s, eu, ev, i, j]:.3e})"
+            f"xi=({xs_u[eu, i]:.6f}, {xs_v[ev, j]:.6f}) (det g={em[s, eu, ev, i, j]:.3e})"
         )
-    inv = np.empty(det.shape + (2, 2))
+    inv = np.empty((2, 2) + det.shape)
     for (r, c), g in (((0, 0), g11), ((0, 1), -g01), ((1, 0), -g01), ((1, 1), g00)):
-        np.divide(g, det, out=inv[..., r, c])
-    extra = {}
-    if coeffs is not None:
-        u = extra["field"] = A[..., 4] / S
-        grad = extra["field_grad"] = np.empty(S.shape + (2,))
-        for d, D, dS in ((0, Au, Su), (1, Av, Sv)):
-            np.subtract(D[..., 4], u * dS, out=grad[..., d])
-            grad[..., d] /= S
+        np.divide(g, det, out=inv[r, c])
     if basis:
-        extra["factors"] = (Nu, dNu, Nv, dNv, *map(np.ascontiguousarray, (S, Su, Sv)))
+        extra["factors"] = (Nu, dNu, Nv, dNv, *S)
     return Tabulation(
-        first_u=fu[:, None, None, None], first_v=fv[:, None, None], points=points,
-        jacobian=jac, inv_metric=inv, sqrt_det_g=np.sqrt(det), **extra,
+        first_u=np.repeat(fu, xs_u.shape[1])[:, None], first_v=np.repeat(fv, xs_v.shape[1]),
+        points=Q[:3], jacobian=dQ[:3], inv_metric=inv, sqrt_det_g=np.sqrt(det), **extra,
     )
 
 
@@ -314,14 +320,13 @@ def patch_stacks(patches: list[NurbsPatch]) -> list[list[int]]:
 def tabulate_patches(patches: list[NurbsPatch], q: int, coeffs=None, basis=False) -> Tabulation:
     """``tabulate_grid`` at the q x q Gauss points of every element of a stack.
 
-    Point axes are (P, nel_u, nel_v, q, q); ``weights`` integrate over the
-    mapped patches.
+    Point axes are (P, nu, nv); ``weights`` integrate over the mapped patches.
     """
     b = patches[0].basis
     xu, wu = panel_rules(breakpoints(b.basis_u), q)
     xv, wv = panel_rules(breakpoints(b.basis_v), q)
     tab = tabulate_grid(patches, xu, xv, coeffs, basis)
-    return replace(tab, weights=wu[:, None, :, None] * wv[:, None, :] * tab.sqrt_det_g)
+    return replace(tab, weights=wu.reshape(-1, 1) * wv.reshape(-1) * tab.sqrt_det_g)
 
 
 def _side_grid(patches: list[NurbsPatch], axis: int, ts: np.ndarray, coeffs=None,
@@ -367,27 +372,26 @@ def _side_pass(patches, pid, axis: int, f, flip, bp, q: int, coeffs) -> dict:
     for name in ("points", "jacobian", "inv_metric", "sqrt_det_g", "field", "field_grad"):
         a = getattr(grid, name)
         if a is not None:
-            out[name] = a.reshape(-1, *a.shape[len(lead):])[at]
+            out[name] = a.reshape(*a.shape[: a.ndim - 3], -1)[..., at]
     if basis:
         m1, m2 = grid.values.shape[-2:]
         out["values"] = grid.values.reshape(-1, m1 * m2)[at]
-        out["grads"] = grid.grads.reshape(-1, m1 * m2, 2)[at]
+        out["grads"] = grid.grads.reshape(2, -1, m1 * m2)[:, at]
         fu, fv = (np.broadcast_to(a, lead).reshape(-1)[at[:, 0], None, None]
                   for a in (grid.first_u, grid.first_v))
         k2 = (fv + np.arange(m2)) * patches[stack[0]].basis.shape[0]  # k2 n1
         out["dofs"] = (k2 + fu + np.arange(m1)[:, None]).reshape(-1, m1 * m2)
     jac, inv = out["jacobian"], out["inv_metric"]
-    tangent = jac[..., 1 - axis]
+    tangent = jac[:, 1 - axis]
     out["speed"] = np.sqrt(_dot(tangent, tangent))
     # J g^-1 e_axis is tangent to the surface, orthogonal to the edge and of
     # length sqrt(g^-1)_axis,axis; its sign points out of the patch.
-    scale = np.repeat(2.0 * f - 1.0, nel)[:, None] / np.sqrt(inv[..., axis, axis])
-    out["conormal"] = (jac[..., 0] * (inv[..., 0, axis] * scale)[..., None]
-                       + jac[..., 1] * (inv[..., 1, axis] * scale)[..., None])
+    scale = np.repeat(2.0 * f - 1.0, nel)[:, None] / np.sqrt(inv[axis, axis])
+    out["conormal"] = jac[:, 0] * (inv[0, axis] * scale) + jac[:, 1] * (inv[1, axis] * scale)
     out["weights"] = wt.ravel()[j].reshape(-1, q) * out["speed"]
     ends = np.where(flip[:, None], np.arange(nel + 1)[::-1], np.arange(nel + 1))
-    X = grid.points.reshape(-1, 3)[base + (n + ends) * sj]
-    out["chords"] = np.linalg.norm(np.diff(X, axis=1), axis=-1).reshape(-1)
+    X = grid.points.reshape(3, -1)[:, base + (n + ends) * sj]
+    out["chords"] = np.linalg.norm(np.diff(X, axis=-1), axis=0).reshape(-1)
     return out
 
 
@@ -417,14 +421,16 @@ def tabulate_sides(patches: list[NurbsPatch], slots, q: int, coeffs=None) -> Sid
     nel = np.array([bp.size - 1 for bp in bps])[group]
     starts = np.concatenate([[0], np.cumsum(nel)])
     arrays: dict = {}
+    components = dict(points=1, jacobian=2, inv_metric=2, field_grad=1, grads=1, conormal=1)
     for members, bp in zip(groups, bps):
         rows = (starts[members, None] + np.arange(bp.size - 1)).reshape(-1)
         part = _side_pass(patches, pid[members], axis[members[0]], f[members], flip[members],
                           bp, q, coeffs)
         for name, a in part.items():
+            k = components.get(name, 0)  # the element axis follows the component axes
             if name not in arrays:
-                arrays[name] = np.empty((starts[-1], *a.shape[1:]), dtype=a.dtype)
-            arrays[name][rows] = a
+                arrays[name] = np.empty((*a.shape[:k], starts[-1], *a.shape[k + 1:]), a.dtype)
+            arrays[name][(slice(None),) * k + (rows,)] = a
     return SideTabulation(pid=np.repeat(pid, nel)[:, None], starts=starts, **arrays)
 
 
@@ -525,9 +531,8 @@ def match_interfaces(
     samples = np.empty((len(patches), 2, 2, ts.size, 3))  # in SIDES order per patch
     for stack in patch_stacks(patches):
         for axis in (0, 1):
-            X = _side_grid([patches[pid] for pid in stack], axis, ts).points
-            samples[stack, axis] = (X.reshape(len(stack), 2, -1, 3) if axis == 0
-                                    else X.reshape(len(stack), -1, 2, 3).swapaxes(1, 2))
+            X = np.moveaxis(_side_grid([patches[pid] for pid in stack], axis, ts).points, 0, -1)
+            samples[stack, axis] = X if axis == 0 else X.swapaxes(1, 2)
     samples = samples.reshape(len(all_sides), ts.size, 3)
     mid_x = samples[:, ts.size // 2, 0]
     order = np.argsort(mid_x, kind="stable")

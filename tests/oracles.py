@@ -241,10 +241,13 @@ def element_dofs(space: DgSpace, pid: int) -> np.ndarray:
 
 
 def tabulate_patch(patch: NurbsPatch, q: int):
-    """Basis and geometry at the q x q Gauss points of one patch; axes (nel_u, nel_v, q, q)."""
+    """Basis and geometry at the q x q Gauss points of one patch; point axes (nu, nv)."""
     tab = _rational_basis([patch], tabulate_patches([patch], q, basis=True))
-    names = ("points", "jacobian", "inv_metric", "sqrt_det_g", "weights", "values", "grads")
-    return replace(tab, factors=None, **{name: getattr(tab, name)[0] for name in names})
+    # Number of component axes in front of the point axes.
+    names = {"points": 1, "jacobian": 2, "inv_metric": 2, "sqrt_det_g": 0, "weights": 0,
+             "values": 0, "grads": 1}
+    return replace(tab, factors=None,
+                   **{name: getattr(tab, name)[(slice(None),) * k + (0,)] for name, k in names.items()})
 
 
 def edge_breakpoints(surface: MultiPatchSurface, edge: InterfaceEdge) -> np.ndarray:
@@ -389,7 +392,7 @@ def integrate_patch(patch: NurbsPatch, fn, q: int) -> float:
     tab = tabulate_patch(patch, q)
     if fn is None:
         return float(np.sum(tab.weights))
-    return float(np.sum(fn(*np.moveaxis(tab.points, -1, 0)) * tab.weights))
+    return float(np.sum(fn(*tab.points) * tab.weights))
 
 
 def l2_error_at(u_h: DiscreteFunction, u_exact, q: int) -> float:
@@ -397,7 +400,7 @@ def l2_error_at(u_h: DiscreteFunction, u_exact, q: int) -> float:
     total = 0.0
     for pid, patch in enumerate(u_h.space.surface.patches):
         tab = tabulate_patches([patch], q, u_h.patch_coeffs(pid)[None])
-        gap = tab.field.ravel() - u_exact(tab.points.reshape(-1, 3))
+        gap = tab.field.ravel() - u_exact(tab.points.reshape(3, -1).T)
         total += float(np.sum(gap**2 * tab.weights.ravel()))
     return math.sqrt(total)
 

@@ -156,11 +156,11 @@ def test_criterion_7_property_suites(rng, report):
     for surf in (square_grid(2), quarter_cylinder_grid(2)):
         for patch in surf.patches:
             tab = tabulate_grid([patch], rng.random(12), rng.random(12))
-            g = tab.surface_gradient(rng.normal(size=tab.sqrt_det_g.shape + (2,)))
-            normal = np.cross(tab.jacobian[..., 0], tab.jacobian[..., 1])
-            normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
-            scale = np.maximum(1.0, np.linalg.norm(g, axis=-1))
-            tang = max(tang, float(np.max(np.abs(np.sum(g * normal, axis=-1)) / scale)))
+            g = tab.surface_gradient(rng.normal(size=(2,) + tab.sqrt_det_g.shape))
+            normal = np.cross(tab.jacobian[:, 0], tab.jacobian[:, 1], axis=0)
+            normal /= np.linalg.norm(normal, axis=0, keepdims=True)
+            scale = np.maximum(1.0, np.linalg.norm(g, axis=0))
+            tang = max(tang, float(np.max(np.abs(np.sum(g * normal, axis=0)) / scale)))
     checks.append(("tangential gradients", tang <= 1e-10))
 
     # antiparallel interface conormals
@@ -168,8 +168,8 @@ def test_criterion_7_property_suites(rng, report):
     for surf in (square_grid(2), quarter_cylinder_grid(2)):
         for edge in surf.edges_of_kind("interior"):
             tab = tabulate_sides(surf.patches, interface_slots([edge]), 4)
-            gap = tab.conormal[: tab.starts[1]] + tab.conormal[tab.starts[1]:]
-            anti = max(anti, float(np.max(np.linalg.norm(gap, axis=-1))))
+            gap = tab.conormal[:, : tab.starts[1]] + tab.conormal[:, tab.starts[1]:]
+            anti = max(anti, float(np.max(np.linalg.norm(gap, axis=0))))
     checks.append(("antiparallel conormals", anti <= 1e-8))
 
     # jump/average identity on the kernel traces of two random functions
@@ -190,7 +190,7 @@ def test_criterion_7_property_suites(rng, report):
     for coarse_patch, fine_patch in zip(surf.patches, fine.patches):
         xu, xv = rng.random(5), rng.random(5)
         a, b = (tabulate_grid([p], xu, xv).points for p in (coarse_patch, fine_patch))
-        move = max(move, float(np.max(np.linalg.norm(a - b, axis=-1))))
+        move = max(move, float(np.max(np.linalg.norm(a - b, axis=0))))
     checks.append(("knot-insertion invariance", move <= 1e-12))
 
     # quarter-cylinder area at assembly quadrature order

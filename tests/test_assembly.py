@@ -98,11 +98,17 @@ def test_volume_blocks_match_the_rational_basis_route(name):
         assert np.array_equal(K, K.transpose(0, 2, 1))  # exactly symmetric
         tab = tabulate_patch(patch, q)
         E, m = K.shape[:2]
-        G = tab.surface_gradient(tab.grads).reshape(E, q * q, m, 3)
-        w = tab.weights.reshape(E, q * q)
+        nu, nv = tab.weights.shape
+
+        def by_element(a):  # (nu, nv, ...) -> element-major (E, q * q, ...)
+            a = a.reshape(nu // q, q, nv // q, q, *a.shape[2:]).swapaxes(1, 2)
+            return a.reshape(E, q * q, *a.shape[4:])
+
+        G = by_element(np.moveaxis(tab.surface_gradient(tab.grads), 0, -1).reshape(nu, nv, m, 3))
+        w = by_element(tab.weights)
         K_ref = surface.alpha[pid] * np.einsum("ep,epak,epbk->eab", w, G, G)
-        R = tab.values.reshape(E, q * q, m)
-        f = data.f(pid, tab.points.reshape(-1, 3)).reshape(E, q * q)
+        R = by_element(tab.values.reshape(nu, nv, m))
+        f = by_element(data.f(pid, tab.points.reshape(3, -1).T).reshape(nu, nv))
         np.testing.assert_allclose(K, K_ref, rtol=0.0, atol=1e-13 * np.abs(K_ref).max())
         for row, weight in ((0, f * w), (1, w)):
             ref = np.einsum("ep,epa->ea", weight, R)

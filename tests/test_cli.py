@@ -322,7 +322,7 @@ def test_solution_csv_matches_fstring_rows(tmp_path, monkeypatch):
         points.reshape(-1)[: len(special)] = special
         field.reshape(-1)[-len(special):] = special
         n = len(xs_u)
-        levels.append({p.id: (x, u) for p, x, u in zip(patches, points.reshape(-1, n, n, 3),
+        levels.append({p.id: (x, u) for p, x, u in zip(patches, np.moveaxis(points, 0, -1),
                                                        field.reshape(-1, n, n))})
         return dataclasses.replace(tab, points=points, field=field)
 

@@ -70,8 +70,8 @@ def test_flip_is_detected_and_consistent(rng):
         assert np.linalg.norm(a - b) <= 1e-12
     tab = tabulate_sides(surface.patches, interface_slots([edge]), 4)
     half = tab.starts[1]
-    assert np.max(np.linalg.norm(tab.points[:half] - tab.points[half:], axis=-1)) <= 1e-12
-    assert np.max(np.linalg.norm(tab.conormal[:half] + tab.conormal[half:], axis=-1)) <= 1e-12
+    assert np.max(np.linalg.norm(tab.points[:, :half] - tab.points[:, half:], axis=0)) <= 1e-12
+    assert np.max(np.linalg.norm(tab.conormal[:, :half] + tab.conormal[:, half:], axis=0)) <= 1e-12
 
 
 def test_interpolant_continuous_across_flipped_interface(rng):

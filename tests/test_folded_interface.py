@@ -110,11 +110,11 @@ def test_fold_takes_normal_derivatives_along_the_left_conormal():
     ts, _ = panel_rules(edge_breakpoints(surface, edge), q)
     tab = tabulate_sides(surface.patches, interface_slots([edge]), q)
     half = tab.chords.size // 2
-    normal = np.concatenate([tab.conormal[:half]] * 2)
+    normal = np.concatenate([tab.conormal[:, :half]] * 2, axis=1)
     gidx, _, dn = _side_terms(space, tab, normal)
     n = space.total_dofs
     # The fold: the right side's own conormal is not -n_left.
-    assert np.max(np.abs(np.sum(tab.conormal[:half] * tab.conormal[half:], axis=-1))) < 1e-13
+    assert np.max(np.abs(np.sum(tab.conormal[:, :half] * tab.conormal[:, half:], axis=0))) < 1e-13
     for e, i in np.ndindex(ts.shape):
         t = float(ts[e, i])
         n_left = conormal_at(surface, edge, "left", t)

@@ -20,7 +20,7 @@ def test_parse_bundled_cylinder_is_exact(rng):
     surface = parse_geometry(data_path("qcyl4.g")).surface()
     for patch in surface.patches:
         pts = tabulate_grid([patch], rng.random(4), rng.random(4)).points
-        assert np.max(np.abs(np.hypot(pts[..., 0], pts[..., 1]) - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.hypot(pts[0], pts[1]) - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize(

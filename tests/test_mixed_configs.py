@@ -62,7 +62,7 @@ def test_rotated_patch_pairs_east_with_south():
     assert sides == {"east", "south"}
     tab = tabulate_sides(surface.patches, interface_slots([edge]), 3)
     half = tab.starts[1]
-    assert np.max(np.linalg.norm(tab.conormal[:half] + tab.conormal[half:], axis=-1)) <= 1e-12
+    assert np.max(np.linalg.norm(tab.conormal[:, :half] + tab.conormal[:, half:], axis=0)) <= 1e-12
 
 
 def test_rotated_patch_solution_converges():

@@ -111,7 +111,7 @@ def test_tabulate_patch_reproduces_patch_area():
     from oracles import tabulate_patch
 
     tab = tabulate_patch(quarter_cylinder_patch(3), 10)
-    assert tab.weights.shape == (1, 1, 10, 10)
+    assert tab.weights.shape == (10, 10)
     assert tab.weights.sum() == pytest.approx(np.pi / 2, abs=1e-12)
 
 

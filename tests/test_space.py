@@ -12,7 +12,8 @@ def evaluate(f, pid, xu, xv):
     """Values (len(xu), len(xv)) and tangential gradients of f on a grid of one patch."""
     tab = tabulate_grid([f.space.surface.patches[pid]], xu, xv, f.patch_coeffs(pid)[None])
     shape = (len(xu), len(xv))
-    return tab.field.reshape(shape), tab.surface_gradient(tab.field_grad).reshape(*shape, 3)
+    grads = tab.surface_gradient(tab.field_grad).reshape(3, *shape)
+    return tab.field.reshape(shape), np.moveaxis(grads, 0, -1)
 
 
 def single_patch_surface(patch, bc="dirichlet"):

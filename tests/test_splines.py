@@ -66,7 +66,7 @@ def rational_basis_at(basis, xi):
     patch = NurbsPatch(basis, grid.reshape(n1, n2, 3))
     tab = _rational_basis([patch], tabulate_grid([patch], [xi[0]], [xi[1]], basis=True))
     m1, m2 = tab.values.shape[-2:]
-    return tab.values.reshape(m1, m2), tab.grads.reshape(m1, m2, 2)
+    return tab.values.reshape(m1, m2), np.moveaxis(tab.grads.reshape(2, m1, m2), 0, -1)
 
 
 def test_matches_recursive_oracle():

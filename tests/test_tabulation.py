@@ -82,10 +82,10 @@ def check_point(patch, tab, surface_grads, idx, xi):
     first = (np.broadcast_to(tab.first_u, lead)[idx], np.broadcast_to(tab.first_v, lead)[idx])
     assert first == window
     close(tab.values[idx], vals)
-    close(tab.grads[idx], grads)
+    close(np.moveaxis(tab.grads[(slice(None), *idx)], 0, -1), grads)
     for a, b in np.ndindex(vals.shape):
-        close(surface_grads[idx][a, b], surface_gradient(frame, grads[a, b]))
-    close(tab.points[idx], frame.point)
+        close(surface_grads[(slice(None), *idx)][:, a, b], surface_gradient(frame, grads[a, b]))
+    close(tab.points[(..., *idx)], frame.point)
     close(tab.sqrt_det_g[idx], frame.sqrt_det_g)
 
 
@@ -111,9 +111,9 @@ def check_trace(patch, tab, surface_grads, idx, xi):
 
     dofs = tab.dofs[idx[0]]
     close(dense(tab.values[idx], dofs), dense(vals.ravel(), window))
-    close(dense(tab.grads[idx], dofs), dense(grads.reshape(-1, 2), window))
-    close(dense(surface_grads[idx], dofs), dense(pushed, window))
-    close(tab.points[idx], frame.point)
+    close(dense(tab.grads[(slice(None), *idx)].T, dofs), dense(grads.reshape(-1, 2), window))
+    close(dense(surface_grads[(slice(None), *idx)].T, dofs), dense(pushed, window))
+    close(tab.points[(..., *idx)], frame.point)
     close(tab.sqrt_det_g[idx], frame.sqrt_det_g)
 
 
@@ -130,15 +130,15 @@ def test_patch_tabulation_matches_pointwise(surface):
         assert fields.values is None and fields.grads is None
         field_grads = fields.surface_gradient(fields.field_grad)
         for idx in np.ndindex(tab.sqrt_det_g.shape):
-            eu, ev, i, j = idx
-            xi = (xu[eu, i], xv[ev, j])
+            u, v = idx
+            xi = (xu.ravel()[u], xv.ravel()[v])
             check_point(patch, tab, G, idx, xi)
-            close(tab.weights[idx], wu[eu, i] * wv[ev, j] * frame_at(patch, xi).sqrt_det_g)
+            close(tab.weights[idx], wu.ravel()[u] * wv.ravel()[v] * frame_at(patch, xi).sqrt_det_g)
             value, grad = function_at(u_h, pid, xi)
             close(fields.field[(0, *idx)], value)
-            close(field_grads[(0, *idx)], grad)
+            close(field_grads[(slice(None), 0, *idx)], grad)
             for name in ("points", "jacobian", "inv_metric", "sqrt_det_g", "weights"):
-                close(getattr(fields, name)[(0, *idx)], getattr(tab, name)[idx])
+                close(getattr(fields, name)[(..., 0, *idx)], getattr(tab, name)[(..., *idx)])
 
 
 def slot_starts(surface, slots):
@@ -174,7 +174,7 @@ def test_side_tabulation_matches_pointwise(surface):
             tangent = jacobian[:, 1] if side in ("west", "east") else jacobian[:, 0]
             close(tab.speed[idx], np.linalg.norm(tangent))
             close(tab.weights[idx], wt[e, i] * tab.speed[idx])
-            close(tab.conormal[idx], conormal_at(surface, edge, "left", t))
+            close(tab.conormal[(..., *idx)], conormal_at(surface, edge, "left", t))
         if edge.right is None:
             continue
         pid_r, side_r = edge.right
@@ -183,8 +183,8 @@ def test_side_tabulation_matches_pointwise(surface):
             t = float(ts[e, i])
             xi = side_param(side_r, partner_t(edge, t))
             check_trace(surface.patches[pid_r], tab, G, idx, xi)
-            close(tab.points[idx], tab.points[first + e, i])
-            close(tab.conormal[idx], conormal_at(surface, edge, "right", t))
+            close(tab.points[(..., *idx)], tab.points[:, first + e, i])
+            close(tab.conormal[(..., *idx)], conormal_at(surface, edge, "right", t))
 
 
 def test_side_field_equals_the_basis_route(surface):
@@ -199,7 +199,7 @@ def test_side_field_equals_the_basis_route(surface):
     assert fields.values is None and fields.grads is None and fields.dofs is None
     c = u_h.coefficients[u_h.space.offsets[basis.pid] + basis.dofs][:, None]
     close(fields.field, (basis.values * c).sum(axis=-1))
-    close(fields.field_grad, (basis.grads * c[..., None]).sum(axis=-2))
+    close(fields.field_grad, (basis.grads * c).sum(axis=-1))
     for name in set(SIDE_FIELDS) - {"values", "grads", "dofs"}:
         close(getattr(fields, name), getattr(basis, name))
 
@@ -242,6 +242,8 @@ def test_side_point_errors():
 
 SIDE_FIELDS = ("dofs", "pid", "values", "grads", "points", "jacobian",
                "inv_metric", "sqrt_det_g", "weights", "conormal", "speed", "chords")
+# The element axis of each side array follows its component axes.
+ELEMENT_AXIS = {"grads": 1, "points": 1, "jacobian": 2, "inv_metric": 2, "conormal": 1}
 
 
 def two_signature_patches():
@@ -277,7 +279,8 @@ def test_batched_sides_equal_concatenated_one_slot_calls_bit_for_bit():
         batch = tabulate_sides(patches, slots, q)
         single = [tabulate_sides(patches, [slot], q) for slot in slots]
         for name in SIDE_FIELDS:
-            expected = np.concatenate([getattr(tab, name) for tab in single])
+            expected = np.concatenate([getattr(tab, name) for tab in single],
+                                      axis=ELEMENT_AXIS.get(name, 0))
             np.testing.assert_array_equal(getattr(batch, name), expected, err_msg=name)
 
 

@@ -82,8 +82,8 @@ def test_functions_outside_the_trace_window_vanish_on_the_side(case):
             outside = np.broadcast_to(outside[:, :, None] if across == 0 else outside[:, None, :],
                                       (ts.size, m1, m2))
             vals = tab.values.reshape(-1, m1, m2)
-            grads = tab.grads.reshape(-1, m1, m2, 2)
-            pushed = tab.surface_gradient(tab.grads).reshape(-1, m1, m2, 3)
+            grads = np.moveaxis(tab.grads.reshape(2, -1, m1, m2), 0, -1)
+            pushed = np.moveaxis(tab.surface_gradient(tab.grads).reshape(3, -1, m1, m2), 0, -1)
             assert np.all(vals[outside] == 0.0)
             assert np.all(grads[outside] == 0.0)
             assert np.all(pushed[outside] == 0.0)
