@@ -65,6 +65,8 @@ SIDES = ("west", "east", "south", "north")
 
 # Each side: (fixed axis, fixed value).
 _SIDE_DATA = {"west": (0, 0.0), "east": (0, 1.0), "south": (1, 0.0), "north": (1, 1.0)}
+# The component axes in front of each tabulated array's point axes (none if not named).
+COMPONENT_AXES = dict(points=1, jacobian=2, inv_metric=2, grads=1, field_grad=1, conormal=1)
 
 
 class GeometryError(Exception):
@@ -421,13 +423,12 @@ def tabulate_sides(patches: list[NurbsPatch], slots, q: int, coeffs=None) -> Sid
     nel = np.array([bp.size - 1 for bp in bps])[group]
     starts = np.concatenate([[0], np.cumsum(nel)])
     arrays: dict = {}
-    components = dict(points=1, jacobian=2, inv_metric=2, field_grad=1, grads=1, conormal=1)
     for members, bp in zip(groups, bps):
         rows = (starts[members, None] + np.arange(bp.size - 1)).reshape(-1)
         part = _side_pass(patches, pid[members], axis[members[0]], f[members], flip[members],
                           bp, q, coeffs)
         for name, a in part.items():
-            k = components.get(name, 0)  # the element axis follows the component axes
+            k = COMPONENT_AXES.get(name, 0)  # the element axis follows the component axes
             if name not in arrays:
                 arrays[name] = np.empty((*a.shape[:k], starts[-1], *a.shape[k + 1:]), a.dtype)
             arrays[name][(slice(None),) * k + (rows,)] = a

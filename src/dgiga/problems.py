@@ -44,15 +44,14 @@ _ALLOWED_NODES = (
 
 @lru_cache(maxsize=64)
 def parse_expression(text: str, params: tuple[str, ...] = ()):
-    """Compile an arithmetic expression in x, y, z into a vectorized field,
-    memoised on (text, params): every level of a sweep shares the fields.
+    """Compile an arithmetic expression in x, y, z into a vectorized field.
 
-    The returned callable maps an (N, 3) point array to an (N,) array; each
-    name in ``params`` is a scalar or (N,) array it takes by keyword, as in
-    ``field(points, alpha=1.0)``.  Raises ValueError (never cached) on any
-    construct outside the language, and the callable raises ValueError,
-    naming the expression, where the arithmetic fails (an overflow of Python
-    numbers or a division by an integer zero) or yields NaN or +-inf.
+    Memoised on (text, params).  The returned callable maps an (N, 3) point array
+    to an (N,) array; each name in the tuple ``params`` is a scalar or (N,) array
+    it takes by keyword, as in ``field(points, alpha=1.0)``.  Raises ValueError
+    (never cached) on any construct outside the language, and the callable raises
+    ValueError naming the expression where the arithmetic fails (an overflow of
+    Python numbers or a division by an integer zero) or yields NaN or +-inf.
     """
     source = text.replace("^", "**")
     try:

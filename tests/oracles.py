@@ -25,6 +25,7 @@ import scipy.sparse as sp
 
 from dgiga.assembly import _edge_terms
 from dgiga.geometry import (
+    COMPONENT_AXES,
     GeometryError,
     InterfaceEdge,
     MultiPatchSurface,
@@ -243,11 +244,10 @@ def element_dofs(space: DgSpace, pid: int) -> np.ndarray:
 def tabulate_patch(patch: NurbsPatch, q: int):
     """Basis and geometry at the q x q Gauss points of one patch; point axes (nu, nv)."""
     tab = _rational_basis([patch], tabulate_patches([patch], q, basis=True))
-    # Number of component axes in front of the point axes.
-    names = {"points": 1, "jacobian": 2, "inv_metric": 2, "sqrt_det_g": 0, "weights": 0,
-             "values": 0, "grads": 1}
-    return replace(tab, factors=None,
-                   **{name: getattr(tab, name)[(slice(None),) * k + (0,)] for name, k in names.items()})
+    names = ("points", "jacobian", "inv_metric", "sqrt_det_g", "weights", "values", "grads")
+    return replace(tab, factors=None, **{
+        name: getattr(tab, name)[(slice(None),) * COMPONENT_AXES.get(name, 0) + (0,)]
+        for name in names})
 
 
 def edge_breakpoints(surface: MultiPatchSurface, edge: InterfaceEdge) -> np.ndarray:

@@ -149,7 +149,7 @@ def test_conormal_examples():
     for side, n in expected.items():
         for flip in (False, True):
             c = tabulate_sides([patch], [(0, side, flip)], 3).conormal
-            np.testing.assert_allclose(c, np.reshape(n, (3, 1, 1)) + 0.0 * c, atol=1e-14)
+            np.testing.assert_allclose(c, np.broadcast_to(np.reshape(n, (3, 1, 1)), c.shape), atol=1e-14)
 
 
 def test_conormal_on_cylinder_top_edge(rng):

@@ -15,11 +15,12 @@ from dgiga.analysis import measure_errors
 from dgiga.assembly import interface_slots
 from dgiga.driver import run_sweep
 from dgiga.geometries import full_cylinder, square_grid
-from dgiga.geometry import (_rational_basis, patch_stacks, refine_surface, tabulate_grid,
-                            tabulate_patches, tabulate_sides)
+from dgiga.geometry import (COMPONENT_AXES, _rational_basis, patch_stacks, refine_surface,
+                            tabulate_grid, tabulate_patches, tabulate_sides)
 from dgiga.problems import make_problem
 
-# Leading component axes of each array; the point axes follow.
+# Leading component axes of each array, the point axes follow: the layout
+# stated independently of geometry.COMPONENT_AXES, which the code reads.
 COMPONENTS = {"points": (3,), "jacobian": (3, 2), "inv_metric": (2, 2), "sqrt_det_g": (),
               "field": (), "field_grad": (2,), "weights": (), "conormal": (3,), "speed": ()}
 
@@ -34,6 +35,11 @@ def check_layout(tab, points, functions=()):
     if tab.values is not None:
         assert tab.values.shape == points + functions and tab.values.flags.c_contiguous
         assert tab.grads.shape == (2,) + points + functions and tab.grads.flags.c_contiguous
+
+
+def test_component_axes_constant_states_the_layout():
+    # tabulate_sides, the oracles and the side tests read the layout from it.
+    assert COMPONENT_AXES == {"grads": 1} | {k: len(v) for k, v in COMPONENTS.items() if v}
 
 
 @pytest.mark.parametrize("xs", [(4, 4), (2, 7), (7, 2)], ids=["tie", "u_first", "v_first"])

@@ -36,6 +36,7 @@ from dgiga.driver import LevelResult, sample_solution
 from dgiga.geofile import parse_geometry
 from dgiga.geometries import full_cylinder, planar_rectangle_patch, quarter_cylinder_patch
 from dgiga.geometry import (
+    COMPONENT_AXES,
     SIDES,
     InterfaceEdge,
     MultiPatchSurface,
@@ -242,8 +243,6 @@ def test_side_point_errors():
 
 SIDE_FIELDS = ("dofs", "pid", "values", "grads", "points", "jacobian",
                "inv_metric", "sqrt_det_g", "weights", "conormal", "speed", "chords")
-# The element axis of each side array follows its component axes.
-ELEMENT_AXIS = {"grads": 1, "points": 1, "jacobian": 2, "inv_metric": 2, "conormal": 1}
 
 
 def two_signature_patches():
@@ -280,7 +279,7 @@ def test_batched_sides_equal_concatenated_one_slot_calls_bit_for_bit():
         single = [tabulate_sides(patches, [slot], q) for slot in slots]
         for name in SIDE_FIELDS:
             expected = np.concatenate([getattr(tab, name) for tab in single],
-                                      axis=ELEMENT_AXIS.get(name, 0))
+                                      axis=COMPONENT_AXES.get(name, 0))
             np.testing.assert_array_equal(getattr(batch, name), expected, err_msg=name)
 
 
