@@ -233,12 +233,14 @@ def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
                         None if surface.has_dirichlet else vectors[1])
 
 
-def _side_terms(space: DgSpace, tab: SideTabulation, normal: np.ndarray):
+def _side_terms(space: DgSpace, tab: SideTabulation, left: int, right: int):
     """Global indices (nel, m), values and normal derivatives (nel, q, m) of the trace functions.
 
-    d = g^-1 J^T n is formed once per point.  ``normal`` (3, nel, q) need not be
-    the side's own conormal: an interface's right side takes the left's.
+    Elements [0, left) are interior edges' left sides, [left, right) their right
+    sides in the same order: both take the left conormal n, every other element
+    its own.  d = g^-1 J^T n is formed once per point.
     """
+    normal = np.concatenate([tab.conormal[:, :left]] * 2 + [tab.conormal[:, right:]], axis=1)
     gidx = space.offsets[tab.pid] + tab.dofs
     jac, inv = tab.jacobian, tab.inv_metric
     t0, t1 = _dot(jac[:, 0], normal), _dot(jac[:, 1], normal)
@@ -283,8 +285,8 @@ def _edge_terms(space: DgSpace, data: ProblemData):
 
     One ``tabulate_sides`` call covers every interior edge's left side, then
     its right side, then the Dirichlet sides and, when g_N is given, the
-    Neumann sides, each in edge-list order.  An interior edge takes the left
-    side's conormal as the shared direction, and its penalty weight is the
+    Neumann sides, each in edge-list order.  ``_side_terms`` gives both sides
+    of an interior edge its left conormal, and the edge's penalty weight is the
     arithmetic mean of the two diffusion coefficients.  The interior blocks
     couple 4(p+1) trace functions, the Dirichlet blocks 2(p+1).  Returns the
     keys r n + c and values of the element-matrix entries in block order, and
@@ -299,8 +301,7 @@ def _edge_terms(space: DgSpace, data: ProblemData):
         return np.empty(0, np.int64), np.empty(0), np.zeros(n)
     tab = tabulate_sides(surface.patches, slots, space.degree + 1)
     left, right, bnd = tab.starts[np.cumsum([len(interior), len(interior), len(dirichlet)])]
-    normal = np.concatenate([tab.conormal[:, :left]] * 2 + [tab.conormal[:, right:]], axis=1)
-    gidx, values, dn = _side_terms(space, tab, normal)
+    gidx, values, dn = _side_terms(space, tab, left, right)
     alpha, w = surface.alpha[tab.pid][..., None], tab.weights
     # Element ranges, each possibly empty: interior left, interior right, Dirichlet, Neumann.
     L, R, D, N = slice(0, left), slice(left, right), slice(right, bnd), slice(bnd, None)

@@ -160,13 +160,12 @@ class SideTabulation(Tabulation):
     ``pid`` (nel, 1) holds each element's patch id; slot k owns elements
     ``starts[k]:starts[k + 1]``.  The basis covers m = 2(p+1) trace
     functions: ``dofs`` (nel, m) are their patch-local indices k2 n1 + k1.
-    ``conormal`` (3, nel, q) is the outward unit conormal and ``speed``
-    (nel, q) the length of the mapped edge tangent; ``chords`` (nel,) are the
+    ``conormal`` (3, nel, q) is the outward unit conormal; ``weights``
+    carry the length of the mapped edge tangent.  ``chords`` (nel,) are the
     physical chord lengths of the edge elements.
     """
 
     conormal: np.ndarray
-    speed: np.ndarray
     chords: np.ndarray
     pid: np.ndarray
     starts: np.ndarray
@@ -385,12 +384,12 @@ def _side_pass(patches, pid, axis: int, f, flip, bp, q: int, coeffs) -> dict:
         out["dofs"] = (k2 + fu + np.arange(m1)[:, None]).reshape(-1, m1 * m2)
     jac, inv = out["jacobian"], out["inv_metric"]
     tangent = jac[:, 1 - axis]
-    out["speed"] = np.sqrt(_dot(tangent, tangent))
+    speed = np.sqrt(_dot(tangent, tangent))
     # J g^-1 e_axis is tangent to the surface, orthogonal to the edge and of
     # length sqrt(g^-1)_axis,axis; its sign points out of the patch.
     scale = np.repeat(2.0 * f - 1.0, nel)[:, None] / np.sqrt(inv[axis, axis])
     out["conormal"] = jac[:, 0] * (inv[0, axis] * scale) + jac[:, 1] * (inv[1, axis] * scale)
-    out["weights"] = wt.ravel()[j].reshape(-1, q) * out["speed"]
+    out["weights"] = wt.ravel()[j].reshape(-1, q) * speed
     ends = np.where(flip[:, None], np.arange(nel + 1)[::-1], np.arange(nel + 1))
     X = grid.points.reshape(3, -1)[:, base + (n + ends) * sj]
     out["chords"] = np.linalg.norm(np.diff(X, axis=-1), axis=0).reshape(-1)

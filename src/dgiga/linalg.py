@@ -92,14 +92,12 @@ def cg_solve(
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
 
-    # Projecting b (or b - A x0) a second time removes most of the round-off
-    # mean left by the first projection.  The iteration updates r, z and p in place; a NaN
-    # or infinity in r shows in the scalars r @ z or p^T A p, so only those
-    # are checked.
-    if x0 is None:
-        x, r = np.zeros(n), project(b.copy())
-    else:
-        x, r = x0, project(b - A @ x0)
+    # Projecting b - A x a second time removes most of the round-off mean left
+    # by the first projection (A @ 0 is +0.0: x0 = None starts from r = b).  The
+    # iteration updates r, z and p in place; a NaN or infinity in r shows in
+    # the scalars r @ z or p^T A p, so only those are checked.
+    x = np.zeros(n) if x0 is None else x0
+    r = project(b - A @ x)
     z = project(r * minv)
     p = z.copy()
     rz = float(r @ z)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import ast
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,14 +41,13 @@ _ALLOWED_NODES = (
 )
 
 
-@lru_cache(maxsize=64)
-def parse_expression(text: str, params: tuple[str, ...] = ()):
+def parse_expression(text: str, params=()):
     """Compile an arithmetic expression in x, y, z into a vectorized field.
 
-    Memoised on (text, params).  The returned callable maps an (N, 3) point array
-    to an (N,) array; each name in the tuple ``params`` is a scalar or (N,) array
-    it takes by keyword, as in ``field(points, alpha=1.0)``.  Raises ValueError
-    (never cached) on any construct outside the language, and the callable raises
+    Each call parses and compiles anew.  The returned callable maps an (N, 3)
+    point array to an (N,) array; each name in the sequence ``params`` is a scalar
+    or (N,) array it takes by keyword, as in ``field(points, alpha=1.0)``.  Raises
+    ValueError on any construct outside the language, and the callable raises
     ValueError naming the expression where the arithmetic fails (an overflow of
     Python numbers or a division by an integer zero) or yields NaN or +-inf.
     """

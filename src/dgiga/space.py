@@ -28,15 +28,10 @@ class DgSpace:
     offsets: np.ndarray  # length num_patches + 1
     total_dofs: int
 
-    def patch_shape(self, pid: int) -> tuple[int, int]:
-        return self.surface.patches[pid].basis.shape
-
     def patch_slice(self, pid: int) -> slice:
         return slice(int(self.offsets[pid]), int(self.offsets[pid + 1]))
 
-    def function(self, coefficients=None) -> "DiscreteFunction":
-        if coefficients is None:
-            coefficients = np.zeros(self.total_dofs)
+    def function(self, coefficients) -> "DiscreteFunction":
         return DiscreteFunction(self, np.asarray(coefficients, dtype=float))
 
 
@@ -68,7 +63,7 @@ class DiscreteFunction:
 
     def patch_coeffs(self, pid: int) -> np.ndarray:
         """Coefficients of one patch as an (n1, n2) grid."""
-        n1, n2 = self.space.patch_shape(pid)
+        n1, n2 = self.space.surface.patches[pid].basis.shape
         block = self.coefficients[self.space.patch_slice(pid)]
         return block.reshape(n2, n1).T  # second index is the major key
 

@@ -222,7 +222,7 @@ def function_at(f: DiscreteFunction, pid: int, xi) -> tuple[float, np.ndarray]:
 def global_window(space: DgSpace, pid: int, first_u: int, first_v: int, m1: int, m2: int):
     """Global indices (m1, m2) of the functions (first_u + a, first_v + b) of
     patch pid, aligned with ``eval_nurbs2d`` values: patch-major, then k2-major."""
-    n1 = space.patch_shape(pid)[0]
+    n1 = space.surface.patches[pid].basis.shape[0]
     k1, k2 = np.arange(first_u, first_u + m1), np.arange(first_v, first_v + m2)
     return space.offsets[pid] + k2[None, :] * n1 + k1[:, None]
 

@@ -38,14 +38,14 @@ def test_l2_error_of_space_member_is_tiny():
 def test_l2_error_of_constant_gap_is_one():
     surface = square_grid(1)
     space = build_space(surface, 1)
-    zero_h = space.function()
+    zero_h = space.function(np.zeros(space.total_dofs))
     assert l2_of(zero_h, lambda pts: np.ones(len(pts))) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_l2_error_of_sine_product_is_half():
     surface = refine_surface(refine_surface(square_grid(2)))
     space = build_space(surface, 2)
-    zero_h = space.function()
+    zero_h = space.function(np.zeros(space.total_dofs))
     u = lambda pts: np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
     assert l2_of(zero_h, u) == pytest.approx(0.5, abs=1e-12)
 
@@ -109,7 +109,7 @@ def test_dg_error_of_patch_indicator_matches_jump_formula():
         for _ in range(refinements):
             surf = refine_surface(surf)
         space = build_space(surf, 1)
-        n1, n2 = space.patch_shape(0)
+        n1, n2 = space.surface.patches[0].basis.shape
         coeffs = np.concatenate([np.ones(n1 * n2), np.zeros(space.total_dofs - n1 * n2)])
         dg = measure_errors(space.function(coeffs), data).dg_error
         n_edge_elements = 2**refinements
@@ -186,7 +186,7 @@ def test_measure_errors_without_gradient_reports_nan():
     surface = square_grid(1)
     space = build_space(surface, 1)
     data = ProblemData(u_exact=lambda pts: np.zeros(len(pts)), delta=12.0)
-    report = measure_errors(space.function(), data)
+    report = measure_errors(space.function(np.zeros(space.total_dofs)), data)
     assert math.isnan(report.dg_error)
     assert report.l2_error == pytest.approx(0.0, abs=1e-15)
 
@@ -196,7 +196,7 @@ def test_measure_errors_requires_exact_solution():
     space = build_space(surface, 2)
     data = dataclasses.replace(make_problem("plane_sine", surface, 2), u_exact=None)
     with pytest.raises(ValueError, match="u_exact"):
-        measure_errors(space.function(), data)
+        measure_errors(space.function(np.zeros(space.total_dofs)), data)
 
 
 def test_l2_error_is_measured_modulo_constants_without_dirichlet_edges():

@@ -1,14 +1,17 @@
 """Edge terms against a pointwise SIPG assembly.
 
-Two unit squares meet at a 90 degree dihedral along one edge, so the right
-side's own conormal is not minus the left one.  The interface terms must
-take the normal derivatives of both sides along the left conormal.  The
+Two unit squares meet at a 120 degree dihedral along one edge, with their
+edge parameters opposed and both turned by one generic rotation, so the
+right side's own conormal is not minus the left one and no component of
+either vanishes.  The interface terms must take the normal derivatives of
+both sides along the left conormal, as ``_side_terms`` chooses it.  The
 same pointwise oracle checks the edge terms (``_edge_terms``) on a seeded layout with
 flipped interfaces and all three edge kinds.
 """
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 from oracles import (
     conormal_at,
     edge_breakpoints,
@@ -30,17 +33,21 @@ from dgiga.quadrature import panel_rules
 from dgiga.space import build_space
 
 P = 2
+PHI = np.pi / 3  # the wall's slope over the square's plane: a 120 degree dihedral
+ROTATION = Rotation.from_rotvec([0.4, -0.9, 0.7]).as_matrix()
 
 
 def folded_space():
-    """The square z = 0 and the square x = 1 (rising in z), joined along x = 1, z = 0.
+    """The square (u, v, 0) and the wall (1 + cos(PHI) u, 1 - v, sin(PHI) u),
+    joined along x = 1, z = 0 against each other's v, both turned by ROTATION.
 
     The outer sides are Neumann, so without g_N only interface terms enter.
     """
     flat = planar_rectangle_patch(P, pid=0)
-    cp = flat.control_points
-    wall = np.stack([np.ones_like(cp[..., 0]), cp[..., 1], cp[..., 0]], axis=-1)
-    patches = [flat, NurbsPatch(flat.basis, wall, 1)]
+    u, v = flat.control_points[..., 0], flat.control_points[..., 1]
+    wall = np.stack([1.0 + np.cos(PHI) * u, v, np.sin(PHI) * u], axis=-1)[:, ::-1]
+    patches = [NurbsPatch(flat.basis, cp @ ROTATION.T, pid)
+               for pid, cp in enumerate((flat.control_points, wall))]
     tags = {(pid, side): "neumann" for pid in (0, 1)
             for side in ("west", "east", "south", "north")}
     del tags[(0, "east")], tags[(1, "west")]
@@ -106,15 +113,15 @@ def test_fold_takes_normal_derivatives_along_the_left_conormal():
     space = folded_space()
     surface, q = space.surface, P + 1
     (edge,) = surface.edges_of_kind("interior")
+    assert edge.orientation_flip
     (pid_l, side_l), (pid_r, side_r) = edge.left, edge.right
     ts, _ = panel_rules(edge_breakpoints(surface, edge), q)
     tab = tabulate_sides(surface.patches, interface_slots([edge]), q)
     half = tab.chords.size // 2
-    normal = np.concatenate([tab.conormal[:, :half]] * 2, axis=1)
-    gidx, _, dn = _side_terms(space, tab, normal)
+    gidx, _, dn = _side_terms(space, tab, half, 2 * half)
     n = space.total_dofs
-    # The fold: the right side's own conormal is not -n_left.
-    assert np.max(np.abs(np.sum(tab.conormal[:, :half] * tab.conormal[:, half:], axis=0))) < 1e-13
+    # The fold: the right side's own conormal is far from -n_left.
+    assert np.min(np.linalg.norm(tab.conormal[:, :half] + tab.conormal[:, half:], axis=0)) > 0.5
     for e, i in np.ndindex(ts.shape):
         t = float(ts[e, i])
         n_left = conormal_at(surface, edge, "left", t)

@@ -22,7 +22,7 @@ from dgiga.problems import make_problem
 # Leading component axes of each array, the point axes follow: the layout
 # stated independently of geometry.COMPONENT_AXES, which the code reads.
 COMPONENTS = {"points": (3,), "jacobian": (3, 2), "inv_metric": (2, 2), "sqrt_det_g": (),
-              "field": (), "field_grad": (2,), "weights": (), "conormal": (3,), "speed": ()}
+              "field": (), "field_grad": (2,), "weights": (), "conormal": (3,)}
 
 
 def check_layout(tab, points, functions=()):

@@ -83,7 +83,10 @@ def laplacian_1d(n, neumann=False):
 
 
 class PoisonedMatvec:
-    """A matrix whose k-th product A @ p comes back with entry ``at`` replaced."""
+    """A matrix whose k-th product comes back with entry ``at`` replaced.
+
+    Without x0 the first product is the start residual's A @ 0.
+    """
 
     def __init__(self, A, k, value, at):
         self.A, self.k, self.value, self.at, self.calls = A, k, value, at, 0
@@ -112,8 +115,9 @@ def test_breakdown_mid_iteration_raises(rng, value, neumann):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflow_mid_iteration_raises():
-    # With b = e_0 the third search direction is exactly zero from index 3
-    # on, so p^T A p stays finite and the overflow first shows in r @ z.
+    # With b = e_0 the second search direction (product 3, after A @ 0) is
+    # exactly zero from index 2 on, so p^T A p stays finite and the overflow
+    # first shows in r @ z.
     n = 30
     A = PoisonedMatvec(to_csr(laplacian_1d(n)), 3, np.finfo(float).max, n - 1)
     with pytest.raises(NumericalBreakdownError, match="non-finite"):
@@ -210,6 +214,18 @@ def test_x0_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(NumericalBreakdownError):
             cg_solve(A, np.ones(3), x0=np.array([0.0, bad, 0.0]))
+
+
+@pytest.mark.parametrize("neumann", [False, True])
+def test_no_x0_starts_from_zeros_bit_for_bit(rng, neumann):
+    # One start path: x0 = None is x0 = 0, so the bytes and the report agree.
+    n = 30
+    A = to_csr(laplacian_1d(n, neumann))
+    b, w = rng.normal(size=n), (rng.uniform(0.1, 2.0, size=n) if neumann else None)
+    x, report = cg_solve(A, b, tol=1e-12, mean_weights=w)
+    x0, report0 = cg_solve(A, b, tol=1e-12, mean_weights=w, x0=np.zeros(n))
+    assert report.converged and report == report0
+    assert x.tobytes() == x0.tobytes()
 
 
 def test_zero_rhs_returns_zeros_whatever_x0(rng):

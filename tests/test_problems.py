@@ -229,14 +229,10 @@ def test_expression_without_gradient_has_none():
     assert data.g_D is data.u_exact
 
 
-def test_make_problem_shares_compiled_fields_across_surfaces():
-    # Each level of a sweep calls make_problem on a new surface; the parsed
-    # and compiled expressions are built once, the coefficients stay per surface.
-    coarse, fine = square_grid(2, alpha=[1.0, 2.0, 3.0, 4.0]), square_grid(2)
-    a, b = (make_problem("plane_cosine", s, 2) for s in (coarse, fine))
-    assert a.u_exact is b.u_exact and a.g_N is b.g_N
-    pts = np.array([[0.3, 0.4, 0.0]])
-    assert a.f(np.array([3]), pts) == 4.0 * b.f(np.array([3]), pts)
+def test_expression_params_may_be_a_list():
+    field = parse_expression("x + alpha", ["alpha"])
+    pts = np.array([[0.25, 0.0, 0.0], [1.5, 0.0, 0.0]])
+    np.testing.assert_array_equal(field(pts, alpha=np.array([1.0, 2.0])), [1.25, 3.5])
 
 
 def test_bad_spec_raises_on_every_call():

@@ -173,8 +173,7 @@ def test_side_tabulation_matches_pointwise(surface):
             check_trace(patch, tab, G, idx, side_param(side, t))
             jacobian = frame_at(patch, side_param(side, t)).jacobian
             tangent = jacobian[:, 1] if side in ("west", "east") else jacobian[:, 0]
-            close(tab.speed[idx], np.linalg.norm(tangent))
-            close(tab.weights[idx], wt[e, i] * tab.speed[idx])
+            close(tab.weights[idx], wt[e, i] * np.linalg.norm(tangent))
             close(tab.conormal[(..., *idx)], conormal_at(surface, edge, "left", t))
         if edge.right is None:
             continue
@@ -242,7 +241,7 @@ def test_side_point_errors():
 
 
 SIDE_FIELDS = ("dofs", "pid", "values", "grads", "points", "jacobian",
-               "inv_metric", "sqrt_det_g", "weights", "conormal", "speed", "chords")
+               "inv_metric", "sqrt_det_g", "weights", "conormal", "chords")
 
 
 def two_signature_patches():
@@ -327,4 +326,4 @@ def test_edge_batches_report_singular_patch(whole):
         grad_u_exact=lambda pts: np.tile([1.0, 0.0, 0.0], (len(pts), 1)),
     )
     with pytest.raises(SingularMapError, match="patch 2 "):
-        measure_errors(space.function(), data)
+        measure_errors(space.function(np.zeros(space.total_dofs)), data)
