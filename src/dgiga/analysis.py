@@ -7,8 +7,8 @@ point: one pass per stack of patches sharing both knot vectors contracts
 u_h's coefficients with the 1D tables (sum factorisation, no basis table)
 on the (P, nu, nv) grid and yields the L2 and broken-gradient parts; only
 the reduced scalars are copied to element-major order, the sums' order.
-The energy error's jump terms, on every interior and Dirichlet edge, come
-from one ``tabulate_sides`` call, u_h by the same field route.
+The energy error's jump terms, on every interior and Dirichlet edge, read
+u_h on the edge layout the assembly uses (``assembly.edge_sides``).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import edge_alpha, interface_slots
-from .geometry import _dot, _elements, patch_stacks, tabulate_grid, tabulate_patches, tabulate_sides
+from .assembly import edge_alpha, edge_sides
+from .geometry import _dot, _elements, patch_stacks, tabulate_grid, tabulate_patches
 from .space import DiscreteFunction
 from .splines import breakpoints
 
@@ -59,21 +59,16 @@ def _energy_error(u_h: DiscreteFunction, h1: np.ndarray, data) -> float:
     squared jumps of the error u - u_h: of u_h on interior edges, of u_h - u
     on Dirichlet edges (the boundary data g_D does not enter)."""
     surface, delta = u_h.space.surface, data.delta
-    q = u_h.space.degree + 2
     total = sum(a * part for a, part in zip(surface.alpha, h1))
-    interior, dirichlet = surface.edges_of_kind("interior"), surface.edges_of_kind("dirichlet")
-    slots = interface_slots(interior) + [(*e.left, False) for e in dirichlet]
-    if slots:
-        coeffs = [u_h.patch_coeffs(pid) for pid in range(surface.num_patches)]
-        tab = tabulate_sides(surface.patches, slots, q, coeffs)
-        left, right = tab.starts[len(interior)], tab.starts[2 * len(interior)]
+    coeffs = [u_h.patch_coeffs(pid) for pid in range(surface.num_patches)]
+    sides = edge_sides(surface, u_h.space.degree + 2, coeffs)
+    if sides is not None:
+        tab, (L, R, D, _) = sides
         alpha, w, h = surface.alpha[tab.pid], tab.weights, tab.chords[:, None]
-        L, R = slice(0, left), slice(left, right)  # empty without interior edges
         jump = tab.field[L] - tab.field[R]
         a_gamma = edge_alpha(alpha[L], alpha[R])
         total += delta * float(np.sum(a_gamma * jump**2 * w[L] / h[L]))
-        if dirichlet:
-            D = slice(right, None)
+        if D.start < D.stop:
             u = data.u_exact(tab.points[:, D].reshape(3, -1).T)
             gap = tab.field[D] - np.asarray(u).reshape(w[D].shape)
             total += delta * float(np.sum(alpha[D] * gap**2 * w[D] / h[D]))

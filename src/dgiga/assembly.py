@@ -11,24 +11,23 @@ so its matrix is block-diagonal by patch, with the Kronecker pattern of two
 1D B-spline bands per block.  One accumulator serves the whole volume pass:
 the element matrices are summed straight into the CSR values of that
 pattern, and the element loads and basis integrals into each patch's slice
-of the vectors, by patch-local slots memoised per knot signature, with no
-global index array.  The edge terms are one pass: one ``tabulate_sides``
-call over every interior, Dirichlet and Neumann side, with the 2(p+1) trace
-functions of each side element.  Edge terms stay parametric: a normal
-derivative is grad^ phi . g^-1 J^T n, and the element matrices are batched
-matmuls over the edge points; their sums go into the volume's CSR, whose
-pattern the interface coupling extends, so the sparsity is fixed by the mesh
-and the edge list, never by values.  Entries accumulate in a fixed order so
-serial assembly is reproducible: a volume entry or load sums its patch's
-elements in element-lexicographic order, an edge entry in block order, and
-a system entry is its volume value plus its edge sum.
+of the vectors, by patch-local slots built once per knot signature in each
+call, with no global index array.  The edge terms are one pass over the one
+edge layout, ``edge_sides``, with the 2(p+1) trace functions of each side
+element, and stay parametric: a normal derivative is grad^ phi . g^-1 J^T n.
+Their element matrices are batched matmuls over the edge points; their sums
+go into the volume's CSR, whose pattern the interface coupling extends, so
+the sparsity is fixed by the mesh and the edge list, never by values.
+Entries accumulate in a fixed order so serial assembly is reproducible: a
+volume entry or load sums its patch's elements in element-lexicographic
+order, an edge entry in block order, and a system entry is its volume value
+plus its edge sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -106,10 +105,9 @@ def _band(kv: KnotVector):
     return first, lo, hi - lo + 1
 
 
-@lru_cache(maxsize=64)
 def _volume_pattern(basis_u: KnotVector, basis_v: KnotVector):
     """Patch-local CSR pattern of the volume stiffness, the slot of every
-    element-matrix entry and the functions of every element, memoised on the
+    element-matrix entry and the functions of every element, for one patch's
     knot vectors.
 
     The pattern is kron(band_v, band_u) in the k2-major DOF order, with sorted
@@ -117,7 +115,7 @@ def _volume_pattern(basis_u: KnotVector, basis_v: KnotVector):
     (c2 - lo_v[r2]) width_u[r1] + c1 - lo_u[r1].  ``slots`` (nel_u nel_v, m, m)
     and ``dofs`` (nel_u nel_v, m), the patch-local functions of each element
     window, follow the element and window order of ``_volume_blocks``.
-    Returns read-only (indptr, indices, slots, dofs).
+    Returns (indptr, indices, slots, dofs).
     """
     (fu, lo1, w1), (fv, lo2, w2) = _band(basis_u), _band(basis_v)
     n1, m1, m2 = basis_u.n, basis_u.degree + 1, basis_v.degree + 1
@@ -130,10 +128,7 @@ def _volume_pattern(basis_u: KnotVector, basis_v: KnotVector):
     cols = c2 * n1 + c1  # (nel_u, nel_v, 1, 1, m1, m2): the functions of each element
     indices = np.empty(indptr[-1], dtype=np.intp)
     indices[slots] = cols  # every pattern entry is some element's entry
-    slots, dofs = slots.reshape(-1, m1 * m2, m1 * m2), cols.reshape(-1, m1 * m2)
-    for a in (indptr, indices, slots, dofs):
-        a.flags.writeable = False
-    return indptr, indices, slots, dofs
+    return indptr, indices, slots.reshape(-1, m1 * m2, m1 * m2), cols.reshape(-1, m1 * m2)
 
 
 def _stack_sums(at: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
@@ -203,15 +198,17 @@ def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
 
     Every volume term is patch-local.  The matrix is block-diagonal by patch
     and is written straight into its CSR arrays: each patch block has the
-    memoised pattern of its knot vectors (``_volume_pattern``).  Each stack
-    of patches sharing them (``patch_stacks``) is tabulated once; one
-    bincount sums its element matrices into the CSR values and one its
-    load and integral rows into each patch's slice of the vectors.  Every
-    entry sums its patch's elements in element order, whatever the stacking.
+    pattern of its knot vectors (``_volume_pattern``, built once per knot
+    signature in the call).  Each stack of patches sharing them
+    (``patch_stacks``) is tabulated once; one bincount sums its element
+    matrices into the CSR values and one its load and integral rows into each
+    patch's slice of the vectors.  Every entry sums its patch's elements in
+    element order, whatever the stacking.
     """
     surface, n = space.surface, space.total_dofs
     vectors = np.zeros((2, n))  # load, basis integrals
-    patterns = [_volume_pattern(*_knot_key(patch.basis)) for patch in surface.patches]
+    built = {key: _volume_pattern(*key) for key in {_knot_key(p.basis) for p in surface.patches}}
+    patterns = [built[_knot_key(patch.basis)] for patch in surface.patches]
     starts = np.cumsum([0] + [indices.size for _, indices, _, _ in patterns])
     dtype = _index_dtype(max(n, starts[-1]))
     indptr, indices = np.zeros(n + 1, dtype), np.empty(starts[-1], dtype)
@@ -280,32 +277,41 @@ def interface_slots(edges) -> list:
     return [(*e.left, False) for e in edges] + [(*e.right, e.orientation_flip) for e in edges]
 
 
+def edge_sides(surface, q: int, coeffs=None, neumann: bool = False):
+    """The one edge layout, by one ``tabulate_sides`` call (``coeffs`` as there):
+    each interior edge's left side, then its right side with its flip, then the
+    Dirichlet sides and, with ``neumann``, the Neumann sides, in edge-list order.
+    Returns the tabulation and its (possibly empty) element ranges (L, R, D, N), or None."""
+    interior, dirichlet = surface.edges_of_kind("interior"), surface.edges_of_kind("dirichlet")
+    boundary = dirichlet + (surface.edges_of_kind("neumann") if neumann else [])
+    slots = interface_slots(interior) + [(*e.left, False) for e in boundary]
+    if not slots:
+        return None
+    tab, ni = tabulate_sides(surface.patches, slots, q, coeffs), len(interior)
+    cuts = tab.starts[[0, ni, 2 * ni, 2 * ni + len(dirichlet), len(slots)]]
+    return tab, tuple(slice(a, b) for a, b in zip(cuts[:-1], cuts[1:]))
+
+
 def _edge_terms(space: DgSpace, data: ProblemData):
     """Interior-edge terms, weak Dirichlet terms (matrix and load) and Neumann loads.
 
-    One ``tabulate_sides`` call covers every interior edge's left side, then
-    its right side, then the Dirichlet sides and, when g_N is given, the
-    Neumann sides, each in edge-list order.  ``_side_terms`` gives both sides
-    of an interior edge its left conormal, and the edge's penalty weight is the
-    arithmetic mean of the two diffusion coefficients.  The interior blocks
-    couple 4(p+1) trace functions, the Dirichlet blocks 2(p+1).  Returns the
-    keys r n + c and values of the element-matrix entries in block order, and
-    the load.  An entry between two functions with zero trace on the edge
-    element (exact Cox-de Boor zeros) is exactly 0.0 and is left out.
+    The sides are ``edge_sides``'s, the Neumann ones when g_N is given.
+    ``_side_terms`` gives both sides of an interior edge its left conormal,
+    and the edge's penalty weight is the arithmetic mean of the two diffusion
+    coefficients.  The interior blocks couple 4(p+1) trace functions, the
+    Dirichlet blocks 2(p+1).  Returns the keys r n + c and values of the
+    element-matrix entries in block order, and the load.  An entry between
+    two functions with zero trace on the edge element (exact Cox-de Boor
+    zeros) is exactly 0.0 and is left out.
     """
     surface, n = space.surface, space.total_dofs
-    interior, dirichlet = surface.edges_of_kind("interior"), surface.edges_of_kind("dirichlet")
-    neumann = surface.edges_of_kind("neumann") if data.g_N is not None else []
-    slots = interface_slots(interior) + [(*e.left, False) for e in dirichlet + neumann]
-    if not slots:
+    sides = edge_sides(surface, space.degree + 1, neumann=data.g_N is not None)
+    if sides is None:
         return np.empty(0, np.int64), np.empty(0), np.zeros(n)
-    tab = tabulate_sides(surface.patches, slots, space.degree + 1)
-    left, right, bnd = tab.starts[np.cumsum([len(interior), len(interior), len(dirichlet)])]
-    gidx, values, dn = _side_terms(space, tab, left, right)
+    tab, (L, R, D, N) = sides
+    gidx, values, dn = _side_terms(space, tab, L.stop, R.stop)
     alpha, w = surface.alpha[tab.pid][..., None], tab.weights
-    # Element ranges, each possibly empty: interior left, interior right, Dirichlet, Neumann.
-    L, R, D, N = slice(0, left), slice(left, right), slice(right, bnd), slice(bnd, None)
-    flux = 0.5 * alpha[:right] * dn[:right]
+    flux = 0.5 * alpha[: R.stop] * dn[: R.stop]
     pen = data.delta * edge_alpha(alpha[L, 0, 0], alpha[R, 0, 0]) / tab.chords[L]
     jump = np.concatenate([values[L], -values[R]], axis=-1)
     K_I = _sipg_blocks(np.concatenate([flux[L], flux[R]], axis=-1), jump, w[L], pen)
@@ -318,15 +324,15 @@ def _edge_terms(space: DgSpace, data: ProblemData):
         kept = traced[:, :, None] | traced[:, None, :]
         keys.append((dofs[:, :, None] * np.int64(n) + dofs[:, None, :])[kept])
         entries.append(K[kept])
-    load = np.zeros(gidx[right:].shape)  # Dirichlet, then Neumann elements
-    if dirichlet and data.g_D is not None:
+    load = np.zeros(gidx.shape)  # 0.0 on interior elements, which leaves every sum as it is
+    if D.start < D.stop and data.g_D is not None:
         gd = np.asarray(data.g_D(tab.points[:, D].reshape(3, -1).T), dtype=float)
         test = a_gamma * (pen[:, None, None] * values[D] - dn[D])
-        load[: bnd - right] = ((gd.reshape(w[D].shape) * w[D])[:, None] @ test)[:, 0]
-    if neumann:
+        load[D] = ((gd.reshape(w[D].shape) * w[D])[:, None] @ test)[:, 0]
+    if N.start < N.stop:
         gn = np.asarray(data.g_N(tab.points[:, N].reshape(3, -1).T), dtype=float)
-        load[bnd - right :] = ((gn.reshape(w[N].shape) * w[N])[:, None] @ values[N])[:, 0]
-    return np.concatenate(keys), np.concatenate(entries), _stack_sums(gidx[right:], n, load)
+        load[N] = ((gn.reshape(w[N].shape) * w[N])[:, None] @ values[N])[:, 0]
+    return np.concatenate(keys), np.concatenate(entries), _stack_sums(gidx, n, load)
 
 
 def assemble_system(space: DgSpace, data: ProblemData) -> SparseSystem:

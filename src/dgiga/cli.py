@@ -1,6 +1,6 @@
 """Command-line driver.
 
-    dgiga solve <geometry> --problem <name|exprs> [-p <deg>] --levels <n>
+    dgiga solve <geometry> --problem <name|exprs> --levels <n>
                 [--delta <v>] [--tol <v>] --out <dir>
     dgiga check <geometry>
 
@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="run a solve or refinement sweep")
+    solve = sub.add_parser("solve", help="run a refinement sweep at the geometry's degree")
     solve.add_argument("geometry", help="geometry file path")
     solve.add_argument(
         "--problem",
@@ -44,8 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="built-in spec (%s) or 'key=expr;...' with keys f,u,gD,gN,gx,gy,gz; "
         "in f, alpha is the patch's diffusion coefficient" % ", ".join(builtin_problems()),
     )
-    solve.add_argument("-p", "--degree", type=int, default=None,
-                       help="polynomial degree (default: from the geometry)")
     solve.add_argument("--levels", type=int, default=1, help="number of refinement levels")
     solve.add_argument("--delta", type=float, default=None, help="penalty override")
     solve.add_argument("--tol", type=float, default=1e-10, help="solver relative tolerance")
@@ -70,9 +68,7 @@ def _cmd_check(args) -> int:
 def _cmd_solve(args) -> int:
     data = parse_geometry(args.geometry)
     surface = data.surface()
-    degree = args.degree
-    if degree is None:
-        degree = surface.patches[0].degree[0]
+    degree = surface.patches[0].degree[0]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -100,8 +100,8 @@ def _knot_vector(parts: list[str], lineno: int) -> KnotVector:
 
 
 def parse_geometry(path) -> GeometryData:
-    """Parse a geometry file into patches, boundary tags and coefficients."""
-    with open(path, encoding="utf-8") as fh:
+    """Parse a geometry file (UTF-8, a leading BOM skipped) into patches, tags and alpha."""
+    with open(path, encoding="utf-8-sig") as fh:
         lines = fh.readlines()
 
     drafts: list[_PatchDraft] = []

@@ -63,6 +63,7 @@ __all__ = [
 
 SIDES = ("west", "east", "south", "north")
 
+MATCH_TOL = 1e-8  # largest distance at which two sides' traced curves coincide
 # Each side: (fixed axis, fixed value).
 _SIDE_DATA = {"west": (0, 0.0), "east": (0, 1.0), "south": (1, 0.0), "north": (1, 1.0)}
 # The component axes in front of each tabulated array's point axes (none if not named).
@@ -411,8 +412,7 @@ def tabulate_sides(patches: list[NurbsPatch], slots, q: int, coeffs=None) -> Sid
     if not slots:
         raise ValueError("tabulate_sides needs at least one slot")
     pid, side, flip = (np.array(c) for c in zip(*slots))
-    axis = np.isin(side, ("south", "north")).astype(int)
-    f = np.isin(side, ("east", "north")).astype(int)
+    axis, f = np.array([_SIDE_DATA[s] for s in side], dtype=int).T
     # Group keys from one knot-signature id per patch, computed once per call.
     signatures: dict = {}
     sig = np.array([signatures.setdefault(_knot_key(p.basis), len(signatures)) for p in patches])
@@ -501,12 +501,11 @@ def match_interfaces(
     patches: list[NurbsPatch],
     tags: dict[tuple[int, str], str] | None = None,
     alpha=None,
-    tol: float = 1e-8,
 ) -> MultiPatchSurface:
     """Pair patch sides into interior edges and classify the rest by tag.
 
     Sides are paired when their traced physical curves coincide at 5 sample
-    parameters within ``tol`` (both orientations are tried).  Remaining
+    parameters within MATCH_TOL (both orientations are tried).  Remaining
     sides must carry a ``dirichlet`` or ``neumann`` tag; an untagged side
     whose curve matches nothing raises TopologyError.  Paired sides must
     have equal knot vectors up to orientation reversal (matching meshes),
@@ -523,9 +522,9 @@ def match_interfaces(
             raise TopologyError(f"unknown boundary tag {tag!r}")
 
     # The t = 1/2 sample is the same in both orientations, and a pair that
-    # matches within tol has midpoints within tol in x; only sides in that
-    # window are compared.  The window is widened to 2*tol so rounding in its
-    # bounds never drops a candidate; the 5-sample test decides.
+    # matches within MATCH_TOL has midpoints within MATCH_TOL in x; only sides
+    # in that window are compared.  The window is widened to 2*MATCH_TOL so
+    # rounding in its bounds never drops a candidate; the 5-sample test decides.
     ts = np.linspace(0.0, 1.0, 5)
     all_sides = [(p.id, side) for p in patches for side in SIDES]
     samples = np.empty((len(patches), 2, 2, ts.size, 3))  # in SIDES order per patch
@@ -536,8 +535,8 @@ def match_interfaces(
     samples = samples.reshape(len(all_sides), ts.size, 3)
     mid_x = samples[:, ts.size // 2, 0]
     order = np.argsort(mid_x, kind="stable")
-    lo = np.searchsorted(mid_x[order], mid_x - 2.0 * tol, side="left")
-    hi = np.searchsorted(mid_x[order], mid_x + 2.0 * tol, side="right")
+    lo = np.searchsorted(mid_x[order], mid_x - 2.0 * MATCH_TOL, side="left")
+    hi = np.searchsorted(mid_x[order], mid_x + 2.0 * MATCH_TOL, side="right")
     partner: dict[tuple[int, str], tuple[tuple[int, str], bool]] = {}
 
     for a, sa in enumerate(all_sides):
@@ -550,7 +549,7 @@ def match_interfaces(
         reversed_ = np.max(np.linalg.norm(A - B[:, ::-1], axis=2), axis=1)
         for b, st, rv in zip(cand, straight, reversed_):
             sb = all_sides[b]
-            if sb in partner or min(st, rv) > tol:
+            if sb in partner or min(st, rv) > MATCH_TOL:
                 continue
             if sa in partner:
                 raise TopologyError(f"side {sb} matches more than one side")

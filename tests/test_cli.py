@@ -27,8 +27,6 @@ def test_solve_writes_expected_artifacts(tmp_path, capsys):
             str(data_path("square4.g")),
             "--problem",
             "plane_sine",
-            "-p",
-            "1",
             "--levels",
             "2",
             "--out",
@@ -73,23 +71,32 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_degree_flag_checked_against_geometry(tmp_path, capsys):
-    rc = main(
-        [
-            "solve",
-            str(data_path("square4.g")),
-            "--problem",
-            "plane_sine",
-            "-p",
-            "3",
-            "--levels",
-            "1",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert rc == EXIT_PARSE
-    assert "degree" in capsys.readouterr().err
+DEGREE_1_2 = """patch 0
+knots_u 1 0 0 1 1
+knots_v 2 0 0 0 1 1 1
+cp 0 0 0 1
+cp 1 0 0 1
+cp 0 0.5 0 1
+cp 1 0.5 0 1
+cp 0 1 0 1
+cp 1 1 0 1
+tag 0 west dirichlet
+tag 0 east dirichlet
+tag 0 south dirichlet
+tag 0 north dirichlet
+"""
+
+
+def test_patch_of_unequal_degrees_exit_code(tmp_path, capsys):
+    """The degree is the geometry's, and a patch of degree (1, 2) is not (p, p)."""
+    path = tmp_path / "p12.g"
+    path.write_text(DEGREE_1_2, encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    argv = ["solve", str(path), "--problem", "plane_sine", "--levels", "1",
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_PARSE
+    assert "degree (1, 2)" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "rates.csv").exists()
 
 
 def test_expression_problem_runs(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dgiga.cli import data_path
+from dgiga.cli import data_path, main
 from dgiga.geofile import ParseError, parse_geometry, serialize_geometry
 from dgiga.geometry import tabulate_grid
 
@@ -41,6 +41,17 @@ def test_round_trip(tmp_path, name):
         np.testing.assert_array_equal(a.basis.basis_u.knots, b.basis.basis_u.knots)
         np.testing.assert_array_equal(a.basis.basis_v.knots, b.basis.basis_v.knots)
     assert serialize_geometry(again) == text
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    """A UTF-8 file that starts with a byte-order mark parses like the same file without."""
+    path = tmp_path / "bom.g"
+    path.write_bytes(b"\xef\xbb\xbf" + data_path("square4.g").read_bytes())
+    data, again = parse_geometry(data_path("square4.g")), parse_geometry(path)
+    assert again.tags == data.tags
+    np.testing.assert_array_equal(again.alpha, data.alpha)
+    assert serialize_geometry(again) == serialize_geometry(data)  # knots, weights, points
+    assert main(["check", str(path)]) == 0
 
 
 def write(tmp_path, text):

@@ -17,6 +17,7 @@ from dgiga.geometries import (
     square_grid,
 )
 from dgiga.geometry import (
+    MATCH_TOL,
     SIDES,
     InterfaceEdge,
     MultiPatchSurface,
@@ -524,7 +525,7 @@ def test_three_coincident_sides_raise():
 
 @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0)])
 def test_neighbour_shifted_by_twice_tol_does_not_pair(direction):
-    tol = 1e-8
+    tol = MATCH_TOL
     outer = {(0, s): "dirichlet" for s in ("west", "south", "north")}
     outer.update({(1, s): "dirichlet" for s in ("east", "south", "north")})
 
@@ -532,9 +533,9 @@ def test_neighbour_shifted_by_twice_tol_does_not_pair(direction):
         origin = (1.0 + shift * direction[0], shift * direction[1])
         return [planar_rectangle_patch(2, pid=0), planar_rectangle_patch(2, origin=origin, pid=1)]
 
-    close = match_interfaces(pair(0.5 * tol), outer, tol=tol)
+    close = match_interfaces(pair(0.5 * tol), outer)
     assert len(close.edges_of_kind("interior")) == 1
     with pytest.raises(TopologyError, match=r"side \(0, 'east'\) matches no neighbor"):
-        match_interfaces(pair(2.0 * tol), outer, tol=tol)
+        match_interfaces(pair(2.0 * tol), outer)
     apart = {**outer, (0, "east"): "neumann", (1, "west"): "neumann"}
-    assert match_interfaces(pair(2.0 * tol), apart, tol=tol).edges_of_kind("interior") == []
+    assert match_interfaces(pair(2.0 * tol), apart).edges_of_kind("interior") == []

@@ -1,7 +1,7 @@
 """The volume stiffness is written straight into CSR.
 
-Each patch block takes the memoised Kronecker pattern of its knot vectors,
-and each stack's element matrices are summed into its values in element
+Each patch block takes the Kronecker pattern of its knot vectors, built once
+per knot signature in each call, and each stack's element matrices are summed into its values in element
 order.  The result must have the pattern of the COO route (every element
 matrix expanded to global entries, then sorted and summed by the oracle
 ``coo_csr``) and
@@ -73,15 +73,21 @@ def test_volume_csr_matches_the_coo_route(name):
         surface = refine_surface(surface)
 
 
-def test_volume_pattern_is_memoised_per_knot_signature():
+def test_volume_pattern_is_memoised_per_knot_signature(monkeypatch):
+    """One pattern build per knot signature in each call, none kept between calls."""
     surface = seeded_grid(7, 4)  # two knot signatures: u and reversed u
-    dgiga.assembly._volume_pattern.cache_clear()
-    assemble_volume(build_space(surface, 2), DATA)
-    info = dgiga.assembly._volume_pattern.cache_info()
-    assert info.misses == 2 and info.hits == surface.num_patches - 2
-    pattern = dgiga.assembly._volume_pattern(*_knot_key(surface.patches[0].basis))
-    assert len(pattern) == 4  # indptr, indices, slots, dofs
-    assert not any(a.flags.writeable for a in pattern)
+    space, real, builds = build_space(surface, 2), dgiga.assembly._volume_pattern, []
+
+    def counted(basis_u, basis_v):
+        builds.append((basis_u, basis_v))
+        return real(basis_u, basis_v)
+
+    monkeypatch.setattr(dgiga.assembly, "_volume_pattern", counted)
+    for _ in range(2):
+        builds.clear()
+        assemble_volume(space, DATA)
+        assert len(builds) == 2
+        assert set(builds) == {_knot_key(patch.basis) for patch in surface.patches}
 
 
 def test_volume_assembly_memory_is_a_few_matrices():
@@ -89,8 +95,7 @@ def test_volume_assembly_memory_is_a_few_matrices():
     for _ in range(4):
         surface = refine_surface(surface)
     space = build_space(surface, 3)
-    # Cold caches: the pattern and the 1D tables are built inside the call.
-    dgiga.assembly._volume_pattern.cache_clear()
+    # Cold 1D tables; the pattern is always built inside the call.
     dgiga.splines._tabulate_cached.cache_clear()
     tracemalloc.start()
     try:
