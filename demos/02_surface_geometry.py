@@ -13,11 +13,11 @@ Jacobian (3, 2, ...), conormals (3, ...).
 import numpy as np
 
 from dgiga.assembly import interface_slots
-from dgiga.geometries import quarter_cylinder_grid, quarter_cylinder_patch, square_grid
+from dgiga.geometries import quarter_cylinder_grid, square_grid
 from dgiga.geometry import tabulate_grid, tabulate_sides
 
-# One patch covering the full 90-degree arc; the classic weights.
-patch = quarter_cylinder_patch(2)
+# One patch covering the full 90-degree arc (a 1 x 1 grid); the classic weights.
+patch = quarter_cylinder_grid(2, 1, 1).patches[0]
 print("arc weights:", patch.basis.weights[:, 0])
 mid = tabulate_grid([patch], [0.5], [0.5])
 print("midpoint of the patch:", mid.points.reshape(3), "(45 degrees, half height)")

@@ -20,8 +20,8 @@ for _ in range(3):
 problem = make_problem("plane_sine", surface, degree=2)
 print("penalty parameter:", problem.delta)
 
-u_h, report, space = solve_problem(surface, 2, problem)
-print(f"{space.total_dofs} DOFs, CG converged in {report.iterations} iterations "
+u_h, report = solve_problem(surface, 2, problem)  # u_h.space: the DG space
+print(f"{u_h.space.total_dofs} DOFs, CG converged in {report.iterations} iterations "
       f"(relative residual {report.final_relative_residual:.2e})")
 
 errors = measure_errors(u_h, problem)

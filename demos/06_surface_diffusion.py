@@ -55,13 +55,13 @@ def grad_exact(pts):
 problem = ProblemData(
     f=lambda pid, pts: pts[:, 0],  # -Laplace_surface(cos theta) = cos theta
     g_N=lambda pts: np.zeros(len(pts)),
-    delta=default_penalty(2),
+    delta=default_penalty(2),  # required: the coercive range grows with p
     u_exact=u_exact,
     grad_u_exact=grad_exact,
 )
-u_h, report, space = solve_problem(surface, 2, problem)
+u_h, report = solve_problem(surface, 2, problem)
 errors = measure_errors(u_h, problem)
-print(f"  {space.total_dofs} DOFs, CG iterations {report.iterations}")
-m = assemble_volume(space, problem).basis_integrals  # m_i = integral of basis function i
+print(f"  {u_h.space.total_dofs} DOFs, CG iterations {report.iterations}")
+m = assemble_volume(u_h.space, problem).basis_integrals  # m_i = integral of basis function i
 print(f"  integral of u_h over the surface: {m @ u_h.coefficients:.2e} (fixed to zero)")
 print(f"  L2 error {errors.l2_error:.4e}, DG error {errors.dg_error:.4e}")

@@ -26,7 +26,6 @@ from dgiga.driver import run_sweep, sample_solution
 from dgiga.geometries import full_cylinder, planar_rectangle_patch, quarter_cylinder_grid, square_grid
 from dgiga.geometry import NurbsPatch, match_interfaces
 from dgiga.problems import make_problem
-from dgiga.space import build_space
 from dgiga.splines import KnotVector, NurbsBasis2D
 
 
@@ -72,8 +71,8 @@ def digests(name: str) -> list[tuple[str, str]]:
                                levels)
     out = [("rates.csv", sha(table.to_csv().encode()))]
     out += [(f"solution_L{r.level}.csv", sha(sample_solution(r).encode())) for r in results]
-    surface = results[-1].surface
-    system = assemble_system(build_space(surface, p), make_problem(problem, surface, p))
+    space = results[-1].solution.space
+    system = assemble_system(space, make_problem(problem, space.surface, p))
     A = system.matrix
     arrays = {"data": A.data, "indices": A.indices, "indptr": A.indptr, "rhs": system.rhs}
     return out + [(key, sha(np.ascontiguousarray(a).tobytes())) for key, a in arrays.items()]

@@ -54,19 +54,20 @@ def default_penalty(p: int) -> float:
     return 2.0 * (p + 2) * (p + 1)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ProblemData:
     """Problem data: source, boundary data, penalty, optional exact solution.
 
     ``f`` is called once per stack of patches as f(patch_ids, points), with
     points (N, 3) and each point's patch id (N,); boundary data and the
     exact solution take only the points.  Missing callables are zero data.
+    ``delta`` has no default: the coercive range grows with p (``default_penalty``).
     """
 
     f: Callable | None = None
     g_D: Callable | None = None
     g_N: Callable | None = None
-    delta: float = 12.0
+    delta: float
     u_exact: Callable | None = None
     grad_u_exact: Callable | None = None
 
@@ -87,7 +88,7 @@ class SparseSystem:
 
     matrix: sp.csr_array
     rhs: np.ndarray
-    basis_integrals: np.ndarray | None = None
+    basis_integrals: np.ndarray | None
 
 
 def _index_dtype(n: int):

@@ -16,7 +16,7 @@ from .analysis import ErrorReport, RateTable, measure_errors, rate_table, surfac
 from .assembly import ProblemData, assemble_system, default_penalty
 from .geometry import MultiPatchSurface, patch_stacks, refine_surface, tabulate_grid
 from .linalg import SolveReport, cg_solve
-from .space import DgSpace, DiscreteFunction, build_space, prolong
+from .space import DiscreteFunction, build_space, prolong
 
 __all__ = ["SolverFailure", "LevelResult", "solve_problem", "run_sweep"]
 
@@ -38,13 +38,13 @@ def solve_problem(
     data: ProblemData,
     tol: float = 1e-10,
     x0: np.ndarray | None = None,
-) -> tuple[DiscreteFunction, SolveReport, DgSpace]:
+) -> tuple[DiscreteFunction, SolveReport]:
     """Assemble and solve one discrete problem on the given surface.
 
     CG starts from the coefficient vector ``x0`` (zeros when None).
     Pure-Neumann problems (no Dirichlet edge anywhere) are solved in the
     complement of the constant nullspace, and the solution is shifted to
-    zero integral mean over the surface.
+    zero integral mean over the surface.  The space is ``u_h.space``.
     """
     space = build_space(surface, p)
     system = assemble_system(space, data)
@@ -53,13 +53,14 @@ def solve_problem(
     )
     if not report.converged:
         raise SolverFailure(report)
-    return space.function(x), report, space
+    return space.function(x), report
 
 
 @dataclass
 class LevelResult:
+    """One level of a sweep; its surface is ``solution.space.surface``."""
+
     level: int
-    surface: MultiPatchSurface
     solution: DiscreteFunction
     errors: ErrorReport
     solve_report: SolveReport
@@ -93,12 +94,13 @@ def run_sweep(
             current = refine_surface(current)
             x0 = prolong(results[-1].solution)
         data = problem_factory(current, delta)
-        u_h, report, space = solve_problem(current, p, data, tol=tol, x0=x0)
+        u_h, report = solve_problem(current, p, data, tol=tol, x0=x0)
         if data.u_exact is not None:
             errors = measure_errors(u_h, data)
         else:
-            errors = ErrorReport(math.nan, math.nan, space.total_dofs, surface_h_max(current), [])
-        result = LevelResult(level, current, u_h, errors, report)
+            h_max = surface_h_max(current)
+            errors = ErrorReport(math.nan, math.nan, u_h.space.total_dofs, h_max, [])
+        result = LevelResult(level, u_h, errors, report)
         results.append(result)
         if collect is not None:
             collect(result)
@@ -108,7 +110,7 @@ def run_sweep(
 def sample_solution(result: LevelResult) -> str:
     """CSV sample of the solution on a uniform 10 x 10 parametric grid of each patch."""
     ts = np.linspace(0.0, 1.0, 10)
-    n, patches, u_h = ts.size, result.surface.patches, result.solution
+    n, patches, u_h = ts.size, result.solution.space.surface.patches, result.solution
     # x, y, z, uh per (patch, xi1, xi2); one row per (patch, xi2, xi1), led by patch, xi1, xi2.
     values = np.empty((4, len(patches), n, n))
     for stack in patch_stacks(patches):

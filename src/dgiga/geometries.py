@@ -18,7 +18,6 @@ from .splines import KnotVector, NurbsBasis2D, greville, insert_knots
 __all__ = [
     "planar_rectangle_patch",
     "square_grid",
-    "quarter_cylinder_patch",
     "quarter_cylinder_grid",
     "full_cylinder",
 ]
@@ -139,25 +138,15 @@ def _cylinder_patch(p: int, arc, z0: float, z1: float, radius: float, pid: int) 
     return NurbsPatch(NurbsBasis2D(kv, kv, weights), cp, pid)
 
 
-def quarter_cylinder_patch(
-    p: int = 2, radius: float = 1.0, height: float = 1.0, pid: int = 0
-) -> NurbsPatch:
-    """Single patch: exact quarter circle (opening pi/2) times [0, height].
-
-    At p=2 the arc carries the classic weights (1, sqrt(2)/2, 1).
-    """
-    (arc,) = _arc_segments(0.0, np.pi / 2, p, 1)
-    return _cylinder_patch(p, arc, 0.0, height, radius, pid)
-
-
 def quarter_cylinder_grid(
-    p: int = 2, n_theta: int = 2, n_z: int = 2, bc: str = "dirichlet", alpha=None,
-    radius: float = 1.0, height: float = 1.0,
+    p: int, n_theta: int = 2, n_z: int = 2, radius: float = 1.0, height: float = 1.0
 ) -> MultiPatchSurface:
-    """Quarter cylinder split into an n_theta-by-n_z patch grid.
+    """Quarter cylinder split into an n_theta-by-n_z patch grid, Dirichlet all round.
 
     The arc segments come from splitting the single exact quarter-circle
-    conic, so every patch lies on the circle to machine precision.
+    conic, so every patch lies on the circle to machine precision.  With
+    n_theta = n_z = 1 it is one patch, whose p = 2 arc carries the classic
+    weights (1, sqrt(2)/2, 1).
     """
     arcs = _arc_segments(0.0, np.pi / 2, p, n_theta)
     patches = [
@@ -166,20 +155,20 @@ def quarter_cylinder_grid(
         for j in range(n_z)
         for i in range(n_theta)
     ]
-    return match_interfaces(patches, _outer_tags(n_theta, n_z, bc), alpha)
+    return match_interfaces(patches, _outer_tags(n_theta, n_z, "dirichlet"))
 
 
 def full_cylinder(
-    p: int = 2, n_z: int = 1, bc: str = "neumann", radius: float = 1.0, height: float = 1.0
+    p: int, n_z: int = 1, bc: str = "neumann", radius: float = 1.0
 ) -> MultiPatchSurface:
-    """Cylinder closed in the angular direction (four 90-degree patch columns).
+    """Unit-height cylinder closed in the angular direction (four 90-degree patch columns).
 
     Only the two rim circles remain as boundary; with Neumann tags there
     this is a pure-Neumann problem on a closed-in-angle surface.
     """
     arcs = [_arc_segments(i * np.pi / 2, (i + 1) * np.pi / 2, p, 1)[0] for i in range(4)]
     patches = [
-        _cylinder_patch(p, arcs[i], height * j / n_z, height * (j + 1) / n_z, radius, j * 4 + i)
+        _cylinder_patch(p, arcs[i], j / n_z, (j + 1) / n_z, radius, j * 4 + i)
         for j in range(n_z)
         for i in range(4)
     ]

@@ -23,9 +23,9 @@ points of many patch sides with one ``_side_grid`` call per (fixed axis,
 knot vectors) group, which covers both opposite sides of each patch
 ({0, 1} x ts or ts x {0, 1}), and writes each group's elements straight to
 their slot-order rows, each flipped slot reversed.  A side element carries
-only its trace window of 2(p+1) functions.  Conormal and edge speed come
-from the kernel's J and g^-1, without cross products.
-``match_interfaces`` takes its side samples through the same call.
+only its trace window of 2(p+1) functions, or a field's values alone.
+Conormal and edge speed come from the kernel's J and g^-1, without cross
+products.  ``match_interfaces`` takes its side samples through the same call.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class NurbsPatch:
 
     basis: NurbsBasis2D
     control_points: np.ndarray
-    id: int = 0
+    id: int
 
     def __post_init__(self):
         object.__setattr__(
@@ -371,7 +371,7 @@ def _side_pass(patches, pid, axis: int, f, flip, bp, q: int, coeffs) -> dict:
     j = np.where(flip[:, None], np.arange(n)[::-1], np.arange(n))
     at = (base + j * sj).reshape(-1, q)
     out = {}
-    for name in ("points", "jacobian", "inv_metric", "sqrt_det_g", "field", "field_grad"):
+    for name in ("points", "jacobian", "inv_metric", "sqrt_det_g", "field"):
         a = getattr(grid, name)
         if a is not None:
             out[name] = a.reshape(*a.shape[: a.ndim - 3], -1)[..., at]
@@ -406,8 +406,8 @@ def tabulate_sides(patches: list[NurbsPatch], slots, q: int, coeffs=None) -> Sid
     sides share the fixed axis and whose patches share both knot vectors
     form a group: one ``_side_grid`` call covers both opposite sides of its
     patches, and its rows go straight to their slot-order positions.
-    ``coeffs``, one (n1, n2) coefficient grid per patch, gives the field and
-    its parametric gradient instead of the basis.
+    ``coeffs``, one (n1, n2) coefficient grid per patch, gives the field
+    values instead of the basis.
     """
     if not slots:
         raise ValueError("tabulate_sides needs at least one slot")
@@ -477,15 +477,15 @@ class MultiPatchSurface:
     def has_dirichlet(self) -> bool:
         return any(e.kind == "dirichlet" for e in self.edges)
 
-    def area(self, q: int = 4) -> float:
+    def area(self, q: int) -> float:
         return sum(float(np.sum(tabulate_patches([p], q).weights)) for p in self.patches)
 
 
-def _knots_match(kv_a: KnotVector, kv_b: KnotVector, flip: bool, tol: float = 1e-12) -> bool:
+def _knots_match(kv_a: KnotVector, kv_b: KnotVector, flip: bool) -> bool:
     if kv_a.degree != kv_b.degree or kv_a.n != kv_b.n:
         return False
     kb = kv_b.knots if not flip else 1.0 - kv_b.knots[::-1]
-    return bool(np.max(np.abs(kv_a.knots - kb)) <= tol)
+    return bool(np.max(np.abs(kv_a.knots - kb)) <= 1e-12)
 
 
 def _check_matching_mesh(patches: list[NurbsPatch], left, right, flip: bool) -> None:

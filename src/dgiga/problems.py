@@ -1,13 +1,13 @@
 """Manufactured problems, stated as expression specs.
 
 A spec is ``key=expr`` terms joined by ``;``, with keys f, u, gD, gN and the
-gradient components gx, gy, gz, each at most once.  Expressions use a small
-arithmetic language: +, -, *, /, ^, sin, cos, exp, atan2, pi and the
-coordinates x, y, z; in f also ``alpha``, the diffusion coefficient of the
-patch the point lies on.  The built-in cases are named specs that pair an
-exact solution with its source f = alpha (-Delta u), so every solve can be
-checked against it.  A value that comes out NaN or +-inf raises ValueError
-naming its expression.
+gradient components gx, gy, gz (all three or none), each at most once.
+Expressions use a small arithmetic language: +, -, *, /, ^, sin, cos, exp,
+atan2, pi and the coordinates x, y, z; in f also ``alpha``, the diffusion
+coefficient of the patch the point lies on.  The built-in cases are named
+specs that pair an exact solution with its source f = alpha (-Delta u), so
+every solve can be checked against it.  A value that comes out NaN or +-inf
+raises ValueError naming its expression.
 """
 
 from __future__ import annotations
@@ -147,7 +147,10 @@ def _expression_problem(spec: str, surface, delta: float) -> ProblemData:
 
     u, f_field = fields.get("u"), fields.get("f")
     g = [fields.get(k) for k in ("gx", "gy", "gz")]
-    grad = (lambda pts: np.stack([gi(pts) for gi in g], axis=1)) if all(g) else None
+    missing = [k for k, gi in zip(("gx", "gy", "gz"), g) if gi is None]
+    if 0 < len(missing) < 3:
+        raise ValueError(f"the exact gradient needs gx, gy and gz; missing {', '.join(missing)}")
+    grad = (lambda pts: np.stack([gi(pts) for gi in g], axis=1)) if not missing else None
     f = (lambda pid, pts: f_field(pts, alpha=surface.alpha[pid])) if f_field else None
     return ProblemData(f=f, g_D=fields.get("gD", u), g_N=fields.get("gN"), delta=delta,
                        u_exact=u, grad_u_exact=grad)

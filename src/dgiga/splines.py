@@ -45,10 +45,16 @@ class KnotVector:
             raise ValueError("knot vector needs at least 2*(degree+1) entries")
         if np.any(np.diff(U) < 0):
             raise ValueError("knots must be non-decreasing")
-        if not (np.all(U[: p + 1] == U[0]) and np.all(U[-(p + 1):] == U[-1])):
-            raise ValueError("knot vector must be open (end knots repeated degree+1 times)")
+        knots, counts = np.unique(U, return_counts=True)
+        if counts[0] != p + 1 or counts[-1] != p + 1:
+            raise ValueError("knot vector must be open (end knots repeated exactly degree+1 times)")
         if U[0] != 0.0 or U[-1] != 1.0:
             raise ValueError("knot vector must span [0, 1]")
+        # Above the degree it splits the patch into parts that no term couples.
+        if np.any(counts[1:-1] > p):
+            k = 1 + int(np.argmax(counts[1:-1] > p))
+            raise ValueError(f"interior knot {float(knots[k])} has multiplicity {counts[k]}, "
+                             f"above the degree {p}")
         object.__setattr__(self, "_bytes", U.tobytes())
 
     @property
@@ -184,22 +190,20 @@ def insert_knots(kv: KnotVector, new_knots) -> tuple[KnotVector, np.ndarray]:
     control-point refinement matrix.
 
     Applying the matrix to (weighted) control points reproduces the
-    original geometry exactly.  Raises ValueError if any resulting knot
-    multiplicity would exceed the degree.
+    original geometry exactly.  Raises ValueError, as ``KnotVector`` does,
+    if any resulting knot multiplicity would exceed the degree.
     """
     new_knots = np.sort(np.asarray(new_knots, dtype=float))
     if new_knots.size and (new_knots[0] <= 0.0 or new_knots[-1] >= 1.0):
         raise ValueError("new knots must lie strictly inside (0, 1)")
     p = kv.degree
+    refined = KnotVector(p, np.sort(np.concatenate([kv.knots, new_knots])))
     U = kv.knots.copy()
     T = np.eye(kv.n)
     for u in new_knots:
-        mult = int(np.count_nonzero(U == u))
-        if mult + 1 > p:
-            raise ValueError(f"multiplicity of knot {u} would exceed degree {p}")
         U, T1 = _single_insertion_matrix(U, p, float(u))
         T = T1 @ T
-    return KnotVector(p, U), T
+    return refined, T
 
 
 @lru_cache(maxsize=256)

@@ -24,7 +24,7 @@ def zero3(pts):
 
 def l2_of(u_h, u_exact):
     # square_grid surfaces carry Dirichlet tags, so no mean is subtracted.
-    return measure_errors(u_h, ProblemData(u_exact=u_exact)).l2_error
+    return measure_errors(u_h, ProblemData(u_exact=u_exact, delta=12.0)).l2_error
 
 
 def test_l2_error_of_space_member_is_tiny():
@@ -81,7 +81,7 @@ def test_dg_error_is_weighted_h1_seminorm_without_edges(rng):
     space = build_space(surface, 1)
     u_h = space.function(rng.normal(size=space.total_dofs))
     dg = measure_errors(u_h, ProblemData(delta=12.0, u_exact=zero, grad_u_exact=zero3)).dg_error
-    K = assemble_volume(space, ProblemData()).matrix
+    K = assemble_volume(space, ProblemData(delta=12.0)).matrix
     energy = float(u_h.coefficients @ (K @ u_h.coefficients))
     assert dg**2 == pytest.approx(energy, rel=1e-12)
 
@@ -151,7 +151,7 @@ def test_h_max_and_report_fields(planar_sweep):
     table, results = planar_sweep(2, 3)
     final = results[-1]
     assert final.errors.dofs == final.solution.space.total_dofs
-    assert final.errors.h_max == pytest.approx(surface_h_max(final.surface))
+    assert final.errors.h_max == pytest.approx(surface_h_max(final.solution.space.surface))
     assert len(final.errors.per_patch) == 4
     total_from_patches = math.sqrt(sum(e**2 for e in final.errors.per_patch))
     assert total_from_patches == pytest.approx(final.errors.l2_error, rel=1e-10)
@@ -173,7 +173,7 @@ def test_l2_quadrature_is_not_masking(planar_sweep):
     # by ~16% at p=2.
     _, results = planar_sweep(2, 5)
     final = results[-1]
-    data = make_problem("plane_sine", final.surface, 2)
+    data = make_problem("plane_sine", final.solution.space.surface, 2)
     reported = measure_errors(final.solution, data).l2_error
     assert reported == pytest.approx(l2_error_at(final.solution, data.u_exact, 4), rel=1e-12)
     refined = l2_error_at(final.solution, data.u_exact, 6)

@@ -99,6 +99,43 @@ def test_patch_of_unequal_degrees_exit_code(tmp_path, capsys):
     assert not (tmp_path / "run" / "rates.csv").exists()
 
 
+def repeated_knot_square(multiplicity: int) -> str:
+    """One p = 2 patch on the unit square, every side Dirichlet, with the knot 0.5 of
+    the given multiplicity in both directions and control points at the Greville points."""
+    knots = [0.0] * 3 + [0.5] * multiplicity + [1.0] * 3
+    g = [(a + b) / 2 for a, b in zip(knots[1:-2], knots[2:-1])]
+    lines = ["patch 0", *(f"knots_{d} 2 " + " ".join(map(str, knots)) for d in "uv")]
+    lines += [f"cp {x} {y} 0 1" for y in g for x in g]
+    lines += [f"tag 0 {side} dirichlet" for side in ("west", "east", "south", "north")]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("multiplicity", [3, 4], ids=["degree_plus_1", "degree_plus_2"])
+def test_interior_knot_above_the_degree_exit_code(tmp_path, capsys, multiplicity):
+    """With multiplicity 3 the knot acted as a Neumann wall: exit 0 and L2 errors of
+    0.1722, 0.1711, 0.1711 (rate 0.00).  With 4 the assembly's np.repeat crashed."""
+    path = tmp_path / "knot.g"
+    path.write_text(repeated_knot_square(multiplicity), encoding="utf-8")
+    spec = ("u=exp(x)*sin(pi*y); f=(pi^2-1)*exp(x)*sin(pi*y); "
+            "gx=exp(x)*sin(pi*y); gy=pi*exp(x)*cos(pi*y); gz=0")
+    argv = ["solve", str(path), "--problem", spec, "--levels", "3", "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_PARSE
+    assert f"line 2: invalid knot vector: interior knot 0.5 has multiplicity {multiplicity}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "run" / "rates.csv").exists()
+
+
+def test_partial_exact_gradient_exit_code(tmp_path, capsys):
+    """gx and gy without gz used to print dg=nan, leave the dg columns empty and exit 0."""
+    spec = ("u=sin(pi*x)*sin(pi*y); f=2*pi^2*sin(pi*x)*sin(pi*y); "
+            "gx=pi*cos(pi*x)*sin(pi*y); gy=pi*sin(pi*x)*cos(pi*y)")
+    argv = ["solve", str(data_path("square4_p2.g")), "--problem", spec, "--levels", "1",
+            "--out", str(tmp_path)]
+    assert main(argv) == EXIT_PARSE
+    assert "the exact gradient needs gx, gy and gz; missing gz" in capsys.readouterr().err
+    assert not (tmp_path / "rates.csv").exists()
+
+
 def test_expression_problem_runs(tmp_path):
     rc = main(
         [

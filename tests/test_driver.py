@@ -12,7 +12,6 @@ from dgiga.geometries import full_cylinder, square_grid
 from dgiga.geometry import NurbsPatch, match_interfaces, refine_surface
 from dgiga.linalg import cg_solve
 from dgiga.problems import make_problem
-from dgiga.space import build_space
 from dgiga.splines import KnotVector, NurbsBasis2D, greville
 
 
@@ -71,7 +70,7 @@ def test_pure_neumann_on_closed_angular_cylinder():
         u_exact=u,
         grad_u_exact=grad,
     )
-    u_h, report, space = solve_problem(surface, 2, data)
+    u_h, report = solve_problem(surface, 2, data)
     assert report.converged
     assert abs(u_h.coefficients.sum()) <= 1e-9
     errors = measure_errors(u_h, data)
@@ -95,9 +94,9 @@ def test_pure_neumann_solution_has_zero_integral_mean_on_graded_mesh():
         surface, 2, lambda s, d: make_problem("plane_cosine", s, 2, d), levels=4
     )
     assert table.rows[-1].l2_rate >= 2 + 1 - 0.3
-    one = ProblemData(f=lambda pid, pts: np.ones(len(pts)))
+    one = ProblemData(f=lambda pid, pts: np.ones(len(pts)), delta=12.0)
     for r in results:
-        m = assemble_volume(build_space(r.surface, 2), one).rhs  # m_i = int phi_i
+        m = assemble_volume(r.solution.space, one).rhs  # m_i = int phi_i
         x = r.solution.coefficients
         assert abs(m @ x) <= 1e-12 * np.linalg.norm(m) * np.linalg.norm(x)
 
@@ -119,7 +118,7 @@ def test_degree_four_end_to_end():
     surface = refine_surface(square_grid(4))
     data = make_problem("plane_sine", surface, 4)
     assert data.delta == 60.0
-    u_h, report, space = solve_problem(surface, 4, data)
+    u_h, report = solve_problem(surface, 4, data)
     assert report.converged
     errors = measure_errors(u_h, data)
     assert errors.l2_error <= 1e-5
@@ -139,7 +138,8 @@ def test_nested_iteration_saves_cg_iterations_on_the_finest_level():
 
     _, results = run_sweep(full_cylinder(3, 2), 3, factory, levels=5)
     finest = results[-1]
-    system = assemble_system(build_space(finest.surface, 3), factory(finest.surface, default_penalty(3)))
+    space = finest.solution.space
+    system = assemble_system(space, factory(space.surface, default_penalty(3)))
     _, cold = cg_solve(system.matrix, system.rhs, mean_weights=system.basis_integrals)
     assert cold.converged
     assert finest.solve_report.iterations <= 0.8 * cold.iterations

@@ -95,7 +95,7 @@ def counting_sweep(surface, monkeypatch, levels=3):
     records = []
 
     def collect(result):
-        records.append(dict(kernel=kernel.calls, blocks=dict(blocks), surface=result.surface,
+        records.append(dict(kernel=kernel.calls, blocks=dict(blocks), surface=result.solution.space.surface,
                             **{k: c.calls for k, c in counters.items()}))
         kernel.calls = 0
         blocks.clear()

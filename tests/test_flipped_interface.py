@@ -90,7 +90,7 @@ def test_flipped_and_aligned_solves_agree():
         for _ in range(2):
             surface = refine_surface(surface)
         data = problem_on_strip(default_penalty(2))
-        u_h, report, _ = solve_problem(surface, 2, data, tol=1e-12)
+        u_h, report = solve_problem(surface, 2, data, tol=1e-12)
         assert report.converged
         errors = measure_errors(u_h, data)
         results[flip] = errors

@@ -102,6 +102,12 @@ def test_non_open_knots_rejected(tmp_path):
         parse_geometry(write(tmp_path, bad))
 
 
+def test_end_knot_above_degree_plus_one_names_its_line(tmp_path):
+    bad = GOOD.replace("knots_v 1 0 0 1 1", "knots_v 1 0 0 0 1 1")
+    with pytest.raises(ParseError, match="line 4: invalid knot vector: .* exactly degree"):
+        parse_geometry(write(tmp_path, bad))
+
+
 def test_unknown_record_rejected(tmp_path):
     with pytest.raises(ParseError, match="unknown record"):
         parse_geometry(write(tmp_path, GOOD + "frobnicate 1\n"))

@@ -13,7 +13,6 @@ from dgiga.geometries import (
     full_cylinder,
     planar_rectangle_patch,
     quarter_cylinder_grid,
-    quarter_cylinder_patch,
     square_grid,
 )
 from dgiga.geometry import (
@@ -72,8 +71,8 @@ def fingerprint(built) -> str:
 
 
 @pytest.mark.parametrize("build, expected", [
-    (lambda: quarter_cylinder_patch(2), "75b3456f412ca74c"),
-    (lambda: quarter_cylinder_patch(3, radius=2.0, height=0.5, pid=3), "ec63d6ef444a68e2"),
+    (lambda: quarter_cylinder_grid(2, 1, 1).patches[0], "75b3456f412ca74c"),
+    (lambda: quarter_cylinder_grid(3, 1, 1, radius=2.0, height=0.5).patches[0], "ec63d6ef444a68e2"),
     (lambda: quarter_cylinder_grid(3, 4, 3, height=2.0), "a26f44cf15d98539"),
     (lambda: full_cylinder(2), "94374a310912213e"),
     (lambda: full_cylinder(3, 2, bc="dirichlet", radius=0.5), "1e7bf606e8681a9f"),
@@ -96,7 +95,7 @@ def test_non_finite_alpha_and_weights_rejected():
 
 
 def test_quarter_cylinder_midparameter_hits_45_degrees():
-    patch = quarter_cylinder_patch(2)
+    patch = quarter_cylinder_grid(2, 1, 1).patches[0]
     np.testing.assert_allclose(
         patch.basis.weights[:, 0], [1.0, np.sqrt(2) / 2, 1.0], atol=1e-15
     )
@@ -107,7 +106,7 @@ def test_quarter_cylinder_midparameter_hits_45_degrees():
 
 
 def test_quarter_cylinder_lies_on_circle(rng):
-    patch = quarter_cylinder_patch(2)
+    patch = quarter_cylinder_grid(2, 1, 1).patches[0]
     pts = tabulate_grid([patch], rng.random(10), rng.random(10)).points
     assert np.max(np.abs(np.hypot(pts[0], pts[1]) - 1.0)) <= 1e-12
 
@@ -124,7 +123,7 @@ def test_surface_gradient_planar_identity(rng):
 def test_surface_gradient_of_height_on_cylinder(rng):
     # The cylinder's z coordinate equals the second parameter, so the
     # tangential gradient of the height function is the axis direction.
-    patch = quarter_cylinder_patch(2)
+    patch = quarter_cylinder_grid(2, 1, 1).patches[0]
     tab = tabulate_grid([patch], rng.random(5), rng.random(4))
     pg = np.broadcast_to(np.array([0.0, 1.0]).reshape(2, 1, 1, 1), (2,) + tab.sqrt_det_g.shape)
     grads = tab.surface_gradient(pg)
@@ -156,7 +155,7 @@ def test_conormal_examples():
 def test_conormal_on_cylinder_top_edge(rng):
     # Top edge (z = 1): the conormal is the cylinder axis, orthogonal to a
     # finite-difference tangent of the edge curve.
-    patch = quarter_cylinder_patch(2)
+    patch = quarter_cylinder_grid(2, 1, 1).patches[0]
     q = 10
     conormals = tabulate_sides([patch], [(0, "north", False)], q).conormal.reshape(3, -1).T
     ts, _ = panel_rules(breakpoints(patch.side_knots("north")), q)

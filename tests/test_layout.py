@@ -104,7 +104,8 @@ def test_error_parts_reduce_in_element_major_order(case):
         surface, p, name = full_cylinder(3, 2), 3, "cylinder_sine"
     _, results = run_sweep(surface, p, lambda s, d: make_problem(name, s, p, d), 3)
     final = results[-1]
-    assert len(patch_stacks(final.surface.patches)) < final.surface.num_patches  # stacked
-    data = make_problem(name, final.surface, p)
+    surface = final.solution.space.surface
+    assert len(patch_stacks(surface.patches)) < surface.num_patches  # stacked
+    data = make_problem(name, surface, p)
     report = measure_errors(final.solution, data)
     assert report.per_patch == element_major_parts(final.solution, data, p + 2)

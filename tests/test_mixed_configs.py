@@ -155,7 +155,7 @@ def test_mixed_bc_pointwise_accuracy():
     data = ProblemData(
         f=f, g_D=u, g_N=g_n, delta=default_penalty(3), u_exact=u, grad_u_exact=grad
     )
-    u_h, report, space = solve_problem(surface, 3, data, tol=1e-12)
+    u_h, report = solve_problem(surface, 3, data, tol=1e-12)
     assert report.converged
     errors = measure_errors(u_h, data)
     # The exact solution lies in the discrete space; only consistency-level

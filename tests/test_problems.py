@@ -229,6 +229,12 @@ def test_expression_without_gradient_has_none():
     assert data.g_D is data.u_exact
 
 
+@pytest.mark.parametrize("spec, missing", [("u=x; gx=1", "gy, gz"), ("u=x; gx=1; gz=0", "gy")])
+def test_expression_with_part_of_the_gradient_names_the_missing_keys(spec, missing):
+    with pytest.raises(ValueError, match=f"needs gx, gy and gz; missing {missing}$"):
+        make_problem(spec, square_grid(1), 1)
+
+
 def test_expression_params_may_be_a_list():
     field = parse_expression("x + alpha", ["alpha"])
     pts = np.array([[0.25, 0.0, 0.0], [1.5, 0.0, 0.0]])

@@ -1,13 +1,17 @@
-"""The public surface: ``dgiga``'s top-level names, and what the demos reach for.
+"""The public surface: ``dgiga``'s top-level names, their parameters, and what
+the demos reach for.
 
 The library has one evaluation path (``splines.tabulate`` feeding
 ``geometry.tabulate_grid``, ``tabulate_patches`` and ``tabulate_sides``);
 the pointwise evaluators the tests compare it against live in
-``tests/oracles.py``.  A name added to or dropped from the top level, or a
+``tests/oracles.py``.  A name added to or dropped from the top level, a
+parameter or default added to or dropped from a top-level callable, or a
 demo that needs a private name, fails here.
 """
 
 import ast
+import dataclasses
+import inspect
 import types
 from pathlib import Path
 
@@ -29,11 +33,72 @@ PUBLIC = {
     "serialize_geometry", "solve_problem",
 }
 
+# Parameter names of every top-level callable, "=" marking one with a default;
+# None for an exception class that keeps Exception's constructor.
+SIGNATURES = {
+    "DgSpace": ("surface", "degree", "offsets", "total_dofs"),
+    "DiscreteFunction": ("space", "coefficients"),
+    "ErrorReport": ("l2_error", "dg_error", "dofs", "h_max", "per_patch"),
+    "GeometryData": ("patches", "tags", "alpha"),
+    "GeometryError": None,
+    "InterfaceEdge": ("kind", "left", "right=", "orientation_flip="),
+    "KnotVector": ("degree", "knots"),
+    "MultiPatchSurface": ("patches", "edges", "alpha="),
+    "NumericalBreakdownError": None,
+    "NurbsBasis2D": ("basis_u", "basis_v", "weights"),
+    "NurbsPatch": ("basis", "control_points", "id"),
+    "ParseError": ("line", "message"),
+    "ProblemData": ("f=", "g_D=", "g_N=", "delta", "u_exact=", "grad_u_exact="),
+    "RateTable": ("rows",),
+    "SingularMapError": None,
+    "SolveReport": ("iterations", "final_relative_residual", "converged"),
+    "SolverFailure": ("report",),
+    "SparseSystem": ("matrix", "rhs", "basis_integrals"),
+    "TopologyError": None,
+    "assemble_system": ("space", "data"),
+    "assemble_volume": ("space", "data"),
+    "build_space": ("surface", "p"),
+    "builtin_problems": (),
+    "cg_solve": ("A", "b", "tol=", "max_iter=", "mean_weights=", "x0="),
+    "default_penalty": ("p",),
+    "greville": ("kv",),
+    "insert_knots": ("kv", "new_knots"),
+    "make_problem": ("spec", "surface", "degree", "delta="),
+    "match_interfaces": ("patches", "tags=", "alpha="),
+    "measure_errors": ("u_h", "data"),
+    "parse_expression": ("text", "params="),
+    "parse_geometry": ("path",),
+    "rate_table": ("reports",),
+    "refine_surface": ("surface",),
+    "run_sweep": ("surface", "p", "problem_factory", "levels", "tol=", "delta=", "collect="),
+    "sample_solution": ("result",),
+    "serialize_geometry": ("data",),
+    "solve_problem": ("surface", "p", "data", "tol=", "x0="),
+}
+
+
+def parameters(value):
+    try:
+        params = inspect.signature(value).parameters.values()
+    except ValueError:  # no signature of its own: Exception's constructor
+        return None
+    return tuple(p.name + ("=" if p.default is not p.empty else "") for p in params)
+
 
 def test_top_level_names_are_pinned():
     names = {name for name, value in vars(dgiga).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert names == PUBLIC
+
+
+def test_top_level_parameters_are_pinned():
+    assert set(SIGNATURES) == {name for name in PUBLIC if callable(getattr(dgiga, name))}
+    assert {name: parameters(getattr(dgiga, name)) for name in SIGNATURES} == SIGNATURES
+
+
+def test_problem_data_fields_are_keyword_only():
+    """Its fields and their defaults are pinned in SIGNATURES; none is positional."""
+    assert all(f.kw_only for f in dataclasses.fields(dgiga.ProblemData))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)

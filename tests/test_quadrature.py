@@ -107,10 +107,9 @@ def test_multipatch_square_area_is_exact():
 
 
 def test_tabulate_patch_reproduces_patch_area():
-    from dgiga.geometries import quarter_cylinder_patch
     from oracles import tabulate_patch
 
-    tab = tabulate_patch(quarter_cylinder_patch(3), 10)
+    tab = tabulate_patch(quarter_cylinder_grid(3, 1, 1).patches[0], 10)
     assert tab.weights.shape == (10, 10)
     assert tab.weights.sum() == pytest.approx(np.pi / 2, abs=1e-12)
 

@@ -63,7 +63,7 @@ def rational_basis_at(basis, xi):
     """The kernel's rational basis at one point: values (m1, m2), grads (m1, m2, 2)."""
     n1, n2 = basis.shape
     grid = np.stack(np.meshgrid(np.arange(n1), np.arange(n2), [0.0], indexing="ij"), axis=-1)
-    patch = NurbsPatch(basis, grid.reshape(n1, n2, 3))
+    patch = NurbsPatch(basis, grid.reshape(n1, n2, 3), 0)
     tab = _rational_basis([patch], tabulate_grid([patch], [xi[0]], [xi[1]], basis=True))
     m1, m2 = tab.values.shape[-2:]
     return tab.values.reshape(m1, m2), np.moveaxis(tab.grads.reshape(2, m1, m2), 0, -1)
@@ -212,6 +212,28 @@ def test_knot_vector_validation():
         KnotVector(1, [0, 0, 0.7, 0.3, 1, 1])  # decreasing
     with pytest.raises(ValueError):
         KnotVector(-1, [0, 1])
+
+
+@pytest.mark.parametrize("end", ["start", "end"])
+def test_end_knot_above_degree_plus_one_rejected(end):
+    """A p + 2 fold end knot made a basis function vanish everywhere, and
+    ``dgiga solve`` died of a segmentation fault on such a file."""
+    knots = [0.0] * 4 + [0.5] + [1.0] * 3
+    knots = knots if end == "start" else [1.0 - k for k in knots[::-1]]
+    with pytest.raises(ValueError, match="end knots repeated exactly degree\\+1 times"):
+        KnotVector(2, knots)
+
+
+@pytest.mark.parametrize("extra", [1, 2], ids=["degree_plus_1", "degree_plus_2"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_interior_knot_above_the_degree_rejected(p, extra):
+    """Multiplicity p + 1 split a patch into halves that nothing coupled (the L2 rate
+    read 0.00, with no error) and p + 2 crashed the assembly; p stays legal."""
+    start, end = [0.0] * (p + 1), [1.0] * (p + 1)
+    assert KnotVector(p, start + [0.5] * p + end).num_elements == 2
+    with pytest.raises(ValueError, match=f"interior knot 0.5 has multiplicity {p + extra}, "
+                                         f"above the degree {p}"):
+        KnotVector(p, start + [0.5] * (p + extra) + end)
 
 
 def test_greville_reproduces_linears(rng):

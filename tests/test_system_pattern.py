@@ -82,7 +82,7 @@ def test_pattern_is_the_same_for_any_coefficients_and_data():
         space = build_space(surface, 2)
         other = ProblemData(f=lambda pid, x: np.cos(7.0 * x[:, 0]) + pid,
                             g_D=lambda x: x[:, 0] - x[:, 1] ** 2, delta=5.0)
-        for data in (make_problem("plane_sine", surface, 2), ProblemData(), other):
+        for data in (make_problem("plane_sine", surface, 2), ProblemData(delta=12.0), other):
             system = assemble_system(space, data).matrix
             check_structural(system, assemble_volume(space, data).matrix, surface)
             patterns.append(system)

@@ -34,7 +34,7 @@ from dgiga.assembly import (
 from dgiga.analysis import measure_errors
 from dgiga.driver import LevelResult, sample_solution
 from dgiga.geofile import parse_geometry
-from dgiga.geometries import full_cylinder, planar_rectangle_patch, quarter_cylinder_patch
+from dgiga.geometries import full_cylinder, planar_rectangle_patch, quarter_cylinder_grid
 from dgiga.geometry import (
     COMPONENT_AXES,
     SIDES,
@@ -188,7 +188,8 @@ def test_side_tabulation_matches_pointwise(surface):
 
 
 def test_side_field_equals_the_basis_route(surface):
-    """``tabulate_sides(..., coeffs)`` contracts u_h like the geometry and builds no basis."""
+    """``tabulate_sides(..., coeffs)`` contracts u_h like the geometry and gathers its
+    values only: no basis and no parametric gradient."""
     u_h = random_function(surface)
     q = u_h.space.degree + 2
     interior = [e for e in surface.edges if e.right is not None]
@@ -197,9 +198,9 @@ def test_side_field_equals_the_basis_route(surface):
     fields = tabulate_sides(surface.patches, slots, q, coeffs)
     basis = tabulate_sides(surface.patches, slots, q)
     assert fields.values is None and fields.grads is None and fields.dofs is None
+    assert fields.field_grad is None
     c = u_h.coefficients[u_h.space.offsets[basis.pid] + basis.dofs][:, None]
     close(fields.field, (basis.values * c).sum(axis=-1))
-    close(fields.field_grad, (basis.grads * c).sum(axis=-1))
     for name in set(SIDE_FIELDS) - {"values", "grads", "dofs"}:
         close(getattr(fields, name), getattr(basis, name))
 
@@ -215,7 +216,7 @@ def test_grid_tabulation_matches_pointwise_up_to_xi_one(surface):
 
 def test_sample_solution_matches_pointwise_evaluation(surface):
     u_h = random_function(surface)
-    result = LevelResult(0, surface, u_h, None, None)
+    result = LevelResult(0, u_h, None, None)
     for line in sample_solution(result).splitlines()[1:]:
         pid, x1, x2, x, y, z, uh = line.split(",")
         xi = (float(x1), float(x2))
@@ -224,7 +225,7 @@ def test_sample_solution_matches_pointwise_evaluation(surface):
 
 
 def test_side_point_matches_pointwise():
-    patch = quarter_cylinder_patch(3, radius=2.0, height=0.5)
+    patch = quarter_cylinder_grid(3, 1, 1, radius=2.0, height=0.5).patches[0]
     for side in SIDES:
         for t in (0.0, 0.3, 1.0):
             close(patch.side_point(side, t), frame_at(patch, side_param(side, t)).point)
@@ -312,18 +313,19 @@ def collapsed_layout(whole=True):
 )
 def test_assembly_reports_singular_patch(assemble):
     with pytest.raises(SingularMapError, match="patch 2 "):
-        assemble(collapsed_layout(), ProblemData())
+        assemble(collapsed_layout(), ProblemData(delta=12.0))
 
 
 @pytest.mark.parametrize("whole", [False, True])
 def test_edge_batches_report_singular_patch(whole):
     space = collapsed_layout(whole)
     with pytest.raises(SingularMapError, match="patch 2 "):
-        _edge_terms(space, ProblemData())
+        _edge_terms(space, ProblemData(delta=12.0))
     data = ProblemData(
         g_D=lambda pts: pts[:, 0],
         u_exact=lambda pts: pts[:, 0],
         grad_u_exact=lambda pts: np.tile([1.0, 0.0, 0.0], (len(pts), 1)),
+        delta=12.0,
     )
     with pytest.raises(SingularMapError, match="patch 2 "):
         measure_errors(space.function(np.zeros(space.total_dofs)), data)

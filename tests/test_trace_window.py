@@ -12,7 +12,7 @@ import pytest
 from conftest import bundled
 
 from dgiga.geofile import parse_geometry
-from dgiga.geometries import planar_rectangle_patch, quarter_cylinder_patch
+from dgiga.geometries import planar_rectangle_patch, quarter_cylinder_grid
 from dgiga.geometry import (
     SIDES,
     NurbsPatch,
@@ -48,8 +48,9 @@ def patch_cases():
         cases[f"planar_p{p}"] = [planar_rectangle_patch(p)]
         cases[f"repeated_knot_p{p}"] = [with_repeated_knot(planar_rectangle_patch(p))]
         if p >= 2:
-            cases[f"rational_p{p}"] = [quarter_cylinder_patch(p)]
-            cases[f"rational_repeated_knot_p{p}"] = [with_repeated_knot(quarter_cylinder_patch(p))]
+            rational = quarter_cylinder_grid(p, 1, 1).patches[0]
+            cases[f"rational_p{p}"] = [rational]
+            cases[f"rational_repeated_knot_p{p}"] = [with_repeated_knot(rational)]
     return cases
 
 

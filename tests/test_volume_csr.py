@@ -22,8 +22,7 @@ from test_trace_window import with_repeated_knot
 import dgiga.assembly
 import dgiga.splines
 from dgiga.assembly import _volume_blocks, assemble_volume
-from dgiga.geometries import (full_cylinder, quarter_cylinder_grid, quarter_cylinder_patch,
-                               square_grid)
+from dgiga.geometries import full_cylinder, quarter_cylinder_grid, square_grid
 from dgiga.geometry import MultiPatchSurface, _knot_key, patch_stacks, refine_surface
 from dgiga.space import build_space
 
@@ -34,7 +33,8 @@ SURFACES = {
     "full_cylinder": lambda: full_cylinder(3, 2),
     "two_signatures": two_signatures,
     # The knot 0.4 has multiplicity p = 3: the first active function jumps by 3 there.
-    "repeated_knot": lambda: MultiPatchSurface([with_repeated_knot(quarter_cylinder_patch(3))], []),
+    "repeated_knot": lambda: MultiPatchSurface(
+        [with_repeated_knot(quarter_cylinder_grid(3, 1, 1).patches[0])], []),
 }
 
 
