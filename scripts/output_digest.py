@@ -11,8 +11,10 @@ print the same lines give byte-identical outputs on these cases.
 
 The cases cover polynomial and rational patches, volume grids contracted
 v first and west/east side grids contracted u first, interfaces whose edge
-parameters run in opposite directions, coefficient jumps, Dirichlet data and
-a pure-Neumann problem.
+parameters run in opposite directions, coefficient jumps, Dirichlet data, a
+pure-Neumann problem, and a 6x6 grid with seeded patch ids and flips whose
+36 patches of one knot vector are cut into several stacks on the finest
+level (``geometry.patch_stacks``).
 """
 
 from __future__ import annotations
@@ -29,26 +31,45 @@ from dgiga.problems import make_problem
 from dgiga.splines import KnotVector, NurbsBasis2D
 
 
-def flipped_square(p: int = 2):
-    """The 2x2 unit-square grid with quadrant coefficients 1 and 100, whose
-    patches 1 and 2 run against x: its two horizontal interfaces are flipped."""
-    patches = []
-    for j in range(2):
-        for i in range(2):
-            patch = planar_rectangle_patch(p, (i / 2, j / 2), (0.5, 0.5), 2 * j + i)
-            if i != j:
-                kv = patch.basis.basis_u
-                basis = NurbsBasis2D(KnotVector(kv.degree, 1.0 - kv.knots[::-1]),
-                                     patch.basis.basis_v, patch.basis.weights[::-1])
-                patch = NurbsPatch(basis, patch.control_points[::-1], patch.id)
-            patches.append(patch)
+def square_patches(n: int, ids, flip, alpha):
+    """The n x n unit-square grid of p = 2 patches, Dirichlet all round: cell
+    (i, j) is patch ids[j n + i] with coefficient alpha[j n + i], running
+    against x where flip is set, so that its interfaces with unflipped
+    neighbours are flipped."""
+    patches = [None] * (n * n)
+    for cell, (pid, reverse) in enumerate(zip(ids, flip)):
+        i, j = cell % n, cell // n
+        patch = planar_rectangle_patch(2, (i / n, j / n), (1.0 / n, 1.0 / n), int(pid))
+        if reverse:
+            kv = patch.basis.basis_u
+            basis = NurbsBasis2D(KnotVector(kv.degree, 1.0 - kv.knots[::-1]),
+                                 patch.basis.basis_v, patch.basis.weights[::-1])
+            patch = NurbsPatch(basis, patch.control_points[::-1], patch.id)
+        patches[pid] = patch
     tags = {}
     for patch in patches:
         for side in ("west", "east", "south", "north"):
             x, y, _ = patch.side_point(side, 0.5)
             if min(x, y, 1.0 - x, 1.0 - y) < 1e-12:
                 tags[(patch.id, side)] = "dirichlet"
-    return match_interfaces(patches, tags, alpha=[1.0, 100.0, 100.0, 1.0])
+    return match_interfaces(patches, tags, alpha=np.asarray(alpha)[np.argsort(ids)])
+
+
+def flipped_square():
+    """The 2x2 grid with quadrant coefficients 1 and 100, whose patches 1 and
+    2 run against x: its two horizontal interfaces are flipped."""
+    return square_patches(2, range(4), [False, True, True, False], [1.0, 100.0, 100.0, 1.0])
+
+
+def seeded_patches(n: int = 6, seed: int = 3):
+    """An n x n grid (n even) with seeded patch ids, about half its patches
+    running against x and quadrant coefficients 1 and 100: the jumps sit on
+    x = 1/2 and y = 1/2, where plane_sine's normal derivative is zero.  Its
+    many patches of one knot vector are cut into several stacks."""
+    rng = np.random.default_rng(seed)
+    ids, flip = rng.permutation(n * n), rng.random(n * n) < 0.5
+    alpha = [100.0 if (2 * (c % n) < n) == (2 * (c // n) < n) else 1.0 for c in range(n * n)]
+    return square_patches(n, ids, flip, alpha)
 
 
 # name: (surface builder, degree, problem, levels)
@@ -57,6 +78,7 @@ CASES = {
     "flipped-jumps": (flipped_square, 2, "plane_sine", 3),
     "quarter-cylinder-p3": (lambda: quarter_cylinder_grid(3), 3, "cylinder_sine", 3),
     "cylinder-neumann": (lambda: full_cylinder(3, 2), 3, "cylinder_sine", 3),
+    "seeded-6x6": (seeded_patches, 2, "plane_sine", 3),
 }
 
 

@@ -96,6 +96,11 @@ def _index_dtype(n: int):
     return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
+def _keys(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Merge keys r n + c of entries (r, c) of an n x n matrix, int32 whenever n^2 fits."""
+    return rows.astype(_index_dtype(n * n)) * n + cols.astype(_index_dtype(n * n))
+
+
 def _band(kv: KnotVector):
     """First active function of every element, and the first column and width of
     every row of the 1D coupling band: row i holds the functions that share an
@@ -156,11 +161,11 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
     surface, q = space.surface, space.degree + 1
     patches = [surface.patches[pid] for pid in stack]
     tab = tabulate_patches(patches, q, basis=True)
-    Nu, dNu, Nv, dNv, S, Su, Sv = tab.factors
+    Nu, dNu, Nv, dNv, S, Su, Sv, W = tab.factors
     P, nu, nv = S.shape
     m1, m2 = Nu.shape[-1], Nv.shape[-1]
     n, m = P * (nu // q) * (nv // q), m1 * m2
-    W = _window_weights(patches, tab.first_u[::q, 0], tab.first_v[::q], m1, m2).reshape(n, m)
+    W = _window_weights(W, tab.first_u[::q, 0], tab.first_v[::q], m1, m2).reshape(n, m)
     w, f = tab.weights, 0.0
     if data.f is not None:  # one call per stack, one patch id per point
         pids = np.repeat(stack, w[0].size)
@@ -323,7 +328,7 @@ def _edge_terms(space: DgSpace, data: ProblemData):
                            (gidx[D], values[D], K_D)):
         traced = np.any(trace != 0.0, axis=1)  # (E, m): nonzero on the edge element
         kept = traced[:, :, None] | traced[:, None, :]
-        keys.append((dofs[:, :, None] * np.int64(n) + dofs[:, None, :])[kept])
+        keys.append(_keys(dofs[:, :, None], dofs[:, None, :], n)[kept])
         entries.append(K[kept])
     load = np.zeros(gidx.shape)  # 0.0 on interior elements, which leaves every sum as it is
     if D.start < D.stop and data.g_D is not None:
@@ -341,7 +346,7 @@ def assemble_system(space: DgSpace, data: ProblemData) -> SparseSystem:
     lacks (interface coupling, also inside one patch's block) are inserted."""
     vol, (keys, values, rhs) = assemble_volume(space, data), _edge_terms(space, data)
     n, A = space.total_dofs, vol.matrix
-    pattern = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(A.indptr)) + A.indices
+    pattern = _keys(np.repeat(np.arange(n), np.diff(A.indptr)), A.indices, n)
     keys, inverse = np.unique(keys, return_inverse=True)
     sums, at = np.bincount(inverse, values), np.searchsorted(pattern, keys)
     new = pattern.take(at, mode="clip") != keys

@@ -14,7 +14,7 @@ import numpy as np
 
 from .analysis import ErrorReport, RateTable, measure_errors, rate_table, surface_h_max
 from .assembly import ProblemData, assemble_system, default_penalty
-from .geometry import MultiPatchSurface, patch_stacks, refine_surface, tabulate_grid
+from .geometry import MultiPatchSurface, knot_groups, refine_surface, tabulate_grid
 from .linalg import SolveReport, cg_solve
 from .space import DiscreteFunction, build_space, prolong
 
@@ -113,7 +113,7 @@ def sample_solution(result: LevelResult) -> str:
     n, patches, u_h = ts.size, result.solution.space.surface.patches, result.solution
     # x, y, z, uh per (patch, xi1, xi2); one row per (patch, xi2, xi1), led by patch, xi1, xi2.
     values = np.empty((4, len(patches), n, n))
-    for stack in patch_stacks(patches):
+    for stack in knot_groups(patches):
         coeffs = np.stack([u_h.patch_coeffs(pid) for pid in stack])
         tab = tabulate_grid([patches[pid] for pid in stack], ts, ts, coeffs)
         values[:3, stack], values[3, stack] = tab.points, tab.field

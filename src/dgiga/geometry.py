@@ -17,12 +17,13 @@ whose rounding depends on an entry's position).  Every per-point quantity
 is formed once, on contiguous arrays whose component axes come first; basis
 tables keep their function axes last.  The rational basis is built only on
 request, from weight-free factors the volume assembly uses directly.
-``tabulate_patches`` calls the kernel at the Gauss points of a stack
-(``patch_stacks`` forms the stacks); ``tabulate_sides`` tabulates the Gauss
-points of many patch sides with one ``_side_grid`` call per (fixed axis,
-knot vectors) group, which covers both opposite sides of each patch
-({0, 1} x ts or ts x {0, 1}), and writes each group's elements straight to
-their slot-order rows, each flipped slot reversed.  A side element carries
+``tabulate_patches`` calls the kernel at the Gauss points of a stack; one
+rule, ``patch_stacks``, sizes the stacks by the bytes of their volume X
+batch.  ``tabulate_sides`` tabulates the Gauss points of many patch sides
+with one ``_side_grid`` call per (fixed axis, knot vectors) group, which
+covers both opposite sides of each patch ({0, 1} x ts or ts x {0, 1}), and
+writes each group's elements straight to their slot-order rows, each
+flipped slot reversed.  A side element carries
 only its trace window of 2(p+1) functions, or a field's values alone.
 Conormal and edge speed come from the kernel's J and g^-1, without cross
 products.  ``match_interfaces`` takes its side samples through the same call.
@@ -55,6 +56,7 @@ __all__ = [
     "SIDES",
     "match_interfaces",
     "refine_surface",
+    "knot_groups",
     "patch_stacks",
     "tabulate_grid",
     "tabulate_patches",
@@ -126,16 +128,16 @@ class Tabulation:
     = (p1+1, p2+1) of a point belong to the control-grid window starting at
     (first_u, first_v), integer arrays (nu, 1) and (nv,).  ``weights`` are the
     quadrature weights times the area element (patch) or the edge speed
-    (side), and None on a plain grid.  Only on request (else None): ``factors`` (N_u,
-    dN_u, N_v, dN_v, S, S_u, S_v) of the rational basis R = W N_u N_v / S (1D
-    tables (nel, q, m), S on the point axes), ``values``/``grads`` (the basis)
-    and ``field``/``field_grad`` (a coefficient grid contracted like the geometry).
+    (side), and None on a plain grid.  Only on request (else None): ``factors`` (N_u, dN_u,
+    N_v, dN_v, S, S_u, S_v, W) of the rational basis R = W N_u N_v / S (1D tables (nel, q,
+    m), S on the point axes, control weights W (P, n1, n2)), ``values``/``grads`` (the
+    basis) and ``field``/``field_grad`` (a coefficient grid contracted like the geometry).
     """
 
     points: np.ndarray  # (3, ...)
-    jacobian: np.ndarray  # (3, 2, ...)
-    inv_metric: np.ndarray  # (2, 2, ...)
-    sqrt_det_g: np.ndarray  # (...)
+    jacobian: np.ndarray | None = None  # (3, 2, ...); None only on a side field tabulation
+    inv_metric: np.ndarray | None = None  # (2, 2, ...); None there too
+    sqrt_det_g: np.ndarray | None = None  # (...); None there too
     first_u: np.ndarray | None = None
     first_v: np.ndarray | None = None
     weights: np.ndarray | None = None
@@ -161,12 +163,12 @@ class SideTabulation(Tabulation):
     ``pid`` (nel, 1) holds each element's patch id; slot k owns elements
     ``starts[k]:starts[k + 1]``.  The basis covers m = 2(p+1) trace
     functions: ``dofs`` (nel, m) are their patch-local indices k2 n1 + k1.
-    ``conormal`` (3, nel, q) is the outward unit conormal; ``weights``
-    carry the length of the mapped edge tangent.  ``chords`` (nel,) are the
-    physical chord lengths of the edge elements.
+    ``conormal`` (3, nel, q) is the outward unit conormal, None with the J and
+    g^-1 fields on a field tabulation; ``weights`` carry the length of the
+    mapped edge tangent, ``chords`` (nel,) the elements' physical chords.
     """
 
-    conormal: np.ndarray
+    conormal: np.ndarray | None = None
     chords: np.ndarray
     pid: np.ndarray
     starts: np.ndarray
@@ -201,19 +203,19 @@ def _elements(a: np.ndarray, q_u: int, q_v: int) -> np.ndarray:
     return a.reshape(*lead, nu // q_u, q_u, nv // q_v, q_v).swapaxes(-3, -2)
 
 
-def _window_weights(patches: list[NurbsPatch], first_u, first_v, m1: int, m2: int) -> np.ndarray:
-    """Control weights (P, len(first_u), len(first_v), m1, m2) on the windows starting there."""
+def _window_weights(W: np.ndarray, first_u, first_v, m1: int, m2: int) -> np.ndarray:
+    """W (P, n1, n2) on the windows at (first_u, first_v): (P, nu, nv, m1, m2), C-contiguous."""
     iu = first_u[:, None, None, None] + np.arange(m1)[:, None]
     iv = first_v[None, :, None, None] + np.arange(m2)
-    return np.stack([p.basis.weights[iu, iv] for p in patches])
+    return np.take(W.reshape(len(W), -1), iu * W.shape[2] + iv, axis=1)
 
 
-def _rational_basis(patches: list[NurbsPatch], tab: Tabulation) -> Tabulation:
+def _rational_basis(tab: Tabulation) -> Tabulation:
     """``tab`` with the rational basis N_u (x) N_v W / S on every point's window
     of its ``factors`` (gradient by the quotient rule)."""
     Nu, dNu, Nv, dNv = (t.reshape(-1, t.shape[-1]) for t in tab.factors[:4])  # (points, m)
-    W = _window_weights(patches, tab.first_u.ravel(), tab.first_v, Nu.shape[1], Nv.shape[1])
-    S, Su, Sv = (a[..., None, None] for a in tab.factors[4:])
+    W = _window_weights(tab.factors[7], tab.first_u.ravel(), tab.first_v, Nu.shape[1], Nv.shape[1])
+    S, Su, Sv = (a[..., None, None] for a in tab.factors[4:7])
     u, v = (lambda t: t[:, None, :, None]), (lambda t: t[:, None, :])
     values = W * (u(Nu) * v(Nv))  # in W's C order
     values /= S
@@ -288,7 +290,7 @@ def tabulate_grid(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=Fals
     for (r, c), g in (((0, 0), g11), ((0, 1), -g01), ((1, 0), -g01), ((1, 1), g00)):
         np.divide(g, det, out=inv[r, c])
     if basis:
-        extra["factors"] = (Nu, dNu, Nv, dNv, *S)
+        extra["factors"] = (Nu, dNu, Nv, dNv, *S, w)
     return Tabulation(
         first_u=np.repeat(fu, xs_u.shape[1])[:, None], first_v=np.repeat(fv, xs_v.shape[1]),
         points=Q[:3], jacobian=dQ[:3], inv_metric=inv, sqrt_det_g=np.sqrt(det), **extra,
@@ -299,22 +301,27 @@ def _knot_key(basis: NurbsBasis2D) -> tuple:
     return basis.basis_u, basis.basis_v
 
 
-# Largest number of elements a stacked volume or error pass tabulates at once
-# when it holds several patches.  A patch with more elements forms a stack of
-# its own, however large, so this bounds the memory of multi-patch stacks only.
-STACK_ELEMENTS = 128
-
-
-def patch_stacks(patches: list[NurbsPatch]) -> list[list[int]]:
-    """Patch ids grouped by both knot vectors, each group cut into stacks of
-    at most STACK_ELEMENTS elements (and at least one patch)."""
+def knot_groups(patches: list[NurbsPatch]) -> list[list[int]]:
+    """Patch ids grouped by both knot vectors, in order of first appearance."""
     groups: dict = {}
     for pid, patch in enumerate(patches):
         groups.setdefault(_knot_key(patch.basis), []).append(pid)
+    return list(groups.values())
+
+
+# Bytes of the volume X batch (elements x 2 q^2 (p+1)^2 doubles, q = p+1) one stack
+# may hold: 25 patches of 16 elements at p = 2, 128 elements at p = 3.  1 MB raised
+# square-deep's peak RSS by 0.9% and 2 MB cli-cylinder's by 5.3% (CHANGES).
+STACK_BYTES = 2**19
+
+
+def patch_stacks(patches: list[NurbsPatch]) -> list[list[int]]:
+    """``knot_groups`` cut into runs whose volume X batch fits STACK_BYTES (at least one patch)."""
     stacks = []
-    for members in groups.values():
+    for members in knot_groups(patches):
         b = patches[members[0]].basis
-        size = max(1, STACK_ELEMENTS // (b.basis_u.num_elements * b.basis_v.num_elements))
+        m = (b.basis_u.degree + 1) * (b.basis_v.degree + 1)
+        size = max(1, STACK_BYTES // (16 * m * m * b.basis_u.num_elements * b.basis_v.num_elements))
         stacks += [members[k : k + size] for k in range(0, len(members), size)]
     return stacks
 
@@ -351,7 +358,7 @@ def _side_grid(patches: list[NurbsPatch], axis: int, ts: np.ndarray, coeffs=None
         factors[k] = np.stack([factors[k][0, :, :2], factors[k][1, :, m - 2:]])
     first = getattr(tab, name)
     first = first + np.array([0, m - 2]).reshape(first.shape)
-    return _rational_basis(patches, replace(tab, factors=tuple(factors), **{name: first}))
+    return _rational_basis(replace(tab, factors=tuple(factors), **{name: first}))
 
 
 def _side_pass(patches, pid, axis: int, f, flip, bp, q: int, coeffs) -> dict:
@@ -370,11 +377,11 @@ def _side_pass(patches, pid, axis: int, f, flip, bp, q: int, coeffs) -> dict:
     # A flipped slot runs against its side's parameter: elements and points reversed.
     j = np.where(flip[:, None], np.arange(n)[::-1], np.arange(n))
     at = (base + j * sj).reshape(-1, q)
-    out = {}
-    for name in ("points", "jacobian", "inv_metric", "sqrt_det_g", "field"):
-        a = getattr(grid, name)
-        if a is not None:
-            out[name] = a.reshape(*a.shape[: a.ndim - 3], -1)[..., at]
+    names = ("points", "jacobian", "inv_metric", "sqrt_det_g") if basis else ("points", "field")
+    arrays = [getattr(grid, name) for name in names] + [grid.jacobian[:, 1 - axis]]
+    *gathered, tangent = (a.reshape(*a.shape[: a.ndim - 3], -1)[..., at] for a in arrays)
+    out = dict(zip(names, gathered))
+    out["weights"] = wt.ravel()[j].reshape(-1, q) * np.sqrt(_dot(tangent, tangent))
     if basis:
         m1, m2 = grid.values.shape[-2:]
         out["values"] = grid.values.reshape(-1, m1 * m2)[at]
@@ -383,14 +390,11 @@ def _side_pass(patches, pid, axis: int, f, flip, bp, q: int, coeffs) -> dict:
                   for a in (grid.first_u, grid.first_v))
         k2 = (fv + np.arange(m2)) * patches[stack[0]].basis.shape[0]  # k2 n1
         out["dofs"] = (k2 + fu + np.arange(m1)[:, None]).reshape(-1, m1 * m2)
-    jac, inv = out["jacobian"], out["inv_metric"]
-    tangent = jac[:, 1 - axis]
-    speed = np.sqrt(_dot(tangent, tangent))
-    # J g^-1 e_axis is tangent to the surface, orthogonal to the edge and of
-    # length sqrt(g^-1)_axis,axis; its sign points out of the patch.
-    scale = np.repeat(2.0 * f - 1.0, nel)[:, None] / np.sqrt(inv[axis, axis])
-    out["conormal"] = jac[:, 0] * (inv[0, axis] * scale) + jac[:, 1] * (inv[1, axis] * scale)
-    out["weights"] = wt.ravel()[j].reshape(-1, q) * speed
+        jac, inv = out["jacobian"], out["inv_metric"]
+        # J g^-1 e_axis is tangent to the surface, orthogonal to the edge and of
+        # length sqrt(g^-1)_axis,axis; its sign points out of the patch.
+        scale = np.repeat(2.0 * f - 1.0, nel)[:, None] / np.sqrt(inv[axis, axis])
+        out["conormal"] = jac[:, 0] * (inv[0, axis] * scale) + jac[:, 1] * (inv[1, axis] * scale)
     ends = np.where(flip[:, None], np.arange(nel + 1)[::-1], np.arange(nel + 1))
     X = grid.points.reshape(3, -1)[:, base + (n + ends) * sj]
     out["chords"] = np.linalg.norm(np.diff(X, axis=-1), axis=0).reshape(-1)
@@ -528,7 +532,7 @@ def match_interfaces(
     ts = np.linspace(0.0, 1.0, 5)
     all_sides = [(p.id, side) for p in patches for side in SIDES]
     samples = np.empty((len(patches), 2, 2, ts.size, 3))  # in SIDES order per patch
-    for stack in patch_stacks(patches):
+    for stack in knot_groups(patches):
         for axis in (0, 1):
             X = np.moveaxis(_side_grid([patches[pid] for pid in stack], axis, ts).points, 0, -1)
             samples[stack, axis] = X if axis == 0 else X.swapaxes(1, 2)

@@ -10,6 +10,7 @@ so that its weighted mean is zero.  The refinement sweep warm-starts CG
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,7 @@ def cg_solve(
     while relres > tol and it < max_iter:
         Ap = A @ p
         pAp = float(p @ Ap)
-        if pAp <= 0.0 or not np.isfinite(pAp):
+        if pAp <= 0.0 or not math.isfinite(pAp):
             raise NumericalBreakdownError(
                 f"CG breakdown: non-positive curvature p^T A p = {pAp:.3e}"
             )
@@ -116,13 +117,13 @@ def cg_solve(
         project(np.subtract(r, Ap, out=r))
         project(np.multiply(r, minv, out=z))
         rz_new = float(r @ z)
-        if not np.isfinite(rz_new):
+        if not math.isfinite(rz_new):
             raise NumericalBreakdownError("non-finite value encountered in CG iteration")
         p *= rz_new / rz
         p += z
         rz = rz_new
         it += 1
-        relres = float(np.sqrt(r @ r) / bnorm)
+        relres = float(math.sqrt(r @ r) / bnorm)
     if mean_weights is not None:
         x -= (mean_weights @ x) / mean_weights.sum()
     return x, SolveReport(it, relres, relres <= tol)

@@ -243,7 +243,7 @@ def element_dofs(space: DgSpace, pid: int) -> np.ndarray:
 
 def tabulate_patch(patch: NurbsPatch, q: int):
     """Basis and geometry at the q x q Gauss points of one patch; point axes (nu, nv)."""
-    tab = _rational_basis([patch], tabulate_patches([patch], q, basis=True))
+    tab = _rational_basis(tabulate_patches([patch], q, basis=True))
     names = ("points", "jacobian", "inv_metric", "sqrt_det_g", "weights", "values", "grads")
     return replace(tab, factors=None, **{
         name: getattr(tab, name)[(slice(None),) * COMPONENT_AXES.get(name, 0) + (0,)]

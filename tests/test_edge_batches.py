@@ -18,7 +18,7 @@ import dgiga.assembly
 import dgiga.geometry
 import dgiga.splines
 from dgiga.analysis import measure_errors
-from dgiga.assembly import _index_dtype, assemble_system
+from dgiga.assembly import _index_dtype, _keys, assemble_system
 from dgiga.driver import run_sweep
 from dgiga.problems import make_problem
 from dgiga.space import build_space
@@ -192,6 +192,13 @@ def test_coo_index_dtype_never_truncates():
     assert _index_dtype(limit + 1) is np.int64
     big = np.array([limit + 7])
     assert big.astype(_index_dtype(limit + 8))[0] == limit + 7
+
+
+@pytest.mark.parametrize("n, dtype", [(46340, np.int32), (46341, np.int64)])
+def test_merge_keys_are_int32_while_n_squared_fits(n, dtype):
+    # 46340^2 = 2 147 395 600 fits in int32, 46341^2 does not.
+    keys = _keys(np.array([0, n - 1]), np.array([1, n - 1], dtype=np.int32), n)
+    assert keys.dtype == dtype and keys.tolist() == [1, n * n - 1]
 
 
 def test_system_uses_int32_indices():

@@ -1,20 +1,28 @@
 """Volume and error passes are stacked over patches that share both knot vectors.
 
 A stacked pass must equal its one-patch calls bit for bit, and the whole
-assembly and error measurement must not depend on how the patches of a
-knot group are cut into stacks (``geometry.STACK_ELEMENTS``).
+assembly, error measurement and prolongation must not depend on how the
+patches of a knot group are cut into stacks (``geometry.STACK_BYTES``).
+The stacks cover every patch once, in knot-group order, and each pass
+tabulates once per stack.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from test_edge_batches import Counter
+from test_geometry import seeded_grid
 from test_tabulation import two_signature_patches
 
+import dgiga.analysis
 import dgiga.geometry
 from dgiga.analysis import _stack_errors, measure_errors
 from dgiga.assembly import ProblemData, _volume_blocks, assemble_volume
-from dgiga.geometries import full_cylinder
-from dgiga.geometry import MultiPatchSurface, patch_stacks, refine_surface
-from dgiga.space import build_space
+from dgiga.geometries import full_cylinder, square_grid
+from dgiga.geometry import (MultiPatchSurface, _knot_key, knot_groups, patch_stacks,
+                            refine_surface)
+from dgiga.space import build_space, prolong
 
 # Polynomial data: no transcendental function whose vectorised kernels might
 # round differently with the array length.
@@ -69,10 +77,11 @@ def passes(u_h):
     report = measure_errors(u_h, DATA)
     matrix = system.matrix
     return (matrix.data, matrix.indices, matrix.indptr, system.rhs, system.basis_integrals,
-            np.array([report.l2_error, report.dg_error, *report.per_patch]))
+            np.array([report.l2_error, report.dg_error, *report.per_patch]), prolong(u_h))
 
 
 @pytest.mark.parametrize("build, limit, expected", [
+    # limit: the budget in elements' volume X batches.
     # 4 elements per patch in the group (0, 2, 4), 6 in the group (1, 3)
     (two_signatures, 8, [[0, 2], [4], [1], [3]]),
     (two_signatures, 1, [[0], [2], [4], [1], [3]]),
@@ -82,7 +91,52 @@ def passes(u_h):
 def test_passes_do_not_depend_on_the_stack_size(monkeypatch, build, limit, expected):
     u_h = random_function(build())
     whole = passes(u_h)
-    monkeypatch.setattr(dgiga.geometry, "STACK_ELEMENTS", limit)
+    m = (u_h.space.degree + 1) ** 2  # an element's X batch: 2 m rows of m doubles
+    monkeypatch.setattr(dgiga.geometry, "STACK_BYTES", limit * 16 * m * m)
     assert patch_stacks(u_h.space.surface.patches) == expected
     for got, ref in zip(passes(u_h), whole):
         np.testing.assert_array_equal(got, ref)
+
+
+def flatten(groups):
+    return [pid for group in groups for pid in group]
+
+
+@pytest.mark.parametrize("build", [two_signatures, cylinder, lambda: seeded_grid(7, 8)],
+                         ids=["two_signatures", "cylinder", "seeded_grid"])
+def test_stacks_cover_every_patch_once_in_knot_group_order(build):
+    surface = build()
+    for _ in range(3):  # the stacks shrink as the patches gain elements
+        patches = surface.patches
+        groups, stacks = knot_groups(patches), patch_stacks(patches)
+        assert sorted(flatten(groups)) == list(range(len(patches)))
+        keys = [{_knot_key(patches[pid].basis) for pid in group} for group in groups]
+        assert all(len(k) == 1 for k in keys) and len(set().union(*keys)) == len(groups)
+        assert [group[0] for group in groups] == sorted(group[0] for group in groups)
+        assert flatten(stacks) == flatten(groups)
+        group_of = {pid: g for g, group in enumerate(groups) for pid in group}
+        assert all(len({group_of[pid] for pid in stack}) == 1 for stack in stacks)
+        surface = refine_surface(surface)
+
+
+@pytest.mark.parametrize("build, levels, stacks", [
+    # one knot signature: 64 patches of 16 elements in 25 + 25 + 14
+    (lambda: square_grid(2, 8, 8), 2, 3),
+    # two knot signatures of 32 patches, each in 25 + 7
+    (lambda: seeded_grid(7, 8), 1, 4),
+])
+def test_volume_and_error_passes_tabulate_once_per_stack(monkeypatch, build, levels, stacks):
+    surface = build()
+    for _ in range(levels):
+        surface = refine_surface(surface)
+    assert {p.basis.basis_u.num_elements * p.basis.basis_v.num_elements
+            for p in surface.patches} == {16}
+    kernel = Counter(dgiga.geometry.tabulate_grid)
+    monkeypatch.setattr(dgiga.geometry, "tabulate_grid", kernel)
+    monkeypatch.setattr(dgiga.analysis, "tabulate_grid", kernel)  # surface_h_max
+    u_h = random_function(surface)
+    assemble_volume(u_h.space, DATA)
+    assert kernel.calls == stacks
+    kernel.calls = 0
+    measure_errors(u_h, dataclasses.replace(DATA, grad_u_exact=None))  # no edge pass
+    assert kernel.calls == 2 * stacks  # the error pass and surface_h_max
