@@ -12,9 +12,11 @@ print the same lines give byte-identical outputs on these cases.
 The cases cover polynomial and rational patches, volume grids contracted
 v first and west/east side grids contracted u first, interfaces whose edge
 parameters run in opposite directions, coefficient jumps, Dirichlet data, a
-pure-Neumann problem, and a 6x6 grid with seeded patch ids and flips whose
+pure-Neumann problem, a 6x6 grid with seeded patch ids and flips whose
 36 patches of one knot vector are cut into several stacks on the finest
-level (``geometry.patch_stacks``).
+level (``geometry.patch_stacks``), and a hand-written expression spec with
+integer constants, ``^`` and unary minus, which pins the bits of the
+expression evaluator (``problems.parse_expression``) beyond the built-ins.
 """
 
 from __future__ import annotations
@@ -72,13 +74,21 @@ def seeded_patches(n: int = 6, seed: int = 3):
     return square_patches(n, ids, flip, alpha)
 
 
-# name: (surface builder, degree, problem, levels)
+# A manufactured solution on the unit cylinder, the same spec as
+# tests/test_pinned_rates.py's CYLINDER_PROBLEM.
+CYLINDER_SPEC = (
+    "u=x*cos(pi*z); f=(1+pi^2)*x*cos(pi*z); gN=0*x; "
+    "gx=y^2*cos(pi*z); gy=-x*y*cos(pi*z); gz=-pi*x*sin(pi*z)"
+)
+
+# name: (surface builder, degree, problem name or spec, levels)
 CASES = {
     "square-p2": (lambda: square_grid(2), 2, "plane_sine", 3),
     "flipped-jumps": (flipped_square, 2, "plane_sine", 3),
     "quarter-cylinder-p3": (lambda: quarter_cylinder_grid(3), 3, "cylinder_sine", 3),
     "cylinder-neumann": (lambda: full_cylinder(3, 2), 3, "cylinder_sine", 3),
     "seeded-6x6": (seeded_patches, 2, "plane_sine", 3),
+    "cylinder-spec": (lambda: full_cylinder(3, 2), 3, CYLINDER_SPEC, 2),
 }
 
 

@@ -160,7 +160,7 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
     """
     surface, q = space.surface, space.degree + 1
     patches = [surface.patches[pid] for pid in stack]
-    tab = tabulate_patches(patches, q, basis=True)
+    tab = tabulate_patches(patches, q)
     Nu, dNu, Nv, dNv, S, Su, Sv, W = tab.factors
     P, nu, nv = S.shape
     m1, m2 = Nu.shape[-1], Nv.shape[-1]

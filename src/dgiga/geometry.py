@@ -15,8 +15,8 @@ so one u point is contracted instead of every control row), with the
 channel axis innermost (for one-point panels numpy's matmul calls BLAS gemv,
 whose rounding depends on an entry's position).  Every per-point quantity
 is formed once, on contiguous arrays whose component axes come first; basis
-tables keep their function axes last.  The rational basis is built only on
-request, from weight-free factors the volume assembly uses directly.
+tables keep their function axes last.  A grid carries the weight-free
+factors the volume assembly uses; the rational basis is built from them.
 ``tabulate_patches`` calls the kernel at the Gauss points of a stack; one
 rule, ``patch_stacks``, sizes the stacks by the bytes of their volume X
 batch.  ``tabulate_sides`` tabulates the Gauss points of many patch sides
@@ -128,10 +128,10 @@ class Tabulation:
     = (p1+1, p2+1) of a point belong to the control-grid window starting at
     (first_u, first_v), integer arrays (nu, 1) and (nv,).  ``weights`` are the
     quadrature weights times the area element (patch) or the edge speed
-    (side), and None on a plain grid.  Only on request (else None): ``factors`` (N_u, dN_u,
-    N_v, dN_v, S, S_u, S_v, W) of the rational basis R = W N_u N_v / S (1D tables (nel, q,
-    m), S on the point axes, control weights W (P, n1, n2)), ``values``/``grads`` (the
-    basis) and ``field``/``field_grad`` (a coefficient grid contracted like the geometry).
+    (side), and None on a plain grid.  A grid has the ``factors`` (N_u, dN_u, N_v, dN_v,
+    S, S_u, S_v, W) of the rational basis R = W N_u N_v / S (1D tables (nel, q, m), S on the
+    point axes, control weights W (P, n1, n2)).  Only on request (else None): ``values``/
+    ``grads`` (the basis) and ``field``/``field_grad`` (a coefficient grid, like the geometry).
     """
 
     points: np.ndarray  # (3, ...)
@@ -227,7 +227,7 @@ def _rational_basis(tab: Tabulation) -> Tabulation:
     return replace(tab, values=values, grads=grads)
 
 
-def tabulate_grid(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=False) -> Tabulation:
+def tabulate_grid(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None) -> Tabulation:
     """Geometry of a stack of patches on the tensor grid xs_u x xs_v.
 
     The patches must share both knot vectors.  ``xs_u``/``xs_v`` are
@@ -239,10 +239,10 @@ def tabulate_grid(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=Fals
     contracted with the 1D tables, first along the direction with fewer
     output points (v on a tie), giving the points, the Jacobian, S = sum N W
     and its derivatives; no per-point window of control points is gathered.
-    The metric and its inverse use closed forms.  ``basis`` adds the factors
-    of the rational basis N_u N_v W / S.  Raises SingularMapError, naming
-    the patch and the first point in element-major order of the smallest
-    det(J^T J) below 1e-14, and ValueError for a point outside [0, 1].
+    The metric and its inverse use closed forms.  Raises SingularMapError,
+    naming the patch and the first point in element-major order where
+    det(J^T J) <= 1e-14 g_00 g_11 (sin^2 of the tangents' angle, whatever the
+    patch's size), and ValueError for a point outside [0, 1].
     """
     xs_u, xs_v = (np.asarray(x, dtype=float).reshape(len(x), -1) for x in (xs_u, xs_v))
     fu, Nu, dNu = _panel_table(patches[0].basis.basis_u, xs_u)
@@ -279,21 +279,21 @@ def tabulate_grid(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None, basis=Fals
     ju, jv = dQ[:3, 0], dQ[:3, 1]
     g00, g01, g11 = _dot(ju, ju), _dot(ju, jv), _dot(jv, jv)
     det = g00 * g11 - g01 * g01
-    if not np.all(det > 1e-14):
-        em = _elements(det, xs_u.shape[1], xs_v.shape[1])
+    regular = det > 1e-14 * g00 * g11
+    if not np.all(regular):
+        em = _elements(regular, xs_u.shape[1], xs_v.shape[1])
         s, eu, ev, i, j = np.unravel_index(np.argmin(em), em.shape)
         raise SingularMapError(
             f"singular parameterization on patch {patches[s].id} at "
-            f"xi=({xs_u[eu, i]:.6f}, {xs_v[ev, j]:.6f}) (det g={em[s, eu, ev, i, j]:.3e})"
+            f"xi=({xs_u[eu, i]:.6f}, {xs_v[ev, j]:.6f}) (det g <= 1e-14 g_00 g_11)"
         )
     inv = np.empty((2, 2) + det.shape)
     for (r, c), g in (((0, 0), g11), ((0, 1), -g01), ((1, 0), -g01), ((1, 1), g00)):
         np.divide(g, det, out=inv[r, c])
-    if basis:
-        extra["factors"] = (Nu, dNu, Nv, dNv, *S, w)
     return Tabulation(
         first_u=np.repeat(fu, xs_u.shape[1])[:, None], first_v=np.repeat(fv, xs_v.shape[1]),
-        points=Q[:3], jacobian=dQ[:3], inv_metric=inv, sqrt_det_g=np.sqrt(det), **extra,
+        points=Q[:3], jacobian=dQ[:3], inv_metric=inv, sqrt_det_g=np.sqrt(det),
+        factors=(Nu, dNu, Nv, dNv, *S, w), **extra,
     )
 
 
@@ -326,7 +326,7 @@ def patch_stacks(patches: list[NurbsPatch]) -> list[list[int]]:
     return stacks
 
 
-def tabulate_patches(patches: list[NurbsPatch], q: int, coeffs=None, basis=False) -> Tabulation:
+def tabulate_patches(patches: list[NurbsPatch], q: int, coeffs=None) -> Tabulation:
     """``tabulate_grid`` at the q x q Gauss points of every element of a stack.
 
     Point axes are (P, nu, nv); ``weights`` integrate over the mapped patches.
@@ -334,24 +334,22 @@ def tabulate_patches(patches: list[NurbsPatch], q: int, coeffs=None, basis=False
     b = patches[0].basis
     xu, wu = panel_rules(breakpoints(b.basis_u), q)
     xv, wv = panel_rules(breakpoints(b.basis_v), q)
-    tab = tabulate_grid(patches, xu, xv, coeffs, basis)
+    tab = tabulate_grid(patches, xu, xv, coeffs)
     return replace(tab, weights=wu.reshape(-1, 1) * wv.reshape(-1) * tab.sqrt_det_g)
 
 
-def _side_grid(patches: list[NurbsPatch], axis: int, ts: np.ndarray, coeffs=None,
-               basis=False) -> Tabulation:
+def _side_grid(patches: list[NurbsPatch], axis: int, ts: np.ndarray, coeffs=None) -> Tabulation:
     """``tabulate_grid`` of a stack on both sides across ``axis``: the grid {0, 1} x ts
-    (axis 0: west, east) or ts x {0, 1} (axis 1: south, north).
-
-    The basis is only the trace window: the 2 functions nearest each side
-    across it, times p+1 along it.  Cox-de Boor gives exact zeros at the end
-    knots of an open knot vector, so every other function has zero value
-    and zero normal derivative on the side, exactly.
-    """
+    (axis 0: west, east) or ts x {0, 1} (axis 1: south, north)."""
     ends = np.array([0.0, 1.0])
-    tab = tabulate_grid(patches, *((ends, ts) if axis == 0 else (ts, ends)), coeffs, basis)
-    if not basis:
-        return tab
+    return tabulate_grid(patches, *((ends, ts) if axis == 0 else (ts, ends)), coeffs)
+
+
+def _trace_basis(tab: Tabulation, axis: int) -> Tabulation:
+    """The rational basis of a ``_side_grid`` tabulation on its trace window: the 2
+    functions nearest each side across ``axis``, times p+1 along it.  Cox-de Boor
+    gives exact zeros at the end knots of an open knot vector, so every other
+    function has zero value and zero normal derivative on the side, exactly."""
     factors, name = list(tab.factors), ("first_u", "first_v")[axis]
     m = factors[2 * axis].shape[-1]
     for k in (2 * axis, 2 * axis + 1):  # the table across the sides: 2 functions per end
@@ -369,7 +367,9 @@ def _side_pass(patches, pid, axis: int, f, flip, bp, q: int, coeffs) -> dict:
     ts, wt = panel_rules(bp, q)
     nel, n, basis = bp.size - 1, ts.size, coeffs is None
     grid = _side_grid([patches[k] for k in stack], axis, np.concatenate([ts.ravel(), bp]),
-                      None if basis else np.stack([coeffs[k] for k in stack]), basis)
+                      None if basis else np.stack([coeffs[k] for k in stack]))
+    if basis:
+        grid = _trace_basis(grid, axis)
     # Point j of side f of stack patch s lies at s * 2 N + f * sf + j * sj.
     lead, N = grid.sqrt_det_g.shape, n + bp.size
     sf, sj = (N, 1) if axis == 0 else (1, 2)

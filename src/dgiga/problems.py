@@ -1,19 +1,22 @@
 """Manufactured problems, stated as expression specs.
 
 A spec is ``key=expr`` terms joined by ``;``, with keys f, u, gD, gN and the
-gradient components gx, gy, gz (all three or none), each at most once.
-Expressions use a small arithmetic language: +, -, *, /, ^, sin, cos, exp,
-atan2, pi and the coordinates x, y, z; in f also ``alpha``, the diffusion
-coefficient of the patch the point lies on.  The built-in cases are named
-specs that pair an exact solution with its source f = alpha (-Delta u), so
-every solve can be checked against it.  A value that comes out NaN or +-inf
-raises ValueError naming its expression.
+gradient components gx, gy, gz (all three or none), each at most once.  The
+expression language is two tables, ``_OPERATORS`` (+, -, *, /, ^, unary +
+and -) and ``_FUNCTIONS`` (sin, cos and exp of one argument, atan2 of two),
+over numbers, pi and x, y, z; in f also ``alpha``, the diffusion coefficient
+of the patch the point lies on.  Numbers and pi are float64: an overflow
+gives +-inf, a negative base to a fractional power NaN, and a value that
+comes out NaN or +-inf raises ValueError naming its expression.  The
+built-in cases are named specs that pair an exact solution with its source
+f = alpha (-Delta u), so every solve can be checked against it.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+import operator
 
 import numpy as np
 
@@ -22,75 +25,70 @@ from .geometry import MultiPatchSurface
 
 __all__ = ["builtin_problems", "make_problem", "parse_expression"]
 
-_ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "atan2": np.arctan2}
-_ALLOWED_NODES = (
-    ast.Expression,
-    ast.BinOp,
-    ast.UnaryOp,
-    ast.Add,
-    ast.Sub,
-    ast.Mult,
-    ast.Div,
-    ast.Pow,
-    ast.USub,
-    ast.UAdd,
-    ast.Call,
-    ast.Name,
-    ast.Load,
-    ast.Constant,
-)
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: operator.pow, ast.USub: operator.neg,
+              ast.UAdd: operator.pos}
+_FUNCTIONS = {"sin": (np.sin, 1), "cos": (np.cos, 1), "exp": (np.exp, 1), "atan2": (np.arctan2, 2)}
+
+
+def _evaluate(node, env):
+    """A built node's value: a name in ``env``, a float64 constant or (function, *operands)."""
+    if isinstance(node, tuple):  # one operand or two
+        a = _evaluate(node[1], env)
+        return node[0](a) if len(node) == 2 else node[0](a, _evaluate(node[2], env))
+    return env[node] if isinstance(node, str) else node
 
 
 def parse_expression(text: str, params=()):
-    """Compile an arithmetic expression in x, y, z into a vectorized field.
+    """Build an arithmetic expression in x, y, z into a vectorized field.
 
-    Each call parses and compiles anew.  The returned callable maps an (N, 3)
-    point array to an (N,) array; each name in the sequence ``params`` is a scalar
-    or (N,) array it takes by keyword, as in ``field(points, alpha=1.0)``.  Raises
-    ValueError on any construct outside the language, and the callable raises
-    ValueError naming the expression where the arithmetic fails (an overflow of
-    Python numbers or a division by an integer zero) or yields NaN or +-inf.
+    Each call parses anew, into a tree of ``_evaluate`` nodes.  The returned
+    callable maps an (N, 3) point array to an (N,) array; each name in the
+    sequence ``params`` is a scalar or (N,) array it takes by keyword, as in
+    ``field(points, alpha=1.0)``.  Raises ValueError on any construct, name,
+    argument count or number outside the language; the callable raises
+    ValueError naming the expression where a value is NaN or +-inf.
     """
-    source = text.replace("^", "**")
-    try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"cannot parse expression {text!r}: {exc}") from None
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ValueError(
-                f"unsupported construct {type(node).__name__} in expression {text!r}"
-            )
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_CALLS:
-                raise ValueError(f"unsupported function call in expression {text!r}")
-            if node.keywords:
-                raise ValueError("keyword arguments are not supported in expressions")
-        if isinstance(node, ast.Name) and node.id not in ("x", "y", "z", "pi", *params,
-                                                          *_ALLOWED_CALLS):
+    names = ("x", "y", "z", "pi", *params)
+
+    def build(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return np.float64(node.value)
+        if isinstance(node, ast.Name) and node.id in names:
+            return node.id
+        if isinstance(node, ast.Name):
             if node.id == "alpha":
                 raise ValueError(f"alpha, the patch coefficient, is allowed only in f, "
                                  f"not in expression {text!r}")
             raise ValueError(f"unknown name {node.id!r} in expression {text!r}")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise ValueError(f"non-numeric constant in expression {text!r}")
-    code = compile(tree, "<expression>", "eval")
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            return _OPERATORS[type(node.op)], build(node.left), build(node.right)
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+            return _OPERATORS[type(node.op)], build(node.operand)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _FUNCTIONS:
+            fn, arity = _FUNCTIONS[node.func.id]
+            if node.keywords or len(node.args) != arity:
+                raise ValueError(f"{node.func.id} takes {arity} positional argument(s), "
+                                 f"in expression {text!r}")
+            return fn, *[build(arg) for arg in node.args]
+        raise ValueError(f"unsupported construct {type(node).__name__} in expression {text!r}")
+
+    # The parser reports nesting too deep for it by an empty MemoryError, and
+    # np.float64 an integer literal beyond its range by OverflowError.
+    try:
+        tree = build(ast.parse(text.replace("^", "**"), mode="eval").body)
+    except (SyntaxError, RecursionError, MemoryError, OverflowError) as exc:
+        reason = str(exc) or "nested too deeply"
+        raise ValueError(f"cannot parse expression {text!r}: {reason}") from None
 
     def field(pts, **values):
         pts = np.asarray(pts, dtype=float)
-        env = {
-            "x": pts[:, 0],
-            "y": pts[:, 1],
-            "z": pts[:, 2],
-            "pi": math.pi,
-            **_ALLOWED_CALLS,
-            **values,
-        }
+        env = {"x": pts[:, 0], "y": pts[:, 1], "z": pts[:, 2], "pi": np.float64(math.pi), **values}
         try:
             with np.errstate(all="ignore"):  # non-finite values raise below
-                out = np.full(pts.shape[0], eval(code, {"__builtins__": {}}, env), dtype=float)
-        except ArithmeticError as exc:
-            raise ValueError(f"cannot evaluate expression {text!r}: {exc}") from None
+                out = np.full(pts.shape[0], _evaluate(tree, env), dtype=float)
+        except RecursionError:  # built near the limit, evaluated deeper in the stack
+            raise ValueError(f"expression {text!r} is nested too deeply") from None
         finite = np.isfinite(out)
         if not finite.all():
             i = int(np.argmin(finite))

@@ -156,7 +156,7 @@ class SurfaceFrame:
 def frame_at(patch: NurbsPatch, xi) -> SurfaceFrame:
     """Evaluate the mapped point, Jacobian and metric of a patch at xi.
 
-    Raises SingularMapError when det(J^T J) falls below 1e-14.
+    Raises SingularMapError when det(J^T J) <= 1e-14 g_00 g_11, as ``tabulate_grid`` does.
     """
     vals, grads, (a1, a2) = eval_nurbs2d(patch.basis, xi)
     p1, p2 = vals.shape
@@ -165,7 +165,7 @@ def frame_at(patch: NurbsPatch, xi) -> SurfaceFrame:
     jac = np.einsum("abd,abk->kd", grads, cp)
     g = jac.T @ jac
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if det <= 1e-14:
+    if det <= 1e-14 * g[0, 0] * g[1, 1]:
         raise SingularMapError(
             f"singular parameterization on patch {patch.id} at xi={tuple(xi)} (det g={det:.3e})"
         )
@@ -243,7 +243,7 @@ def element_dofs(space: DgSpace, pid: int) -> np.ndarray:
 
 def tabulate_patch(patch: NurbsPatch, q: int):
     """Basis and geometry at the q x q Gauss points of one patch; point axes (nu, nv)."""
-    tab = _rational_basis(tabulate_patches([patch], q, basis=True))
+    tab = _rational_basis(tabulate_patches([patch], q))
     names = ("points", "jacobian", "inv_metric", "sqrt_det_g", "weights", "values", "grads")
     return replace(tab, factors=None, **{
         name: getattr(tab, name)[(slice(None),) * COMPONENT_AXES.get(name, 0) + (0,)]

@@ -187,6 +187,16 @@ def test_non_finite_expression_exit_code(tmp_path, capsys, spec, expr):
     assert not (tmp_path / "rates.csv").exists()
 
 
+def test_expression_with_a_wrong_argument_count_exit_code(tmp_path, capsys):
+    """sin(x, y) overwrote the y column of the tabulated points and exited 0."""
+    argv = ["solve", str(data_path("square4_p2.g")), "--problem", "u=sin(x,y); f=0",
+            "--levels", "1", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_PARSE
+    assert "sin takes 1 positional argument(s), in expression 'sin(x,y)'" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "rates.csv").exists()
+
+
 def test_alpha_outside_f_exit_code(tmp_path, capsys):
     argv = ["solve", str(data_path("square4.g")), "--problem", "f=alpha; gN=alpha*x",
             "--levels", "1", "--out", str(tmp_path)]

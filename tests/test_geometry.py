@@ -6,7 +6,7 @@ from oracles import (edge_breakpoints, edge_mesh_size, mesh_size, partner_t, ref
                      uniform_open_knots)
 from test_tabulation import GEOMETRIES
 
-from dgiga.assembly import interface_slots
+from dgiga.assembly import assemble_system, default_penalty, interface_slots
 from dgiga.driver import run_sweep
 from dgiga.geometries import (
     _arc_segments,
@@ -291,6 +291,33 @@ def test_singular_parameterization_reports_location():
     collapsed = NurbsPatch(patch.basis, np.zeros_like(patch.control_points), 7)
     with pytest.raises(SingularMapError, match="patch 7"):
         tabulate_grid([collapsed], [0.5], [0.5])
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e-6])
+def test_a_small_patch_solves_like_the_unit_square(scale):
+    """A square patch of side 1e-4 (0.1 mm in metres) stopped with
+    SingularMapError (det g=1.000e-16) while one of side 1e-3 solved: the test
+    compared det g with 1e-14 whatever the patch's size.  Scaled by s, the
+    plane sine problem has the unit square's linear system up to rounding, so
+    the coefficients may differ only by what CG's stopping rule
+    ||b - A x|| <= tol ||b|| leaves each solve: ||x - x*|| <= cond(A) tol ||x*||."""
+    tol = 1e-13
+
+    def sweep(s):
+        patch = planar_rectangle_patch(2, size=(s, s))
+        surface = match_interfaces([patch], {(0, side): "dirichlet" for side in SIDES})
+        spec = (f"u=sin(pi*x/{s!r})*sin(pi*y/{s!r}); "
+                f"f=2*pi^2/{s!r}^2*(sin(pi*x/{s!r})*sin(pi*y/{s!r}))")
+        problem = lambda surf, delta: make_problem(spec, surf, 2, delta)
+        return problem, run_sweep(surface, 2, problem, 3, tol=tol)[1]
+
+    problem, unit = sweep(1.0)
+    for a, b in zip(unit, sweep(scale)[1]):
+        space = a.solution.space
+        A = assemble_system(space, problem(space.surface, default_penalty(2))).matrix.toarray()
+        x = a.solution.coefficients
+        bound = 2 * np.linalg.cond(A) * tol * np.linalg.norm(x)
+        assert np.linalg.norm(b.solution.coefficients - x) <= bound
 
 
 def test_side_param_conventions():

@@ -49,7 +49,7 @@ def test_grid_arrays_lead_with_their_components(xs):
     coeffs = np.random.default_rng(1).normal(size=(3, *patches[0].basis.shape))
     xu, xv = (np.linspace(0.0, 1.0, n) for n in xs)
     check_layout(tabulate_grid(patches, xu, xv, coeffs), (3, *xs))
-    tab = _rational_basis(tabulate_grid(patches, xu, xv, basis=True))
+    tab = _rational_basis(tabulate_grid(patches, xu, xv))
     check_layout(tab, (3, *xs), (4, 4))
     assert tab.first_u.shape == (xs[0], 1) and tab.first_v.shape == (xs[1],)
     assert all(f.flags.c_contiguous for f in tab.factors)

@@ -1,9 +1,15 @@
+import inspect
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgiga
 from dgiga.geometries import quarter_cylinder_grid, square_grid
 from dgiga.problems import builtin_problems, make_problem, parse_expression
 
@@ -164,11 +170,62 @@ def test_expression_atan2():
         "x < y",
         "'abc'",
         "sin(x, key=1)",
+        "1" + "0" * 400,  # an integer literal beyond float64
     ],
 )
 def test_expression_rejects_unsupported(bad):
     with pytest.raises(ValueError):
         parse_expression(bad)
+
+
+@pytest.mark.parametrize("text", ["sin(x, y)", "cos()", "atan2(y)", "atan2(y, x, z)"])
+def test_expression_checks_the_argument_count_when_parsed(text):
+    """sin(x, y) was np.sin(x, y): numpy took y as ``out`` and overwrote the
+    y column of the caller's points; cos() raised TypeError when called."""
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        parse_expression(text)
+
+
+@pytest.mark.parametrize("text", ["sin", "-exp", "(-8)^(1/3)"])
+def test_expression_values_are_float64_numbers(text):
+    """A bare function raised TypeError when called; (-8)^(1/3) was the
+    complex cube root, cut to its real part 1.0000000000000002 with only a
+    ComplexWarning, where float64 arithmetic gives NaN."""
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        parse_expression(text)(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("depth", [1000, 100000])
+def test_deeply_nested_expression_is_a_parse_error(depth):
+    """Nesting past the recursion limit raised RecursionError, and past the
+    parser's own limit MemoryError: the CLI exited 1, not 2."""
+    with pytest.raises(ValueError, match="cannot parse"):
+        parse_expression("-" * depth + "x")
+
+
+def test_deeply_nested_expression_raises_value_error_when_called():
+    """An expression that parses near the recursion limit ran out of stack
+    when called from deeper frames, as in an assembly."""
+    depth = sys.getrecursionlimit() - len(inspect.stack(0)) - 20
+    field = parse_expression("-" * depth + "x")
+
+    def deeper(frames):
+        return field(np.zeros((2, 3))) if frames == 0 else deeper(frames - 1)
+
+    with pytest.raises(ValueError, match="nested too deeply"):
+        deeper(100)
+
+
+def test_a_tower_of_powers_raises_at_once():
+    """9^9^9 was Python integer arithmetic, which never returned; in float64
+    it overflows to inf.  A subprocess, so that a hang fails the test."""
+    code = ("import numpy as np\nfrom dgiga.problems import parse_expression\n"
+            "try:\n    parse_expression('9^9^9')(np.zeros((1, 3)))\n"
+            "except ValueError as exc:\n    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(dgiga.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert done.stdout.startswith("expression '9^9^9' evaluates to inf"), done.stderr[-2000:]
 
 
 def test_alpha_in_f_is_the_patch_coefficient():

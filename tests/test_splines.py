@@ -64,7 +64,7 @@ def rational_basis_at(basis, xi):
     n1, n2 = basis.shape
     grid = np.stack(np.meshgrid(np.arange(n1), np.arange(n2), [0.0], indexing="ij"), axis=-1)
     patch = NurbsPatch(basis, grid.reshape(n1, n2, 3), 0)
-    tab = _rational_basis(tabulate_grid([patch], [xi[0]], [xi[1]], basis=True))
+    tab = _rational_basis(tabulate_grid([patch], [xi[0]], [xi[1]]))
     m1, m2 = tab.values.shape[-2:]
     return tab.values.reshape(m1, m2), np.moveaxis(tab.grads.reshape(2, m1, m2), 0, -1)
 

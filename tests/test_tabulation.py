@@ -208,7 +208,7 @@ def test_side_field_equals_the_basis_route(surface):
 def test_grid_tabulation_matches_pointwise_up_to_xi_one(surface):
     ts = np.linspace(0.0, 1.0, 5)  # hits the interior knot 0.5 and xi = 1
     for patch in surface.patches:
-        tab = _rational_basis(tabulate_grid([patch], ts, ts, basis=True))
+        tab = _rational_basis(tabulate_grid([patch], ts, ts))
         G = tab.surface_gradient(tab.grads)
         for idx in np.ndindex(tab.sqrt_det_g.shape):
             check_point(patch, tab, G, idx, (ts[idx[1]], ts[idx[2]]))

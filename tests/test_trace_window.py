@@ -75,7 +75,7 @@ def test_functions_outside_the_trace_window_vanish_on_the_side(case):
             end = [0.0 if side in ("west", "south") else 1.0]
             # The full rational basis (every function of the element window) on the side.
             grid = (end, ts) if across == 0 else (ts, end)
-            tab = _rational_basis(tabulate_grid([patch], *grid, basis=True))
+            tab = _rational_basis(tabulate_grid([patch], *grid))
             m1, m2 = tab.values.shape[-2:]
             first = np.broadcast_to((tab.first_u, tab.first_v)[across], tab.sqrt_det_g.shape)
             index = first.reshape(-1, 1) + np.arange((m1, m2)[across])
