@@ -14,9 +14,12 @@ v first and west/east side grids contracted u first, interfaces whose edge
 parameters run in opposite directions, coefficient jumps, Dirichlet data, a
 pure-Neumann problem, a 6x6 grid with seeded patch ids and flips whose
 36 patches of one knot vector are cut into several stacks on the finest
-level (``geometry.patch_stacks``), and a hand-written expression spec with
+level (``geometry.patch_stacks``), a hand-written expression spec with
 integer constants, ``^`` and unary minus, which pins the bits of the
-expression evaluator (``problems.parse_expression``) beyond the built-ins.
+expression evaluator (``problems.parse_expression``) beyond the built-ins,
+and a p = 4 square whose finest patches of 8 x 8 elements each have a volume
+X batch (640 KB) above ``geometry.STACK_BYTES``, so it is built in blocks of
+element rows.
 """
 
 from __future__ import annotations
@@ -89,6 +92,7 @@ CASES = {
     "cylinder-neumann": (lambda: full_cylinder(3, 2), 3, "cylinder_sine", 3),
     "seeded-6x6": (seeded_patches, 2, "plane_sine", 3),
     "cylinder-spec": (lambda: full_cylinder(3, 2), 3, CYLINDER_SPEC, 2),
+    "square-p4-blocks": (lambda: square_grid(4), 4, "plane_sine", 4),
 }
 
 

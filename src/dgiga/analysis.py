@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import edge_alpha, edge_sides
-from .geometry import _dot, _elements, patch_stacks, tabulate_grid, tabulate_patches
+from .geometry import (_dot, _elements, knot_groups, patch_stacks, tabulate_grid,
+                       tabulate_patches)
 from .space import DiscreteFunction
 from .splines import breakpoints
 
@@ -76,16 +77,18 @@ def _energy_error(u_h: DiscreteFunction, h1: np.ndarray, data) -> float:
 
 
 def surface_h_max(surface) -> float:
-    """Largest element diameter (largest distance among the 4 mapped corners)."""
-    h = 0.0
-    for stack in patch_stacks(surface.patches):
-        patches = [surface.patches[pid] for pid in stack]
+    """Largest element diameter (largest distance among the 4 mapped corners),
+    from one breakpoint grid per knot group and one square root."""
+    h2 = 0.0
+    for group in knot_groups(surface.patches):
+        patches = [surface.patches[pid] for pid in group]
         bu, bv = (breakpoints(kv) for kv in (patches[0].basis.basis_u, patches[0].basis.basis_v))
         X = tabulate_grid(patches, bu, bv).points  # (3, P, bu.size, bv.size)
         corners = (X[..., :-1, :-1], X[..., :-1, 1:], X[..., 1:, :-1], X[..., 1:, 1:])
         for a, b in itertools.combinations(corners, 2):
-            h = max(h, float(np.max(np.linalg.norm(a - b, axis=0))))
-    return h
+            d = a - b
+            h2 = max(h2, float(np.max(_dot(d, d))))
+    return math.sqrt(h2)
 
 
 def measure_errors(u_h: DiscreteFunction, data) -> ErrorReport:

@@ -5,14 +5,15 @@ consistency/symmetry and jump-penalty terms, weakly imposed Dirichlet
 conditions of Nitsche type, and the load vector including Neumann data.
 The volume terms of a stack of patches sharing both knot vectors come from
 the weight-free factors of one tabulation (``tabulate_patches``) on its
-(P, nu, nv) grid, with no rational-basis table, and one batched matmul whose
-X batch is the one element-major copy.  Patches are uncoupled in the volume,
-so its matrix is block-diagonal by patch, with the Kronecker pattern of two
-1D B-spline bands per block.  One accumulator serves the whole volume pass:
-the element matrices are summed straight into the CSR values of that
-pattern, and the element loads and basis integrals into each patch's slice
-of the vectors, by patch-local slots built once per knot signature in each
-call, with no global index array.  The edge terms are one pass over the one
+(P, nu, nv) grid, with no rational-basis table, and batched matmuls whose
+X batches are element-major copies, one per block of element rows that fits
+``geometry.STACK_BYTES`` (a whole stack within it is one block).  Patches
+are uncoupled in the volume, so its matrix is block-diagonal by patch, with
+the Kronecker pattern of two 1D B-spline bands per block.  One accumulator
+serves the whole volume pass: the element matrices are summed straight into
+the CSR values of that pattern, and the element loads and basis integrals
+into each patch's slice of the vectors, by patch-local slots built once per
+knot signature in each call, with no global index array.  The edge terms are one pass over the one
 edge layout, ``edge_sides``, with the 2(p+1) trace functions of each side
 element, and stay parametric: a normal derivative is grad^ phi . g^-1 J^T n.
 Their element matrices are batched matmuls over the edge points; their sums
@@ -33,6 +34,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from . import geometry
 from .geometry import (SideTabulation, _dot, _elements, _knot_key, _window_weights,
                        patch_stacks, tabulate_patches, tabulate_sides)
 from .space import DgSpace
@@ -155,8 +157,11 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
     point (C upper triangular, closed form), X = C grad psi is built with
     the function axes outermost, so every elementwise step runs over the
     grid points; K_e = alpha W_a W_b (X^T X)_ab, the weights applied as one
-    exactly symmetric factor after the matmul and alpha last.  The rows
-    contract (f w / S, w / S) with the 1D tables.
+    exactly symmetric factor after the matmul and alpha last.  X, its
+    element-major copy and K are built for a block of u-element rows at a
+    time, as many as fit ``geometry.STACK_BYTES`` (read at call time, at
+    least one row): only a patch above the budget has more than one block.
+    The rows contract (f w / S, w / S) with the 1D tables.
     """
     surface, q = space.surface, space.degree + 1
     patches = [surface.patches[pid] for pid in stack]
@@ -164,15 +169,15 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
     Nu, dNu, Nv, dNv, S, Su, Sv, W = tab.factors
     P, nu, nv = S.shape
     m1, m2 = Nu.shape[-1], Nv.shape[-1]
-    n, m = P * (nu // q) * (nv // q), m1 * m2
-    W = _window_weights(W, tab.first_u[::q, 0], tab.first_v[::q], m1, m2).reshape(n, m)
+    nel_u, nel_v, m = nu // q, nv // q, m1 * m2
+    W = _window_weights(W, tab.first_u[::q, 0], tab.first_v[::q], m1, m2).reshape(P, -1, m)
     w, f = tab.weights, 0.0
     if data.f is not None:  # one call per stack, one patch id per point
         pids = np.repeat(stack, w[0].size)
         f = np.asarray(data.f(pids, tab.points.reshape(3, -1).T), dtype=float).reshape(w.shape)
     rows = _elements(np.stack([f * w, w]) / S, q, q)  # (2, P, nel_u, nel_v, q, q)
     rows = Nu.transpose(0, 2, 1)[:, None] @ (rows @ Nv)  # (2, P, nel_u, nel_v, m1, m2)
-    rows = rows.transpose(1, 0, 2, 3, 4, 5).reshape(P, 2, -1, m) * W.reshape(P, 1, -1, m)
+    rows = rows.transpose(1, 0, 2, 3, 4, 5).reshape(P, 2, -1, m) * W[:, None]
     r = np.sqrt(w / tab.inv_metric[0, 0]) / S
     c00, c01, c11 = tab.inv_metric[0, 0] * r, tab.inv_metric[0, 1] * r, r / tab.sqrt_det_g
     s0, s1 = (c00 * Su + c01 * Sv) / S, c11 * Sv / S
@@ -181,19 +186,26 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
     # along the v points.  X_0 = A N_v + B dN_v, X_1 = N_u C.
     uN, udN = (np.ascontiguousarray(t.reshape(-1, m1).T)[:, None, :, None] for t in (Nu, dNu))
     vN, vdN = (np.ascontiguousarray(t.reshape(-1, m2).T)[:, None, None] for t in (Nv, dNv))
-    A = c00 * udN - s0 * uN
-    B = c01 * uN
-    C = c11 * vdN - s1 * vN
-    X = np.empty((m1, m2, 2, P, nu, nv))
-    np.multiply(A[:, None], vN, out=X[:, :, 0])
-    X[:, :, 0] += B[:, None] * vdN
-    np.multiply(uN[:, None], C, out=X[:, :, 1])
-    del A, B, C
-    X = _elements(X, q, q).transpose(3, 4, 5, 2, 6, 7, 0, 1).reshape(n, 2 * q * q, m)
-    K = X.transpose(0, 2, 1) @ X  # a rank-k update: exactly symmetric
-    del X
-    K *= W[:, :, None] * W[:, None, :]
-    K = K.reshape(P, -1, m, m)
+    rows_per = max(1, geometry.STACK_BYTES // (16 * q * q * m * nel_v * P))
+    for first in range(0, nel_u, rows_per):
+        last = first + rows_per
+        g, e = slice(first * q, last * q), slice(first * nel_v, last * nel_v)
+        ug, udg = uN[:, :, g], udN[:, :, g]
+        A = c00[:, g] * udg - s0[:, g] * ug
+        B = c01[:, g] * ug
+        C = c11[:, g] * vdN - s1[:, g] * vN
+        X = np.empty((m1, m2, 2) + A.shape[1:])
+        np.multiply(A[:, None], vN, out=X[:, :, 0])
+        X[:, :, 0] += np.multiply(B[:, None], vdN, out=X[:, :, 1])  # X_1 as scratch
+        np.multiply(ug[:, None], C, out=X[:, :, 1])
+        del A, B, C
+        X = _elements(X, q, q).transpose(3, 4, 5, 2, 6, 7, 0, 1).reshape(P, -1, 2 * q * q, m)
+        if first == 0:  # after the first grid X is freed: never beside both X batches
+            K = np.empty((P, nel_u * nel_v, m, m))
+        Ke, We = K[:, e], W[:, e]
+        np.matmul(X.transpose(0, 1, 3, 2), X, out=Ke)  # a rank-k update: exactly symmetric
+        del X
+        Ke *= We[..., :, None] * We[..., None, :]
     K *= surface.alpha[stack].reshape(-1, 1, 1, 1)
     return K, rows
 

@@ -65,7 +65,7 @@ __all__ = [
 
 SIDES = ("west", "east", "south", "north")
 
-MATCH_TOL = 1e-8  # largest distance at which two sides' traced curves coincide
+MATCH_TOL = 1e-8  # largest distance, over the surface's extent, at which two sides coincide
 # Each side: (fixed axis, fixed value).
 _SIDE_DATA = {"west": (0, 0.0), "east": (0, 1.0), "south": (1, 0.0), "north": (1, 1.0)}
 # The component axes in front of each tabulated array's point axes (none if not named).
@@ -509,7 +509,8 @@ def match_interfaces(
     """Pair patch sides into interior edges and classify the rest by tag.
 
     Sides are paired when their traced physical curves coincide at 5 sample
-    parameters within MATCH_TOL (both orientations are tried).  Remaining
+    parameters within MATCH_TOL times the surface's extent, the largest side
+    of the samples' bounding box (both orientations are tried).  Remaining
     sides must carry a ``dirichlet`` or ``neumann`` tag; an untagged side
     whose curve matches nothing raises TopologyError.  Paired sides must
     have equal knot vectors up to orientation reversal (matching meshes),
@@ -526,9 +527,9 @@ def match_interfaces(
             raise TopologyError(f"unknown boundary tag {tag!r}")
 
     # The t = 1/2 sample is the same in both orientations, and a pair that
-    # matches within MATCH_TOL has midpoints within MATCH_TOL in x; only sides
-    # in that window are compared.  The window is widened to 2*MATCH_TOL so
-    # rounding in its bounds never drops a candidate; the 5-sample test decides.
+    # matches within tol has midpoints within tol in x; only sides in that
+    # window are compared.  The window is widened to 2 tol so rounding in its
+    # bounds never drops a candidate; the 5-sample test decides.
     ts = np.linspace(0.0, 1.0, 5)
     all_sides = [(p.id, side) for p in patches for side in SIDES]
     samples = np.empty((len(patches), 2, 2, ts.size, 3))  # in SIDES order per patch
@@ -537,10 +538,11 @@ def match_interfaces(
             X = np.moveaxis(_side_grid([patches[pid] for pid in stack], axis, ts).points, 0, -1)
             samples[stack, axis] = X if axis == 0 else X.swapaxes(1, 2)
     samples = samples.reshape(len(all_sides), ts.size, 3)
+    tol = MATCH_TOL * float(np.max(np.ptp(samples, axis=(0, 1))))
     mid_x = samples[:, ts.size // 2, 0]
     order = np.argsort(mid_x, kind="stable")
-    lo = np.searchsorted(mid_x[order], mid_x - 2.0 * MATCH_TOL, side="left")
-    hi = np.searchsorted(mid_x[order], mid_x + 2.0 * MATCH_TOL, side="right")
+    lo = np.searchsorted(mid_x[order], mid_x - 2.0 * tol, side="left")
+    hi = np.searchsorted(mid_x[order], mid_x + 2.0 * tol, side="right")
     partner: dict[tuple[int, str], tuple[tuple[int, str], bool]] = {}
 
     for a, sa in enumerate(all_sides):
@@ -553,7 +555,7 @@ def match_interfaces(
         reversed_ = np.max(np.linalg.norm(A - B[:, ::-1], axis=2), axis=1)
         for b, st, rv in zip(cand, straight, reversed_):
             sb = all_sides[b]
-            if sb in partner or min(st, rv) > MATCH_TOL:
+            if sb in partner or min(st, rv) > tol:
                 continue
             if sa in partner:
                 raise TopologyError(f"side {sb} matches more than one side")

@@ -10,6 +10,7 @@ from dgiga.assembly import assemble_system, default_penalty, interface_slots
 from dgiga.driver import run_sweep
 from dgiga.geometries import (
     _arc_segments,
+    _outer_tags,
     full_cylinder,
     planar_rectangle_patch,
     quarter_cylinder_grid,
@@ -460,11 +461,18 @@ def test_refinement_runs_once_per_stack(monkeypatch):
 # -- the matcher against an all-pairs reference --------------------------------
 
 
-def all_pairs_partners(patches, tol=1e-8):
+def extent_tol(points):
+    """MATCH_TOL scaled by the largest side of the points' bounding box."""
+    points = np.reshape(points, (-1, 3))
+    return MATCH_TOL * np.max(points.max(axis=0) - points.min(axis=0))
+
+
+def all_pairs_partners(patches):
     """Every side against every later side at 5 pointwise samples."""
     ts = np.linspace(0.0, 1.0, 5)
     sides = [(p.id, side) for p in patches for side in SIDES]
     samples = {s: np.array([patches[s[0]].side_point(s[1], t) for t in ts]) for s in sides}
+    tol = extent_tol(list(samples.values()))
     partner = {}
     for a, sa in enumerate(sides):
         if sa in partner:
@@ -551,7 +559,7 @@ def test_three_coincident_sides_raise():
 
 @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0)])
 def test_neighbour_shifted_by_twice_tol_does_not_pair(direction):
-    tol = MATCH_TOL
+    tol = extent_tol([(0.0, 0.0, 0.0), (2.0, 1.0, 0.0)])  # the unshifted pair's corners
     outer = {(0, s): "dirichlet" for s in ("west", "south", "north")}
     outer.update({(1, s): "dirichlet" for s in ("east", "south", "north")})
 
@@ -565,3 +573,11 @@ def test_neighbour_shifted_by_twice_tol_does_not_pair(direction):
         match_interfaces(pair(2.0 * tol), outer)
     apart = {**outer, (0, "east"): "neumann", (1, "west"): "neumann"}
     assert match_interfaces(pair(2.0 * tol), apart).edges_of_kind("interior") == []
+
+
+@pytest.mark.parametrize("side", [1e-9, 1e-8, 1e-6, 1e6, 1e12])
+def test_matching_does_not_depend_on_the_surface_scale(side):
+    patches = [planar_rectangle_patch(2, (i * side, j * side), (side, side), 2 * j + i)
+               for j in range(2) for i in range(2)]
+    surface = match_interfaces(patches, _outer_tags(2, 2, "dirichlet"))
+    assert edge_tuples(surface) == edge_tuples(square_grid(2))

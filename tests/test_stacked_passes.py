@@ -2,12 +2,14 @@
 
 A stacked pass must equal its one-patch calls bit for bit, and the whole
 assembly, error measurement and prolongation must not depend on how the
-patches of a knot group are cut into stacks (``geometry.STACK_BYTES``).
+patches of a knot group are cut into stacks (``geometry.STACK_BYTES``), nor
+on how a larger patch's volume X batch is cut into blocks of element rows.
 The stacks cover every patch once, in knot-group order, and each pass
 tabulates once per stack.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +44,14 @@ def two_signatures():
 def cylinder():
     """Eight rational p = 3 patches of one knot signature, Neumann rims."""
     return refine_surface(full_cylinder(3, 2))
+
+
+def one_patch(p=2, levels=3):
+    """One planar patch of 2^levels x 2^levels elements, Neumann all round."""
+    surface = square_grid(p, 1, 1, bc="neumann")
+    for _ in range(levels):
+        surface = refine_surface(surface)
+    return surface
 
 
 def random_function(surface):
@@ -87,6 +97,8 @@ def passes(u_h):
     (two_signatures, 1, [[0], [2], [4], [1], [3]]),
     # 4 elements per patch after one refinement
     (cylinder, 12, [[0, 1, 2], [3, 4, 5], [6, 7]]),
+    # 8 x 8 elements in one patch: X in blocks of 3, 3 and 2 element rows
+    (one_patch, 24, [[0]]),
 ])
 def test_passes_do_not_depend_on_the_stack_size(monkeypatch, build, limit, expected):
     u_h = random_function(build())
@@ -139,4 +151,23 @@ def test_volume_and_error_passes_tabulate_once_per_stack(monkeypatch, build, lev
     assert kernel.calls == stacks
     kernel.calls = 0
     measure_errors(u_h, dataclasses.replace(DATA, grad_u_exact=None))  # no edge pass
-    assert kernel.calls == 2 * stacks  # the error pass and surface_h_max
+    groups = len(knot_groups(surface.patches))
+    assert kernel.calls == stacks + groups  # the error pass, surface_h_max per knot group
+
+
+def test_a_large_patch_never_holds_its_whole_x_batch():
+    """A patch whose volume X batch is several times the stack budget builds
+    it in blocks of element rows: the pass's peak stays below its K plus one
+    whole X batch, which a whole-patch X and its element-major copy exceed."""
+    space = random_function(one_patch(p=4, levels=4)).space  # 16 x 16 elements
+    m = (space.degree + 1) ** 2
+    x_bytes = 256 * 16 * m * m  # 2 m rows of m doubles per element
+    assert x_bytes > 4 * dgiga.geometry.STACK_BYTES
+    _volume_blocks(space, DATA, [0])  # the memoised 1D tables
+    tracemalloc.start()
+    try:
+        K, _ = _volume_blocks(space, DATA, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < K.nbytes + x_bytes
