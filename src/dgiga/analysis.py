@@ -23,7 +23,6 @@ from .assembly import edge_alpha, edge_sides
 from .geometry import (_dot, _elements, knot_groups, patch_stacks, tabulate_grid,
                        tabulate_patches)
 from .space import DiscreteFunction
-from .splines import breakpoints
 
 __all__ = ["ErrorReport", "RateTable", "measure_errors", "rate_table"]
 
@@ -82,7 +81,7 @@ def surface_h_max(surface) -> float:
     h2 = 0.0
     for group in knot_groups(surface.patches):
         patches = [surface.patches[pid] for pid in group]
-        bu, bv = (breakpoints(kv) for kv in (patches[0].basis.basis_u, patches[0].basis.basis_v))
+        bu, bv = patches[0].basis.basis_u.breaks, patches[0].basis.basis_v.breaks
         X = tabulate_grid(patches, bu, bv).points  # (3, P, bu.size, bv.size)
         corners = (X[..., :-1, :-1], X[..., :-1, 1:], X[..., 1:, :-1], X[..., 1:, 1:])
         for a, b in itertools.combinations(corners, 2):

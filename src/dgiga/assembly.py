@@ -38,7 +38,7 @@ from . import geometry
 from .geometry import (SideTabulation, _dot, _elements, _knot_key, _window_weights,
                        patch_stacks, tabulate_patches, tabulate_sides)
 from .space import DgSpace
-from .splines import KnotVector, breakpoints, find_span
+from .splines import KnotVector, find_span
 
 __all__ = [
     "ProblemData",
@@ -107,7 +107,7 @@ def _band(kv: KnotVector):
     """First active function of every element, and the first column and width of
     every row of the 1D coupling band: row i holds the functions that share an
     element with function i, a contiguous range as the windows are."""
-    first, i = find_span(kv, breakpoints(kv)[:-1]) - kv.degree, np.arange(kv.n)
+    first, i = find_span(kv, kv.breaks[:-1]) - kv.degree, np.arange(kv.n)
     lo = first[np.searchsorted(first + kv.degree, i)]
     hi = first[np.searchsorted(first, i, side="right") - 1] + kv.degree
     return first, lo, hi - lo + 1

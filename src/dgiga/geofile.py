@@ -73,30 +73,25 @@ class _PatchDraft:
         return NurbsPatch(basis, xyz, self.pid), self.records.get("alpha", 1.0)
 
 
-def _floats(parts: list[str], lineno: int, what: str) -> list[float]:
-    out = []
-    for p in parts:
-        try:
-            out.append(float(p))
-        except ValueError:
-            raise ParseError(lineno, f"malformed number {p!r} in {what}") from None
-        if not np.isfinite(out[-1]):
-            raise ParseError(lineno, f"non-finite number {p!r} in {what}")
-    return out
-
-
-def _knot_vector(parts: list[str], lineno: int) -> KnotVector:
-    if len(parts) < 2:
-        raise ParseError(lineno, "knot record needs a degree and knots")
+def _number(text: str, lineno: int, what: str, kind=float):
     try:
-        degree = int(parts[0])
+        value = kind(text)
     except ValueError:
-        raise ParseError(lineno, f"malformed degree {parts[0]!r}") from None
-    knots = _floats(parts[1:], lineno, "knot vector")
-    try:
-        return KnotVector(degree, np.asarray(knots))
-    except ValueError as exc:
-        raise ParseError(lineno, f"invalid knot vector: {exc}") from None
+        raise ParseError(lineno, f"malformed number {text!r} in {what}") from None
+    if not -np.inf < value < np.inf:  # also an int beyond the float range
+        raise ParseError(lineno, f"non-finite number {text!r} in {what}")
+    return value
+
+
+# record: (fewest, most) arguments and the message otherwise; unknown records get (1, 0)
+_ARITY = {
+    "patch": (1, 1, "patch record needs exactly one id"),
+    "knots_u": (2, np.inf, "knot record needs a degree and knots"),
+    "knots_v": (2, np.inf, "knot record needs a degree and knots"),
+    "alpha": (1, 1, "alpha needs exactly one value"),
+    "cp": (4, 4, "cp needs x y z w"),
+    "tag": (3, 3, "tag needs: patch side kind"),
+}
 
 
 def parse_geometry(path) -> GeometryData:
@@ -112,49 +107,19 @@ def parse_geometry(path) -> GeometryData:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        record, args = parts[0], parts[1:]
+        record, *args = line.split()
+        fewest, most, message = _ARITY.get(record, (1, 0, f"unknown record {record!r}"))
+        if not fewest <= len(args) <= most:
+            raise ParseError(lineno, message)
 
         if record == "patch":
-            if len(args) != 1:
-                raise ParseError(lineno, "patch record needs exactly one id")
-            try:
-                pid = int(args[0])
-            except ValueError:
-                raise ParseError(lineno, f"malformed patch id {args[0]!r}") from None
+            pid = _number(args[0], lineno, "patch id", int)
             if pid != len(drafts):
                 raise ParseError(lineno, f"expected patch id {len(drafts)}, got {pid}")
             current = _PatchDraft(pid, lineno)
             drafts.append(current)
-        elif record in ("knots_u", "knots_v", "alpha", "cp"):
-            if current is None:
-                raise ParseError(lineno, f"{record} before any patch record")
-            if record in current.records:
-                raise ParseError(lineno, f"repeated {record} record in patch {current.pid}")
-            if record == "cp":
-                if len(args) != 4:
-                    raise ParseError(lineno, "cp needs x y z w")
-                vals = _floats(args, lineno, "control point")
-                if vals[3] <= 0:
-                    raise ParseError(lineno, "control-point weight must be positive")
-                current.cps.append(vals)
-            elif record == "alpha":
-                if len(args) != 1:
-                    raise ParseError(lineno, "alpha needs exactly one value")
-                (value,) = _floats(args, lineno, "alpha")
-                if value <= 0:
-                    raise ParseError(lineno, "alpha must be positive")
-                current.records[record] = value
-            else:
-                current.records[record] = _knot_vector(args, lineno)
         elif record == "tag":
-            if len(args) != 3:
-                raise ParseError(lineno, "tag needs: patch side kind")
-            try:
-                pid = int(args[0])
-            except ValueError:
-                raise ParseError(lineno, f"malformed patch id {args[0]!r}") from None
-            side, kind = args[1], args[2]
+            pid, side, kind = _number(args[0], lineno, "patch id", int), args[1], args[2]
             if side not in SIDES:
                 raise ParseError(lineno, f"unknown side {side!r}")
             if kind not in ("dirichlet", "neumann"):
@@ -164,18 +129,33 @@ def parse_geometry(path) -> GeometryData:
             if (pid, side) in tags:
                 raise ParseError(lineno, f"repeated tag of patch {pid} {side}")
             tags[(pid, side)] = kind
+        elif current is None:
+            raise ParseError(lineno, f"{record} before any patch record")
+        elif record in current.records:
+            raise ParseError(lineno, f"repeated {record} record in patch {current.pid}")
+        elif record == "cp":
+            point = [_number(a, lineno, "control point") for a in args]
+            if point[3] <= 0:
+                raise ParseError(lineno, "control-point weight must be positive")
+            current.cps.append(point)
+        elif record == "alpha":
+            current.records[record] = _number(args[0], lineno, "alpha")
+            if current.records[record] <= 0:
+                raise ParseError(lineno, "alpha must be positive")
         else:
-            raise ParseError(lineno, f"unknown record {record!r}")
+            degree = _number(args[0], lineno, "degree", int)
+            knots = [_number(a, lineno, "knot vector") for a in args[1:]]
+            try:
+                current.records[record] = KnotVector(degree, np.asarray(knots))
+            except ValueError as exc:
+                raise ParseError(lineno, f"invalid knot vector: {exc}") from None
 
     if not drafts:
         raise ParseError(len(lines) or 1, "no patches in file")
     patches = []
     alphas = []
     for draft in drafts:
-        try:
-            patch, alpha = draft.finish()
-        except ValueError as exc:
-            raise ParseError(draft.start_line, str(exc)) from None
+        patch, alpha = draft.finish()
         patches.append(patch)
         alphas.append(alpha)
     return GeometryData(patches, tags, np.asarray(alphas))

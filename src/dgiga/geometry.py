@@ -39,7 +39,6 @@ from .quadrature import panel_rules
 from .splines import (
     KnotVector,
     NurbsBasis2D,
-    breakpoints,
     midpoint_refine,
     tabulate,
 )
@@ -332,8 +331,8 @@ def tabulate_patches(patches: list[NurbsPatch], q: int, coeffs=None) -> Tabulati
     Point axes are (P, nu, nv); ``weights`` integrate over the mapped patches.
     """
     b = patches[0].basis
-    xu, wu = panel_rules(breakpoints(b.basis_u), q)
-    xv, wv = panel_rules(breakpoints(b.basis_v), q)
+    xu, wu = panel_rules(b.basis_u.breaks, q)
+    xv, wv = panel_rules(b.basis_v.breaks, q)
     tab = tabulate_grid(patches, xu, xv, coeffs)
     return replace(tab, weights=wu.reshape(-1, 1) * wv.reshape(-1) * tab.sqrt_det_g)
 
@@ -417,12 +416,11 @@ def tabulate_sides(patches: list[NurbsPatch], slots, q: int, coeffs=None) -> Sid
         raise ValueError("tabulate_sides needs at least one slot")
     pid, side, flip = (np.array(c) for c in zip(*slots))
     axis, f = np.array([_SIDE_DATA[s] for s in side], dtype=int).T
-    # Group keys from one knot-signature id per patch, computed once per call.
-    signatures: dict = {}
-    sig = np.array([signatures.setdefault(_knot_key(p.basis), len(signatures)) for p in patches])
-    _, group = np.unique(axis * len(signatures) + sig[pid], return_inverse=True)
+    # Group keys (fixed axis, knot group of the slot's patch), computed once per call.
+    knot_group = {p: g for g, members in enumerate(knot_groups(patches)) for p in members}
+    _, group = np.unique(axis * len(patches) + [knot_group[p] for p in pid], return_inverse=True)
     groups = [np.flatnonzero(group == g) for g in range(group.max() + 1)]
-    bps = [breakpoints(patches[pid[k[0]]].side_knots(slots[k[0]][1])) for k in groups]
+    bps = [patches[pid[k[0]]].side_knots(slots[k[0]][1]).breaks for k in groups]
     nel = np.array([bp.size - 1 for bp in bps])[group]
     starts = np.concatenate([[0], np.cumsum(nel)])
     arrays: dict = {}
@@ -597,19 +595,19 @@ def _refine_nets(basis: NurbsBasis2D, nets: np.ndarray):
 
 
 def refine_surface(surface: MultiPatchSurface) -> MultiPatchSurface:
-    """Global midpoint h-refinement, one ``_refine_nets`` call per patch stack.
+    """Global midpoint h-refinement, one ``_refine_nets`` call per knot group.
 
     Knot insertion changes neither the geometry nor the topology, so meshes
     stay matching and the edges carry over; each interior edge's knot
     vectors are checked again.
     """
     patches = list(surface.patches)
-    for stack in patch_stacks(patches):
-        members = [surface.patches[pid] for pid in stack]
+    for group in knot_groups(patches):
+        members = [surface.patches[pid] for pid in group]
         w = np.stack([p.basis.weights for p in members])[..., None]
         hom = np.concatenate([np.stack([p.control_points for p in members]) * w, w], axis=-1)
         kv_u, kv_v, hom = _refine_nets(members[0].basis, hom)
-        for pid, patch, net in zip(stack, members, hom):
+        for pid, patch, net in zip(group, members, hom):
             w_new = net[:, :, 3]
             patches[pid] = NurbsPatch(NurbsBasis2D(kv_u, kv_v, w_new),
                                       net[:, :, :3] / w_new[:, :, None], patch.id)

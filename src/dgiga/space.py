@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MultiPatchSurface, _refine_nets, patch_stacks
+from .geometry import MultiPatchSurface, _refine_nets, knot_groups
 
 __all__ = ["DgSpace", "DiscreteFunction", "build_space", "prolong"]
 
@@ -75,13 +75,13 @@ def prolong(u_h: DiscreteFunction) -> np.ndarray:
     weight function does not change), so the prolongation is exact and
     block-diagonal: c_f = (T_u (c o w) T_v^T) / (T_u w T_v^T) per patch, the
     pair (c w, w) refined like a control net by ``geometry._refine_nets``,
-    one call per stack of patches sharing both knot vectors.
+    one call per group of patches sharing both knot vectors (``knot_groups``).
     """
     patches, rows = u_h.space.surface.patches, {}
-    for stack in patch_stacks(patches):
-        c = np.stack([u_h.patch_coeffs(pid) for pid in stack])
-        w = np.stack([patches[pid].basis.weights for pid in stack])
-        _, _, net = _refine_nets(patches[stack[0]].basis, np.stack([c * w, w], axis=-1))
+    for group in knot_groups(patches):
+        c = np.stack([u_h.patch_coeffs(pid) for pid in group])
+        w = np.stack([patches[pid].basis.weights for pid in group])
+        _, _, net = _refine_nets(patches[group[0]].basis, np.stack([c * w, w], axis=-1))
         c_f = net[..., 0] / net[..., 1]  # (P, n1, n2), stored k2-major
-        rows.update(zip(stack, c_f.swapaxes(1, 2).reshape(len(stack), -1)))
+        rows.update(zip(group, c_f.swapaxes(1, 2).reshape(len(group), -1)))
     return np.concatenate([rows[pid] for pid in range(len(patches))])

@@ -19,7 +19,6 @@ __all__ = [
     "tabulate",
     "insert_knots",
     "greville",
-    "breakpoints",
 ]
 
 
@@ -29,10 +28,12 @@ class KnotVector:
 
     A value: the knots are a read-only copy, and equality and hashing go by
     (degree, knot bytes), so equal vectors share every memoised table.
+    ``breaks`` holds the unique knots, the parametric element boundaries.
     """
 
     degree: int
     knots: np.ndarray = field(compare=False)
+    breaks: np.ndarray = field(init=False, compare=False, repr=False)
     _bytes: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -45,7 +46,9 @@ class KnotVector:
             raise ValueError("knot vector needs at least 2*(degree+1) entries")
         if np.any(np.diff(U) < 0):
             raise ValueError("knots must be non-decreasing")
-        knots, counts = np.unique(U, return_counts=True)
+        breaks, counts = np.unique(U, return_counts=True)
+        breaks.flags.writeable = False
+        object.__setattr__(self, "breaks", breaks)
         if counts[0] != p + 1 or counts[-1] != p + 1:
             raise ValueError("knot vector must be open (end knots repeated exactly degree+1 times)")
         if U[0] != 0.0 or U[-1] != 1.0:
@@ -53,7 +56,7 @@ class KnotVector:
         # Above the degree it splits the patch into parts that no term couples.
         if np.any(counts[1:-1] > p):
             k = 1 + int(np.argmax(counts[1:-1] > p))
-            raise ValueError(f"interior knot {float(knots[k])} has multiplicity {counts[k]}, "
+            raise ValueError(f"interior knot {float(breaks[k])} has multiplicity {counts[k]}, "
                              f"above the degree {p}")
         object.__setattr__(self, "_bytes", U.tobytes())
 
@@ -64,7 +67,7 @@ class KnotVector:
 
     @property
     def num_elements(self) -> int:
-        return breakpoints(self).size - 1
+        return self.breaks.size - 1
 
 
 def find_span(kv: KnotVector, xi):
@@ -154,11 +157,6 @@ class NurbsBasis2D:
         return self.basis_u.n, self.basis_v.n
 
 
-def breakpoints(kv: KnotVector) -> np.ndarray:
-    """Unique knots (the parametric element boundaries)."""
-    return np.unique(kv.knots)
-
-
 def greville(kv: KnotVector) -> np.ndarray:
     """Greville abscissae: moving averages of degree consecutive knots."""
     p, U = kv.degree, kv.knots
@@ -213,7 +211,6 @@ def midpoint_refine(kv: KnotVector) -> tuple[KnotVector, np.ndarray]:
     Memoised on the knot vector: patches sharing one share the refined
     vector and the (read-only) refinement matrix.
     """
-    bp = breakpoints(kv)
-    refined, T = insert_knots(kv, 0.5 * (bp[:-1] + bp[1:]))
+    refined, T = insert_knots(kv, 0.5 * (kv.breaks[:-1] + kv.breaks[1:]))
     T.flags.writeable = False
     return refined, T

@@ -35,8 +35,7 @@ from dgiga.geometry import (
     tabulate_patches,
 )
 from dgiga.space import DgSpace, DiscreteFunction
-from dgiga.splines import (KnotVector, NurbsBasis2D, breakpoints, find_span, greville,
-                           midpoint_refine)
+from dgiga.splines import KnotVector, NurbsBasis2D, find_span, greville, midpoint_refine
 
 # Each side: (fixed axis, fixed value, edge direction in parameter space,
 # outward parametric direction).
@@ -233,7 +232,7 @@ def element_dofs(space: DgSpace, pid: int) -> np.ndarray:
     basis = space.surface.patches[pid].basis
     firsts = []
     for kv in (basis.basis_u, basis.basis_v):
-        bp = breakpoints(kv)
+        bp = kv.breaks
         firsts.append([eval_bspline(kv, 0.5 * (a + b)).first_active
                        for a, b in zip(bp[:-1], bp[1:])])
     m1, m2 = basis.basis_u.degree + 1, basis.basis_v.degree + 1
@@ -253,7 +252,7 @@ def tabulate_patch(patch: NurbsPatch, q: int):
 def edge_breakpoints(surface: MultiPatchSurface, edge: InterfaceEdge) -> np.ndarray:
     """Element boundaries along the edge, in the left side's parameter."""
     patch = surface.patches[edge.left[0]]
-    return breakpoints(patch.side_knots(edge.left[1]))
+    return patch.side_knots(edge.left[1]).breaks
 
 
 def edge_mesh_size(surface: MultiPatchSurface, edge: InterfaceEdge, element: int) -> float:
@@ -268,8 +267,8 @@ def edge_mesh_size(surface: MultiPatchSurface, edge: InterfaceEdge, element: int
 
 def mesh_size(patch: NurbsPatch, element: tuple[int, int]) -> float:
     """Element diameter estimate: max distance among the 4 mapped corners."""
-    bu = breakpoints(patch.basis.basis_u)
-    bv = breakpoints(patch.basis.basis_v)
+    bu = patch.basis.basis_u.breaks
+    bv = patch.basis.basis_v.breaks
     eu, ev = element
     corners = [
         frame_at(patch, (bu[eu + du], bv[ev + dv])).point for du in (0, 1) for dv in (0, 1)

@@ -159,7 +159,7 @@ def test_memoised_refinement_is_bit_identical(monkeypatch):
     memoised = dgiga.geometry.refine_surface(dgiga.geometry.refine_surface(surface))
 
     def fresh(kv):
-        bp = dgiga.splines.breakpoints(kv)
+        bp = kv.breaks
         return dgiga.splines.insert_knots(kv, 0.5 * (bp[:-1] + bp[1:]))
 
     monkeypatch.setattr(dgiga.geometry, "midpoint_refine", fresh)

@@ -158,6 +158,30 @@ def test_repeated_records_rejected(tmp_path, good, repeated, line):
         parse_geometry(write(tmp_path, bad))
 
 
+@pytest.mark.parametrize("good, bad, message", [
+    ("patch 0", "patch 0 1", "line 2: patch record needs exactly one id"),
+    ("patch 0", "patch zero", "line 2: malformed number 'zero' in patch id"),
+    ("patch 0", f"patch {10**22}", f"line 2: expected patch id 0, got {10**22}"),
+    ("tag 0 west dirichlet", "tag x west dirichlet", "line 10: malformed number 'x' in patch id"),
+    ("knots_u 1 0 0 1 1", "knots_u one 0 0 1 1", "line 3: malformed number 'one' in degree"),
+    ("knots_v 1 0 0 1 1", "knots_v 1", "line 4: knot record needs a degree and knots"),
+    ("knots_v 1 0 0 1 1", "knots_v 1 0 0 x 1", "line 4: malformed number 'x'"),
+    ("alpha 1.0", "alpha 1.0 2.0", "line 5: alpha needs exactly one value"),
+    ("alpha 1.0", "alpha one", "line 5: malformed number 'one'"),
+    ("alpha 1.0", "alpha 0", "line 5: alpha must be positive"),
+    ("cp 0 1 0 1", "cp 0 1 0", "line 8: cp needs x y z w"),
+    ("tag 0 east dirichlet", "tag 0 east", "line 11: tag needs: patch side kind"),
+    ("tag 0 east dirichlet", "tag 0 east robin", "line 11: unknown boundary kind 'robin'"),
+    ("patch 0\n", "", "line 2: knots_u before any patch record"),
+    ("knots_u 1 0 0 1 1\nknots_v 1 0 0 1 1\n", "", "line 2: patch 0 is missing knot vectors"),
+], ids=["patch-arity", "patch-id", "huge-id", "tag-id", "degree", "knots-arity", "knot",
+        "alpha-arity", "alpha-number", "alpha-positive", "cp-arity", "tag-arity", "tag-kind",
+        "before-patch", "no-knots"])
+def test_malformed_line_names_line_and_fault(tmp_path, good, bad, message):
+    with pytest.raises(ParseError, match=f"^{message}"):
+        parse_geometry(write(tmp_path, GOOD.replace(good, bad, 1)))
+
+
 def test_out_of_order_patch_ids_rejected(tmp_path):
     bad = GOOD.replace("patch 0", "patch 1")
     with pytest.raises(ParseError, match="expected patch id 0"):

@@ -32,7 +32,7 @@ from dgiga.geometry import (
 )
 from dgiga.problems import make_problem
 from dgiga.quadrature import panel_rules
-from dgiga.splines import KnotVector, NurbsBasis2D, breakpoints, greville
+from dgiga.splines import KnotVector, NurbsBasis2D, greville
 
 
 def metric(tab):
@@ -159,7 +159,7 @@ def test_conormal_on_cylinder_top_edge(rng):
     patch = quarter_cylinder_grid(2, 1, 1).patches[0]
     q = 10
     conormals = tabulate_sides([patch], [(0, "north", False)], q).conormal.reshape(3, -1).T
-    ts, _ = panel_rules(breakpoints(patch.side_knots("north")), q)
+    ts, _ = panel_rules(patch.side_knots("north").breaks, q)
     for t, c in zip(ts.ravel(), conormals):
         np.testing.assert_allclose(c, [0.0, 0.0, 1.0], atol=1e-12)
         h = 1e-6
@@ -438,7 +438,7 @@ def test_stacked_refinement_matches_the_per_patch_reference(name):
             assert fingerprint(got) == fingerprint(want)
 
 
-def test_refinement_runs_once_per_stack(monkeypatch):
+def test_refinement_runs_once_per_knot_group(monkeypatch):
     import dgiga.geometry
 
     calls = []
@@ -451,11 +451,11 @@ def test_refinement_runs_once_per_stack(monkeypatch):
     monkeypatch.setattr(dgiga.geometry, "_refine_nets", counting)
     surface = seeded_grid(7, 8)
     for _ in range(3):
-        stacks = dgiga.geometry.patch_stacks(surface.patches)
+        groups = dgiga.geometry.knot_groups(surface.patches)
         calls.clear()
         surface = refine_surface(surface)
-        assert calls == [len(stack) for stack in stacks]
-        assert len(stacks) < surface.num_patches
+        assert calls == [len(group) for group in groups]
+        assert len(groups) < surface.num_patches
 
 
 # -- the matcher against an all-pairs reference --------------------------------

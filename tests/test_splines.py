@@ -6,7 +6,6 @@ from dgiga.geometry import NurbsPatch, _rational_basis, tabulate_grid
 from dgiga.splines import (
     KnotVector,
     NurbsBasis2D,
-    breakpoints,
     greville,
     insert_knots,
     midpoint_refine,
@@ -336,5 +335,6 @@ def test_nurbs2d_rejects_bad_weights():
 def test_counts_and_breakpoints():
     kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
     assert kv.n == 4
-    np.testing.assert_allclose(breakpoints(kv), [0, 0.5, 1])
+    np.testing.assert_allclose(kv.breaks, [0, 0.5, 1])
+    assert not kv.breaks.flags.writeable
     assert uniform_open_knots(2, 4).num_elements == 4

@@ -22,7 +22,7 @@ from dgiga.geometry import (
     tabulate_sides,
 )
 from dgiga.quadrature import panel_rules
-from dgiga.splines import NurbsBasis2D, breakpoints, insert_knots
+from dgiga.splines import NurbsBasis2D, insert_knots
 
 BUNDLED_FILES = ("square4.g", "square4_p2.g", "square4_p3.g", "qcyl4.g", "qcyl4_p3.g")
 
@@ -69,7 +69,7 @@ def test_functions_outside_the_trace_window_vanish_on_the_side(case):
         for side in SIDES:
             across = 0 if side in ("west", "east") else 1
             rows = trace_rows((n1, n2)[across], side)
-            bp = breakpoints(patch.side_knots(side))
+            bp = patch.side_knots(side).breaks
             ts, _ = panel_rules(bp, patch.degree[0] + 2)
             ts = np.concatenate([ts.ravel(), bp])
             end = [0.0 if side in ("west", "south") else 1.0]
