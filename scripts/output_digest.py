@@ -2,6 +2,15 @@
 """Print sha256 digests of the solver's outputs on a few fixed cases.
 
     PYTHONPATH=src python3 scripts/output_digest.py
+    PYTHONPATH=src python3 scripts/output_digest.py > tests/output_digest.txt
+
+The script first prints, as ``# key value`` lines, the environment the
+digests hold for: numpy, scipy, the BLAS build and the CPU model and flags.
+OpenBLAS picks its kernels by CPU, so the same code can round differently
+elsewhere.  ``tests/test_output_digest.py`` compares the lines with the
+committed ``tests/output_digest.txt`` (the second command regenerates it, for
+a change that moves outputs on purpose) and skips where the environment
+differs.
 
 Each case is a short refinement sweep.  For every case the script prints one
 line per output: the ``rates.csv`` and every ``solution_L*.csv`` text that
@@ -27,6 +36,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import scipy
 
 from dgiga.assembly import assemble_system
 from dgiga.driver import run_sweep, sample_solution
@@ -114,7 +124,29 @@ def digests(name: str) -> list[tuple[str, str]]:
     return out + [(key, sha(np.ascontiguousarray(a).tobytes())) for key, a in arrays.items()]
 
 
+def environment() -> dict[str, str]:
+    """numpy and scipy versions, the BLAS build string, and the CPU model and flags
+    (from /proc/cpuinfo; "unknown" where it cannot be read)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = blas.get("openblas configuration") or blas["name"]
+    except (TypeError, KeyError):
+        blas = "unknown"
+    cpu: dict[str, str] = {}
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                key, _, value = line.partition(":")
+                cpu.setdefault(key.strip(), value.strip())
+    except OSError:
+        pass
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas,
+            "cpu": cpu.get("model name", "unknown"), "flags": cpu.get("flags", "unknown")}
+
+
 def main() -> int:
+    for key, value in environment().items():
+        print(f"# {key} {value}")
     for name in CASES:
         for output, digest in digests(name):
             print(f"{name} {output} {digest}")

@@ -12,9 +12,9 @@ A geometry file is UTF-8 text with ``#`` comments and these records:
                                        boundary condition on an outer side,
                                        side in {west, east, south, north}
 
-Numbers must be finite.  A patch takes each of knots_u, knots_v and alpha at
-most once, and an outer side takes at most one tag.  Parse errors carry the
-offending line number.
+Numbers are ASCII decimal and finite.  A patch takes each of knots_u,
+knots_v and alpha at most once, and an outer side takes at most one tag.
+Parse errors carry the offending line number.
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ class _PatchDraft:
 
 
 def _number(text: str, lineno: int, what: str, kind=float):
-    try:
+    try:  # int and float would also read 1_0 as 10 and non-ASCII digits
+        if not text.isascii() or "_" in text:
+            raise ValueError
         value = kind(text)
     except ValueError:
         raise ParseError(lineno, f"malformed number {text!r} in {what}") from None

@@ -136,7 +136,7 @@ class Tabulation:
     points: np.ndarray  # (3, ...)
     jacobian: np.ndarray | None = None  # (3, 2, ...); None only on a side field tabulation
     inv_metric: np.ndarray | None = None  # (2, 2, ...); None there too
-    sqrt_det_g: np.ndarray | None = None  # (...); None there too
+    sqrt_det_g: np.ndarray | None = None  # (...); None on every side tabulation
     first_u: np.ndarray | None = None
     first_v: np.ndarray | None = None
     weights: np.ndarray | None = None
@@ -148,7 +148,7 @@ class Tabulation:
 
     def surface_gradient(self, pgrad: np.ndarray) -> np.ndarray:
         """Push parametric gradients (2, ...[, m1, m2]) forward to R^3: J g^-1 grad."""
-        shape = self.sqrt_det_g.shape + (1,) * (pgrad.ndim - self.sqrt_det_g.ndim - 1)
+        shape = self.points.shape[1:] + (1,) * (pgrad.ndim - self.points.ndim)
         inv, J = self.inv_metric.reshape(2, 2, *shape), self.jacobian.reshape(3, 2, *shape)
         a = inv[0, 0] * pgrad[0] + inv[0, 1] * pgrad[1]
         b = inv[1, 0] * pgrad[0] + inv[1, 1] * pgrad[1]
@@ -370,13 +370,13 @@ def _side_pass(patches, pid, axis: int, f, flip, bp, q: int, coeffs) -> dict:
     if basis:
         grid = _trace_basis(grid, axis)
     # Point j of side f of stack patch s lies at s * 2 N + f * sf + j * sj.
-    lead, N = grid.sqrt_det_g.shape, n + bp.size
+    lead, N = grid.points.shape[1:], n + bp.size
     sf, sj = (N, 1) if axis == 0 else (1, 2)
     base = (s * 2 * N + f * sf)[:, None]
     # A flipped slot runs against its side's parameter: elements and points reversed.
     j = np.where(flip[:, None], np.arange(n)[::-1], np.arange(n))
     at = (base + j * sj).reshape(-1, q)
-    names = ("points", "jacobian", "inv_metric", "sqrt_det_g") if basis else ("points", "field")
+    names = ("points", "jacobian", "inv_metric") if basis else ("points", "field")
     arrays = [getattr(grid, name) for name in names] + [grid.jacobian[:, 1 - axis]]
     *gathered, tangent = (a.reshape(*a.shape[: a.ndim - 3], -1)[..., at] for a in arrays)
     out = dict(zip(names, gathered))
@@ -483,20 +483,13 @@ class MultiPatchSurface:
         return sum(float(np.sum(tabulate_patches([p], q).weights)) for p in self.patches)
 
 
-def _knots_match(kv_a: KnotVector, kv_b: KnotVector, flip: bool) -> bool:
-    if kv_a.degree != kv_b.degree or kv_a.n != kv_b.n:
-        return False
-    kb = kv_b.knots if not flip else 1.0 - kv_b.knots[::-1]
-    return bool(np.max(np.abs(kv_a.knots - kb)) <= 1e-12)
-
-
 def _check_matching_mesh(patches: list[NurbsPatch], left, right, flip: bool) -> None:
-    kv_l = patches[left[0]].side_knots(left[1])
-    kv_r = patches[right[0]].side_knots(right[1])
-    if not _knots_match(kv_l, kv_r, flip):
-        raise TopologyError(
-            f"non-matching meshes unsupported: knot vectors differ on interface {left} / {right}"
-        )
+    kv_l, kv_r = (patches[pid].side_knots(side) for pid, side in (left, right))
+    knots = 1.0 - kv_r.knots[::-1] if flip else kv_r.knots
+    same = (kv_l.degree, kv_l.n) == (kv_r.degree, kv_r.n)
+    if not (same and np.max(np.abs(kv_l.knots - knots)) <= 1e-12):
+        raise TopologyError("non-matching meshes unsupported: knot vectors differ on "
+                            f"interface {left} / {right}")
 
 
 def match_interfaces(
@@ -541,46 +534,37 @@ def match_interfaces(
     order = np.argsort(mid_x, kind="stable")
     lo = np.searchsorted(mid_x[order], mid_x - 2.0 * tol, side="left")
     hi = np.searchsorted(mid_x[order], mid_x + 2.0 * tol, side="right")
-    partner: dict[tuple[int, str], tuple[tuple[int, str], bool]] = {}
 
-    for a, sa in enumerate(all_sides):
-        if sa in partner:
+    # One walk in SIDES order: a side no earlier side took takes its one match among the
+    # later free sides.  Untagged loners wait for the walk's end, behind any double match.
+    taken = np.zeros(len(all_sides), dtype=bool)
+    edges, loner = [], None
+    for a, s in enumerate(all_sides):
+        if taken[a]:
             continue
         cand = np.sort(order[lo[a] : hi[a]])
-        cand = cand[cand > a]
+        cand = cand[(cand > a) & ~taken[cand]]
         A, B = samples[a], samples[cand]
         straight = np.max(np.linalg.norm(A - B, axis=2), axis=1)
         reversed_ = np.max(np.linalg.norm(A - B[:, ::-1], axis=2), axis=1)
-        for b, st, rv in zip(cand, straight, reversed_):
-            sb = all_sides[b]
-            if sb in partner or min(st, rv) > tol:
-                continue
-            if sa in partner:
-                raise TopologyError(f"side {sb} matches more than one side")
-            flip = bool(rv < st)
-            partner[sa] = (sb, flip)
-            partner[sb] = (sa, flip)
-
-    edges: list[InterfaceEdge] = []
-    seen: set[tuple[int, str]] = set()
-    for s in all_sides:
-        if s in seen:
-            continue
-        if s in partner:
-            other, flip = partner[s]
-            seen.update((s, other))
+        match = np.flatnonzero(np.minimum(straight, reversed_) <= tol)
+        if match.size > 1:
+            raise TopologyError(f"side {all_sides[cand[match[1]]]} matches more than one side")
+        if match.size:
+            (k,) = match
+            other, flip = all_sides[cand[k]], bool(reversed_[k] < straight[k])
+            taken[cand[k]] = True
             if s in tags or other in tags:
                 raise TopologyError(f"boundary tag on interior side {s if s in tags else other}")
             _check_matching_mesh(patches, s, other, flip)
             edges.append(InterfaceEdge("interior", s, other, flip))
-        else:
-            seen.add(s)
-            if s not in tags:
-                raise TopologyError(
-                    f"patch side {s} matches no neighbor and carries no boundary tag"
-                )
+        elif s in tags:
             edges.append(InterfaceEdge(tags[s], s))
-
+        else:
+            loner = loner or s
+    if loner:
+        raise TopologyError(f"patch side {loner} matches no neighbor and carries no "
+                            "boundary tag")
     return MultiPatchSurface(list(patches), edges, alpha)
 
 

@@ -145,6 +145,20 @@ def test_non_finite_numbers_rejected(tmp_path, good, bad, line):
         parse_geometry(write(tmp_path, GOOD.replace(good, bad)))
 
 
+@pytest.mark.parametrize("good, bad, line, text, what", [
+    ("cp 1 0 0 1", "cp 1_0 0 0 1", 7, "1_0", "control point"),
+    ("patch 0", "patch 0_0", 2, "0_0", "patch id"),
+    ("knots_u 1 0 0 1 1", "knots_u 0_1 0 0 1 1", 3, "0_1", "degree"),
+    ("cp 1 0 0 1", "cp \u0661 0 0 1", 7, "\u0661", "control point"),
+    ("cp 1 1 0 1", "cp 1 1 0 \uff11.5", 9, "\uff11.5", "control point"),
+], ids=["separator-coordinate", "separator-patch-id", "separator-degree", "arabic-indic",
+        "fullwidth"])
+def test_numbers_are_ascii_decimal(tmp_path, good, bad, line, text, what):
+    # Python's int and float read these as 10, 0, 1, 1 and 1.5.
+    with pytest.raises(ParseError, match=f"^line {line}: malformed number '{text}' in {what}$"):
+        parse_geometry(write(tmp_path, GOOD.replace(good, bad, 1)))
+
+
 @pytest.mark.parametrize("good, repeated, line", [
     ("knots_u 1 0 0 1 1", "knots_u 1 0 0 0.5 1 1", 4),
     ("knots_v 1 0 0 1 1", "knots_v 1 0 0 0.5 1 1", 5),

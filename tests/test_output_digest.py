@@ -1,20 +1,85 @@
-"""Smoke test of ``scripts/output_digest.py``: the format of its lines, not the digests."""
+"""The outputs of ``scripts/output_digest.py``'s cases, byte for byte.
 
+``output_digest.txt`` holds the digest lines and, as ``# key value`` lines,
+the environment they hold for.  OpenBLAS picks its kernels by CPU, so where
+numpy, scipy, the BLAS build or the CPU differ the comparison is skipped
+with the difference as the reason, not passed.
+"""
+
+import functools
 import importlib.util
-import re
 from pathlib import Path
 
+import pytest
 
-def test_digest_lines_name_every_output_of_every_case(capsys):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
-    spec = importlib.util.spec_from_file_location("output_digest", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.main() == 0
-    lines = capsys.readouterr().out.splitlines()
-    expected = []
-    for name, (_, _, _, levels) in module.CASES.items():
+HERE = Path(__file__).resolve().parent
+script = HERE.parent / "scripts" / "output_digest.py"
+spec = importlib.util.spec_from_file_location("output_digest", script)
+output_digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(output_digest)
+
+
+def expected():
+    """(recorded environment, {(case, output): digest}) from output_digest.txt."""
+    env, digests = {}, {}
+    for line in (HERE / "output_digest.txt").read_text().splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(" ")
+            env[key] = value
+        else:
+            case, output, digest = line.split()
+            digests[(case, output)] = digest
+    return env, digests
+
+
+@functools.cache
+def produced() -> dict[tuple[str, str], str]:
+    """{(case, output): digest} the script computes here, once per test session."""
+    return {(name, output): digest for name in output_digest.CASES
+            for output, digest in output_digest.digests(name)}
+
+
+def environment_difference(recorded: dict, running: dict) -> str:
+    """'' when equal, else each differing entry (flags as the set difference)."""
+    out = []
+    for key in sorted(recorded.keys() | running.keys()):
+        a, b = recorded.get(key, "missing"), running.get(key, "missing")
+        if a == b:
+            continue
+        if key == "flags":
+            a, b = sorted(set(a.split()) - set(b.split())), sorted(set(b.split()) - set(a.split()))
+            out.append(f"flags recorded only {a}, running only {b}")
+        else:
+            out.append(f"{key} recorded {a!r}, running {b!r}")
+    return "; ".join(out)
+
+
+def test_digest_lines_name_every_output_of_every_case():
+    env, digests = expected()
+    assert list(env) == list(output_digest.environment())
+    names = []
+    for name, (_, _, _, levels) in output_digest.CASES.items():
         outputs = ["rates.csv", *(f"solution_L{k}.csv" for k in range(levels))]
-        expected += [(name, out) for out in outputs + ["data", "indices", "indptr", "rhs"]]
-    assert [tuple(line.split()[:2]) for line in lines] == expected
-    assert all(re.fullmatch(r"\S+ \S+ [0-9a-f]{64}", line) for line in lines)
+        names += [(name, out) for out in outputs + ["data", "indices", "indptr", "rhs"]]
+    assert list(digests) == names
+    assert list(produced()) == names
+    assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests.values())
+
+
+def test_environment_difference_names_what_differs():
+    recorded = {"numpy": "2.4.6", "flags": "sse avx2 fma"}
+    assert environment_difference(recorded, dict(recorded)) == ""
+    message = environment_difference(recorded, {"numpy": "2.5.0", "flags": "sse avx512f fma"})
+    assert message == ("flags recorded only ['avx2'], running only ['avx512f']; "
+                       "numpy recorded '2.4.6', running '2.5.0'")
+
+
+def test_outputs_are_byte_identical_to_the_recorded_digests():
+    env, digests = expected()
+    difference = environment_difference(env, output_digest.environment())
+    if difference:
+        pytest.skip(f"digests recorded in another environment: {difference}")
+    current = produced()
+    changed = [f"{name} {output}" for name, output in digests.keys() | current.keys()
+               if digests.get((name, output)) != current.get((name, output))]
+    assert not changed, "outputs differ from tests/output_digest.txt: " + ", ".join(sorted(changed))

@@ -153,6 +153,14 @@ def test_expression_constants_broadcast():
     assert f(np.zeros((4, 3))).shape == (4,)
 
 
+def test_power_is_right_associative_and_binds_tighter_than_unary_minus():
+    one_point = np.array([[3.0, 4.0, 0.0]])
+    assert parse_expression("2^3^2")(one_point)[0] == 512.0
+    assert parse_expression("-2^2")(one_point)[0] == -4.0
+    # An unparenthesised power of a power: (x^2+y^2)^(0.5^2), not 5.
+    assert parse_expression("(x^2+y^2)^0.5^2")(one_point)[0] == pytest.approx(5.0**0.5)
+
+
 def test_expression_atan2():
     f = parse_expression("atan2(y, x)")
     pts = np.array([[1.0, 1.0, 0.0]])

@@ -91,7 +91,7 @@ def check_point(patch, tab, surface_grads, idx, xi):
 
 
 def check_trace(patch, tab, surface_grads, idx, xi):
-    """Trace functions, surface gradients, point and area density at tab[idx] against xi.
+    """Trace functions, surface gradients, point, Jacobian and g^-1 at tab[idx] against xi.
 
     The functions are compared by their index in the patch, so every
     function outside the element's trace window must vanish with its
@@ -115,7 +115,8 @@ def check_trace(patch, tab, surface_grads, idx, xi):
     close(dense(tab.grads[(slice(None), *idx)].T, dofs), dense(grads.reshape(-1, 2), window))
     close(dense(surface_grads[(slice(None), *idx)].T, dofs), dense(pushed, window))
     close(tab.points[(..., *idx)], frame.point)
-    close(tab.sqrt_det_g[idx], frame.sqrt_det_g)
+    close(tab.jacobian[(..., *idx)], frame.jacobian)
+    close(tab.inv_metric[(..., *idx)], frame.inv_metric)
 
 
 def test_patch_tabulation_matches_pointwise(surface):
@@ -197,8 +198,9 @@ def test_side_field_equals_the_basis_route(surface):
     coeffs = [u_h.patch_coeffs(pid) for pid in range(surface.num_patches)]
     fields = tabulate_sides(surface.patches, slots, q, coeffs)
     basis = tabulate_sides(surface.patches, slots, q)
-    for name in BASIS_ONLY + ("field_grad",):
+    for name in BASIS_ONLY + ("field_grad", "sqrt_det_g"):
         assert getattr(fields, name) is None, name
+    assert basis.sqrt_det_g is None
     c = u_h.coefficients[u_h.space.offsets[basis.pid] + basis.dofs][:, None]
     close(fields.field, (basis.values * c).sum(axis=-1))
     for name in set(SIDE_FIELDS) - set(BASIS_ONLY):
@@ -241,8 +243,9 @@ def test_side_point_errors():
             patch.side_point("east", t)
 
 
-# Side fields of the basis route only; a field tabulation leaves them None.
-BASIS_ONLY = ("dofs", "values", "grads", "jacobian", "inv_metric", "sqrt_det_g", "conormal")
+# Side fields of the basis route only; a field tabulation leaves them None.  No side
+# tabulation carries sqrt_det_g: the edge speed is in ``weights``.
+BASIS_ONLY = ("dofs", "values", "grads", "jacobian", "inv_metric", "conormal")
 SIDE_FIELDS = BASIS_ONLY + ("pid", "points", "weights", "chords")
 
 
