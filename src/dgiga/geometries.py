@@ -69,14 +69,8 @@ def square_grid(
 
 def _elevate_bezier(hom: np.ndarray) -> np.ndarray:
     """Raise a homogeneous Bezier segment by one degree (geometry unchanged)."""
-    n = hom.shape[0]
-    out = np.empty((n + 1, hom.shape[1]))
-    out[0] = hom[0]
-    out[n] = hom[n - 1]
-    for i in range(1, n):
-        a = i / n
-        out[i] = a * hom[i - 1] + (1.0 - a) * hom[i]
-    return out
+    a = np.arange(1, len(hom))[:, None] / len(hom)
+    return np.concatenate([hom[:1], a * hom[:-1] + (1.0 - a) * hom[1:], hom[-1:]])
 
 
 def _arc_segments(theta0: float, theta1: float, p: int, n_seg: int):
@@ -108,21 +102,12 @@ def _arc_segments(theta0: float, theta1: float, p: int, n_seg: int):
         hom = _elevate_bezier(hom)
 
     # Repeatedly insert the midpoint to full multiplicity and cut in half.
-    kv = _bezier_knots(p)
+    _, T = insert_knots(_bezier_knots(p), np.full(p, 0.5))
     segments = [hom]
     while len(segments) < n_seg:
-        new_segments = []
-        for seg in segments:
-            _, T = insert_knots(kv, np.full(p, 0.5))
-            fine = T @ seg
-            new_segments.append(fine[: p + 1])
-            new_segments.append(fine[p:])
-        segments = new_segments
-    out = []
-    for seg in segments:
-        w = seg[:, 2]
-        out.append((seg[:, :2] / w[:, None], w))
-    return out
+        fine = [T @ seg for seg in segments]
+        segments = [half for f in fine for half in (f[: p + 1], f[p:])]
+    return [(seg[:, :2] / seg[:, 2:], seg[:, 2]) for seg in segments]
 
 
 def _cylinder_patch(p: int, arc, z0: float, z1: float, radius: float, pid: int) -> NurbsPatch:

@@ -453,7 +453,8 @@ class InterfaceEdge:
 
 @dataclass
 class MultiPatchSurface:
-    """Non-overlapping patches, their edge topology and per-patch diffusion."""
+    """Non-overlapping patches, their edge topology and per-patch diffusion; patch ids
+    are list positions, and interior edges join matching meshes (else TopologyError)."""
 
     patches: list[NurbsPatch]
     edges: list[InterfaceEdge]
@@ -467,6 +468,16 @@ class MultiPatchSurface:
             raise ValueError("need one diffusion coefficient per patch")
         if not np.all(np.isfinite(self.alpha) & (self.alpha > 0.0)):
             raise ValueError("diffusion coefficients must be positive and finite")
+        for i, patch in enumerate(self.patches):
+            if patch.id != i:
+                raise TopologyError(f"patch ids must equal list positions, got {patch.id} at {i}")
+        for e in self.edges_of_kind("interior"):  # knot vectors equal up to orientation
+            kv_l, kv_r = (self.patches[pid].side_knots(side) for pid, side in (e.left, e.right))
+            knots = 1.0 - kv_r.knots[::-1] if e.orientation_flip else kv_r.knots
+            same = (kv_l.degree, kv_l.n) == (kv_r.degree, kv_r.n)
+            if not (same and np.max(np.abs(kv_l.knots - knots)) <= 1e-12):
+                raise TopologyError("non-matching meshes unsupported: knot vectors differ on "
+                                    f"interface {e.left} / {e.right}")
 
     @property
     def num_patches(self) -> int:
@@ -483,15 +494,6 @@ class MultiPatchSurface:
         return sum(float(np.sum(tabulate_patches([p], q).weights)) for p in self.patches)
 
 
-def _check_matching_mesh(patches: list[NurbsPatch], left, right, flip: bool) -> None:
-    kv_l, kv_r = (patches[pid].side_knots(side) for pid, side in (left, right))
-    knots = 1.0 - kv_r.knots[::-1] if flip else kv_r.knots
-    same = (kv_l.degree, kv_l.n) == (kv_r.degree, kv_r.n)
-    if not (same and np.max(np.abs(kv_l.knots - knots)) <= 1e-12):
-        raise TopologyError("non-matching meshes unsupported: knot vectors differ on "
-                            f"interface {left} / {right}")
-
-
 def match_interfaces(
     patches: list[NurbsPatch],
     tags: dict[tuple[int, str], str] | None = None,
@@ -503,13 +505,9 @@ def match_interfaces(
     parameters within MATCH_TOL times the surface's extent, the largest side
     of the samples' bounding box (both orientations are tried).  Remaining
     sides must carry a ``dirichlet`` or ``neumann`` tag; an untagged side
-    whose curve matches nothing raises TopologyError.  Paired sides must
-    have equal knot vectors up to orientation reversal (matching meshes),
-    otherwise TopologyError("non-matching meshes ...") is raised.
+    whose curve matches nothing raises TopologyError, before the surface
+    checks its patch ids and matching meshes.
     """
-    for i, patch in enumerate(patches):
-        if patch.id != i:
-            raise TopologyError(f"patch ids must equal list positions, got {patch.id} at {i}")
     tags = dict(tags or {})
     for (pid, side), tag in tags.items():
         if not 0 <= pid < len(patches) or side not in SIDES:
@@ -522,7 +520,7 @@ def match_interfaces(
     # window are compared.  The window is widened to 2 tol so rounding in its
     # bounds never drops a candidate; the 5-sample test decides.
     ts = np.linspace(0.0, 1.0, 5)
-    all_sides = [(p.id, side) for p in patches for side in SIDES]
+    all_sides = [(pid, side) for pid in range(len(patches)) for side in SIDES]
     samples = np.empty((len(patches), 2, 2, ts.size, 3))  # in SIDES order per patch
     for stack in knot_groups(patches):
         for axis in (0, 1):
@@ -556,7 +554,6 @@ def match_interfaces(
             taken[cand[k]] = True
             if s in tags or other in tags:
                 raise TopologyError(f"boundary tag on interior side {s if s in tags else other}")
-            _check_matching_mesh(patches, s, other, flip)
             edges.append(InterfaceEdge("interior", s, other, flip))
         elif s in tags:
             edges.append(InterfaceEdge(tags[s], s))
@@ -568,33 +565,30 @@ def match_interfaces(
     return MultiPatchSurface(list(patches), edges, alpha)
 
 
-def _refine_nets(basis: NurbsBasis2D, nets: np.ndarray):
-    """Refined knot vectors and midpoint refinements T_u X T_v^T of a stack of
-    grids (P, n1, n2, c) on ``basis``'s knot vectors (memoised ``midpoint_refine``
-    matrices): homogeneous control nets (x w, w) or coefficients (c w, w)."""
-    kv_u, Tu = midpoint_refine(basis.basis_u)
-    kv_v, Tv = midpoint_refine(basis.basis_v)
-    nets = np.einsum("ij,pjbk->pibk", Tu, nets)
-    return kv_u, kv_v, np.einsum("ij,pajk->paik", Tv, nets)
+def _refine_nets(patches: list[NurbsPatch], grids: np.ndarray):
+    """Midpoint refinement of grids (P, n1, n2, c) on a stack of patches sharing both
+    knot vectors, through the homogeneous net (g w, w) and the memoised
+    ``midpoint_refine`` matrices: the refined knot vectors, w_f = T_u w T_v^T and
+    g_f = T_u (g w) T_v^T / w_f.  The grids are the control points or coefficients."""
+    kv_u, Tu = midpoint_refine(patches[0].basis.basis_u)
+    kv_v, Tv = midpoint_refine(patches[0].basis.basis_v)
+    w = np.stack([p.basis.weights for p in patches])[..., None]
+    nets = np.einsum("ij,pjbk->pibk", Tu, np.concatenate([grids * w, w], axis=-1))
+    nets = np.einsum("ij,pajk->paik", Tv, nets)
+    return kv_u, kv_v, nets[..., -1], nets[..., :-1] / nets[..., -1:]
 
 
 def refine_surface(surface: MultiPatchSurface) -> MultiPatchSurface:
     """Global midpoint h-refinement, one ``_refine_nets`` call per knot group.
 
-    Knot insertion changes neither the geometry nor the topology, so meshes
-    stay matching and the edges carry over; each interior edge's knot
-    vectors are checked again.
+    Knot insertion changes neither the geometry nor the topology, so the
+    edges carry over; the refined surface checks each interior edge's knot
+    vectors again when it is built.
     """
     patches = list(surface.patches)
     for group in knot_groups(patches):
-        members = [surface.patches[pid] for pid in group]
-        w = np.stack([p.basis.weights for p in members])[..., None]
-        hom = np.concatenate([np.stack([p.control_points for p in members]) * w, w], axis=-1)
-        kv_u, kv_v, hom = _refine_nets(members[0].basis, hom)
-        for pid, patch, net in zip(group, members, hom):
-            w_new = net[:, :, 3]
-            patches[pid] = NurbsPatch(NurbsBasis2D(kv_u, kv_v, w_new),
-                                      net[:, :, :3] / w_new[:, :, None], patch.id)
-    for e in surface.edges_of_kind("interior"):
-        _check_matching_mesh(patches, e.left, e.right, e.orientation_flip)
+        members = [patches[pid] for pid in group]
+        kv_u, kv_v, w, x = _refine_nets(members, np.stack([p.control_points for p in members]))
+        for pid, w_p, x_p in zip(group, w, x):
+            patches[pid] = NurbsPatch(NurbsBasis2D(kv_u, kv_v, w_p), x_p, pid)
     return MultiPatchSurface(patches, list(surface.edges), surface.alpha.copy())

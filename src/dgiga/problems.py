@@ -92,7 +92,8 @@ def parse_expression(text: str, params=()):
         finite = np.isfinite(out)
         if not finite.all():
             i = int(np.argmin(finite))
-            raise ValueError(f"expression {text!r} evaluates to {out[i]} at point {pts[i].tolist()}")
+            raise ValueError(f"expression {text!r} evaluates to {out[i]} "
+                             f"at point {pts[i].tolist()}")
         return out
 
     return field

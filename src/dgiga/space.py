@@ -5,7 +5,8 @@ concatenation of the per-patch coefficient blocks (no coupling between
 patches).  Numbering is patch-major, then lexicographic with the second
 parametric index as the major key.  The spaces of a refinement sweep
 nest patch by patch: ``prolong`` moves a function to the next level with
-the knot insertion that refines the geometry (``geometry._refine_nets``).
+the refiner of the geometry, ``geometry._refine_nets``, given the
+coefficient grids where ``refine_surface`` gives the control points.
 """
 
 from __future__ import annotations
@@ -73,15 +74,13 @@ def prolong(u_h: DiscreteFunction) -> np.ndarray:
 
     Knot insertion nests each patch's NURBS space in its refinement (the
     weight function does not change), so the prolongation is exact and
-    block-diagonal: c_f = (T_u (c o w) T_v^T) / (T_u w T_v^T) per patch, the
-    pair (c w, w) refined like a control net by ``geometry._refine_nets``,
-    one call per group of patches sharing both knot vectors (``knot_groups``).
+    block-diagonal: c_f = (T_u (c o w) T_v^T) / (T_u w T_v^T) per patch, from
+    ``geometry._refine_nets``, one call per group of patches sharing both knot
+    vectors (``knot_groups``).
     """
     patches, rows = u_h.space.surface.patches, {}
     for group in knot_groups(patches):
-        c = np.stack([u_h.patch_coeffs(pid) for pid in group])
-        w = np.stack([patches[pid].basis.weights for pid in group])
-        _, _, net = _refine_nets(patches[group[0]].basis, np.stack([c * w, w], axis=-1))
-        c_f = net[..., 0] / net[..., 1]  # (P, n1, n2), stored k2-major
-        rows.update(zip(group, c_f.swapaxes(1, 2).reshape(len(group), -1)))
+        c = np.stack([u_h.patch_coeffs(pid) for pid in group])[..., None]
+        *_, c_f = _refine_nets([patches[pid] for pid in group], c)  # (P, n1, n2, 1)
+        rows.update(zip(group, c_f[..., 0].swapaxes(1, 2).reshape(len(group), -1)))  # k2-major
     return np.concatenate([rows[pid] for pid in range(len(patches))])

@@ -165,42 +165,33 @@ def greville(kv: KnotVector) -> np.ndarray:
     return np.array([U[k + 1 : k + p + 1].mean() for k in range(kv.n)])
 
 
-def _single_insertion_matrix(U: np.ndarray, p: int, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Boehm's single-knot insertion: returns (new knots, (n+1) x n matrix)."""
-    n = U.size - p - 1
-    k = int(np.searchsorted(U, u, side="right")) - 1
-    T = np.zeros((n + 1, n))
-    for i in range(n + 1):
-        if i <= k - p:
-            T[i, i] = 1.0
-        elif i > k:
-            T[i, i - 1] = 1.0
-        else:
-            a = (u - U[i]) / (U[i + p] - U[i])
-            T[i, i] = a
-            T[i, i - 1] = 1.0 - a
-    Unew = np.insert(U, k + 1, u)
-    return Unew, T
-
-
 def insert_knots(kv: KnotVector, new_knots) -> tuple[KnotVector, np.ndarray]:
     """Insert knots strictly inside (0, 1); returns refined vector and the
     control-point refinement matrix.
 
     Applying the matrix to (weighted) control points reproduces the
     original geometry exactly.  Raises ValueError, as ``KnotVector`` does,
-    if any resulting knot multiplicity would exceed the degree.
+    if any resulting knot multiplicity would exceed the degree.  Each knot u
+    in span k is one Boehm step, the (n+1) x n matrix with a_i on its
+    diagonal and 1 - a_i below it: a_i is 1 for i <= k - p, 0 for i > k and
+    (u - U_i) / (U_{i+p} - U_i) between.
     """
     new_knots = np.sort(np.asarray(new_knots, dtype=float))
     if new_knots.size and (new_knots[0] <= 0.0 or new_knots[-1] >= 1.0):
         raise ValueError("new knots must lie strictly inside (0, 1)")
-    p = kv.degree
-    refined = KnotVector(p, np.sort(np.concatenate([kv.knots, new_knots])))
-    U = kv.knots.copy()
-    T = np.eye(kv.n)
+    p, U, T = kv.degree, kv.knots, np.eye(kv.n)
+    refined = KnotVector(p, np.sort(np.concatenate([U, new_knots])))
     for u in new_knots:
-        U, T1 = _single_insertion_matrix(U, p, float(u))
+        n, k = len(T), int(np.searchsorted(U, u, side="right")) - 1
+        i = np.arange(n)
+        j = i[k - p + 1 : k + 1]  # the p rows that blend two control points
+        a = (np.arange(n + 1) <= k - p).astype(float)
+        a[j] = (u - U[j]) / (U[j + p] - U[j])
+        T1 = np.zeros((n + 1, n))
+        T1[i, i] = a[:-1]
+        T1[i + 1, i] = 1.0 - a[1:]
         T = T1 @ T
+        U = np.insert(U, k + 1, u)
     return refined, T
 
 

@@ -404,6 +404,44 @@ def l2_error_at(u_h: DiscreteFunction, u_exact, q: int) -> float:
     return math.sqrt(total)
 
 
+def single_insertion_matrix(U: np.ndarray, p: int, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Boehm's single-knot insertion row by row: returns (new knots, (n+1) x n matrix)."""
+    n = U.size - p - 1
+    k = int(np.searchsorted(U, u, side="right")) - 1
+    T = np.zeros((n + 1, n))
+    for i in range(n + 1):
+        if i <= k - p:
+            T[i, i] = 1.0
+        elif i > k:
+            T[i, i - 1] = 1.0
+        else:
+            a = (u - U[i]) / (U[i + p] - U[i])
+            T[i, i] = a
+            T[i, i - 1] = 1.0 - a
+    return np.insert(U, k + 1, u), T
+
+
+def insertion_matrix(kv: KnotVector, new_knots) -> np.ndarray:
+    """The product of the row-by-row Boehm matrices of the sorted ``new_knots``."""
+    U, T = kv.knots.copy(), np.eye(kv.n)
+    for u in np.sort(np.asarray(new_knots, dtype=float)):
+        U, T1 = single_insertion_matrix(U, kv.degree, float(u))
+        T = T1 @ T
+    return T
+
+
+def elevate_bezier(hom: np.ndarray) -> np.ndarray:
+    """Raise a homogeneous Bezier segment by one degree, one control point at a time."""
+    n = hom.shape[0]
+    out = np.empty((n + 1, hom.shape[1]))
+    out[0] = hom[0]
+    out[n] = hom[n - 1]
+    for i in range(1, n):
+        a = i / n
+        out[i] = a * hom[i - 1] + (1.0 - a) * hom[i]
+    return out
+
+
 def refine_patch(patch: NurbsPatch) -> NurbsPatch:
     """Midpoint refinement of one patch: T_u and T_v applied to its homogeneous net."""
     kv_u, Tu = midpoint_refine(patch.basis.basis_u)

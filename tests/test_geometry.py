@@ -225,6 +225,49 @@ def test_nonmatching_meshes_rejected():
         match_interfaces(patches, tags)
 
 
+def test_untagged_side_is_reported_before_a_non_matching_mesh():
+    surface = square_grid(1, nx=2, ny=1)
+    patches = [surface.patches[0], refine_patch(surface.patches[1])]
+    tags = {e.left: e.kind for e in surface.edges if e.kind != "interior"}
+    del tags[(0, "west")]
+    with pytest.raises(TopologyError, match=r"\(0, 'west'\) matches no neighbor"):
+        match_interfaces(patches, tags)
+
+
+def test_hand_built_interface_between_different_knots_rejected():
+    """Same element count, different v breaks: the edge points would pair wrongly."""
+    kv_u = KnotVector(2, [0, 0, 0, 1, 1, 1])
+    patches = []
+    for pid, knots in enumerate(([0, 0, 0, 0.5, 1, 1, 1], [0, 0, 0, 0.3, 1, 1, 1])):
+        kv_v = KnotVector(2, knots)
+        cp = np.zeros((kv_u.n, kv_v.n, 3))
+        cp[..., 0] = pid + greville(kv_u)[:, None]
+        cp[..., 1] = greville(kv_v)[None, :]
+        patches.append(NurbsPatch(NurbsBasis2D(kv_u, kv_v, np.ones(cp.shape[:2])), cp, pid))
+    edges = [InterfaceEdge("interior", (0, "east"), (1, "west"))] + [
+        InterfaceEdge("dirichlet", (pid, side))
+        for pid, sides in ((0, ("west", "south", "north")), (1, ("east", "south", "north")))
+        for side in sides
+    ]
+    with pytest.raises(TopologyError, match="non-matching meshes"):
+        MultiPatchSurface(patches, edges)
+
+
+def test_hand_built_patch_ids_must_be_list_positions():
+    patches = [planar_rectangle_patch(1, pid=1)]
+    with pytest.raises(TopologyError, match="patch ids must equal list positions"):
+        MultiPatchSurface(patches, [InterfaceEdge("dirichlet", (0, s)) for s in SIDES])
+
+
+@pytest.mark.parametrize("ids", [(0, 0), (1, 0)])
+def test_matcher_reports_patch_ids_that_are_not_list_positions(ids):
+    surface = square_grid(1, nx=2, ny=1)
+    patches = [NurbsPatch(p.basis, p.control_points, i) for p, i in zip(surface.patches, ids)]
+    tags = {e.left: e.kind for e in surface.edges if e.kind != "interior"}
+    with pytest.raises(TopologyError, match="patch ids must equal list positions"):
+        match_interfaces(patches, tags)
+
+
 def test_metric_spd_at_quadrature_points(rng):
     for surface in (square_grid(1), quarter_cylinder_grid(2)):
         for patch in surface.patches:
@@ -413,9 +456,8 @@ def test_refine_rejects_interior_edge_between_different_knots():
         for pid, sides in ((0, ("west", "south", "north")), (1, ("east", "south", "north")))
         for side in sides
     ]
-    surface = MultiPatchSurface([left, right], edges)
     with pytest.raises(TopologyError, match="non-matching meshes"):
-        refine_surface(surface)
+        refine_surface(MultiPatchSurface([left, right], edges))
 
 
 REFINEMENT_CASES = {
@@ -444,9 +486,9 @@ def test_refinement_runs_once_per_knot_group(monkeypatch):
     calls = []
     refine_nets = dgiga.geometry._refine_nets
 
-    def counting(basis, nets):
-        calls.append(len(nets))
-        return refine_nets(basis, nets)
+    def counting(patches, grids):
+        calls.append(len(patches))
+        return refine_nets(patches, grids)
 
     monkeypatch.setattr(dgiga.geometry, "_refine_nets", counting)
     surface = seeded_grid(7, 8)

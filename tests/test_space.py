@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from oracles import edge_average, edge_jump, global_window, interpolate, trace_on_edge
+from test_geometry import REFINEMENT_CASES
 
 from dgiga.geometries import planar_rectangle_patch, quarter_cylinder_grid, square_grid
 from dgiga.geometry import match_interfaces, refine_surface, tabulate_grid
@@ -183,3 +184,16 @@ def test_prolongation_is_exact(name, rng):
         a, _ = evaluate(u_h, pid, ts, ts)
         b, _ = evaluate(u_f, pid, ts, ts)
         np.testing.assert_allclose(b, a, rtol=0, atol=1e-13 * np.abs(a).max())
+
+
+@pytest.mark.parametrize("name", sorted(REFINEMENT_CASES))
+def test_prolonged_control_x_is_the_refined_control_x(name):
+    """Prolonging the function whose coefficients are the control points' x gives
+    the refined control points' x bit for bit: one refiner for nets and functions."""
+    from dgiga.space import prolong
+
+    coarse = REFINEMENT_CASES[name]()
+    space = build_space(coarse, coarse.patches[0].degree[0])
+    x = [patch.control_points[..., 0].T.ravel() for patch in coarse.patches]  # k2-major
+    fine_x = [patch.control_points[..., 0].T.ravel() for patch in refine_surface(coarse).patches]
+    assert np.array_equal(prolong(space.function(np.concatenate(x))), np.concatenate(fine_x))

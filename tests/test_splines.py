@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from oracles import eval_bspline, uniform_open_knots
+from oracles import elevate_bezier, eval_bspline, insertion_matrix, uniform_open_knots
 
+from dgiga.geometries import _bezier_knots, _elevate_bezier
 from dgiga.geometry import NurbsPatch, _rational_basis, tabulate_grid
 from dgiga.splines import (
     KnotVector,
@@ -285,6 +286,36 @@ def test_insertion_preserves_curve(rng):
         orig = rational_curve_oracle(kv, w, pts, x)
         fine = rational_curve_oracle(refined, w_f, pts_f, x)
         np.testing.assert_allclose(fine, orig, atol=1e-12)
+
+
+def midpoints(p, num_elements):
+    kv = uniform_open_knots(p, num_elements)
+    return kv, 0.5 * (kv.breaks[:-1] + kv.breaks[1:])
+
+
+# (knot vector, new knots) at degree p.  At p = 0 a KnotVector admits no interior knot.
+INSERTIONS = {
+    **{f"midpoints_{m}": (lambda p, m=m: midpoints(p, m)) for m in (1, 8, 33, 64)},
+    "graded": lambda p: (_bezier_knots(p), np.array([0.1, 0.2, 0.6, 0.9])),
+    "raised_to_p": lambda p: (uniform_open_knots(p, 2), np.full(p - 1, 0.5)),
+    "arc_halving": lambda p: (_bezier_knots(p), np.full(p, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INSERTIONS))
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_insert_knots_equals_the_row_by_row_product(p, case):
+    """One Boehm step per knot on arrays, bit for bit the row-by-row matrices' product."""
+    kv, new = INSERTIONS[case](p)
+    refined, T = insert_knots(kv, new)
+    assert np.array_equal(T, insertion_matrix(kv, new))
+    assert np.array_equal(refined.knots, np.sort(np.concatenate([kv.knots, new])))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_degree_elevation_equals_the_pointwise_loop(n, rng):
+    hom = np.concatenate([rng.normal(size=(n, 2)), rng.uniform(0.5, 2.0, (n, 1))], axis=1)
+    assert np.array_equal(_elevate_bezier(hom), elevate_bezier(hom))
 
 
 # -- bivariate rational basis -------------------------------------------------
