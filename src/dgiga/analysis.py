@@ -5,8 +5,10 @@ assembly uses, so the quadrature of the error never masks the
 discretization error being measured.  ``measure_errors`` is the one entry
 point: one pass per stack of patches sharing both knot vectors contracts
 u_h's coefficients with the 1D tables (sum factorisation, no basis table)
-on the (P, nu, nv) grid and yields the L2 and broken-gradient parts; only
-the reduced scalars are copied to element-major order, the sums' order.
+on the (P, nu, nv) grid of each work unit, the stack or a run of its
+element rows (``geometry.row_runs``), and yields the L2 and broken-gradient
+parts; only the reduced scalars are copied, to patch-wide element-major
+arrays in the sums' order.
 The energy error's jump terms, on every interior and Dirichlet edge, read
 u_h on the edge layout the assembly uses (``assembly.edge_sides``).
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import edge_alpha, edge_sides
-from .geometry import (_dot, _elements, knot_groups, patch_stacks, tabulate_grid,
+from .geometry import (_dot, _elements, knot_groups, patch_stacks, row_runs, tabulate_grid,
                        tabulate_patches)
 from .space import DiscreteFunction
 
@@ -38,19 +40,31 @@ class ErrorReport:
 
 def _stack_errors(u_h: DiscreteFunction, stack: list[int], u_exact, grad_u_exact, q: int):
     """Gaps u_h - u and weights (P, N) and squared broken-gradient errors (P,)
-    of a stack of patches sharing both knot vectors; the tabulation lives
-    only for this stack.  Gradient parts are zero without grad_u_exact.  Only
-    these reduced scalars are copied to element-major order, for the sums."""
-    patches = u_h.space.surface.patches
+    of a stack of patches sharing both knot vectors.  The work unit is a run
+    of u-element rows (``row_runs``), each tabulated once and living only
+    for its unit; each writes its gaps, weights and gradient parts into
+    patch-wide element-major arrays, in the sums' order.  Gradient parts are
+    zero without grad_u_exact."""
+    patches = [u_h.space.surface.patches[pid] for pid in stack]
     coeffs = np.stack([u_h.patch_coeffs(pid) for pid in stack])
-    tab = tabulate_patches([patches[pid] for pid in stack], q, coeffs)
-    P, points, w = len(stack), tab.points.reshape(3, -1).T, tab.weights
-    parts = [tab.field - np.asarray(u_exact(points)).reshape(w.shape), w]
-    if grad_u_exact is not None:
-        diff = tab.surface_gradient(tab.field_grad)
-        diff -= np.asarray(grad_u_exact(points)).T.reshape(diff.shape)
-        parts.append(_dot(diff, diff) * w)
-    gap, w, *h1 = (_elements(a, q, q).reshape(P, -1) for a in parts)
+    P, b = len(stack), patches[0].basis
+    shape = (P, b.basis_u.num_elements, b.basis_v.num_elements, q, q)
+    out = None
+    for run in row_runs(patches):
+        tab = tabulate_patches(patches, q, coeffs, run)
+        points, w = tab.points.reshape(3, -1).T, tab.weights
+        parts = [tab.field - np.asarray(u_exact(points)).reshape(w.shape), w]
+        if grad_u_exact is not None:
+            diff = tab.surface_gradient(tab.field_grad)
+            diff -= np.asarray(grad_u_exact(points)).T.reshape(diff.shape)
+            parts.append(_dot(diff, diff) * w)
+            del diff
+        if out is None:  # after the first tabulation's temporaries are freed
+            out = [np.empty(shape) for _ in parts]
+        for a, part in zip(out, parts):
+            a[:, run] = _elements(part, q, q)
+        del tab, points, w, parts  # before the next unit is tabulated
+    gap, w, *h1 = (a.reshape(P, -1) for a in out)
     return gap, w, h1[0].sum(axis=1) if h1 else np.zeros(P)
 
 

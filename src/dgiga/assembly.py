@@ -4,10 +4,11 @@ Builds the symmetric system: patchwise diffusion stiffness, interface
 consistency/symmetry and jump-penalty terms, weakly imposed Dirichlet
 conditions of Nitsche type, and the load vector including Neumann data.
 The volume terms of a stack of patches sharing both knot vectors come from
-the weight-free factors of one tabulation (``tabulate_patches``) on its
-(P, nu, nv) grid, with no rational-basis table, and batched matmuls whose
-X batches are element-major copies, one per block of element rows that fits
-``geometry.STACK_BYTES`` (a whole stack within it is one block).  Patches
+the weight-free factors of one tabulation (``tabulate_patches``) per work
+unit, a run of element rows (``geometry.row_runs``; a stack within the
+budget is one unit), on its (P, nu, nv) grid, with no rational-basis table,
+and batched matmuls whose X batches are element-major copies, one per block
+of the unit's element rows that fits ``geometry.STACK_BYTES``.  Patches
 are uncoupled in the volume, so its matrix is block-diagonal by patch, with
 the Kronecker pattern of two 1D B-spline bands per block.  One accumulator
 serves the whole volume pass: the element matrices are summed straight into
@@ -36,7 +37,7 @@ import scipy.sparse as sp
 
 from . import geometry
 from .geometry import (SideTabulation, _dot, _elements, _knot_key, _window_weights,
-                       patch_stacks, tabulate_patches, tabulate_sides)
+                       patch_stacks, row_runs, tabulate_patches, tabulate_sides)
 from .space import DgSpace
 from .splines import KnotVector, find_span
 
@@ -60,7 +61,8 @@ def default_penalty(p: int) -> float:
 class ProblemData:
     """Problem data: source, boundary data, penalty, optional exact solution.
 
-    ``f`` is called once per stack of patches as f(patch_ids, points), with
+    ``f`` is called once per work unit of the volume pass (a stack of patches,
+    or a run of a larger patch's element rows) as f(patch_ids, points), with
     points (N, 3) and each point's patch id (N,); boundary data and the
     exact solution take only the points.  Missing callables are zero data.
     ``delta`` has no default: the coercive range grows with p (``default_penalty``).
@@ -100,7 +102,8 @@ def _index_dtype(n: int):
 
 def _keys(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """Merge keys r n + c of entries (r, c) of an n x n matrix, int32 whenever n^2 fits."""
-    return rows.astype(_index_dtype(n * n)) * n + cols.astype(_index_dtype(n * n))
+    dtype = _index_dtype(n * n)
+    return rows.astype(dtype, copy=False) * n + cols.astype(dtype, copy=False)
 
 
 def _band(kv: KnotVector):
@@ -122,7 +125,8 @@ def _volume_pattern(basis_u: KnotVector, basis_v: KnotVector):
     columns: entry (r, c) of row r = r2 n1 + r1 sits at indptr[r] +
     (c2 - lo_v[r2]) width_u[r1] + c1 - lo_u[r1].  ``slots`` (nel_u nel_v, m, m)
     and ``dofs`` (nel_u nel_v, m), the patch-local functions of each element
-    window, follow the element and window order of ``_volume_blocks``.
+    window, follow the element and window order of ``_volume_blocks``;
+    ``slots`` are in the patch-local index dtype (``_index_dtype``).
     Returns (indptr, indices, slots, dofs).
     """
     (fu, lo1, w1), (fv, lo2, w2) = _band(basis_u), _band(basis_v)
@@ -132,7 +136,11 @@ def _volume_pattern(basis_u: KnotVector, basis_v: KnotVector):
     # Axes (e_u, e_v, a1, a2, b1, b2): rows (r2, r1) and columns (c2, c1).
     r1, c1 = k1[:, None, :, None, None, None], k1[:, None, None, None, :, None]
     r2, c2 = k2[None, :, None, :, None, None], k2[None, :, None, None, None, :]
-    slots = indptr[r2 * n1 + r1] + ((c2 - lo2[r2]) * w1[r1] + (c1 - lo1[r1]))
+    # slot = (indptr[r] - lo2[r2] w1[r1] - lo1[r1]) + c2 w1[r1] + c1, every term cast
+    # to the slots' dtype first: only the last sum is full-size.
+    dtype = _index_dtype(indptr[-1])
+    at = (indptr[r2 * n1 + r1] - lo2[r2] * w1[r1] - lo1[r1]).astype(dtype)
+    slots = (at + (c2 * w1[r1]).astype(dtype)) + c1.astype(dtype)
     cols = c2 * n1 + c1  # (nel_u, nel_v, 1, 1, m1, m2): the functions of each element
     indices = np.empty(indptr[-1], dtype=np.intp)
     indices[slots] = cols  # every pattern entry is some element's entry
@@ -157,57 +165,63 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
     point (C upper triangular, closed form), X = C grad psi is built with
     the function axes outermost, so every elementwise step runs over the
     grid points; K_e = alpha W_a W_b (X^T X)_ab, the weights applied as one
-    exactly symmetric factor after the matmul and alpha last.  X, its
-    element-major copy and K are built for a block of u-element rows at a
-    time, as many as fit ``geometry.STACK_BYTES`` (read at call time, at
-    least one row): only a patch above the budget has more than one block.
-    The rows contract (f w / S, w / S) with the 1D tables.
+    exactly symmetric factor after the matmul and alpha last.  Each work
+    unit, a run of u-element rows (``row_runs``), is tabulated once; its X,
+    the element-major copy of X and its rows of K are built for a block of
+    the unit's rows at a time, as many as fit ``geometry.STACK_BYTES`` (read
+    at call time, at least one row).  The rows contract (f w / S, w / S)
+    with the 1D tables.
     """
     surface, q = space.surface, space.degree + 1
     patches = [surface.patches[pid] for pid in stack]
-    tab = tabulate_patches(patches, q)
-    Nu, dNu, Nv, dNv, S, Su, Sv, W = tab.factors
-    P, nu, nv = S.shape
-    m1, m2 = Nu.shape[-1], Nv.shape[-1]
-    nel_u, nel_v, m = nu // q, nv // q, m1 * m2
-    W = _window_weights(W, tab.first_u[::q, 0], tab.first_v[::q], m1, m2).reshape(P, -1, m)
-    w, f = tab.weights, 0.0
-    if data.f is not None:  # one call per stack, one patch id per point
-        pids = np.repeat(stack, w[0].size)
-        f = np.asarray(data.f(pids, tab.points.reshape(3, -1).T), dtype=float).reshape(w.shape)
-    rows = _elements(np.stack([f * w, w]) / S, q, q)  # (2, P, nel_u, nel_v, q, q)
-    rows = Nu.transpose(0, 2, 1)[:, None] @ (rows @ Nv)  # (2, P, nel_u, nel_v, m1, m2)
-    rows = rows.transpose(1, 0, 2, 3, 4, 5).reshape(P, 2, -1, m) * W[:, None]
-    r = np.sqrt(w / tab.inv_metric[0, 0]) / S
-    c00, c01, c11 = tab.inv_metric[0, 0] * r, tab.inv_metric[0, 1] * r, r / tab.sqrt_det_g
-    s0, s1 = (c00 * Su + c01 * Sv) / S, c11 * Sv / S
-    del tab, w, f, r  # the rest needs only these coefficients and the factors
-    # Function axes first, then the grid points: every elementwise loop runs
-    # along the v points.  X_0 = A N_v + B dN_v, X_1 = N_u C.
-    uN, udN = (np.ascontiguousarray(t.reshape(-1, m1).T)[:, None, :, None] for t in (Nu, dNu))
-    vN, vdN = (np.ascontiguousarray(t.reshape(-1, m2).T)[:, None, None] for t in (Nv, dNv))
-    rows_per = max(1, geometry.STACK_BYTES // (16 * q * q * m * nel_v * P))
-    for first in range(0, nel_u, rows_per):
-        last = first + rows_per
-        g, e = slice(first * q, last * q), slice(first * nel_v, last * nel_v)
-        ug, udg = uN[:, :, g], udN[:, :, g]
-        A = c00[:, g] * udg - s0[:, g] * ug
-        B = c01[:, g] * ug
-        C = c11[:, g] * vdN - s1[:, g] * vN
-        X = np.empty((m1, m2, 2) + A.shape[1:])
-        np.multiply(A[:, None], vN, out=X[:, :, 0])
-        X[:, :, 0] += np.multiply(B[:, None], vdN, out=X[:, :, 1])  # X_1 as scratch
-        np.multiply(ug[:, None], C, out=X[:, :, 1])
-        del A, B, C
-        X = _elements(X, q, q).transpose(3, 4, 5, 2, 6, 7, 0, 1).reshape(P, -1, 2 * q * q, m)
-        if first == 0:  # after the first grid X is freed: never beside both X batches
-            K = np.empty((P, nel_u * nel_v, m, m))
-        Ke, We = K[:, e], W[:, e]
-        np.matmul(X.transpose(0, 1, 3, 2), X, out=Ke)  # a rank-k update: exactly symmetric
-        del X
-        Ke *= We[..., :, None] * We[..., None, :]
+    P, kv_u, kv_v = len(stack), patches[0].basis.basis_u, patches[0].basis.basis_v
+    nel_v, m1, m2 = kv_v.num_elements, kv_u.degree + 1, kv_v.degree + 1
+    m, K = m1 * m2, None
+    loads = np.empty((P, 2, kv_u.num_elements * nel_v, m))
+    block = max(1, geometry.STACK_BYTES // (16 * q * q * m * nel_v * P))
+    for run in row_runs(patches):
+        unit = slice(run.start * nel_v, run.stop * nel_v)  # the unit's elements
+        tab = tabulate_patches(patches, q, rows=run)
+        Nu, dNu, Nv, dNv, S, Su, Sv, W = tab.factors
+        W = _window_weights(W, tab.first_u[::q, 0], tab.first_v[::q], m1, m2).reshape(P, -1, m)
+        w, f = tab.weights, 0.0
+        if data.f is not None:  # one call per unit, one patch id per point
+            pids = np.repeat(stack, w[0].size)
+            f = np.asarray(data.f(pids, tab.points.reshape(3, -1).T), dtype=float).reshape(w.shape)
+        rows = _elements(np.stack([f * w, w]) / S, q, q)  # (2, P, nel_u, nel_v, q, q)
+        rows = Nu.transpose(0, 2, 1)[:, None] @ (rows @ Nv)  # (2, P, nel_u, nel_v, m1, m2)
+        np.multiply(rows.transpose(1, 0, 2, 3, 4, 5).reshape(P, 2, -1, m), W[:, None],
+                    out=loads[:, :, unit])
+        r = np.sqrt(w / tab.inv_metric[0, 0]) / S
+        c00, c01, c11 = tab.inv_metric[0, 0] * r, tab.inv_metric[0, 1] * r, r / tab.sqrt_det_g
+        s0, s1 = (c00 * Su + c01 * Sv) / S, c11 * Sv / S
+        del tab, w, f, r, rows  # the rest needs only these coefficients and the factors
+        # Function axes first, then the grid points: every elementwise loop runs
+        # along the v points.  X_0 = A N_v + B dN_v, X_1 = N_u C.
+        uN, udN = (np.ascontiguousarray(t.reshape(-1, m1).T)[:, None, :, None] for t in (Nu, dNu))
+        vN, vdN = (np.ascontiguousarray(t.reshape(-1, m2).T)[:, None, None] for t in (Nv, dNv))
+        for first in range(0, run.stop - run.start, block):  # X in blocks of element rows
+            last = first + block
+            g, e = slice(first * q, last * q), slice(first * nel_v, last * nel_v)
+            ug, udg = uN[:, :, g], udN[:, :, g]
+            A = c00[:, g] * udg - s0[:, g] * ug
+            B = c01[:, g] * ug
+            C = c11[:, g] * vdN - s1[:, g] * vN
+            X = np.empty((m1, m2, 2) + A.shape[1:])
+            np.multiply(A[:, None], vN, out=X[:, :, 0])
+            X[:, :, 0] += np.multiply(B[:, None], vdN, out=X[:, :, 1])  # X_1 as scratch
+            np.multiply(ug[:, None], C, out=X[:, :, 1])
+            del A, B, C
+            X = _elements(X, q, q).transpose(3, 4, 5, 2, 6, 7, 0, 1).reshape(P, -1, 2 * q * q, m)
+            if K is None:  # after the first grid X is freed: never beside both X batches
+                K = np.empty((P, loads.shape[2], m, m))
+            Ke, We = K[:, unit][:, e], W[:, e]
+            np.matmul(X.transpose(0, 1, 3, 2), X, out=Ke)  # a rank-k update: exactly symmetric
+            del X
+            Ke *= We[..., :, None] * We[..., None, :]
+        del c00, c01, c11, s0, s1  # before the next unit is tabulated
     K *= surface.alpha[stack].reshape(-1, 1, 1, 1)
-    return K, rows
+    return K, loads
 
 
 def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
@@ -218,9 +232,9 @@ def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
     and is written straight into its CSR arrays: each patch block has the
     pattern of its knot vectors (``_volume_pattern``, built once per knot
     signature in the call).  Each stack of patches sharing them
-    (``patch_stacks``) is tabulated once; one bincount sums its element
-    matrices into the CSR values and one its load and integral rows into each
-    patch's slice of the vectors.  Every entry sums its patch's elements in
+    (``patch_stacks``) is tabulated once per work unit; one bincount sums its
+    element matrices into the CSR values and one its load and integral rows
+    into each patch's slice of the vectors.  Every entry sums its patch's elements in
     element order, whatever the stacking.
     """
     surface, n = space.surface, space.total_dofs
@@ -358,7 +372,8 @@ def assemble_system(space: DgSpace, data: ProblemData) -> SparseSystem:
     lacks (interface coupling, also inside one patch's block) are inserted."""
     vol, (keys, values, rhs) = assemble_volume(space, data), _edge_terms(space, data)
     n, A = space.total_dofs, vol.matrix
-    pattern = _keys(np.repeat(np.arange(n), np.diff(A.indptr)), A.indices, n)
+    pattern = _keys(np.repeat(np.arange(n, dtype=_index_dtype(n * n)), np.diff(A.indptr)),
+                    A.indices, n)
     keys, inverse = np.unique(keys, return_inverse=True)
     sums, at = np.bincount(inverse, values), np.searchsorted(pattern, keys)
     new = pattern.take(at, mode="clip") != keys

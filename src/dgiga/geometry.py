@@ -17,13 +17,16 @@ whose rounding depends on an entry's position).  Every per-point quantity
 is formed once, on contiguous arrays whose component axes come first; basis
 tables keep their function axes last.  A grid carries the weight-free
 factors the volume assembly uses; the rational basis is built from them.
-``tabulate_patches`` calls the kernel at the Gauss points of a stack; one
-rule, ``patch_stacks``, sizes the stacks by the bytes of their volume X
-batch.  ``tabulate_sides`` tabulates the Gauss points of many patch sides
-with one ``_side_grid`` call per (fixed axis, knot vectors) group, which
-covers both opposite sides of each patch ({0, 1} x ts or ts x {0, 1}), and
-writes each group's elements straight to their slot-order rows, each
-flipped slot reversed.  A side element carries
+``tabulate_patches`` calls the kernel at the Gauss points of a work unit:
+a stack, or a run of its u-element rows, tabulated bit for bit as that
+slice of the whole.  One budget, ``STACK_BYTES``, sizes both:
+``patch_stacks`` cuts knot groups into stacks by their volume X batch, and
+``row_runs`` cuts a larger stack into the runs of rows that both the
+volume and the error pass tabulate.  ``tabulate_sides`` tabulates the
+Gauss points of many patch sides with one ``_side_grid`` call per (fixed
+axis, knot vectors) group, which covers both opposite sides of each patch
+({0, 1} x ts or ts x {0, 1}), and writes each group's elements straight to
+their slot-order rows, each flipped slot reversed.  A side element carries
 only its trace window of 2(p+1) functions, or a field's values alone.
 Conormal and edge speed come from the kernel's J and g^-1, without cross
 products.  ``match_interfaces`` takes its side samples through the same call.
@@ -57,6 +60,7 @@ __all__ = [
     "refine_surface",
     "knot_groups",
     "patch_stacks",
+    "row_runs",
     "tabulate_grid",
     "tabulate_patches",
     "tabulate_sides",
@@ -226,7 +230,8 @@ def _rational_basis(tab: Tabulation) -> Tabulation:
     return replace(tab, values=values, grads=grads)
 
 
-def tabulate_grid(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None) -> Tabulation:
+def tabulate_grid(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None,
+                  rows=slice(None)) -> Tabulation:
     """Geometry of a stack of patches on the tensor grid xs_u x xs_v.
 
     The patches must share both knot vectors.  ``xs_u``/``xs_v`` are
@@ -242,19 +247,29 @@ def tabulate_grid(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None) -> Tabulat
     naming the patch and the first point in element-major order where
     det(J^T J) <= 1e-14 g_00 g_11 (sin^2 of the tangents' angle, whatever the
     patch's size), and ValueError for a point outside [0, 1].
+
+    ``rows`` selects a run of u panels, a work unit: its tabulation equals
+    the matching slice of the whole grid's bit for bit.  The whole grid
+    decides the contraction order, the run's 1D tables are slices of the
+    whole grid's memoised ones, and the net is cut to the control rows that
+    the run's windows cover (``first_u`` still counts the whole net's rows,
+    and W is the whole net's).
     """
     xs_u, xs_v = (np.asarray(x, dtype=float).reshape(len(x), -1) for x in (xs_u, xs_v))
-    fu, Nu, dNu = _panel_table(patches[0].basis.basis_u, xs_u)
-    fv, Nv, dNv = _panel_table(patches[0].basis.basis_v, xs_v)
-    w = np.stack([p.basis.weights for p in patches])
-    net = [np.stack([p.control_points for p in patches]) * w[..., None], w[..., None]]
-    if coeffs is not None:
-        net.append((coeffs * w)[..., None])
-    H = np.concatenate(net, axis=-1)  # (P, n1, n2, c)
     # The direction with fewer output points goes first (the one u point of
     # a west/east side); ties, as on square volume grids, go v first.
     u_first = xs_u.size < xs_v.size
-    (f1, N1, dN1), (f2, N2, dN2) = ((fu, Nu, dNu), (fv, Nv, dNv))[:: 1 if u_first else -1]
+    fu, Nu, dNu = (t[rows] for t in _panel_table(patches[0].basis.basis_u, xs_u))
+    fv, Nv, dNv = _panel_table(patches[0].basis.basis_v, xs_v)
+    xs_u, cut = xs_u[rows], slice(fu.min(), fu.max() + Nu.shape[-1])
+    w = np.stack([p.basis.weights for p in patches])
+    wc = w[:, cut, :, None]
+    net = [np.stack([p.control_points[cut] for p in patches]) * wc, wc]
+    if coeffs is not None:
+        net.append(coeffs[:, cut, :, None] * wc)
+    H = np.concatenate(net, axis=-1)  # (P, control rows of the run, n2, c)
+    tables = (fu - cut.start, Nu, dNu), (fv, Nv, dNv)
+    (f1, N1, dN1), (f2, N2, dN2) = tables[:: 1 if u_first else -1]
     T, T1 = (_contract(H if u_first else H.swapaxes(1, 2), f1, N).swapaxes(1, 2)
              for N in (N1, dN1))  # (P, n of the second direction, points of the first, c)
     del H
@@ -309,7 +324,8 @@ def knot_groups(patches: list[NurbsPatch]) -> list[list[int]]:
 
 
 # Bytes of the volume X batch (elements x 2 q^2 (p+1)^2 doubles, q = p+1) one stack
-# may hold: 25 patches of 16 elements at p = 2, 128 elements at p = 3.  1 MB raised
+# or X block may hold: 25 patches of 16 elements at p = 2, 128 elements at p = 3; a
+# work unit's largest error-pass array has the same budget (``row_runs``).  1 MB raised
 # square-deep's peak RSS by 0.9% and 2 MB cli-cylinder's by 5.3% (CHANGES).
 STACK_BYTES = 2**19
 
@@ -325,16 +341,30 @@ def patch_stacks(patches: list[NurbsPatch]) -> list[list[int]]:
     return stacks
 
 
-def tabulate_patches(patches: list[NurbsPatch], q: int, coeffs=None) -> Tabulation:
-    """``tabulate_grid`` at the q x q Gauss points of every element of a stack.
+def row_runs(patches: list[NurbsPatch]) -> list[slice]:
+    """The work units of a stack, shared by the volume and error passes: runs of
+    u-element rows whose largest error-pass array fits STACK_BYTES (read at call
+    time, at least one row).  That array is dQ, 8 doubles at each of the (p+2)^2
+    points of an element, so at p >= 2 a stack of ``patch_stacks`` is one run."""
+    b = patches[0].basis
+    kv_u, kv_v = b.basis_u, b.basis_v
+    element_bytes = 64 * (kv_u.degree + 2) * (kv_v.degree + 2)
+    rows = max(1, STACK_BYTES // (element_bytes * kv_v.num_elements * len(patches)))
+    return [slice(a, min(a + rows, kv_u.num_elements)) for a in range(0, kv_u.num_elements, rows)]
+
+
+def tabulate_patches(patches: list[NurbsPatch], q: int, coeffs=None,
+                     rows=slice(None)) -> Tabulation:
+    """``tabulate_grid`` at the q x q Gauss points of the elements of a stack, on
+    the run ``rows`` of u-element rows (all by default).
 
     Point axes are (P, nu, nv); ``weights`` integrate over the mapped patches.
     """
     b = patches[0].basis
     xu, wu = panel_rules(b.basis_u.breaks, q)
     xv, wv = panel_rules(b.basis_v.breaks, q)
-    tab = tabulate_grid(patches, xu, xv, coeffs)
-    return replace(tab, weights=wu.reshape(-1, 1) * wv.reshape(-1) * tab.sqrt_det_g)
+    tab = tabulate_grid(patches, xu, xv, coeffs, rows)
+    return replace(tab, weights=wu[rows].reshape(-1, 1) * wv.reshape(-1) * tab.sqrt_det_g)
 
 
 def _side_grid(patches: list[NurbsPatch], axis: int, ts: np.ndarray, coeffs=None) -> Tabulation:

@@ -12,6 +12,10 @@ from pathlib import Path
 
 import pytest
 
+import dgiga.analysis
+import dgiga.assembly
+import dgiga.geometry
+
 HERE = Path(__file__).resolve().parent
 script = HERE.parent / "scripts" / "output_digest.py"
 spec = importlib.util.spec_from_file_location("output_digest", script)
@@ -83,3 +87,39 @@ def test_outputs_are_byte_identical_to_the_recorded_digests():
     changed = [f"{name} {output}" for name, output in digests.keys() | current.keys()
                if digests.get((name, output)) != current.get((name, output))]
     assert not changed, "outputs differ from tests/output_digest.txt: " + ", ".join(sorted(changed))
+
+
+def finest_units(monkeypatch, name):
+    """The case's digests, and the rows of every work unit that the volume and error
+    passes tabulate on its finest level, per pass."""
+    units = {}
+    for module in (dgiga.assembly, dgiga.analysis):
+        def recorded(patches, q, coeffs=None, rows=slice(None), real=module.tabulate_patches,
+                     key=module.__name__):
+            nel = patches[0].basis.basis_u.num_elements
+            units.setdefault(key, []).append((nel, len(range(nel)[rows])))
+            return real(patches, q, coeffs, rows)
+        monkeypatch.setattr(module, "tabulate_patches", recorded)
+    digests = dict(output_digest.digests(name))
+    return digests, {key.split(".")[1]: [rows for nel, rows in calls if nel == max(calls)[0]]
+                     for key, calls in units.items()}
+
+
+def test_the_p4_case_covers_short_units_in_both_passes(monkeypatch):
+    """On the finest level of ``square-p4-blocks`` (4 patches of 8 x 8 elements,
+    p = 4) both passes run one unit per patch under the default budget: the
+    volume pass twice (the sweep and the digest's system), its X in blocks of 6
+    and 2 rows.  Under a budget of 6 element rows both run units of 6 and 2
+    rows, and the outputs keep the recorded digests."""
+    _, default = finest_units(monkeypatch, "square-p4-blocks")
+    assert default == {"assembly": [8] * 8, "analysis": [8] * 4}
+    # 6 rows of 8 elements of (p+2)^2 points, 64 bytes each (geometry.row_runs)
+    monkeypatch.setattr(dgiga.geometry, "STACK_BYTES", 6 * 8 * 6**2 * 64)
+    digests, small = finest_units(monkeypatch, "square-p4-blocks")
+    assert small == {"assembly": [6, 2] * 8, "analysis": [6, 2] * 4}
+    env, recorded = expected()
+    difference = environment_difference(env, output_digest.environment())
+    if difference:
+        pytest.skip(f"digests recorded in another environment: {difference}")
+    assert digests == {output: d for (case, output), d in recorded.items()
+                       if case == "square-p4-blocks"}

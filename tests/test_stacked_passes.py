@@ -5,7 +5,8 @@ assembly, error measurement and prolongation must not depend on how the
 patches of a knot group are cut into stacks (``geometry.STACK_BYTES``), nor
 on how a larger patch's volume X batch is cut into blocks of element rows.
 The stacks cover every patch once, in knot-group order, and each pass
-tabulates once per stack.
+tabulates once per work unit: a stack within the budget, or a run of a
+larger patch's element rows.
 """
 
 import dataclasses
@@ -97,8 +98,12 @@ def passes(u_h):
     (two_signatures, 1, [[0], [2], [4], [1], [3]]),
     # 4 elements per patch after one refinement
     (cylinder, 12, [[0, 1, 2], [3, 4, 5], [6, 7]]),
-    # 8 x 8 elements in one patch: X in blocks of 3, 3 and 2 element rows
+    # 8 x 8 elements in one patch: X in blocks of 3, 3 and 2 element rows, and
+    # units of 2 rows
     (one_patch, 24, [[0]]),
+    # p = 1, 4 x 4 elements per patch: one stack of four patches, cut into units
+    # of one element row of every patch
+    (lambda: refine_surface(refine_surface(square_grid(1))), 64, [[0, 1, 2, 3]]),
 ])
 def test_passes_do_not_depend_on_the_stack_size(monkeypatch, build, limit, expected):
     u_h = random_function(build())
@@ -131,28 +136,33 @@ def test_stacks_cover_every_patch_once_in_knot_group_order(build):
         surface = refine_surface(surface)
 
 
-@pytest.mark.parametrize("build, levels, stacks", [
-    # one knot signature: 64 patches of 16 elements in 25 + 25 + 14
+@pytest.mark.parametrize("build, levels, units", [
+    # one knot signature: 64 patches of 16 elements in stacks of 25 + 25 + 14, one unit each
     (lambda: square_grid(2, 8, 8), 2, 3),
     # two knot signatures of 32 patches, each in 25 + 7
     (lambda: seeded_grid(7, 8), 1, 4),
+    # one p = 4 patch of 16 x 16 elements above the budget: units of 14 and 2 element rows
+    pytest.param(lambda: one_patch(p=4, levels=4), 0, 2, id="one_patch_over_budget"),
 ])
-def test_volume_and_error_passes_tabulate_once_per_stack(monkeypatch, build, levels, stacks):
+def test_volume_and_error_passes_tabulate_once_per_stack(monkeypatch, build, levels, units):
+    """Each pass calls the kernel once per work unit (``row_runs``): once per stack
+    of patches within the budget, once per run of element rows above it."""
     surface = build()
     for _ in range(levels):
         surface = refine_surface(surface)
-    assert {p.basis.basis_u.num_elements * p.basis.basis_v.num_elements
-            for p in surface.patches} == {16}
+    elements = {p.basis.basis_u.num_elements * p.basis.basis_v.num_elements
+                for p in surface.patches}
+    assert elements == ({16} if surface.num_patches > 1 else {256})  # as the cases state
     kernel = Counter(dgiga.geometry.tabulate_grid)
     monkeypatch.setattr(dgiga.geometry, "tabulate_grid", kernel)
     monkeypatch.setattr(dgiga.analysis, "tabulate_grid", kernel)  # surface_h_max
     u_h = random_function(surface)
     assemble_volume(u_h.space, DATA)
-    assert kernel.calls == stacks
+    assert kernel.calls == units
     kernel.calls = 0
     measure_errors(u_h, dataclasses.replace(DATA, grad_u_exact=None))  # no edge pass
     groups = len(knot_groups(surface.patches))
-    assert kernel.calls == stacks + groups  # the error pass, surface_h_max per knot group
+    assert kernel.calls == units + groups  # the error pass, surface_h_max per knot group
 
 
 def test_a_large_patch_never_holds_its_whole_x_batch():
@@ -171,3 +181,26 @@ def test_a_large_patch_never_holds_its_whole_x_batch():
     finally:
         tracemalloc.stop()
     assert peak < K.nbytes + x_bytes
+
+
+def test_a_large_patch_never_holds_its_whole_error_tabulation():
+    """A patch whose units are a fraction of it (runs of 7 of its 32 element
+    rows) never holds its whole q = p + 2 tabulation: the error pass's peak,
+    its patch-wide gaps, weights and gradient parts included, stays below the
+    bytes of the arrays that tabulation keeps."""
+    u_h = random_function(one_patch(p=4, levels=5))  # 32 x 32 elements
+    q = u_h.space.degree + 2
+    tab = dgiga.geometry.tabulate_patches(u_h.space.surface.patches, q, u_h.patch_coeffs(0)[None])
+    kept = [tab.points, tab.jacobian, tab.inv_metric, tab.sqrt_det_g, tab.weights, tab.field,
+            tab.field_grad, *tab.factors[4:7]]
+    whole = sum(a.nbytes for a in kept)
+    del tab, kept
+    args = (u_h, [0], DATA.u_exact, DATA.grad_u_exact, q)
+    _stack_errors(*args)  # the memoised 1D tables
+    tracemalloc.start()
+    try:
+        _stack_errors(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole

@@ -287,6 +287,54 @@ def test_batched_sides_equal_concatenated_one_slot_calls_bit_for_bit():
             np.testing.assert_array_equal(getattr(batch, name), expected, err_msg=name)
 
 
+def transposed(patch):
+    """The patch with its two parameter directions swapped."""
+    b = patch.basis
+    return NurbsPatch(NurbsBasis2D(b.basis_v, b.basis_u, b.weights.T),
+                      patch.control_points.swapaxes(0, 1), patch.id)
+
+
+def refined_stack(patches, pids):
+    surface = refine_surface(MultiPatchSurface(patches, []))
+    return [surface.patches[pid] for pid in pids]
+
+
+RUN_STACKS = {
+    # 4 x 4 elements, a tie: v is contracted first
+    "square": lambda: refined_stack(two_signature_patches(), [0, 2, 4]),
+    # 6 x 4 elements: v first
+    "v_first": lambda: refined_stack(two_signature_patches(), [1, 3]),
+    # 4 x 6 elements: u first
+    "u_first": lambda: refined_stack([transposed(p) for p in two_signature_patches()], [1, 3]),
+    "full_cylinder_p3": lambda: refined_stack(refine_surface(full_cylinder(3)).patches, [0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_STACKS))
+def test_a_run_of_element_rows_tabulates_as_its_slice_of_the_whole_patch(name):
+    """``tabulate_patches`` on a run of u-element rows, a work unit of the volume
+    and error passes, equals the matching slice of the whole tabulation bit for
+    bit, with and without a field, whichever direction the whole grid contracts
+    first."""
+    stack = RUN_STACKS[name]()
+    p, nel = stack[0].degree[0], stack[0].basis.basis_u.num_elements
+    coeffs = np.random.default_rng(2).standard_normal((len(stack),) + stack[0].basis.shape)
+    fields = ("points", "jacobian", "inv_metric", "sqrt_det_g", "weights", "field", "field_grad")
+    for q, c in ((p + 1, None), (p + 2, coeffs)):
+        whole = tabulate_patches(stack, q, c)
+        for rows in (slice(0, 1), slice(1, 3), slice(nel - 2, nel), slice(0, nel)):
+            run, g = tabulate_patches(stack, q, c, rows), slice(rows.start * q, rows.stop * q)
+            for field in fields[: 5 if c is None else None]:
+                expected = getattr(whole, field)[..., g, :]
+                np.testing.assert_array_equal(getattr(run, field), expected, err_msg=field)
+            np.testing.assert_array_equal(run.first_u, whole.first_u[g])
+            np.testing.assert_array_equal(run.first_v, whole.first_v)
+            Nu, dNu, Nv, dNv, S, Su, Sv, W = whole.factors
+            for got, expected in zip(run.factors, (Nu[rows], dNu[rows], Nv, dNv,
+                                                   S[..., g, :], Su[..., g, :], Sv[..., g, :], W)):
+                np.testing.assert_array_equal(got, expected)
+
+
 def test_tabulate_sides_rejects_an_empty_slot_list():
     with pytest.raises(ValueError, match="at least one slot"):
         tabulate_sides(two_signature_patches(), [], 3)
