@@ -50,23 +50,21 @@ def square_patches(n: int, ids, flip, alpha):
     """The n x n unit-square grid of p = 2 patches, Dirichlet all round: cell
     (i, j) is patch ids[j n + i] with coefficient alpha[j n + i], running
     against x where flip is set, so that its interfaces with unflipped
-    neighbours are flipped."""
-    patches = [None] * (n * n)
+    neighbours are flipped.  The outer sides are tagged from the cell and its
+    flip: x = 0 is a patch's west side, or its east side where it is flipped."""
+    patches, tags = [None] * (n * n), {}
     for cell, (pid, reverse) in enumerate(zip(ids, flip)):
         i, j = cell % n, cell // n
         patch = planar_rectangle_patch(2, (i / n, j / n), (1.0 / n, 1.0 / n), int(pid))
+        west, east = ("east", "west") if reverse else ("west", "east")
         if reverse:
             kv = patch.basis.basis_u
             basis = NurbsBasis2D(KnotVector(kv.degree, 1.0 - kv.knots[::-1]),
                                  patch.basis.basis_v, patch.basis.weights[::-1])
             patch = NurbsPatch(basis, patch.control_points[::-1], patch.id)
         patches[pid] = patch
-    tags = {}
-    for patch in patches:
-        for side in ("west", "east", "south", "north"):
-            x, y, _ = patch.side_point(side, 0.5)
-            if min(x, y, 1.0 - x, 1.0 - y) < 1e-12:
-                tags[(patch.id, side)] = "dirichlet"
+        outer = {west: i == 0, east: i == n - 1, "south": j == 0, "north": j == n - 1}
+        tags.update({(patch.id, side): "dirichlet" for side, out in outer.items() if out})
     return match_interfaces(patches, tags, alpha=np.asarray(alpha)[np.argsort(ids)])
 
 

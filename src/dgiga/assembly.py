@@ -11,10 +11,10 @@ and batched matmuls whose X batches are element-major copies, one per block
 of the unit's element rows that fits ``geometry.STACK_BYTES``.  Patches
 are uncoupled in the volume, so its matrix is block-diagonal by patch, with
 the Kronecker pattern of two 1D B-spline bands per block.  One accumulator
-serves the whole volume pass: the element matrices are summed straight into
-the CSR values of that pattern, and the element loads and basis integrals
-into each patch's slice of the vectors, by patch-local slots built once per
-knot signature in each call, with no global index array.  The edge terms are one pass over the one
+serves the volume pass: each block's element matrices go into the CSR values
+of that pattern as the block is made, and its loads and basis integrals into
+each patch's slice of the vectors, one ``np.add.at`` each, by slots built once
+per knot signature in each call.  The edge terms are one pass over the one
 edge layout, ``edge_sides``, with the 2(p+1) trace functions of each side
 element, and stay parametric: a normal derivative is grad^ phi . g^-1 J^T n.
 Their element matrices are batched matmuls over the edge points; their sums
@@ -147,40 +147,28 @@ def _volume_pattern(basis_u: KnotVector, basis_v: KnotVector):
     return indptr, indices, slots.reshape(-1, m1 * m2, m1 * m2), cols.reshape(-1, m1 * m2)
 
 
-def _stack_sums(at: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
-    """Sums (..., size) of the values (..., *at.shape) of a stack: each leading
-    entry is summed into the slots ``at`` in element order, all by one bincount."""
-    lead = values.shape[: values.ndim - at.ndim]
-    at = at.reshape(1, -1) + size * np.arange(math.prod(lead))[:, None]
-    sums = np.bincount(at.reshape(-1), values.reshape(-1), minlength=len(at) * size)
-    return sums.reshape(*lead, size)
-
-
 def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
-    """Volume terms of a stack of patches that share both knot vectors.
+    """Volume terms of a stack of patches that share both knot vectors, by blocks.
 
-    Returns stiffness matrices (P, E, m, m) and rows (P, 2, E, m) holding
+    Yields (elements, K, rows) per block: a slice of the stack's elements,
+    their stiffness matrices (P, E_b, m, m) and rows (P, 2, E_b, m) holding
     each element's load and basis integrals, both from psi = N_u N_v / S,
     where the rational basis is R = W psi.  With w g^-1 = C^T C per Gauss
-    point (C upper triangular, closed form), X = C grad psi is built with
-    the function axes outermost, so every elementwise step runs over the
-    grid points; K_e = alpha W_a W_b (X^T X)_ab, the weights applied as one
-    exactly symmetric factor after the matmul and alpha last.  Each work
-    unit, a run of u-element rows (``row_runs``), is tabulated once; its X,
-    the element-major copy of X and its rows of K are built for a block of
-    the unit's rows at a time, as many as fit ``geometry.STACK_BYTES`` (read
-    at call time, at least one row).  The rows contract (f w / S, w / S)
-    with the 1D tables.
+    point (C upper triangular, closed form), X = C grad psi is built with the
+    function axes outermost, so every elementwise step runs over the grid
+    points; K_e = alpha W_a W_b (X^T X)_ab, the weights applied as one exactly
+    symmetric factor after the matmul and alpha last.  Each work unit, a run
+    of u-element rows (``row_runs``), is tabulated once and its rows contract
+    (f w / S, w / S) with the 1D tables; a block is as many of its rows as
+    fit their X in ``geometry.STACK_BYTES`` (read at call time, at least one).
     """
     surface, q = space.surface, space.degree + 1
     patches = [surface.patches[pid] for pid in stack]
     P, kv_u, kv_v = len(stack), patches[0].basis.basis_u, patches[0].basis.basis_v
     nel_v, m1, m2 = kv_v.num_elements, kv_u.degree + 1, kv_v.degree + 1
-    m, K = m1 * m2, None
-    loads = np.empty((P, 2, kv_u.num_elements * nel_v, m))
+    m, alpha = m1 * m2, surface.alpha[stack].reshape(-1, 1, 1, 1)
     block = max(1, geometry.STACK_BYTES // (16 * q * q * m * nel_v * P))
     for run in row_runs(patches):
-        unit = slice(run.start * nel_v, run.stop * nel_v)  # the unit's elements
         tab = tabulate_patches(patches, q, rows=run)
         Nu, dNu, Nv, dNv, S, Su, Sv, W = tab.factors
         W = _window_weights(W, tab.first_u[::q, 0], tab.first_v[::q], m1, m2).reshape(P, -1, m)
@@ -190,8 +178,7 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
             f = np.asarray(data.f(pids, tab.points.reshape(3, -1).T), dtype=float).reshape(w.shape)
         rows = _elements(np.stack([f * w, w]) / S, q, q)  # (2, P, nel_u, nel_v, q, q)
         rows = Nu.transpose(0, 2, 1)[:, None] @ (rows @ Nv)  # (2, P, nel_u, nel_v, m1, m2)
-        np.multiply(rows.transpose(1, 0, 2, 3, 4, 5).reshape(P, 2, -1, m), W[:, None],
-                    out=loads[:, :, unit])
+        loads = rows.transpose(1, 0, 2, 3, 4, 5).reshape(P, 2, -1, m) * W[:, None]
         r = np.sqrt(w / tab.inv_metric[0, 0]) / S
         c00, c01, c11 = tab.inv_metric[0, 0] * r, tab.inv_metric[0, 1] * r, r / tab.sqrt_det_g
         s0, s1 = (c00 * Su + c01 * Sv) / S, c11 * Sv / S
@@ -201,7 +188,7 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
         uN, udN = (np.ascontiguousarray(t.reshape(-1, m1).T)[:, None, :, None] for t in (Nu, dNu))
         vN, vdN = (np.ascontiguousarray(t.reshape(-1, m2).T)[:, None, None] for t in (Nv, dNv))
         for first in range(0, run.stop - run.start, block):  # X in blocks of element rows
-            last = first + block
+            last = min(first + block, run.stop - run.start)
             g, e = slice(first * q, last * q), slice(first * nel_v, last * nel_v)
             ug, udg = uN[:, :, g], udN[:, :, g]
             A = c00[:, g] * udg - s0[:, g] * ug
@@ -213,15 +200,13 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
             np.multiply(ug[:, None], C, out=X[:, :, 1])
             del A, B, C
             X = _elements(X, q, q).transpose(3, 4, 5, 2, 6, 7, 0, 1).reshape(P, -1, 2 * q * q, m)
-            if K is None:  # after the first grid X is freed: never beside both X batches
-                K = np.empty((P, loads.shape[2], m, m))
-            Ke, We = K[:, unit][:, e], W[:, e]
-            np.matmul(X.transpose(0, 1, 3, 2), X, out=Ke)  # a rank-k update: exactly symmetric
+            K = X.transpose(0, 1, 3, 2) @ X  # a rank-k update: exactly symmetric
             del X
-            Ke *= We[..., :, None] * We[..., None, :]
+            K *= W[:, e, :, None] * W[:, e, None, :]
+            K *= alpha
+            yield slice((run.start + first) * nel_v, (run.start + last) * nel_v), K, loads[:, :, e]
+            del K
         del c00, c01, c11, s0, s1  # before the next unit is tabulated
-    K *= surface.alpha[stack].reshape(-1, 1, 1, 1)
-    return K, loads
 
 
 def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
@@ -232,34 +217,34 @@ def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
     and is written straight into its CSR arrays: each patch block has the
     pattern of its knot vectors (``_volume_pattern``, built once per knot
     signature in the call).  Each stack of patches sharing them
-    (``patch_stacks``) is tabulated once per work unit; one bincount sums its
+    (``patch_stacks``) is tabulated once per work unit, and each block of
+    ``_volume_blocks`` is summed as it is made: one ``np.add.at`` adds its
     element matrices into the CSR values and one its load and integral rows
-    into each patch's slice of the vectors.  Every entry sums its patch's elements in
-    element order, whatever the stacking.
+    into each patch's slice of the vectors.  Every entry sums its patch's
+    elements in element order, whatever the stacking.
     """
     surface, n = space.surface, space.total_dofs
-    vectors = np.zeros((2, n))  # load, basis integrals
     built = {key: _volume_pattern(*key) for key in {_knot_key(p.basis) for p in surface.patches}}
     patterns = [built[_knot_key(patch.basis)] for patch in surface.patches]
     starts = np.cumsum([0] + [indices.size for _, indices, _, _ in patterns])
     dtype = _index_dtype(max(n, starts[-1]))
     indptr, indices = np.zeros(n + 1, dtype), np.empty(starts[-1], dtype)
-    values = np.empty(starts[-1])
+    values, vectors = np.zeros(starts[-1]), np.zeros(2 * n)  # load, basis integrals
     for pid, (ptr, idx, _, _) in enumerate(patterns):
         rows, at = space.patch_slice(pid), slice(starts[pid], starts[pid + 1])
         indptr[rows.start + 1 : rows.stop + 1] = ptr[1:] + starts[pid]
         indices[at] = idx
         indices[at] += space.offsets[pid]
     for stack in patch_stacks(surface.patches):
-        K, loads = _volume_blocks(space, data, stack)
-        ptr, idx, slots, dofs = patterns[stack[0]]
-        sums = zip(stack, _stack_sums(slots, idx.size, K), _stack_sums(dofs, ptr.size - 1, loads))
-        del K  # before the next stack's is built
-        for pid, v, vector_rows in sums:
-            values[starts[pid] : starts[pid + 1]] = v
-            vectors[:, space.patch_slice(pid)] = vector_rows
-    return SparseSystem(sp.csr_array((values, indices, indptr), shape=(n, n)), vectors[0],
-                        None if surface.has_dirichlet else vectors[1])
+        _, _, slots, dofs = patterns[stack[0]]
+        # Flat intp indices into each patch's values and vector slices: np.add.at's fast path.
+        at = starts[stack].astype(np.intp).reshape(-1, 1, 1, 1)
+        firsts = (space.offsets[stack, None] + [0, n]).astype(np.intp)[..., None, None]
+        for elements, K, loads in _volume_blocks(space, data, stack):
+            np.add.at(values, (at + slots[elements]).reshape(-1), K.reshape(-1))
+            np.add.at(vectors, (firsts + dofs[elements]).reshape(-1), loads.reshape(-1))
+    return SparseSystem(sp.csr_array((values, indices, indptr), shape=(n, n)), vectors[:n],
+                        None if surface.has_dirichlet else vectors[n:])
 
 
 def _side_terms(space: DgSpace, tab: SideTabulation, left: int, right: int):
@@ -364,7 +349,9 @@ def _edge_terms(space: DgSpace, data: ProblemData):
     if N.start < N.stop:
         gn = np.asarray(data.g_N(tab.points[:, N].reshape(3, -1).T), dtype=float)
         load[N] = ((gn.reshape(w[N].shape) * w[N])[:, None] @ values[N])[:, 0]
-    return np.concatenate(keys), np.concatenate(entries), _stack_sums(gidx, n, load)
+    rhs = np.zeros(n)
+    np.add.at(rhs, gidx.reshape(-1), load.reshape(-1))  # gidx is intp
+    return np.concatenate(keys), np.concatenate(entries), rhs
 
 
 def assemble_system(space: DgSpace, data: ProblemData) -> SparseSystem:

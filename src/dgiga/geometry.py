@@ -484,7 +484,9 @@ class InterfaceEdge:
 @dataclass
 class MultiPatchSurface:
     """Non-overlapping patches, their edge topology and per-patch diffusion; patch ids
-    are list positions, and interior edges join matching meshes (else TopologyError)."""
+    are list positions, every edge is a known kind with a right side only when
+    interior, names sides of its patches, none twice, and interior edges join
+    matching meshes (else TopologyError).  A side may be in no edge."""
 
     patches: list[NurbsPatch]
     edges: list[InterfaceEdge]
@@ -501,6 +503,16 @@ class MultiPatchSurface:
         for i, patch in enumerate(self.patches):
             if patch.id != i:
                 raise TopologyError(f"patch ids must equal list positions, got {patch.id} at {i}")
+        named = set()
+        for e in self.edges:
+            if e.kind not in ("interior", "dirichlet", "neumann"):
+                raise TopologyError(f"unknown edge kind {e.kind!r}")
+            if (e.right is None) == (e.kind == "interior"):
+                raise TopologyError(f"{e.kind} edge {e.left} with right side {e.right}")
+            for pid, side in (s for s in (e.left, e.right) if s is not None):
+                if side not in SIDES or not 0 <= pid < len(self.patches) or (pid, side) in named:
+                    raise TopologyError(f"edge side ({pid}, {side}) is unknown or in two edges")
+                named.add((pid, side))
         for e in self.edges_of_kind("interior"):  # knot vectors equal up to orientation
             kv_l, kv_r = (self.patches[pid].side_knots(side) for pid, side in (e.left, e.right))
             knots = 1.0 - kv_r.knots[::-1] if e.orientation_flip else kv_r.knots

@@ -3,13 +3,12 @@ import pytest
 import scipy.sparse as sp
 from conftest import symmetry_deviation
 from oracles import edge_matrix, interpolate, tabulate_patch
-from test_stacked_passes import cylinder, two_signatures
+from test_stacked_passes import cylinder, two_signatures, volume_blocks
 
 import dgiga.geometry
 
 from dgiga.assembly import (
     ProblemData,
-    _volume_blocks,
     assemble_system,
     assemble_volume,
     default_penalty,
@@ -94,7 +93,7 @@ def test_volume_blocks_match_the_rational_basis_route(name):
     data = ProblemData(f=lambda pid, x: (pid + 1.0) * x[:, 0] - x[:, 2] ** 2, delta=12.0)
     q = space.degree + 1
     for pid, patch in enumerate(surface.patches):
-        K, loads = (a[0] for a in _volume_blocks(space, data, [pid]))
+        K, loads = (a[0] for a in volume_blocks(space, data, [pid]))
         assert np.array_equal(K, K.transpose(0, 2, 1))  # exactly symmetric
         tab = tabulate_patch(patch, q)
         E, m = K.shape[:2]

@@ -65,7 +65,7 @@ def counting_sweep(surface, monkeypatch, levels=3):
     kernel = Counter(dgiga.geometry._side_grid)
     monkeypatch.setattr(dgiga.geometry, "_side_grid", kernel)
     blocks = {}
-    sipg_blocks, stack_sums = dgiga.assembly._sipg_blocks, dgiga.assembly._stack_sums
+    sipg_blocks, volume_blocks = dgiga.assembly._sipg_blocks, dgiga.assembly._volume_blocks
 
     def count(local):
         entries = local.shape[-1] * local.shape[-2]
@@ -76,14 +76,14 @@ def counting_sweep(surface, monkeypatch, levels=3):
         count(local)
         return local
 
-    def counting_stack_sums(at, size, values):
-        if at.ndim == 3:  # element-matrix slots, not the load and integral rows
-            count(values)
-        return stack_sums(at, size, values)
+    def counting_volume_blocks(*args):
+        for elements, K, loads in volume_blocks(*args):
+            count(K)
+            yield elements, K, loads
 
-    # Edge blocks come from _sipg_blocks, volume blocks and rows go through _stack_sums.
+    # Edge blocks come from _sipg_blocks, volume blocks from _volume_blocks' yields.
     monkeypatch.setattr(dgiga.assembly, "_sipg_blocks", counting_sipg_blocks)
-    monkeypatch.setattr(dgiga.assembly, "_stack_sums", counting_stack_sums)
+    monkeypatch.setattr(dgiga.assembly, "_volume_blocks", counting_volume_blocks)
     counters = {}
 
     def factory(surf, delta):

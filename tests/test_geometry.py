@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -257,6 +258,43 @@ def test_hand_built_patch_ids_must_be_list_positions():
     patches = [planar_rectangle_patch(1, pid=1)]
     with pytest.raises(TopologyError, match="patch ids must equal list positions"):
         MultiPatchSurface(patches, [InterfaceEdge("dirichlet", (0, s)) for s in SIDES])
+
+
+def misspelt_dirichlet(edges):
+    return [dataclasses.replace(e, kind="Dirichlet") if e.kind == "dirichlet" else e
+            for e in edges]
+
+
+def replace_first(kind, **changes):
+    def edit(edges):
+        k = next(k for k, e in enumerate(edges) if e.kind == kind)
+        return edges[:k] + [dataclasses.replace(edges[k], **changes)] + edges[k + 1:]
+    return edit
+
+
+@pytest.mark.parametrize("edit, match", [
+    # Dropped by edges_of_kind: plane_sine "converged" at rates 0.21 and 0.02.
+    (misspelt_dirichlet, "unknown edge kind 'Dirichlet'"),
+    (replace_first("interior", right=None), "interior edge .* with right side None"),
+    (replace_first("dirichlet", right=(0, "west")), "dirichlet edge .* with right side"),
+    (replace_first("dirichlet", left=(0, "top")), r"\(0, top\) is unknown"),
+    (replace_first("dirichlet", left=(4, "west")), r"\(4, west\) is unknown"),
+    (replace_first("dirichlet", left=(-1, "west")), r"\(-1, west\) is unknown"),
+    (lambda edges: edges + [InterfaceEdge("neumann", edges[-1].left)], "in two edges"),
+    (lambda edges: edges + [InterfaceEdge("interior", (0, "west"), (0, "west"))],
+     "in two edges"),
+], ids=["misspelt_kind", "interior_without_right", "boundary_with_right", "unknown_side",
+        "pid_too_large", "negative_pid", "side_in_two_edges", "side_paired_with_itself"])
+def test_hand_built_malformed_edges_rejected(edit, match):
+    surface = square_grid(2)
+    with pytest.raises(TopologyError, match=match):
+        MultiPatchSurface(surface.patches, edit(list(surface.edges)))
+
+
+def test_sides_in_no_edge_are_allowed():
+    surface = square_grid(2)
+    assert MultiPatchSurface(surface.patches, surface.edges_of_kind("interior")).edges
+    assert not MultiPatchSurface(surface.patches, []).has_dirichlet
 
 
 @pytest.mark.parametrize("ids", [(0, 0), (1, 0)])

@@ -60,6 +60,14 @@ def random_function(surface):
     return space.function(np.random.default_rng(11).standard_normal(space.total_dofs))
 
 
+def volume_blocks(space, data, stack):
+    """The blocks ``_volume_blocks`` yields, joined in element order: stiffness
+    (P, E, m, m) and rows (P, 2, E, m)."""
+    elements, K, loads = zip(*_volume_blocks(space, data, stack))
+    assert [e.start for e in elements] == [0] + [e.stop for e in elements[:-1]]
+    return np.concatenate(K, axis=1), np.concatenate(loads, axis=2)
+
+
 def assert_stack_equals_singles(stacked, singles):
     for k, got in enumerate(stacked):
         expected = np.concatenate([single[k] for single in singles])
@@ -74,8 +82,8 @@ def test_stacked_passes_equal_one_patch_calls_bit_for_bit(build):
     assert max(len(stack) for stack in stacks) > 1
     for stack in stacks:
         assert_stack_equals_singles(
-            _volume_blocks(u_h.space, DATA, stack),
-            [_volume_blocks(u_h.space, DATA, [pid]) for pid in stack],
+            volume_blocks(u_h.space, DATA, stack),
+            [volume_blocks(u_h.space, DATA, [pid]) for pid in stack],
         )
         args = (DATA.u_exact, DATA.grad_u_exact, q)
         assert_stack_equals_singles(
@@ -167,20 +175,32 @@ def test_volume_and_error_passes_tabulate_once_per_stack(monkeypatch, build, lev
 
 def test_a_large_patch_never_holds_its_whole_x_batch():
     """A patch whose volume X batch is several times the stack budget builds
-    it in blocks of element rows: the pass's peak stays below its K plus one
-    whole X batch, which a whole-patch X and its element-major copy exceed."""
+    it in blocks of element rows: the pass's peak stays below its whole K plus
+    one whole X batch, which a whole-patch X and its element-major copy exceed."""
     space = random_function(one_patch(p=4, levels=4)).space  # 16 x 16 elements
     m = (space.degree + 1) ** 2
     x_bytes = 256 * 16 * m * m  # 2 m rows of m doubles per element
     assert x_bytes > 4 * dgiga.geometry.STACK_BYTES
-    _volume_blocks(space, DATA, [0])  # the memoised 1D tables
+    assert volume_peak(space) < 256 * 8 * m * m + x_bytes
+
+
+def volume_peak(space):
+    """tracemalloc peak of one ``assemble_volume`` call, after a warm-up call."""
+    assemble_volume(space, DATA)  # the memoised 1D tables
     tracemalloc.start()
     try:
-        K, _ = _volume_blocks(space, DATA, [0])
-        peak = tracemalloc.get_traced_memory()[1]
+        assemble_volume(space, DATA)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < K.nbytes + x_bytes
+
+
+def test_the_volume_pass_holds_no_whole_stiffness_stack():
+    """Each block's element matrices are summed into the CSR values as they are
+    made: on one p = 4 patch of 32 x 32 elements the pass's peak stays below
+    twice that patch's whole K (5.12 MB), which holding K and its sums exceeds."""
+    space = random_function(one_patch(p=4, levels=5)).space
+    assert volume_peak(space) < 2 * 1024 * 8 * (space.degree + 1) ** 4
 
 
 def test_a_large_patch_never_holds_its_whole_error_tabulation():

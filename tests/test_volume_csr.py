@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 from oracles import coo_csr, element_dofs
 from test_geometry import seeded_grid
-from test_stacked_passes import DATA, two_signatures
+from test_stacked_passes import DATA, two_signatures, volume_blocks
 from test_trace_window import with_repeated_knot
 
 import dgiga.assembly
 import dgiga.splines
-from dgiga.assembly import _volume_blocks, assemble_volume
+from dgiga.assembly import assemble_volume
 from dgiga.geometries import full_cylinder, quarter_cylinder_grid, square_grid
 from dgiga.geometry import MultiPatchSurface, _knot_key, patch_stacks, refine_surface
 from dgiga.space import build_space
@@ -44,7 +44,7 @@ def coo_route(space):
     ``np.add.at``, all at the global indices of ``oracles.element_dofs``."""
     blocks, vectors = [None] * space.surface.num_patches, np.zeros((2, space.total_dofs))
     for stack in patch_stacks(space.surface.patches):
-        K, loads = _volume_blocks(space, DATA, stack)
+        K, loads = volume_blocks(space, DATA, stack)
         for pid, k, rows in zip(stack, K, loads):
             gidx = element_dofs(space, pid)
             blocks[pid] = (gidx, k)
