@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import MultiPatchSurface, NurbsPatch, match_interfaces
+from .geometry import SIDES, MultiPatchSurface, NurbsPatch, match_interfaces
 from .splines import KnotVector, NurbsBasis2D, greville, insert_knots
 
 __all__ = [
@@ -42,19 +42,8 @@ def planar_rectangle_patch(
 
 
 def _outer_tags(nx: int, ny: int, bc: str) -> dict:
-    tags = {}
-    for j in range(ny):
-        for i in range(nx):
-            pid = j * nx + i
-            if i == 0:
-                tags[(pid, "west")] = bc
-            if i == nx - 1:
-                tags[(pid, "east")] = bc
-            if j == 0:
-                tags[(pid, "south")] = bc
-            if j == ny - 1:
-                tags[(pid, "north")] = bc
-    return tags
+    return {(j * nx + i, side): bc for j in range(ny) for i in range(nx)
+            for side, outer in zip(SIDES, (i == 0, i == nx - 1, j == 0, j == ny - 1)) if outer}
 
 
 def square_grid(
@@ -110,17 +99,21 @@ def _arc_segments(theta0: float, theta1: float, p: int, n_seg: int):
     return [(seg[:, :2] / seg[:, 2:], seg[:, 2]) for seg in segments]
 
 
-def _cylinder_patch(p: int, arc, z0: float, z1: float, radius: float, pid: int) -> NurbsPatch:
-    """One patch: a rational arc segment (control xy, weights) times [z0, z1]."""
-    xy, w_arc = arc
+def _cylinder_grid(p: int, arcs, n_z: int, radius: float, height: float) -> list[NurbsPatch]:
+    """Patch j * len(arcs) + i: arc segment i (control xy, weights) times row j of [0, height]."""
     kv = _bezier_knots(p)
     n = p + 1
-    cp = np.empty((n, n, 3))
-    cp[:, :, 0] = radius * xy[:, 0:1]
-    cp[:, :, 1] = radius * xy[:, 1:2]
-    cp[:, :, 2] = (z0 + (z1 - z0) * greville(kv))[None, :]
-    weights = np.repeat(w_arc[:, None], n, axis=1)
-    return NurbsPatch(NurbsBasis2D(kv, kv, weights), cp, pid)
+    patches = []
+    for j in range(n_z):
+        z0, z1 = height * j / n_z, height * (j + 1) / n_z
+        for xy, w_arc in arcs:
+            cp = np.empty((n, n, 3))
+            cp[:, :, 0] = radius * xy[:, 0:1]
+            cp[:, :, 1] = radius * xy[:, 1:2]
+            cp[:, :, 2] = (z0 + (z1 - z0) * greville(kv))[None, :]
+            weights = np.repeat(w_arc[:, None], n, axis=1)
+            patches.append(NurbsPatch(NurbsBasis2D(kv, kv, weights), cp, len(patches)))
+    return patches
 
 
 def quarter_cylinder_grid(
@@ -133,13 +126,7 @@ def quarter_cylinder_grid(
     n_theta = n_z = 1 it is one patch, whose p = 2 arc carries the classic
     weights (1, sqrt(2)/2, 1).
     """
-    arcs = _arc_segments(0.0, np.pi / 2, p, n_theta)
-    patches = [
-        _cylinder_patch(p, arcs[i], height * j / n_z, height * (j + 1) / n_z, radius,
-                        j * n_theta + i)
-        for j in range(n_z)
-        for i in range(n_theta)
-    ]
+    patches = _cylinder_grid(p, _arc_segments(0.0, np.pi / 2, p, n_theta), n_z, radius, height)
     return match_interfaces(patches, _outer_tags(n_theta, n_z, "dirichlet"))
 
 
@@ -152,11 +139,5 @@ def full_cylinder(
     this is a pure-Neumann problem on a closed-in-angle surface.
     """
     arcs = [_arc_segments(i * np.pi / 2, (i + 1) * np.pi / 2, p, 1)[0] for i in range(4)]
-    patches = [
-        _cylinder_patch(p, arcs[i], j / n_z, (j + 1) / n_z, radius, j * 4 + i)
-        for j in range(n_z)
-        for i in range(4)
-    ]
-    tags = {(i, "south"): bc for i in range(4)}
-    tags.update({((n_z - 1) * 4 + i, "north"): bc for i in range(4)})
-    return match_interfaces(patches, tags)
+    rims = {(pid, side): bc for pid, side in _outer_tags(4, n_z, bc) if side in ("south", "north")}
+    return match_interfaces(_cylinder_grid(p, arcs, n_z, radius, 1.0), rims)

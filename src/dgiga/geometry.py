@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .quadrature import panel_rules
 from .splines import (
@@ -104,6 +105,8 @@ class NurbsPatch:
             raise ValueError(
                 f"control net {self.control_points.shape} does not match basis {(n1, n2)}"
             )
+        if not np.all(np.isfinite(self.control_points)):
+            raise ValueError("control points must be finite")
 
     @property
     def degree(self) -> tuple[int, int]:
@@ -611,12 +614,18 @@ def _refine_nets(patches: list[NurbsPatch], grids: np.ndarray):
     """Midpoint refinement of grids (P, n1, n2, c) on a stack of patches sharing both
     knot vectors, through the homogeneous net (g w, w) and the memoised
     ``midpoint_refine`` matrices: the refined knot vectors, w_f = T_u w T_v^T and
-    g_f = T_u (g w) T_v^T / w_f.  The grids are the control points or coefficients."""
+    g_f = T_u (g w) T_v^T / w_f.  The grids are the control points or coefficients.
+    Each T is a CSR array applied to the net with its axis first; CSR sums a row's nonzeros
+    in column order without FMA: the dense sums' bits, in time linear in the elements."""
     kv_u, Tu = midpoint_refine(patches[0].basis.basis_u)
     kv_v, Tv = midpoint_refine(patches[0].basis.basis_v)
     w = np.stack([p.basis.weights for p in patches])[..., None]
-    nets = np.einsum("ij,pjbk->pibk", Tu, np.concatenate([grids * w, w], axis=-1))
-    nets = np.einsum("ij,pajk->paik", Tv, nets)
+    nets = np.concatenate([grids * w, w], axis=-1)
+    for axis, T in ((1, Tu), (2, Tv)):
+        front = np.moveaxis(nets, axis, 0)
+        fine = sp.csr_array(T) @ front.reshape(len(front), -1)
+        nets = np.moveaxis(fine.reshape(-1, *front.shape[1:]), 0, axis)
+    nets = np.ascontiguousarray(nets)
     return kv_u, kv_v, nets[..., -1], nets[..., :-1] / nets[..., -1:]
 
 

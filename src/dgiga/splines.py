@@ -44,6 +44,8 @@ class KnotVector:
             raise ValueError("degree must be non-negative")
         if U.ndim != 1 or U.size < 2 * (p + 1):
             raise ValueError("knot vector needs at least 2*(degree+1) entries")
+        if not np.all(np.isfinite(U)):
+            raise ValueError("knots must be finite")
         if np.any(np.diff(U) < 0):
             raise ValueError("knots must be non-decreasing")
         breaks, counts = np.unique(U, return_counts=True)

@@ -25,6 +25,8 @@ from dgiga.geometry import (
     NurbsPatch,
     SingularMapError,
     TopologyError,
+    _refine_nets,
+    knot_groups,
     match_interfaces,
     refine_surface,
     tabulate_grid,
@@ -33,7 +35,7 @@ from dgiga.geometry import (
 )
 from dgiga.problems import make_problem
 from dgiga.quadrature import panel_rules
-from dgiga.splines import KnotVector, NurbsBasis2D, greville
+from dgiga.splines import KnotVector, NurbsBasis2D, greville, midpoint_refine
 
 
 def metric(tab):
@@ -94,6 +96,20 @@ def test_non_finite_alpha_and_weights_rejected():
         weights[1, 0] = w
         with pytest.raises(ValueError, match="weights"):
             NurbsBasis2D(basis.basis_u, basis.basis_v, weights)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_control_points_rejected(bad):
+    """They passed, and a later tabulation raised SingularMapError at (0, 0)."""
+    patch = planar_rectangle_patch(2)
+    cp = patch.control_points.copy()
+    cp[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="control points must be finite"):
+        NurbsPatch(patch.basis, cp, 0)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="control points"):
+        quarter_cylinder_grid(2, radius=bad)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="control points"):
+        full_cylinder(3, radius=bad)
 
 
 def test_quarter_cylinder_midparameter_hits_45_degrees():
@@ -516,6 +532,34 @@ def test_stacked_refinement_matches_the_per_patch_reference(name):
         for got, want in zip(surface.patches, reference):
             assert got.id == want.id
             assert fingerprint(got) == fingerprint(want)
+
+
+def dense_refine_nets(patches, grids):
+    """``_refine_nets`` with T applied by dense einsum sums."""
+    kv_u, Tu = midpoint_refine(patches[0].basis.basis_u)
+    kv_v, Tv = midpoint_refine(patches[0].basis.basis_v)
+    w = np.stack([p.basis.weights for p in patches])[..., None]
+    nets = np.einsum("ij,pjbk->pibk", Tu, np.concatenate([grids * w, w], axis=-1))
+    nets = np.einsum("ij,pajk->paik", Tv, nets)
+    return kv_u, kv_v, nets[..., -1], nets[..., :-1] / nets[..., -1:]
+
+
+@pytest.mark.parametrize("build", [lambda: square_grid(2), lambda: full_cylinder(3, 2)],
+                         ids=["square_p2", "cylinder_p3"])
+def test_sparse_refinement_equals_the_dense_sums_bit_for_bit(build, rng):
+    """At 64 elements a patch and beyond, on control points and on coefficients."""
+    surface = build()
+    for _ in range(3):
+        surface = refine_surface(surface)
+    assert surface.patches[0].basis.basis_u.num_elements ** 2 >= 64
+    for group in knot_groups(surface.patches):
+        members = [surface.patches[pid] for pid in group]
+        points = np.stack([p.control_points for p in members])
+        for grids in (points, rng.standard_normal(points.shape[:-1] + (1,))):
+            got, want = _refine_nets(members, grids), dense_refine_nets(members, grids)
+            assert got[:2] == want[:2]
+            for a, b in zip(got[2:], want[2:]):
+                assert a.tobytes() == b.tobytes()
 
 
 def test_refinement_runs_once_per_knot_group(monkeypatch):

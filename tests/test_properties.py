@@ -6,18 +6,25 @@ coefficients) or ``square_grid(p, nx, ny)`` with Dirichlet or Neumann sides,
 at 0 or 1 refinements.  On every layout the system matrix is exactly
 symmetric, the volume pass gives the same bits whatever the stack budget
 (one element row per block, unit and stack), and CG converges.
+
+The patch test draws the same kinds of layout with every boundary edge
+Dirichlet and alpha = 1, where linear data is a solution: the system is
+consistent with the exact coefficients up to rounding, and CG's error is
+within the bound its residual and the condition number give.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_geometry import seeded_grid
 
 import dgiga.geometry
 from dgiga.assembly import assemble_system, assemble_volume
 from dgiga.geometries import square_grid
-from dgiga.geometry import refine_surface
+from dgiga.geometry import MultiPatchSurface, refine_surface
 from dgiga.linalg import cg_solve
 from dgiga.problems import make_problem
 from dgiga.space import build_space
@@ -64,3 +71,52 @@ def test_seeded_layouts_assemble_symmetric_stack_free_systems_cg_solves(surface,
     x, report = cg_solve(A, system.rhs, mean_weights=system.basis_integrals)
     assert report.converged and report.final_relative_residual <= 1e-10
     assert np.all(np.isfinite(x))
+
+
+def all_dirichlet(surface):
+    """The surface with alpha = 1 and its Neumann edges made Dirichlet."""
+    edges = [dataclasses.replace(e, kind="dirichlet") if e.kind == "neumann" else e
+             for e in surface.edges]
+    return MultiPatchSurface(surface.patches, edges)
+
+
+DIRICHLET_LAYOUTS = st.one_of(
+    st.builds(flipped_grid, st.integers(0, 2**16), st.integers(2, 5)).filter(bool)
+    .map(all_dirichlet),
+    st.builds(square_grid, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+)
+
+
+def linear(points):
+    return 1.0 + 2.0 * points[..., 0] - 3.0 * points[..., 1]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(DIRICHLET_LAYOUTS, st.integers(0, 1))
+@example(all_dirichlet(seeded_grid(3, 5)), 1)  # the largest draws: 900 and 225 unknowns
+@example(square_grid(3, 3, 3), 1)
+def test_linear_data_is_reproduced_patch_test(surface, refinements):
+    """DG consistency: u = 1 + 2x - 3y with f = 0 and gD = u solves the discrete
+    system.  The layouts' Greville nets with unit weights reproduce linear
+    functions, so the exact coefficients x* are u at the control points."""
+    for _ in range(refinements):
+        surface = refine_surface(surface)
+    p = surface.patches[0].degree[0]
+    system = assemble_system(build_space(surface, p),
+                             make_problem("u=1+2*x-3*y; f=0", surface, p))
+    A, b = system.matrix, system.rhs
+    exact = np.concatenate([linear(patch.control_points).T.reshape(-1)  # k2-major
+                            for patch in surface.patches])
+    # Entry i of A x* sums one row of A, and A's entries and b are sums of as
+    # many terms again, each rounded: c is twice the longest row.
+    c = 2 * int(np.diff(A.indptr).max())
+    consistency = np.abs(A @ exact - b)
+    assert np.all(consistency <= c * np.finfo(float).eps * (abs(A) @ np.abs(exact) + np.abs(b)))
+
+    x, report = cg_solve(A, b)
+    assert report.converged
+    eigenvalues = np.linalg.eigvalsh(A.toarray())
+    kappa = eigenvalues[-1] / eigenvalues[0]
+    # x - x* = A^-1 ((b - A x*) - (b - A x)); the first residual is rounding.
+    residual = (np.linalg.norm(b - A @ x) + np.linalg.norm(consistency)) / np.linalg.norm(b)
+    assert np.linalg.norm(x - exact) <= kappa * residual * np.linalg.norm(exact)

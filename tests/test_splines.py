@@ -214,6 +214,13 @@ def test_knot_vector_validation():
         KnotVector(-1, [0, 1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_knots_rejected(bad):
+    """NaN failed as "must be open" and inf as "non-decreasing"."""
+    with pytest.raises(ValueError, match="knots must be finite"):
+        KnotVector(2, [0, 0, 0, bad, 1, 1, 1])
+
+
 @pytest.mark.parametrize("end", ["start", "end"])
 def test_end_knot_above_degree_plus_one_rejected(end):
     """A p + 2 fold end knot made a basis function vanish everywhere, and
@@ -260,6 +267,18 @@ def test_midpoint_refine_doubles_elements():
     for kv in KV_CASES:
         refined, _ = midpoint_refine(kv)
         assert refined.num_elements == 2 * kv.num_elements
+
+
+@pytest.mark.parametrize("breaks", [[0.25, 0.5, 0.75], [0.05, 0.15, 0.4]], ids=["uniform", "graded"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_refinement_matrix_has_at_most_p_plus_1_nonzeros_per_row(p, breaks):
+    """A fine control point mixes at most p + 1 coarse ones, so the sparse T the
+    refiner applies does work linear in the element count."""
+    ends = [0.0] * (p + 1), [1.0] * (p + 1)
+    for interior in (breaks, [0.5] * p):  # simple knots, then one of multiplicity p
+        kv = KnotVector(p, ends[0] + interior + ends[1])
+        _, T = midpoint_refine(kv)
+        assert np.count_nonzero(T, axis=1).max() <= p + 1
 
 
 def test_insertion_multiplicity_error():
