@@ -33,7 +33,8 @@ print("greville points:", g)
 print("linear reproduction at", xi, "->", g[f : f + 3] @ v)
 
 # Knot insertion refines the mesh without moving the curve.  The returned
-# matrix maps coarse control points to fine ones.
+# matrix, a scipy.sparse CSR array with degree+1 entries a row, maps coarse
+# control points to fine ones; ``T @ control`` works as for a dense array.
 refined, T = insert_knots(kv, [0.25, 0.75])
 print("refined knots:", refined.knots)
 print("refinement matrix shape:", T.shape)

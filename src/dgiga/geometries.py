@@ -91,7 +91,7 @@ def _arc_segments(theta0: float, theta1: float, p: int, n_seg: int):
         hom = _elevate_bezier(hom)
 
     # Repeatedly insert the midpoint to full multiplicity and cut in half.
-    _, T = insert_knots(_bezier_knots(p), np.full(p, 0.5))
+    T = insert_knots(_bezier_knots(p), np.full(p, 0.5))[1].toarray()
     segments = [hom]
     while len(segments) < n_seg:
         fine = [T @ seg for seg in segments]

@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .quadrature import panel_rules
 from .splines import (
@@ -614,16 +613,15 @@ def _refine_nets(patches: list[NurbsPatch], grids: np.ndarray):
     """Midpoint refinement of grids (P, n1, n2, c) on a stack of patches sharing both
     knot vectors, through the homogeneous net (g w, w) and the memoised
     ``midpoint_refine`` matrices: the refined knot vectors, w_f = T_u w T_v^T and
-    g_f = T_u (g w) T_v^T / w_f.  The grids are the control points or coefficients.
-    Each T is a CSR array applied to the net with its axis first; CSR sums a row's nonzeros
-    in column order without FMA: the dense sums' bits, in time linear in the elements."""
+    g_f = T_u (g w) T_v^T / w_f.  The grids are the control points or coefficients;
+    each CSR T is applied to the net with its axis first, in time linear in the elements."""
     kv_u, Tu = midpoint_refine(patches[0].basis.basis_u)
     kv_v, Tv = midpoint_refine(patches[0].basis.basis_v)
     w = np.stack([p.basis.weights for p in patches])[..., None]
     nets = np.concatenate([grids * w, w], axis=-1)
     for axis, T in ((1, Tu), (2, Tv)):
         front = np.moveaxis(nets, axis, 0)
-        fine = sp.csr_array(T) @ front.reshape(len(front), -1)
+        fine = T @ front.reshape(len(front), -1)
         nets = np.moveaxis(fine.reshape(-1, *front.shape[1:]), 0, axis)
     nets = np.ascontiguousarray(nets)
     return kv_u, kv_v, nets[..., -1], nets[..., :-1] / nets[..., -1:]

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "KnotVector",
@@ -167,43 +168,42 @@ def greville(kv: KnotVector) -> np.ndarray:
     return np.array([U[k + 1 : k + p + 1].mean() for k in range(kv.n)])
 
 
-def insert_knots(kv: KnotVector, new_knots) -> tuple[KnotVector, np.ndarray]:
-    """Insert knots strictly inside (0, 1); returns refined vector and the
-    control-point refinement matrix.
+def insert_knots(kv: KnotVector, new_knots) -> tuple[KnotVector, sp.csr_array]:
+    """Insert knots strictly inside (0, 1); returns the refined vector and the
+    control-point refinement matrix, a CSR array with p + 1 entries a row.
 
-    Applying the matrix to (weighted) control points reproduces the
-    original geometry exactly.  Raises ValueError, as ``KnotVector`` does,
-    if any resulting knot multiplicity would exceed the degree.  Each knot u
-    in span k is one Boehm step, the (n+1) x n matrix with a_i on its
-    diagonal and 1 - a_i below it: a_i is 1 for i <= k - p, 0 for i > k and
-    (u - U_i) / (U_{i+p} - U_i) between.
+    Applying the matrix to (weighted) control points reproduces the original
+    geometry exactly.  Raises ValueError, as ``KnotVector`` does, if any
+    resulting multiplicity would exceed the degree.  Row i holds columns
+    mu - p .. mu, where U_mu <= t_i < U_mu+1, and the Oslo algorithm's discrete
+    B-splines: alpha_mu = 1, then for k = 1 .. p, alpha_j = w_j alpha_j +
+    (1 - w_j+1) alpha_j+1, w_j = (t_i+k - U_j) / (U_j+k - U_j) or 0 if U_j+k = U_j.
     """
     new_knots = np.sort(np.asarray(new_knots, dtype=float))
     if new_knots.size and (new_knots[0] <= 0.0 or new_knots[-1] >= 1.0):
         raise ValueError("new knots must lie strictly inside (0, 1)")
-    p, U, T = kv.degree, kv.knots, np.eye(kv.n)
-    refined = KnotVector(p, np.sort(np.concatenate([U, new_knots])))
-    for u in new_knots:
-        n, k = len(T), int(np.searchsorted(U, u, side="right")) - 1
-        i = np.arange(n)
-        j = i[k - p + 1 : k + 1]  # the p rows that blend two control points
-        a = (np.arange(n + 1) <= k - p).astype(float)
-        a[j] = (u - U[j]) / (U[j + p] - U[j])
-        T1 = np.zeros((n + 1, n))
-        T1[i, i] = a[:-1]
-        T1[i + 1, i] = 1.0 - a[1:]
-        T = T1 @ T
-        U = np.insert(U, k + 1, u)
-    return refined, T
+    refined = KnotVector(kv.degree, np.sort(np.concatenate([kv.knots, new_knots])))
+    p, U, t, n = kv.degree, kv.knots, refined.knots, refined.n
+    mu = np.searchsorted(U, t[:n], side="right") - 1
+    alpha = np.ones((n, 1))  # alpha_mu at k = 0
+    for k in range(1, p + 1):
+        j = mu[:, None] + np.arange(-k, 2)  # alpha_{mu-k} .. alpha_{mu+1}, the ends 0
+        den = U[j + k] - U[j]
+        w = np.divide(t[k : n + k, None] - U[j], den, out=np.zeros(den.shape), where=den > 0.0)
+        old = np.pad(alpha, ((0, 0), (1, 1)))
+        alpha = w[:, :-1] * old[:, :-1] + (1.0 - w[:, 1:]) * old[:, 1:]
+    cols = (mu[:, None] + np.arange(-p, 1)).ravel()
+    return refined, sp.csr_array((alpha.ravel(), cols, np.arange(n + 1) * (p + 1)), shape=(n, kv.n))
 
 
 @lru_cache(maxsize=256)
-def midpoint_refine(kv: KnotVector) -> tuple[KnotVector, np.ndarray]:
+def midpoint_refine(kv: KnotVector) -> tuple[KnotVector, sp.csr_array]:
     """Insert the midpoint of every non-empty span once (global h-refinement).
 
     Memoised on the knot vector: patches sharing one share the refined
     vector and the (read-only) refinement matrix.
     """
     refined, T = insert_knots(kv, 0.5 * (kv.breaks[:-1] + kv.breaks[1:]))
-    T.flags.writeable = False
+    for a in (T.data, T.indices, T.indptr):
+        a.flags.writeable = False
     return refined, T

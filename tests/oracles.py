@@ -12,11 +12,13 @@ gradient), and ``global_window`` and ``element_dofs`` (global indices of
 basis windows).  The kernels are checked against them, and the edge,
 mesh-size and interpolation helpers below are built on them.
 ``refine_patch`` refines one patch at a time, the reference for the stacked
-``refine_surface``.  ``coo_csr`` sums element matrices through a scipy COO,
-the reference for the CSR accumulators, and ``edge_matrix`` densifies the
-edge entries of ``assembly._edge_terms``.
+``refine_surface``.  ``discrete_bsplines`` builds one row of a knot-insertion
+matrix, the reference for ``insert_knots``.  ``coo_csr`` sums element matrices
+through a scipy COO, the reference for the CSR accumulators, and
+``edge_matrix`` densifies the edge entries of ``assembly._edge_terms``.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -422,12 +424,40 @@ def single_insertion_matrix(U: np.ndarray, p: int, u: float) -> tuple[np.ndarray
 
 
 def insertion_matrix(kv: KnotVector, new_knots) -> np.ndarray:
-    """The product of the row-by-row Boehm matrices of the sorted ``new_knots``."""
+    """The product of the row-by-row Boehm matrices of the sorted ``new_knots``.
+
+    At p >= 3 its bits are those of the BLAS kernel's products (FMA rounding),
+    so it is a float cross-check of ``insert_knots``, not a bit pin."""
     U, T = kv.knots.copy(), np.eye(kv.n)
     for u in np.sort(np.asarray(new_knots, dtype=float)):
         U, T1 = single_insertion_matrix(U, kv.degree, float(u))
         T = T1 @ T
     return T
+
+
+def discrete_bsplines(U, t, p: int, i: int, number=float) -> tuple[int, list]:
+    """Row i of the matrix inserting knots U -> t, by the Oslo recursion one
+    scalar at a time: (first column mu - p, the p + 1 values alpha_{mu-p..mu}).
+
+    U_mu <= t_i < U_mu+1; alpha_mu = 1 at k = 0, then for k = 1 .. p and
+    j = mu - k .. mu in turn, alpha_j = w_j alpha_j + (1 - w_j+1) alpha_j+1 with
+    w_j = (t_i+k - U_j) / (U_j+k - U_j), and 0 where that denominator is 0.
+    ``number=Fraction`` gives the exact row.
+    """
+    U, t = [number(float(x)) for x in U], [number(float(x)) for x in t]
+    mu = bisect.bisect_right(U, t[i]) - 1
+
+    def w(j, k):
+        den = U[j + k] - U[j]
+        return (t[i + k] - U[j]) / den if den > 0 else number(0)
+
+    alpha = [number(0)] * (p + 2)  # alpha_{mu-p} .. alpha_{mu+1}
+    alpha[p] = number(1)
+    for k in range(1, p + 1):
+        for r in range(p - k, p + 1):
+            j = mu - p + r
+            alpha[r] = w(j, k) * alpha[r] + (1 - w(j + 1, k)) * alpha[r + 1]
+    return mu - p, alpha[: p + 1]
 
 
 def elevate_bezier(hom: np.ndarray) -> np.ndarray:
@@ -448,8 +478,8 @@ def refine_patch(patch: NurbsPatch) -> NurbsPatch:
     kv_v, Tv = midpoint_refine(patch.basis.basis_v)
     w = patch.basis.weights
     hom = np.concatenate([patch.control_points * w[:, :, None], w[:, :, None]], axis=2)
-    hom = np.einsum("ij,jbk->ibk", Tu, hom)
-    hom = np.einsum("ij,ajk->aik", Tv, hom)
+    hom = np.einsum("ij,jbk->ibk", Tu.toarray(), hom)
+    hom = np.einsum("ij,ajk->aik", Tv.toarray(), hom)
     w_new = hom[:, :, 3]
     cp_new = hom[:, :, :3] / w_new[:, :, None]
     return NurbsPatch(NurbsBasis2D(kv_u, kv_v, w_new), cp_new, patch.id)

@@ -539,8 +539,8 @@ def dense_refine_nets(patches, grids):
     kv_u, Tu = midpoint_refine(patches[0].basis.basis_u)
     kv_v, Tv = midpoint_refine(patches[0].basis.basis_v)
     w = np.stack([p.basis.weights for p in patches])[..., None]
-    nets = np.einsum("ij,pjbk->pibk", Tu, np.concatenate([grids * w, w], axis=-1))
-    nets = np.einsum("ij,pajk->paik", Tv, nets)
+    nets = np.einsum("ij,pjbk->pibk", Tu.toarray(), np.concatenate([grids * w, w], axis=-1))
+    nets = np.einsum("ij,pajk->paik", Tv.toarray(), nets)
     return kv_u, kv_v, nets[..., -1], nets[..., :-1] / nets[..., -1:]
 
 

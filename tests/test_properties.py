@@ -11,13 +11,16 @@ The patch test draws the same kinds of layout with every boundary edge
 Dirichlet and alpha = 1, where linear data is a solution: the system is
 consistent with the exact coefficients up to rounding, and CG's error is
 within the bound its residual and the condition number give.
+
+Knot insertion draws a knot vector and knots to insert: the refinement
+matrix is a convex, banded CSR array that leaves every curve where it was.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_geometry import seeded_grid
 
@@ -28,6 +31,7 @@ from dgiga.geometry import MultiPatchSurface, refine_surface
 from dgiga.linalg import cg_solve
 from dgiga.problems import make_problem
 from dgiga.space import build_space
+from dgiga.splines import KnotVector, insert_knots, tabulate
 
 
 def flipped_grid(seed, n):
@@ -120,3 +124,48 @@ def test_linear_data_is_reproduced_patch_test(surface, refinements):
     # x - x* = A^-1 ((b - A x*) - (b - A x)); the first residual is rounding.
     residual = (np.linalg.norm(b - A @ x) + np.linalg.norm(consistency)) / np.linalg.norm(b)
     assert np.linalg.norm(x - exact) <= kappa * residual * np.linalg.norm(exact)
+
+
+HUNDREDTHS = st.integers(1, 99).map(lambda k: k / 100)
+
+
+@st.composite
+def knot_insertions(draw):
+    """(knot vector, knots to insert): degree 0-4, up to 5 interior breaks on a grid
+    of hundredths with multiplicities 1..p, and up to 6 knots from that grid and
+    the breaks.  Draws that would raise a multiplicity above p are assumed away."""
+    p = draw(st.integers(0, 4))
+    breaks = draw(st.lists(HUNDREDTHS, max_size=5 if p else 0, unique=True))
+    interior = [b for b in breaks for _ in range(draw(st.integers(1, p)))]
+    kv = KnotVector(p, [0.0] * (p + 1) + sorted(interior) + [1.0] * (p + 1))
+    new = draw(st.lists(st.one_of(HUNDREDTHS, *[st.just(b) for b in breaks]), max_size=6))
+    _, counts = np.unique(interior + new, return_counts=True)
+    assume(not np.any(counts > p))
+    return kv, new
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(knot_insertions(), st.integers(0, 2**32 - 1))
+def test_knot_insertion_is_a_convex_banded_map_that_keeps_the_curve(insertion, seed):
+    kv, new = insertion
+    p, u = kv.degree, np.finfo(float).eps / 2
+    refined, T = insert_knots(kv, new)
+    cols = T.indices.reshape(-1, p + 1)
+    assert np.all(np.diff(T.indptr) == p + 1)
+    assert np.all(np.diff(cols, axis=1) == 1) and cols.min() >= 0 and cols.max() < kv.n
+    rows = T.data.reshape(-1, p + 1)
+    assert np.all(rows >= 0.0)
+    assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= (p + 1) * u)
+
+    rng = np.random.default_rng(seed)
+    c, xs = rng.standard_normal(kv.n), rng.random(20)
+    values = []
+    for knots, coeffs in ((kv, c), (refined, T @ c)):
+        first, basis, _ = tabulate(knots, xs)
+        values.append(np.sum(coeffs[first[:, None] + np.arange(p + 1)] * basis, axis=1))
+    # A first-order bound from the operation count: every quantity on the way is a
+    # convex combination bounded by 1 or max|c|, and each rounding moves it by u
+    # times that.  A value passes 7 roundings per Oslo step in T (two differences,
+    # a quotient, 1 - w, two products, a sum) and p + 1 in T @ c, then, in each
+    # of the two evaluations, 7 per Cox-de Boor level and p + 1 in the sum.
+    assert np.all(np.abs(values[1] - values[0]) <= (24 * p + 3) * u * np.abs(c).max())

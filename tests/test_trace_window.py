@@ -35,7 +35,7 @@ def with_repeated_knot(patch: NurbsPatch) -> NurbsPatch:
     kv_v, Tv = insert_knots(b.basis_v, [0.4] * p)
     w = b.weights
     hom = np.concatenate([patch.control_points * w[..., None], w[..., None]], axis=-1)
-    hom = np.einsum("ia,jb,abk->ijk", Tu, Tv, hom)
+    hom = np.einsum("ia,jb,abk->ijk", Tu.toarray(), Tv.toarray(), hom)
     return NurbsPatch(NurbsBasis2D(kv_u, kv_v, hom[..., 3]), hom[..., :3] / hom[..., 3:], patch.id)
 
 
