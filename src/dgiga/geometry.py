@@ -465,6 +465,7 @@ def tabulate_sides(patches: list[NurbsPatch], slots, q: int, coeffs=None) -> Sid
             if name not in arrays:
                 arrays[name] = np.empty((*a.shape[:k], starts[-1], *a.shape[k + 1:]), a.dtype)
             arrays[name][(slice(None),) * k + (rows,)] = a
+        del part, a  # before the next group's pass
     return SideTabulation(pid=np.repeat(pid, nel)[:, None], starts=starts, **arrays)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,17 @@ def jump_sweep():
         return make_problem("plane_sine", surf, 2, delta)
 
     return run_sweep(surface, 2, factory, levels=5)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of that one call, in bytes.  A caller
+    that means to leave out memoised tables warms them up first."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def symmetry_deviation(a) -> float:

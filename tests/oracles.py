@@ -16,6 +16,9 @@ mesh-size and interpolation helpers below are built on them.
 matrix, the reference for ``insert_knots``.  ``coo_csr`` sums element matrices
 through a scipy COO, the reference for the CSR accumulators, and
 ``edge_matrix`` densifies the edge entries of ``assembly._edge_terms``.
+``merged_system`` assembles the system by a merge after the fact (merge keys
+``_keys``, ``np.unique``, ``searchsorted`` and ``np.insert``), the reference
+for the pattern that ``assemble_system`` fixes before any value.
 """
 
 import bisect
@@ -25,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from dgiga.assembly import _edge_terms
+from dgiga.assembly import SparseSystem, _edge_terms, _index_dtype, assemble_volume
 from dgiga.geometry import (
     COMPONENT_AXES,
     GeometryError,
@@ -494,9 +497,48 @@ def coo_csr(n: int, blocks) -> sp.csr_array:
     return sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()  # sums duplicates, sorts
 
 
+def _keys(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Merge keys r n + c of entries (r, c) of an n x n matrix, int32 whenever n^2 fits."""
+    dtype = _index_dtype(n * n)
+    return rows.astype(dtype, copy=False) * n + cols.astype(dtype, copy=False)
+
+
+def edge_entries(space: DgSpace, data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keys r n + c and values of the kept edge entries of ``_edge_terms``, in
+    block order, and the edge load."""
+    blocks, load = _edge_terms(space, data)
+    keys, values = [np.empty(0, np.int64)], [np.empty(0)]
+    for pid, dofs, _, K, kept in blocks:
+        g = (space.offsets[pid] + dofs).reshape(K.shape[:2])
+        keys.append(_keys(g[:, :, None], g[:, None, :], space.total_dofs)[kept])
+        values.append(K[kept])
+    return np.concatenate(keys), np.concatenate(values), load
+
+
 def edge_matrix(space: DgSpace, data) -> tuple[np.ndarray, np.ndarray]:
     """Dense matrix and load of the edge terms: the entries of ``_edge_terms``
     summed at their keys r n + c."""
-    keys, values, load = _edge_terms(space, data)
+    keys, values, load = edge_entries(space, data)
     n = space.total_dofs
     return np.bincount(keys, values, minlength=n * n).reshape(n, n), load
+
+
+def merged_system(space: DgSpace, data) -> SparseSystem:
+    """``assemble_system`` by a merge after the fact: the edge keys summed in block
+    order (``np.unique``, one bincount), the sums added into the volume's CSR where
+    its pattern has the key (``searchsorted``), and the keys it lacks inserted
+    (``np.insert``).  The reference for the pattern fixed before any value."""
+    vol, (keys, values, rhs) = assemble_volume(space, data), edge_entries(space, data)
+    n, A = space.total_dofs, vol.matrix
+    pattern = _keys(np.repeat(np.arange(n, dtype=_index_dtype(n * n)), np.diff(A.indptr)),
+                    A.indices, n)
+    keys, inverse = np.unique(keys, return_inverse=True)
+    sums, at = np.bincount(inverse, values), np.searchsorted(pattern, keys)
+    new = pattern.take(at, mode="clip") != keys
+    A.data[at[~new]] += sums[~new]
+    at, keys, dtype = at[new], keys[new], _index_dtype(max(n, A.nnz + np.count_nonzero(new)))
+    indptr = A.indptr + np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    matrix = sp.csr_array((np.insert(A.data, at, sums[new]),
+                           np.insert(A.indices.astype(dtype, copy=False), at, keys % n),
+                           indptr.astype(dtype)), shape=(n, n))
+    return SparseSystem(matrix, vol.rhs + rhs, vol.basis_integrals)

@@ -12,14 +12,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import traced_peak
+from oracles import _keys
 from test_geometry import seeded_grid
 
 import dgiga.assembly
 import dgiga.geometry
 import dgiga.splines
 from dgiga.analysis import measure_errors
-from dgiga.assembly import _index_dtype, _keys, assemble_system
+from dgiga.assembly import _index_dtype, assemble_system, interface_slots
 from dgiga.driver import run_sweep
+from dgiga.geometries import square_grid
+from dgiga.geometry import refine_surface, tabulate_sides
 from dgiga.problems import make_problem
 from dgiga.space import build_space
 
@@ -196,15 +200,32 @@ def test_coo_index_dtype_never_truncates():
 
 @pytest.mark.parametrize("n, dtype", [(46340, np.int32), (46341, np.int64)])
 def test_merge_keys_are_int32_while_n_squared_fits(n, dtype):
+    # The keys of the reference merge (oracles.merged_system).
     # 46340^2 = 2 147 395 600 fits in int32, 46341^2 does not.
     keys = _keys(np.array([0, n - 1]), np.array([1, n - 1], dtype=np.int32), n)
     assert keys.dtype == dtype and keys.tolist() == [1, n * n - 1]
 
 
 def test_system_uses_int32_indices():
-    # Inserting the interface entries keeps both index arrays int32: scipy
-    # upcasts both if either is int64.
+    # The pattern with its interface entries keeps both index arrays int32:
+    # scipy upcasts both if either is int64.
     surface = seeded_grid(7, 4)
     matrix = assemble_system(build_space(surface, 2),
                              make_problem("plane_sine", surface, 2, 24.0)).matrix
     assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+
+
+def test_side_tabulation_releases_each_group_before_the_next():
+    """On 8 x 8 patches of p = 2, refined twice, the edge layout's sides form
+    groups whose passes run one after the other; a finished group's arrays are
+    freed once placed.  Holding them into the next pass read 2.89 times the
+    returned arrays' bytes, releasing them 2.39 times."""
+    surface = square_grid(2, 8, 8)
+    for _ in range(2):
+        surface = refine_surface(surface)
+    slots = interface_slots(surface.edges_of_kind("interior"))
+    slots += [(*e.left, False) for e in surface.edges_of_kind("dirichlet")]
+    tabulate_sides(surface.patches, slots, 3)  # the memoised 1D tables
+    tab, peak = traced_peak(tabulate_sides, surface.patches, slots, 3)
+    size = sum(a.nbytes for a in vars(tab).values() if isinstance(a, np.ndarray))
+    assert peak < 2.6 * size

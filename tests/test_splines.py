@@ -1,8 +1,8 @@
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from oracles import (
     discrete_bsplines,
     elevate_bezier,
@@ -356,12 +356,7 @@ def test_knot_insertion_is_linear_in_the_element_count():
     product of dense Boehm matrices peaked at 5.35 MB, the direct build at 0.17 MB."""
     kv, new = midpoints(3, 256)
     insert_knots(kv, new)  # warm up
-    tracemalloc.start()
-    try:
-        insert_knots(kv, new)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(insert_knots, kv, new)
     assert peak < 1e6
 
 

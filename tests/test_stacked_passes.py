@@ -10,10 +10,10 @@ larger patch's element rows.
 """
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from test_edge_batches import Counter
 from test_geometry import seeded_grid
 from test_tabulation import two_signature_patches
@@ -187,12 +187,7 @@ def test_a_large_patch_never_holds_its_whole_x_batch():
 def volume_peak(space):
     """tracemalloc peak of one ``assemble_volume`` call, after a warm-up call."""
     assemble_volume(space, DATA)  # the memoised 1D tables
-    tracemalloc.start()
-    try:
-        assemble_volume(space, DATA)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(assemble_volume, space, DATA)[1]
 
 
 def test_the_volume_pass_holds_no_whole_stiffness_stack():
@@ -217,10 +212,5 @@ def test_a_large_patch_never_holds_its_whole_error_tabulation():
     del tab, kept
     args = (u_h, [0], DATA.u_exact, DATA.grad_u_exact, q)
     _stack_errors(*args)  # the memoised 1D tables
-    tracemalloc.start()
-    try:
-        _stack_errors(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(_stack_errors, *args)
     assert peak < whole

@@ -10,10 +10,9 @@ basis integrals, summed into patch-local slots by the same accumulator, must
 equal ``np.add.at`` over global indices bit for bit.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced_peak
 from oracles import coo_csr, element_dofs
 from test_geometry import seeded_grid
 from test_stacked_passes import DATA, two_signatures, volume_blocks
@@ -97,11 +96,7 @@ def test_volume_assembly_memory_is_a_few_matrices():
     space = build_space(surface, 3)
     # Cold 1D tables; the pattern is always built inside the call.
     dgiga.splines._tabulate_cached.cache_clear()
-    tracemalloc.start()
-    try:
-        matrix = assemble_volume(space, DATA).matrix
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    system, peak = traced_peak(assemble_volume, space, DATA)
+    matrix = system.matrix
     size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
     assert peak < 8 * size
