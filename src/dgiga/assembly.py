@@ -3,10 +3,12 @@
 Builds the symmetric system: patchwise diffusion stiffness, interface
 consistency/symmetry and jump-penalty terms, weakly imposed Dirichlet
 conditions of Nitsche type, and the load vector including Neumann data.
-Each level has one CSR pattern, fixed by the mesh and the edge list before
-any value (``_system_pattern``): the volume's Kronecker bands of two 1D
-B-spline bands per patch, plus a cross block for every interior edge between
-the trace functions of its two sides.
+The edge terms are one pass over the one edge layout, ``edge_sides``, with
+the 2(p+1) trace functions of each side element, and stay parametric: a
+normal derivative is grad^ phi . g^-1 J^T n.  Their entries are summed at
+their distinct keys r n + c, and each level has one CSR pattern, fixed
+before any value (``_system_pattern``): every row's volume band, the
+Kronecker product of two 1D B-spline bands, plus the keys it does not hold.
 The volume terms of a stack of patches sharing both knot vectors come from
 the weight-free factors of one tabulation (``tabulate_patches``) per work
 unit, a run of element rows (``geometry.row_runs``; a stack within the
@@ -16,19 +18,14 @@ of the unit's element rows that fits ``geometry.STACK_BYTES``.  One
 accumulator serves the volume pass: each block's element matrices go into
 the band slots of the pattern as the block is made, and its loads and basis
 integrals into each patch's slice of the vectors, one ``np.add.at`` each.
-The edge terms are one pass over the one edge layout, ``edge_sides``, with
-the 2(p+1) trace functions of each side element, and stay parametric: a
-normal derivative is grad^ phi . g^-1 J^T n.  Their element matrices are
-batched matmuls over the edge points, whose entries take their slots from
-the same closed form.  Entries accumulate in a fixed order so serial
-assembly is reproducible: a volume entry or load sums its patch's elements
-in element-lexicographic order, an edge entry in block order from zero, and
-a system entry is its volume value plus its edge sum.
+Entries accumulate in a fixed order so serial assembly is reproducible: a
+volume entry or load sums its patch's elements in element-lexicographic
+order, an edge entry in block order from zero, and a system entry is its
+volume value plus its edge sum.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -105,24 +102,30 @@ def _band(kv: KnotVector):
     """First active function of every element, and the first column and width of
     every row of the 1D coupling band: row i holds the functions that share an
     element with function i, a contiguous range as the windows are."""
-    first, i = find_span(kv, kv.breaks[:-1]) - kv.degree, np.arange(kv.n)
-    lo = first[np.searchsorted(first + kv.degree, i)]
-    hi = first[np.searchsorted(first, i, side="right") - 1] + kv.degree
+    first, p, i = find_span(kv, kv.breaks[:-1]) - kv.degree, kv.degree, np.arange(kv.n)
+    starts = np.zeros(kv.n, bool)
+    starts[first] = True  # the first element starting at i - p or later, the last at i or before
+    lo = np.minimum.accumulate(np.where(starts, i, kv.n)[::-1])[::-1][np.maximum(i - p, 0)]
+    hi = np.maximum.accumulate(np.where(starts, i, 0)) + p
     return first, lo, hi - lo + 1
 
 
+def _ranges(starts, counts):
+    """The ranges [start, start + count), one after another, in the dtype of ``starts``."""
+    out = np.repeat((starts - np.cumsum(counts) + counts).astype(starts.dtype), counts)
+    out += np.arange(out.size, dtype=out.dtype)
+    return out
+
+
 def _volume_pattern(basis_u: KnotVector, basis_v: KnotVector):
-    """Patch-local CSR pattern of the volume stiffness, the slot of every
-    element-matrix entry and the functions of every element, for one patch's
-    knot vectors.
+    """Patch-local CSR row pointers of the volume stiffness for one patch's knot
+    vectors, the slot of every element-matrix entry and each element's functions.
 
     The pattern is kron(band_v, band_u) in the k2-major DOF order, with sorted
-    columns: entry (r, c) of row r = r2 n1 + r1 sits at indptr[r] +
-    (c2 - lo_v[r2]) width_u[r1] + c1 - lo_u[r1].  ``slots`` (nel_u nel_v, m, m)
-    and ``dofs`` (nel_u nel_v, m), the patch-local functions of each element
-    window, follow the element and window order of ``_volume_blocks``;
-    ``slots`` are in the patch-local index dtype (``_index_dtype``).
-    Returns (indptr, indices, slots, dofs).
+    columns (``_band_columns``): entry (r, c) of row r = r2 n1 + r1 sits at
+    indptr[r] + (c2 - lo_v[r2]) width_u[r1] + c1 - lo_u[r1].  ``slots``
+    (nel_u nel_v, m, m), in the patch-local index dtype, and ``dofs`` (nel_u
+    nel_v, m) follow the element and window order of ``_volume_blocks``.
     """
     (fu, lo1, w1), (fv, lo2, w2) = _band(basis_u), _band(basis_v)
     n1, m1, m2 = basis_u.n, basis_u.degree + 1, basis_v.degree + 1
@@ -137,9 +140,20 @@ def _volume_pattern(basis_u: KnotVector, basis_v: KnotVector):
     at = (indptr[r2 * n1 + r1] - lo2[r2] * w1[r1] - lo1[r1]).astype(dtype)
     slots = (at + (c2 * w1[r1]).astype(dtype)) + c1.astype(dtype)
     cols = c2 * n1 + c1  # (nel_u, nel_v, 1, 1, m1, m2): the functions of each element
-    indices = np.empty(indptr[-1], dtype)
-    indices[slots] = cols  # every pattern entry is some element's entry
-    return indptr, indices, slots.reshape(-1, m1 * m2, m1 * m2), cols.reshape(-1, m1 * m2)
+    return indptr, slots.reshape(-1, m1 * m2, m1 * m2), cols.reshape(-1, m1 * m2)
+
+
+def _band_columns(basis_u: KnotVector, basis_v: KnotVector):
+    """Patch-local column indices of the volume pattern (``_volume_pattern``), row by
+    row: row (r2, r1) is w2[r2] runs of w1[r1] columns, run c2 from c2 n1 + lo1[r1],
+    with the starts lo and widths w of the 1D bands (``_band``)."""
+    (_, lo1, w1), (_, lo2, w2) = _band(basis_u), _band(basis_v)
+    n1, n2 = basis_u.n, basis_v.n
+    runs = np.repeat(w2, n1)
+    starts = _ranges(np.repeat(lo2, n1), runs)
+    starts *= n1
+    starts += np.repeat(np.tile(lo1, n2), runs)
+    return _ranges(starts.astype(_index_dtype(n1 * n2)), np.repeat(np.tile(w1, n2), runs))
 
 
 def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
@@ -204,215 +218,99 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
         del c00, c01, c11, s0, s1  # before the next unit is tabulated
 
 
-def _inside(box, c2, c1):
-    """Whether cells (k2, k1) lie in boxes (..., 4) = (k2 first, count, k1 first, count)."""
-    return ((box[..., 0] <= c2) & (c2 < box[..., 0] + box[..., 1])
-            & (box[..., 2] <= c1) & (c1 < box[..., 2] + box[..., 3]))
+def _system_pattern(space: DgSpace, keys: np.ndarray):
+    """The level's CSR pattern: each row's volume band and the distinct edge keys
+    r n + c (sorted) that the band does not hold, fixed before any value.
 
+    Row r's band (``_volume_pattern``) is a box in its patch's grid: w2 k2-lines
+    from line a2 by w1 functions from k1 = a1, the starts and widths of the 1D
+    bands (``_band``), the lines numbered over all patches.  A key's column on
+    line c2 at k1 = c1 has below = clip(c2 - a2, 0, w2) w1 + [a2 <= c2 < a2 + w2]
+    clip(c1 - a1, 0, w1) band columns before it (its rank in the band where the
+    band holds it; a column of another patch falls before or after the box).
+    Its slot is where r's band starts among the bands alone, plus below, plus
+    the keys new to their bands before it: the keys are sorted.
 
-def _edge_boxes(space: DgSpace, edges, sigs, sig):
-    """The boxes of the rows that ``edges`` reach, from the mesh alone.
-
-    A row is reached when it is a trace function of an interior or Dirichlet
-    side: one of the two layers of functions next to it.  Table row t, for
-    rows[t] (ascending), holds box 0, the row's volume band, and box 1 + side,
-    the other side's trace functions over the 1D band of the edge's knot
-    vector (``_band``, mirrored if flipped): both layers against a first-layer
-    row, the first against a second-layer row (the pairs left out are exact
-    Cox-de Boor zeros).  A box is (k2 first, count, k1 first, count) in the
-    grid of patch qid[t, box], which is -1 where there is no box.  Patch p has
-    the knot vectors sigs[sig[p]].  Returns (reached, qid, boxes), ``reached``
-    a mask over the rows.
+    Returns the pattern and the keys' slots.  The pattern is indptr, ``own``
+    (where each row's band starts), each patch's ``_volume_pattern``, and the
+    new keys' slots and columns with the rows that have one inside their band
+    (a self-interface, a patch met twice) and those rows' band slots from own.
     """
     n, off = space.total_dofs, space.offsets
-    kvs = list(dict.fromkeys(kv for key in sigs for kv in key))
-    lo, wd = (np.concatenate(a) for a in zip(*(_band(kv)[1:] for kv in kvs)))
-    at = dict(zip(kvs, np.cumsum([0] + [kv.n for kv in kvs])))
-    ku, kv, n1, n2 = np.array([(at[u], at[v], u.n, v.n) for u, v in sigs])[sig].T
-    # A side from (patch, side, partner patch, partner side, flip); a side code indexes
-    # SIDES (axis code // 2, end code % 2), and axis 0 runs along v.
-    code = {side: i for i, side in enumerate(geometry.SIDES)}
-    sides = np.array([x for e in edges if e.kind != "neumann" for x in (
-        e.left[0], code[e.left[1]], *((e.right[0], code[e.right[1]]) if e.right else (-1, 0)),
-        e.orientation_flip)], dtype=np.intp).reshape(-1, 5)
-    P, S, Q, T, F = np.concatenate([sides, sides[sides[:, 2] >= 0][:, [2, 3, 0, 1, 4]]]).T
-    v, w, q = S < 2, T < 2, np.maximum(Q, 0)
-    along = np.where(v, n2[P], n1[P])
-    # Each side's columns, repeated for each function of the two layers along it: patch,
-    # offset, n1, whether along v, functions along, last index across, far end, its rows
-    # of the 1D bands along and across, side, partner patch, partner along v, partner's
-    # far end, flip, partner's functions across.
-    count = 2 * along
-    P, o, m, v, along, last, end, ka, kc, S, Q, w, T, F, nq = np.repeat(np.array([
-        P, off[P], n1[P], v, along, np.where(v, n1[P], n2[P]) - 1, S % 2, np.where(v, kv[P], ku[P]),
-        np.where(v, ku[P], kv[P]), S, Q, w, T % 2, F, np.where(w, n1[q], n2[q])]), count, 1)
-    i = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    s, a = i // 2, i % 2  # the position along the side, the layer
-    across = np.where(end, last - a, a)
-    ka, kc = ka + s, kc + across  # the 1D bands along and across the side
-    rows = o + np.where(v, s * m + across, across * m + s)
-    tl, tw, nb = np.where(F, along - lo[ka] - wd[ka], lo[ka]), wd[ka], 2 - a
-    al = np.where(T, nq - nb, 0)
-    mark = np.zeros(n, bool)
-    mark[rows] = True
-    t, x = (np.cumsum(mark) - 1)[rows], Q >= 0
-    qid = np.full((np.count_nonzero(mark), 5), -1, _index_dtype(n))
-    boxes = np.zeros(qid.shape + (4,), qid.dtype)
-    qid[t, 0] = P
-    boxes[t, 0] = np.where(v, [lo[ka], wd[ka], lo[kc], wd[kc]], [lo[kc], wd[kc], lo[ka], wd[ka]]).T
-    qid[t[x], 1 + S[x]] = Q[x]
-    boxes[t[x], 1 + S[x]] = np.where(w, [tl, tw, al, nb], [al, nb, tl, tw]).T[x]
-    return mark, qid, boxes
-
-
-def _system_pattern(space: DgSpace, edges):
-    """The level's CSR pattern, fixed by the mesh and ``edges`` before any value.
-
-    Row r holds its volume band (``_volume_pattern``) and, where edges reach
-    it, the boxes of ``_edge_boxes``.  r's boxes in one patch form a group,
-    led by its first box; r lists its groups by patch offset, each group's
-    cells row-major.  A group of one box is ranked in closed form, a union of
-    several (a self-interface, a patch met twice) over its bounding box,
-    through a table of its cells.
-
-    Returns indptr, indices, each patch's (indptr, slots, dofs) of
-    ``_volume_pattern``, ``own`` (where each row's band starts, in the band's
-    own order) and the edge pass's (slots, shift, seg, moves): ``slots`` gives
-    the slots of element matrices in a buffer over the rows that edges reach,
-    whose row t holds the seg[t] values from slot shift[t] + its buffer start,
-    and ``moves`` (from, to) carries a union's band values to their places once
-    the volume is summed.
-    """
-    n, off = space.total_dofs, space.offsets
-    keys = [_knot_key(p.basis) for p in space.surface.patches]
-    sigs = list(dict.fromkeys(keys))  # each knot signature once
-    sig = [sigs.index(key) for key in keys]
-    built = [_volume_pattern(*key) for key in sigs]
-    n1 = np.array([u.n for u, _ in sigs])[sig]
-    mark, qid, boxes = _edge_boxes(space, edges, sigs, sig)
-    trows = np.flatnonzero(mark)
-    nt = trows.size
-    rep, valid = np.tile(np.arange(5, dtype=np.int8), (nt, 1)), qid >= 0
-    for k in range(1, 5):
-        for j in range(k - 1, -1, -1):
-            rep[:, k] = np.where(qid[:, j] == qid[:, k], j, rep[:, k])
-    lead, first = valid & (rep == np.arange(5)), boxes[..., 0::2].copy()
-    end, multi = first + boxes[..., 1::2], np.zeros((nt, 5), bool)
-    r, k = np.nonzero(valid & ~lead)
-    multi[r, rep[r, k]] = True
-    np.minimum.at(first, (r, rep[r, k]), boxes[r, k, 0::2])  # the groups' bounding boxes
-    np.maximum.at(end, (r, rep[r, k]), boxes[r, k, 0::2] + boxes[r, k, 1::2])
-    ext = end - first
-    del end
-    size = np.where(lead, ext[..., 0] * ext[..., 1], 0)
-    # The cells of every cross group and every union, row-major over the bounding box.
-    gi = np.flatnonzero(lead & ((np.arange(5) > 0) | multi))
-    area, w = size.ravel()[gi], ext[..., 1].ravel()[gi]
-    f2, f1, cell0 = first[..., 0].ravel()[gi], first[..., 1].ravel()[gi], np.cumsum(area) - area
-    k = np.arange(area.sum()) - np.repeat(cell0, area)  # each cell's index in its box
-    c2, c1 = np.divmod(k, np.repeat(w, area))
-    c2 += np.repeat(f2, area)
-    c1 += np.repeat(f1, area)
-    gc = np.repeat(gi, area)  # each cell's group, table row * 5 + box
-    inside, m = slice(None), multi.ravel()[gc]  # every cell, but where a union has gaps
-    if m.any():
-        t, g = np.divmod(gc[m], 5)
-        member = valid[t] & (rep[t] == g[:, None])
-        inside = np.ones(gc.size, bool)
-        inside[m] = (member & _inside(boxes[t], c2[m, None], c1[m, None])).any(1)
-        size.ravel()[gi] = np.add.reduceat(inside, cell0)
-        k = np.cumsum(inside) - inside
-        k -= np.repeat(k[cell0], area)
-    widths = [np.diff(ptr) for ptr, _, _, _ in built]
-    rowlen = np.concatenate([widths[s] for s in sig])
-    rowlen[trows] = size.sum(1)
+    keyed = [_knot_key(p.basis) for p in space.surface.patches]
+    built = {key: _volume_pattern(*key) for key in dict.fromkeys(keyed)}
+    tables = {}
+    for u, v in built:  # per function: k2, a2, w2 of its k2 and k1, a1, w1 of its k1
+        V, U = (np.stack([np.arange(kv.n), *_band(kv)[1:]]) for kv in (v, u))
+        tables[u, v] = np.concatenate(np.broadcast_arrays(V[:, :, None], U[:, None, :]))
+    table = np.concatenate([tables[key].reshape(6, -1) for key in keyed], 1).astype(_index_dtype(n))
+    lines = np.array([v.n for _, v in keyed])
+    table[:2] += np.repeat(np.cumsum(lines) - lines, np.diff(off)).astype(table.dtype)
+    bandlen = table[2] * table[5]
+    row, col = np.divmod(keys, n)
+    line, k1 = table[[0, 3]].take(col, axis=1)
+    a2, w2, a1, w1 = table[[1, 2, 4, 5]].take(row, axis=1)
+    del tables, table
+    d2, d1 = line - a2, k1 - a1  # from the band box's corner
+    in2 = (0 <= d2) & (d2 < w2)
+    new = ~(in2 & (0 <= d1) & (d1 < w1))
+    below = np.clip(d2, 0, w2) * w1 + in2 * np.clip(d1, 0, w1)
+    del line, k1, a2, a1, d2, d1, in2
+    rowlen = bandlen + np.bincount(row[new], minlength=n)
     dtype = _index_dtype(max(n, int(rowlen.sum())))
     indptr = np.concatenate([[0], np.cumsum(rowlen)]).astype(dtype)
-    # A group starts after the row's groups in lower patches (patch ids follow the offsets).
-    start = indptr[trows, None] + (np.matmul((qid[:, :, None] > qid[:, None, :]).astype(size.dtype),
-                                             size[:, :, None])[..., 0])
-    own = indptr[:-1].copy()
-    own[trows] = start[:, 0]
-    slot = start.ravel()[gc] + k
-    del k
-    seg = rowlen[trows]
-    shift = indptr[trows] - (np.cumsum(seg) - seg)  # a row's buffer slots from its slots
-    base = start - shift[:, None] - first[..., 0] * ext[..., 1] - first[..., 1]
-    moves, lut, cross = (np.empty(0, np.intp),) * 2, None, inside
-    if m.any():  # a union's slots are looked up in ``lut`` at cell ``base + k2 wide + k1``
-        lut = slot - shift[gc // 5]
-        base.ravel()[gi] = np.where(multi.ravel()[gi], cell0 - f2 * w - f1, base.ravel()[gi])
-        u = np.flatnonzero(gc % 5 == 0)  # cells of the unions in their rows' own patches
-        band = boxes[gc[u] // 5, 0]
-        go = _inside(band, c2[u], c1[u])
-        moves = ((start[gc[u] // 5, 0] + (c2[u] - band[:, 0]) * band[:, 3] + c1[u]
-                  - band[:, 2])[go], slot[u][go])
-        cross = inside.copy()
-        cross[u[go]] = False
-    # The bands fill every slot that no cross cell takes, in row order, a run of patches
-    # sharing a knot signature at a time.
-    indices, free = np.empty(indptr[-1], dtype), np.ones(indptr[-1], bool)
-    free[slot[cross]] = False
-    band, at = np.empty(np.count_nonzero(free), dtype), 0
-    for s, run in itertools.groupby(range(len(sig)), sig.__getitem__):
-        run, idx = list(run), built[s][1]
-        np.add(idx, off[run, None].astype(dtype), out=band[at : at + len(run) * idx.size]
-               .reshape(len(run), -1))
-        at += len(run) * idx.size
-    indices[free] = band
-    del free, band
-    q = qid.ravel()[gc]
-    indices[slot[inside]] = (off[q] + c2 * n1[q] + c1)[inside]
-    del q, c2, c1, gc, slot
-    r = np.arange(nt)[:, None]
-    base, wide, multi = base[r, rep].astype(dtype), ext[r, rep, 1].astype(dtype), multi[r, rep]
-
-    def slots(pid, dofs, side):
-        """Buffer slots (E, H h, H h) of element matrices over functions of patches
-        pid (E, H, 1), patch-local indices dofs (E, H, h), in H halves: the two
-        sides of an interior edge, ``side`` (E, H, 1) their side codes, or a
-        Dirichlet side."""
-        E, H, h = dofs.shape
-        t = (np.cumsum(mark) - 1)[off[pid] + dofs][..., None]
-        g = (t, np.where(np.eye(H, dtype=bool)[:, None], 0, side[..., None]))  # each half's box
-        c2, c1 = (c[:, None, None] for c in np.divmod(dofs, n1[pid]))
-        at = base[g][..., None] + wide[g][..., None] * c2 + c1
-        if lut is not None:
-            sel = np.broadcast_to(multi[g][..., None], at.shape)
-            at[sel] = lut[at[sel]]
-        return at.reshape(E, H * h, H * h)
-
-    patterns = [(built[s][0], built[s][2], built[s][3]) for s in sig]  # not the local indices
-    return indptr, indices, patterns, own, (slots, shift, seg, moves)
+    slots = (np.cumsum(bandlen, dtype=dtype) - bandlen).take(row)
+    slots += below
+    slots += np.cumsum(new, dtype=dtype)
+    slots -= new
+    own = indptr[:-1] + np.bincount(row[new & (below == 0)], minlength=n).astype(dtype)
+    moved = np.flatnonzero(np.bincount(row[new & (0 < below) & (below < w2 * w1)], minlength=n))
+    edge = slots[new], col[new], moved, _ranges(own[moved], bandlen[moved])
+    return (indptr, own, [built[key] for key in keyed], edge), slots
 
 
-def _assemble_volume(space: DgSpace, data: ProblemData, edges):
-    """The volume terms in the pattern of ``_system_pattern(space, edges)``.
+def _assemble_volume(space: DgSpace, data: ProblemData, pattern):
+    """The volume terms in ``pattern`` (``_system_pattern``), and its column indices.
 
     Each stack of patches sharing both knot vectors (``patch_stacks``) is
-    tabulated once per work unit, and each block of ``_volume_blocks`` is
-    summed as it is made: one ``np.add.at`` adds its element matrices into
-    the values, by the band slots of the patch's knot vectors
-    (``_volume_pattern``) shifted to each row's band, and one its load and
-    integral rows into each patch's slice of the vectors.  Every entry sums its
-    patch's elements in element order, whatever the stacking.  Returns indptr,
-    indices, the values, the vectors (load, basis integrals) and the pattern's
-    edge part (``_system_pattern``).
+    tabulated once per work unit, and each block of ``_volume_blocks`` is summed
+    as it is made: one ``np.add.at`` adds its element matrices at the patch's
+    band slots (``_volume_pattern``) shifted to where each row's band starts,
+    one its load and integral rows into each patch's slice of the vectors, so
+    every entry sums its patch's elements in element order.  Then the band
+    columns (``_band_columns``), which the pass does not need, fill every slot
+    no new key takes, in row order, and the band values of rows with a new key
+    inside their band move to the same places.  Returns the indices, values
+    and vectors (load, basis integrals).
     """
-    surface, n = space.surface, space.total_dofs
-    indptr, indices, patterns, own, edge = _system_pattern(space, edges)
+    surface, n, off = space.surface, space.total_dofs, space.offsets
+    indptr, own, patterns, (taken, cols, moved, pre) = pattern
     values, vectors = np.zeros(indptr[-1]), np.zeros(2 * n)
     for stack in patch_stacks(surface.patches):
         ptr, slots, dofs = patterns[stack[0]]
         # Flat intp indices into the values and each patch's vector slices: np.add.at's fast path.
-        o = space.offsets[stack, None]
+        o = off[stack, None]
         shift = own[o + np.arange(ptr.size - 1)] - ptr[:-1]
         firsts = (o + [0, n]).astype(np.intp)[..., None, None]
         for elements, K, loads in _volume_blocks(space, data, stack):
             np.add.at(values, (shift[:, dofs[elements], None] + slots[elements]).reshape(-1),
                       K.reshape(-1))
             np.add.at(vectors, (firsts + dofs[elements]).reshape(-1), loads.reshape(-1))
-    return indptr, indices, values, vectors, edge
+    patterns.clear()  # the slots, before the indices are made
+    del slots, dofs, K, loads
+    indices, free = np.empty(indptr[-1], indptr.dtype), np.ones(indptr[-1], bool)
+    free[taken] = False
+    keyed = [_knot_key(p.basis) for p in surface.patches]
+    columns = {key: _band_columns(*key) for key in dict.fromkeys(keyed)}
+    for p, key in enumerate(keyed):
+        at = slice(indptr[off[p]], indptr[off[p + 1]])
+        indices[at][free[at]] = np.add(columns[key], off[p], dtype=indptr.dtype)
+    indices[taken] = cols
+    post = _ranges(indptr[moved], indptr[moved + 1] - indptr[moved])
+    moving = values[pre]
+    values[pre] = 0.0
+    values[post[free[post]]] = moving
+    return indices, values, vectors
 
 
 def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
@@ -422,9 +320,9 @@ def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
     Every volume term is patch-local, so the matrix is block-diagonal by patch,
     each block with the Kronecker band pattern of its knot vectors.
     """
-    n = space.total_dofs
-    indptr, indices, values, vectors, _ = _assemble_volume(space, data, [])
-    return SparseSystem(sp.csr_array((values, indices, indptr), shape=(n, n)), vectors[:n],
+    n, (pattern, _) = space.total_dofs, _system_pattern(space, np.empty(0, np.intp))
+    indices, values, vectors = _assemble_volume(space, data, pattern)
+    return SparseSystem(sp.csr_array((values, indices, pattern[0]), shape=(n, n)), vectors[:n],
                         None if space.surface.has_dirichlet else vectors[n:])
 
 
@@ -497,18 +395,17 @@ def _edge_terms(space: DgSpace, data: ProblemData):
     ``_side_terms`` gives both sides of an interior edge its left conormal,
     and the edge's penalty weight is the arithmetic mean of the two diffusion
     coefficients.  The interior blocks couple 4(p+1) trace functions, the
-    Dirichlet blocks 2(p+1).  Returns the blocks, interior then Dirichlet, and
-    the load.  A block is (pid, dofs, side, K, kept): its functions' patch ids
-    and patch-local indices (E, H, h) in H halves (the two sides of an interior
-    edge, or one Dirichlet side), each function's side in its edge (1 + index
-    in ``geometry.SIDES``), the element matrices (E, H h, H h) and the entries
-    kept.  An entry between two functions with zero trace on the edge element
-    (exact Cox-de Boor zeros) is exactly 0.0 and is left out.
+    Dirichlet blocks 2(p+1).  Returns the keys r n + c (int32 while n^2 fits)
+    and the values of the element-matrix entries, interior blocks then
+    Dirichlet blocks, each in element order, and the load.  An entry between
+    two functions with zero trace on the edge element (exact Cox-de Boor
+    zeros, the second layer of functions next to the side) is exactly 0.0 and
+    is left out.
     """
     surface, n = space.surface, space.total_dofs
     sides = edge_sides(surface, space.degree + 1, neumann=data.g_N is not None)
     if sides is None:
-        return [], np.zeros(n)
+        return np.empty(0, _index_dtype(n * n)), np.empty(0), np.zeros(n)
     tab, (L, R, D, N) = sides
     gidx, values, dn = _side_terms(space, tab, L.stop, R.stop)
     alpha, w = surface.alpha[tab.pid][..., None], tab.weights
@@ -518,15 +415,12 @@ def _edge_terms(space: DgSpace, data: ProblemData):
     K_I = _sipg_blocks(np.concatenate([flux[L], flux[R]], axis=-1), jump, w[L], pen)
     a_gamma, pen = alpha[D], data.delta / tab.chords[D]
     K_D = _sipg_blocks(a_gamma * dn[D], values[D], w[D], alpha[D, 0, 0] * pen)
-    side = np.zeros(tab.pid.shape, np.intp)  # 1 + index in SIDES on interior sides
-    interior = interface_slots(surface.edges_of_kind("interior"))
-    codes = [1 + geometry.SIDES.index(s) for _, s, _ in interior]
-    side[: R.stop, 0] = np.repeat(codes, np.diff(tab.starts[: len(codes) + 1]))
-    blocks = []
-    for halves, trace, K in (((L, R), jump, K_I), ((D,), values[D], K_D)):
+    g, keys, entries = gidx.astype(_index_dtype(n * n)), [], []
+    for dofs, trace, K in ((np.concatenate([g[L], g[R]], -1), jump, K_I), (g[D], values[D], K_D)):
         traced = np.any(trace != 0.0, axis=1)  # (E, m): nonzero on the edge element
-        pid, dofs, code = (np.stack([a[h] for h in halves], 1) for a in (tab.pid, tab.dofs, side))
-        blocks.append((pid, dofs, code, K, traced[:, :, None] | traced[:, None, :]))
+        kept = traced[:, :, None] | traced[:, None, :]
+        keys.append((dofs[:, :, None] * n + dofs[:, None, :])[kept])
+        entries.append(K[kept])
     load = np.zeros(gidx.shape)  # 0.0 on interior elements, which leaves every sum as it is
     if D.start < D.stop and data.g_D is not None:
         gd = np.asarray(data.g_D(tab.points[:, D].reshape(3, -1).T), dtype=float)
@@ -537,25 +431,30 @@ def _edge_terms(space: DgSpace, data: ProblemData):
         load[N] = ((gn.reshape(w[N].shape) * w[N])[:, None] @ values[N])[:, 0]
     rhs = np.zeros(n)
     np.add.at(rhs, gidx.reshape(-1), load.reshape(-1))  # gidx is intp
-    return blocks, rhs
+    return np.concatenate(keys), np.concatenate(entries), rhs
 
 
 def assemble_system(space: DgSpace, data: ProblemData) -> SparseSystem:
-    """Full system in the level's pattern (``_system_pattern``): the volume terms
-    summed into it, then the edge terms summed from zero in block order into a
-    buffer over the rows that edges reach (a flat ``np.add.at`` per block), each
-    sum added once, so an entry is its volume value plus its edge sum."""
+    """Full system in the level's pattern (``_system_pattern``) of the distinct
+    edge keys.  The edge entries are summed at their keys from zero in block
+    order (a stable sort and one ``np.bincount``, which adds in input order),
+    the volume terms into the pattern, and each edge sum is added once, so an
+    entry is its volume value plus its edge sum."""
     n = space.total_dofs
-    indptr, indices, values, vectors, (slots, shift, seg, (pre, post)) = _assemble_volume(
-        space, data, space.surface.edges)
-    moved = values[pre]  # the bands of unions in a row's own patch
-    values[pre] = 0.0
-    values[post] = moved
-    blocks, rhs = _edge_terms(space, data)
-    sums = np.zeros(seg.sum())
-    while blocks:  # interior, then Dirichlet; each block freed once summed
-        pid, dofs, side, K, kept = blocks.pop(0)
-        np.add.at(sums, slots(pid, dofs, side)[kept], K[kept])
-    values[np.repeat(shift, seg) + np.arange(sums.size)] += sums
-    return SparseSystem(sp.csr_array((values, indices, indptr), shape=(n, n)),
+    keys, entries, rhs = _edge_terms(space, data)
+    # Not np.unique's inverse: its cumsum - 1 on a temporary of 256 KB or more has
+    # numpy's temporary elision walk the C stack, which maps the unwind tables of
+    # every library (about 0.6 MB of resident memory) before the volume pass.
+    order = np.argsort(keys, kind="stable")  # equal keys in block order
+    keys = keys[order]
+    first = np.ones(keys.size, bool)
+    first[1:] = keys[1:] != keys[:-1]
+    sums = np.bincount(np.cumsum(first), entries[order])[1:]
+    keys = keys[first]
+    del order, first, entries  # before the volume pass, as are the keys
+    pattern, slots = _system_pattern(space, keys)
+    del keys
+    indices, values, vectors = _assemble_volume(space, data, pattern)
+    values[slots] += sums
+    return SparseSystem(sp.csr_array((values, indices, pattern[0]), shape=(n, n)),
                         vectors[:n] + rhs, None if space.surface.has_dirichlet else vectors[n:])

@@ -16,9 +16,10 @@ mesh-size and interpolation helpers below are built on them.
 matrix, the reference for ``insert_knots``.  ``coo_csr`` sums element matrices
 through a scipy COO, the reference for the CSR accumulators, and
 ``edge_matrix`` densifies the edge entries of ``assembly._edge_terms``.
-``merged_system`` assembles the system by a merge after the fact (merge keys
-``_keys``, ``np.unique``, ``searchsorted`` and ``np.insert``), the reference
-for the pattern that ``assemble_system`` fixes before any value.
+``merged_system`` assembles the system by a merge after the fact (``np.unique``
+over the edge keys, ``searchsorted`` into the volume pattern's keys and
+``np.insert``), the reference for the pattern that ``assemble_system`` fixes
+before any value.
 """
 
 import bisect
@@ -497,22 +498,10 @@ def coo_csr(n: int, blocks) -> sp.csr_array:
     return sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()  # sums duplicates, sorts
 
 
-def _keys(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Merge keys r n + c of entries (r, c) of an n x n matrix, int32 whenever n^2 fits."""
-    dtype = _index_dtype(n * n)
-    return rows.astype(dtype, copy=False) * n + cols.astype(dtype, copy=False)
-
-
 def edge_entries(space: DgSpace, data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Keys r n + c and values of the kept edge entries of ``_edge_terms``, in
     block order, and the edge load."""
-    blocks, load = _edge_terms(space, data)
-    keys, values = [np.empty(0, np.int64)], [np.empty(0)]
-    for pid, dofs, _, K, kept in blocks:
-        g = (space.offsets[pid] + dofs).reshape(K.shape[:2])
-        keys.append(_keys(g[:, :, None], g[:, None, :], space.total_dofs)[kept])
-        values.append(K[kept])
-    return np.concatenate(keys), np.concatenate(values), load
+    return _edge_terms(space, data)
 
 
 def edge_matrix(space: DgSpace, data) -> tuple[np.ndarray, np.ndarray]:
@@ -530,8 +519,7 @@ def merged_system(space: DgSpace, data) -> SparseSystem:
     (``np.insert``).  The reference for the pattern fixed before any value."""
     vol, (keys, values, rhs) = assemble_volume(space, data), edge_entries(space, data)
     n, A = space.total_dofs, vol.matrix
-    pattern = _keys(np.repeat(np.arange(n, dtype=_index_dtype(n * n)), np.diff(A.indptr)),
-                    A.indices, n)
+    pattern = np.repeat(np.arange(n, dtype=keys.dtype) * n, np.diff(A.indptr)) + A.indices
     keys, inverse = np.unique(keys, return_inverse=True)
     sums, at = np.bincount(inverse, values), np.searchsorted(pattern, keys)
     new = pattern.take(at, mode="clip") != keys

@@ -13,19 +13,22 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import traced_peak
-from oracles import _keys
+from oracles import uniform_open_knots
 from test_geometry import seeded_grid
 
 import dgiga.assembly
 import dgiga.geometry
 import dgiga.splines
 from dgiga.analysis import measure_errors
-from dgiga.assembly import _index_dtype, assemble_system, interface_slots
+from dgiga.assembly import (ProblemData, _edge_terms, _index_dtype, assemble_system,
+                            interface_slots)
 from dgiga.driver import run_sweep
 from dgiga.geometries import square_grid
-from dgiga.geometry import refine_surface, tabulate_sides
+from dgiga.geometry import (SIDES, InterfaceEdge, MultiPatchSurface, NurbsPatch, refine_surface,
+                            tabulate_sides)
 from dgiga.problems import make_problem
 from dgiga.space import build_space
+from dgiga.splines import NurbsBasis2D, greville
 
 
 def knot_group(surface, pid, side):
@@ -198,12 +201,24 @@ def test_coo_index_dtype_never_truncates():
     assert big.astype(_index_dtype(limit + 8))[0] == limit + 7
 
 
+def dirichlet_plane(n1, n2):
+    """One p = 1 planar patch of n1 x n2 functions with Dirichlet sides all round."""
+    ku, kv = uniform_open_knots(1, n1 - 1), uniform_open_knots(1, n2 - 1)
+    cp = np.zeros((n1, n2, 3))
+    cp[..., 0], cp[..., 1] = np.meshgrid(greville(ku), greville(kv), indexing="ij")
+    patch = NurbsPatch(NurbsBasis2D(ku, kv, np.ones((n1, n2))), cp, 0)
+    return MultiPatchSurface([patch], [InterfaceEdge("dirichlet", (0, side)) for side in SIDES])
+
+
 @pytest.mark.parametrize("n, dtype", [(46340, np.int32), (46341, np.int64)])
 def test_merge_keys_are_int32_while_n_squared_fits(n, dtype):
-    # The keys of the reference merge (oracles.merged_system).
+    # The edge keys r n + c that assemble_system merges at (_edge_terms).
     # 46340^2 = 2 147 395 600 fits in int32, 46341^2 does not.
-    keys = _keys(np.array([0, n - 1]), np.array([1, n - 1], dtype=np.int32), n)
-    assert keys.dtype == dtype and keys.tolist() == [1, n * n - 1]
+    space = build_space(dirichlet_plane(*{46340: (140, 331), 46341: (171, 271)}[n]), 1)
+    assert space.total_dofs == n
+    keys, _, _ = _edge_terms(space, ProblemData(delta=12.0))
+    assert keys.dtype == dtype
+    assert (keys.min(), keys.max()) == (0, n * n - 1)  # the two corner functions, unwrapped
 
 
 def test_system_uses_int32_indices():

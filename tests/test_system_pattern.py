@@ -1,14 +1,17 @@
 """The system's sparsity pattern is structural.
 
-``assemble_system`` sums into one pattern per level, built from the mesh and
-the edge list before any value (``assembly._system_pattern``), so the pattern
-depends on the mesh and the edge list only.  It contains the volume pattern,
-and a coefficient jump or data that cancel an entry to 0.0 do not remove that
-entry.  Every interior edge adds the coupling of its two sides: each pair of
-functions, one from each side, that shares an edge element and is not a pair
-of functions with zero trace.  A one-patch closed cylinder couples the patch
-with itself: its west side is an interface with its own east side, so the
-coupling lands inside the patch's own block, between its band columns.
+``assemble_system`` sums into one pattern per level, built before any value
+from the volume bands and the distinct keys of the kept edge entries
+(``assembly._system_pattern``).  An edge entry is kept where one of its two
+functions is of the first layer next to the side, which is the rule of a
+nonzero trace, so the pattern depends on the mesh and the edge list only.
+It contains the volume pattern, and a coefficient jump or data that cancel an
+entry to 0.0 do not remove that entry.  Every interior edge adds the coupling
+of its two sides: each pair of functions, one from each side, that shares an
+edge element and is not a pair of functions with zero trace.  A one-patch
+closed cylinder couples the patch with itself: its west side is an interface
+with its own east side, so the coupling lands inside the patch's own block,
+between its band columns.
 
 The pattern, the values and the load equal, bit for bit, those of a merge
 after the fact (``oracles.merged_system``: the edge entries summed by key and
@@ -28,7 +31,8 @@ from test_output_digest import output_digest
 from test_properties import flipped_grid
 from test_trace_window import with_repeated_knot
 
-from dgiga.assembly import ProblemData, assemble_system, assemble_volume
+from dgiga.assembly import (ProblemData, _edge_terms, assemble_system, assemble_volume,
+                            edge_sides, interface_slots)
 from dgiga.driver import run_sweep
 from dgiga.geometries import _arc_segments, full_cylinder, planar_rectangle_patch, square_grid
 from dgiga.geometry import (InterfaceEdge, MultiPatchSurface, NurbsPatch, match_interfaces,
@@ -251,6 +255,48 @@ def test_patches_meeting_twice_or_themselves_match_the_merge(name, p):
     for level in range(3):  # 1, 2 and 4 elements a side
         assert_same_as_the_merge(surface, p, data)
         surface = refine_surface(surface)
+
+
+def first_layer(surface, tab):
+    """Whether each function of each side element (nel, m) lies on the element's
+    side, from the side names and patch-local indices alone."""
+    interior = surface.edges_of_kind("interior")
+    sides = [s for _, s, _ in interface_slots(interior)]
+    sides += [e.left[1] for e in surface.edges_of_kind("dirichlet")]
+    side = np.repeat(sides, np.diff(tab.starts))[:, None]
+    n1, n2 = (np.array([getattr(p.basis, b).n for p in surface.patches])[tab.pid]
+              for b in ("basis_u", "basis_v"))
+    k2, k1 = np.divmod(tab.dofs, n1)
+    return np.select([side == "west", side == "east", side == "south"],
+                     [k1 == 0, k1 == n1 - 1, k2 == 0], k2 == n2 - 1)
+
+
+def repeated_knot_pair(p):
+    patches = [with_repeated_knot(planar_rectangle_patch(p, (i, 0.0), pid=i)) for i in (0, 1)]
+    outer = [(0, "west"), (1, "east")] + [(i, s) for i in (0, 1) for s in ("south", "north")]
+    return match_interfaces(patches, dict.fromkeys(outer, "dirichlet"))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_edge_entries_kept_are_the_pairs_with_a_first_layer_function(p):
+    # _edge_terms keeps an entry where either function has a nonzero trace on
+    # the edge element; that is exactly the first layer of functions next to the
+    # side, so the kept keys, and the pattern, follow from the mesh alone.
+    layouts = [repeated_knot_pair(p), square_grid(p, 8, 8)]  # one-element patches
+    layouts += [arc_cylinder(p, 1)] if p > 1 else []  # exact arcs need p >= 2
+    layouts += [flipped_grid(seed, 3) for seed in (1, 2, 5)] if p == 2 else []
+    for surface in filter(None, layouts):
+        space = build_space(surface, p)
+        n = space.total_dofs
+        tab, (L, R, D, _) = edge_sides(surface, p + 1)
+        layer = first_layer(surface, tab)
+        np.testing.assert_array_equal(np.any(tab.values != 0.0, axis=1), layer)
+        g, want = space.offsets[tab.pid] + tab.dofs, []
+        for halves in ((L, R), (D,)):
+            gh, on = (np.concatenate([a[h] for h in halves], 1) for a in (g, layer))
+            want.append((gh[:, :, None] * n + gh[:, None, :])[on[:, :, None] | on[:, None, :]])
+        keys, _, _ = _edge_terms(space, ProblemData(delta=12.0))
+        np.testing.assert_array_equal(keys, np.concatenate(want))
 
 
 def test_system_assembly_peaks_below_twice_its_matrix():

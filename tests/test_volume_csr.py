@@ -13,17 +13,18 @@ equal ``np.add.at`` over global indices bit for bit.
 import numpy as np
 import pytest
 from conftest import traced_peak
-from oracles import coo_csr, element_dofs
+from oracles import coo_csr, element_dofs, uniform_open_knots
 from test_geometry import seeded_grid
 from test_stacked_passes import DATA, two_signatures, volume_blocks
 from test_trace_window import with_repeated_knot
 
 import dgiga.assembly
 import dgiga.splines
-from dgiga.assembly import assemble_volume
+from dgiga.assembly import _band_columns, _volume_pattern, assemble_volume
 from dgiga.geometries import full_cylinder, quarter_cylinder_grid, square_grid
 from dgiga.geometry import MultiPatchSurface, _knot_key, patch_stacks, refine_surface
 from dgiga.space import build_space
+from dgiga.splines import KnotVector
 
 SURFACES = {
     "square": lambda: square_grid(2),
@@ -100,3 +101,24 @@ def test_volume_assembly_memory_is_a_few_matrices():
     matrix = system.matrix
     size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
     assert peak < 8 * size
+
+
+def knot_vectors(p):
+    """A uniform, a graded and a repeated-interior-knot vector of degree p."""
+    graded = [0.0, 0.05, 0.15, 0.3, 0.5, 0.75, 1.0]
+    return [uniform_open_knots(p, 5), KnotVector(p, np.r_[[0.0] * p, graded, [1.0] * p]),
+            KnotVector(p, np.r_[[0.0] * (p + 1), [0.4] * p, 0.7, [1.0] * (p + 1)])]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_band_columns_are_the_element_columns_at_their_slots(p):
+    # The row-by-row band columns equal every element-matrix entry's column
+    # scattered to its slot, and every slot is some element's entry.
+    for ku in knot_vectors(p):
+        for kv in knot_vectors(p):
+            indptr, slots, dofs = _volume_pattern(ku, kv)
+            scattered = np.full(indptr[-1], -1)
+            scattered[slots] = dofs[:, None, :]
+            columns = _band_columns(ku, kv)
+            assert columns.dtype == np.int32 and scattered.min() == 0
+            np.testing.assert_array_equal(columns, scattered)
