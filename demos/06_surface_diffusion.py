@@ -12,7 +12,7 @@ import numpy as np
 
 from dgiga import (
     ProblemData,
-    assemble_volume,
+    assemble_system,
     default_penalty,
     make_problem,
     measure_errors,
@@ -62,6 +62,6 @@ problem = ProblemData(
 u_h, report = solve_problem(surface, 2, problem)
 errors = measure_errors(u_h, problem)
 print(f"  {u_h.space.total_dofs} DOFs, CG iterations {report.iterations}")
-m = assemble_volume(u_h.space, problem).basis_integrals  # m_i = integral of basis function i
+m = assemble_system(u_h.space, problem).basis_integrals  # m_i = integral of basis function i
 print(f"  integral of u_h over the surface: {m @ u_h.coefficients:.2e} (fixed to zero)")
 print(f"  L2 error {errors.l2_error:.4e}, DG error {errors.dg_error:.4e}")

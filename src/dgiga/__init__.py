@@ -12,7 +12,6 @@ from .assembly import (
     ProblemData,
     SparseSystem,
     assemble_system,
-    assemble_volume,
     default_penalty,
 )
 from .driver import SolverFailure, run_sweep, sample_solution, solve_problem

@@ -1,8 +1,9 @@
 """Interior-penalty assembly of the surface diffusion system.
 
-Builds the symmetric system: patchwise diffusion stiffness, interface
-consistency/symmetry and jump-penalty terms, weakly imposed Dirichlet
-conditions of Nitsche type, and the load vector including Neumann data.
+``assemble_system`` builds the symmetric system: patchwise diffusion
+stiffness, interface consistency/symmetry and jump-penalty terms, weakly
+imposed Dirichlet conditions of Nitsche type, and the load vector including
+Neumann data; on a surface with no edges, the volume terms alone.
 The edge terms are one pass over the one edge layout, ``edge_sides``, with
 the 2(p+1) trace functions of each side element, and stay parametric: a
 normal derivative is grad^ phi . g^-1 J^T n.  Their entries are summed at
@@ -15,9 +16,10 @@ unit, a run of element rows (``geometry.row_runs``; a stack within the
 budget is one unit), on its (P, nu, nv) grid, with no rational-basis table,
 and batched matmuls whose X batches are element-major copies, one per block
 of the unit's element rows that fits ``geometry.STACK_BYTES``.  One
-accumulator serves the volume pass: each block's element matrices go into
-the band slots of the pattern as the block is made, and its loads and basis
-integrals into each patch's slice of the vectors, one ``np.add.at`` each.
+accumulator serves the volume pass: each block's element matrices go where
+their rows' bands start plus their ranks there (``_volume_pattern``) as the
+block is made, and its loads and basis integrals into each patch's slice of
+the vectors, one ``np.add.at`` each.
 Entries accumulate in a fixed order so serial assembly is reproducible: a
 volume entry or load sums its patch's elements in element-lexicographic
 order, an edge entry in block order from zero, and a system entry is its
@@ -43,7 +45,6 @@ __all__ = [
     "ProblemData",
     "SparseSystem",
     "default_penalty",
-    "assemble_volume",
     "assemble_system",
 ]
 
@@ -118,29 +119,28 @@ def _ranges(starts, counts):
 
 
 def _volume_pattern(basis_u: KnotVector, basis_v: KnotVector):
-    """Patch-local CSR row pointers of the volume stiffness for one patch's knot
-    vectors, the slot of every element-matrix entry and each element's functions.
+    """Every element-matrix entry's rank in its row's volume band, and each
+    element's functions, for one patch's knot vectors.
 
-    The pattern is kron(band_v, band_u) in the k2-major DOF order, with sorted
-    columns (``_band_columns``): entry (r, c) of row r = r2 n1 + r1 sits at
-    indptr[r] + (c2 - lo_v[r2]) width_u[r1] + c1 - lo_u[r1].  ``slots``
-    (nel_u nel_v, m, m), in the patch-local index dtype, and ``dofs`` (nel_u
-    nel_v, m) follow the element and window order of ``_volume_blocks``.
+    The band of row r = r2 n1 + r1 is row r of kron(band_v, band_u) in the
+    k2-major DOF order, with sorted columns (``_band_columns``): entry (r, c)
+    has rank (c2 - lo_v[r2]) w_u[r1] + c1 - lo_u[r1] there, with the starts lo
+    and widths w of the 1D bands (``_band``), below w_u w_v <= (2p+1)^2.
+    ``ranks`` (nel_u nel_v, m, m), in the smallest unsigned type that holds
+    w_u w_v (uint8 up to p = 7), and ``dofs`` (nel_u nel_v, m) follow the
+    element and window order of ``_volume_blocks``.
     """
     (fu, lo1, w1), (fv, lo2, w2) = _band(basis_u), _band(basis_v)
     n1, m1, m2 = basis_u.n, basis_u.degree + 1, basis_v.degree + 1
-    indptr = np.concatenate([[0], np.cumsum(np.outer(w2, w1))])
     k1, k2 = fu[:, None] + np.arange(m1), fv[:, None] + np.arange(m2)  # element windows
     # Axes (e_u, e_v, a1, a2, b1, b2): rows (r2, r1) and columns (c2, c1).
     r1, c1 = k1[:, None, :, None, None, None], k1[:, None, None, None, :, None]
     r2, c2 = k2[None, :, None, :, None, None], k2[None, :, None, None, None, :]
-    # slot = (indptr[r] - lo2[r2] w1[r1] - lo1[r1]) + c2 w1[r1] + c1, every term cast
-    # to the slots' dtype first: only the last sum is full-size.
-    dtype = _index_dtype(indptr[-1])
-    at = (indptr[r2 * n1 + r1] - lo2[r2] * w1[r1] - lo1[r1]).astype(dtype)
-    slots = (at + (c2 * w1[r1]).astype(dtype)) + c1.astype(dtype)
+    # Both terms cast to the ranks' dtype first: only their sum is full-size.
+    dtype = np.min_scalar_type(w1.max() * w2.max())
+    ranks = ((c2 - lo2[r2]) * w1[r1]).astype(dtype) + (c1 - lo1[r1]).astype(dtype)
     cols = c2 * n1 + c1  # (nel_u, nel_v, 1, 1, m1, m2): the functions of each element
-    return indptr, slots.reshape(-1, m1 * m2, m1 * m2), cols.reshape(-1, m1 * m2)
+    return ranks.reshape(-1, m1 * m2, m1 * m2), cols.reshape(-1, m1 * m2)
 
 
 def _band_columns(basis_u: KnotVector, basis_v: KnotVector):
@@ -231,16 +231,15 @@ def _system_pattern(space: DgSpace, keys: np.ndarray):
     Its slot is where r's band starts among the bands alone, plus below, plus
     the keys new to their bands before it: the keys are sorted.
 
-    Returns the pattern and the keys' slots.  The pattern is indptr, ``own``
-    (where each row's band starts), each patch's ``_volume_pattern``, and the
-    new keys' slots and columns with the rows that have one inside their band
-    (a self-interface, a patch met twice) and those rows' band slots from own.
+    Returns indptr, ``own`` (intp: where each row's band starts, so a volume
+    entry's slot is own[row] plus its rank), the keys' slots, the new keys'
+    slots and columns, the rows that have a new key inside their band (a
+    self-interface, a patch met twice) and those rows' band slots from own.
     """
     n, off = space.total_dofs, space.offsets
     keyed = [_knot_key(p.basis) for p in space.surface.patches]
-    built = {key: _volume_pattern(*key) for key in dict.fromkeys(keyed)}
     tables = {}
-    for u, v in built:  # per function: k2, a2, w2 of its k2 and k1, a1, w1 of its k1
+    for u, v in dict.fromkeys(keyed):  # per function: k2, a2, w2 of its k2 and k1, a1, w1 of its k1
         V, U = (np.stack([np.arange(kv.n), *_band(kv)[1:]]) for kv in (v, u))
         tables[u, v] = np.concatenate(np.broadcast_arrays(V[:, :, None], U[:, None, :]))
     table = np.concatenate([tables[key].reshape(6, -1) for key in keyed], 1).astype(_index_dtype(n))
@@ -263,67 +262,9 @@ def _system_pattern(space: DgSpace, keys: np.ndarray):
     slots += below
     slots += np.cumsum(new, dtype=dtype)
     slots -= new
-    own = indptr[:-1] + np.bincount(row[new & (below == 0)], minlength=n).astype(dtype)
+    own = indptr[:-1] + np.bincount(row[new & (below == 0)], minlength=n)  # intp
     moved = np.flatnonzero(np.bincount(row[new & (0 < below) & (below < w2 * w1)], minlength=n))
-    edge = slots[new], col[new], moved, _ranges(own[moved], bandlen[moved])
-    return (indptr, own, [built[key] for key in keyed], edge), slots
-
-
-def _assemble_volume(space: DgSpace, data: ProblemData, pattern):
-    """The volume terms in ``pattern`` (``_system_pattern``), and its column indices.
-
-    Each stack of patches sharing both knot vectors (``patch_stacks``) is
-    tabulated once per work unit, and each block of ``_volume_blocks`` is summed
-    as it is made: one ``np.add.at`` adds its element matrices at the patch's
-    band slots (``_volume_pattern``) shifted to where each row's band starts,
-    one its load and integral rows into each patch's slice of the vectors, so
-    every entry sums its patch's elements in element order.  Then the band
-    columns (``_band_columns``), which the pass does not need, fill every slot
-    no new key takes, in row order, and the band values of rows with a new key
-    inside their band move to the same places.  Returns the indices, values
-    and vectors (load, basis integrals).
-    """
-    surface, n, off = space.surface, space.total_dofs, space.offsets
-    indptr, own, patterns, (taken, cols, moved, pre) = pattern
-    values, vectors = np.zeros(indptr[-1]), np.zeros(2 * n)
-    for stack in patch_stacks(surface.patches):
-        ptr, slots, dofs = patterns[stack[0]]
-        # Flat intp indices into the values and each patch's vector slices: np.add.at's fast path.
-        o = off[stack, None]
-        shift = own[o + np.arange(ptr.size - 1)] - ptr[:-1]
-        firsts = (o + [0, n]).astype(np.intp)[..., None, None]
-        for elements, K, loads in _volume_blocks(space, data, stack):
-            np.add.at(values, (shift[:, dofs[elements], None] + slots[elements]).reshape(-1),
-                      K.reshape(-1))
-            np.add.at(vectors, (firsts + dofs[elements]).reshape(-1), loads.reshape(-1))
-    patterns.clear()  # the slots, before the indices are made
-    del slots, dofs, K, loads
-    indices, free = np.empty(indptr[-1], indptr.dtype), np.ones(indptr[-1], bool)
-    free[taken] = False
-    keyed = [_knot_key(p.basis) for p in surface.patches]
-    columns = {key: _band_columns(*key) for key in dict.fromkeys(keyed)}
-    for p, key in enumerate(keyed):
-        at = slice(indptr[off[p]], indptr[off[p + 1]])
-        indices[at][free[at]] = np.add(columns[key], off[p], dtype=indptr.dtype)
-    indices[taken] = cols
-    post = _ranges(indptr[moved], indptr[moved + 1] - indptr[moved])
-    moving = values[pre]
-    values[pre] = 0.0
-    values[post[free[post]]] = moving
-    return indices, values, vectors
-
-
-def assemble_volume(space: DgSpace, data: ProblemData) -> SparseSystem:
-    """Patchwise diffusion stiffness and source load, and the basis integrals
-    when the surface has no Dirichlet edge.
-
-    Every volume term is patch-local, so the matrix is block-diagonal by patch,
-    each block with the Kronecker band pattern of its knot vectors.
-    """
-    n, (pattern, _) = space.total_dofs, _system_pattern(space, np.empty(0, np.intp))
-    indices, values, vectors = _assemble_volume(space, data, pattern)
-    return SparseSystem(sp.csr_array((values, indices, pattern[0]), shape=(n, n)), vectors[:n],
-                        None if space.surface.has_dirichlet else vectors[n:])
+    return indptr, own, slots, slots[new], col[new], moved, _ranges(own[moved], bandlen[moved])
 
 
 def _side_terms(space: DgSpace, tab: SideTabulation, left: int, right: int):
@@ -400,7 +341,8 @@ def _edge_terms(space: DgSpace, data: ProblemData):
     Dirichlet blocks, each in element order, and the load.  An entry between
     two functions with zero trace on the edge element (exact Cox-de Boor
     zeros, the second layer of functions next to the side) is exactly 0.0 and
-    is left out.
+    is left out.  The load comes first, so the side tabulation is freed before
+    the blocks, and each block's K once its kept entries are taken.
     """
     surface, n = space.surface, space.total_dofs
     sides = edge_sides(surface, space.degree + 1, neumann=data.g_N is not None)
@@ -408,39 +350,50 @@ def _edge_terms(space: DgSpace, data: ProblemData):
         return np.empty(0, _index_dtype(n * n)), np.empty(0), np.zeros(n)
     tab, (L, R, D, N) = sides
     gidx, values, dn = _side_terms(space, tab, L.stop, R.stop)
-    alpha, w = surface.alpha[tab.pid][..., None], tab.weights
-    flux = 0.5 * alpha[: R.stop] * dn[: R.stop]
-    pen = data.delta * edge_alpha(alpha[L, 0, 0], alpha[R, 0, 0]) / tab.chords[L]
-    jump = np.concatenate([values[L], -values[R]], axis=-1)
-    K_I = _sipg_blocks(np.concatenate([flux[L], flux[R]], axis=-1), jump, w[L], pen)
-    a_gamma, pen = alpha[D], data.delta / tab.chords[D]
-    K_D = _sipg_blocks(a_gamma * dn[D], values[D], w[D], alpha[D, 0, 0] * pen)
-    g, keys, entries = gidx.astype(_index_dtype(n * n)), [], []
-    for dofs, trace, K in ((np.concatenate([g[L], g[R]], -1), jump, K_I), (g[D], values[D], K_D)):
-        traced = np.any(trace != 0.0, axis=1)  # (E, m): nonzero on the edge element
-        kept = traced[:, :, None] | traced[:, None, :]
-        keys.append((dofs[:, :, None] * n + dofs[:, None, :])[kept])
-        entries.append(K[kept])
+    alpha, w, chords = surface.alpha[tab.pid][..., None], tab.weights, tab.chords
+    pen = data.delta / chords[D]
     load = np.zeros(gidx.shape)  # 0.0 on interior elements, which leaves every sum as it is
     if D.start < D.stop and data.g_D is not None:
         gd = np.asarray(data.g_D(tab.points[:, D].reshape(3, -1).T), dtype=float)
-        test = a_gamma * (pen[:, None, None] * values[D] - dn[D])
+        test = alpha[D] * (pen[:, None, None] * values[D] - dn[D])
         load[D] = ((gd.reshape(w[D].shape) * w[D])[:, None] @ test)[:, 0]
     if N.start < N.stop:
         gn = np.asarray(data.g_N(tab.points[:, N].reshape(3, -1).T), dtype=float)
         load[N] = ((gn.reshape(w[N].shape) * w[N])[:, None] @ values[N])[:, 0]
     rhs = np.zeros(n)
     np.add.at(rhs, gidx.reshape(-1), load.reshape(-1))  # gidx is intp
+    del tab, load  # the blocks need no points, Jacobians or basis gradients
+    g, flux = gidx.astype(_index_dtype(n * n)), 0.5 * alpha[: R.stop] * dn[: R.stop]
+    blocks = ((np.concatenate([g[L], g[R]], -1), np.concatenate([values[L], -values[R]], -1),
+               np.concatenate([flux[L], flux[R]], -1), w[L],
+               data.delta * edge_alpha(alpha[L, 0, 0], alpha[R, 0, 0]) / chords[L]),
+              (g[D], values[D], alpha[D] * dn[D], w[D], alpha[D, 0, 0] * pen))
+    del gidx, g, values, dn, flux
+    keys, entries = [], []
+    for dofs, trace, flux, weights, pen in blocks:
+        K = _sipg_blocks(flux, trace, weights, pen)
+        traced = np.any(trace != 0.0, axis=1)  # (E, m): nonzero on the edge element
+        kept = traced[:, :, None] | traced[:, None, :]
+        keys.append((dofs[:, :, None] * n + dofs[:, None, :])[kept])
+        entries.append(K[kept])
+        del K  # before the next block's K is built
     return np.concatenate(keys), np.concatenate(entries), rhs
 
 
 def assemble_system(space: DgSpace, data: ProblemData) -> SparseSystem:
-    """Full system in the level's pattern (``_system_pattern``) of the distinct
-    edge keys.  The edge entries are summed at their keys from zero in block
-    order (a stable sort and one ``np.bincount``, which adds in input order),
-    the volume terms into the pattern, and each edge sum is added once, so an
-    entry is its volume value plus its edge sum."""
-    n = space.total_dofs
+    """The system in the level's pattern (``_system_pattern``) of the distinct
+    edge keys, and the basis integrals when the surface has no Dirichlet edge.
+
+    The edge entries are summed at their keys from zero in block order (a
+    stable sort and one ``np.bincount``, which adds in input order).  Each
+    block of ``_volume_blocks`` is summed as it is made, one ``np.add.at``
+    adding its element matrices at own[row] plus their band ranks, one its
+    load and integral rows into each patch's slice of the vectors.  Then the
+    band columns (``_band_columns``) fill every slot no new key takes, in row
+    order, the band values of rows with a new key inside their band move to
+    the same places, and each edge sum is added once.
+    """
+    surface, n, off = space.surface, space.total_dofs, space.offsets
     keys, entries, rhs = _edge_terms(space, data)
     # Not np.unique's inverse: its cumsum - 1 on a temporary of 256 KB or more has
     # numpy's temporary elision walk the C stack, which maps the unwind tables of
@@ -452,9 +405,33 @@ def assemble_system(space: DgSpace, data: ProblemData) -> SparseSystem:
     sums = np.bincount(np.cumsum(first), entries[order])[1:]
     keys = keys[first]
     del order, first, entries  # before the volume pass, as are the keys
-    pattern, slots = _system_pattern(space, keys)
+    indptr, own, slots, taken, cols, moved, pre = _system_pattern(space, keys)
     del keys
-    indices, values, vectors = _assemble_volume(space, data, pattern)
+    keyed = [_knot_key(p.basis) for p in surface.patches]
+    patterns = {key: _volume_pattern(*key) for key in dict.fromkeys(keyed)}
+    values, vectors = np.zeros(indptr[-1]), np.zeros(2 * n)
+    for stack in patch_stacks(surface.patches):
+        ranks, dofs = patterns[keyed[stack[0]]]
+        # Flat intp indices into the values and each patch's vector slices: np.add.at's fast path.
+        o = off[stack, None]
+        starts = own[o + np.arange(off[stack[0] + 1] - off[stack[0]])]
+        firsts = (o + [0, n]).astype(np.intp)[..., None, None]
+        for elements, K, loads in _volume_blocks(space, data, stack):
+            np.add.at(values, (starts[:, dofs[elements], None] + ranks[elements]).reshape(-1),
+                      K.reshape(-1))
+            np.add.at(vectors, (firsts + dofs[elements]).reshape(-1), loads.reshape(-1))
+    del patterns, own, starts, ranks, dofs, K, loads  # before the indices are made
+    indices, free = np.empty(indptr[-1], indptr.dtype), np.ones(indptr[-1], bool)
+    free[taken] = False
+    columns = {key: _band_columns(*key) for key in dict.fromkeys(keyed)}
+    for p, key in enumerate(keyed):
+        at = slice(indptr[off[p]], indptr[off[p + 1]])
+        indices[at][free[at]] = np.add(columns[key], off[p], dtype=indptr.dtype)
+    indices[taken] = cols
+    post = _ranges(indptr[moved], indptr[moved + 1] - indptr[moved])
+    moving = values[pre]
+    values[pre] = 0.0
+    values[post[free[post]]] = moving
     values[slots] += sums
-    return SparseSystem(sp.csr_array((values, indices, pattern[0]), shape=(n, n)),
-                        vectors[:n] + rhs, None if space.surface.has_dirichlet else vectors[n:])
+    return SparseSystem(sp.csr_array((values, indices, indptr), shape=(n, n)),
+                        vectors[:n] + rhs, None if surface.has_dirichlet else vectors[n:])

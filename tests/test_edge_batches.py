@@ -23,7 +23,7 @@ from dgiga.analysis import measure_errors
 from dgiga.assembly import (ProblemData, _edge_terms, _index_dtype, assemble_system,
                             interface_slots)
 from dgiga.driver import run_sweep
-from dgiga.geometries import square_grid
+from dgiga.geometries import full_cylinder, square_grid
 from dgiga.geometry import (SIDES, InterfaceEdge, MultiPatchSurface, NurbsPatch, refine_surface,
                             tabulate_sides)
 from dgiga.problems import make_problem
@@ -228,6 +228,25 @@ def test_system_uses_int32_indices():
     matrix = assemble_system(build_space(surface, 2),
                              make_problem("plane_sine", surface, 2, 24.0)).matrix
     assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+
+
+@pytest.mark.parametrize("build, p, levels, problem", [
+    (lambda: full_cylinder(3, 2), 3, 4, "cylinder_sine"),
+    (lambda: square_grid(2, 8, 8), 2, 2, "plane_sine"),
+], ids=["full_cylinder", "square_8x8"])
+def test_edge_pass_frees_the_side_tabulation_before_the_blocks(build, p, levels, problem):
+    """The loads are summed first, so the side tabulation is freed before the
+    SIPG blocks, and each block's K is freed once its kept entries are taken:
+    the pass peaks at 3.74 (closed cylinder, level 4) and 4.00 (8 x 8 patches,
+    level 2) times its returned arrays' bytes.  Holding the tabulation and
+    both blocks' K to the end read 4.73 and 5.18 times."""
+    surface = build()
+    for _ in range(levels):
+        surface = refine_surface(surface)
+    space, data = build_space(surface, p), make_problem(problem, surface, p)
+    _edge_terms(space, data)  # the memoised 1D tables
+    returned, peak = traced_peak(_edge_terms, space, data)
+    assert peak < 4.4 * sum(a.nbytes for a in returned)
 
 
 def test_side_tabulation_releases_each_group_before_the_next():

@@ -22,10 +22,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import assemble_volume
 from test_geometry import seeded_grid
 
 import dgiga.geometry
-from dgiga.assembly import assemble_system, assemble_volume
+from dgiga.assembly import assemble_system
 from dgiga.geometries import square_grid
 from dgiga.geometry import MultiPatchSurface, refine_surface
 from dgiga.linalg import cg_solve

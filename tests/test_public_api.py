@@ -6,7 +6,8 @@ The library has one evaluation path (``splines.tabulate`` feeding
 the pointwise evaluators the tests compare it against live in
 ``tests/oracles.py``.  A name added to or dropped from the top level, a
 parameter or default added to or dropped from a top-level callable, or a
-demo that needs a private name, fails here.
+demo that needs a private name, fails here, and so does a public name that
+only tests and demos call.
 """
 
 import ast
@@ -19,14 +20,18 @@ import pytest
 
 import dgiga
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("[0-9][0-9]_*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
+# Where a public name must have a caller: demos and tests do not count.
+CALLERS = [path for folder in ("src", "scripts", "perfbench")
+           for path in sorted((ROOT / folder).rglob("*.py")) if not path.name.startswith("test_")]
 
 PUBLIC = {
     "DgSpace", "DiscreteFunction", "ErrorReport", "GeometryData", "GeometryError",
     "InterfaceEdge", "KnotVector", "MultiPatchSurface", "NumericalBreakdownError",
     "NurbsBasis2D", "NurbsPatch", "ParseError", "ProblemData", "RateTable",
     "SingularMapError", "SolveReport", "SolverFailure", "SparseSystem", "TopologyError",
-    "assemble_system", "assemble_volume", "build_space",
+    "assemble_system", "build_space",
     "builtin_problems", "cg_solve", "default_penalty", "greville", "insert_knots",
     "make_problem", "match_interfaces", "measure_errors", "parse_expression",
     "parse_geometry", "rate_table", "refine_surface", "run_sweep", "sample_solution",
@@ -56,7 +61,6 @@ SIGNATURES = {
     "SparseSystem": ("matrix", "rhs", "basis_integrals"),
     "TopologyError": None,
     "assemble_system": ("space", "data"),
-    "assemble_volume": ("space", "data"),
     "build_space": ("surface", "p"),
     "builtin_problems": (),
     "cg_solve": ("A", "b", "tol=", "max_iter=", "mean_weights=", "x0="),
@@ -113,3 +117,38 @@ def test_demos_use_no_private_names(demo):
                 and not node.attr.startswith("__"):
             private.append(node.attr)
     assert not private
+
+
+def public_names() -> set:
+    """``dgiga``'s top-level imports and every module's ``__all__``, read from the source."""
+    names = set()
+    for path in sorted((ROOT / "src" / "dgiga").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
+                names.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                      for t in node.targets):
+                names.update(ast.literal_eval(node.value))
+    return names
+
+
+def loaded_names(node, inside=()) -> set:
+    """Names read (as a name or an attribute) in ``node``, except within a
+    definition of that same name: a recursive call or a class naming itself."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = (*inside, node.name)
+    found = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        found.add(node.id)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        found.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        found |= loaded_names(child, inside)
+    return found - set(inside)
+
+
+def test_every_public_name_has_a_caller_outside_tests_and_demos():
+    assert CALLERS
+    called = set().union(*(loaded_names(ast.parse(path.read_text(encoding="utf-8")))
+                           for path in CALLERS))
+    assert sorted(public_names() - called) == []

@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import traced_peak
+from oracles import assemble_volume
 from test_edge_batches import Counter
 from test_geometry import seeded_grid
 from test_tabulation import two_signature_patches
@@ -21,7 +22,7 @@ from test_tabulation import two_signature_patches
 import dgiga.analysis
 import dgiga.geometry
 from dgiga.analysis import _stack_errors, measure_errors
-from dgiga.assembly import ProblemData, _volume_blocks, assemble_volume
+from dgiga.assembly import ProblemData, _volume_blocks
 from dgiga.geometries import full_cylinder, square_grid
 from dgiga.geometry import (MultiPatchSurface, _knot_key, knot_groups, patch_stacks,
                             refine_surface)

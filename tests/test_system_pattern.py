@@ -26,13 +26,12 @@ import pytest
 from conftest import symmetry_deviation, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import merged_system
+from oracles import assemble_volume, merged_system
 from test_output_digest import output_digest
 from test_properties import flipped_grid
 from test_trace_window import with_repeated_knot
 
-from dgiga.assembly import (ProblemData, _edge_terms, assemble_system, assemble_volume,
-                            edge_sides, interface_slots)
+from dgiga.assembly import ProblemData, _edge_terms, assemble_system, edge_sides, interface_slots
 from dgiga.driver import run_sweep
 from dgiga.geometries import _arc_segments, full_cylinder, planar_rectangle_patch, square_grid
 from dgiga.geometry import (InterfaceEdge, MultiPatchSurface, NurbsPatch, match_interfaces,

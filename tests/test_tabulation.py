@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from conftest import bundled
 from oracles import (
+    assemble_volume,
     conormal_at,
     edge_breakpoints,
     edge_mesh_size,
@@ -28,7 +29,6 @@ from dgiga.assembly import (
     ProblemData,
     _edge_terms,
     assemble_system,
-    assemble_volume,
     interface_slots,
 )
 from dgiga.analysis import measure_errors

@@ -1,28 +1,31 @@
 """The volume stiffness is written straight into CSR.
 
-Each patch block takes the Kronecker pattern of its knot vectors, built once
-per knot signature in each call, and each stack's element matrices are summed into its values in element
-order.  The result must have the pattern of the COO route (every element
-matrix expanded to global entries, then sorted and summed by the oracle
-``coo_csr``) and
-its values up to round-off, without that route's memory.  The load and the
-basis integrals, summed into patch-local slots by the same accumulator, must
-equal ``np.add.at`` over global indices bit for bit.
+The volume terms alone are ``assemble_system`` on the same patches with no
+edges (``oracles.assemble_volume``).  Each patch block takes the Kronecker
+pattern of its knot vectors, its element entries ranked in their rows' bands
+once per knot signature in each call, and each stack's element matrices are
+summed into its values in element order.  The result must have the pattern
+of the COO route (every element matrix expanded to global entries, then
+sorted and summed by the oracle ``coo_csr``) and its values up to round-off,
+without that route's memory.  The load and the basis integrals, summed into
+each patch's slice of the vectors by the same accumulator, must equal
+``np.add.at`` over global indices bit for bit.
 """
 
 import numpy as np
 import pytest
 from conftest import traced_peak
-from oracles import coo_csr, element_dofs, uniform_open_knots
+from oracles import assemble_volume, coo_csr, element_dofs, uniform_open_knots
 from test_geometry import seeded_grid
 from test_stacked_passes import DATA, two_signatures, volume_blocks
 from test_trace_window import with_repeated_knot
 
 import dgiga.assembly
 import dgiga.splines
-from dgiga.assembly import _band_columns, _volume_pattern, assemble_volume
+from dgiga.assembly import _band, _band_columns, _volume_pattern, assemble_system
 from dgiga.geometries import full_cylinder, quarter_cylinder_grid, square_grid
 from dgiga.geometry import MultiPatchSurface, _knot_key, patch_stacks, refine_surface
+from dgiga.problems import make_problem
 from dgiga.space import build_space
 from dgiga.splines import KnotVector
 
@@ -103,6 +106,22 @@ def test_volume_assembly_memory_is_a_few_matrices():
     assert peak < 8 * size
 
 
+def test_system_assembly_at_p4_peaks_below_its_matrix_and_a_half():
+    """The volume pass adds each element entry at where its row's band starts
+    plus its rank there, a uint8 table at p = 4, not a patch-local int32 slot
+    table: on square_grid(4) at level 5 (1024 elements a patch, 81 x 25 ranks
+    each) ``assemble_system`` peaks at 1.40 times its CSR, against 1.76 times
+    with the slot table."""
+    surface = square_grid(4)
+    for _ in range(5):
+        surface = refine_surface(surface)
+    space, data = build_space(surface, 4), make_problem("plane_sine", surface, 4)
+    assemble_system(space, data)  # the memoised 1D tables
+    system, peak = traced_peak(assemble_system, space, data)
+    A = system.matrix
+    assert peak < 1.6 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
 def knot_vectors(p):
     """A uniform, a graded and a repeated-interior-knot vector of degree p."""
     graded = [0.0, 0.05, 0.15, 0.3, 0.5, 0.75, 1.0]
@@ -113,12 +132,16 @@ def knot_vectors(p):
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_band_columns_are_the_element_columns_at_their_slots(p):
     # The row-by-row band columns equal every element-matrix entry's column
-    # scattered to its slot, and every slot is some element's entry.
+    # scattered to its slot, where its row's band starts plus its rank there,
+    # and every slot is some element's entry.
     for ku in knot_vectors(p):
         for kv in knot_vectors(p):
-            indptr, slots, dofs = _volume_pattern(ku, kv)
-            scattered = np.full(indptr[-1], -1)
-            scattered[slots] = dofs[:, None, :]
+            ranks, dofs = _volume_pattern(ku, kv)
+            widths = np.outer(_band(kv)[2], _band(ku)[2]).ravel()  # row r2 n1 + r1: w_v w_u
+            assert ranks.dtype == np.uint8
+            assert np.all(ranks < widths[dofs][:, :, None])
+            scattered = np.full(widths.sum(), -1)
+            scattered[(np.cumsum(widths) - widths)[dofs][:, :, None] + ranks] = dofs[:, None, :]
             columns = _band_columns(ku, kv)
             assert columns.dtype == np.int32 and scattered.min() == 0
             np.testing.assert_array_equal(columns, scattered)
