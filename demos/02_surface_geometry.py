@@ -14,7 +14,7 @@ import numpy as np
 
 from dgiga.assembly import interface_slots
 from dgiga.geometries import quarter_cylinder_grid, square_grid
-from dgiga.geometry import tabulate_grid, tabulate_sides
+from dgiga.geometry import tabulate_grid, tabulate_patches, tabulate_sides
 
 # One patch covering the full 90-degree arc (a 1 x 1 grid); the classic weights.
 patch = quarter_cylinder_grid(2, 1, 1).patches[0]
@@ -39,7 +39,11 @@ print("tangential gradient of the height coordinate:", grad.reshape(3))
 surface = quarter_cylinder_grid(2)
 for kind in ("interior", "dirichlet", "neumann"):
     print(f"{kind} edges: {len(surface.edges_of_kind(kind))}")
-print("total area (pi/2 exact):", surface.area(q=6))
+# The area sums the quadrature weights (Gauss weights times sqrt(det g)) of
+# every work unit of every patch.
+area = sum(float(np.sum(tab.weights)) for patch in surface.patches
+           for _, tab in tabulate_patches([patch], 6))
+print("total area (pi/2 exact):", area)
 
 # Conormals: tangent to the surface, orthogonal to the edge, outward.  A
 # side is tabulated at q Gauss points per element; q = 1 is the midpoint.

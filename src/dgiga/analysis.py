@@ -5,10 +5,10 @@ assembly uses, so the quadrature of the error never masks the
 discretization error being measured.  ``measure_errors`` is the one entry
 point: one pass per stack of patches sharing both knot vectors contracts
 u_h's coefficients with the 1D tables (sum factorisation, no basis table)
-on the (P, nu, nv) grid of each work unit, the stack or a run of its
-element rows (``geometry.row_runs``), and yields the L2 and broken-gradient
-parts; only the reduced scalars are copied, to patch-wide element-major
-arrays in the sums' order.
+on the (P, nu, nv) grid of each work unit that ``geometry.tabulate_patches``
+yields, the stack or a run of its element rows, and yields the L2 and
+broken-gradient parts; only the reduced scalars are copied, to patch-wide
+element-major arrays in the sums' order.
 The energy error's jump terms, on every interior and Dirichlet edge, read
 u_h on the edge layout the assembly uses (``assembly.edge_sides``).
 """
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import edge_alpha, edge_sides
-from .geometry import (_dot, _elements, knot_groups, patch_stacks, row_runs, tabulate_grid,
-                       tabulate_patches)
+from .geometry import _dot, _elements, knot_groups, patch_stacks, tabulate_grid, tabulate_patches
 from .space import DiscreteFunction
 
 __all__ = ["ErrorReport", "RateTable", "measure_errors", "rate_table"]
@@ -40,9 +39,9 @@ class ErrorReport:
 
 def _stack_errors(u_h: DiscreteFunction, stack: list[int], u_exact, grad_u_exact, q: int):
     """Gaps u_h - u and weights (P, N) and squared broken-gradient errors (P,)
-    of a stack of patches sharing both knot vectors.  The work unit is a run
-    of u-element rows (``row_runs``), each tabulated once and living only
-    for its unit; each writes its gaps, weights and gradient parts into
+    of a stack of patches sharing both knot vectors.  Each work unit of
+    ``tabulate_patches``, a run of u-element rows, lives only for its
+    iteration and writes its gaps, weights and gradient parts into
     patch-wide element-major arrays, in the sums' order.  Gradient parts are
     zero without grad_u_exact."""
     patches = [u_h.space.surface.patches[pid] for pid in stack]
@@ -50,8 +49,7 @@ def _stack_errors(u_h: DiscreteFunction, stack: list[int], u_exact, grad_u_exact
     P, b = len(stack), patches[0].basis
     shape = (P, b.basis_u.num_elements, b.basis_v.num_elements, q, q)
     out = None
-    for run in row_runs(patches):
-        tab = tabulate_patches(patches, q, coeffs, run)
+    for run, tab in tabulate_patches(patches, q, coeffs):
         points, w = tab.points.reshape(3, -1).T, tab.weights
         parts = [tab.field - np.asarray(u_exact(points)).reshape(w.shape), w]
         if grad_u_exact is not None:

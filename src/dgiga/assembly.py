@@ -11,11 +11,11 @@ their distinct keys r n + c, and each level has one CSR pattern, fixed
 before any value (``_system_pattern``): every row's volume band, the
 Kronecker product of two 1D B-spline bands, plus the keys it does not hold.
 The volume terms of a stack of patches sharing both knot vectors come from
-the weight-free factors of one tabulation (``tabulate_patches``) per work
-unit, a run of element rows (``geometry.row_runs``; a stack within the
-budget is one unit), on its (P, nu, nv) grid, with no rational-basis table,
-and batched matmuls whose X batches are element-major copies, one per block
-of the unit's element rows that fits ``geometry.STACK_BYTES``.  One
+the weight-free factors of one tabulation per work unit, a run of element
+rows that ``tabulate_patches`` yields (a stack within the budget is one
+unit), on its (P, nu, nv) grid, with no rational-basis table, and batched
+matmuls whose X batches are element-major copies, one per block of the
+unit's element rows that fits ``geometry.STACK_BYTES``.  One
 accumulator serves the volume pass: each block's element matrices go where
 their rows' bands start plus their ranks there (``_volume_pattern``) as the
 block is made, and its loads and basis integrals into each patch's slice of
@@ -37,7 +37,7 @@ import scipy.sparse as sp
 
 from . import geometry
 from .geometry import (SideTabulation, _dot, _elements, _knot_key, _window_weights,
-                       patch_stacks, row_runs, tabulate_patches, tabulate_sides)
+                       patch_stacks, tabulate_patches, tabulate_sides)
 from .space import DgSpace
 from .splines import KnotVector, find_span
 
@@ -166,10 +166,10 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
     point (C upper triangular, closed form), X = C grad psi is built with the
     function axes outermost, so every elementwise step runs over the grid
     points; K_e = alpha W_a W_b (X^T X)_ab, the weights applied as one exactly
-    symmetric factor after the matmul and alpha last.  Each work unit, a run
-    of u-element rows (``row_runs``), is tabulated once and its rows contract
-    (f w / S, w / S) with the 1D tables; a block is as many of its rows as
-    fit their X in ``geometry.STACK_BYTES`` (read at call time, at least one).
+    symmetric factor after the matmul and alpha last.  Each work unit of
+    ``tabulate_patches``, a run of u-element rows, contracts its (f w / S,
+    w / S) with the 1D tables; a block is as many of its rows as fit their
+    X in ``geometry.STACK_BYTES`` (read at call time, at least one).
     """
     surface, q = space.surface, space.degree + 1
     patches = [surface.patches[pid] for pid in stack]
@@ -177,8 +177,7 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
     nel_v, m1, m2 = kv_v.num_elements, kv_u.degree + 1, kv_v.degree + 1
     m, alpha = m1 * m2, surface.alpha[stack].reshape(-1, 1, 1, 1)
     block = max(1, geometry.STACK_BYTES // (16 * q * q * m * nel_v * P))
-    for run in row_runs(patches):
-        tab = tabulate_patches(patches, q, rows=run)
+    for run, tab in tabulate_patches(patches, q):
         Nu, dNu, Nv, dNv, S, Su, Sv, W = tab.factors
         W = _window_weights(W, tab.first_u[::q, 0], tab.first_v[::q], m1, m2).reshape(P, -1, m)
         w, f = tab.weights, 0.0
@@ -191,7 +190,7 @@ def _volume_blocks(space: DgSpace, data: ProblemData, stack: list[int]):
         r = np.sqrt(w / tab.inv_metric[0, 0]) / S
         c00, c01, c11 = tab.inv_metric[0, 0] * r, tab.inv_metric[0, 1] * r, r / tab.sqrt_det_g
         s0, s1 = (c00 * Su + c01 * Sv) / S, c11 * Sv / S
-        del tab, w, f, r, rows  # the rest needs only these coefficients and the factors
+        del tab, w, f, r, rows, S, Su, Sv  # the rest needs these coefficients and 1D tables
         # Function axes first, then the grid points: every elementwise loop runs
         # along the v points.  X_0 = A N_v + B dN_v, X_1 = N_u C.
         uN, udN = (np.ascontiguousarray(t.reshape(-1, m1).T)[:, None, :, None] for t in (Nu, dNu))

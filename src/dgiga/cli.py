@@ -24,11 +24,6 @@ EXIT_SOLVER = 3
 EXIT_GEOMETRY = 4
 
 
-def data_path(name: str) -> Path:
-    """Path of a bundled geometry file (e.g. 'square4.g')."""
-    return Path(__file__).parent / "data" / name
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dgiga",

@@ -17,19 +17,20 @@ whose rounding depends on an entry's position).  Every per-point quantity
 is formed once, on contiguous arrays whose component axes come first; basis
 tables keep their function axes last.  A grid carries the weight-free
 factors the volume assembly uses; the rational basis is built from them.
-``tabulate_patches`` calls the kernel at the Gauss points of a work unit:
-a stack, or a run of its u-element rows, tabulated bit for bit as that
-slice of the whole.  One budget, ``STACK_BYTES``, sizes both:
-``patch_stacks`` cuts knot groups into stacks by their volume X batch, and
-``row_runs`` cuts a larger stack into the runs of rows that both the
-volume and the error pass tabulate.  ``tabulate_sides`` tabulates the
-Gauss points of many patch sides with one ``_side_grid`` call per (fixed
-axis, knot vectors) group, which covers both opposite sides of each patch
-({0, 1} x ts or ts x {0, 1}), and writes each group's elements straight to
-their slot-order rows, each flipped slot reversed.  A side element carries
-only its trace window of 2(p+1) functions, or a field's values alone.
-Conormal and edge speed come from the kernel's J and g^-1, without cross
-products.  ``match_interfaces`` takes its side samples through the same call.
+``tabulate_patches`` cuts a stack into the work units of the volume and
+error passes, runs of its u-element rows, each tabulated at its Gauss points
+bit for bit as that slice of the whole, after one set-up per stack (the
+contraction order, the 1D tables and the weights).  One budget,
+``STACK_BYTES``, sizes both: ``patch_stacks`` cuts knot groups into stacks
+by their volume X batch, and a unit's largest error-pass array fits it.
+``tabulate_sides`` tabulates the Gauss points of many patch sides with one
+``_side_grid`` call per (fixed axis, knot vectors) group, which covers both
+opposite sides of each patch ({0, 1} x ts or ts x {0, 1}), and writes each
+group's elements straight to their slot-order rows, each flipped slot
+reversed.  A side element carries only its trace window of 2(p+1) functions,
+or a field's values alone.  Conormal and edge speed come from the kernel's J
+and g^-1, without cross products.  ``match_interfaces`` takes its side
+samples through the same call.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ __all__ = [
     "refine_surface",
     "knot_groups",
     "patch_stacks",
-    "row_runs",
     "tabulate_grid",
     "tabulate_patches",
     "tabulate_sides",
@@ -158,7 +158,9 @@ class Tabulation:
         inv, J = self.inv_metric.reshape(2, 2, *shape), self.jacobian.reshape(3, 2, *shape)
         a = inv[0, 0] * pgrad[0] + inv[0, 1] * pgrad[1]
         b = inv[1, 0] * pgrad[0] + inv[1, 1] * pgrad[1]
-        return J[:, 0] * a + J[:, 1] * b
+        out = J[:, 0] * a
+        out += J[:, 1] * b  # in place: one full-size temporary fewer
+        return out
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -232,39 +234,28 @@ def _rational_basis(tab: Tabulation) -> Tabulation:
     return replace(tab, values=values, grads=grads)
 
 
-def tabulate_grid(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None,
-                  rows=slice(None)) -> Tabulation:
-    """Geometry of a stack of patches on the tensor grid xs_u x xs_v.
-
-    The patches must share both knot vectors.  ``xs_u``/``xs_v`` are
-    (nel, q) Gauss panels, whose q points lie in one span, or 1D point
-    arrays (q = 1, each point with its own window, so the grid may contain
-    knots and xi = 1, evaluated on the last non-empty span); point axes are
-    (P, nu, nv).  Sum factorisation: the homogeneous control net (x w, w),
-    with c w appended for the coefficient grids ``coeffs`` (P, n1, n2), is
-    contracted with the 1D tables, first along the direction with fewer
-    output points (v on a tie), giving the points, the Jacobian, S = sum N W
-    and its derivatives; no per-point window of control points is gathered.
-    The metric and its inverse use closed forms.  Raises SingularMapError,
-    naming the patch and the first point in element-major order where
-    det(J^T J) <= 1e-14 g_00 g_11 (sin^2 of the tangents' angle, whatever the
-    patch's size), and ValueError for a point outside [0, 1].
-
-    ``rows`` selects a run of u panels, a work unit: its tabulation equals
-    the matching slice of the whole grid's bit for bit.  The whole grid
-    decides the contraction order, the run's 1D tables are slices of the
-    whole grid's memoised ones, and the net is cut to the control rows that
-    the run's windows cover (``first_u`` still counts the whole net's rows,
-    and W is the whole net's).
-    """
+def _grid_setup(patches: list[NurbsPatch], xs_u, xs_v) -> tuple:
+    """The per-grid work of ``tabulate_grid``, done once for all its runs: the
+    (nel, q) panels, the contraction order, the 1D tables and the weights W."""
     xs_u, xs_v = (np.asarray(x, dtype=float).reshape(len(x), -1) for x in (xs_u, xs_v))
     # The direction with fewer output points goes first (the one u point of
     # a west/east side); ties, as on square volume grids, go v first.
-    u_first = xs_u.size < xs_v.size
-    fu, Nu, dNu = (t[rows] for t in _panel_table(patches[0].basis.basis_u, xs_u))
-    fv, Nv, dNv = _panel_table(patches[0].basis.basis_v, xs_v)
-    xs_u, cut = xs_u[rows], slice(fu.min(), fu.max() + Nu.shape[-1])
-    w = np.stack([p.basis.weights for p in patches])
+    b = patches[0].basis
+    return (xs_u, xs_v, xs_u.size < xs_v.size, _panel_table(b.basis_u, xs_u),
+            _panel_table(b.basis_v, xs_v), np.stack([p.basis.weights for p in patches]))
+
+
+def _tabulate_run(patches: list[NurbsPatch], grid: tuple, rows: slice, coeffs,
+                  rule=None) -> Tabulation:
+    """``tabulate_grid`` on the run ``rows`` of u panels of a ``_grid_setup`` grid,
+    equal to that slice of the whole grid's tabulation bit for bit: the run's 1D
+    tables are slices of the grid's, and the net is cut to the control rows that
+    the run's windows cover (``first_u`` still counts the whole net's rows, and W
+    is the whole net's).  ``rule``, the 1D Gauss weights of the run's u panels
+    and of the v panels, times sqrt(det g) gives ``weights``."""
+    xs_u, xs_v, u_first, table_u, (fv, Nv, dNv), w = grid
+    xs_u, (fu, Nu, dNu) = xs_u[rows], (t[rows] for t in table_u)
+    cut = slice(fu.min(), fu.max() + Nu.shape[-1])
     wc = w[:, cut, :, None]
     net = [np.stack([p.control_points[cut] for p in patches]) * wc, wc]
     if coeffs is not None:
@@ -306,11 +297,33 @@ def tabulate_grid(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None,
     inv = np.empty((2, 2) + det.shape)
     for (r, c), g in (((0, 0), g11), ((0, 1), -g01), ((1, 0), -g01), ((1, 1), g00)):
         np.divide(g, det, out=inv[r, c])
+    sqrt_det_g = np.sqrt(det)
     return Tabulation(
         first_u=np.repeat(fu, xs_u.shape[1])[:, None], first_v=np.repeat(fv, xs_v.shape[1]),
-        points=Q[:3], jacobian=dQ[:3], inv_metric=inv, sqrt_det_g=np.sqrt(det),
+        points=Q[:3], jacobian=dQ[:3], inv_metric=inv, sqrt_det_g=sqrt_det_g,
+        weights=None if rule is None else rule[0].reshape(-1, 1) * rule[1].reshape(-1) * sqrt_det_g,
         factors=(Nu, dNu, Nv, dNv, *S, w), **extra,
     )
+
+
+def tabulate_grid(patches: list[NurbsPatch], xs_u, xs_v, coeffs=None) -> Tabulation:
+    """Geometry of a stack of patches on the tensor grid xs_u x xs_v.
+
+    The patches must share both knot vectors.  ``xs_u``/``xs_v`` are
+    (nel, q) Gauss panels, whose q points lie in one span, or 1D point
+    arrays (q = 1, each point with its own window, so the grid may contain
+    knots and xi = 1, evaluated on the last non-empty span); point axes are
+    (P, nu, nv).  Sum factorisation: the homogeneous control net (x w, w),
+    with c w appended for the coefficient grids ``coeffs`` (P, n1, n2), is
+    contracted with the 1D tables, first along the direction with fewer
+    output points (v on a tie), giving the points, the Jacobian, S = sum N W
+    and its derivatives; no per-point window of control points is gathered.
+    The metric and its inverse use closed forms.  Raises SingularMapError,
+    naming the patch and the first point in element-major order where
+    det(J^T J) <= 1e-14 g_00 g_11 (sin^2 of the tangents' angle, whatever the
+    patch's size), and ValueError for a point outside [0, 1].
+    """
+    return _tabulate_run(patches, _grid_setup(patches, xs_u, xs_v), slice(None), coeffs)
 
 
 def _knot_key(basis: NurbsBasis2D) -> tuple:
@@ -327,8 +340,8 @@ def knot_groups(patches: list[NurbsPatch]) -> list[list[int]]:
 
 # Bytes of the volume X batch (elements x 2 q^2 (p+1)^2 doubles, q = p+1) one stack
 # or X block may hold: 25 patches of 16 elements at p = 2, 128 elements at p = 3; a
-# work unit's largest error-pass array has the same budget (``row_runs``).  1 MB raised
-# square-deep's peak RSS by 0.9% and 2 MB cli-cylinder's by 5.3% (CHANGES).
+# work unit's largest error-pass array has the same budget (``tabulate_patches``).
+# 1 MB raised square-deep's peak RSS by 0.9% and 2 MB cli-cylinder's by 5.3% (CHANGES).
 STACK_BYTES = 2**19
 
 
@@ -343,30 +356,24 @@ def patch_stacks(patches: list[NurbsPatch]) -> list[list[int]]:
     return stacks
 
 
-def row_runs(patches: list[NurbsPatch]) -> list[slice]:
-    """The work units of a stack, shared by the volume and error passes: runs of
-    u-element rows whose largest error-pass array fits STACK_BYTES (read at call
-    time, at least one row).  That array is dQ, 8 doubles at each of the (p+2)^2
-    points of an element, so at p >= 2 a stack of ``patch_stacks`` is one run."""
-    b = patches[0].basis
-    kv_u, kv_v = b.basis_u, b.basis_v
-    element_bytes = 64 * (kv_u.degree + 2) * (kv_v.degree + 2)
-    rows = max(1, STACK_BYTES // (element_bytes * kv_v.num_elements * len(patches)))
-    return [slice(a, min(a + rows, kv_u.num_elements)) for a in range(0, kv_u.num_elements, rows)]
+def tabulate_patches(patches: list[NurbsPatch], q: int, coeffs=None):
+    """The work units of a stack at the q x q Gauss points of its elements, shared by
+    the volume and error passes: yields (rows, tab), ``tabulate_grid`` on each run
+    ``rows`` of u-element rows, with ``weights`` integrating over the mapped patches.
 
-
-def tabulate_patches(patches: list[NurbsPatch], q: int, coeffs=None,
-                     rows=slice(None)) -> Tabulation:
-    """``tabulate_grid`` at the q x q Gauss points of the elements of a stack, on
-    the run ``rows`` of u-element rows (all by default).
-
-    Point axes are (P, nu, nv); ``weights`` integrate over the mapped patches.
+    The Gauss rules and the grid's set-up are made once; each unit then costs
+    only its rows.  A run's largest error-pass array, dQ (8 doubles at each of
+    the (p+2)^2 points of an element), fits STACK_BYTES (read when iteration
+    starts, at least one row), so at p >= 2 a stack of ``patch_stacks`` is one unit.
     """
-    b = patches[0].basis
-    xu, wu = panel_rules(b.basis_u.breaks, q)
-    xv, wv = panel_rules(b.basis_v.breaks, q)
-    tab = tabulate_grid(patches, xu, xv, coeffs, rows)
-    return replace(tab, weights=wu[rows].reshape(-1, 1) * wv.reshape(-1) * tab.sqrt_det_g)
+    kv_u, kv_v = patches[0].basis.basis_u, patches[0].basis.basis_v
+    (xu, wu), (xv, wv) = panel_rules(kv_u.breaks, q), panel_rules(kv_v.breaks, q)
+    grid, nel = _grid_setup(patches, xu, xv), kv_u.num_elements
+    element_bytes = 64 * (kv_u.degree + 2) * (kv_v.degree + 2)
+    size = max(1, STACK_BYTES // (element_bytes * kv_v.num_elements * len(patches)))
+    for a in range(0, nel, size):
+        run = slice(a, min(a + size, nel))  # the unit is not held here between yields
+        yield run, _tabulate_run(patches, grid, run, coeffs, (wu[run], wv))
 
 
 def _side_grid(patches: list[NurbsPatch], axis: int, ts: np.ndarray, coeffs=None) -> Tabulation:
@@ -534,9 +541,6 @@ class MultiPatchSurface:
     @property
     def has_dirichlet(self) -> bool:
         return any(e.kind == "dirichlet" for e in self.edges)
-
-    def area(self, q: int) -> float:
-        return sum(float(np.sum(tabulate_patches([p], q).weights)) for p in self.patches)
 
 
 def match_interfaces(

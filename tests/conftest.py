@@ -1,8 +1,10 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgiga
 from dgiga.driver import run_sweep
 from dgiga.geofile import parse_geometry
 from dgiga.problems import make_problem
@@ -16,9 +18,8 @@ BUNDLED_CYL = {2: "qcyl4.g", 3: "qcyl4_p3.g"}
 
 
 def bundled(name):
-    from dgiga.cli import data_path
-
-    return data_path(name)
+    """Path of a geometry file bundled in the package's ``data/`` directory."""
+    return Path(dgiga.__file__).parent / "data" / name
 
 
 @pytest.fixture(scope="session")

@@ -2,12 +2,15 @@
 
 The library evaluates bases and geometry through one sum-factorised kernel
 (``splines.tabulate`` feeding ``geometry.tabulate_grid``, ``tabulate_patches``
-and ``tabulate_sides``).  This module keeps an independent, pointwise route
-to the same quantities: ``eval_bspline`` (the triangular Cox-de Boor scheme
-at one point), ``eval_nurbs2d`` (the rational basis by the quotient rule),
-``frame_at`` (point, Jacobian and metric from the local control window),
-``surface_gradient``, ``surface_normal`` and ``conormal`` (by cross
-products), ``function_at`` (a discrete function's value and tangential
+and ``tabulate_sides``).  ``gauss_tabulation`` is a whole stack's
+``tabulate_grid`` at its Gauss points with the quadrature weights, the
+reference for the work units ``tabulate_patches`` yields, and
+``surface_area`` sums them patch by patch.  This module keeps an
+independent, pointwise route to the same quantities: ``eval_bspline`` (the
+triangular Cox-de Boor scheme at one point), ``eval_nurbs2d`` (the rational
+basis by the quotient rule), ``frame_at`` (point, Jacobian and metric from
+the local control window), ``surface_gradient``, ``surface_normal`` and
+``conormal`` (by cross products), ``function_at`` (a discrete function's value and tangential
 gradient), and ``global_window`` and ``element_dofs`` (global indices of
 basis windows).  The kernels are checked against them, and the edge,
 mesh-size and interpolation helpers below are built on them.
@@ -40,8 +43,9 @@ from dgiga.geometry import (
     NurbsPatch,
     SingularMapError,
     _rational_basis,
-    tabulate_patches,
+    tabulate_grid,
 )
+from dgiga.quadrature import panel_rules
 from dgiga.space import DgSpace, DiscreteFunction
 from dgiga.splines import KnotVector, NurbsBasis2D, find_span, greville, midpoint_refine
 
@@ -248,9 +252,18 @@ def element_dofs(space: DgSpace, pid: int) -> np.ndarray:
                      for a1 in firsts[0] for a2 in firsts[1]])
 
 
+def gauss_tabulation(patches: list[NurbsPatch], q: int, coeffs=None):
+    """``tabulate_grid`` of a whole stack at the q x q Gauss points of its elements
+    (``panel_rules``), with ``weights``: the Gauss weights times sqrt(det g)."""
+    kv_u, kv_v = patches[0].basis.basis_u, patches[0].basis.basis_v
+    (xu, wu), (xv, wv) = panel_rules(kv_u.breaks, q), panel_rules(kv_v.breaks, q)
+    tab = tabulate_grid(patches, xu, xv, coeffs)
+    return replace(tab, weights=wu.reshape(-1, 1) * wv.reshape(-1) * tab.sqrt_det_g)
+
+
 def tabulate_patch(patch: NurbsPatch, q: int):
     """Basis and geometry at the q x q Gauss points of one patch; point axes (nu, nv)."""
-    tab = _rational_basis(tabulate_patches([patch], q))
+    tab = _rational_basis(gauss_tabulation([patch], q))
     names = ("points", "jacobian", "inv_metric", "sqrt_det_g", "weights", "values", "grads")
     return replace(tab, factors=None, **{
         name: getattr(tab, name)[(slice(None),) * COMPONENT_AXES.get(name, 0) + (0,)]
@@ -402,11 +415,16 @@ def integrate_patch(patch: NurbsPatch, fn, q: int) -> float:
     return float(np.sum(fn(*tab.points) * tab.weights))
 
 
+def surface_area(surface: MultiPatchSurface, q: int) -> float:
+    """Area of a surface, patch by patch, with q Gauss points per direction."""
+    return sum(integrate_patch(patch, None, q) for patch in surface.patches)
+
+
 def l2_error_at(u_h: DiscreteFunction, u_exact, q: int) -> float:
     """L2 norm of u_h - u_exact with q Gauss points per direction, one patch at a time."""
     total = 0.0
     for pid, patch in enumerate(u_h.space.surface.patches):
-        tab = tabulate_patches([patch], q, u_h.patch_coeffs(pid)[None])
+        tab = gauss_tabulation([patch], q, u_h.patch_coeffs(pid)[None])
         gap = tab.field.ravel() - u_exact(tab.points.reshape(3, -1).T)
         total += float(np.sum(gap**2 * tab.weights.ravel()))
     return math.sqrt(total)

@@ -2,15 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import bundled
 
 import dgiga.driver
-from dgiga.cli import EXIT_GEOMETRY, EXIT_PARSE, EXIT_SOLVER, data_path, main
+from dgiga.cli import EXIT_GEOMETRY, EXIT_PARSE, EXIT_SOLVER, main
 from dgiga.geofile import GeometryData, serialize_geometry
 from dgiga.geometries import square_grid
 
 
 def test_check_prints_edge_counts(capsys):
-    rc = main(["check", str(data_path("square4.g"))])
+    rc = main(["check", str(bundled("square4.g"))])
     assert rc == 0
     out = capsys.readouterr().out
     assert "patches: 4" in out
@@ -24,7 +25,7 @@ def test_solve_writes_expected_artifacts(tmp_path, capsys):
     rc = main(
         [
             "solve",
-            str(data_path("square4.g")),
+            str(bundled("square4.g")),
             "--problem",
             "plane_sine",
             "--levels",
@@ -51,7 +52,7 @@ def test_repeated_runs_are_byte_identical(tmp_path):
         rc = main(
             [
                 "solve",
-                str(data_path("square4_p2.g")),
+                str(bundled("square4_p2.g")),
                 "--problem",
                 "plane_sine",
                 "--levels",
@@ -129,7 +130,7 @@ def test_partial_exact_gradient_exit_code(tmp_path, capsys):
     """gx and gy without gz used to print dg=nan, leave the dg columns empty and exit 0."""
     spec = ("u=sin(pi*x)*sin(pi*y); f=2*pi^2*sin(pi*x)*sin(pi*y); "
             "gx=pi*cos(pi*x)*sin(pi*y); gy=pi*sin(pi*x)*cos(pi*y)")
-    argv = ["solve", str(data_path("square4_p2.g")), "--problem", spec, "--levels", "1",
+    argv = ["solve", str(bundled("square4_p2.g")), "--problem", spec, "--levels", "1",
             "--out", str(tmp_path)]
     assert main(argv) == EXIT_PARSE
     assert "the exact gradient needs gx, gy and gz; missing gz" in capsys.readouterr().err
@@ -140,7 +141,7 @@ def test_expression_problem_runs(tmp_path):
     rc = main(
         [
             "solve",
-            str(data_path("square4.g")),
+            str(bundled("square4.g")),
             "--problem",
             "u=sin(pi*x)*sin(pi*y); f=2*pi^2*sin(pi*x)*sin(pi*y)",
             "--levels",
@@ -156,7 +157,7 @@ def test_expression_problem_runs(tmp_path):
 
 def test_unmeasured_errors_are_empty_fields(tmp_path):
     """Without u= neither error is measured: both are empty, like the rates."""
-    argv = ["solve", str(data_path("square4.g")), "--problem", "f=2*pi^2*sin(pi*x)*sin(pi*y)",
+    argv = ["solve", str(bundled("square4.g")), "--problem", "f=2*pi^2*sin(pi*x)*sin(pi*y)",
             "--levels", "2", "--out", str(tmp_path)]
     assert main(argv) == 0
     rates = (tmp_path / "rates.csv").read_text().splitlines()
@@ -167,7 +168,7 @@ def test_unmeasured_errors_are_empty_fields(tmp_path):
 @pytest.mark.parametrize("expr", ["f=10^400*x", "f=1/0+x", "f=10^400"],
                          ids=["overflow", "zero_division", "integer_overflow"])
 def test_arithmetic_error_in_expression_exit_code(tmp_path, capsys, expr):
-    argv = ["solve", str(data_path("square4.g")), "--problem", expr, "--levels", "1",
+    argv = ["solve", str(bundled("square4.g")), "--problem", expr, "--levels", "1",
             "--out", str(tmp_path)]
     assert main(argv) == EXIT_PARSE
     err = capsys.readouterr().err
@@ -179,7 +180,7 @@ def test_arithmetic_error_in_expression_exit_code(tmp_path, capsys, expr):
     ("f=2*pi^2*sin(pi*x)*sin(pi*y); u=sin(pi*x)*sin(pi*y)/(x-x)", "sin(pi*x)*sin(pi*y)/(x-x)"),
 ], ids=["overflow_to_inf", "nan"])
 def test_non_finite_expression_exit_code(tmp_path, capsys, spec, expr):
-    argv = ["solve", str(data_path("square4.g")), "--problem", spec, "--levels", "2",
+    argv = ["solve", str(bundled("square4.g")), "--problem", spec, "--levels", "2",
             "--out", str(tmp_path)]
     assert main(argv) == EXIT_PARSE
     err = capsys.readouterr().err
@@ -189,7 +190,7 @@ def test_non_finite_expression_exit_code(tmp_path, capsys, spec, expr):
 
 def test_expression_with_a_wrong_argument_count_exit_code(tmp_path, capsys):
     """sin(x, y) overwrote the y column of the tabulated points and exited 0."""
-    argv = ["solve", str(data_path("square4_p2.g")), "--problem", "u=sin(x,y); f=0",
+    argv = ["solve", str(bundled("square4_p2.g")), "--problem", "u=sin(x,y); f=0",
             "--levels", "1", "--out", str(tmp_path)]
     assert main(argv) == EXIT_PARSE
     assert "sin takes 1 positional argument(s), in expression 'sin(x,y)'" \
@@ -198,7 +199,7 @@ def test_expression_with_a_wrong_argument_count_exit_code(tmp_path, capsys):
 
 
 def test_alpha_outside_f_exit_code(tmp_path, capsys):
-    argv = ["solve", str(data_path("square4.g")), "--problem", "f=alpha; gN=alpha*x",
+    argv = ["solve", str(bundled("square4.g")), "--problem", "f=alpha; gN=alpha*x",
             "--levels", "1", "--out", str(tmp_path)]
     assert main(argv) == EXIT_PARSE
     assert "allowed only in f" in capsys.readouterr().err
@@ -266,7 +267,7 @@ def test_non_finite_alpha_and_negative_tag_exit_code(tmp_path, capsys, good, bad
 
 
 def test_repeated_problem_key_exit_code(tmp_path, capsys):
-    argv = ["solve", str(data_path("square4.g")), "--problem", "u=x; u=y; f=0",
+    argv = ["solve", str(bundled("square4.g")), "--problem", "u=x; u=y; f=0",
             "--levels", "1", "--out", str(tmp_path)]
     assert main(argv) == EXIT_PARSE
     assert "'u' is given more than once" in capsys.readouterr().err
@@ -277,7 +278,7 @@ def test_unknown_problem_exit_code(tmp_path, capsys):
     rc = main(
         [
             "solve",
-            str(data_path("square4.g")),
+            str(bundled("square4.g")),
             "--problem",
             "nope",
             "--levels",
@@ -320,7 +321,7 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     rc = main(
         [
             "solve",
-            str(data_path("square4_p2.g")),
+            str(bundled("square4_p2.g")),
             "--problem",
             "plane_sine",
             "--levels",
@@ -336,7 +337,7 @@ def test_solver_failure_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("delta", ["nan", "inf"])
 def test_non_finite_penalty_exit_code(tmp_path, capsys, delta):
-    argv = ["solve", str(data_path("square4.g")), "--problem", "plane_sine", "--levels", "1",
+    argv = ["solve", str(bundled("square4.g")), "--problem", "plane_sine", "--levels", "1",
             "--delta", delta, "--out", str(tmp_path)]
     assert main(argv) == EXIT_PARSE
     err = capsys.readouterr().err
@@ -345,7 +346,7 @@ def test_non_finite_penalty_exit_code(tmp_path, capsys, delta):
 
 
 def test_check_cylinder(capsys):
-    rc = main(["check", str(data_path("qcyl4.g"))])
+    rc = main(["check", str(bundled("qcyl4.g"))])
     assert rc == 0
     assert "interior edges:  4" in capsys.readouterr().out
 
@@ -382,7 +383,7 @@ def test_solution_csv_matches_fstring_rows(tmp_path, monkeypatch):
 
     monkeypatch.setattr(dgiga.driver, "tabulate_grid", spiked)
     out = tmp_path / "run"
-    argv = ["solve", str(data_path("square4_p2.g")), "--problem", "plane_sine",
+    argv = ["solve", str(bundled("square4_p2.g")), "--problem", "plane_sine",
             "--levels", "2", "--out", str(out)]
     assert main(argv) == 0
     assert len(levels) == 2  # one stack of four patches per level

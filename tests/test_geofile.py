@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from conftest import bundled
 
-from dgiga.cli import data_path, main
+from dgiga.cli import main
 from dgiga.geofile import ParseError, parse_geometry, serialize_geometry
 from dgiga.geometry import tabulate_grid
 
 
 def test_parse_bundled_square():
-    data = parse_geometry(data_path("square4.g"))
+    data = parse_geometry(bundled("square4.g"))
     assert len(data.patches) == 4
     assert sum(p.basis.shape[0] * p.basis.shape[1] for p in data.patches) == 16
     assert all(p.degree == (1, 1) for p in data.patches)
@@ -17,7 +18,7 @@ def test_parse_bundled_square():
 
 
 def test_parse_bundled_cylinder_is_exact(rng):
-    surface = parse_geometry(data_path("qcyl4.g")).surface()
+    surface = parse_geometry(bundled("qcyl4.g")).surface()
     for patch in surface.patches:
         pts = tabulate_grid([patch], rng.random(4), rng.random(4)).points
         assert np.max(np.abs(np.hypot(pts[0], pts[1]) - 1.0)) <= 1e-12
@@ -27,7 +28,7 @@ def test_parse_bundled_cylinder_is_exact(rng):
     "name", ["square4.g", "square4_p2.g", "square4_p3.g", "qcyl4.g", "qcyl4_p3.g"]
 )
 def test_round_trip(tmp_path, name):
-    data = parse_geometry(data_path(name))
+    data = parse_geometry(bundled(name))
     text = serialize_geometry(data)
     path = tmp_path / "copy.g"
     path.write_text(text, encoding="utf-8")
@@ -46,8 +47,8 @@ def test_round_trip(tmp_path, name):
 def test_byte_order_mark_is_skipped(tmp_path):
     """A UTF-8 file that starts with a byte-order mark parses like the same file without."""
     path = tmp_path / "bom.g"
-    path.write_bytes(b"\xef\xbb\xbf" + data_path("square4.g").read_bytes())
-    data, again = parse_geometry(data_path("square4.g")), parse_geometry(path)
+    path.write_bytes(b"\xef\xbb\xbf" + bundled("square4.g").read_bytes())
+    data, again = parse_geometry(bundled("square4.g")), parse_geometry(path)
     assert again.tags == data.tags
     np.testing.assert_array_equal(again.alpha, data.alpha)
     assert serialize_geometry(again) == serialize_geometry(data)  # knots, weights, points
@@ -208,7 +209,7 @@ def test_empty_file_rejected(tmp_path):
 
 
 def test_serialize_preserves_bits(tmp_path):
-    data = parse_geometry(data_path("qcyl4.g"))
+    data = parse_geometry(bundled("qcyl4.g"))
     w = data.patches[0].basis.weights[1, 0]
     text = serialize_geometry(data)
     assert repr(w) in text or f"{w:.17g}" in text
@@ -223,7 +224,7 @@ def test_bundled_files_match_their_generator():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     texts = module.bundled_texts()
-    data = Path(data_path("square4.g")).parent
+    data = bundled("square4.g").parent
     assert sorted(texts) == sorted(p.name for p in data.glob("*.g"))
     for name, text in texts.items():
         assert (data / name).read_bytes() == text.encode("utf-8"), name

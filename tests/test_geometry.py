@@ -3,8 +3,8 @@ import hashlib
 
 import numpy as np
 import pytest
-from oracles import (edge_breakpoints, edge_mesh_size, mesh_size, partner_t, refine_patch,
-                     uniform_open_knots)
+from oracles import (edge_breakpoints, edge_mesh_size, gauss_tabulation, mesh_size, partner_t,
+                     refine_patch, uniform_open_knots)
 from test_tabulation import GEOMETRIES
 
 from dgiga.assembly import assemble_system, default_penalty, interface_slots
@@ -30,7 +30,6 @@ from dgiga.geometry import (
     match_interfaces,
     refine_surface,
     tabulate_grid,
-    tabulate_patches,
     tabulate_sides,
 )
 from dgiga.problems import make_problem
@@ -325,7 +324,7 @@ def test_matcher_reports_patch_ids_that_are_not_list_positions(ids):
 def test_metric_spd_at_quadrature_points(rng):
     for surface in (square_grid(1), quarter_cylinder_grid(2)):
         for patch in surface.patches:
-            tab = tabulate_patches([patch], patch.degree[0] + 1)
+            tab = gauss_tabulation([patch], patch.degree[0] + 1)
             assert np.all(np.linalg.eigvalsh(metric(tab)) > 0)
 
 

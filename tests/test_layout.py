@@ -10,13 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from oracles import gauss_tabulation
 
 from dgiga.analysis import measure_errors
 from dgiga.assembly import interface_slots
 from dgiga.driver import run_sweep
 from dgiga.geometries import full_cylinder, square_grid
 from dgiga.geometry import (COMPONENT_AXES, _rational_basis, patch_stacks, refine_surface,
-                            tabulate_grid, tabulate_patches, tabulate_sides)
+                            tabulate_grid, tabulate_sides)
 from dgiga.problems import make_problem
 
 # Leading component axes of each array, the point axes follow: the layout
@@ -54,7 +55,7 @@ def test_grid_arrays_lead_with_their_components(xs):
     assert tab.first_u.shape == (xs[0], 1) and tab.first_v.shape == (xs[1],)
     assert all(f.flags.c_contiguous for f in tab.factors)
     # Gauss panels: point e q + i of each direction lies in element e.
-    tab = tabulate_patches(patches, 5, coeffs)
+    tab = gauss_tabulation(patches, 5, coeffs)
     nel_u, nel_v = (kv.num_elements for kv in (patches[0].basis.basis_u, patches[0].basis.basis_v))
     check_layout(tab, (3, 5 * nel_u, 5 * nel_v))
 
@@ -80,7 +81,7 @@ def element_major_parts(u_h, data, q):
     space, surface = u_h.space, u_h.space.surface
     gaps, weights = [], []
     for pid, patch in enumerate(surface.patches):
-        tab = tabulate_patches([patch], q, u_h.patch_coeffs(pid)[None])
+        tab = gauss_tabulation([patch], q, u_h.patch_coeffs(pid)[None])
         nu, nv = tab.weights.shape[1:]
 
         def em(a):  # (1, nu, nv) -> (nel_u * nel_v * q * q,), element-major

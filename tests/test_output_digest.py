@@ -94,11 +94,11 @@ def finest_units(monkeypatch, name):
     passes tabulate on its finest level, per pass."""
     units = {}
     for module in (dgiga.assembly, dgiga.analysis):
-        def recorded(patches, q, coeffs=None, rows=slice(None), real=module.tabulate_patches,
-                     key=module.__name__):
+        def recorded(patches, q, coeffs=None, real=module.tabulate_patches, key=module.__name__):
             nel = patches[0].basis.basis_u.num_elements
-            units.setdefault(key, []).append((nel, len(range(nel)[rows])))
-            return real(patches, q, coeffs, rows)
+            for unit in real(patches, q, coeffs):
+                units.setdefault(key, []).append((nel, unit[0].stop - unit[0].start))
+                yield unit
         monkeypatch.setattr(module, "tabulate_patches", recorded)
     digests = dict(output_digest.digests(name))
     return digests, {key.split(".")[1]: [rows for nel, rows in calls if nel == max(calls)[0]]
@@ -113,7 +113,7 @@ def test_the_p4_case_covers_short_units_in_both_passes(monkeypatch):
     rows, and the outputs keep the recorded digests."""
     _, default = finest_units(monkeypatch, "square-p4-blocks")
     assert default == {"assembly": [8] * 8, "analysis": [8] * 4}
-    # 6 rows of 8 elements of (p+2)^2 points, 64 bytes each (geometry.row_runs)
+    # 6 rows of 8 elements of (p+2)^2 points, 64 bytes each (geometry.tabulate_patches)
     monkeypatch.setattr(dgiga.geometry, "STACK_BYTES", 6 * 8 * 6**2 * 64)
     digests, small = finest_units(monkeypatch, "square-p4-blocks")
     assert small == {"assembly": [6, 2] * 8, "analysis": [6, 2] * 4}

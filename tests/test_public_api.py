@@ -6,8 +6,9 @@ The library has one evaluation path (``splines.tabulate`` feeding
 the pointwise evaluators the tests compare it against live in
 ``tests/oracles.py``.  A name added to or dropped from the top level, a
 parameter or default added to or dropped from a top-level callable, or a
-demo that needs a private name, fails here, and so does a public name that
-only tests and demos call.
+demo that needs a private name, fails here, and so does a public name (a
+top-level name, a name in a module's ``__all__``, a public module-level
+function or a public method) that only tests and demos call.
 """
 
 import ast
@@ -132,6 +133,19 @@ def public_names() -> set:
     return names
 
 
+def defined_names() -> set:
+    """Every public module-level function and every public method of a module-level
+    class in ``src/dgiga``, listed in an ``__all__`` or not."""
+    names = set()
+    for path in sorted((ROOT / "src" / "dgiga").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for d in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not d.name.startswith("_"):
+                    names.add(d.name)
+    return names
+
+
 def loaded_names(node, inside=()) -> set:
     """Names read (as a name or an attribute) in ``node``, except within a
     definition of that same name: a recursive call or a class naming itself."""
@@ -151,4 +165,4 @@ def test_every_public_name_has_a_caller_outside_tests_and_demos():
     assert CALLERS
     called = set().union(*(loaded_names(ast.parse(path.read_text(encoding="utf-8")))
                            for path in CALLERS))
-    assert sorted(public_names() - called) == []
+    assert sorted((public_names() | defined_names()) - called) == []

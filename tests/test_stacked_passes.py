@@ -10,11 +10,12 @@ larger patch's element rows.
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 from conftest import traced_peak
-from oracles import assemble_volume
+from oracles import assemble_volume, gauss_tabulation, uniform_open_knots
 from test_edge_batches import Counter
 from test_geometry import seeded_grid
 from test_tabulation import two_signature_patches
@@ -24,9 +25,10 @@ import dgiga.geometry
 from dgiga.analysis import _stack_errors, measure_errors
 from dgiga.assembly import ProblemData, _volume_blocks
 from dgiga.geometries import full_cylinder, square_grid
-from dgiga.geometry import (MultiPatchSurface, _knot_key, knot_groups, patch_stacks,
-                            refine_surface)
+from dgiga.geometry import (MultiPatchSurface, NurbsPatch, _knot_key, knot_groups,
+                            patch_stacks, refine_surface)
 from dgiga.space import build_space, prolong
+from dgiga.splines import NurbsBasis2D, greville
 
 # Polynomial data: no transcendental function whose vectorised kernels might
 # round differently with the array length.
@@ -154,24 +156,69 @@ def test_stacks_cover_every_patch_once_in_knot_group_order(build):
     pytest.param(lambda: one_patch(p=4, levels=4), 0, 2, id="one_patch_over_budget"),
 ])
 def test_volume_and_error_passes_tabulate_once_per_stack(monkeypatch, build, levels, units):
-    """Each pass calls the kernel once per work unit (``row_runs``): once per stack
-    of patches within the budget, once per run of element rows above it."""
+    """Each pass tabulates once per work unit of ``tabulate_patches``: once per
+    stack of patches within the budget, once per run of element rows above it.
+    Its Gauss rules come once per stack, one ``panel_rules`` call per direction,
+    however many units the stack has."""
     surface = build()
     for _ in range(levels):
         surface = refine_surface(surface)
     elements = {p.basis.basis_u.num_elements * p.basis.basis_v.num_elements
                 for p in surface.patches}
     assert elements == ({16} if surface.num_patches > 1 else {256})  # as the cases state
-    kernel = Counter(dgiga.geometry.tabulate_grid)
-    monkeypatch.setattr(dgiga.geometry, "tabulate_grid", kernel)
-    monkeypatch.setattr(dgiga.analysis, "tabulate_grid", kernel)  # surface_h_max
+    kernel = Counter(dgiga.geometry._tabulate_run)  # the body of every unit and grid
+    monkeypatch.setattr(dgiga.geometry, "_tabulate_run", kernel)
+    rules = Counter(dgiga.geometry.panel_rules)
+    monkeypatch.setattr(dgiga.geometry, "panel_rules", rules)
     u_h = random_function(surface)
+    rules_per_pass = 2 * len(patch_stacks(surface.patches))
     assemble_volume(u_h.space, DATA)
-    assert kernel.calls == units
-    kernel.calls = 0
+    assert (kernel.calls, rules.calls) == (units, rules_per_pass)
+    kernel.calls = rules.calls = 0
     measure_errors(u_h, dataclasses.replace(DATA, grad_u_exact=None))  # no edge pass
     groups = len(knot_groups(surface.patches))
-    assert kernel.calls == units + groups  # the error pass, surface_h_max per knot group
+    # the error pass, then surface_h_max once per knot group, with no Gauss rule
+    assert (kernel.calls, rules.calls) == (units + groups, rules_per_pass)
+
+
+def second_unit_peak(nel_u, q, field):
+    """tracemalloc peak of the second one-row unit of a planar p = 2 patch of
+    nel_u x 8 elements, after the set-up and the first unit."""
+    kv_u, kv_v = uniform_open_knots(2, nel_u), uniform_open_knots(2, 8)
+    net = np.stack(np.broadcast_arrays(greville(kv_u)[:, None], greville(kv_v), 0.0), axis=-1)
+    patch = NurbsPatch(NurbsBasis2D(kv_u, kv_v, np.ones(net.shape[:2])), net, 0)
+    coeffs = np.ones((1, *net.shape[:2])) if field else None
+    units = dgiga.geometry.tabulate_patches([patch], q, coeffs)
+    assert next(units)[0] == slice(0, 1)
+    (rows, _), peak = traced_peak(next, units)
+    assert rows == slice(1, 2)
+    return peak
+
+
+@pytest.mark.parametrize("q, field", [(3, False), (4, True)], ids=["volume", "error"])
+def test_a_units_cost_does_not_grow_with_its_patch(monkeypatch, q, field):
+    """With one element row a unit, the second unit of a p = 2 patch of 8
+    v-elements has the same tracemalloc peak on a patch of 64 u-rows as on one
+    of 256: the stack's set-up (Gauss rules, 1D tables, stacked weights) is made
+    once, before the first unit, and a unit touches only its own rows."""
+    monkeypatch.setattr(dgiga.geometry, "STACK_BYTES", 1)
+    # The first few runs of this code path in a process allocate a few hundred
+    # bytes more, until Python's free lists fill up: the least peak of six
+    # alternating runs per patch is the unit's own cost.
+    runs = [(nel_u, second_unit_peak(nel_u, q, field)) for _ in range(6) for nel_u in (64, 256)]
+    assert min(b for n, b in runs if n == 64) == min(b for n, b in runs if n == 256)
+
+
+def test_no_unit_outlives_its_iteration(monkeypatch):
+    """``tabulate_patches`` keeps no reference to a unit it has yielded: once the
+    caller drops a unit, its arrays are freed before the next one is made."""
+    monkeypatch.setattr(dgiga.geometry, "STACK_BYTES", 1)
+    units = dgiga.geometry.tabulate_patches(one_patch(levels=2).patches, 3)
+    rows, tab = next(units)
+    arrays = [weakref.ref(a) for a in (tab.points, tab.jacobian, tab.weights, *tab.factors[4:7])]
+    del tab
+    assert [ref() for ref in arrays] == [None] * len(arrays)
+    assert next(units)[0] == slice(1, 2)
 
 
 def test_a_large_patch_never_holds_its_whole_x_batch():
@@ -206,7 +253,7 @@ def test_a_large_patch_never_holds_its_whole_error_tabulation():
     bytes of the arrays that tabulation keeps."""
     u_h = random_function(one_patch(p=4, levels=5))  # 32 x 32 elements
     q = u_h.space.degree + 2
-    tab = dgiga.geometry.tabulate_patches(u_h.space.surface.patches, q, u_h.patch_coeffs(0)[None])
+    tab = gauss_tabulation(u_h.space.surface.patches, q, u_h.patch_coeffs(0)[None])
     kept = [tab.points, tab.jacobian, tab.inv_metric, tab.sqrt_det_g, tab.weights, tab.field,
             tab.field_grad, *tab.factors[4:7]]
     whole = sum(a.nbytes for a in kept)

@@ -18,6 +18,7 @@ from oracles import (
     eval_nurbs2d,
     frame_at,
     function_at,
+    gauss_tabulation,
     partner_t,
     side_param,
     surface_gradient,
@@ -25,6 +26,7 @@ from oracles import (
 )
 from test_flipped_interface import two_patches
 
+import dgiga.geometry
 from dgiga.assembly import (
     ProblemData,
     _edge_terms,
@@ -128,7 +130,7 @@ def test_patch_tabulation_matches_pointwise(surface):
         xv, wv = panel_rules(patch.basis.basis_v.breaks, q)
         G = tab.surface_gradient(tab.grads)
         # The error pass's route: u_h contracted like the geometry, no basis.
-        fields = tabulate_patches([patch], q, coeffs=u_h.patch_coeffs(pid)[None])
+        fields = gauss_tabulation([patch], q, u_h.patch_coeffs(pid)[None])
         assert fields.values is None and fields.grads is None
         field_grads = fields.surface_gradient(fields.field_grad)
         for idx in np.ndindex(tab.sqrt_det_g.shape):
@@ -311,28 +313,35 @@ RUN_STACKS = {
 
 
 @pytest.mark.parametrize("name", sorted(RUN_STACKS))
-def test_a_run_of_element_rows_tabulates_as_its_slice_of_the_whole_patch(name):
-    """``tabulate_patches`` on a run of u-element rows, a work unit of the volume
-    and error passes, equals the matching slice of the whole tabulation bit for
-    bit, with and without a field, whichever direction the whole grid contracts
-    first."""
+def test_a_run_of_element_rows_tabulates_as_its_slice_of_the_whole_patch(monkeypatch, name):
+    """Each work unit that ``tabulate_patches`` yields, a run of u-element rows,
+    equals its slice of the whole stack's Gauss tabulation (``gauss_tabulation``)
+    bit for bit, with and without a field, whichever direction the whole grid
+    contracts first, under budgets of 1, 2, 3 and all rows a unit."""
     stack = RUN_STACKS[name]()
-    p, nel = stack[0].degree[0], stack[0].basis.basis_u.num_elements
+    kv_u, kv_v = stack[0].basis.basis_u, stack[0].basis.basis_v
+    p, nel = kv_u.degree, kv_u.num_elements
+    row_bytes = 64 * (kv_u.degree + 2) * (kv_v.degree + 2) * kv_v.num_elements * len(stack)
     coeffs = np.random.default_rng(2).standard_normal((len(stack),) + stack[0].basis.shape)
     fields = ("points", "jacobian", "inv_metric", "sqrt_det_g", "weights", "field", "field_grad")
-    for q, c in ((p + 1, None), (p + 2, coeffs)):
-        whole = tabulate_patches(stack, q, c)
-        for rows in (slice(0, 1), slice(1, 3), slice(nel - 2, nel), slice(0, nel)):
-            run, g = tabulate_patches(stack, q, c, rows), slice(rows.start * q, rows.stop * q)
-            for field in fields[: 5 if c is None else None]:
-                expected = getattr(whole, field)[..., g, :]
-                np.testing.assert_array_equal(getattr(run, field), expected, err_msg=field)
-            np.testing.assert_array_equal(run.first_u, whole.first_u[g])
-            np.testing.assert_array_equal(run.first_v, whole.first_v)
-            Nu, dNu, Nv, dNv, S, Su, Sv, W = whole.factors
-            for got, expected in zip(run.factors, (Nu[rows], dNu[rows], Nv, dNv,
-                                                   S[..., g, :], Su[..., g, :], Sv[..., g, :], W)):
-                np.testing.assert_array_equal(got, expected)
+    for size in (1, 2, 3, nel):
+        monkeypatch.setattr(dgiga.geometry, "STACK_BYTES", size * row_bytes)
+        for q, c in ((p + 1, None), (p + 2, coeffs)):
+            whole = gauss_tabulation(stack, q, c)
+            units = list(tabulate_patches(stack, q, c))
+            assert [rows for rows, _ in units] == [slice(a, min(a + size, nel))
+                                                   for a in range(0, nel, size)]
+            for rows, run in units:
+                g = slice(rows.start * q, rows.stop * q)
+                for field in fields[: 5 if c is None else None]:
+                    expected = getattr(whole, field)[..., g, :]
+                    np.testing.assert_array_equal(getattr(run, field), expected, err_msg=field)
+                np.testing.assert_array_equal(run.first_u, whole.first_u[g])
+                np.testing.assert_array_equal(run.first_v, whole.first_v)
+                Nu, dNu, Nv, dNv, S, Su, Sv, W = whole.factors
+                for got, expected in zip(run.factors, (Nu[rows], dNu[rows], Nv, dNv, S[..., g, :],
+                                                       Su[..., g, :], Sv[..., g, :], W)):
+                    np.testing.assert_array_equal(got, expected)
 
 
 def test_tabulate_sides_rejects_an_empty_slot_list():
