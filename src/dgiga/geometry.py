@@ -24,13 +24,13 @@ contraction order, the 1D tables and the weights).  One budget,
 ``STACK_BYTES``, sizes both: ``patch_stacks`` cuts knot groups into stacks
 by their volume X batch, and a unit's largest error-pass array fits it.
 ``tabulate_sides`` tabulates the Gauss points of many patch sides with one
-``_side_grid`` call per (fixed axis, knot vectors) group, which covers both
-opposite sides of each patch ({0, 1} x ts or ts x {0, 1}), and writes each
-group's elements straight to their slot-order rows, each flipped slot
+``tabulate_grid`` call per (fixed axis, knot vectors) group on {0, 1} x ts
+or ts x {0, 1}, which covers both opposite sides of each patch, and writes
+each group's elements straight to their slot-order rows, each flipped slot
 reversed.  A side element carries only its trace window of 2(p+1) functions,
 or a field's values alone.  Conormal and edge speed come from the kernel's J
-and g^-1, without cross products.  ``match_interfaces`` takes its side
-samples through the same call.
+and g^-1, without cross products.  ``match_interfaces`` reads a patch's four
+sides from the rims of one ts x ts grid per knot group.
 """
 
 from __future__ import annotations
@@ -376,18 +376,10 @@ def tabulate_patches(patches: list[NurbsPatch], q: int, coeffs=None):
         yield run, _tabulate_run(patches, grid, run, coeffs, (wu[run], wv))
 
 
-def _side_grid(patches: list[NurbsPatch], axis: int, ts: np.ndarray, coeffs=None) -> Tabulation:
-    """``tabulate_grid`` of a stack on both sides across ``axis``: the grid {0, 1} x ts
-    (axis 0: west, east) or ts x {0, 1} (axis 1: south, north)."""
-    ends = np.array([0.0, 1.0])
-    return tabulate_grid(patches, *((ends, ts) if axis == 0 else (ts, ends)), coeffs)
-
-
 def _trace_basis(tab: Tabulation, axis: int) -> Tabulation:
-    """The rational basis of a ``_side_grid`` tabulation on its trace window: the 2
-    functions nearest each side across ``axis``, times p+1 along it.  Cox-de Boor
-    gives exact zeros at the end knots of an open knot vector, so every other
-    function has zero value and zero normal derivative on the side, exactly."""
+    """The rational basis of a side pass's grid on its trace window: the 2 functions nearest
+    each side across ``axis``, times p+1 along it.  Cox-de Boor gives exact zeros at the end
+    knots of an open knot vector: every other function and its normal derivative vanish there."""
     factors, name = list(tab.factors), ("first_u", "first_v")[axis]
     m = factors[2 * axis].shape[-1]
     for k in (2 * axis, 2 * axis + 1):  # the table across the sides: 2 functions per end
@@ -398,14 +390,15 @@ def _trace_basis(tab: Tabulation, axis: int) -> Tabulation:
 
 
 def _side_pass(patches, pid, axis: int, f, flip, bp, q: int, coeffs) -> dict:
-    """The elements of the slots (pid, f, flip), whose sides share the fixed
-    axis and whose patches share both knot vectors (f is 1 on the east or
-    north side), from one ``_side_grid`` call over their distinct patches."""
+    """The elements of the slots (pid, f, flip), whose sides share the fixed axis and whose
+    patches share both knot vectors (f is 1 on the east or north side), from one
+    ``tabulate_grid`` call over their distinct patches on {0, 1} x ts or ts x {0, 1}."""
     stack, s = np.unique(pid, return_inverse=True)
     ts, wt = panel_rules(bp, q)
     nel, n, basis = bp.size - 1, ts.size, coeffs is None
-    grid = _side_grid([patches[k] for k in stack], axis, np.concatenate([ts.ravel(), bp]),
-                      None if basis else np.stack([coeffs[k] for k in stack]))
+    xs = (np.array([0.0, 1.0]), np.concatenate([ts.ravel(), bp]))  # across, along the sides
+    grid = tabulate_grid([patches[k] for k in stack], *(xs if axis == 0 else xs[::-1]),
+                         None if basis else np.stack([coeffs[k] for k in stack]))
     if basis:
         grid = _trace_basis(grid, axis)
     # Point j of side f of stack patch s lies at s * 2 N + f * sf + j * sj.
@@ -446,7 +439,7 @@ def tabulate_sides(patches: list[NurbsPatch], slots, q: int, coeffs=None) -> Sid
     slots' elements in slot order, and a flipped slot is traversed against
     its side's parameter (elements and points reversed).  Slots whose
     sides share the fixed axis and whose patches share both knot vectors
-    form a group: one ``_side_grid`` call covers both opposite sides of its
+    form a group: one ``tabulate_grid`` call covers both opposite sides of its
     patches, and its rows go straight to their slot-order positions.
     ``coeffs``, one (n1, n2) coefficient grid per patch, gives the field
     values instead of the basis.
@@ -570,11 +563,11 @@ def match_interfaces(
     # bounds never drops a candidate; the 5-sample test decides.
     ts = np.linspace(0.0, 1.0, 5)
     all_sides = [(pid, side) for pid in range(len(patches)) for side in SIDES]
-    samples = np.empty((len(patches), 2, 2, ts.size, 3))  # in SIDES order per patch
-    for stack in knot_groups(patches):
-        for axis in (0, 1):
-            X = np.moveaxis(_side_grid([patches[pid] for pid in stack], axis, ts).points, 0, -1)
-            samples[stack, axis] = X if axis == 0 else X.swapaxes(1, 2)
+    samples = np.empty((len(patches), len(SIDES), ts.size, 3))
+    for stack in knot_groups(patches):  # each side is a rim of its patch's ts x ts grid
+        X = np.moveaxis(tabulate_grid([patches[pid] for pid in stack], ts, ts).points, 0, -1)
+        for k, (axis, value) in enumerate(map(_SIDE_DATA.get, SIDES)):
+            samples[stack, k] = np.take(X, -int(value), axis=1 + axis)
     samples = samples.reshape(len(all_sides), ts.size, 3)
     tol = MATCH_TOL * float(np.max(np.ptp(samples, axis=(0, 1))))
     mid_x = samples[:, ts.size // 2, 0]

@@ -69,8 +69,9 @@ class Counter:
 def counting_sweep(surface, monkeypatch, levels=3):
     """Per level: side-kernel calls, calls of f, g_D, g_N and u_exact, and the
     accumulated elements keyed by element-matrix entries."""
-    kernel = Counter(dgiga.geometry._side_grid)
-    monkeypatch.setattr(dgiga.geometry, "_side_grid", kernel)
+    # surface_h_max and sample_solution bind their own tabulate_grid: only side passes count.
+    kernel = Counter(dgiga.geometry.tabulate_grid)
+    monkeypatch.setattr(dgiga.geometry, "tabulate_grid", kernel)
     blocks = {}
     sipg_blocks, volume_blocks = dgiga.assembly._sipg_blocks, dgiga.assembly._volume_blocks
 
@@ -145,6 +146,24 @@ def test_boundary_data_is_called_once_per_pass(monkeypatch):
         assert record["f"] == stacks < surface.num_patches
         assert record["u_exact"] - 1 == stacks
         surface = dgiga.geometry.refine_surface(surface)
+
+
+@pytest.mark.parametrize("build, groups", [
+    (lambda: seeded_grid(7, 8), 2),  # two knot signatures: u and reversed u
+    (lambda: full_cylinder(3, 2), 1),
+], ids=["seeded_8x8", "full_cylinder"])
+def test_matching_tabulates_once_per_knot_group(monkeypatch, build, groups):
+    """A patch's four sides are the rims of one parameter grid: matching makes
+    one kernel call per knot group, not one per fixed axis, and finds the
+    same edges."""
+    surface = build()
+    assert len(dgiga.geometry.knot_groups(surface.patches)) == groups
+    tags = {e.left: e.kind for e in surface.edges if e.kind != "interior"}
+    kernel = Counter(dgiga.geometry._tabulate_run)
+    monkeypatch.setattr(dgiga.geometry, "_tabulate_run", kernel)
+    matched = dgiga.geometry.match_interfaces(surface.patches, tags, surface.alpha)
+    assert kernel.calls == groups
+    assert matched.edges == surface.edges
 
 
 def test_refinement_inserts_knots_once_per_knot_vector(monkeypatch):

@@ -41,3 +41,34 @@ def test_no_source_module_imports_a_name_it_does_not_use():
     unused = {path.name: unused_imports(path.read_text()) for path in SOURCES
               if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def orphaned_helpers(sources: dict) -> list:
+    """Private module-level functions and classes whose name no source loads (as a
+    name or an attribute) outside their own definition."""
+    defined, loaded = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = {n.id for n in ast.walk(node)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined[node.name] = f"{module}:{node.lineno}"
+                names.discard(node.name)  # a recursive call is no caller
+            loaded |= names
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in loaded)
+
+
+def test_orphaned_helpers_are_found():
+    sources = {
+        "a.py": "def _used():\n    pass\ndef _recursive():\n    return _recursive()\n"
+                "class _Gone:\n    pass\ndef f():\n    return _used()\n",
+        "b.py": "from . import a\ndef _attr():\n    pass\nx = a._attr\n",
+    }
+    assert orphaned_helpers(sources) == ["_Gone (a.py:5)", "_recursive (a.py:3)"]
+
+
+def test_every_private_helper_has_a_caller():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert orphaned_helpers(sources) == []
